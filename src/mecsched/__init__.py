@@ -12,32 +12,19 @@ rule with a single control weight.
 
 Subpackage map:
 
-- ``catalog``   content universe, Zipf popularity, cache membership
-- ``workload``  Bernoulli arrivals and random task composition
-- ``dynamics``  slot counts, busy counters, the per-slot transition
-- ``policy``    feasible action sets and the scheduling rules
-- ``engine``    the simulation loop and run metrics
+- ``catalog``   content universe, Zipf popularity, the most-popular-first cache
+- ``workload``  Bernoulli arrivals and the per-run task table
+- ``dynamics``  uplink bits and busy-slot counts of the two execution modes
+- ``policy``    the five actions, the feasibility rule, the scheduling rules
+- ``engine``    the pointer-queue simulation loop and run metrics
 - ``analysis``  closed-form expectations, regimes and bounds
 - ``cli``       config files, experiment commands, CSV output
 """
 
-from .catalog import CacheConfig, ContentCatalog, is_cached, zipf_popularity
-from .workload import Task, WorkloadConfig, sample_arrival, sample_task
-from .dynamics import (
-    ACTION_IDLE,
-    ACTIONS,
-    Action,
-    CompletionEvent,
-    SystemParams,
-    SystemState,
-    mec_bits,
-    slots_local,
-    slots_mec,
-    step,
-    transmitted_bits,
-    uncached_distinct_bits,
-)
-from .policy import PolicySpec, action_cost, decide, feasible_actions
+from .catalog import CacheConfig, ContentCatalog, zipf_popularity
+from .workload import WorkloadConfig, distinct_uncached_counts, sample_tasks
+from .dynamics import SystemParams, slots_local, slots_mec, task_bits
+from .policy import ACTION_IDLE, ACTIONS, PolicySpec, action_cost, decide, feasible_actions
 from .engine import (
     RunMetrics,
     avg_data_per_task,
@@ -49,7 +36,6 @@ from .engine import (
 from .analysis import (
     RegimeReport,
     SlotMeanEstimate,
-    drift_bound_constant,
     estimate_slot_means,
     expected_local_bits,
     expected_mec_bits,
@@ -64,9 +50,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ACTIONS",
     "ACTION_IDLE",
-    "Action",
     "CacheConfig",
-    "CompletionEvent",
     "ConfigError",
     "ContentCatalog",
     "ContractViolation",
@@ -76,32 +60,25 @@ __all__ = [
     "RunMetrics",
     "SlotMeanEstimate",
     "SystemParams",
-    "SystemState",
-    "Task",
     "WorkloadConfig",
     "action_cost",
     "avg_data_per_task",
     "avg_queue_length",
     "decide",
-    "drift_bound_constant",
+    "distinct_uncached_counts",
     "estimate_slot_means",
     "expected_local_bits",
     "expected_mec_bits",
     "feasible_actions",
-    "is_cached",
     "little_delay",
     "mean_delay_slots",
-    "mec_bits",
     "optimal_average_data",
     "optimality_gap_bound",
     "run_simulation",
-    "sample_arrival",
-    "sample_task",
+    "sample_tasks",
     "slots_local",
     "slots_mec",
-    "step",
-    "transmitted_bits",
-    "uncached_distinct_bits",
+    "task_bits",
     "uniform_k_dist",
     "zipf_popularity",
 ]

@@ -7,8 +7,7 @@ This module carries the quantities the simulator is checked against:
 - seeded Monte Carlo estimates of the mean busy-slot counts,
 - the minimum achievable long-run data average and its feasibility
   regime as a function of the arrival rate,
-- the additive optimality-gap bound of the drift-plus-penalty rule and
-  the constant behind it.
+- the additive optimality-gap bound of the drift-plus-penalty rule.
 """
 
 from __future__ import annotations
@@ -20,8 +19,8 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .catalog import CacheConfig, ContentCatalog
-from .dynamics import SystemParams, slots_local, slots_mec
-from .workload import Task, sample_content_indices
+from .dynamics import SystemParams, slots_local, slots_mec, task_bits
+from .workload import distinct_uncached_counts, sample_content_indices
 
 __all__ = [
     "uniform_k_dist",
@@ -35,12 +34,15 @@ __all__ = [
     "REGIME_INFEASIBLE",
     "optimal_average_data",
     "optimality_gap_bound",
-    "drift_bound_constant",
 ]
 
 REGIME_LOCAL_ONLY = "local_only_optimal"
 REGIME_MIXED = "mixed"
 REGIME_INFEASIBLE = "infeasible"
+
+# Tasks whose contents are drawn and counted together in the Monte Carlo
+# estimate; bounds its temporary memory.
+_CHUNK_TASKS = 64
 
 
 def uniform_k_dist(k_min: int, k_max: int) -> dict[int, float]:
@@ -156,18 +158,17 @@ def estimate_slot_means(
     ks = np.array(sorted(k_dist), dtype=np.int64)
     probs = np.array([k_dist[int(k)] for k in ks])
     drawn_ks = rng.choice(ks, size=samples, p=probs)
+    # Each task's contents are the next k uniforms of the stream, so a
+    # chunk of tasks can draw its contents in one call.
     local_counts = np.empty(samples, dtype=np.float64)
     mec_counts = np.empty(samples, dtype=np.float64)
-    for i in range(samples):
-        k = int(drawn_ks[i])
-        task = Task(
-            id=i,
-            arrival_slot=i,
-            contents=sample_content_indices(rng, catalog, k),
-            total_bits=catalog.size_bits * k,
-        )
-        local_counts[i] = slots_local(task, cache, catalog, params)
-        mec_counts[i] = slots_mec(task, params)
+    for first in range(0, samples, _CHUNK_TASKS):
+        chunk = drawn_ks[first:first + _CHUNK_TASKS]
+        ranks = sample_content_indices(rng, catalog, int(chunk.sum()))
+        distinct = distinct_uncached_counts(ranks, chunk, cache)
+        local_bits, mec_bits = task_bits(catalog, chunk, distinct)
+        local_counts[first:first + chunk.size] = slots_local(mec_bits, local_bits, params)
+        mec_counts[first:first + chunk.size] = slots_mec(mec_bits, params)
     return SlotMeanEstimate(
         local_mean=float(local_counts.mean()),
         mec_mean=float(mec_counts.mean()),
@@ -182,8 +183,8 @@ class RegimeReport:
     """Feasibility regime and minimum long-run data average.
 
     ``optimal_bits`` is ``None`` exactly when the regime is infeasible.
-    ``mean_compute_bits`` equals ``mean_mec_bits`` because local execution
-    always computes the full task; it is reported separately for clarity.
+    Both modes compute the full task, so ``mean_mec_bits`` is also the
+    mean computed size.
     """
 
     local_slot_mean: float
@@ -192,7 +193,6 @@ class RegimeReport:
     optimal_bits: Optional[float]
     mean_mec_bits: float
     mean_local_bits: float
-    mean_compute_bits: float
 
 
 def _mixed_regime_bits(
@@ -248,7 +248,6 @@ def optimal_average_data(
         optimal_bits=optimal,
         mean_mec_bits=mec_bits_mean,
         mean_local_bits=local_bits_mean,
-        mean_compute_bits=mec_bits_mean,
     )
 
 
@@ -259,18 +258,9 @@ def optimality_gap_bound(v: float) -> float:
     ``v`` is the policy weight in 1/bits, so the bound is in bits.  At
     ``v = 0`` the policy ignores data entirely and the bound is infinite.
     """
-    if v < 0:
+    if not v >= 0:
         raise ValueError(f"v must be non-negative, got {v}")
     if v == 0:
         return math.inf
     return 5.0 / (2.0 * v)
 
-
-def drift_bound_constant(q_len: int, arrival: int) -> float:
-    """The per-slot constant bounding the squared-queue drift:
-    ``(5 + 2 * q_len * arrival) / 2``.
-
-    With at most two departures and one arrival per slot the squared
-    terms never exceed 5/2 and the cross term adds ``q_len * arrival``.
-    """
-    return (5.0 + 2.0 * q_len * arrival) / 2.0

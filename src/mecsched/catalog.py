@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["ContentCatalog", "CacheConfig", "zipf_popularity", "is_cached"]
+__all__ = ["ContentCatalog", "CacheConfig", "zipf_popularity"]
 
 # Popularity vectors must be normalised at least this well.
 POPULARITY_SUM_TOL = 1e-12
@@ -122,11 +122,3 @@ class CacheConfig:
     def for_catalog(cls, catalog: ContentCatalog, capacity: int) -> "CacheConfig":
         return cls(capacity=capacity, n_contents=catalog.n_contents)
 
-
-def is_cached(content_index: int, cache: CacheConfig) -> bool:
-    """True when ``content_index`` (1-based rank) is pinned in the cache."""
-    if not 1 <= content_index <= cache.n_contents:
-        raise ValueError(
-            f"content index {content_index} outside universe 1..{cache.n_contents}"
-        )
-    return content_index <= cache.capacity

@@ -36,9 +36,11 @@ from .config import (
     apply_overrides,
     build_system,
     load_config,
+    parse_int,
     sweep_configs,
 )
 from .engine import (
+    RunMetrics,
     avg_data_per_task,
     avg_queue_length,
     little_delay,
@@ -123,9 +125,10 @@ def rows_to_csv(rows: list[dict], columns: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_one(config: ExperimentConfig, seed: int) -> dict:
+def _simulate(config: ExperimentConfig, seed: int) -> RunMetrics:
+    """Build the config's system and simulate it once with ``seed``."""
     catalog, cache, params, workload_cfg, policy = build_system(config)
-    metrics = run_simulation(
+    return run_simulation(
         catalog,
         cache,
         params,
@@ -135,6 +138,10 @@ def _run_one(config: ExperimentConfig, seed: int) -> dict:
         seed=seed,
         warmup_frac=config.warmup_frac,
     )
+
+
+def _run_one(config: ExperimentConfig, seed: int) -> dict:
+    metrics = _simulate(config, seed)
     row = {
         "seed": seed,
         "policy": config.policy,
@@ -192,17 +199,7 @@ def _mean_delay_seconds(config: ExperimentConfig) -> float:
     completes a post-warmup task (the overloaded end of a bracket)."""
     delays = []
     for seed in config.seeds:
-        catalog, cache, params, workload_cfg, policy = build_system(config)
-        metrics = run_simulation(
-            catalog,
-            cache,
-            params,
-            workload_cfg,
-            policy,
-            horizon=config.horizon_slots,
-            seed=seed,
-            warmup_frac=config.warmup_frac,
-        )
+        metrics = _simulate(config, seed)
         try:
             delays.append(mean_delay_slots(metrics) * config.slot_seconds)
         except MetricUndefined:
@@ -291,14 +288,14 @@ def cmd_frontier(
     max_iter: int = 32,
 ) -> list[dict]:
     """Minimum radio rate meeting the delay target at every grid point."""
-    if target_delay_s <= 0:
-        raise ConfigError(f"target delay must be positive, got {target_delay_s}")
-    if delay_tolerance_s <= 0:
-        raise ConfigError(f"delay tolerance must be positive, got {delay_tolerance_s}")
+    if not 0 < target_delay_s < math.inf:
+        raise ConfigError(f"target delay must be positive and finite, got {target_delay_s}")
+    if not 0 < delay_tolerance_s < math.inf:
+        raise ConfigError(f"delay tolerance must be positive and finite, got {delay_tolerance_s}")
     if not f_values or not m_values:
         raise ConfigError("frontier needs non-empty f_local and cache grids")
-    if not 0 < rate_lo < rate_hi:
-        raise ConfigError(f"need 0 < rate_lo < rate_hi, got ({rate_lo}, {rate_hi})")
+    if not 0 < rate_lo < rate_hi < math.inf:
+        raise ConfigError(f"need 0 < rate_lo < rate_hi < inf, got ({rate_lo}, {rate_hi})")
     rows = []
     for f_local in f_values:
         for cache_m in m_values:
@@ -315,6 +312,8 @@ def cmd_analyze(config: ExperimentConfig, samples: int = 20000) -> tuple[list[di
 
     Returns CSV rows (one per control weight) and human-readable lines.
     """
+    if samples < 2:
+        raise ConfigError(f"--samples: need at least 2 sampled tasks for a standard error, got {samples}")
     catalog, cache, params, _, _ = build_system(config)
     k_dist = uniform_k_dist(config.k_min, config.k_max)
     mec_mean = expected_mec_bits(config.tau_bits, k_dist)
@@ -418,11 +417,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_float_list(raw: str, what: str) -> list[float]:
+def _parse_list(raw: str, what: str, parse: Callable = float) -> list:
     try:
-        values = [float(part) for part in raw.split(",") if part.strip()]
+        values = [parse(part) for part in raw.split(",") if part.strip()]
     except ValueError:
-        raise ConfigError(f"{what}: expected comma-separated numbers, got {raw!r}") from None
+        kind = "integers" if parse is parse_int else "numbers"
+        raise ConfigError(f"{what}: expected comma-separated {kind}, got {raw!r}") from None
     if not values:
         raise ConfigError(f"{what}: empty list")
     return values
@@ -474,11 +474,11 @@ def main(argv: Optional[list[str]] = None) -> int:
                 file=sys.stderr,
             )
         elif args.command == "frontier":
-            bracket = _parse_float_list(args.r_bracket, "--r-bracket")
+            bracket = _parse_list(args.r_bracket, "--r-bracket")
             if len(bracket) != 2:
                 raise ConfigError(f"--r-bracket: expected LO,HI, got {args.r_bracket!r}")
-            f_values = _parse_float_list(args.f_values, "--f-values")
-            m_values = [int(v) for v in _parse_float_list(args.m_values, "--m-values")]
+            f_values = _parse_list(args.f_values, "--f-values")
+            m_values = _parse_list(args.m_values, "--m-values", parse_int)
             rows = cmd_frontier(
                 config,
                 target_delay_s=args.target_delay_s,

@@ -9,6 +9,7 @@ outside their documented ranges.  The file key ``lambda`` maps to the
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -18,7 +19,14 @@ from .errors import ConfigError
 from .policy import POLICY_KINDS, PolicySpec
 from .workload import WorkloadConfig
 
-__all__ = ["ExperimentConfig", "load_config", "parse_config_text", "apply_overrides", "build_system"]
+__all__ = [
+    "ExperimentConfig",
+    "load_config",
+    "parse_config_text",
+    "parse_int",
+    "apply_overrides",
+    "build_system",
+]
 
 SWEEP_AXES = ("cache_m", "f_local_hz", "v_param", "rate_bps")
 
@@ -87,9 +95,13 @@ class ExperimentConfig:
         def bad(key, msg):
             return ConfigError(f"config key {key!r}: {msg}")
 
+        for key in _FLOAT_KEYS:
+            value = getattr(self, _KEY_TO_FIELD[key])
+            if not math.isfinite(value):
+                raise bad(key, f"must be a finite number, got {value}")
         if self.n_contents < 1:
             raise bad("n_contents", f"must be at least 1, got {self.n_contents}")
-        if self.zipf_alpha < 0:
+        if not self.zipf_alpha >= 0:
             raise bad("zipf_alpha", f"must be non-negative, got {self.zipf_alpha}")
         if not self.tau_bits > 0:
             raise bad("tau_bits", f"must be positive, got {self.tau_bits}")
@@ -102,7 +114,7 @@ class ExperimentConfig:
         for key in ("w_cycles_per_bit", "f_local_hz", "f_mec_hz", "rate_bps"):
             if not getattr(self, key) > 0:
                 raise bad(key, f"must be positive, got {getattr(self, key)}")
-        if self.v_param < 0:
+        if not self.v_param >= 0:
             raise bad("v_param", f"must be non-negative, got {self.v_param}")
         if self.horizon_slots < 1:
             raise bad("horizon_slots", f"must be at least 1, got {self.horizon_slots}")
@@ -130,7 +142,7 @@ class ExperimentConfig:
 
 def _set_axis_value(config: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
     if axis == "cache_m":
-        if value != int(value):
+        if not float(value).is_integer():
             raise ConfigError(f"config key 'sweep_values': cache_m values must be integers, got {value}")
         return dataclasses.replace(config, cache_m=int(value))
     return dataclasses.replace(config, **{axis: value})
@@ -144,15 +156,19 @@ def sweep_configs(config: ExperimentConfig) -> list[tuple[float, ExperimentConfi
     return [(v, _set_axis_value(base, config.sweep_axis, v)) for v in config.sweep_values]
 
 
+def parse_int(raw: str) -> int:
+    """Parse an integer, accepting 1e5-style notation; raises ValueError
+    for anything that is not a finite whole number."""
+    as_float = float(raw)
+    if not as_float.is_integer():
+        raise ValueError(f"not a whole number: {raw!r}")
+    return int(as_float)
+
+
 def _parse_scalar(key: str, raw: str):
     try:
         if key in _INT_KEYS:
-            # accept 1e5-style integers
-            as_float = float(raw)
-            as_int = int(as_float)
-            if as_int != as_float:
-                raise ValueError
-            return as_int
+            return parse_int(raw)
         if key in _FLOAT_KEYS:
             return float(raw)
     except ValueError:
@@ -220,22 +236,27 @@ def apply_overrides(config: ExperimentConfig, overrides: list[str]) -> Experimen
 def build_system(config: ExperimentConfig):
     """Materialise the simulator objects a config describes.
 
-    Returns ``(catalog, cache, params, workload_cfg, policy)``.
+    Returns ``(catalog, cache, params, workload_cfg, policy)``.  A value
+    the objects reject (for example a Zipf exponent so large that the
+    tail popularity underflows to zero) raises :class:`ConfigError`.
     """
-    catalog = ContentCatalog.zipf(config.n_contents, config.zipf_alpha, config.tau_bits)
-    cache = CacheConfig.for_catalog(catalog, config.cache_m)
-    params = SystemParams(
-        slot_seconds=config.slot_seconds,
-        cycles_per_bit=config.w_cycles_per_bit,
-        f_local_hz=config.f_local_hz,
-        f_mec_hz=config.f_mec_hz,
-        rate_bps=config.rate_bps,
-    )
-    workload_cfg = WorkloadConfig(
-        arrival_prob=config.arrival_prob,
-        k_min=config.k_min,
-        k_max=config.k_max,
-        seed=config.seeds[0],
-    )
-    policy = PolicySpec(kind=config.policy, v_param=config.v_param)
+    try:
+        catalog = ContentCatalog.zipf(config.n_contents, config.zipf_alpha, config.tau_bits)
+        cache = CacheConfig.for_catalog(catalog, config.cache_m)
+        params = SystemParams(
+            slot_seconds=config.slot_seconds,
+            cycles_per_bit=config.w_cycles_per_bit,
+            f_local_hz=config.f_local_hz,
+            f_mec_hz=config.f_mec_hz,
+            rate_bps=config.rate_bps,
+        )
+        workload_cfg = WorkloadConfig(
+            arrival_prob=config.arrival_prob,
+            k_min=config.k_min,
+            k_max=config.k_max,
+            seed=config.seeds[0],
+        )
+        policy = PolicySpec(kind=config.policy, v_param=config.v_param)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return catalog, cache, params, workload_cfg, policy

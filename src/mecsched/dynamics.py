@@ -1,4 +1,4 @@
-"""Slot counts, transmission sizes, and the per-slot state transition.
+"""Uplink bits and busy-slot counts of the two execution modes.
 
 Two processors serve the queue: the device's own CPU ("local") and the
 edge server ("mec").  Executing a task locally means fetching only the
@@ -13,91 +13,23 @@ where ``D`` is the full task size in bits, ``D_missing`` the distinct
 uncached bits, ``w`` cycles per bit, ``f`` the processor speed in Hz,
 ``rate`` the radio rate in bit/s and ``dt`` the slot length in seconds.
 
-A slot proceeds as: observe -> schedule -> (arrival joins the queue tail).
-A task started in slot ``t`` with count ``n`` completes at the end of
-slot ``t + n - 1``; the busy counter is set to ``n - 1`` for the next
-slot, so a one-slot task never shows up as busy at all.
+These are the four numbers a task contributes to a run; the functions
+here compute them for a whole task table at once.  The engine's slot loop
+uses them as follows: a task started in slot ``t`` with count ``n``
+completes at the end of slot ``t + n - 1``, and its processor stays busy
+for the ``n - 1`` slots after ``t``, so a one-slot task never shows up as
+busy at all.
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import CacheConfig, ContentCatalog
-from .errors import ContractViolation
-from .workload import Task
+from .catalog import ContentCatalog
 
-__all__ = [
-    "Action",
-    "ACTIONS",
-    "ACTION_IDLE",
-    "ACTION_FIRST_LOCAL",
-    "ACTION_FIRST_MEC",
-    "ACTION_SPLIT_LOCAL_MEC",
-    "ACTION_SPLIT_MEC_LOCAL",
-    "SystemParams",
-    "SystemState",
-    "InServiceTask",
-    "CompletionEvent",
-    "uncached_distinct_bits",
-    "mec_bits",
-    "transmitted_bits",
-    "slots_local",
-    "slots_mec",
-    "step",
-]
-
-MODE_LOCAL = "local"
-MODE_MEC = "mec"
-
-
-class Action(NamedTuple):
-    """Which queue position starts on which processor this slot.
-
-    Position flags are 0/1; "first" is the queue head, "second" the task
-    behind it.  Only five combinations are ever legal.
-    """
-
-    local_first: int
-    local_second: int
-    mec_first: int
-    mec_second: int
-
-    @property
-    def scheduled(self) -> int:
-        """Number of tasks this action starts (0, 1 or 2)."""
-        return self.local_first + self.local_second + self.mec_first + self.mec_second
-
-    @property
-    def uses_local(self) -> bool:
-        return bool(self.local_first or self.local_second)
-
-    @property
-    def uses_mec(self) -> bool:
-        return bool(self.mec_first or self.mec_second)
-
-
-ACTION_IDLE = Action(0, 0, 0, 0)
-ACTION_FIRST_LOCAL = Action(1, 0, 0, 0)
-ACTION_FIRST_MEC = Action(0, 0, 1, 0)
-ACTION_SPLIT_LOCAL_MEC = Action(1, 0, 0, 1)  # head local, second offloaded
-ACTION_SPLIT_MEC_LOCAL = Action(0, 1, 1, 0)  # head offloaded, second local
-
-# Canonical ordering; also the final tie-break order inside the policies.
-ACTIONS: tuple[Action, ...] = (
-    ACTION_IDLE,
-    ACTION_FIRST_LOCAL,
-    ACTION_FIRST_MEC,
-    ACTION_SPLIT_LOCAL_MEC,
-    ACTION_SPLIT_MEC_LOCAL,
-)
-
-_VALID_ACTIONS = frozenset(ACTIONS)
+__all__ = ["SystemParams", "task_bits", "slots_local", "slots_mec"]
 
 
 @dataclass(frozen=True)
@@ -116,187 +48,31 @@ class SystemParams:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
-@dataclass
-class InServiceTask:
-    task: Task
-    mode: str  # MODE_LOCAL or MODE_MEC
-    completion_slot: int
+def task_bits(catalog: ContentCatalog, ks, distinct_uncached) -> tuple[np.ndarray, np.ndarray]:
+    """Per task, ``(local_bits, mec_bits)``: the distinct uncached bits a
+    local run fetches and the full task an offload ships."""
+    size = float(catalog.size_bits)
+    return size * np.asarray(distinct_uncached), size * np.asarray(ks)
 
 
-@dataclass
-class CompletionEvent:
-    task: Task
-    mode: str
-    completion_slot: int
-
-
-@dataclass
-class SystemState:
-    """Mutable simulator state at the start of a slot."""
-
-    queue: deque = field(default_factory=deque)
-    busy_local: int = 0  # remaining busy slots after the current one
-    busy_mec: int = 0
-    in_service_local: Optional[InServiceTask] = None
-    in_service_mec: Optional[InServiceTask] = None
-    slot: int = 0
-
-    @classmethod
-    def empty(cls) -> "SystemState":
-        return cls()
-
-    @property
-    def queue_len(self) -> int:
-        return len(self.queue)
-
-    @property
-    def in_service_count(self) -> int:
-        return (self.in_service_local is not None) + (self.in_service_mec is not None)
-
-
-def uncached_distinct_bits(task: Task, cache: CacheConfig, catalog: ContentCatalog) -> float:
-    """Bits the device must fetch to run ``task`` locally.
-
-    Counts distinct content ranks above the cache capacity; repeats within
-    a task are fetched once, cached contents not at all.
-    """
-    count = task._distinct_uncached.get(cache.capacity)
-    if count is None:
-        above = task.contents[task.contents > cache.capacity]
-        count = int(np.unique(above).size)
-        task._distinct_uncached[cache.capacity] = count
-    return catalog.size_bits * count
-
-
-def mec_bits(task: Task) -> float:
-    """Bits shipped on the uplink when ``task`` is offloaded: the full task."""
-    return task.total_bits
-
-
-def transmitted_bits(
-    action: Action,
-    first_task: Optional[Task],
-    second_task: Optional[Task],
-    cache: CacheConfig,
-    catalog: ContentCatalog,
-) -> float:
-    """Uplink bits the action moves this slot (fetches plus offloads)."""
-    bits = 0.0
-    if action.local_first:
-        bits += uncached_distinct_bits(first_task, cache, catalog)
-    if action.local_second:
-        bits += uncached_distinct_bits(second_task, cache, catalog)
-    if action.mec_first:
-        bits += mec_bits(first_task)
-    if action.mec_second:
-        bits += mec_bits(second_task)
-    return bits
-
-
-def slots_local(task: Task, cache: CacheConfig, catalog: ContentCatalog, params: SystemParams) -> int:
-    """Whole slots to finish ``task`` on the device CPU.
+def slots_local(total_bits, fetch_bits, params: SystemParams) -> np.ndarray:
+    """Whole slots to finish each task on the device CPU.
 
     Computation covers the full task size; transmission covers only the
     distinct uncached bits.  Always at least 1.
     """
-    compute = task.total_bits * params.cycles_per_bit / (params.f_local_hz * params.slot_seconds)
-    fetch = uncached_distinct_bits(task, cache, catalog) / (params.rate_bps * params.slot_seconds)
-    return math.ceil(compute + fetch)
+    compute = np.asarray(total_bits) * params.cycles_per_bit / (params.f_local_hz * params.slot_seconds)
+    fetch = np.asarray(fetch_bits) / (params.rate_bps * params.slot_seconds)
+    return _whole_slots(compute + fetch)
 
 
-def slots_mec(task: Task, params: SystemParams) -> int:
-    """Whole slots to finish ``task`` on the edge server (compute + uplink)."""
-    compute = task.total_bits * params.cycles_per_bit / (params.f_mec_hz * params.slot_seconds)
-    ship = task.total_bits / (params.rate_bps * params.slot_seconds)
-    return math.ceil(compute + ship)
+def slots_mec(total_bits, params: SystemParams) -> np.ndarray:
+    """Whole slots to finish each task on the edge server (compute + uplink)."""
+    compute = np.asarray(total_bits) * params.cycles_per_bit / (params.f_mec_hz * params.slot_seconds)
+    ship = np.asarray(total_bits) / (params.rate_bps * params.slot_seconds)
+    return _whole_slots(compute + ship)
 
 
-def _start(
-    state: SystemState,
-    task: Task,
-    mode: str,
-    n_slots: int,
-    completions: list,
-) -> int:
-    """Run the assignment bookkeeping for one processor; returns busy count."""
-    if n_slots == 1:
-        # Task finishes within its own assignment slot.
-        completions.append(CompletionEvent(task, mode, state.slot))
-        return 0
-    if mode == MODE_LOCAL:
-        state.in_service_local = InServiceTask(task, mode, state.slot + n_slots - 1)
-    else:
-        state.in_service_mec = InServiceTask(task, mode, state.slot + n_slots - 1)
-    return n_slots - 1
-
-
-def step(
-    state: SystemState,
-    action: Action,
-    first_task: Optional[Task],
-    second_task: Optional[Task],
-    arrival: Optional[Task],
-    params: SystemParams,
-    cache: CacheConfig,
-    catalog: ContentCatalog,
-) -> tuple[SystemState, list[CompletionEvent], float]:
-    """Advance one slot: start tasks, count down busy processors, enqueue
-    the arrival.  Mutates ``state`` in place and returns it together with
-    the slot's completion events and the uplink bits moved.
-
-    ``first_task`` / ``second_task`` must be the actual queue head objects
-    consumed by the action (``state.queue[0]`` / ``state.queue[1]``).
-    Raises :class:`ContractViolation` when the action is not legal in the
-    current state.
-    """
-    if action not in _VALID_ACTIONS:
-        raise ContractViolation(f"unknown action {action!r}")
-    n_scheduled = action.scheduled
-    if n_scheduled > len(state.queue):
-        raise ContractViolation(
-            f"action {tuple(action)} consumes {n_scheduled} tasks, queue holds {len(state.queue)}"
-        )
-    if action.uses_local and state.busy_local != 0:
-        raise ContractViolation(f"local processor busy for {state.busy_local} more slots")
-    if action.uses_mec and state.busy_mec != 0:
-        raise ContractViolation(f"edge server busy for {state.busy_mec} more slots")
-    if n_scheduled >= 1 and first_task is not state.queue[0]:
-        raise ContractViolation("first_task is not the queue head")
-    if n_scheduled == 2 and second_task is not state.queue[1]:
-        raise ContractViolation("second_task is not the second queued task")
-
-    completions: list[CompletionEvent] = []
-    tx_bits = transmitted_bits(action, first_task, second_task, cache, catalog)
-
-    # Local processor.
-    if action.uses_local:
-        task = first_task if action.local_first else second_task
-        n = slots_local(task, cache, catalog, params)
-        state.busy_local = _start(state, task, MODE_LOCAL, n, completions)
-    elif state.busy_local > 0:
-        state.busy_local -= 1
-        if state.busy_local == 0:
-            record = state.in_service_local
-            completions.append(CompletionEvent(record.task, record.mode, state.slot))
-            state.in_service_local = None
-
-    # Edge server.
-    if action.uses_mec:
-        task = first_task if action.mec_first else second_task
-        n = slots_mec(task, params)
-        state.busy_mec = _start(state, task, MODE_MEC, n, completions)
-    elif state.busy_mec > 0:
-        state.busy_mec -= 1
-        if state.busy_mec == 0:
-            record = state.in_service_mec
-            completions.append(CompletionEvent(record.task, record.mode, state.slot))
-            state.in_service_mec = None
-
-    # Queue recursion: departures first, then the slot's arrival at the tail.
-    for _ in range(n_scheduled):
-        state.queue.popleft()
-    if arrival is not None:
-        state.queue.append(arrival)
-
-    state.slot += 1
-    return state, completions, tx_bits
+def _whole_slots(duration: np.ndarray) -> np.ndarray:
+    # A duration that underflows to zero still occupies its start slot.
+    return np.maximum(np.ceil(duration), 1).astype(np.int64)

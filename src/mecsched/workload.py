@@ -5,6 +5,9 @@ requests ``k`` contents, ``k`` uniform on ``{k_min..k_max}``, each content
 drawn independently from the catalog popularity; repeats are allowed and
 the task size in bits is ``k * size_bits`` regardless of repeats.
 
+A run's tasks are drawn up front, in arrival order, into a task table of
+per-task scalars: ``k`` and the number of distinct uncached contents, which
+is all the scheduler ever needs to know of a task (see :func:`sample_tasks`).
 Arrivals and composition are sampled from two separately seeded streams
 (see :func:`task_streams`) so that changing the arrival probability in a
 sweep does not perturb the content sequence of the sampled tasks.
@@ -12,43 +15,23 @@ sweep does not perturb the content sequence of the sampled tasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import ContentCatalog
+from .catalog import CacheConfig, ContentCatalog
 
 __all__ = [
-    "Task",
     "WorkloadConfig",
     "task_streams",
-    "sample_arrival",
     "sample_content_indices",
-    "sample_task",
+    "distinct_uncached_counts",
+    "sample_tasks",
 ]
 
-
-@dataclass(eq=False)
-class Task:
-    """One computation task.
-
-    ``id`` equals the arrival slot: with at most one Bernoulli arrival per
-    slot that is already unique, and tasks sampled outside a simulation
-    (e.g. by Monte Carlo estimators) just pass their sample index.
-    """
-
-    id: int
-    arrival_slot: int
-    contents: np.ndarray  # 1-based content ranks, length k, repeats allowed
-    total_bits: float  # k * size_bits, the full task size
-    # Distinct-uncached counts keyed by cache capacity; filled lazily by
-    # dynamics.uncached_distinct_bits so a task parked at the queue head is
-    # not re-counted every slot.
-    _distinct_uncached: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def k(self) -> int:
-        return len(self.contents)
+# Tasks whose contents are ranked and counted together; bounds the
+# sampler's temporary memory.
+_CHUNK_TASKS = 64
 
 
 @dataclass(frozen=True)
@@ -78,33 +61,51 @@ def task_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     return np.random.default_rng(arrival_ss), np.random.default_rng(composition_ss)
 
 
-def sample_arrival(rng: np.random.Generator, cfg: WorkloadConfig) -> bool:
-    """One Bernoulli arrival draw.  Advances ``rng`` by exactly one value."""
-    return bool(rng.random() < cfg.arrival_prob)
+def _content_ranks(catalog: ContentCatalog, u: np.ndarray) -> np.ndarray:
+    return np.searchsorted(catalog.cdf, u, side="right").astype(np.int64) + 1
 
 
 def sample_content_indices(rng: np.random.Generator, catalog: ContentCatalog, k: int) -> np.ndarray:
     """``k`` i.i.d. content ranks drawn from the catalog popularity."""
-    u = rng.random(k)
-    return np.searchsorted(catalog.cdf, u, side="right").astype(np.int64) + 1
+    return _content_ranks(catalog, rng.random(k))
 
 
-def sample_task(
+def distinct_uncached_counts(ranks: np.ndarray, ks: np.ndarray, cache: CacheConfig) -> np.ndarray:
+    """Per task, the number of distinct content ranks the cache misses.
+
+    ``ranks`` holds the tasks' contents back to back, ``ks[i]`` of them for
+    task ``i``.  A local run fetches each missing rank once, however often
+    the task repeats it, and cached ranks (``<= cache.capacity``) not at all.
+    """
+    task = np.repeat(np.arange(ks.size), ks)
+    missed = ranks > cache.capacity
+    stride = cache.n_contents + 1
+    pairs = np.unique(task[missed] * stride + ranks[missed])
+    return np.bincount(pairs // stride, minlength=ks.size)
+
+
+def sample_tasks(
     rng: np.random.Generator,
     catalog: ContentCatalog,
     cfg: WorkloadConfig,
-    slot: int,
-) -> Task:
-    """Draw one task arriving at ``slot``.
+    n_tasks: int,
+    cache: CacheConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``n_tasks`` tasks in arrival order; returns ``(k, distinct_uncached)``.
 
-    Consumes one ``integers`` draw for ``k`` and one vector draw for the
-    contents, so a fixed seed reproduces the stream bit for bit.
+    Each task consumes one ``integers`` draw for ``k`` and one vector draw
+    of ``k`` uniforms for its contents, so a fixed seed reproduces the
+    stream bit for bit whatever the chunking.
     """
-    k = int(rng.integers(cfg.k_min, cfg.k_max + 1))
-    contents = sample_content_indices(rng, catalog, k)
-    return Task(
-        id=slot,
-        arrival_slot=slot,
-        contents=contents,
-        total_bits=catalog.size_bits * k,
-    )
+    ks = np.empty(n_tasks, dtype=np.int64)
+    distinct = np.empty(n_tasks, dtype=np.int64)
+    for first in range(0, n_tasks, _CHUNK_TASKS):
+        last = min(first + _CHUNK_TASKS, n_tasks)
+        uniforms = []
+        for i in range(first, last):
+            k = int(rng.integers(cfg.k_min, cfg.k_max + 1))
+            ks[i] = k
+            uniforms.append(rng.random(k))
+        ranks = _content_ranks(catalog, np.concatenate(uniforms))
+        distinct[first:last] = distinct_uncached_counts(ranks, ks[first:last], cache)
+    return ks, distinct

@@ -27,22 +27,23 @@ from mecsched.analysis import (
 )
 from mecsched.catalog import CacheConfig, ContentCatalog
 from mecsched.config import ExperimentConfig, build_system
-from mecsched.dynamics import (
-    ACTION_FIRST_LOCAL,
-    ACTION_FIRST_MEC,
-    ACTION_IDLE,
-    ACTIONS,
-    SystemState,
-    uncached_distinct_bits,
-)
+from mecsched.dynamics import task_bits
 from mecsched.engine import (
     avg_data_per_task,
     decile_means,
     mean_delay_slots,
     run_simulation,
 )
-from mecsched.policy import PolicySpec, decide, feasible_actions
-from mecsched.workload import WorkloadConfig, sample_task
+from mecsched.policy import (
+    ACTION_FIRST_LOCAL,
+    ACTION_FIRST_MEC,
+    ACTION_IDLE,
+    ACTIONS,
+    PolicySpec,
+    decide,
+    feasible_actions,
+)
+from mecsched.workload import WorkloadConfig, sample_tasks
 
 ACCEPTANCE_REPORT: dict[int, str] = {}
 ALL_RUNS: list = []
@@ -106,17 +107,17 @@ def baseline_runs():
 
 @pytest.fixture(scope="module")
 def sampled_local_bits(catalog):
-    # mean fetched bits per locally run task, straight from the sampler
-    rng = np.random.default_rng(123)
+    # mean fetched bits per locally run task, straight from the sampler;
+    # every cache size sees the same 100,000 tasks
     wl = WorkloadConfig(arrival_prob=0.4, k_min=40, k_max=60, seed=0)
-    caches = {m: CacheConfig.for_catalog(catalog, m) for m in (0, 50, 200)}
     n_tasks = 100_000
-    sums = dict.fromkeys(caches, 0.0)
-    for i in range(n_tasks):
-        task = sample_task(rng, catalog, wl, slot=i)
-        for m, cache in caches.items():
-            sums[m] += uncached_distinct_bits(task, cache, catalog)
-    return {m: total / n_tasks for m, total in sums.items()}
+    means = {}
+    for m in (0, 50, 200):
+        cache = CacheConfig.for_catalog(catalog, m)
+        ks, distinct = sample_tasks(np.random.default_rng(123), catalog, wl, n_tasks, cache)
+        local_bits, _ = task_bits(catalog, ks, distinct)
+        means[m] = float(local_bits.sum()) / n_tasks
+    return means
 
 
 @pytest.fixture(scope="module")
@@ -433,15 +434,14 @@ def test_criterion_10_action_feasibility(catalog) -> None:
     qs = rng.integers(0, 6, size=n_states).tolist()
     mismatches = 0
     for bl, bc, q in zip(sl, sc, qs):
-        if feasible_actions(bl, bc, q) != _mirror_feasible(bl, bc, q):
+        if frozenset(feasible_actions(bl, bc, q)) != _mirror_feasible(bl, bc, q):
             mismatches += 1
 
     cache = CacheConfig.for_catalog(catalog, 50)
-    config = ExperimentConfig().validate()
-    _, _, params, _, _ = build_system(config)
     wl = WorkloadConfig(arrival_prob=0.4, k_min=40, k_max=60, seed=0)
     pool_rng = np.random.default_rng(77)
-    pool = [sample_task(pool_rng, catalog, wl, slot=i) for i in range(60)]
+    ks, distinct = sample_tasks(pool_rng, catalog, wl, 60, cache)
+    pool = list(zip(*(bits.tolist() for bits in task_bits(catalog, ks, distinct))))
     policies = [
         PolicySpec("lyapunov", 0.0),
         PolicySpec("lyapunov", 1e-7),
@@ -455,11 +455,9 @@ def test_criterion_10_action_feasibility(catalog) -> None:
         bl = int(pool_rng.integers(0, 4))
         bc = int(pool_rng.integers(0, 4))
         q = int(pool_rng.integers(0, 5))
-        state = SystemState.empty()
-        state.busy_local = bl
-        state.busy_mec = bc
-        state.queue.extend(pool[int(pool_rng.integers(0, 60))] for _ in range(q))
-        action = decide(policies[trial % len(policies)], state, cache, catalog, params)
+        queue = [pool[int(pool_rng.integers(0, 60))] for _ in range(q)]
+        first, second = (queue + [(0.0, 0.0), (0.0, 0.0)])[:2]
+        action = decide(policies[trial % len(policies)], bl, bc, q, *first, *second)
         decide_checked += 1
         if action not in feasible_actions(bl, bc, q):
             decide_bad += 1

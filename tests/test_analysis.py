@@ -9,7 +9,6 @@ from mecsched.analysis import (
     REGIME_INFEASIBLE,
     REGIME_LOCAL_ONLY,
     REGIME_MIXED,
-    drift_bound_constant,
     estimate_slot_means,
     expected_local_bits,
     expected_mec_bits,
@@ -127,7 +126,7 @@ def test_regime_local_capacity_sufficient() -> None:
     report = optimal_average_data(2.0, 3.0, 0.4, 100.0, 40.0)
     assert report.regime == REGIME_LOCAL_ONLY
     assert report.optimal_bits == 40.0
-    assert report.mean_compute_bits == report.mean_mec_bits == 100.0
+    assert report.mean_mec_bits == 100.0
 
 
 def test_regime_local_boundary_counts_as_local() -> None:
@@ -190,9 +189,3 @@ def test_gap_bound_shrinks_with_weight() -> None:
     values = [optimality_gap_bound(v) for v in (1e-9, 1e-8, 1e-7, 1e-6)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
-
-def test_drift_constant_values() -> None:
-    assert drift_bound_constant(0, 0) == 2.5
-    assert drift_bound_constant(3, 1) == 5.5
-    assert drift_bound_constant(2, 0) == 2.5
-    assert drift_bound_constant(0, 1) == 2.5

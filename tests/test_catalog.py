@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from mecsched.catalog import CacheConfig, ContentCatalog, is_cached, zipf_popularity
+from mecsched.catalog import CacheConfig, ContentCatalog, zipf_popularity
+from mecsched.workload import distinct_uncached_counts
 
 
 def test_zipf_two_contents_alpha_one() -> None:
@@ -76,25 +77,19 @@ def test_cache_capacity_bounds() -> None:
         CacheConfig.for_catalog(cat, -1)
 
 
+def _missed(ranks, cache: CacheConfig) -> list[int]:
+    # one single-content task per rank: 1 where the cache misses it
+    ranks = np.asarray(ranks, dtype=np.int64)
+    return distinct_uncached_counts(ranks, np.ones(ranks.size, dtype=np.int64), cache).tolist()
+
+
 def test_is_cached_boundary() -> None:
     cat = ContentCatalog.zipf(100, 0.8, 1e6)
     cache = CacheConfig.for_catalog(cat, 50)
-    assert is_cached(1, cache)
-    assert is_cached(50, cache)
-    assert not is_cached(51, cache)
-    assert not is_cached(100, cache)
+    assert _missed([1, 50, 51, 100], cache) == [0, 0, 1, 1]
 
 
 def test_is_cached_empty_cache() -> None:
     cat = ContentCatalog.zipf(10, 0.0, 1e6)
     cache = CacheConfig.for_catalog(cat, 0)
-    assert not any(is_cached(i, cache) for i in range(1, 11))
-
-
-def test_is_cached_rejects_out_of_range_rank() -> None:
-    cat = ContentCatalog.zipf(10, 0.8, 1e6)
-    cache = CacheConfig.for_catalog(cat, 5)
-    with pytest.raises(ValueError):
-        is_cached(0, cache)
-    with pytest.raises(ValueError):
-        is_cached(11, cache)
+    assert _missed(range(1, 11), cache) == [1] * 10

@@ -275,3 +275,32 @@ def test_main_reads_config_file(tmp_path) -> None:
     fields = dict(zip(SIMULATE_COLUMNS, body.split(",")))
     assert fields["seed"] == "5"
     assert fields["lambda"] == "0.3"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--set", "sweep_axis=cache_m", "--set", "sweep_values=nan"],
+        ["sweep", "--set", "sweep_axis=cache_m", "--set", "sweep_values=inf"],
+        ["sweep", "--set", "sweep_axis=v_param", "--set", "sweep_values=inf"],
+        ["simulate", "--set", "horizon_slots=inf"],
+        ["simulate", "--set", "horizon_slots=nan"],
+        ["simulate", "--set", "v_param=nan"],
+        ["analyze", "--set", "v_param=nan"],
+        ["simulate", "--set", "zipf_alpha=nan"],
+        ["simulate", "--set", "f_local_hz=inf"],
+        # finite, but the tail popularity underflows to zero
+        ["simulate", "--set", "zipf_alpha=5000"],
+        ["simulate", "--seeds", "0", "--set", "tau_bits=0.3"],
+        ["frontier", "--target-delay-s", "0.6", "--m-values", "1.5"],
+        ["frontier", "--target-delay-s", "0.6", "--m-values", "nan"],
+        ["frontier", "--target-delay-s", "nan"],
+        ["frontier", "--target-delay-s", "0.6", "--r-bracket", "1e8,inf"],
+        ["analyze", "--samples", "1"],
+    ],
+)
+def test_main_bad_input_is_a_config_error(argv, capsys) -> None:
+    # rejected before any simulation runs: exit 1 and a one-line message
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

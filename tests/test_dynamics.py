@@ -4,30 +4,19 @@ import numpy as np
 import pytest
 
 from mecsched.catalog import CacheConfig, ContentCatalog
-from mecsched.dynamics import (
+from mecsched.config import ExperimentConfig, build_system
+from mecsched.dynamics import SystemParams, slots_local, slots_mec, task_bits
+from mecsched.engine import run_simulation
+from mecsched.policy import (
     ACTION_FIRST_LOCAL,
     ACTION_FIRST_MEC,
     ACTION_IDLE,
     ACTION_SPLIT_LOCAL_MEC,
     ACTION_SPLIT_MEC_LOCAL,
     ACTIONS,
-    Action,
-    SystemParams,
-    SystemState,
-    mec_bits,
-    slots_local,
-    slots_mec,
-    step,
-    transmitted_bits,
-    uncached_distinct_bits,
+    action_bits,
 )
-from mecsched.errors import ContractViolation
-from mecsched.workload import Task
-
-
-def _task(contents, size_bits=5e6, slot=0) -> Task:
-    arr = np.asarray(contents, dtype=np.int64)
-    return Task(id=slot, arrival_slot=slot, contents=arr, total_bits=size_bits * len(arr))
+from mecsched.workload import distinct_uncached_counts
 
 
 @pytest.fixture(scope="module")
@@ -46,12 +35,30 @@ def _params(**kw) -> SystemParams:
     return SystemParams(**base)
 
 
+def _bits(contents, cache, catalog) -> tuple[float, float]:
+    """(local_bits, mec_bits) of one task with the given content ranks."""
+    ranks = np.asarray(contents, dtype=np.int64)
+    distinct = distinct_uncached_counts(ranks, np.array([ranks.size]), cache)
+    local, mec = task_bits(catalog, [ranks.size], distinct)
+    return float(local[0]), float(mec[0])
+
+
+def _slots_local(contents, cache, catalog, params) -> int:
+    local, mec = _bits(contents, cache, catalog)
+    return int(slots_local([mec], [local], params)[0])
+
+
+def _slots_mec(contents, cache, catalog, params) -> int:
+    _, mec = _bits(contents, cache, catalog)
+    return int(slots_mec([mec], params)[0])
+
+
 def test_action_schedule_counts() -> None:
-    assert ACTION_IDLE.scheduled == 0
-    assert ACTION_FIRST_LOCAL.scheduled == 1
-    assert ACTION_FIRST_MEC.scheduled == 1
-    assert ACTION_SPLIT_LOCAL_MEC.scheduled == 2
-    assert ACTION_SPLIT_MEC_LOCAL.scheduled == 2
+    assert sum(ACTION_IDLE) == 0
+    assert sum(ACTION_FIRST_LOCAL) == 1
+    assert sum(ACTION_FIRST_MEC) == 1
+    assert sum(ACTION_SPLIT_LOCAL_MEC) == 2
+    assert sum(ACTION_SPLIT_MEC_LOCAL) == 2
     assert ACTIONS == (
         ACTION_IDLE,
         ACTION_FIRST_LOCAL,
@@ -62,10 +69,11 @@ def test_action_schedule_counts() -> None:
 
 
 def test_action_tuples_match_canonical_encoding() -> None:
-    assert tuple(ACTION_SPLIT_LOCAL_MEC) == (1, 0, 0, 1)
-    assert tuple(ACTION_SPLIT_MEC_LOCAL) == (0, 1, 1, 0)
-    assert Action(1, 0, 0, 0).uses_local and not Action(1, 0, 0, 0).uses_mec
-    assert Action(0, 1, 1, 0).uses_local and Action(0, 1, 1, 0).uses_mec
+    # (local_first, local_second, mec_first, mec_second)
+    assert ACTION_SPLIT_LOCAL_MEC == (1, 0, 0, 1)
+    assert ACTION_SPLIT_MEC_LOCAL == (0, 1, 1, 0)
+    assert any(ACTION_FIRST_LOCAL[:2]) and not any(ACTION_FIRST_LOCAL[2:])
+    assert any(ACTION_SPLIT_MEC_LOCAL[:2]) and any(ACTION_SPLIT_MEC_LOCAL[2:])
 
 
 def test_params_validation() -> None:
@@ -76,166 +84,113 @@ def test_params_validation() -> None:
 
 
 def test_uncached_distinct_counts_each_rank_once(catalog, cache) -> None:
-    task = _task([1, 2, 51, 51, 52])
-    assert uncached_distinct_bits(task, cache, catalog) == 2 * 5e6
-    # memoised per capacity
-    assert task._distinct_uncached[50] == 2
+    assert _bits([1, 2, 51, 51, 52], cache, catalog)[0] == 2 * 5e6
     empty = CacheConfig.for_catalog(catalog, 0)
-    assert uncached_distinct_bits(task, empty, catalog) == 4 * 5e6
+    assert _bits([1, 2, 51, 51, 52], empty, catalog)[0] == 4 * 5e6
 
 
 def test_uncached_distinct_fully_cached(catalog, cache) -> None:
-    task = _task([1, 5, 50, 50])
-    assert uncached_distinct_bits(task, cache, catalog) == 0.0
+    assert _bits([1, 5, 50, 50], cache, catalog)[0] == 0.0
 
 
-def test_mec_bits_is_full_task(catalog) -> None:
-    task = _task([1, 2, 3, 4])
-    assert mec_bits(task) == 20e6
+def test_mec_bits_is_full_task(catalog, cache) -> None:
+    assert _bits([1, 2, 3, 4], cache, catalog)[1] == 20e6
 
 
 def test_transmitted_bits_per_action(catalog, cache) -> None:
-    first = _task([51, 51, 52])  # 2 distinct uncached, full 15 Mbit
-    second = _task([1, 2])  # fully cached, full 10 Mbit
-    args = (first, second, cache, catalog)
-    assert transmitted_bits(ACTION_IDLE, *args) == 0.0
-    assert transmitted_bits(ACTION_FIRST_LOCAL, *args) == 10e6
-    assert transmitted_bits(ACTION_FIRST_MEC, *args) == 15e6
-    assert transmitted_bits(ACTION_SPLIT_LOCAL_MEC, *args) == 10e6 + 10e6
-    assert transmitted_bits(ACTION_SPLIT_MEC_LOCAL, *args) == 15e6 + 0.0
+    first = _bits([51, 51, 52], cache, catalog)  # 2 distinct uncached, full 15 Mbit
+    second = _bits([1, 2], cache, catalog)  # fully cached, full 10 Mbit
+    args = (first[0], first[1], second[0], second[1])
+    assert action_bits(ACTION_IDLE, *args) == 0.0
+    assert action_bits(ACTION_FIRST_LOCAL, *args) == 10e6
+    assert action_bits(ACTION_FIRST_MEC, *args) == 15e6
+    assert action_bits(ACTION_SPLIT_LOCAL_MEC, *args) == 10e6 + 10e6
+    assert action_bits(ACTION_SPLIT_MEC_LOCAL, *args) == 15e6 + 0.0
 
 
-def test_slots_mec_reference_task(catalog) -> None:
+def test_slots_mec_reference_task(catalog, cache) -> None:
     # 50 contents, 250 Mbit: compute 0.125 slots, uplink 2.5 slots.
-    task = _task(list(range(1, 51)))
-    assert slots_mec(task, _params()) == 3
+    assert _slots_mec(range(1, 51), cache, catalog, _params()) == 3
 
 
-def test_slots_mec_fast_rate(catalog) -> None:
-    task = _task(list(range(1, 51)))
-    assert slots_mec(task, _params(rate_bps=1e10)) == 1
+def test_slots_mec_fast_rate(catalog, cache) -> None:
+    assert _slots_mec(range(1, 51), cache, catalog, _params(rate_bps=1e10)) == 1
 
 
 def test_slots_local_fully_cached(catalog, cache) -> None:
     # 250 Mbit task, nothing to fetch: 1.25 compute slots, ceil 2.
-    task = _task(list(np.arange(1, 51) % 50 + 1))
-    assert uncached_distinct_bits(task, cache, catalog) == 0.0
-    assert slots_local(task, cache, catalog, _params()) == 2
+    contents = np.arange(1, 51) % 50 + 1
+    assert _bits(contents, cache, catalog)[0] == 0.0
+    assert _slots_local(contents, cache, catalog, _params()) == 2
 
 
 def test_slots_local_with_fetch(catalog, cache) -> None:
     # 50 contents, 20 distinct uncached (100 Mbit): 1.25 + 1.0 -> 3.
     contents = list(range(1, 31)) + list(range(51, 71))
-    task = _task(contents)
-    assert uncached_distinct_bits(task, cache, catalog) == 100e6
-    assert slots_local(task, cache, catalog, _params()) == 3
+    assert _bits(contents, cache, catalog)[0] == 100e6
+    assert _slots_local(contents, cache, catalog, _params()) == 3
 
 
 def test_slot_count_integer_boundary(catalog, cache) -> None:
     # compute 40 contents * 5 Mbit = 200 Mbit -> exactly 1.0 slot at 1 GHz;
     # fetch 20 distinct uncached = 100 Mbit -> exactly 1.0 slot; total exactly 2.
     contents = list(range(1, 21)) + list(range(51, 71))
-    task = _task(contents)
-    assert task.total_bits == 200e6
-    assert uncached_distinct_bits(task, cache, catalog) == 100e6
-    assert slots_local(task, cache, catalog, _params()) == 2
+    assert _bits(contents, cache, catalog) == (100e6, 200e6)
+    assert _slots_local(contents, cache, catalog, _params()) == 2
     # any extra work tips it to 3
-    bigger = _task(contents + [71])
-    assert slots_local(bigger, cache, catalog, _params()) == 3
+    assert _slots_local(contents + [71], cache, catalog, _params()) == 3
 
 
 def test_slots_always_at_least_one(catalog, cache) -> None:
-    tiny = _task([1])
     fast = _params(f_local_hz=1e12, f_mec_hz=1e12, rate_bps=1e12)
-    assert slots_local(tiny, cache, catalog, fast) == 1
-    assert slots_mec(tiny, fast) == 1
+    assert _slots_local([1], cache, catalog, fast) == 1
+    assert _slots_mec([1], cache, catalog, fast) == 1
+    # a duration that rounds to zero (speed * slot overflows) still takes
+    # its start slot, so the processor is free again in the next one
+    huge = _params(slot_seconds=1e300, f_local_hz=1e300, f_mec_hz=1e300, rate_bps=1e300)
+    assert slots_mec([5e6], huge).tolist() == [1]
+    assert slots_local([5e6], [5e6], huge).tolist() == [1]
 
 
-def test_step_assignment_and_completion_timing(catalog, cache) -> None:
-    # N_local = 3 for this task: busy goes 2, 1, 0; completion at t+2.
-    params = _params()
-    contents = list(range(1, 31)) + list(range(51, 71))
-    task = _task(contents)
-    state = SystemState.empty()
-    state.queue.append(task)
-
-    _, done, tx = step(state, ACTION_FIRST_LOCAL, task, None, None, params, cache, catalog)
-    assert done == []
-    assert state.busy_local == 2
-    assert tx == 100e6
-    assert len(state.queue) == 0
-    assert state.slot == 1
-
-    _, done, _ = step(state, ACTION_IDLE, None, None, None, params, cache, catalog)
-    assert done == []
-    assert state.busy_local == 1
-
-    _, done, _ = step(state, ACTION_IDLE, None, None, None, params, cache, catalog)
-    assert [e.task for e in done] == [task]
-    assert done[0].completion_slot == 2  # assigned at 0, N=3, ends slot 2
-    assert done[0].mode == "local"
-    assert state.busy_local == 0
-    assert state.in_service_local is None
+def _saturated(horizon: int = 12, **cfg):
+    """One arrival per slot of identical, fully cached 50-content tasks, so
+    every busy-slot count is deterministic."""
+    config = ExperimentConfig(
+        n_contents=50, cache_m=50, k_min=50, k_max=50, arrival_prob=1.0, **cfg
+    ).validate()
+    return run_simulation(*build_system(config), horizon=horizon, seed=0, warmup_frac=0.0)
 
 
-def test_step_single_slot_task_completes_immediately(catalog, cache) -> None:
-    params = _params(f_local_hz=1e12, rate_bps=1e12)
-    task = _task([1, 2, 3])
-    state = SystemState.empty()
-    state.queue.append(task)
-    _, done, _ = step(state, ACTION_FIRST_LOCAL, task, None, None, params, cache, catalog)
-    assert [e.task for e in done] == [task]
-    assert done[0].completion_slot == 0
-    assert state.busy_local == 0
+def test_step_assignment_and_completion_timing() -> None:
+    # N_local = ceil(250 Mbit / (5e8 Hz * 0.2 s)) = 3: task j arrives in slot
+    # j, starts in slot 1 + 3j and completes at the end of slot 3 + 3j.
+    metrics = _saturated(policy="local_only", f_local_hz=5e8)
+    assert metrics.delay_arrival_slots.tolist() == [0, 1, 2]
+    assert metrics.delays_slots.tolist() == [4, 6, 8]  # (3 + 3j) - j + 1
+    # the fourth task started in slot 10 and is still running at the horizon
+    assert metrics.scheduled == 4
+    assert metrics.completions == 3
 
 
-def test_step_departures_precede_arrival(catalog, cache) -> None:
-    params = _params()
-    first = _task(list(range(1, 51)), slot=0)
-    second = _task(list(range(1, 51)), slot=1)
-    fresh = _task([3], slot=2)
-    state = SystemState.empty()
-    state.queue.extend([first, second])
-    step(state, ACTION_SPLIT_LOCAL_MEC, first, second, fresh, params, cache, catalog)
-    assert list(state.queue) == [fresh]
-    assert state.busy_local > 0 and state.busy_mec > 0
+def test_step_single_slot_task_completes_immediately() -> None:
+    metrics = _saturated(policy="local_only", f_local_hz=1e13)
+    # started the slot after it arrived and done within that slot
+    assert metrics.completions == metrics.scheduled == 11
+    assert set(metrics.delays_slots.tolist()) == {2}
 
 
-def test_step_rejects_illegal_actions(catalog, cache) -> None:
-    params = _params()
-    task = _task([1, 51])
-    state = SystemState.empty()
-    state.queue.append(task)
-
-    with pytest.raises(ContractViolation):
-        # schedules two tasks, queue holds one
-        step(state, ACTION_SPLIT_LOCAL_MEC, task, None, None, params, cache, catalog)
-    with pytest.raises(ContractViolation):
-        # first_task must be the queue head object
-        step(state, ACTION_FIRST_LOCAL, _task([9]), None, None, params, cache, catalog)
-    state.busy_local = 2
-    with pytest.raises(ContractViolation):
-        step(state, ACTION_FIRST_LOCAL, task, None, None, params, cache, catalog)
-    state.busy_local = 0
-    state.busy_mec = 1
-    with pytest.raises(ContractViolation):
-        step(state, ACTION_FIRST_MEC, task, None, None, params, cache, catalog)
-    with pytest.raises(ContractViolation):
-        step(state, Action(1, 1, 0, 0), task, task, None, params, cache, catalog)
+def test_step_departures_precede_arrival() -> None:
+    # the slot's arrival joins the queue after the decision: nothing can
+    # start in slot 0, and the task arriving there is seen from slot 1 on
+    metrics = _saturated(policy="lyapunov", v_param=0.0)
+    assert metrics.queue_len_series[:2].tolist() == [0, 1]
+    assert metrics.delays_slots.min() >= 2
+    assert metrics.drift_violations == 0
 
 
-def test_step_busy_countdown_without_assignment(catalog, cache) -> None:
-    params = _params()
-    state = SystemState.empty()
-    task = _task(list(range(1, 51)))
-    state.queue.append(task)
-    step(state, ACTION_FIRST_MEC, task, None, None, params, cache, catalog)
-    assert state.busy_mec == 2  # N_mec = 3
-    arrivals = [_task([1], slot=s) for s in (1, 2)]
-    step(state, ACTION_IDLE, None, None, arrivals[0], params, cache, catalog)
-    assert state.busy_mec == 1
-    assert len(state.queue) == 1
-    _, done, _ = step(state, ACTION_IDLE, None, None, arrivals[1], params, cache, catalog)
-    assert state.busy_mec == 0
-    assert [e.task for e in done] == [task]
-    assert len(state.queue) == 2
+def test_step_busy_countdown_without_assignment() -> None:
+    # N_mec = 3: the server counts down two slots between starts (slots 1,
+    # 4, 7, 10), so the queue before slot t holds t minus the tasks started.
+    metrics = _saturated(policy="mec_only")
+    assert metrics.delays_slots.tolist() == [4, 6, 8]
+    assert metrics.queue_len_series.tolist() == [0, 1, 1, 2, 3, 3, 4, 5, 5, 6, 7, 7]

@@ -157,6 +157,15 @@ def test_run_rejects_bad_arguments() -> None:
         run_simulation(catalog, cache, params, workload_cfg, policy, horizon=10**12)
 
 
+def test_run_rejects_fractional_content_size() -> None:
+    # bit totals are exact integers only for whole-bit contents
+    (catalog, cache, params, workload_cfg, policy), _ = _system(tau_bits=0.3)
+    with pytest.raises(ConfigError, match="whole number of bits"):
+        run_simulation(catalog, cache, params, workload_cfg, policy, horizon=100)
+    (catalog, cache, params, workload_cfg, policy), _ = _system(tau_bits=3.0)
+    assert run_simulation(catalog, cache, params, workload_cfg, policy, horizon=100).arrivals > 0
+
+
 def test_short_run_regression_pin() -> None:
     metrics = _run(horizon=500, seed=0)
     assert metrics.arrivals == 204

@@ -3,13 +3,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mecsched.catalog import ContentCatalog
+from mecsched.catalog import CacheConfig, ContentCatalog
+from mecsched.config import ExperimentConfig, build_system
+from mecsched.engine import run_simulation
 from mecsched.workload import (
-    Task,
     WorkloadConfig,
-    sample_arrival,
+    distinct_uncached_counts,
     sample_content_indices,
-    sample_task,
+    sample_tasks,
     task_streams,
 )
 
@@ -17,6 +18,11 @@ from mecsched.workload import (
 @pytest.fixture(scope="module")
 def catalog() -> ContentCatalog:
     return ContentCatalog.zipf(1000, 0.8, 5e6)
+
+
+@pytest.fixture(scope="module")
+def no_cache(catalog) -> CacheConfig:
+    return CacheConfig.for_catalog(catalog, 0)
 
 
 def _cfg(**kw) -> WorkloadConfig:
@@ -43,7 +49,7 @@ def test_streams_deterministic() -> None:
     assert np.array_equal(c1.random(100), c2.random(100))
 
 
-def test_streams_independent_of_each_other(catalog: ContentCatalog) -> None:
+def test_streams_independent_of_each_other(catalog: ContentCatalog, no_cache) -> None:
     # Consuming different amounts of the arrival stream must not shift
     # the composition stream: the i-th task stays the same task.
     cfg = _cfg()
@@ -51,25 +57,25 @@ def test_streams_independent_of_each_other(catalog: ContentCatalog) -> None:
     a2, c2 = task_streams(3)
     a1.random(10)
     a2.random(500)
-    t1 = [sample_task(c1, catalog, cfg, slot=i) for i in range(5)]
-    t2 = [sample_task(c2, catalog, cfg, slot=i) for i in range(5)]
+    t1 = sample_tasks(c1, catalog, cfg, 5, no_cache)
+    t2 = sample_tasks(c2, catalog, cfg, 5, no_cache)
     for x, y in zip(t1, t2):
-        assert x.k == y.k
-        assert np.array_equal(x.contents, y.contents)
+        assert np.array_equal(x, y)
+
+
+def _arrivals(horizon: int, arrival_prob: float) -> int:
+    config = ExperimentConfig(arrival_prob=arrival_prob, policy="mec_only").validate()
+    return run_simulation(*build_system(config), horizon=horizon, seed=0).arrivals
 
 
 def test_sample_arrival_is_bernoulli_like() -> None:
-    cfg = _cfg(arrival_prob=0.4)
-    rng = np.random.default_rng(0)
-    draws = [sample_arrival(rng, cfg) for _ in range(20000)]
-    assert abs(np.mean(draws) - 0.4) < 0.01
-    assert all(isinstance(d, bool) for d in draws)
+    # one Bernoulli draw per slot
+    assert abs(_arrivals(20000, 0.4) / 20000 - 0.4) < 0.01
 
 
 def test_sample_arrival_degenerate_rates() -> None:
-    rng = np.random.default_rng(0)
-    assert not any(sample_arrival(rng, _cfg(arrival_prob=0.0)) for _ in range(100))
-    assert all(sample_arrival(rng, _cfg(arrival_prob=1.0)) for _ in range(100))
+    assert _arrivals(100, 0.0) == 0
+    assert _arrivals(100, 1.0) == 100
 
 
 def test_content_indices_in_range(catalog: ContentCatalog) -> None:
@@ -87,29 +93,46 @@ def test_content_indices_follow_popularity(catalog: ContentCatalog) -> None:
     assert freq1 == pytest.approx(catalog.popularity[0], rel=0.03)
 
 
-def test_sample_task_shape(catalog: ContentCatalog) -> None:
+def test_sample_task_shape(catalog: ContentCatalog, no_cache) -> None:
     cfg = _cfg()
     _, comp = task_streams(0)
-    for slot in range(50):
-        task = sample_task(comp, catalog, cfg, slot=slot)
-        assert cfg.k_min <= task.k <= cfg.k_max
-        assert task.total_bits == task.k * catalog.size_bits
-        assert task.id == slot
-        assert task.arrival_slot == slot
+    ks, distinct = sample_tasks(comp, catalog, cfg, 50, no_cache)
+    assert ks.shape == distinct.shape == (50,)
+    assert np.all((cfg.k_min <= ks) & (ks <= cfg.k_max))
+    assert np.all((1 <= distinct) & (distinct <= ks))
 
 
-def test_sample_task_frozen_stream(catalog: ContentCatalog) -> None:
+def test_sample_task_frozen_stream(catalog: ContentCatalog, no_cache) -> None:
     # Regression pin: seed 0's first two tasks, so any accidental change
     # to stream consumption shows up.
     cfg = _cfg()
     _, comp = task_streams(0)
-    t0 = sample_task(comp, catalog, cfg, slot=0)
-    t1 = sample_task(comp, catalog, cfg, slot=1)
-    assert t0.k == 53
-    assert t1.k == 54
-    assert t0.contents[:6].tolist() == [12, 166, 51, 478, 375, 123]
+    ks, distinct = sample_tasks(comp, catalog, cfg, 2, no_cache)
+    assert ks.tolist() == [53, 54]
+    # the first task's contents are the k uniforms after its k draw
+    _, comp = task_streams(0)
+    comp.integers(cfg.k_min, cfg.k_max + 1)
+    contents = sample_content_indices(comp, catalog, 53)
+    assert contents[:6].tolist() == [12, 166, 51, 478, 375, 123]
+    assert distinct[0] == np.unique(contents).size
 
 
-def test_task_k_property() -> None:
-    task = Task(id=0, arrival_slot=0, contents=np.array([1, 2, 2]), total_bits=3e6)
-    assert task.k == 3
+def test_sample_tasks_match_one_task_at_a_time(catalog: ContentCatalog) -> None:
+    # Chunked sampling consumes the stream exactly as drawing each task's
+    # k, then its contents, one task at a time; 150 tasks span three chunks.
+    cfg = _cfg(k_min=1, k_max=30)
+    for capacity in (0, 50, 1000):
+        cache = CacheConfig.for_catalog(catalog, capacity)
+        ks, distinct = sample_tasks(task_streams(9)[1], catalog, cfg, 150, cache)
+        rng = task_streams(9)[1]
+        for k, count in zip(ks, distinct):
+            assert k == rng.integers(cfg.k_min, cfg.k_max + 1)
+            contents = sample_content_indices(rng, catalog, int(k))
+            assert count == np.unique(contents[contents > capacity]).size
+
+
+def test_distinct_uncached_counts_by_hand(catalog: ContentCatalog) -> None:
+    cache = CacheConfig.for_catalog(catalog, 50)
+    ranks = np.array([1, 51, 51, 52, 7, 50, 1000, 1000, 999])
+    counts = distinct_uncached_counts(ranks, np.array([4, 0, 2, 3]), cache)
+    assert counts.tolist() == [2, 0, 0, 2]
