@@ -24,7 +24,7 @@ Subpackage map:
 from .catalog import CacheConfig, ContentCatalog, zipf_popularity
 from .workload import WorkloadConfig, distinct_uncached_counts, sample_tasks
 from .dynamics import SystemParams, slots_local, slots_mec, task_bits
-from .policy import ACTION_IDLE, ACTIONS, PolicySpec, action_cost, decide, feasible_actions
+from .policy import ACTION_IDLE, ACTIONS, PolicySpec, decide, feasible_actions
 from .engine import (
     RunMetrics,
     avg_data_per_task,
@@ -61,7 +61,6 @@ __all__ = [
     "SlotMeanEstimate",
     "SystemParams",
     "WorkloadConfig",
-    "action_cost",
     "avg_data_per_task",
     "avg_queue_length",
     "decide",

@@ -183,16 +183,10 @@ class RegimeReport:
     """Feasibility regime and minimum long-run data average.
 
     ``optimal_bits`` is ``None`` exactly when the regime is infeasible.
-    Both modes compute the full task, so ``mean_mec_bits`` is also the
-    mean computed size.
     """
 
-    local_slot_mean: float
-    mec_slot_mean: float
     regime: str
     optimal_bits: Optional[float]
-    mean_mec_bits: float
-    mean_local_bits: float
 
 
 def _mixed_regime_bits(
@@ -241,14 +235,7 @@ def optimal_average_data(
         optimal = _mixed_regime_bits(local_slot_mean, arrival_prob, mec_bits_mean, local_bits_mean)
     else:
         regime, optimal = REGIME_INFEASIBLE, None
-    return RegimeReport(
-        local_slot_mean=local_slot_mean,
-        mec_slot_mean=mec_slot_mean,
-        regime=regime,
-        optimal_bits=optimal,
-        mean_mec_bits=mec_bits_mean,
-        mean_local_bits=local_bits_mean,
-    )
+    return RegimeReport(regime=regime, optimal_bits=optimal)
 
 
 def optimality_gap_bound(v: float) -> float:

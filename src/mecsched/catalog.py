@@ -57,15 +57,11 @@ class ContentCatalog:
         Size of every content in bits (all contents are equally sized).
     popularity : numpy.ndarray
         Per-rank request probability, non-increasing, summing to 1.
-    zipf_alpha : float
-        The exponent the popularity vector was built with (kept for
-        reporting; the vector itself is authoritative).
     """
 
     n_contents: int
     size_bits: float
     popularity: np.ndarray
-    zipf_alpha: float
     # Cumulative popularity, used for fast inverse-CDF sampling.
     cdf: np.ndarray = field(init=False, repr=False)
 
@@ -97,7 +93,6 @@ class ContentCatalog:
             n_contents=n_contents,
             size_bits=size_bits,
             popularity=zipf_popularity(n_contents, alpha),
-            zipf_alpha=alpha,
         )
 
 

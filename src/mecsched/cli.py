@@ -296,6 +296,8 @@ def cmd_frontier(
         raise ConfigError("frontier needs non-empty f_local and cache grids")
     if not 0 < rate_lo < rate_hi < math.inf:
         raise ConfigError(f"need 0 < rate_lo < rate_hi < inf, got ({rate_lo}, {rate_hi})")
+    if max_iter < 0:
+        raise ConfigError(f"bisection rounds must be non-negative, got {max_iter}")
     rows = []
     for f_local in f_values:
         for cache_m in m_values:
@@ -314,6 +316,8 @@ def cmd_analyze(config: ExperimentConfig, samples: int = 20000) -> tuple[list[di
     """
     if samples < 2:
         raise ConfigError(f"--samples: need at least 2 sampled tasks for a standard error, got {samples}")
+    if not config.arrival_prob > 0:
+        raise ConfigError("analyze: lambda must be positive; a zero arrival rate has no feasibility regime")
     catalog, cache, params, _, _ = build_system(config)
     k_dist = uniform_k_dist(config.k_min, config.k_max)
     mec_mean = expected_mec_bits(config.tau_bits, k_dist)

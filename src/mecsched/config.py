@@ -133,8 +133,8 @@ class ExperimentConfig:
                 probe = dataclasses.replace(self, sweep_axis=None, sweep_values=None)
                 probe = _set_axis_value(probe, self.sweep_axis, value)
                 probe.validate()
-        if not self.seeds:
-            raise bad("seeds", "must be a non-empty list of integers")
+        if not self.seeds or min(self.seeds) < 0:
+            raise bad("seeds", f"must be a non-empty list of non-negative integers, got {self.seeds}")
         if not 0 <= self.warmup_frac < 1:
             raise bad("warmup_frac", f"must lie in [0, 1), got {self.warmup_frac}")
         return self
@@ -254,7 +254,6 @@ def build_system(config: ExperimentConfig):
             arrival_prob=config.arrival_prob,
             k_min=config.k_min,
             k_max=config.k_max,
-            seed=config.seeds[0],
         )
         policy = PolicySpec(kind=config.policy, v_param=config.v_param)
     except ValueError as exc:

@@ -6,20 +6,23 @@ task behind it) starts on which processor this slot.  Only five
 combinations exist.  One rule decides which of them are legal: an action
 may start no more tasks than are queued, and only on free processors.
 
-The drift-plus-penalty rule scores each legal action with
+The drift-plus-penalty rule picks the legal action of least
 
-    cost(action) = -queue_len * scheduled + v * transmitted_bits
+    cost(action) = -queue_len * started + v * transmitted_bits
 
-and picks the minimiser, so larger ``v`` buys fewer shipped bits at the
-price of a longer queue.  ``v`` carries units of 1/bits here because the
-transmitted term is measured in bits.  The fixed baselines are the same
-rule at ``v = 0`` restricted to one processor: ``mec_only`` may only
-offload the head, ``local_only`` may only run it locally, and both start
-it whenever they can.
+so larger ``v`` buys fewer shipped bits at the price of a longer queue.
+``v`` carries units of 1/bits here because the transmitted term is
+measured in bits.  Cost ties go to the action that starts more tasks,
+then to fewer transmitted bits, then to the head on the local processor.
+The fixed baselines ``mec_only`` and ``local_only`` use one processor
+only and start the head on it whenever they can.
 
-Cost ties are broken deterministically: more tasks scheduled first, then
-fewer transmitted bits, then head-on-local over head-offloaded, then the
-canonical action order.
+:func:`decide` computes that minimiser in closed form.  A task's local
+run fetches its distinct uncached contents and an offload ships all
+``k`` of them, so its local bits never exceed its offload bits.  Hence
+starting the head locally never costs more than offloading it, and only
+two comparisons remain: the one single start against idling, and the
+cheaper of the two splits against that choice.
 
 A decision needs only four numbers of the queue besides its length: the
 local and offload bits of the head task and of the task behind it.
@@ -28,9 +31,6 @@ local and offload bits of the head task and of the task behind it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
-
-from .errors import ContractViolation
 
 __all__ = [
     "ACTIONS",
@@ -42,9 +42,6 @@ __all__ = [
     "PolicySpec",
     "POLICY_KINDS",
     "feasible_actions",
-    "action_bits",
-    "action_cost",
-    "select_min_cost",
     "decide",
 ]
 
@@ -56,7 +53,7 @@ ACTION_FIRST_MEC: ActionFlags = (0, 0, 1, 0)
 ACTION_SPLIT_LOCAL_MEC: ActionFlags = (1, 0, 0, 1)  # head local, second offloaded
 ACTION_SPLIT_MEC_LOCAL: ActionFlags = (0, 1, 1, 0)  # head offloaded, second local
 
-# Canonical ordering; also the final tie-break order inside the policies.
+# Canonical ordering.
 ACTIONS: tuple[ActionFlags, ...] = (
     ACTION_IDLE,
     ACTION_FIRST_LOCAL,
@@ -66,20 +63,6 @@ ACTIONS: tuple[ActionFlags, ...] = (
 )
 
 POLICY_KINDS = ("lyapunov", "mec_only", "local_only")
-
-# The actions each policy may choose from, in canonical order.
-_POLICY_ACTIONS = {
-    "lyapunov": ACTIONS,
-    "mec_only": (ACTION_IDLE, ACTION_FIRST_MEC),
-    "local_only": (ACTION_IDLE, ACTION_FIRST_LOCAL),
-}
-
-# Tie-break ranks after cost: -scheduled, (bits), head on local / server /
-# not started, canonical index.
-_TIE_RANK = {
-    action: (-sum(action), 0 if action[0] else (1 if action[2] else 2), index)
-    for index, action in enumerate(ACTIONS)
-}
 
 
 def feasible_actions(busy_local: int, busy_mec: int, q_len: int) -> tuple[ActionFlags, ...]:
@@ -92,18 +75,6 @@ def feasible_actions(busy_local: int, busy_mec: int, q_len: int) -> tuple[Action
         and not (busy_local and (action[0] or action[1]))
         and not (busy_mec and (action[2] or action[3]))
     )
-
-
-# Candidates keyed by (policy kind, local busy?, server busy?, min(queue_len, 2)).
-_CANDIDATES = {
-    (kind, local_busy, mec_busy, q): tuple(
-        a for a in feasible_actions(local_busy, mec_busy, q) if a in allowed
-    )
-    for kind, allowed in _POLICY_ACTIONS.items()
-    for local_busy in (False, True)
-    for mec_busy in (False, True)
-    for q in (0, 1, 2)
-}
 
 
 @dataclass(frozen=True)
@@ -121,52 +92,6 @@ class PolicySpec:
             raise ValueError(f"v_param must be finite and non-negative, got {self.v_param}")
 
 
-def action_bits(
-    action: ActionFlags, head_local: float, head_mec: float, second_local: float, second_mec: float
-) -> float:
-    """Uplink bits the action moves: fetches for the tasks it runs
-    locally, full tasks for those it offloads."""
-    local_first, local_second, mec_first, mec_second = action
-    bits = 0.0
-    if local_first:
-        bits += head_local
-    if local_second:
-        bits += second_local
-    if mec_first:
-        bits += head_mec
-    if mec_second:
-        bits += second_mec
-    return bits
-
-
-def action_cost(action: ActionFlags, q_len: int, v: float, bits: float) -> float:
-    """Drift-plus-penalty score of an action moving ``bits``; lower is better."""
-    scheduled = sum(action)
-    if scheduled > q_len:
-        raise ContractViolation(f"action {action} starts {scheduled} tasks, queue holds {q_len}")
-    return -float(q_len * scheduled) + v * bits
-
-
-def select_min_cost(costed: Iterable[tuple[float, ActionFlags, float]]) -> ActionFlags:
-    """Pick the cheapest action from ``(cost, action, bits)`` triples.
-
-    Exposed separately so the deterministic tie-breaking can be exercised
-    on externally supplied costs; scaling all costs by a positive factor
-    never changes the selection.
-    """
-    best_action = None
-    best_key = None
-    for cost, action, bits in costed:
-        neg_scheduled, head_rank, index = _TIE_RANK[action]
-        key = (cost, neg_scheduled, bits, head_rank, index)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_action = action
-    if best_action is None:
-        raise ContractViolation("no candidate actions supplied")
-    return best_action
-
-
 def decide(
     policy: PolicySpec,
     busy_local: int,
@@ -181,13 +106,31 @@ def decide(
 
     ``head_*`` / ``second_*`` are the local and offload bits of the first
     two queued tasks; they are read only when that many tasks are queued.
+    The bits must be finite with ``0 <= *_local <= *_mec`` per task, which
+    every task meets (distinct uncached contents never outnumber ``k``).
     """
-    candidates = _CANDIDATES[policy.kind, busy_local != 0, busy_mec != 0, min(q_len, 2)]
-    if len(candidates) == 1:
-        return candidates[0]
-    v = policy.v_param if policy.kind == "lyapunov" else 0.0
-    costed = []
-    for action in candidates:
-        bits = action_bits(action, head_local, head_mec, second_local, second_mec)
-        costed.append((action_cost(action, q_len, v, bits), action, bits))
-    return select_min_cost(costed)
+    if q_len < 1 or (busy_local and busy_mec):
+        return ACTION_IDLE
+    if policy.kind == "mec_only":
+        return ACTION_IDLE if busy_mec else ACTION_FIRST_MEC
+    if policy.kind == "local_only":
+        return ACTION_IDLE if busy_local else ACTION_FIRST_LOCAL
+
+    # The one single start: the head on the free processor, local if both
+    # are free.  It beats idling (cost 0) unless it costs more.
+    v = policy.v_param
+    if busy_local:
+        single, cost = ACTION_FIRST_MEC, -float(q_len) + v * head_mec
+    else:
+        single, cost = ACTION_FIRST_LOCAL, -float(q_len) + v * head_local
+    if cost > 0.0:
+        single, cost = ACTION_IDLE, 0.0
+    if q_len < 2 or busy_local or busy_mec:
+        return single
+
+    # Both splits start two tasks; the one moving fewer bits wins, the head
+    # staying local on a tie.  It beats the single choice unless it costs more.
+    split, bits = ACTION_SPLIT_LOCAL_MEC, head_local + second_mec
+    if bits > second_local + head_mec:
+        split, bits = ACTION_SPLIT_MEC_LOCAL, second_local + head_mec
+    return split if -float(q_len * 2) + v * bits <= cost else single

@@ -39,7 +39,6 @@ class WorkloadConfig:
     arrival_prob: float
     k_min: int
     k_max: int
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.arrival_prob <= 1.0:

@@ -109,7 +109,7 @@ def baseline_runs():
 def sampled_local_bits(catalog):
     # mean fetched bits per locally run task, straight from the sampler;
     # every cache size sees the same 100,000 tasks
-    wl = WorkloadConfig(arrival_prob=0.4, k_min=40, k_max=60, seed=0)
+    wl = WorkloadConfig(arrival_prob=0.4, k_min=40, k_max=60)
     n_tasks = 100_000
     means = {}
     for m in (0, 50, 200):
@@ -438,7 +438,7 @@ def test_criterion_10_action_feasibility(catalog) -> None:
             mismatches += 1
 
     cache = CacheConfig.for_catalog(catalog, 50)
-    wl = WorkloadConfig(arrival_prob=0.4, k_min=40, k_max=60, seed=0)
+    wl = WorkloadConfig(arrival_prob=0.4, k_min=40, k_max=60)
     pool_rng = np.random.default_rng(77)
     ks, distinct = sample_tasks(pool_rng, catalog, wl, 60, cache)
     pool = list(zip(*(bits.tolist() for bits in task_bits(catalog, ks, distinct))))

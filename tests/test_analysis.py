@@ -126,7 +126,6 @@ def test_regime_local_capacity_sufficient() -> None:
     report = optimal_average_data(2.0, 3.0, 0.4, 100.0, 40.0)
     assert report.regime == REGIME_LOCAL_ONLY
     assert report.optimal_bits == 40.0
-    assert report.mean_mec_bits == 100.0
 
 
 def test_regime_local_boundary_counts_as_local() -> None:

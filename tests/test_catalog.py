@@ -48,16 +48,16 @@ def test_zipf_rejects_bad_arguments() -> None:
 
 def test_catalog_constructor_validates_popularity() -> None:
     good = zipf_popularity(4, 1.0)
-    ContentCatalog(n_contents=4, size_bits=1e6, popularity=good, zipf_alpha=1.0)
+    ContentCatalog(n_contents=4, size_bits=1e6, popularity=good)
     with pytest.raises(ValueError):
-        ContentCatalog(n_contents=3, size_bits=1e6, popularity=good, zipf_alpha=1.0)
+        ContentCatalog(n_contents=3, size_bits=1e6, popularity=good)
     with pytest.raises(ValueError):
-        ContentCatalog(4, 1e6, np.array([0.5, 0.3, 0.3, -0.1]), 1.0)
+        ContentCatalog(4, 1e6, np.array([0.5, 0.3, 0.3, -0.1]))
     with pytest.raises(ValueError):
         # increasing order
-        ContentCatalog(4, 1e6, np.array([0.1, 0.2, 0.3, 0.4]), 0.0)
+        ContentCatalog(4, 1e6, np.array([0.1, 0.2, 0.3, 0.4]))
     with pytest.raises(ValueError):
-        ContentCatalog(4, 0.0, good, 1.0)
+        ContentCatalog(4, 0.0, good)
 
 
 def test_catalog_cdf_ends_at_one() -> None:

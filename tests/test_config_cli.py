@@ -123,7 +123,7 @@ def test_build_system_objects() -> None:
     assert catalog.n_contents == 1000
     assert cache.capacity == 7
     assert params.rate_bps == 5e8
-    assert workload_cfg.seed == 9
+    assert workload_cfg.k_max == 60
     assert policy.kind == "lyapunov"
     assert policy.v_param == 1e-6
 
@@ -253,13 +253,6 @@ def test_main_config_error_exit_code(capsys) -> None:
     assert "lambda" in capsys.readouterr().err
 
 
-def test_main_analysis_error_exit_code(capsys) -> None:
-    # a zero arrival rate has no feasibility regime to report
-    code = main(["analyze", "--set", "lambda=0.0", "--samples", "500"])
-    assert code == 2
-    assert capsys.readouterr().err != ""
-
-
 def test_main_usage_errors(capsys) -> None:
     assert main(["no_such_command"]) == 1
     assert main(["frontier"]) == 1  # missing --target-delay-s
@@ -297,6 +290,11 @@ def test_main_reads_config_file(tmp_path) -> None:
         ["frontier", "--target-delay-s", "nan"],
         ["frontier", "--target-delay-s", "0.6", "--r-bracket", "1e8,inf"],
         ["analyze", "--samples", "1"],
+        ["simulate", "--seeds=-3"],
+        ["simulate", "--set", "seeds=-1"],
+        # a zero arrival rate has no feasibility regime to report
+        ["analyze", "--set", "lambda=0", "--samples", "500"],
+        ["frontier", "--target-delay-s", "0.6", "--max-iter", "-1"],
     ],
 )
 def test_main_bad_input_is_a_config_error(argv, capsys) -> None:

@@ -14,7 +14,6 @@ from mecsched.policy import (
     ACTION_SPLIT_LOCAL_MEC,
     ACTION_SPLIT_MEC_LOCAL,
     ACTIONS,
-    action_bits,
 )
 from mecsched.workload import distinct_uncached_counts
 
@@ -97,15 +96,30 @@ def test_mec_bits_is_full_task(catalog, cache) -> None:
     assert _bits([1, 2, 3, 4], cache, catalog)[1] == 20e6
 
 
-def test_transmitted_bits_per_action(catalog, cache) -> None:
-    first = _bits([51, 51, 52], cache, catalog)  # 2 distinct uncached, full 15 Mbit
-    second = _bits([1, 2], cache, catalog)  # fully cached, full 10 Mbit
-    args = (first[0], first[1], second[0], second[1])
-    assert action_bits(ACTION_IDLE, *args) == 0.0
-    assert action_bits(ACTION_FIRST_LOCAL, *args) == 10e6
-    assert action_bits(ACTION_FIRST_MEC, *args) == 15e6
-    assert action_bits(ACTION_SPLIT_LOCAL_MEC, *args) == 10e6 + 10e6
-    assert action_bits(ACTION_SPLIT_MEC_LOCAL, *args) == 15e6 + 0.0
+def test_transmitted_bits_per_action() -> None:
+    # One 1 Mbit content, never cached, two copies per task: a local run
+    # fetches 1 Mbit, an offload ships 2 Mbit.  Busy slots: local
+    # ceil(1 + 1) = 2, server ceil(1 + 2) = 3.  One arrival per slot.
+    base = dict(
+        n_contents=1, cache_m=0, tau_bits=1e6, k_min=2, k_max=2, arrival_prob=1.0,
+        slot_seconds=1.0, f_local_hz=2e6, f_mec_hz=2e6, rate_bps=1e6, v_param=0.0,
+    )
+
+    def run(**cfg):
+        config = ExperimentConfig(**{**base, **cfg}).validate()
+        return run_simulation(*build_system(config), horizon=12, seed=0, warmup_frac=0.0)
+
+    # v = 0, slots 1..11: local, server, local, idle, split, idle, local,
+    # server, local, idle, split (each split moves 1 + 2 Mbit)
+    metrics = run()
+    assert metrics.scheduled == 10
+    assert metrics.total_tx_bits == 4 * 1e6 + 2 * 2e6 + 2 * 3e6
+    # the fixed rules start a task whenever their processor frees up
+    assert run(policy="mec_only").total_tx_bits == 4 * 2e6  # slots 1, 4, 7, 10
+    assert run(policy="local_only").total_tx_bits == 6 * 1e6  # slots 1, 3, ..., 11
+    # a weight that prices every start above the queue reward idles throughout
+    idle = run(v_param=1.0)
+    assert idle.scheduled == 0 and idle.total_tx_bits == 0.0
 
 
 def test_slots_mec_reference_task(catalog, cache) -> None:

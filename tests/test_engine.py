@@ -16,7 +16,6 @@ from mecsched.engine import (
 )
 from mecsched.errors import ConfigError, MetricUndefined
 from mecsched.policy import PolicySpec
-from mecsched.workload import WorkloadConfig
 
 
 def _system(**cfg_kw):
@@ -79,21 +78,6 @@ def test_repeat_runs_are_identical() -> None:
     assert not np.array_equal(a.queue_len_series, c.queue_len_series)
 
 
-def test_explicit_seed_overrides_workload_seed() -> None:
-    (catalog, cache, params, workload_cfg, policy), _ = _system()
-    assert workload_cfg.seed == 0
-    via_arg = run_simulation(catalog, cache, params, workload_cfg, policy, horizon=1000, seed=5)
-    reseeded = WorkloadConfig(
-        arrival_prob=workload_cfg.arrival_prob,
-        k_min=workload_cfg.k_min,
-        k_max=workload_cfg.k_max,
-        seed=5,
-    )
-    via_cfg = run_simulation(catalog, cache, params, reseeded, policy, horizon=1000)
-    assert via_arg.total_tx_bits == via_cfg.total_tx_bits
-    assert np.array_equal(via_arg.queue_len_series, via_cfg.queue_len_series)
-
-
 def test_transmitted_data_never_exceeds_largest_task() -> None:
     metrics = _run(horizon=20000, policy="mec_only")
     per_task = avg_data_per_task(metrics)
@@ -143,27 +127,27 @@ def test_series_collection_optional() -> None:
 def test_run_rejects_bad_arguments() -> None:
     (catalog, cache, params, workload_cfg, policy), _ = _system()
     with pytest.raises(ConfigError):
-        run_simulation(catalog, cache, params, workload_cfg, policy, horizon=0)
+        run_simulation(catalog, cache, params, workload_cfg, policy, horizon=0, seed=0)
     with pytest.raises(ConfigError):
-        run_simulation(catalog, cache, params, workload_cfg, policy, horizon=100, warmup_frac=1.0)
+        run_simulation(catalog, cache, params, workload_cfg, policy, horizon=100, seed=0, warmup_frac=1.0)
     with pytest.raises(ConfigError):
-        run_simulation(catalog, cache, params, workload_cfg, policy, horizon=100, warmup_frac=-0.1)
+        run_simulation(catalog, cache, params, workload_cfg, policy, horizon=100, seed=0, warmup_frac=-0.1)
     other = ContentCatalog.zipf(10, 0.8, 5e6)
     mismatched = CacheConfig.for_catalog(other, 5)
     with pytest.raises(ConfigError):
-        run_simulation(catalog, mismatched, params, workload_cfg, policy, horizon=100)
+        run_simulation(catalog, mismatched, params, workload_cfg, policy, horizon=100, seed=0)
     with pytest.raises(ConfigError):
         # bit totals would overflow exact float64 integer range
-        run_simulation(catalog, cache, params, workload_cfg, policy, horizon=10**12)
+        run_simulation(catalog, cache, params, workload_cfg, policy, horizon=10**12, seed=0)
 
 
 def test_run_rejects_fractional_content_size() -> None:
     # bit totals are exact integers only for whole-bit contents
     (catalog, cache, params, workload_cfg, policy), _ = _system(tau_bits=0.3)
     with pytest.raises(ConfigError, match="whole number of bits"):
-        run_simulation(catalog, cache, params, workload_cfg, policy, horizon=100)
+        run_simulation(catalog, cache, params, workload_cfg, policy, horizon=100, seed=0)
     (catalog, cache, params, workload_cfg, policy), _ = _system(tau_bits=3.0)
-    assert run_simulation(catalog, cache, params, workload_cfg, policy, horizon=100).arrivals > 0
+    assert run_simulation(catalog, cache, params, workload_cfg, policy, horizon=100, seed=0).arrivals > 0
 
 
 def test_short_run_regression_pin() -> None:

@@ -5,7 +5,6 @@ import pytest
 
 from mecsched.catalog import CacheConfig, ContentCatalog
 from mecsched.dynamics import task_bits
-from mecsched.errors import ContractViolation
 from mecsched.policy import (
     ACTION_FIRST_LOCAL,
     ACTION_FIRST_MEC,
@@ -14,11 +13,8 @@ from mecsched.policy import (
     ACTION_SPLIT_MEC_LOCAL,
     ACTIONS,
     PolicySpec,
-    action_bits,
-    action_cost,
     decide,
     feasible_actions,
-    select_min_cost,
 )
 from mecsched.workload import distinct_uncached_counts
 
@@ -44,14 +40,6 @@ def bits(catalog, cache):
         return float(local[0]), float(mec[0])
 
     return task
-
-
-def _costed(candidates, q_len, v, first, second=(0.0, 0.0)):
-    out = []
-    for action in candidates:
-        moved = action_bits(action, first[0], first[1], second[0], second[1])
-        out.append((action_cost(action, q_len, v, moved), action, moved))
-    return out
 
 
 def test_feasible_both_free_deep_queue() -> None:
@@ -90,34 +78,53 @@ def test_policy_spec_validation() -> None:
 
 
 def test_cost_idle_is_zero() -> None:
-    assert action_cost(ACTION_IDLE, 5, 1.0, 0.0) == 0.0
+    # idling costs 0, so a single start is taken while -q + v*bits <= 0
+    # (an exact tie starts the task) and refused above that
+    mec_busy = dict(busy_local=0, busy_mec=1)
+    assert decide(PolicySpec("lyapunov", 0.5), q_len=1, head_local=2.0, head_mec=3.0, **mec_busy) is ACTION_FIRST_LOCAL
+    assert decide(PolicySpec("lyapunov", 0.5), q_len=1, head_local=3.0, head_mec=3.0, **mec_busy) is ACTION_IDLE
+    assert decide(PolicySpec("lyapunov", 0.5), q_len=3, head_local=6.0, head_mec=6.0, **mec_busy) is ACTION_FIRST_LOCAL
 
 
 def test_cost_head_to_server_reference_value(bits) -> None:
-    # 4 contents of 5 Mbit offloaded whole at unit weight: -1*1 + 1*20e6.
+    # 4 cached contents of 5 Mbit offloaded whole: cost -q + v * 20e6, and
+    # v = 2**-20 makes v * 20e6 = 19.073486328125 exactly.
     local, mec = bits([1, 2, 3, 4])
-    moved = action_bits(ACTION_FIRST_MEC, local, mec, 0.0, 0.0)
-    assert action_cost(ACTION_FIRST_MEC, 1, 1.0, moved) == -1.0 + 20e6
+    policy = PolicySpec("lyapunov", 2.0**-20)
+    assert decide(policy, 1, 0, 19, local, mec) is ACTION_IDLE
+    assert decide(policy, 1, 0, 20, local, mec) is ACTION_FIRST_MEC
+    # run locally the same task moves nothing
+    assert decide(policy, 0, 1, 1, local, mec) is ACTION_FIRST_LOCAL
 
 
 def test_cost_split_zero_weight(bits) -> None:
-    first, second = bits([1, 2]), bits([3, 4])
-    moved = action_bits(ACTION_SPLIT_LOCAL_MEC, *first, *second)
-    assert action_cost(ACTION_SPLIT_LOCAL_MEC, 2, 0.0, moved) == -4.0
+    # a split costs -2q + v * bits: at v = 0 it beats every single start
+    # however many bits it moves, and at v > 0 it can pay off where no
+    # single start does (v = 2**-20 prices 10 Mbit at 9.5367431640625)
+    first, second = bits([51, 52]), bits([1, 2])  # uncached 10 Mbit; cached
+    assert sum(decide(PolicySpec("lyapunov", 0.0), 0, 0, 2, *first, *first)) == 2
+    policy = PolicySpec("lyapunov", 2.0**-20)
+    assert decide(policy, 0, 0, 4, *first, *second) is ACTION_IDLE
+    assert decide(policy, 0, 0, 5, *first, *second) is ACTION_SPLIT_MEC_LOCAL
 
 
 def test_cost_counts_only_missing_bits_for_local(bits) -> None:
     cached = bits([1, 2, 3])
-    mixed = bits([1, 51])
-    assert action_cost(ACTION_FIRST_LOCAL, 1, 1.0, action_bits(ACTION_FIRST_LOCAL, *cached, 0.0, 0.0)) == -1.0
-    assert action_cost(ACTION_FIRST_LOCAL, 1, 1.0, action_bits(ACTION_FIRST_LOCAL, *mixed, 0.0, 0.0)) == -1.0 + 5e6
+    mixed = bits([1, 51])  # one uncached content: 5 Mbit fetched, 10 Mbit offloaded
+    assert decide(PolicySpec("lyapunov", 1.0), 0, 1, 1, *cached) is ACTION_FIRST_LOCAL
+    # v * 5e6 = 4.76837158203125 at v = 2**-20; the 10 Mbit offload would cost 9.5
+    policy = PolicySpec("lyapunov", 2.0**-20)
+    assert decide(policy, 0, 1, 4, *mixed) is ACTION_IDLE
+    assert decide(policy, 0, 1, 5, *mixed) is ACTION_FIRST_LOCAL
 
 
-def test_cost_requires_scheduled_tasks() -> None:
-    with pytest.raises(ContractViolation):
-        action_cost(ACTION_FIRST_LOCAL, 0, 0.0, 0.0)
-    with pytest.raises(ContractViolation):
-        action_cost(ACTION_SPLIT_LOCAL_MEC, 1, 0.0, 0.0)
+def test_cost_requires_scheduled_tasks(bits) -> None:
+    # only actions the queue can fill are priced: nothing starts from an
+    # empty queue and a lone task is never split, even at zero weight
+    task = bits([1, 51])
+    for kind in ("lyapunov", "mec_only", "local_only"):
+        assert decide(PolicySpec(kind, 0.0), 0, 0, 0, *task, *task) is ACTION_IDLE
+        assert sum(decide(PolicySpec(kind, 0.0), 0, 0, 1, *task, *task)) == 1
 
 
 def test_zero_weight_schedules_both_when_possible(bits) -> None:
@@ -182,31 +189,83 @@ def test_decision_always_feasible(bits) -> None:
 
 
 def test_selection_invariant_to_cost_scaling(bits) -> None:
-    costed = _costed(ACTIONS, 2, 1e-7, bits([51, 52]), bits([1, 2]))
-    base = select_min_cost(costed)
-    for factor in (1e-3, 1.0, 1e6):
-        scaled = [(factor * c, a, moved) for c, a, moved in costed]
-        assert select_min_cost(scaled) is base
+    # scaling q and v by the same power of two scales every cost exactly,
+    # so no decision changes (q >= 2, so the legal actions stay the same)
+    rng = np.random.default_rng(3)
+    tasks = [bits(rng.integers(1, 200, size=rng.integers(1, 8))) for _ in range(20)]
+    for trial in range(400):
+        q_len = int(rng.integers(2, 6))
+        v = float(rng.choice([0.0, 1e-8, 1e-7, 3e-7, 1e-6]))
+        state = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
+        first, second = tasks[trial % 20], tasks[int(rng.integers(0, 20))]
+        base = decide(PolicySpec("lyapunov", v), *state, q_len, *first, *second)
+        for factor in (2, 2**10, 2**20):
+            scaled = decide(PolicySpec("lyapunov", v * factor), *state, q_len * factor, *first, *second)
+            assert scaled is base
 
 
 def test_tie_breaks_prefer_more_work_then_fewer_bits(bits) -> None:
     first = bits([51, 52])  # uncached: 10 Mbit to fetch or upload
     second = bits([1, 2])  # cached: free locally, 10 Mbit uploaded
-    all_equal = [(0.0, a, moved) for _, a, moved in _costed(ACTIONS, 2, 0.0, first, second)]
-    # scheduled counts dominate: a split beats the singles and idling
-    choice = select_min_cost(all_equal)
-    assert sum(choice) == 2
+    zero = PolicySpec("lyapunov", 0.0)  # all costs with equal starts tie
     # between the splits, fewer transmitted bits win (10 Mbit vs 20 Mbit)
-    assert choice is ACTION_SPLIT_MEC_LOCAL
+    assert decide(zero, 0, 0, 2, *first, *second) is ACTION_SPLIT_MEC_LOCAL
     # cached head: fewer transmitted bits (0 vs 10 Mbit) picks local
-    singles = (ACTION_FIRST_MEC, ACTION_FIRST_LOCAL)
-    cached_head = [(0.0, a, moved) for _, a, moved in _costed(singles, 1, 0.0, second)]
-    assert select_min_cost(cached_head) is ACTION_FIRST_LOCAL
+    assert decide(zero, 0, 0, 1, *second) is ACTION_FIRST_LOCAL
     # uncached head: 10 Mbit either way, the head-on-local rule decides
-    uncached_head = [(0.0, a, moved) for _, a, moved in _costed(singles, 1, 0.0, first)]
-    assert select_min_cost(uncached_head) is ACTION_FIRST_LOCAL
+    assert decide(zero, 0, 0, 1, *first) is ACTION_FIRST_LOCAL
+    # equal split bits keep the head local
+    assert decide(zero, 0, 0, 2, *first, *first) is ACTION_SPLIT_LOCAL_MEC
+    # exact cost tie between a split and a single start: more work wins
+    # (-4 + 1*(0 + 2) == -2 + 1*0)
+    assert decide(PolicySpec("lyapunov", 1.0), 0, 0, 2, 0.0, 3.0, 1.0, 2.0) is ACTION_SPLIT_LOCAL_MEC
+    # splits whose costs round to the same value: fewer bits still win
+    assert decide(PolicySpec("lyapunov", 1e-30), 0, 0, 2, *first, *second) is ACTION_SPLIT_MEC_LOCAL
 
 
-def test_select_min_cost_requires_candidates() -> None:
-    with pytest.raises(ContractViolation):
-        select_min_cost([])
+def _brute_force(policy, busy_local, busy_mec, q_len, head_local, head_mec, second_local, second_mec):
+    """The drift-plus-penalty minimiser by enumeration: least cost, then
+    more tasks started, fewer bits, head on local / server / not started,
+    canonical order."""
+    allowed = {
+        "lyapunov": ACTIONS,
+        "mec_only": (ACTION_IDLE, ACTION_FIRST_MEC),
+        "local_only": (ACTION_IDLE, ACTION_FIRST_LOCAL),
+    }[policy.kind]
+    v = policy.v_param if policy.kind == "lyapunov" else 0.0
+
+    def key(action):
+        local_first, local_second, mec_first, mec_second = action
+        moved = 0.0
+        moved += head_local if local_first else 0.0
+        moved += second_local if local_second else 0.0
+        moved += head_mec if mec_first else 0.0
+        moved += second_mec if mec_second else 0.0
+        started = sum(action)
+        head = 0 if local_first else (1 if mec_first else 2)
+        return (-float(q_len * started) + v * moved, -started, moved, head, ACTIONS.index(action))
+
+    return min((a for a in feasible_actions(busy_local, busy_mec, q_len) if a in allowed), key=key)
+
+
+def test_decide_matches_brute_force_minimum() -> None:
+    # every state over small integer bits (local <= offload per task), where
+    # v * bits == q ties are frequent, at zero, tiny, moderate and huge v,
+    # and the same bits scaled to 5 Mbit contents
+    tasks = [(float(local), float(mec)) for mec in range(5) for local in range(mec + 1)]
+    weights = [0.0, 5e-324, 1e-300, 1e-9, 2.0**-22, 0.25, 1 / 3, 0.5, 1.0, 2.0, 3.0, 1e300]
+    policies = [PolicySpec("lyapunov", v) for v in weights]
+    policies += [PolicySpec(kind, v) for kind in ("mec_only", "local_only") for v in (0.0, 1.0)]
+    checked = 0
+    for size in (1.0, 5e6):
+        for policy in policies:
+            for busy_local in (0, 1):
+                for busy_mec in (0, 2):
+                    for q_len in range(5):
+                        for head in tasks:
+                            for second in tasks:
+                                state = (busy_local, busy_mec, q_len, head[0] * size, head[1] * size,
+                                         second[0] * size, second[1] * size)
+                                assert decide(policy, *state) is _brute_force(policy, *state), (policy, state)
+                                checked += 1
+    assert checked == 2 * len(policies) * 4 * 5 * len(tasks) ** 2

@@ -26,7 +26,7 @@ def no_cache(catalog) -> CacheConfig:
 
 
 def _cfg(**kw) -> WorkloadConfig:
-    base = dict(arrival_prob=0.4, k_min=40, k_max=60, seed=0)
+    base = dict(arrival_prob=0.4, k_min=40, k_max=60)
     base.update(kw)
     return WorkloadConfig(**base)
 
