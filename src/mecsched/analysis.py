@@ -20,7 +20,7 @@ import numpy as np
 
 from .catalog import CacheConfig, ContentCatalog
 from .dynamics import SystemParams, slots_local, slots_mec, task_bits
-from .workload import distinct_uncached_counts, sample_content_indices
+from .workload import _CHUNK_TASKS, distinct_uncached_counts, sample_content_indices
 
 __all__ = [
     "uniform_k_dist",
@@ -39,10 +39,6 @@ __all__ = [
 REGIME_LOCAL_ONLY = "local_only_optimal"
 REGIME_MIXED = "mixed"
 REGIME_INFEASIBLE = "infeasible"
-
-# Tasks whose contents are drawn and counted together in the Monte Carlo
-# estimate; bounds its temporary memory.
-_CHUNK_TASKS = 64
 
 
 def uniform_k_dist(k_min: int, k_max: int) -> dict[int, float]:

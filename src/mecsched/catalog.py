@@ -5,6 +5,12 @@ all of the same size in bits.  Content rank ``k`` is drawn with probability
 ``p[k-1]`` following a truncated Zipf law, so low ranks are the popular
 ones.  The device cache pins the ``capacity`` most popular ranks, which
 makes cache membership a pure index comparison.
+
+Ranks are drawn by inversion: a uniform ``u`` in [0, 1) maps to one plus
+the number of cumulative-popularity entries ``<= u``.  Beside the ``cdf``
+the catalog keeps a guide table (Chen & Asau, 1974) that answers this in
+O(1) for almost every ``u`` with the very same result as a binary search
+(see :class:`ContentCatalog`).
 """
 
 from __future__ import annotations
@@ -57,13 +63,23 @@ class ContentCatalog:
         Size of every content in bits (all contents are equally sized).
     popularity : numpy.ndarray
         Per-rank request probability, non-increasing, summing to 1.
+
+    Derived fields: ``cdf`` is the cumulative popularity (last entry
+    exactly 1).  ``guide`` splits [0, 1) into B equal buckets, B the
+    smallest power of two ``>= 4 * n_contents``; ``guide[j]`` is the number
+    of ``cdf`` entries ``<= j / B``, so for ``u`` in bucket ``j`` the number
+    of entries ``<= u`` is ``guide[j]`` plus those inside the bucket.
+    ``guide_wide[j]`` marks the buckets that hold more than one entry; in
+    every other bucket one comparison with ``cdf[guide[j]]`` finishes the
+    count.  The two tables cost 5 bytes per bucket.
     """
 
     n_contents: int
     size_bits: float
     popularity: np.ndarray
-    # Cumulative popularity, used for fast inverse-CDF sampling.
     cdf: np.ndarray = field(init=False, repr=False)
+    guide: np.ndarray = field(init=False, repr=False)
+    guide_wide: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n_contents < 1:
@@ -83,8 +99,14 @@ class ContentCatalog:
             raise ValueError("popularity must be non-increasing in rank")
         object.__setattr__(self, "popularity", pop)
         cdf = np.cumsum(pop)
-        cdf[-1] = 1.0  # guard searchsorted against rounding in the last bin
+        cdf[-1] = 1.0  # every u < 1 then ranks at most n_contents, despite rounding
         object.__setattr__(self, "cdf", cdf)
+        # An entry c is <= j / B exactly when ceil(c * B) <= j; scaling by a
+        # power of two is exact, so the bucket counts have no rounding error.
+        buckets = 1 << (4 * self.n_contents - 1).bit_length()
+        per_bucket = np.bincount(np.ceil(cdf * buckets).astype(np.intp), minlength=buckets + 1)
+        object.__setattr__(self, "guide", np.cumsum(per_bucket[:buckets], dtype=np.int32))
+        object.__setattr__(self, "guide_wide", per_bucket[1:buckets + 1] > 1)
 
     @classmethod
     def zipf(cls, n_contents: int, alpha: float, size_bits: float) -> "ContentCatalog":

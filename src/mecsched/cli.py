@@ -225,12 +225,13 @@ def _frontier_point(
     d_lo = evaluate(rate_lo)
     d_hi = evaluate(rate_hi)
     probes = 2
-    if d_lo + 1e-9 < d_hi:
-        raise ContractViolation(
-            f"delay not monotone in the radio rate at f_local={point.f_local_hz}, "
-            f"cache_m={point.cache_m}: {d_lo} s at {rate_lo} bps vs {d_hi} s at {rate_hi} bps"
-        )
     row = {"f_local_hz": point.f_local_hz, "cache_m": point.cache_m}
+    if d_lo + 1e-9 < d_hi:
+        # Seed noise made the faster radio slower; bisection has no bracket.
+        row.update(
+            required_rate_bps=math.nan, status="non_monotone", achieved_delay_s=d_hi, probe_runs=probes
+        )
+        return row
     if d_hi > target_s + tolerance_s:
         row.update(
             required_rate_bps=math.nan, status="unreachable", achieved_delay_s=d_hi, probe_runs=probes
@@ -287,7 +288,11 @@ def cmd_frontier(
     rate_hi: float,
     max_iter: int = 32,
 ) -> list[dict]:
-    """Minimum radio rate meeting the delay target at every grid point."""
+    """Minimum radio rate meeting the delay target at every grid point.
+
+    A point whose delay is lower at the bracket's slow end than at its fast
+    end gets status ``non_monotone`` and no rate; the grid carries on.
+    """
     if not 0 < target_delay_s < math.inf:
         raise ConfigError(f"target delay must be positive and finite, got {target_delay_s}")
     if not 0 < delay_tolerance_s < math.inf:

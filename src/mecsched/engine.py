@@ -52,6 +52,8 @@ __all__ = [
 
 # Keep every bit count exactly representable in a float64.
 _EXACT_FLOAT_LIMIT = 2.0**53
+# Slots whose arrival uniforms are drawn at a time.
+_ARRIVAL_CHUNK = 1 << 16
 
 
 @dataclass
@@ -121,7 +123,12 @@ def run_simulation(
         raise ConfigError(f"content size must be a whole number of bits, got {catalog.size_bits}")
 
     arrival_rng, composition_rng = task_streams(seed)
-    arriving = arrival_rng.random(horizon) < workload_cfg.arrival_prob
+    # Chunked draws continue one stream, so the arrivals equal those of a
+    # single random(horizon) call without its 8-byte-per-slot temporary.
+    arriving = np.empty(horizon, dtype=bool)
+    for first in range(0, horizon, _ARRIVAL_CHUNK):
+        block = arriving[first:first + _ARRIVAL_CHUNK]
+        np.less(arrival_rng.random(block.size), workload_cfg.arrival_prob, out=block)
 
     # The task table, in arrival order.
     arrival_slot = np.flatnonzero(arriving)

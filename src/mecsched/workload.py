@@ -8,6 +8,9 @@ the task size in bits is ``k * size_bits`` regardless of repeats.
 A run's tasks are drawn up front, in arrival order, into a task table of
 per-task scalars: ``k`` and the number of distinct uncached contents, which
 is all the scheduler ever needs to know of a task (see :func:`sample_tasks`).
+Content ranks come from the catalog's guide table, which gives the same
+rank as a binary search over the cumulative popularity for every uniform;
+distinct uncached contents are counted by sorting (task, rank) keys.
 Arrivals and composition are sampled from two separately seeded streams
 (see :func:`task_streams`) so that changing the arrival probability in a
 sweep does not perturb the content sequence of the sampled tasks.
@@ -61,7 +64,20 @@ def task_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
 
 
 def _content_ranks(catalog: ContentCatalog, u: np.ndarray) -> np.ndarray:
-    return np.searchsorted(catalog.cdf, u, side="right").astype(np.int64) + 1
+    """Ranks ``searchsorted(cdf, u, side="right") + 1`` via the guide table.
+
+    Equal to the binary search for every ``u`` in [0, 1): a bucket holding
+    at most one ``cdf`` entry needs one comparison, and the rare uniforms
+    in wider buckets take the binary search itself.
+    """
+    bucket = (u * catalog.guide.size).astype(np.intp)
+    ranks = catalog.guide.take(bucket).astype(np.int64)
+    ranks += catalog.cdf.take(ranks) <= u
+    wide = np.flatnonzero(catalog.guide_wide.take(bucket))
+    if wide.size:
+        ranks[wide] = np.searchsorted(catalog.cdf, u[wide], side="right")
+    ranks += 1
+    return ranks
 
 
 def sample_content_indices(rng: np.random.Generator, catalog: ContentCatalog, k: int) -> np.ndarray:
@@ -76,11 +92,17 @@ def distinct_uncached_counts(ranks: np.ndarray, ks: np.ndarray, cache: CacheConf
     task ``i``.  A local run fetches each missing rank once, however often
     the task repeats it, and cached ranks (``<= cache.capacity``) not at all.
     """
-    task = np.repeat(np.arange(ks.size), ks)
-    missed = ranks > cache.capacity
     stride = cache.n_contents + 1
-    pairs = np.unique(task[missed] * stride + ranks[missed])
-    return np.bincount(pairs // stride, minlength=ks.size)
+    # Sorted task * stride + rank keys put repeats side by side; count the
+    # first of each.
+    keys = np.repeat(np.arange(0, ks.size * stride, stride), ks)
+    keys += ranks
+    keys = keys[ranks > cache.capacity]
+    keys.sort()
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return np.bincount(keys[first] // stride, minlength=ks.size)
 
 
 def sample_tasks(
@@ -98,13 +120,15 @@ def sample_tasks(
     """
     ks = np.empty(n_tasks, dtype=np.int64)
     distinct = np.empty(n_tasks, dtype=np.int64)
+    integers, random = rng.integers, rng.random
+    k_lo, k_hi = cfg.k_min, cfg.k_max + 1
     for first in range(0, n_tasks, _CHUNK_TASKS):
         last = min(first + _CHUNK_TASKS, n_tasks)
         uniforms = []
         for i in range(first, last):
-            k = int(rng.integers(cfg.k_min, cfg.k_max + 1))
+            k = int(integers(k_lo, k_hi))
             ks[i] = k
-            uniforms.append(rng.random(k))
+            uniforms.append(random(k))
         ranks = _content_ranks(catalog, np.concatenate(uniforms))
         distinct[first:last] = distinct_uncached_counts(ranks, ks[first:last], cache)
     return ks, distinct

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 
+from mecsched import cli
 from mecsched.cli import (
     FRONTIER_COLUMNS,
     SIMULATE_COLUMNS,
@@ -191,6 +193,28 @@ def test_frontier_single_cell() -> None:
     if row["status"] == "ok":
         assert 1e8 <= row["required_rate_bps"] <= 2e10
         assert abs(row["achieved_delay_s"] - 0.8) <= 0.1
+
+
+def test_frontier_non_monotone_point_does_not_abort_grid(monkeypatch) -> None:
+    # At cache_m=0 the faster radio measures slower (seed noise); that
+    # point is reported and the next grid point still runs.
+    def fake_delay(point) -> float:
+        if point.cache_m == 0:
+            return 0.5 if point.rate_bps < 1e9 else 0.7
+        return 6e8 / point.rate_bps
+
+    monkeypatch.setattr(cli, "_mean_delay_seconds", fake_delay)
+    rows = cmd_frontier(
+        ExperimentConfig().validate(), target_delay_s=0.6, delay_tolerance_s=0.1,
+        f_values=[1e9], m_values=[0, 50], rate_lo=1e8, rate_hi=1e10, max_iter=8,
+    )
+    bad, good = rows
+    assert bad["status"] == "non_monotone"
+    assert math.isnan(bad["required_rate_bps"])
+    assert bad["probe_runs"] == 2
+    assert good["cache_m"] == 50 and good["status"] == "ok"
+    assert good["required_rate_bps"] == pytest.approx(1e9)
+    assert "non_monotone" in rows_to_csv(rows, FRONTIER_COLUMNS)
 
 
 def test_frontier_rejects_bad_grid() -> None:

@@ -16,6 +16,7 @@ from mecsched.engine import (
 )
 from mecsched.errors import ConfigError, MetricUndefined
 from mecsched.policy import PolicySpec
+from mecsched.workload import task_streams
 
 
 def _system(**cfg_kw):
@@ -168,3 +169,18 @@ def test_delay_accounting_single_task() -> None:
     # arrival in slot t is served in slot t+1: two slots in system, exactly.
     assert metrics.completions == 399
     assert mean_delay_slots(metrics) == 2.0
+
+
+def test_chunked_arrivals_equal_one_draw() -> None:
+    # Slot-length service: each arrival is the whole queue of the next
+    # slot, so the queue series replays the arrival pattern.  The horizon
+    # spans three draw chunks, the last one partial.
+    horizon = 2 * 65536 + 3
+    (catalog, cache, params, workload_cfg, policy), config = _system(
+        arrival_prob=0.5, policy="local_only", k_min=1, k_max=1,
+        f_local_hz=1e13, rate_bps=1e13,
+    )
+    metrics = run_simulation(catalog, cache, params, workload_cfg, policy, horizon=horizon, seed=4)
+    arriving = task_streams(4)[0].random(horizon) < config.arrival_prob
+    assert metrics.arrivals == np.count_nonzero(arriving)
+    assert np.array_equal(metrics.queue_len_series[1:], arriving[:-1])

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mecsched.catalog import CacheConfig, ContentCatalog
 from mecsched.config import ExperimentConfig, build_system
@@ -136,3 +138,65 @@ def test_distinct_uncached_counts_by_hand(catalog: ContentCatalog) -> None:
     ranks = np.array([1, 51, 51, 52, 7, 50, 1000, 1000, 999])
     counts = distinct_uncached_counts(ranks, np.array([4, 0, 2, 3]), cache)
     assert counts.tolist() == [2, 0, 0, 2]
+
+
+class _FixedUniforms:
+    """Stands in for a generator whose next uniforms are known."""
+
+    def __init__(self, u: np.ndarray) -> None:
+        self.u = u
+
+    def random(self, k: int) -> np.ndarray:
+        assert k == self.u.size
+        return self.u
+
+
+@pytest.mark.parametrize(
+    "n, alpha", [(1, 0.0), (2, 0.0), (37, 1.3), (1000, 0.8), (1000, 5.0), (1000, 50.0), (5000, 1.2)]
+)
+def test_content_ranks_equal_binary_search(n: int, alpha: float) -> None:
+    # The guide-table lookup must give the inverse-CDF rank for every
+    # uniform, including those on or next to a cdf entry or a bucket edge.
+    cat = ContentCatalog.zipf(n, alpha, 1.0)
+    buckets = cat.guide.size
+    cdf = cat.cdf
+    u = np.concatenate([
+        np.random.default_rng(n).random(200_000),
+        cdf,
+        np.nextafter(cdf, 0.0),
+        np.nextafter(cdf, 2.0),
+        np.arange(buckets) / buckets,
+        [0.0, np.nextafter(1.0, 0.0)],
+    ])
+    u = u[u < 1.0]
+    expected = np.searchsorted(cdf, u, side="right") + 1
+    ranks = sample_content_indices(_FixedUniforms(u), cat, u.size)
+    assert ranks.dtype == np.int64
+    assert np.array_equal(ranks, expected)
+
+
+def _distinct_uncached_reference(ranks: np.ndarray, ks: np.ndarray, capacity: int) -> list[int]:
+    bounds = np.concatenate([[0], np.cumsum(ks)])
+    out = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        task = ranks[lo:hi]
+        out.append(np.unique(task[task > capacity]).size)
+    return out
+
+
+@st.composite
+def _tasks(draw):
+    n = draw(st.integers(1, 30))
+    ks = draw(st.lists(st.integers(0, 12), max_size=20))
+    ranks = draw(st.lists(st.integers(1, n), min_size=sum(ks), max_size=sum(ks)))
+    capacity = draw(st.integers(0, n))
+    return n, np.array(ranks, dtype=np.int64), np.array(ks, dtype=np.int64), capacity
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tasks())
+def test_distinct_uncached_counts_match_per_task_unique(tasks) -> None:
+    n, ranks, ks, capacity = tasks
+    cache = CacheConfig(capacity=capacity, n_contents=n)
+    counts = distinct_uncached_counts(ranks, ks, cache)
+    assert counts.tolist() == _distinct_uncached_reference(ranks, ks, capacity)
