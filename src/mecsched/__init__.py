@@ -16,7 +16,7 @@ Subpackage map:
 - ``workload``  Bernoulli arrivals and the per-run task table
 - ``dynamics``  uplink bits and busy-slot counts of the two execution modes
 - ``policy``    the five actions, the feasibility rule, the scheduling rules
-- ``engine``    the pointer-queue simulation loop and run metrics
+- ``engine``    the task-table draw, the pointer-queue simulation loop and run metrics
 - ``analysis``  closed-form expectations, regimes and bounds
 - ``cli``       config files, experiment commands, CSV output
 """
@@ -27,8 +27,10 @@ from .dynamics import SystemParams, slots_local, slots_mec, task_bits
 from .policy import ACTION_IDLE, ACTIONS, PolicySpec, decide, feasible_actions
 from .engine import (
     RunMetrics,
+    TaskTable,
     avg_data_per_task,
     avg_queue_length,
+    draw_tasks,
     little_delay,
     mean_delay_slots,
     run_simulation,
@@ -60,11 +62,13 @@ __all__ = [
     "RunMetrics",
     "SlotMeanEstimate",
     "SystemParams",
+    "TaskTable",
     "WorkloadConfig",
     "avg_data_per_task",
     "avg_queue_length",
     "decide",
     "distinct_uncached_counts",
+    "draw_tasks",
     "estimate_slot_means",
     "expected_local_bits",
     "expected_mec_bits",

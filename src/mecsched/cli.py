@@ -43,6 +43,7 @@ from .engine import (
     RunMetrics,
     avg_data_per_task,
     avg_queue_length,
+    draw_tasks,
     little_delay,
     mean_delay_slots,
     run_simulation,
@@ -125,9 +126,33 @@ def rows_to_csv(rows: list[dict], columns: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _simulate(config: ExperimentConfig, seed: int) -> RunMetrics:
-    """Build the config's system and simulate it once with ``seed``."""
+def _sampling_key(config: ExperimentConfig, seed: int) -> tuple:
+    """The config values a run's task table is drawn for (see ``TaskTable``);
+    the weight, the radio rate, the processor speeds and the slot length
+    are not among them."""
+    return (
+        seed, config.horizon_slots, config.arrival_prob, config.k_min, config.k_max,
+        config.n_contents, config.zipf_alpha, config.cache_m, config.tau_bits,
+    )
+
+
+def _simulate(config: ExperimentConfig, seed: int, tables: Optional[dict] = None) -> RunMetrics:
+    """Build the config's system and simulate it once with ``seed``.
+
+    ``tables``, when given, is a command's memo of task tables by
+    :func:`_sampling_key`: the run takes its table from there, drawing and
+    storing it on first use.  The memo holds one table per seed for one set
+    of the other sampling inputs; a run with other inputs empties it first.
+    """
     catalog, cache, params, workload_cfg, policy = build_system(config)
+    tasks = None
+    if tables is not None:
+        key = _sampling_key(config, seed)
+        tasks = tables.get(key)
+        if tasks is None:
+            if any(held[1:] != key[1:] for held in tables):
+                tables.clear()
+            tasks = tables[key] = draw_tasks(catalog, cache, workload_cfg, config.horizon_slots, seed)
     return run_simulation(
         catalog,
         cache,
@@ -137,11 +162,12 @@ def _simulate(config: ExperimentConfig, seed: int) -> RunMetrics:
         horizon=config.horizon_slots,
         seed=seed,
         warmup_frac=config.warmup_frac,
+        tasks=tasks,
     )
 
 
-def _run_one(config: ExperimentConfig, seed: int) -> dict:
-    metrics = _simulate(config, seed)
+def _run_one(config: ExperimentConfig, seed: int, tables: Optional[dict] = None) -> dict:
+    metrics = _simulate(config, seed, tables)
     row = {
         "seed": seed,
         "policy": config.policy,
@@ -177,10 +203,12 @@ def cmd_simulate(config: ExperimentConfig) -> list[dict]:
 def cmd_sweep(config: ExperimentConfig) -> list[dict]:
     """Rows for every (axis value, seed) pair, sorted by value then seed,
     each carrying its value's across-seed mean and standard deviation of
-    the per-task data average."""
+    the per-task data average.  Values that leave the task draws unchanged
+    (every axis but ``cache_m``) reuse each seed's task table."""
     rows: list[dict] = []
+    tables: dict = {}
     for value, point in sweep_configs(config):
-        point_rows = [_run_one(point, seed) for seed in config.seeds]
+        point_rows = [_run_one(point, seed, tables) for seed in config.seeds]
         data = [r["avg_data_per_task_bits"] for r in point_rows]
         finite = [d for d in data if not math.isnan(d)]
         mean = float(np.mean(finite)) if finite else math.nan
@@ -194,12 +222,13 @@ def cmd_sweep(config: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def _mean_delay_seconds(config: ExperimentConfig) -> float:
+def _mean_delay_seconds(config: ExperimentConfig, tables: Optional[dict] = None) -> float:
     """Across-seed mean measured delay; infinite when any seed never
-    completes a post-warmup task (the overloaded end of a bracket)."""
+    completes a post-warmup task (the overloaded end of a bracket).
+    ``tables`` is the command's task-table memo (see :func:`_simulate`)."""
     delays = []
     for seed in config.seeds:
-        metrics = _simulate(config, seed)
+        metrics = _simulate(config, seed, tables)
         try:
             delays.append(mean_delay_slots(metrics) * config.slot_seconds)
         except MetricUndefined:
@@ -214,13 +243,15 @@ def _frontier_point(
     rate_lo: float,
     rate_hi: float,
     max_iter: int,
+    tables: dict,
 ) -> dict:
     # Bisect to half the tolerance so an independent re-run at the found
     # rate still lands inside the full tolerance.
     inner = tolerance_s / 2.0
 
     def evaluate(rate: float) -> float:
-        return _mean_delay_seconds(dataclasses.replace(point, rate_bps=rate))
+        # Every probe at this point draws the same tasks.
+        return _mean_delay_seconds(dataclasses.replace(point, rate_bps=rate), tables)
 
     d_lo = evaluate(rate_lo)
     d_hi = evaluate(rate_hi)
@@ -304,12 +335,15 @@ def cmd_frontier(
     if max_iter < 0:
         raise ConfigError(f"bisection rounds must be non-negative, got {max_iter}")
     rows = []
+    tables: dict = {}
     for f_local in f_values:
         for cache_m in m_values:
             point = dataclasses.replace(config, f_local_hz=f_local, cache_m=cache_m)
             point.validate()
             rows.append(
-                _frontier_point(point, target_delay_s, delay_tolerance_s, rate_lo, rate_hi, max_iter)
+                _frontier_point(
+                    point, target_delay_s, delay_tolerance_s, rate_lo, rate_hi, max_iter, tables
+                )
             )
     return rows
 

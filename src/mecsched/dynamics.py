@@ -31,6 +31,10 @@ from .catalog import ContentCatalog
 
 __all__ = ["SystemParams", "task_bits", "slots_local", "slots_mec"]
 
+# Busy-slot cap: beyond every horizon (those are below 2**53), and a start
+# slot plus the count stays inside int64.
+_NEVER_DONE = 2.0**62
+
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -59,7 +63,8 @@ def slots_local(total_bits, fetch_bits, params: SystemParams) -> np.ndarray:
     """Whole slots to finish each task on the device CPU.
 
     Computation covers the full task size; transmission covers only the
-    distinct uncached bits.  Always at least 1.
+    distinct uncached bits.  Always at least 1; a task that could not
+    finish within any horizon gets ``2**62``.
     """
     compute = np.asarray(total_bits) * params.cycles_per_bit / (params.f_local_hz * params.slot_seconds)
     fetch = np.asarray(fetch_bits) / (params.rate_bps * params.slot_seconds)
@@ -74,5 +79,11 @@ def slots_mec(total_bits, params: SystemParams) -> np.ndarray:
 
 
 def _whole_slots(duration: np.ndarray) -> np.ndarray:
-    # A duration that underflows to zero still occupies its start slot.
-    return np.maximum(np.ceil(duration), 1).astype(np.int64)
+    # A duration that underflows to zero still occupies its start slot.  One
+    # too long for any horizon (infinite, or undefined as 0/0 when the rate
+    # times the slot length underflows) is capped at _NEVER_DONE, so the
+    # task stays in service for the rest of the run.
+    slots = np.ceil(duration)
+    np.maximum(slots, 1, out=slots)
+    np.fmin(slots, _NEVER_DONE, out=slots)
+    return slots.astype(np.int64)

@@ -1,15 +1,27 @@
 """The simulation loop and per-run metrics.
 
-A run first draws all of its tasks, in arrival order, into a task table:
-per task its arrival slot, its local and offload bits, and its busy-slot
-count in each mode.  The FIFO queue is then just ``table[head:arrived]``
-and the whole system state is four integers: ``head`` (tasks started so
-far), ``arrived`` (tasks arrived so far) and the two processors' busy
-countdowns.  Each slot runs observe -> decide -> start: the queue length is
-sampled before the decision, the chosen action starts tasks at the head
-and counts down the processors, and the slot's Bernoulli arrival (if any)
-joins the queue tail afterwards.  Completion times and transmitted bits
-follow from each started task's start slot and mode after the loop.
+A run has two stages.  The draw stage (:func:`draw_tasks`) samples the
+run's arrivals and the composition of every arriving task into a
+:class:`TaskTable`: per slot whether a task arrives, and per task its
+arrival slot, ``k`` and number of distinct uncached contents.  The table
+depends only on the seed, the horizon, the arrival probability, the ``k``
+range, the catalog popularity and the cache capacity; the weight ``v``,
+the radio rate, the processor speeds and the slot length never enter a
+draw.  Runs that differ only in those controls can therefore share one
+table.  Its arrays are read-only, so no run can alter what another run
+sees, and :func:`run_simulation` accepts a table only for a run with the
+inputs it was drawn for.
+
+The loop stage turns the table into bits and busy-slot counts under the
+run's own parameters and simulates.  The FIFO queue is then just
+``table[head:arrived]`` and the whole system state is four integers:
+``head`` (tasks started so far), ``arrived`` (tasks arrived so far) and
+the two processors' busy countdowns.  Each slot runs observe -> decide ->
+start: the queue length is sampled before the decision, the chosen action
+starts tasks at the head and counts down the processors, and the slot's
+Bernoulli arrival (if any) joins the queue tail afterwards.  Completion
+times and transmitted bits follow from each started task's start slot and
+mode after the loop.
 
 Two bookkeeping details worth knowing:
 
@@ -42,6 +54,8 @@ from .workload import WorkloadConfig, sample_tasks, task_streams
 
 __all__ = [
     "RunMetrics",
+    "TaskTable",
+    "draw_tasks",
     "run_simulation",
     "avg_data_per_task",
     "avg_queue_length",
@@ -90,27 +104,65 @@ def decile_means(series: np.ndarray) -> np.ndarray:
     return np.array([chunk.mean() for chunk in np.array_split(series, 10) if chunk.size])
 
 
-def run_simulation(
+@dataclass(frozen=True, eq=False)
+class TaskTable:
+    """One seed's arrivals and task composition, drawn once by :func:`draw_tasks`.
+
+    ``arriving[t]`` says whether a task arrives in slot ``t``;
+    ``arrival_slot``, ``ks`` and ``distinct`` hold per task, in arrival
+    order, its arrival slot, its number of contents and its number of
+    distinct uncached contents.  The arrays are read-only.  The other
+    fields are the inputs the table was drawn for: the seed, the horizon,
+    the workload (arrival probability and ``k`` range), the catalog (whose
+    popularity the contents follow and whose content size the exact-bit
+    guard was checked against) and the cache (its capacity and size).
+    """
+
+    seed: int
+    horizon: int
+    workload_cfg: WorkloadConfig
+    catalog: ContentCatalog
+    cache: CacheConfig
+    arriving: np.ndarray
+    arrival_slot: np.ndarray
+    ks: np.ndarray
+    distinct: np.ndarray
+
+    def check_inputs(
+        self,
+        catalog: ContentCatalog,
+        cache: CacheConfig,
+        workload_cfg: WorkloadConfig,
+        horizon: int,
+        seed: int,
+    ) -> None:
+        """Raise :class:`ContractViolation` unless the table was drawn for
+        exactly these sampling inputs."""
+        drawn = (self.seed, self.horizon, self.workload_cfg, self.cache, self.catalog.size_bits)
+        wanted = (seed, horizon, workload_cfg, cache, catalog.size_bits)
+        if drawn != wanted or not np.array_equal(self.catalog.cdf, catalog.cdf):
+            raise ContractViolation(
+                f"task table drawn for (seed, horizon, workload, cache, size_bits) = {drawn} "
+                f"and its catalog's popularity, run asks for {wanted}"
+            )
+
+
+def draw_tasks(
     catalog: ContentCatalog,
     cache: CacheConfig,
-    params: SystemParams,
     workload_cfg: WorkloadConfig,
-    policy: PolicySpec,
     horizon: int,
     seed: int,
-    warmup_frac: float = 0.1,
-    collect_series: bool = True,
-) -> RunMetrics:
-    """Simulate ``horizon`` slots and return the run's metrics.
+) -> TaskTable:
+    """Draw the arrivals and tasks of a ``horizon``-slot run from ``seed``.
 
     Two independent streams derived from ``seed`` drive arrivals and task
-    composition, so repeated calls with the same seed reproduce the run
-    exactly.
+    composition, so repeated calls with the same inputs return equal
+    tables.  Every guard that protects an allocation fires here, before
+    anything is allocated.
     """
     if horizon < 1:
         raise ConfigError(f"horizon must be at least 1 slot, got {horizon}")
-    if not 0.0 <= warmup_frac < 1.0:
-        raise ConfigError(f"warmup_frac must lie in [0, 1), got {warmup_frac}")
     if cache.n_contents != catalog.n_contents:
         raise ConfigError(
             f"cache sized for {cache.n_contents} contents, catalog holds {catalog.n_contents}"
@@ -129,12 +181,42 @@ def run_simulation(
     for first in range(0, horizon, _ARRIVAL_CHUNK):
         block = arriving[first:first + _ARRIVAL_CHUNK]
         np.less(arrival_rng.random(block.size), workload_cfg.arrival_prob, out=block)
-
-    # The task table, in arrival order.
     arrival_slot = np.flatnonzero(arriving)
+    ks, distinct = sample_tasks(composition_rng, catalog, workload_cfg, arrival_slot.size, cache)
+    for array in (arriving, arrival_slot, ks, distinct):
+        array.flags.writeable = False
+    return TaskTable(seed, horizon, workload_cfg, catalog, cache, arriving, arrival_slot, ks, distinct)
+
+
+def run_simulation(
+    catalog: ContentCatalog,
+    cache: CacheConfig,
+    params: SystemParams,
+    workload_cfg: WorkloadConfig,
+    policy: PolicySpec,
+    horizon: int,
+    seed: int,
+    warmup_frac: float = 0.1,
+    collect_series: bool = True,
+    tasks: Optional[TaskTable] = None,
+) -> RunMetrics:
+    """Simulate ``horizon`` slots and return the run's metrics.
+
+    The run's tasks come from ``tasks`` when given, which must have been
+    drawn by :func:`draw_tasks` for these same catalog, cache, workload,
+    horizon and seed (:class:`ContractViolation` otherwise), and are drawn
+    here otherwise.  Either way the same seed reproduces the run exactly.
+    """
+    if not 0.0 <= warmup_frac < 1.0:
+        raise ConfigError(f"warmup_frac must lie in [0, 1), got {warmup_frac}")
+    if tasks is None:
+        tasks = draw_tasks(catalog, cache, workload_cfg, horizon, seed)
+    else:
+        tasks.check_inputs(catalog, cache, workload_cfg, horizon, seed)
+    arriving, arrival_slot = tasks.arriving, tasks.arrival_slot
     n_tasks = arrival_slot.size
-    ks, distinct = sample_tasks(composition_rng, catalog, workload_cfg, n_tasks, cache)
-    local_bits, mec_bits = task_bits(catalog, ks, distinct)
+
+    local_bits, mec_bits = task_bits(catalog, tasks.ks, tasks.distinct)
     n_local = slots_local(mec_bits, local_bits, params)
     n_mec = slots_mec(mec_bits, params)
     start_slot = np.empty(n_tasks, dtype=np.int64)

@@ -31,6 +31,7 @@ from mecsched.dynamics import task_bits
 from mecsched.engine import (
     avg_data_per_task,
     decile_means,
+    draw_tasks,
     mean_delay_slots,
     run_simulation,
 )
@@ -80,13 +81,27 @@ def _track_cli_runs():
     cli.run_simulation = original
 
 
+# Task tables by their sampling inputs: the fixtures' runs at one seed and
+# cache size share their tasks whatever the weight, policy or speed.
+_TABLES: dict = {}
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _free_task_tables():
+    yield
+    _TABLES.clear()
+
+
 def _run_point(seed: int, collect_series: bool = False, **cfg):
     config = ExperimentConfig(**cfg).validate()
     catalog, cache, params, workload_cfg, policy = build_system(config)
+    key = cli._sampling_key(config, seed)
+    if key not in _TABLES:
+        _TABLES[key] = draw_tasks(catalog, cache, workload_cfg, config.horizon_slots, seed)
     metrics = run_simulation(
         catalog, cache, params, workload_cfg, policy,
         horizon=config.horizon_slots, seed=seed,
-        warmup_frac=config.warmup_frac, collect_series=collect_series,
+        warmup_frac=config.warmup_frac, collect_series=collect_series, tasks=_TABLES[key],
     )
     ALL_RUNS.append(metrics)
     return metrics

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from mecsched import cli
+from mecsched import cli, engine
 from mecsched.cli import (
     FRONTIER_COLUMNS,
     SIMULATE_COLUMNS,
@@ -198,7 +198,7 @@ def test_frontier_single_cell() -> None:
 def test_frontier_non_monotone_point_does_not_abort_grid(monkeypatch) -> None:
     # At cache_m=0 the faster radio measures slower (seed noise); that
     # point is reported and the next grid point still runs.
-    def fake_delay(point) -> float:
+    def fake_delay(point, tables) -> float:
         if point.cache_m == 0:
             return 0.5 if point.rate_bps < 1e9 else 0.7
         return 6e8 / point.rate_bps
@@ -239,6 +239,82 @@ def test_analyze_reports_regime() -> None:
     assert row["samples"] == 3000
     assert row["mec_bits_mean"] == pytest.approx(250e6, rel=1e-9)
     assert any("regime" in line for line in lines)
+
+
+@pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered in divide:RuntimeWarning")
+def test_analyze_unfinishable_tasks_mean_overload(tmp_path) -> None:
+    # At 1e-300 bit/s no task finishes: the busy-slot means are huge but
+    # positive, and the regime is infeasible.
+    out = tmp_path / "analyze.csv"
+    assert main(["analyze", "--samples", "100", "--set", "rate_bps=1e-300", "--out", str(out)]) == 0
+    row = dict(zip(*(line.split(",") for line in out.read_text().splitlines())))
+    assert row["regime"] == "infeasible"
+    assert float(row["mec_slot_mean"]) == float(row["local_slot_mean"]) == 2.0**62
+
+
+@pytest.fixture
+def count_draws(monkeypatch):
+    """Count task-table draws, whether the command layer or a run makes them."""
+    draws: list[int] = []
+    original = engine.draw_tasks
+
+    def counting(*args, **kwargs):
+        draws.append(args[-1] if len(args) == 5 else kwargs["seed"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "draw_tasks", counting)
+    monkeypatch.setattr(cli, "draw_tasks", counting)
+    runs: list[int] = []
+    original_run = cli.run_simulation
+
+    def recording(*args, **kwargs):
+        runs.append(kwargs["seed"])
+        return original_run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_simulation", recording)
+    return draws, runs
+
+
+@pytest.mark.parametrize(
+    "axis, values, n_draws",
+    [
+        ("v_param", [0.0, 1e-7, 1e-6], 2),
+        ("rate_bps", [2e8, 5e8, 2e9], 2),
+        ("f_local_hz", [5e8, 1e9, 4e9], 2),
+        ("cache_m", [0.0, 50.0, 100.0], 6),
+    ],
+)
+def test_sweep_draws_each_table_once(count_draws, axis, values, n_draws) -> None:
+    draws, runs = count_draws
+    config = ExperimentConfig(
+        horizon_slots=1000, seeds=[0, 1], sweep_axis=axis, sweep_values=values,
+    ).validate()
+    cmd_sweep(config)
+    # Every (value, seed) pair is still its own run, in row order.
+    assert runs == [0, 1] * 3
+    assert len(draws) == n_draws
+    assert draws == [0, 1] * (n_draws // 2)
+
+
+def test_frontier_draws_each_table_once_per_grid_point(count_draws) -> None:
+    draws, runs = count_draws
+    config = ExperimentConfig(
+        horizon_slots=3000, seeds=[0, 1], arrival_prob=0.2, v_param=0.0,
+    ).validate()
+    rows = cmd_frontier(
+        config, target_delay_s=0.6, delay_tolerance_s=0.04,
+        f_values=[1e9, 4e9], m_values=[0, 200], rate_lo=1e8, rate_hi=1e10,
+    )
+    probes = sum(row["probe_runs"] for row in rows)
+    assert probes > 2 * len(rows)
+    assert len(runs) == 2 * probes
+    assert draws == [0, 1] * len(rows)
+
+
+def test_simulate_keeps_no_tables(count_draws) -> None:
+    draws, runs = count_draws
+    cmd_simulate(ExperimentConfig(horizon_slots=500, seeds=[3, 3, 4]).validate())
+    assert runs == draws == [3, 3, 4]
 
 
 def test_parser_defaults() -> None:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,39 @@ def test_slots_always_at_least_one(catalog, cache) -> None:
     huge = _params(slot_seconds=1e300, f_local_hz=1e300, f_mec_hz=1e300, rate_bps=1e300)
     assert slots_mec([5e6], huge).tolist() == [1]
     assert slots_local([5e6], [5e6], huge).tolist() == [1]
+
+
+@pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered in divide:RuntimeWarning")
+def test_slot_counts_beyond_any_horizon_are_capped() -> None:
+    # Durations past int64 (2.5e19 and 2.5e307 slots), infinite ones and
+    # undefined ones (0/0 once rate * slot underflows) all mean "never done".
+    never = 2**62
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", message="invalid value encountered in cast")
+        assert slots_mec([5e6], _params(rate_bps=1e-12)).tolist() == [never]
+        assert slots_local([5e6], [5e6], _params(rate_bps=1e-300)).tolist() == [never]
+        assert slots_mec([5e6], _params(rate_bps=1e-300)).tolist() == [never]
+        tiny = _params(slot_seconds=1e-200, rate_bps=1e-200)
+        assert slots_local([5e6], [0.0], tiny).tolist() == [never]
+        # a start slot below 2**53 plus the count stays inside int64
+        assert never + 2**53 - 1 < np.iinfo(np.int64).max
+
+
+@pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered in divide:RuntimeWarning")
+def test_unfinishable_task_stays_in_service() -> None:
+    # At 1e-300 bit/s the first offloaded task never finishes, so the server
+    # stays busy: nothing completes and every later arrival waits.
+    config = ExperimentConfig(policy="mec_only", v_param=0.0, rate_bps=1e-300).validate()
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", message="invalid value encountered in cast")
+        metrics = run_simulation(*build_system(config), horizon=50, seed=0)
+    assert metrics.arrivals > 1
+    assert metrics.scheduled == 1
+    assert metrics.completions == 0
+    assert metrics.delays_slots.size == 0
+    # The run checks conservation itself (0 done + queue + 1 in service);
+    # the last slot's queue holds every other arrival but that slot's own.
+    assert metrics.arrivals - metrics.queue_len_series[-1] in (1, 2)
 
 
 def _saturated(horizon: int = 12, **cfg):

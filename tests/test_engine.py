@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,15 +9,17 @@ from mecsched.catalog import CacheConfig, ContentCatalog
 from mecsched.config import ExperimentConfig, build_system
 from mecsched.dynamics import SystemParams
 from mecsched.engine import (
+    RunMetrics,
     avg_data_per_task,
     avg_queue_length,
     decile_means,
+    draw_tasks,
     little_delay,
     mean_delay_slots,
     run_simulation,
 )
-from mecsched.errors import ConfigError, MetricUndefined
-from mecsched.policy import PolicySpec
+from mecsched.errors import ConfigError, ContractViolation, MetricUndefined
+from mecsched.policy import POLICY_KINDS, PolicySpec
 from mecsched.workload import task_streams
 
 
@@ -184,3 +188,76 @@ def test_chunked_arrivals_equal_one_draw() -> None:
     arriving = task_streams(4)[0].random(horizon) < config.arrival_prob
     assert metrics.arrivals == np.count_nonzero(arriving)
     assert np.array_equal(metrics.queue_len_series[1:], arriving[:-1])
+
+
+def _assert_same_metrics(a: RunMetrics, b: RunMetrics) -> None:
+    for f in dataclasses.fields(RunMetrics):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(y, np.ndarray):
+            assert isinstance(x, np.ndarray) and x.dtype == y.dtype, f.name
+            assert np.array_equal(x, y), f.name
+        else:
+            assert type(x) is type(y) and x == y, f.name
+
+
+@pytest.mark.parametrize("policy", POLICY_KINDS)
+def test_pre_drawn_table_gives_the_fresh_run(policy) -> None:
+    # One table, drawn at the base point, serves runs whose weight, radio
+    # rate or device speed differ: none of them enters a draw.
+    (catalog, cache, _, workload_cfg, _), config = _system(policy=policy, arrival_prob=0.6)
+    table = draw_tasks(catalog, cache, workload_cfg, 3000, seed=5)
+    for change in ({}, {"v_param": 1e-8}, {"v_param": 0.0}, {"rate_bps": 2e8}, {"f_local_hz": 4e9}):
+        point = dataclasses.replace(config, **change).validate()
+        system = build_system(point)
+        fresh = run_simulation(*system, horizon=3000, seed=5, warmup_frac=0.2)
+        reused = run_simulation(*system, horizon=3000, seed=5, warmup_frac=0.2, tasks=table)
+        _assert_same_metrics(reused, fresh)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"seed": 1},
+        {"horizon": 999},
+        {"arrival_prob": 0.5},
+        {"k_min": 41},
+        {"k_max": 59},
+        {"cache_m": 51},
+        {"zipf_alpha": 0.9},
+        {"n_contents": 999, "cache_m": 50},
+        {"tau_bits": 4e6},
+    ],
+)
+def test_mismatched_table_is_refused(change) -> None:
+    (catalog, cache, _, workload_cfg, _), config = _system()
+    table = draw_tasks(catalog, cache, workload_cfg, 1000, seed=0)
+    change = dict(change)
+    run_kw = {"seed": change.pop("seed", 0), "horizon": change.pop("horizon", 1000)}
+    system = build_system(dataclasses.replace(config, **change).validate())
+    with pytest.raises(ContractViolation, match="task table"):
+        run_simulation(*system, tasks=table, **run_kw)
+
+
+def test_table_arrays_are_read_only() -> None:
+    (catalog, cache, _, workload_cfg, _), _ = _system()
+    table = draw_tasks(catalog, cache, workload_cfg, 500, seed=0)
+    for array in (table.arriving, table.arrival_slot, table.ks, table.distinct):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[1]
+    metrics = run_simulation(*build_system(ExperimentConfig().validate()), horizon=500, seed=0, tasks=table)
+    # Run results are the run's own arrays, free to change.
+    metrics.delay_arrival_slots[:1] = -1
+
+
+def test_draw_guards_fire_before_allocating() -> None:
+    (catalog, cache, _, workload_cfg, _), _ = _system()
+    with pytest.raises(ConfigError):
+        draw_tasks(catalog, cache, workload_cfg, 0, seed=0)
+    with pytest.raises(ConfigError, match="exact bit accounting"):
+        # 10**15 slots would need a petabyte of arrival flags.
+        draw_tasks(catalog, cache, workload_cfg, 10**15, seed=0)
+    with pytest.raises(ConfigError):
+        draw_tasks(catalog, CacheConfig.for_catalog(ContentCatalog.zipf(10, 0.8, 5e6), 5), workload_cfg, 100, seed=0)
+    (catalog, cache, _, workload_cfg, _), _ = _system(tau_bits=0.3)
+    with pytest.raises(ConfigError, match="whole number of bits"):
+        draw_tasks(catalog, cache, workload_cfg, 100, seed=0)

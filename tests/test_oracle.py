@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from mecsched.catalog import CacheConfig, ContentCatalog
 from mecsched.config import ExperimentConfig, build_system
 from mecsched.dynamics import SystemParams
-from mecsched.engine import RunMetrics, run_simulation
+from mecsched.engine import RunMetrics, draw_tasks, run_simulation
 from mecsched.policy import POLICY_KINDS, PolicySpec
 from mecsched.workload import WorkloadConfig
 from oracle.engine import RunMetrics as OracleRunMetrics
@@ -76,6 +76,26 @@ def small_systems(draw):
 )
 def test_engine_matches_oracle_on_small_systems(system, horizon, seed, warmup_frac, collect_series) -> None:
     _both(*system, horizon=horizon, seed=seed, warmup_frac=warmup_frac, collect_series=collect_series)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    system=small_systems(),
+    v_other=st.sampled_from([0.0, 1e-3, 0.3, 1.0, 1e3]),
+    horizon=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_shared_table_matches_oracle_under_two_weights(system, v_other, horizon, seed) -> None:
+    # One drawn table serves runs at two weights; each must equal the
+    # oracle's own run, which draws its tasks afresh.
+    catalog, cache, params, workload_cfg, policy = system
+    tasks = draw_tasks(catalog, cache, workload_cfg, horizon, seed)
+    other = PolicySpec(policy.kind, v_other / catalog.size_bits)
+    for weighted in (policy, other):
+        run_kw = dict(horizon=horizon, seed=seed, warmup_frac=0.1)
+        new = run_simulation(catalog, cache, params, workload_cfg, weighted, tasks=tasks, **run_kw)
+        old = oracle_run_simulation(catalog, cache, params, workload_cfg, weighted, **run_kw)
+        _assert_identical(new, old)
 
 
 @pytest.mark.parametrize(
