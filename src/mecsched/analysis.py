@@ -20,7 +20,7 @@ import numpy as np
 
 from .catalog import CacheConfig, ContentCatalog
 from .dynamics import SystemParams, slots_local, slots_mec, task_bits
-from .workload import _CHUNK_TASKS, distinct_uncached_counts, sample_content_indices
+from .workload import distinct_uncached_counts, sample_content_indices
 
 __all__ = [
     "uniform_k_dist",
@@ -35,6 +35,12 @@ __all__ = [
     "optimal_average_data",
     "optimality_gap_bound",
 ]
+
+# Tasks sampled and counted per step of the Monte Carlo estimate.  Each
+# step pays fixed costs (numpy dispatch, the slot counts' error-state
+# switch), so steps are larger than the run sampler's; the stream is the
+# same for any step size.
+_STEP_TASKS = 256
 
 REGIME_LOCAL_ONLY = "local_only_optimal"
 REGIME_MIXED = "mixed"
@@ -158,8 +164,8 @@ def estimate_slot_means(
     # chunk of tasks can draw its contents in one call.
     local_counts = np.empty(samples, dtype=np.float64)
     mec_counts = np.empty(samples, dtype=np.float64)
-    for first in range(0, samples, _CHUNK_TASKS):
-        chunk = drawn_ks[first:first + _CHUNK_TASKS]
+    for first in range(0, samples, _STEP_TASKS):
+        chunk = drawn_ks[first:first + _STEP_TASKS]
         ranks = sample_content_indices(rng, catalog, int(chunk.sum()))
         distinct = distinct_uncached_counts(ranks, chunk, cache)
         local_bits, mec_bits = task_bits(catalog, chunk, distinct)

@@ -137,7 +137,8 @@ def _sampling_key(config: ExperimentConfig, seed: int) -> tuple:
 
 
 def _simulate(config: ExperimentConfig, seed: int, tables: Optional[dict] = None) -> RunMetrics:
-    """Build the config's system and simulate it once with ``seed``.
+    """Build the config's system and simulate it once with ``seed``, keeping
+    no queue series: no command reads it.
 
     ``tables``, when given, is a command's memo of task tables by
     :func:`_sampling_key`: the run takes its table from there, drawing and
@@ -162,6 +163,7 @@ def _simulate(config: ExperimentConfig, seed: int, tables: Optional[dict] = None
         horizon=config.horizon_slots,
         seed=seed,
         warmup_frac=config.warmup_frac,
+        collect_series=False,
         tasks=tasks,
     )
 

@@ -66,15 +66,20 @@ def slots_local(total_bits, fetch_bits, params: SystemParams) -> np.ndarray:
     distinct uncached bits.  Always at least 1; a task that could not
     finish within any horizon gets ``2**62``.
     """
-    compute = np.asarray(total_bits) * params.cycles_per_bit / (params.f_local_hz * params.slot_seconds)
-    fetch = np.asarray(fetch_bits) / (params.rate_bps * params.slot_seconds)
+    # A division that overflows, or is undefined as 0/0 once a product of
+    # tiny rates underflows, is a duration past every horizon: the cap
+    # defines the result, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        compute = np.asarray(total_bits) * params.cycles_per_bit / (params.f_local_hz * params.slot_seconds)
+        fetch = np.asarray(fetch_bits) / (params.rate_bps * params.slot_seconds)
     return _whole_slots(compute + fetch)
 
 
 def slots_mec(total_bits, params: SystemParams) -> np.ndarray:
     """Whole slots to finish each task on the edge server (compute + uplink)."""
-    compute = np.asarray(total_bits) * params.cycles_per_bit / (params.f_mec_hz * params.slot_seconds)
-    ship = np.asarray(total_bits) / (params.rate_bps * params.slot_seconds)
+    with np.errstate(over="ignore", invalid="ignore"):
+        compute = np.asarray(total_bits) * params.cycles_per_bit / (params.f_mec_hz * params.slot_seconds)
+        ship = np.asarray(total_bits) / (params.rate_bps * params.slot_seconds)
     return _whole_slots(compute + ship)
 
 

@@ -16,12 +16,26 @@ The loop stage turns the table into bits and busy-slot counts under the
 run's own parameters and simulates.  The FIFO queue is then just
 ``table[head:arrived]`` and the whole system state is four integers:
 ``head`` (tasks started so far), ``arrived`` (tasks arrived so far) and
-the two processors' busy countdowns.  Each slot runs observe -> decide ->
-start: the queue length is sampled before the decision, the chosen action
+the two processors' busy countdowns.  Each slot runs decide -> start: the
+decision sees the queue as it stands before the slot, the chosen action
 starts tasks at the head and counts down the processors, and the slot's
-Bernoulli arrival (if any) joins the queue tail afterwards.  Completion
-times and transmitted bits follow from each started task's start slot and
-mode after the loop.
+Bernoulli arrival (if any) joins the queue tail afterwards.  The loop does
+nothing else; it records each started task's start slot and mode.
+
+Everything else follows from those records and the arrival flags, in
+numpy passes after the loop:
+
+- completion times and transmitted bits, from each started task's start
+  slot, mode and busy-slot count;
+- the queue before each slot, ``q_t = A_t - S_t`` with ``A_t`` the
+  arrivals and ``S_t`` the starts before slot ``t``, and from it the queue
+  sums, the series (only when asked for) and the drift audit below.  This
+  pass works through the slots in chunks of ``_QUEUE_CHUNK``, carrying
+  ``A`` and ``S`` across chunk edges.
+
+A run therefore holds its table's 1 byte per slot of arrival flags, about
+120 bytes per task (table included) and chunk-sized temporaries; the
+queue series adds 8 bytes per slot when kept.
 
 Two bookkeeping details worth knowing:
 
@@ -30,13 +44,17 @@ Two bookkeeping details worth knowing:
   tasks.  Dividing by raw arrivals instead would silently drift low
   whenever the horizon ends with a backlog, which is exactly the regime
   the overload experiments probe.
-- Every slot the squared-queue drift inequality
+- Every slot is audited against the squared-queue drift inequality
 
       q_next^2 <= q^2 + u^2 + a^2 - 2*q*(u - a)
 
-  is checked in exact integer arithmetic (``u`` tasks scheduled, ``a``
-  arrivals).  Violations are counted, never raised; a correct transition
-  keeps the count at zero.
+  (``u`` tasks started, ``a`` arrivals) in exact integer arithmetic.  With
+  ``q_next = q - u + a`` the inequality reduces to ``2*u*a >= 0``, an
+  identity of the queue recursion, so the audit also counts a slot that
+  breaks one of its preconditions: no more starts than queued tasks
+  (``u <= q``), and no task started before the slot after its arrival.
+  Violations are counted, never raised; a correct run keeps the count at
+  zero.
 """
 
 from __future__ import annotations
@@ -68,6 +86,9 @@ __all__ = [
 _EXACT_FLOAT_LIMIT = 2.0**53
 # Slots whose arrival uniforms are drawn at a time.
 _ARRIVAL_CHUNK = 1 << 16
+# Slots whose queue is rebuilt at a time.  The pass holds about ten int64
+# arrays of this length (about 300 kB); larger chunks cost no less per slot.
+_QUEUE_CHUNK = 1 << 12
 
 
 @dataclass
@@ -206,6 +227,8 @@ def run_simulation(
     drawn by :func:`draw_tasks` for these same catalog, cache, workload,
     horizon and seed (:class:`ContractViolation` otherwise), and are drawn
     here otherwise.  Either way the same seed reproduces the run exactly.
+    ``collect_series`` keeps the pre-decision queue of every slot (8 bytes
+    per slot) and the infeasibility flag read from it.
     """
     if not 0.0 <= warmup_frac < 1.0:
         raise ConfigError(f"warmup_frac must lie in [0, 1), got {warmup_frac}")
@@ -222,9 +245,6 @@ def run_simulation(
     start_slot = np.empty(n_tasks, dtype=np.int64)
     on_mec = np.zeros(n_tasks, dtype=bool)
 
-    warmup_slots = int(warmup_frac * horizon)
-    series = np.zeros(horizon, dtype=np.int64) if collect_series else None
-
     # Memoryviews give the slot loop plain Python numbers; two zero entries
     # stand in for the bits of tasks behind the tail.
     local_view = memoryview(np.append(local_bits, (0.0, 0.0)))
@@ -232,18 +252,10 @@ def run_simulation(
     n_local_view, n_mec_view = memoryview(n_local), memoryview(n_mec)
     start_view, on_mec_view = memoryview(start_slot), memoryview(on_mec)
     head = arrived = busy_local = busy_mec = 0
-    queue_len_sum = queue_len_sum_after_warmup = drift_violations = 0
 
     for t, a_t in enumerate(memoryview(arriving)):
-        q_t = arrived - head
-        if series is not None:
-            series[t] = q_t
-        queue_len_sum += q_t
-        if t >= warmup_slots:
-            queue_len_sum_after_warmup += q_t
-
         local_first, local_second, mec_first, mec_second = decide(
-            policy, busy_local, busy_mec, q_t,
+            policy, busy_local, busy_mec, arrived - head,
             local_view[head], mec_view[head], local_view[head + 1], mec_view[head + 1],
         )
         if local_first or local_second:
@@ -259,17 +271,17 @@ def run_simulation(
             busy_mec = n_mec_view[task] - 1
         elif busy_mec:
             busy_mec -= 1
-
-        # Queue recursion: departures from the head, then the arrival at the tail.
-        n_started = local_first + local_second + mec_first + mec_second
-        head += n_started
+        # Departures from the head, then the slot's arrival at the tail.
+        head += local_first + local_second + mec_first + mec_second
         arrived += a_t
-        q_next = arrived - head
-        if q_next * q_next > q_t * q_t + n_started * n_started + a_t * a_t - 2 * q_t * (n_started - a_t):
-            drift_violations += 1
 
     # Tasks [0, head) were started; each completes n - 1 slots after its start.
     start_slot, on_mec = start_slot[:head], on_mec[:head]
+    warmup_slots = int(warmup_frac * horizon)
+    series = np.empty(horizon, dtype=np.int64) if collect_series else None
+    queue_len_sum, queue_len_sum_after_warmup, drift_violations = _queue_pass(
+        arriving, arrival_slot, start_slot, warmup_slots, series
+    )
     done_slot = start_slot + np.where(on_mec, n_mec[:head], n_local[:head]) - 1
     tx_bits = np.where(on_mec, mec_bits[:head], local_bits[:head])
     finished = np.flatnonzero(done_slot < horizon)
@@ -304,6 +316,53 @@ def run_simulation(
         drift_violations=drift_violations,
         infeasibility_flag=growing,
     )
+
+
+def _queue_pass(
+    arriving: np.ndarray,
+    arrival_slot: np.ndarray,
+    start_slot: np.ndarray,
+    warmup_slots: int,
+    series: Optional[np.ndarray],
+) -> tuple[int, int, int]:
+    """Rebuild the per-slot queue from the arrivals and the start slots.
+
+    Works through the slots ``_QUEUE_CHUNK`` at a time, carrying the
+    arrivals and starts counted so far across chunk edges, and fills
+    ``series`` when given.  Returns ``(queue_len_sum,
+    queue_len_sum_after_warmup, drift_violations)``.  ``start_slot`` is
+    non-decreasing, since the loop starts tasks in queue order.
+    """
+    # A task arriving in slot t joins the queue after that slot's decision.
+    early = start_slot[start_slot <= arrival_slot[:start_slot.size]]
+    queue_len_sum = queue_len_sum_after_warmup = drift_violations = 0
+    arrived = started = 0
+    for first in range(0, arriving.size, _QUEUE_CHUNK):
+        a = arriving[first:first + _QUEUE_CHUNK].astype(np.int64)
+        stop = int(np.searchsorted(start_slot, first + a.size))
+        u = np.bincount(start_slot[started:stop] - first, minlength=a.size)
+        # q_ext[i] is the queue before slot first + i; its last entry is the
+        # queue after the chunk's last slot.
+        q_ext = np.empty(a.size + 1, dtype=np.int64)
+        q_ext[0] = arrived - started
+        np.cumsum(a - u, out=q_ext[1:])
+        q_ext[1:] += q_ext[0]
+        q, q_next = q_ext[:-1], q_ext[1:]
+
+        queue_len_sum += int(q.sum())
+        queue_len_sum_after_warmup += int(q[max(warmup_slots - first, 0):].sum())
+        if series is not None:
+            series[first:first + a.size] = q
+        # The drift inequality with q**2 taken off both sides: every term is
+        # then at most a few times the horizon, which the draw's guard keeps
+        # below 2**53, so int64 holds it exactly.
+        bad = (q_next - q) * (q_next + q) > u * u + a * a - 2 * q * (u - a)
+        bad |= u > q
+        bad[early[(early >= first) & (early < first + a.size)] - first] = True
+        drift_violations += int(np.count_nonzero(bad))
+        arrived += int(a.sum())
+        started = stop
+    return queue_len_sum, queue_len_sum_after_warmup, drift_violations
 
 
 def avg_data_per_task(metrics: RunMetrics) -> float:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import warnings
 
 import pytest
 
@@ -345,6 +347,31 @@ def test_main_stdout_when_no_out(capsys) -> None:
     assert code == 0
     captured = capsys.readouterr()
     assert captured.out.splitlines()[0] == ",".join(SIMULATE_COLUMNS)
+
+
+def test_cli_runs_keep_no_series() -> None:
+    config = ExperimentConfig(horizon_slots=500, seeds=[0]).validate()
+    assert cli._simulate(config, 0).queue_len_series is None
+
+
+@pytest.mark.parametrize(
+    "argv, summary",
+    [
+        (["analyze", "--samples", "100", "--set", "rate_bps=1e-300"], "arrival rate 0.4"),
+        (
+            ["simulate", "--set", "horizon_slots=50", "--seeds", "0", "--set", "v_param=0",
+             "--set", "rate_bps=1e-300", "--set", "policy=mec_only"],
+            "simulate: 1 runs",
+        ),
+    ],
+)
+def test_unfinishable_tasks_leave_stderr_to_the_summary(argv, summary, capsys) -> None:
+    # Busy-slot counts past every horizon are capped, not warned about.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, "--out", os.devnull]) == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.startswith(summary)
 
 
 def test_main_config_error_exit_code(capsys) -> None:

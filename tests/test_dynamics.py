@@ -168,7 +168,6 @@ def test_slots_always_at_least_one(catalog, cache) -> None:
     assert slots_local([5e6], [5e6], huge).tolist() == [1]
 
 
-@pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered in divide:RuntimeWarning")
 def test_slot_counts_beyond_any_horizon_are_capped() -> None:
     # Durations past int64 (2.5e19 and 2.5e307 slots), infinite ones and
     # undefined ones (0/0 once rate * slot underflows) all mean "never done".
@@ -184,7 +183,6 @@ def test_slot_counts_beyond_any_horizon_are_capped() -> None:
         assert never + 2**53 - 1 < np.iinfo(np.int64).max
 
 
-@pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered in divide:RuntimeWarning")
 def test_unfinishable_task_stays_in_service() -> None:
     # At 1e-300 bit/s the first offloaded task never finishes, so the server
     # stays busy: nothing completes and every later arrival waits.

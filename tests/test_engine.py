@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mecsched import engine
 from mecsched.catalog import CacheConfig, ContentCatalog
 from mecsched.config import ExperimentConfig, build_system
 from mecsched.dynamics import SystemParams
@@ -19,7 +21,7 @@ from mecsched.engine import (
     run_simulation,
 )
 from mecsched.errors import ConfigError, ContractViolation, MetricUndefined
-from mecsched.policy import POLICY_KINDS, PolicySpec
+from mecsched.policy import ACTION_SPLIT_LOCAL_MEC, POLICY_KINDS, PolicySpec, decide
 from mecsched.workload import task_streams
 
 
@@ -101,6 +103,44 @@ def test_drift_inequality_never_violated() -> None:
     for policy, v in (("lyapunov", 1e-8), ("lyapunov", 0.0), ("mec_only", 0.0)):
         metrics = _run(horizon=5000, policy=policy, v_param=v)
         assert metrics.drift_violations == 0
+
+
+def test_drift_audit_catches_starts_beyond_the_queue(monkeypatch) -> None:
+    # A rule that starts two tasks whenever both processors are free, even
+    # with one queued: it drives the queue negative and starts a task before
+    # it arrives.  The inequality alone holds on every slot (it is an
+    # identity of the queue recursion); its preconditions do not.
+    def split_whenever_free(policy, busy_local, busy_mec, q_len, *bits):
+        if not busy_local and not busy_mec and q_len >= 1:
+            return ACTION_SPLIT_LOCAL_MEC
+        return decide(policy, busy_local, busy_mec, q_len, *bits)
+
+    monkeypatch.setattr(engine, "decide", split_whenever_free)
+    metrics = _run(horizon=3000, seed=0)
+    assert metrics.queue_len_series.min() < 0
+    assert metrics.drift_violations > 0
+
+
+def test_run_without_series_allocates_nothing_per_slot() -> None:
+    # The table holds the run's only per-slot array (1 byte of arrival flag
+    # per slot).  Given it, a run without a series grows between two
+    # horizons past the queue pass's chunk by its per-task arrays alone.  A
+    # series would add 8 bytes per slot, more than the whole allowance.
+    (catalog, cache, params, workload_cfg, policy), _ = _system(arrival_prob=0.02)
+    peaks, n_tasks = [], []
+    for horizon in (25_000, 75_000):
+        table = draw_tasks(catalog, cache, workload_cfg, horizon, seed=0)
+        tracemalloc.start()
+        try:
+            run_simulation(
+                catalog, cache, params, workload_cfg, policy, horizon=horizon, seed=0,
+                collect_series=False, tasks=table,
+            )
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        n_tasks.append(table.arrival_slot.size)
+    assert peaks[1] - peaks[0] <= 2 * 50_000 + 128 * (n_tasks[1] - n_tasks[0])
 
 
 def test_warmup_window_bookkeeping() -> None:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mecsched import engine
 from mecsched.catalog import CacheConfig, ContentCatalog
 from mecsched.config import ExperimentConfig, build_system
 from mecsched.dynamics import SystemParams
@@ -111,3 +112,18 @@ def test_shared_table_matches_oracle_under_two_weights(system, v_other, horizon,
 def test_engine_matches_oracle_at_reference_point(fields) -> None:
     config = ExperimentConfig(**fields).validate()
     _both(*build_system(config), horizon=3000, seed=4)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        # Tasks held back by the weight at each chunk edge.
+        {"arrival_prob": 0.1, "v_param": 1e-6},
+        # Overloaded: the queue grows across each chunk edge.
+        {"policy": "mec_only", "arrival_prob": 0.4},
+    ],
+)
+def test_queue_pass_matches_oracle_across_chunk_edges(fields) -> None:
+    # Three chunks of the queue pass, the last one partial.
+    config = ExperimentConfig(**fields).validate()
+    _both(*build_system(config), horizon=2 * engine._QUEUE_CHUNK + 3, seed=4)
