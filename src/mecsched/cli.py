@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import math
 import sys
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -136,17 +137,30 @@ def _sampling_key(config: ExperimentConfig, seed: int) -> tuple:
     )
 
 
-def _simulate(config: ExperimentConfig, seed: int, tables: Optional[dict] = None) -> RunMetrics:
+@dataclass
+class _Memo:
+    """What the runs of one command share.
+
+    ``catalogs`` holds the catalogs built so far (see ``build_system``).
+    ``tables``, unless None, holds task tables by :func:`_sampling_key`:
+    one per seed for one set of the other sampling inputs.
+    """
+
+    catalogs: dict = field(default_factory=dict)
+    tables: Optional[dict] = field(default_factory=dict)
+
+
+def _simulate(config: ExperimentConfig, seed: int, memo: _Memo) -> RunMetrics:
     """Build the config's system and simulate it once with ``seed``, keeping
     no queue series: no command reads it.
 
-    ``tables``, when given, is a command's memo of task tables by
-    :func:`_sampling_key`: the run takes its table from there, drawing and
-    storing it on first use.  The memo holds one table per seed for one set
-    of the other sampling inputs; a run with other inputs empties it first.
+    The run takes its catalog from the command's ``memo``, and its task
+    table too when the memo keeps tables, building or drawing and storing
+    each on first use.  A run whose other sampling inputs differ from the
+    held tables' empties them first.
     """
-    catalog, cache, params, workload_cfg, policy = build_system(config)
-    tasks = None
+    catalog, cache, params, workload_cfg, policy = build_system(config, memo.catalogs)
+    tables, tasks = memo.tables, None
     if tables is not None:
         key = _sampling_key(config, seed)
         tasks = tables.get(key)
@@ -168,8 +182,8 @@ def _simulate(config: ExperimentConfig, seed: int, tables: Optional[dict] = None
     )
 
 
-def _run_one(config: ExperimentConfig, seed: int, tables: Optional[dict] = None) -> dict:
-    metrics = _simulate(config, seed, tables)
+def _run_one(config: ExperimentConfig, seed: int, memo: _Memo) -> dict:
+    metrics = _simulate(config, seed, memo)
     row = {
         "seed": seed,
         "policy": config.policy,
@@ -198,19 +212,22 @@ def _run_one(config: ExperimentConfig, seed: int, tables: Optional[dict] = None)
 
 
 def cmd_simulate(config: ExperimentConfig) -> list[dict]:
-    """One row per configured seed at the config's operating point."""
-    return [_run_one(config, seed) for seed in config.seeds]
+    """One row per configured seed at the config's operating point.  The
+    runs share one catalog but draw their own task tables."""
+    memo = _Memo(tables=None)
+    return [_run_one(config, seed, memo) for seed in config.seeds]
 
 
 def cmd_sweep(config: ExperimentConfig) -> list[dict]:
     """Rows for every (axis value, seed) pair, sorted by value then seed,
     each carrying its value's across-seed mean and standard deviation of
-    the per-task data average.  Values that leave the task draws unchanged
-    (every axis but ``cache_m``) reuse each seed's task table."""
+    the per-task data average.  The runs share one catalog, and values that
+    leave the task draws unchanged (every axis but ``cache_m``) reuse each
+    seed's task table."""
     rows: list[dict] = []
-    tables: dict = {}
+    memo = _Memo()
     for value, point in sweep_configs(config):
-        point_rows = [_run_one(point, seed, tables) for seed in config.seeds]
+        point_rows = [_run_one(point, seed, memo) for seed in config.seeds]
         data = [r["avg_data_per_task_bits"] for r in point_rows]
         finite = [d for d in data if not math.isnan(d)]
         mean = float(np.mean(finite)) if finite else math.nan
@@ -224,13 +241,13 @@ def cmd_sweep(config: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def _mean_delay_seconds(config: ExperimentConfig, tables: Optional[dict] = None) -> float:
+def _mean_delay_seconds(config: ExperimentConfig, memo: _Memo) -> float:
     """Across-seed mean measured delay; infinite when any seed never
     completes a post-warmup task (the overloaded end of a bracket).
-    ``tables`` is the command's task-table memo (see :func:`_simulate`)."""
+    ``memo`` is the command's :class:`_Memo`."""
     delays = []
     for seed in config.seeds:
-        metrics = _simulate(config, seed, tables)
+        metrics = _simulate(config, seed, memo)
         try:
             delays.append(mean_delay_slots(metrics) * config.slot_seconds)
         except MetricUndefined:
@@ -245,7 +262,7 @@ def _frontier_point(
     rate_lo: float,
     rate_hi: float,
     max_iter: int,
-    tables: dict,
+    memo: _Memo,
 ) -> dict:
     # Bisect to half the tolerance so an independent re-run at the found
     # rate still lands inside the full tolerance.
@@ -253,7 +270,7 @@ def _frontier_point(
 
     def evaluate(rate: float) -> float:
         # Every probe at this point draws the same tasks.
-        return _mean_delay_seconds(dataclasses.replace(point, rate_bps=rate), tables)
+        return _mean_delay_seconds(dataclasses.replace(point, rate_bps=rate), memo)
 
     d_lo = evaluate(rate_lo)
     d_hi = evaluate(rate_hi)
@@ -337,14 +354,14 @@ def cmd_frontier(
     if max_iter < 0:
         raise ConfigError(f"bisection rounds must be non-negative, got {max_iter}")
     rows = []
-    tables: dict = {}
+    memo = _Memo()
     for f_local in f_values:
         for cache_m in m_values:
             point = dataclasses.replace(config, f_local_hz=f_local, cache_m=cache_m)
             point.validate()
             rows.append(
                 _frontier_point(
-                    point, target_delay_s, delay_tolerance_s, rate_lo, rate_hi, max_iter, tables
+                    point, target_delay_s, delay_tolerance_s, rate_lo, rate_hi, max_iter, memo
                 )
             )
     return rows

@@ -233,15 +233,23 @@ def apply_overrides(config: ExperimentConfig, overrides: list[str]) -> Experimen
     return config.validate()
 
 
-def build_system(config: ExperimentConfig):
+def build_system(config: ExperimentConfig, catalogs: Optional[dict] = None):
     """Materialise the simulator objects a config describes.
 
     Returns ``(catalog, cache, params, workload_cfg, policy)``.  A value
     the objects reject (for example a Zipf exponent so large that the
     tail popularity underflows to zero) raises :class:`ConfigError`.
+    ``catalogs``, when given, is a memo of catalogs by ``(n_contents,
+    zipf_alpha, tau_bits)``: the catalog comes from there, and is built and
+    stored there on first use.
     """
     try:
-        catalog = ContentCatalog.zipf(config.n_contents, config.zipf_alpha, config.tau_bits)
+        key = (config.n_contents, config.zipf_alpha, config.tau_bits)
+        catalog = None if catalogs is None else catalogs.get(key)
+        if catalog is None:
+            catalog = ContentCatalog.zipf(*key)
+            if catalogs is not None:
+                catalogs[key] = catalog
         cache = CacheConfig.for_catalog(catalog, config.cache_m)
         params = SystemParams(
             slot_seconds=config.slot_seconds,

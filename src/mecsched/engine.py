@@ -68,7 +68,7 @@ from .catalog import CacheConfig, ContentCatalog
 from .dynamics import SystemParams, slots_local, slots_mec, task_bits
 from .errors import ConfigError, ContractViolation, MetricUndefined
 from .policy import PolicySpec, decide
-from .workload import WorkloadConfig, sample_tasks, task_streams
+from .workload import K_SPAN_LIMIT, WorkloadConfig, sample_tasks, task_streams
 
 __all__ = [
     "RunMetrics",
@@ -194,6 +194,11 @@ def draw_tasks(
         raise ConfigError("horizon * k_max * size_bits too large for exact bit accounting")
     if not float(catalog.size_bits).is_integer():
         raise ConfigError(f"content size must be a whole number of bits, got {catalog.size_bits}")
+    # Wider k ranges leave the 32-bit integer draw the task sampler follows.
+    if workload_cfg.k_max - workload_cfg.k_min >= K_SPAN_LIMIT:
+        raise ConfigError(
+            f"k_max - k_min must stay below 2**32 - 1, got {workload_cfg.k_max - workload_cfg.k_min}"
+        )
 
     arrival_rng, composition_rng = task_streams(seed)
     # Chunked draws continue one stream, so the arrivals equal those of a

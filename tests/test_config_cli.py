@@ -8,6 +8,7 @@ import warnings
 import pytest
 
 from mecsched import cli, engine
+from mecsched.catalog import ContentCatalog
 from mecsched.cli import (
     FRONTIER_COLUMNS,
     SIMULATE_COLUMNS,
@@ -319,6 +320,41 @@ def test_simulate_keeps_no_tables(count_draws) -> None:
     assert runs == draws == [3, 3, 4]
 
 
+@pytest.fixture
+def count_catalogs(monkeypatch):
+    """Record the size of every catalog built."""
+    builds: list[int] = []
+    original = ContentCatalog.__post_init__
+
+    def counting(self):
+        builds.append(self.n_contents)
+        original(self)
+
+    monkeypatch.setattr(ContentCatalog, "__post_init__", counting)
+    return builds
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        lambda config: cmd_simulate(config),
+        lambda config: cmd_sweep(
+            dataclasses.replace(config, sweep_axis="v_param", sweep_values=[0.0, 1e-7, 1e-6]).validate()
+        ),
+        lambda config: cmd_frontier(
+            config, target_delay_s=0.6, delay_tolerance_s=0.04, f_values=[1e9, 4e9],
+            m_values=[0, 200], rate_lo=1e8, rate_hi=1e10, max_iter=2,
+        ),
+    ],
+    ids=["simulate", "sweep_v_param", "frontier"],
+)
+def test_command_builds_the_catalog_once(count_catalogs, command) -> None:
+    # Every run of a command (each seed, sweep value and frontier probe)
+    # shares the one catalog its (n_contents, zipf_alpha, tau_bits) describe.
+    command(ExperimentConfig(horizon_slots=500, seeds=[0, 1], arrival_prob=0.2).validate())
+    assert count_catalogs == [1000]
+
+
 def test_parser_defaults() -> None:
     parser = build_parser()
     args = parser.parse_args(["simulate"])
@@ -351,7 +387,7 @@ def test_main_stdout_when_no_out(capsys) -> None:
 
 def test_cli_runs_keep_no_series() -> None:
     config = ExperimentConfig(horizon_slots=500, seeds=[0]).validate()
-    assert cli._simulate(config, 0).queue_len_series is None
+    assert cli._simulate(config, 0, cli._Memo()).queue_len_series is None
 
 
 @pytest.mark.parametrize(
@@ -412,6 +448,8 @@ def test_main_reads_config_file(tmp_path) -> None:
         # finite, but the tail popularity underflows to zero
         ["simulate", "--set", "zipf_alpha=5000"],
         ["simulate", "--seeds", "0", "--set", "tau_bits=0.3"],
+        # a k range wider than the task sampler's 32-bit k draw
+        ["simulate", "--seeds", "0", "--set", "tau_bits=1", "--set", "k_min=1", "--set", "k_max=4294967296"],
         ["frontier", "--target-delay-s", "0.6", "--m-values", "1.5"],
         ["frontier", "--target-delay-s", "0.6", "--m-values", "nan"],
         ["frontier", "--target-delay-s", "nan"],

@@ -32,6 +32,20 @@ CASES = {
         ["simulate", "--set", "policy=local_only", "--set", "lambda=0.3"],
         "f193585b7d9cbe60d331bde5a25fb0aa40302133e6a664406aa28ee1f54a23de",
     ),
+    # k_min == k_max: integers() returns k_min without consuming a word.
+    "simulate_k_fixed": (
+        ["simulate", "--set", "k_min=5", "--set", "k_max=5"],
+        "fc862401308661d1f61d902382c403058aa8fd9c7db293cbb9b6965918fb5fe7",
+    ),
+    # A power-of-two k span (no rejection threshold) over a tiny catalog,
+    # so tasks repeat contents heavily.
+    "simulate_k_pow2_span": (
+        [
+            "simulate", "--set", "k_min=1", "--set", "k_max=64", "--set", "n_contents=37",
+            "--set", "zipf_alpha=1.3", "--set", "cache_m=3",
+        ],
+        "6d0d9ac340e070833aac5880a234ca458082944e3aa171d890ab26ba0630b650",
+    ),
     "sweep_v_param": (
         ["sweep", "--set", "lambda=0.8", "--set", "sweep_axis=v_param", "--set", "sweep_values=0,1e-7,1e-6"],
         "ade52e0dd6529ba6b69aecf494cc709485be1262c5ff2624a5f2934d2c558180",

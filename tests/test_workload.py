@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mecsched import workload
 from mecsched.catalog import CacheConfig, ContentCatalog
 from mecsched.config import ExperimentConfig, build_system
 from mecsched.engine import run_simulation
 from mecsched.workload import (
+    K_SPAN_LIMIT,
     WorkloadConfig,
     distinct_uncached_counts,
     sample_content_indices,
@@ -119,18 +121,88 @@ def test_sample_task_frozen_stream(catalog: ContentCatalog, no_cache) -> None:
     assert distinct[0] == np.unique(contents).size
 
 
+def _one_task_at_a_time(rng, catalog, cfg, n_tasks, capacity) -> tuple[list[int], list[int]]:
+    """The stream's definition: each task's k draw, then its k uniforms."""
+    ks, distinct = [], []
+    for _ in range(n_tasks):
+        k = int(rng.integers(cfg.k_min, cfg.k_max + 1))
+        contents = sample_content_indices(rng, catalog, k)
+        ks.append(k)
+        distinct.append(np.unique(contents[contents > capacity]).size)
+    return ks, distinct
+
+
 def test_sample_tasks_match_one_task_at_a_time(catalog: ContentCatalog) -> None:
     # Chunked sampling consumes the stream exactly as drawing each task's
-    # k, then its contents, one task at a time; 150 tasks span three chunks.
+    # k, then its contents, one task at a time; 2 * chunk + 3 tasks span
+    # three chunks.
     cfg = _cfg(k_min=1, k_max=30)
+    n_tasks = 2 * workload._CHUNK_TASKS + 3
     for capacity in (0, 50, 1000):
         cache = CacheConfig.for_catalog(catalog, capacity)
-        ks, distinct = sample_tasks(task_streams(9)[1], catalog, cfg, 150, cache)
-        rng = task_streams(9)[1]
-        for k, count in zip(ks, distinct):
-            assert k == rng.integers(cfg.k_min, cfg.k_max + 1)
-            contents = sample_content_indices(rng, catalog, int(k))
-            assert count == np.unique(contents[contents > capacity]).size
+        ks, distinct = sample_tasks(task_streams(9)[1], catalog, cfg, n_tasks, cache)
+        expected = _one_task_at_a_time(task_streams(9)[1], catalog, cfg, n_tasks, capacity)
+        assert (ks.tolist(), distinct.tolist()) == expected
+
+
+def _rejected_halves(span: int) -> list[int]:
+    """The 32-bit values the k draw's Lemire step rejects for this span."""
+    k_range = span + 1
+    threshold = (2**32 - 1 - span) % k_range
+    # A rejected x has x * k_range just above a multiple of 2**32.
+    candidates = (-(-(c << 32) // k_range) for c in range(k_range))
+    return [x for x in candidates if x < 2**32 and (x * k_range) % 2**32 < threshold]
+
+
+@st.composite
+def _sampler_cases(draw):
+    chunk = workload._CHUNK_TASKS
+    # 0 draws nothing; span + 1 a power of two rejects nothing.
+    span = draw(st.sampled_from([0, 1, 2, 3, 7, 20, 31, 62, 999]))
+    k_min = draw(st.integers(1, 63 - span)) if span < 63 else 1
+    n_tasks = draw(st.sampled_from([0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3]) | st.integers(0, 40))
+    capacity = draw(st.sampled_from([0, 1, 10, 36]))
+    half = None
+    if draw(st.booleans()):
+        half = draw(st.sampled_from(_rejected_halves(span) + [0, 2**32 - 1]) | st.integers(0, 2**32 - 1))
+    return WorkloadConfig(0.4, k_min, k_min + span), n_tasks, capacity, half, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sampler_cases())
+@example((WorkloadConfig(0.4, 40, 60), 3, 0, 1022611261, 5))
+@example((WorkloadConfig(0.4, 1, 1000), 40, 10, 0, 6))
+@example((WorkloadConfig(0.4, 5, 5), 2 * workload._CHUNK_TASKS + 3, 1, 2**32 - 1, 7))
+def test_sample_tasks_equal_per_task_draws_and_leave_the_same_state(case) -> None:
+    # The whole stream, the generator's end state and its next draws equal
+    # the per-task integers + random(k) calls, including a 32-bit half
+    # already buffered before the first task, forced rejections of it, k
+    # spans with and without a rejection threshold, and chunk edges.
+    cfg, n_tasks, capacity, half, seed = case
+    catalog = ContentCatalog.zipf(37, 1.3, 1.0)
+    rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+    if half is not None:
+        for rng in rngs:
+            state = rng.bit_generator.state
+            state["has_uint32"], state["uinteger"] = 1, half
+            rng.bit_generator.state = state
+    fast, reference = rngs
+    ks, distinct = sample_tasks(fast, catalog, cfg, n_tasks, CacheConfig.for_catalog(catalog, capacity))
+    expected = _one_task_at_a_time(reference, catalog, cfg, n_tasks, capacity)
+    assert (ks.tolist(), distinct.tolist()) == expected
+    assert fast.bit_generator.state == reference.bit_generator.state
+    assert fast.integers(0, 1000, 3).tolist() == reference.integers(0, 1000, 3).tolist()
+    assert fast.random() == reference.random()
+
+
+def test_sample_tasks_refuse_what_they_cannot_follow(catalog: ContentCatalog, no_cache) -> None:
+    # MT19937 builds its doubles differently, and wider k ranges leave
+    # numpy's 32-bit k draw.
+    with pytest.raises(ValueError, match="PCG64"):
+        sample_tasks(np.random.Generator(np.random.MT19937(0)), catalog, _cfg(), 1, no_cache)
+    wide = _cfg(k_min=1, k_max=K_SPAN_LIMIT + 1)
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        sample_tasks(np.random.default_rng(0), catalog, wide, 1, no_cache)
 
 
 def test_distinct_uncached_counts_by_hand(catalog: ContentCatalog) -> None:
