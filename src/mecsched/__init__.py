@@ -17,6 +17,7 @@ Subpackage map:
 - ``dynamics``  uplink bits and busy-slot counts of the two execution modes
 - ``policy``    the five actions, the feasibility rule, the scheduling rules
 - ``engine``    the task-table draw, the pointer-queue simulation loop and run metrics
+- ``_kernel``   builds and loads the engine's slot loop in C, where a C compiler exists
 - ``analysis``  closed-form expectations, regimes and bounds
 - ``cli``       config files, experiment commands, CSV output
 """

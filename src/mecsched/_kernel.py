@@ -1,0 +1,91 @@
+"""Build and load the compiled slot loop (``_slot_loop.c``) on first use.
+
+:func:`load` compiles the C source with the system C compiler into a
+per-user cache (``$XDG_CACHE_HOME/mecsched``, else ``~/.cache/mecsched``)
+and loads it through :mod:`ctypes`.  The library's file name is the
+SHA-256 of the source, the compiler flags and the compiler's identity
+(its resolved path, size and modification time), so a changed source or
+an upgraded compiler gets a fresh build, and a cached library loads
+without starting the compiler.  A build goes to a temporary file that is
+renamed into place, so concurrent first uses never see a partial file,
+and nothing is written next to the source.
+
+When no compiler is found, the build fails or the cache cannot be
+written, :func:`load` returns ``None`` and the engine runs its Python
+loop instead, with the same results.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import shutil
+from pathlib import Path
+from typing import Optional
+
+import numpy as np
+
+from .policy import POLICY_KINDS
+
+SOURCE = Path(__file__).with_name("_slot_loop.c")
+# No -ffast-math, and no fused multiply-add: each cost must round as
+# Python's does.
+FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# Policy kind -> the C enum (lyapunov 0, mec_only 1, local_only 2).
+KIND_CODES = {kind: code for code, kind in enumerate(POLICY_KINDS)}
+
+
+def load() -> Optional[ctypes.CDLL]:
+    """The compiled slot loop, built first if need be, or ``None``."""
+    try:
+        found = shutil.which("cc")
+        if found is None:
+            return None
+        cc = os.path.realpath(found)
+        info = os.stat(cc)
+        key = hashlib.sha256(SOURCE.read_bytes())
+        key.update(repr((FLAGS, cc, info.st_size, info.st_mtime_ns)).encode())
+        cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "mecsched"
+        path = cache / f"slot_loop-{key.hexdigest()}.so"
+        if not path.exists():
+            _build(cc, path)
+        lib = ctypes.CDLL(str(path))
+        i64, f64 = ctypes.c_int64, ctypes.c_double
+        lib.mecsched_decide.argtypes = [ctypes.c_int, f64, i64, i64, i64, f64, f64, f64, f64]
+        lib.mecsched_decide.restype = ctypes.c_int
+        lib.mecsched_slot_loop.argtypes = [
+            ctypes.c_int, f64, i64, _array(np.bool_), _array(np.float64), _array(np.float64),
+            _array(np.int64), _array(np.int64), _array(np.int64), _array(np.bool_), _array(np.int64),
+        ]
+        lib.mecsched_slot_loop.restype = None
+    except (OSError, RuntimeError, AttributeError):
+        return None
+    return lib
+
+
+def _array(dtype):
+    return np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
+
+
+def _build(cc: str, path: Path) -> None:
+    # Imported here: a cached load needs neither.
+    import subprocess
+    import tempfile
+
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, partial = tempfile.mkstemp(prefix=".build-", suffix=".so", dir=path.parent)
+    os.close(fd)
+    try:
+        done = subprocess.run(
+            [cc, *FLAGS, "-o", partial, str(SOURCE)],
+            stdin=subprocess.DEVNULL, capture_output=True, timeout=120,
+        )
+        if done.returncode != 0:
+            raise RuntimeError(f"{cc} exited with code {done.returncode}")
+        os.replace(partial, path)
+    except subprocess.SubprocessError as exc:
+        raise RuntimeError(str(exc)) from exc
+    finally:
+        if os.path.exists(partial):
+            os.unlink(partial)

@@ -22,6 +22,15 @@ starts tasks at the head and counts down the processors, and the slot's
 Bernoulli arrival (if any) joins the queue tail afterwards.  The loop does
 nothing else; it records each started task's start slot and mode.
 
+The loop exists twice.  :func:`_python_slot_loop` is the reference: it
+calls :func:`mecsched.policy.decide` once per slot.  ``_slot_loop.c``
+holds the same loop and the same rule in C; :mod:`mecsched._kernel`
+compiles it with the system C compiler on first use into a per-user
+cache and loads it once, when this module is imported, as ``_kernel``.
+When no compiler is found or the build fails, ``_kernel`` is ``None`` and
+the Python loop runs.  Both give identical runs: the C rule makes the
+same floating-point comparisons as ``decide``, bit for bit.
+
 Everything else follows from those records and the arrival flags, in
 numpy passes after the loop:
 
@@ -64,6 +73,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._kernel import KIND_CODES, load as _load_kernel
 from .catalog import CacheConfig, ContentCatalog
 from .dynamics import SystemParams, slots_local, slots_mec, task_bits
 from .errors import ConfigError, ContractViolation, MetricUndefined
@@ -89,6 +99,9 @@ _ARRIVAL_CHUNK = 1 << 16
 # Slots whose queue is rebuilt at a time.  The pass holds about ten int64
 # arrays of this length (about 300 kB); larger chunks cost no less per slot.
 _QUEUE_CHUNK = 1 << 12
+# The compiled slot loop, or None when it cannot be built; the Python loop
+# then runs, with the same results.
+_kernel = _load_kernel()
 
 
 @dataclass
@@ -250,35 +263,10 @@ def run_simulation(
     start_slot = np.empty(n_tasks, dtype=np.int64)
     on_mec = np.zeros(n_tasks, dtype=bool)
 
-    # Memoryviews give the slot loop plain Python numbers; two zero entries
-    # stand in for the bits of tasks behind the tail.
-    local_view = memoryview(np.append(local_bits, (0.0, 0.0)))
-    mec_view = memoryview(np.append(mec_bits, (0.0, 0.0)))
-    n_local_view, n_mec_view = memoryview(n_local), memoryview(n_mec)
-    start_view, on_mec_view = memoryview(start_slot), memoryview(on_mec)
-    head = arrived = busy_local = busy_mec = 0
-
-    for t, a_t in enumerate(memoryview(arriving)):
-        local_first, local_second, mec_first, mec_second = decide(
-            policy, busy_local, busy_mec, arrived - head,
-            local_view[head], mec_view[head], local_view[head + 1], mec_view[head + 1],
-        )
-        if local_first or local_second:
-            task = head + local_second
-            start_view[task] = t
-            busy_local = n_local_view[task] - 1
-        elif busy_local:
-            busy_local -= 1
-        if mec_first or mec_second:
-            task = head + mec_second
-            start_view[task] = t
-            on_mec_view[task] = True
-            busy_mec = n_mec_view[task] - 1
-        elif busy_mec:
-            busy_mec -= 1
-        # Departures from the head, then the slot's arrival at the tail.
-        head += local_first + local_second + mec_first + mec_second
-        arrived += a_t
+    slot_loop = _python_slot_loop if _kernel is None else _c_slot_loop
+    head, arrived, busy_local, busy_mec = slot_loop(
+        policy, arriving, local_bits, mec_bits, n_local, n_mec, start_slot, on_mec
+    )
 
     # Tasks [0, head) were started; each completes n - 1 slots after its start.
     start_slot, on_mec = start_slot[:head], on_mec[:head]
@@ -321,6 +309,73 @@ def run_simulation(
         drift_violations=drift_violations,
         infeasibility_flag=growing,
     )
+
+
+def _python_slot_loop(
+    policy: PolicySpec,
+    arriving: np.ndarray,
+    local_bits: np.ndarray,
+    mec_bits: np.ndarray,
+    n_local: np.ndarray,
+    n_mec: np.ndarray,
+    start_slot: np.ndarray,
+    on_mec: np.ndarray,
+) -> tuple[int, int, int, int]:
+    """The slot loop in Python, the reference the compiled loop follows.
+
+    Runs every slot of ``arriving``, writes each started task's start slot
+    and mode into ``start_slot`` and ``on_mec``, and returns the final
+    ``(head, arrived, busy_local, busy_mec)``.
+    """
+    # Memoryviews give the slot loop plain Python numbers; two zero entries
+    # stand in for the bits of tasks behind the tail.
+    local_view = memoryview(np.append(local_bits, (0.0, 0.0)))
+    mec_view = memoryview(np.append(mec_bits, (0.0, 0.0)))
+    n_local_view, n_mec_view = memoryview(n_local), memoryview(n_mec)
+    start_view, on_mec_view = memoryview(start_slot), memoryview(on_mec)
+    head = arrived = busy_local = busy_mec = 0
+
+    for t, a_t in enumerate(memoryview(arriving)):
+        local_first, local_second, mec_first, mec_second = decide(
+            policy, busy_local, busy_mec, arrived - head,
+            local_view[head], mec_view[head], local_view[head + 1], mec_view[head + 1],
+        )
+        if local_first or local_second:
+            task = head + local_second
+            start_view[task] = t
+            busy_local = n_local_view[task] - 1
+        elif busy_local:
+            busy_local -= 1
+        if mec_first or mec_second:
+            task = head + mec_second
+            start_view[task] = t
+            on_mec_view[task] = True
+            busy_mec = n_mec_view[task] - 1
+        elif busy_mec:
+            busy_mec -= 1
+        # Departures from the head, then the slot's arrival at the tail.
+        head += local_first + local_second + mec_first + mec_second
+        arrived += a_t
+    return head, arrived, busy_local, busy_mec
+
+
+def _c_slot_loop(
+    policy: PolicySpec,
+    arriving: np.ndarray,
+    local_bits: np.ndarray,
+    mec_bits: np.ndarray,
+    n_local: np.ndarray,
+    n_mec: np.ndarray,
+    start_slot: np.ndarray,
+    on_mec: np.ndarray,
+) -> tuple[int, int, int, int]:
+    """:func:`_python_slot_loop`, run by the compiled kernel."""
+    state = np.empty(4, dtype=np.int64)
+    _kernel.mecsched_slot_loop(
+        KIND_CODES[policy.kind], policy.v_param, arriving.size, arriving,
+        local_bits, mec_bits, n_local, n_mec, start_slot, on_mec, state,
+    )
+    return tuple(state.tolist())
 
 
 def _queue_pass(

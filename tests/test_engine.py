@@ -115,6 +115,8 @@ def test_drift_audit_catches_starts_beyond_the_queue(monkeypatch) -> None:
             return ACTION_SPLIT_LOCAL_MEC
         return decide(policy, busy_local, busy_mec, q_len, *bits)
 
+    # Only the Python loop calls engine.decide; the compiled one has its own.
+    monkeypatch.setattr(engine, "_kernel", None)
     monkeypatch.setattr(engine, "decide", split_whenever_free)
     metrics = _run(horizon=3000, seed=0)
     assert metrics.queue_len_series.min() < 0
@@ -252,6 +254,28 @@ def test_pre_drawn_table_gives_the_fresh_run(policy) -> None:
         fresh = run_simulation(*system, horizon=3000, seed=5, warmup_frac=0.2)
         reused = run_simulation(*system, horizon=3000, seed=5, warmup_frac=0.2, tasks=table)
         _assert_same_metrics(reused, fresh)
+
+
+@pytest.mark.parametrize("policy", POLICY_KINDS)
+def test_compiled_loop_matches_python_loop(policy, monkeypatch) -> None:
+    # Light, heavy and weight-free loads, and one whose tasks never finish
+    # (busy counts at the 2**62 cap): every field equal under both loops.
+    if engine._kernel is None:
+        pytest.skip("no C compiler: the compiled slot loop is not built")
+    horizon = 20_000
+    for change in (
+        {"arrival_prob": 0.4},
+        {"arrival_prob": 0.8, "v_param": 1e-7},
+        {"arrival_prob": 0.6, "v_param": 0.0},
+        {"arrival_prob": 0.3, "rate_bps": 1e-300},
+    ):
+        system, _ = _system(policy=policy, **change)
+        table = draw_tasks(system[0], system[1], system[3], horizon, seed=3)
+        compiled = run_simulation(*system, horizon=horizon, seed=3, tasks=table)
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_kernel", None)
+            reference = run_simulation(*system, horizon=horizon, seed=3, tasks=table)
+        _assert_same_metrics(compiled, reference)
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,134 @@
+"""The compiled slot loop: it is built when it can be, it falls back to the
+Python loop quietly when it cannot, and it caches its build outside the
+source tree."""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from mecsched import _kernel, engine
+
+SRC = Path(_kernel.__file__).resolve().parent.parent
+_HAS_CC = shutil.which("cc") is not None
+needs_cc = pytest.mark.skipif(not _HAS_CC, reason="no C compiler on PATH")
+
+
+def _source_tree() -> set[str]:
+    return {
+        path.relative_to(SRC).as_posix()
+        for path in SRC.rglob("*")
+        if "__pycache__" not in path.parts
+    }
+
+
+@pytest.fixture
+def cache(tmp_path, monkeypatch) -> Path:
+    """An empty kernel cache of its own."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    return tmp_path / "xdg" / "mecsched"
+
+
+def _fake_compiler(directory: Path, script: str) -> None:
+    directory.mkdir(exist_ok=True)
+    path = directory / "cc"
+    path.write_text("#!/bin/sh\n" + script)
+    path.chmod(0o755)
+
+
+def test_kernel_is_built_when_a_compiler_exists() -> None:
+    # A build that broke would fall back silently and hide the speed-up.
+    if not _HAS_CC:
+        pytest.skip("no C compiler on PATH")
+    assert engine._kernel is not None
+
+
+@needs_cc
+def test_second_load_reuses_the_cached_library(cache, monkeypatch) -> None:
+    assert _kernel.load() is not None
+    (built,) = cache.glob("slot_loop-*.so")
+    stamp = built.stat().st_mtime_ns
+
+    def no_process(*args, **kwargs):
+        raise AssertionError(f"started a process: {args}")
+
+    monkeypatch.setattr(subprocess, "run", no_process)
+    monkeypatch.setattr(subprocess, "Popen", no_process)
+    assert _kernel.load() is not None
+    assert [p.name for p in cache.iterdir()] == [built.name]
+    assert built.stat().st_mtime_ns == stamp
+
+
+@needs_cc
+def test_build_writes_nothing_under_src(cache) -> None:
+    before = _source_tree()
+    assert _kernel.load() is not None
+    assert _source_tree() == before
+    assert len(list(cache.glob("slot_loop-*.so"))) == 1
+
+
+def test_missing_compiler_gives_none(cache, tmp_path, monkeypatch) -> None:
+    (tmp_path / "bin").mkdir()
+    monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+    assert _kernel.load() is None
+    assert not cache.exists()
+
+
+def test_failing_compile_gives_none(cache, tmp_path, monkeypatch, capfd) -> None:
+    _fake_compiler(tmp_path / "bin", 'echo "cc: internal error" >&2\nexit 1\n')
+    monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+    assert _kernel.load() is None
+    # No partial library is left to be loaded next time.
+    assert list(cache.iterdir()) == []
+    assert capfd.readouterr() == ("", "")
+
+
+def test_unwritable_cache_gives_none(tmp_path, monkeypatch, capfd) -> None:
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    assert _kernel.load() is None
+    assert capfd.readouterr() == ("", "")
+
+
+# Runs the command line in a child and exits 3 unless the child's engine
+# runs the loop it is expected to run.
+_CHILD = """
+import sys
+from mecsched import cli, engine
+if (engine._kernel is None) != (sys.argv[1] == "python"):
+    sys.exit(3)
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def _simulate(loop: str, env_changes: dict) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(SRC), **env_changes}
+    argv = [sys.executable, "-c", _CHILD, loop, "simulate", "--seeds", "0,1", "--set", "horizon_slots=3000"]
+    return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+
+
+@needs_cc
+@pytest.mark.parametrize("case", ["no_compiler", "failing_compile", "unwritable_cache"])
+def test_fallback_run_is_identical_and_quiet(case, tmp_path) -> None:
+    fake_bin = tmp_path / "bin"
+    if case == "no_compiler":
+        fake_bin.mkdir()
+        changes = {"PATH": str(fake_bin), "XDG_CACHE_HOME": str(tmp_path / "xdg")}
+    elif case == "failing_compile":
+        _fake_compiler(fake_bin, 'echo "cc: internal error" >&2\nexit 1\n')
+        changes = {"PATH": str(fake_bin), "XDG_CACHE_HOME": str(tmp_path / "xdg")}
+    else:
+        (tmp_path / "file").write_text("")
+        changes = {"XDG_CACHE_HOME": str(tmp_path / "file")}
+    compiled = _simulate("c", {})
+    fallback = _simulate("python", changes)
+    assert compiled.returncode == 0, compiled.stderr
+    assert fallback.returncode == 0, fallback.stderr
+    assert fallback.stdout == compiled.stdout
+    assert fallback.stderr == compiled.stderr == "simulate: 2 runs at policy=lyapunov\n"

@@ -5,6 +5,7 @@ in order, must come out identical."""
 from __future__ import annotations
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -67,16 +68,28 @@ def small_systems(draw):
     return catalog, cache, params, workload_cfg, policy
 
 
-@settings(max_examples=300, deadline=None)
-@given(
+_SMALL_RUNS = dict(
     system=small_systems(),
     horizon=st.integers(1, 300),
     seed=st.integers(0, 2**32 - 1),
     warmup_frac=st.sampled_from([0.0, 0.1, 0.5]),
     collect_series=st.booleans(),
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(**_SMALL_RUNS)
 def test_engine_matches_oracle_on_small_systems(system, horizon, seed, warmup_frac, collect_series) -> None:
+    # The engine's own slot loop: the compiled one whenever it was built
+    # (test_kernel checks that it is wherever a compiler exists).
     _both(*system, horizon=horizon, seed=seed, warmup_frac=warmup_frac, collect_series=collect_series)
+
+
+@settings(max_examples=300, deadline=None)
+@given(**_SMALL_RUNS)
+def test_python_loop_matches_oracle_on_small_systems(system, horizon, seed, warmup_frac, collect_series) -> None:
+    with mock.patch.object(engine, "_kernel", None):
+        _both(*system, horizon=horizon, seed=seed, warmup_frac=warmup_frac, collect_series=collect_series)
 
 
 @settings(max_examples=100, deadline=None)

@@ -3,6 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from mecsched import engine
+from mecsched._kernel import KIND_CODES
 from mecsched.catalog import CacheConfig, ContentCatalog
 from mecsched.dynamics import task_bits
 from mecsched.policy import (
@@ -248,15 +250,15 @@ def _brute_force(policy, busy_local, busy_mec, q_len, head_local, head_mec, seco
     return min((a for a in feasible_actions(busy_local, busy_mec, q_len) if a in allowed), key=key)
 
 
-def test_decide_matches_brute_force_minimum() -> None:
-    # every state over small integer bits (local <= offload per task), where
-    # v * bits == q ties are frequent, at zero, tiny, moderate and huge v,
-    # and the same bits scaled to 5 Mbit contents
+def _brute_force_states():
+    """Every state over small integer bits (local <= offload per task),
+    where v * bits == q ties are frequent, at zero, tiny, moderate and huge
+    v, and the same bits scaled to 5 Mbit contents: ``(policy, state)``
+    pairs, 144,000 of them."""
     tasks = [(float(local), float(mec)) for mec in range(5) for local in range(mec + 1)]
     weights = [0.0, 5e-324, 1e-300, 1e-9, 2.0**-22, 0.25, 1 / 3, 0.5, 1.0, 2.0, 3.0, 1e300]
     policies = [PolicySpec("lyapunov", v) for v in weights]
     policies += [PolicySpec(kind, v) for kind in ("mec_only", "local_only") for v in (0.0, 1.0)]
-    checked = 0
     for size in (1.0, 5e6):
         for policy in policies:
             for busy_local in (0, 1):
@@ -264,8 +266,69 @@ def test_decide_matches_brute_force_minimum() -> None:
                     for q_len in range(5):
                         for head in tasks:
                             for second in tasks:
-                                state = (busy_local, busy_mec, q_len, head[0] * size, head[1] * size,
-                                         second[0] * size, second[1] * size)
-                                assert decide(policy, *state) is _brute_force(policy, *state), (policy, state)
-                                checked += 1
-    assert checked == 2 * len(policies) * 4 * 5 * len(tasks) ** 2
+                                yield policy, (busy_local, busy_mec, q_len, head[0] * size, head[1] * size,
+                                               second[0] * size, second[1] * size)
+
+
+def test_decide_matches_brute_force_minimum() -> None:
+    checked = 0
+    for policy, state in _brute_force_states():
+        assert decide(policy, *state) is _brute_force(policy, *state), (policy, state)
+        checked += 1
+    assert checked == 144_000
+
+
+@pytest.fixture(scope="module")
+def compiled_decide():
+    """``decide`` as the compiled slot loop runs it, returning flag tuples."""
+    if engine._kernel is None:
+        pytest.skip("no C compiler: the compiled slot loop is not built")
+
+    def run(policy, *state) -> tuple[int, ...]:
+        code = engine._kernel.mecsched_decide(KIND_CODES[policy.kind], policy.v_param, *state)
+        return tuple((code >> bit) & 1 for bit in range(4))
+
+    return run
+
+
+def test_compiled_decide_matches_decide_on_brute_force_states(compiled_decide) -> None:
+    checked = 0
+    for policy, state in _brute_force_states():
+        assert compiled_decide(policy, *state) == decide(policy, *state), (policy, state)
+        checked += 1
+    assert checked == 144_000
+
+
+def test_compiled_decide_matches_decide_at_extremes(compiled_decide) -> None:
+    cap = 2**62
+    rng = np.random.default_rng(11)
+    policies = [PolicySpec("lyapunov", v) for v in (0.0, 5e-324, 2.0**-20, 0.5, 1e300)]
+    policies += [PolicySpec("mec_only"), PolicySpec("local_only")]
+    busy = (0, 1, cap - 1, cap)
+    queues = (0, 1, 2, 3, 2**31, 2**53 + 1, cap - 1, cap)
+    checked = 0
+    for policy in policies:
+        v = policy.v_param
+        for busy_local in busy:
+            for busy_mec in busy:
+                for q_len in queues:
+                    # Head bits whose single-start cost ties idling (v *
+                    # bits == q, exactly where v is a power of two), and
+                    # split bits that tie that single start, besides
+                    # random ones.
+                    tie = float(q_len) / v if v > 0 else float(q_len)
+                    if not np.isfinite(tie):
+                        tie = float(q_len)
+                    local, mec = sorted(rng.uniform(0, 4 * tie + 1, 2))
+                    states = [
+                        (tie, tie, tie, tie),
+                        (tie, 2 * tie, 0.0, tie),
+                        (0.0, tie, tie / 2, tie / 2),
+                        (local, mec, 0.0, mec),
+                        (local, local, local, mec),
+                    ]
+                    for bits in states:
+                        state = (busy_local, busy_mec, q_len, *bits)
+                        assert compiled_decide(policy, *state) == decide(policy, *state), (policy, state)
+                        checked += 1
+    assert checked == len(policies) * len(busy) ** 2 * len(queues) * 5

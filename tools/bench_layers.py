@@ -16,6 +16,10 @@ At each point, for every seed, it times
   (as the command line runs it), reported in us per slot.  This is the
   slot loop plus everything computed before and after it.
 
+The entry's environment records which slot loop the runs used:
+``"slot_loop": "c"`` when the engine loaded its compiled kernel,
+``"python"`` otherwise (always so for checkouts that predate it).
+
 Each time is the minimum of ``REPEATS`` calls; a point's figure is the
 sum of its seeds' minima over their summed tasks or slots, with the
 per-seed range beside it.  The Tier-1 suite then runs once in a child
@@ -102,12 +106,14 @@ def tier1(repo: Path) -> dict:
 def environment(repo: Path) -> dict:
     import numpy
 
+    from mecsched import engine
+
     git = subprocess.run(["git", "-C", str(repo), "rev-parse", "HEAD"], capture_output=True, text=True)
     dirty = subprocess.run(
         ["git", "-C", str(repo), "status", "--porcelain", "--", "src"], capture_output=True, text=True
     )
     source = hashlib.sha256()
-    for path in sorted((repo / "src").rglob("*.py")):
+    for path in sorted(p for p in (repo / "src").rglob("*") if p.suffix in (".py", ".c")):
         source.update(path.relative_to(repo).as_posix().encode() + b"\0" + path.read_bytes())
     return {
         "git_commit": git.stdout.strip() or "unknown",
@@ -116,6 +122,7 @@ def environment(repo: Path) -> dict:
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "nproc": len(os.sched_getaffinity(0)),
+        "slot_loop": "python" if getattr(engine, "_kernel", None) is None else "c",
         "when": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
 
