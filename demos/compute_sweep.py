@@ -17,7 +17,7 @@ from mecsched.analysis import (
     uniform_k_dist,
 )
 from mecsched.config import ExperimentConfig, build_system
-from mecsched.engine import avg_data_per_task, run_simulation
+from mecsched.engine import avg_data_per_task, draw_tasks, run_simulation
 
 HORIZON = 20000
 dist = uniform_k_dist(40, 60)
@@ -31,8 +31,7 @@ for f in (1e9, 1.5e9, 2e9, 5e9, 1e10):
         floor = expected_local_bits(catalog.size_bits, catalog.popularity, config.cache_m, dist)
     est = estimate_slot_means(catalog, cache, params, dist, samples=5000, seed=0)
     values = [
-        avg_data_per_task(run_simulation(catalog, cache, params, wl, policy,
-                                         horizon=HORIZON, seed=s))
+        avg_data_per_task(run_simulation(draw_tasks(catalog, cache, wl, HORIZON, s), params, policy))
         for s in (0, 1)
     ]
     # 1/mean busy slots = tasks per slot the device alone can absorb

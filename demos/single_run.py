@@ -10,6 +10,7 @@ from mecsched.config import ExperimentConfig, build_system
 from mecsched.engine import (
     avg_data_per_task,
     avg_queue_length,
+    draw_tasks,
     little_delay,
     mean_delay_slots,
     run_simulation,
@@ -18,10 +19,8 @@ from mecsched.engine import (
 config = ExperimentConfig(horizon_slots=20000, v_param=1e-8).validate()
 catalog, cache, params, workload_cfg, policy = build_system(config)
 
-metrics = run_simulation(
-    catalog, cache, params, workload_cfg, policy,
-    horizon=config.horizon_slots, seed=0, warmup_frac=config.warmup_frac,
-)
+tasks = draw_tasks(catalog, cache, workload_cfg, config.horizon_slots, seed=0)
+metrics = run_simulation(tasks, params, policy, warmup_frac=config.warmup_frac, collect_series=True)
 
 print(f"policy {policy.kind}, weight {policy.v_param:g} per bit")
 print(f"slots simulated            {metrics.horizon_slots}")

@@ -12,7 +12,7 @@ import numpy as np
 
 from mecsched.analysis import estimate_slot_means, uniform_k_dist
 from mecsched.config import ExperimentConfig, build_system
-from mecsched.engine import decile_means, run_simulation
+from mecsched.engine import decile_means, draw_tasks, run_simulation
 
 HORIZON = 30000
 
@@ -26,7 +26,7 @@ print(f"service capacity: 1/{est.local_mean:.2f} + 1/{est.mec_mean:.2f} "
 for lam in (0.4, 0.8):
     cfg = ExperimentConfig(horizon_slots=HORIZON, arrival_prob=lam, v_param=1e-8).validate()
     catalog, cache, params, wl, policy = build_system(cfg)
-    m = run_simulation(catalog, cache, params, wl, policy, horizon=HORIZON, seed=0)
+    m = run_simulation(draw_tasks(catalog, cache, wl, HORIZON, seed=0), params, policy, collect_series=True)
     deciles = decile_means(m.queue_len_series)
     verdict = "diverging" if m.infeasibility_flag else "stable"
     print(f"arrival rate {lam}: {verdict}")

@@ -21,7 +21,7 @@ from mecsched.analysis import (
     uniform_k_dist,
 )
 from mecsched.config import ExperimentConfig, build_system
-from mecsched.engine import avg_data_per_task, little_delay, run_simulation
+from mecsched.engine import avg_data_per_task, draw_tasks, little_delay, run_simulation
 
 HORIZON = 20000
 dist = uniform_k_dist(40, 60)
@@ -44,7 +44,7 @@ for v in (1e-9, 1e-8, 1e-7, 1e-6):
     data = []
     wait = []
     for seed in (0, 1):
-        m = run_simulation(catalog, cache, params, wl, policy, horizon=HORIZON, seed=seed)
+        m = run_simulation(draw_tasks(catalog, cache, wl, HORIZON, seed), params, policy)
         data.append(avg_data_per_task(m))
         wait.append(little_delay(m, cfg.arrival_prob, cfg.slot_seconds))
     bound = optimality_gap_bound(v)

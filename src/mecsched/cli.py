@@ -127,23 +127,15 @@ def rows_to_csv(rows: list[dict], columns: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sampling_key(config: ExperimentConfig, seed: int) -> tuple:
-    """The config values a run's task table is drawn for (see ``TaskTable``);
-    the weight, the radio rate, the processor speeds and the slot length
-    are not among them."""
-    return (
-        seed, config.horizon_slots, config.arrival_prob, config.k_min, config.k_max,
-        config.n_contents, config.zipf_alpha, config.cache_m, config.tau_bits,
-    )
-
-
 @dataclass
 class _Memo:
     """What the runs of one command share.
 
     ``catalogs`` holds the catalogs built so far (see ``build_system``).
-    ``tables``, unless None, holds task tables by :func:`_sampling_key`:
-    one per seed for one set of the other sampling inputs.
+    ``tables``, unless None, holds task tables by the arguments
+    :func:`draw_tasks` drew them with: one per seed for one set of the
+    other inputs.  Catalogs key by identity, which holds because
+    ``catalogs`` hands out one catalog per set of its inputs.
     """
 
     catalogs: dict = field(default_factory=dict)
@@ -151,35 +143,22 @@ class _Memo:
 
 
 def _simulate(config: ExperimentConfig, seed: int, memo: _Memo) -> RunMetrics:
-    """Build the config's system and simulate it once with ``seed``, keeping
-    no queue series: no command reads it.
+    """Build the config's system and simulate it once with ``seed``.
 
     The run takes its catalog from the command's ``memo``, and its task
     table too when the memo keeps tables, building or drawing and storing
-    each on first use.  A run whose other sampling inputs differ from the
-    held tables' empties them first.
+    each on first use.  A run whose other draw inputs differ from the held
+    tables' empties them first.
     """
     catalog, cache, params, workload_cfg, policy = build_system(config, memo.catalogs)
-    tables, tasks = memo.tables, None
-    if tables is not None:
-        key = _sampling_key(config, seed)
-        tasks = tables.get(key)
-        if tasks is None:
-            if any(held[1:] != key[1:] for held in tables):
-                tables.clear()
-            tasks = tables[key] = draw_tasks(catalog, cache, workload_cfg, config.horizon_slots, seed)
-    return run_simulation(
-        catalog,
-        cache,
-        params,
-        workload_cfg,
-        policy,
-        horizon=config.horizon_slots,
-        seed=seed,
-        warmup_frac=config.warmup_frac,
-        collect_series=False,
-        tasks=tasks,
-    )
+    key = (catalog, cache, workload_cfg, config.horizon_slots, seed)
+    tables = {} if memo.tables is None else memo.tables
+    tasks = tables.get(key)
+    if tasks is None:
+        if any(held[:-1] != key[:-1] for held in tables):
+            tables.clear()
+        tasks = tables[key] = draw_tasks(*key)
+    return run_simulation(tasks, params, policy, warmup_frac=config.warmup_frac)
 
 
 def _run_one(config: ExperimentConfig, seed: int, memo: _Memo) -> dict:

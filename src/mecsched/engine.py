@@ -3,17 +3,18 @@
 A run has two stages.  The draw stage (:func:`draw_tasks`) samples the
 run's arrivals and the composition of every arriving task into a
 :class:`TaskTable`: per slot whether a task arrives, and per task its
-arrival slot, ``k`` and number of distinct uncached contents.  The table
-depends only on the seed, the horizon, the arrival probability, the ``k``
-range, the catalog popularity and the cache capacity; the weight ``v``,
-the radio rate, the processor speeds and the slot length never enter a
-draw.  Runs that differ only in those controls can therefore share one
-table.  Its arrays are read-only, so no run can alter what another run
-sees, and :func:`run_simulation` accepts a table only for a run with the
-inputs it was drawn for.
+arrival slot and its two bit counts, the distinct uncached bits a local
+run fetches and the full task an offload ships.  The table depends only on
+the seed, the horizon, the arrival probability, the ``k`` range, the
+catalog (popularity and content size) and the cache capacity; the weight
+``v``, the radio rate, the processor speeds and the slot length never
+enter a draw.  Runs that differ only in those controls can therefore
+share one table.  Its arrays are read-only, so no run can alter what
+another run sees.
 
-The loop stage turns the table into bits and busy-slot counts under the
-run's own parameters and simulates.  The FIFO queue is then just
+The loop stage (:func:`run_simulation`) takes a table and the run's own
+parameters, turns the bits into busy-slot counts and simulates as many
+slots as the table has arrival flags.  The FIFO queue is then just
 ``table[head:arrived]`` and the whole system state is four integers:
 ``head`` (tasks started so far), ``arrived`` (tasks arrived so far) and
 the two processors' busy countdowns.  Each slot runs decide -> start: the
@@ -44,7 +45,7 @@ numpy passes after the loop:
 
 A run therefore holds its table's 1 byte per slot of arrival flags, about
 120 bytes per task (table included) and chunk-sized temporaries; the
-queue series adds 8 bytes per slot when kept.
+queue series adds 8 bytes per slot when asked for.
 
 Two bookkeeping details worth knowing:
 
@@ -140,45 +141,19 @@ def decile_means(series: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TaskTable:
-    """One seed's arrivals and task composition, drawn once by :func:`draw_tasks`.
+    """One seed's arrivals and tasks, drawn once by :func:`draw_tasks`.
 
-    ``arriving[t]`` says whether a task arrives in slot ``t``;
-    ``arrival_slot``, ``ks`` and ``distinct`` hold per task, in arrival
-    order, its arrival slot, its number of contents and its number of
-    distinct uncached contents.  The arrays are read-only.  The other
-    fields are the inputs the table was drawn for: the seed, the horizon,
-    the workload (arrival probability and ``k`` range), the catalog (whose
-    popularity the contents follow and whose content size the exact-bit
-    guard was checked against) and the cache (its capacity and size).
+    ``arriving[t]`` says whether a task arrives in slot ``t``, so the
+    table covers ``arriving.size`` slots.  ``arrival_slot``,
+    ``local_bits`` and ``mec_bits`` hold per task, in arrival order, its
+    arrival slot, the distinct uncached bits a local run fetches and the
+    full task an offload ships.  The arrays are read-only.
     """
 
-    seed: int
-    horizon: int
-    workload_cfg: WorkloadConfig
-    catalog: ContentCatalog
-    cache: CacheConfig
     arriving: np.ndarray
     arrival_slot: np.ndarray
-    ks: np.ndarray
-    distinct: np.ndarray
-
-    def check_inputs(
-        self,
-        catalog: ContentCatalog,
-        cache: CacheConfig,
-        workload_cfg: WorkloadConfig,
-        horizon: int,
-        seed: int,
-    ) -> None:
-        """Raise :class:`ContractViolation` unless the table was drawn for
-        exactly these sampling inputs."""
-        drawn = (self.seed, self.horizon, self.workload_cfg, self.cache, self.catalog.size_bits)
-        wanted = (seed, horizon, workload_cfg, cache, catalog.size_bits)
-        if drawn != wanted or not np.array_equal(self.catalog.cdf, catalog.cdf):
-            raise ContractViolation(
-                f"task table drawn for (seed, horizon, workload, cache, size_bits) = {drawn} "
-                f"and its catalog's popularity, run asks for {wanted}"
-            )
+    local_bits: np.ndarray
+    mec_bits: np.ndarray
 
 
 def draw_tasks(
@@ -192,8 +167,9 @@ def draw_tasks(
 
     Two independent streams derived from ``seed`` drive arrivals and task
     composition, so repeated calls with the same inputs return equal
-    tables.  Every guard that protects an allocation fires here, before
-    anything is allocated.
+    tables.  Each task's bits follow from its composition and the
+    catalog's content size.  Every guard that protects an allocation fires
+    here, before anything is allocated.
     """
     if horizon < 1:
         raise ConfigError(f"horizon must be at least 1 slot, got {horizon}")
@@ -222,42 +198,31 @@ def draw_tasks(
         np.less(arrival_rng.random(block.size), workload_cfg.arrival_prob, out=block)
     arrival_slot = np.flatnonzero(arriving)
     ks, distinct = sample_tasks(composition_rng, catalog, workload_cfg, arrival_slot.size, cache)
-    for array in (arriving, arrival_slot, ks, distinct):
+    local_bits, mec_bits = task_bits(catalog, ks, distinct)
+    for array in (arriving, arrival_slot, local_bits, mec_bits):
         array.flags.writeable = False
-    return TaskTable(seed, horizon, workload_cfg, catalog, cache, arriving, arrival_slot, ks, distinct)
+    return TaskTable(arriving, arrival_slot, local_bits, mec_bits)
 
 
 def run_simulation(
-    catalog: ContentCatalog,
-    cache: CacheConfig,
+    tasks: TaskTable,
     params: SystemParams,
-    workload_cfg: WorkloadConfig,
     policy: PolicySpec,
-    horizon: int,
-    seed: int,
     warmup_frac: float = 0.1,
-    collect_series: bool = True,
-    tasks: Optional[TaskTable] = None,
+    collect_series: bool = False,
 ) -> RunMetrics:
-    """Simulate ``horizon`` slots and return the run's metrics.
+    """Simulate the slots of ``tasks`` and return the run's metrics.
 
-    The run's tasks come from ``tasks`` when given, which must have been
-    drawn by :func:`draw_tasks` for these same catalog, cache, workload,
-    horizon and seed (:class:`ContractViolation` otherwise), and are drawn
-    here otherwise.  Either way the same seed reproduces the run exactly.
-    ``collect_series`` keeps the pre-decision queue of every slot (8 bytes
-    per slot) and the infeasibility flag read from it.
+    ``tasks`` comes from :func:`draw_tasks`; the same table reproduces the
+    run exactly.  ``collect_series`` keeps the pre-decision queue of every
+    slot (8 bytes per slot) and the infeasibility flag read from it.
     """
     if not 0.0 <= warmup_frac < 1.0:
         raise ConfigError(f"warmup_frac must lie in [0, 1), got {warmup_frac}")
-    if tasks is None:
-        tasks = draw_tasks(catalog, cache, workload_cfg, horizon, seed)
-    else:
-        tasks.check_inputs(catalog, cache, workload_cfg, horizon, seed)
     arriving, arrival_slot = tasks.arriving, tasks.arrival_slot
-    n_tasks = arrival_slot.size
+    local_bits, mec_bits = tasks.local_bits, tasks.mec_bits
+    horizon, n_tasks = arriving.size, arrival_slot.size
 
-    local_bits, mec_bits = task_bits(catalog, tasks.ks, tasks.distinct)
     n_local = slots_local(mec_bits, local_bits, params)
     n_mec = slots_mec(mec_bits, params)
     start_slot = np.empty(n_tasks, dtype=np.int64)

@@ -6,9 +6,8 @@ class ConfigError(ValueError):
 
 
 class ContractViolation(RuntimeError):
-    """An operation was invoked outside its documented preconditions,
-    e.g. scheduling on a busy processor or consuming a task the queue
-    does not hold."""
+    """A run broke an invariant of its own bookkeeping: task conservation
+    (every arrival completed, still queued or in service at the horizon)."""
 
 
 class MetricUndefined(ValueError):

@@ -81,8 +81,11 @@ def _track_cli_runs():
     cli.run_simulation = original
 
 
-# Task tables by their sampling inputs: the fixtures' runs at one seed and
-# cache size share their tasks whatever the weight, policy or speed.
+# Task tables by the arguments they were drawn with, catalogs by theirs
+# (one catalog per set, so a catalog keys a table by identity): the
+# fixtures' runs at one seed and cache size share their tasks whatever the
+# weight, policy or speed.
+_CATALOGS: dict = {}
 _TABLES: dict = {}
 
 
@@ -90,18 +93,17 @@ _TABLES: dict = {}
 def _free_task_tables():
     yield
     _TABLES.clear()
+    _CATALOGS.clear()
 
 
 def _run_point(seed: int, collect_series: bool = False, **cfg):
     config = ExperimentConfig(**cfg).validate()
-    catalog, cache, params, workload_cfg, policy = build_system(config)
-    key = cli._sampling_key(config, seed)
+    catalog, cache, params, workload_cfg, policy = build_system(config, _CATALOGS)
+    key = (catalog, cache, workload_cfg, config.horizon_slots, seed)
     if key not in _TABLES:
-        _TABLES[key] = draw_tasks(catalog, cache, workload_cfg, config.horizon_slots, seed)
+        _TABLES[key] = draw_tasks(*key)
     metrics = run_simulation(
-        catalog, cache, params, workload_cfg, policy,
-        horizon=config.horizon_slots, seed=seed,
-        warmup_frac=config.warmup_frac, collect_series=collect_series, tasks=_TABLES[key],
+        _TABLES[key], params, policy, warmup_frac=config.warmup_frac, collect_series=collect_series
     )
     ALL_RUNS.append(metrics)
     return metrics
@@ -224,10 +226,8 @@ def frontier_data():
         catalog_p, cache_p, params_p, wl_p, policy_p = build_system(point)
         delays = []
         for seed in (7, 8, 9):
-            metrics = run_simulation(
-                catalog_p, cache_p, params_p, wl_p, policy_p,
-                horizon=point.horizon_slots, seed=seed, warmup_frac=point.warmup_frac,
-            )
+            tasks = draw_tasks(catalog_p, cache_p, wl_p, point.horizon_slots, seed)
+            metrics = run_simulation(tasks, params_p, policy_p, warmup_frac=point.warmup_frac)
             ALL_RUNS.append(metrics)
             delays.append(mean_delay_slots(metrics) * point.slot_seconds)
         resim[(row["f_local_hz"], row["cache_m"])] = float(np.mean(delays))

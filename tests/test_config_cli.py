@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from mecsched import cli, engine
+from mecsched import cli
 from mecsched.catalog import ContentCatalog
 from mecsched.cli import (
     FRONTIER_COLUMNS,
@@ -29,7 +29,7 @@ from mecsched.config import (
     parse_config_text,
     sweep_configs,
 )
-from mecsched.engine import avg_data_per_task, run_simulation
+from mecsched.engine import avg_data_per_task, draw_tasks, run_simulation
 from mecsched.errors import ConfigError
 
 CONFIG_TEXT = """
@@ -149,10 +149,8 @@ def test_simulate_rows_match_direct_run() -> None:
     assert [r["seed"] for r in rows] == [0, 1]
     assert set(rows[0]) == set(SIMULATE_COLUMNS)
     catalog, cache, params, workload_cfg, policy = build_system(config)
-    direct = run_simulation(
-        catalog, cache, params, workload_cfg, policy,
-        horizon=2000, seed=0, warmup_frac=config.warmup_frac,
-    )
+    tasks = draw_tasks(catalog, cache, workload_cfg, 2000, seed=0)
+    direct = run_simulation(tasks, params, policy, warmup_frac=config.warmup_frac)
     assert rows[0]["avg_data_per_task_bits"] == avg_data_per_task(direct)
     assert rows[0]["arrivals"] == direct.arrivals
     assert rows[0]["policy"] == "lyapunov"
@@ -257,22 +255,26 @@ def test_analyze_unfinishable_tasks_mean_overload(tmp_path) -> None:
 
 @pytest.fixture
 def count_draws(monkeypatch):
-    """Count task-table draws, whether the command layer or a run makes them."""
+    """Record the seed of every task-table draw, and of every run by the
+    table it runs."""
     draws: list[int] = []
-    original = engine.draw_tasks
+    seed_of: dict[int, int] = {}
+    original = cli.draw_tasks
 
     def counting(*args, **kwargs):
-        draws.append(args[-1] if len(args) == 5 else kwargs["seed"])
-        return original(*args, **kwargs)
+        seed = args[-1] if len(args) == 5 else kwargs["seed"]
+        draws.append(seed)
+        table = original(*args, **kwargs)
+        seed_of[id(table)] = seed
+        return table
 
-    monkeypatch.setattr(engine, "draw_tasks", counting)
     monkeypatch.setattr(cli, "draw_tasks", counting)
     runs: list[int] = []
     original_run = cli.run_simulation
 
-    def recording(*args, **kwargs):
-        runs.append(kwargs["seed"])
-        return original_run(*args, **kwargs)
+    def recording(tasks, *args, **kwargs):
+        runs.append(seed_of[id(tasks)])
+        return original_run(tasks, *args, **kwargs)
 
     monkeypatch.setattr(cli, "run_simulation", recording)
     return draws, runs

@@ -8,7 +8,7 @@ import pytest
 from mecsched.catalog import CacheConfig, ContentCatalog
 from mecsched.config import ExperimentConfig, build_system
 from mecsched.dynamics import SystemParams, slots_local, slots_mec, task_bits
-from mecsched.engine import run_simulation
+from mecsched.engine import draw_tasks, run_simulation
 from mecsched.policy import (
     ACTION_FIRST_LOCAL,
     ACTION_FIRST_MEC,
@@ -18,6 +18,13 @@ from mecsched.policy import (
     ACTIONS,
 )
 from mecsched.workload import distinct_uncached_counts
+
+
+def _simulate(config: ExperimentConfig, horizon: int, **run_kw):
+    """Draw seed 0's tasks for ``config`` and run them, keeping the queue series."""
+    catalog, cache, params, workload_cfg, policy = build_system(config)
+    tasks = draw_tasks(catalog, cache, workload_cfg, horizon, seed=0)
+    return run_simulation(tasks, params, policy, collect_series=True, **run_kw)
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +116,7 @@ def test_transmitted_bits_per_action() -> None:
 
     def run(**cfg):
         config = ExperimentConfig(**{**base, **cfg}).validate()
-        return run_simulation(*build_system(config), horizon=12, seed=0, warmup_frac=0.0)
+        return _simulate(config, 12, warmup_frac=0.0)
 
     # v = 0, slots 1..11: local, server, local, idle, split, idle, local,
     # server, local, idle, split (each split moves 1 + 2 Mbit)
@@ -189,7 +196,7 @@ def test_unfinishable_task_stays_in_service() -> None:
     config = ExperimentConfig(policy="mec_only", v_param=0.0, rate_bps=1e-300).validate()
     with warnings.catch_warnings():
         warnings.filterwarnings("error", message="invalid value encountered in cast")
-        metrics = run_simulation(*build_system(config), horizon=50, seed=0)
+        metrics = _simulate(config, 50)
     assert metrics.arrivals > 1
     assert metrics.scheduled == 1
     assert metrics.completions == 0
@@ -205,7 +212,7 @@ def _saturated(horizon: int = 12, **cfg):
     config = ExperimentConfig(
         n_contents=50, cache_m=50, k_min=50, k_max=50, arrival_prob=1.0, **cfg
     ).validate()
-    return run_simulation(*build_system(config), horizon=horizon, seed=0, warmup_frac=0.0)
+    return _simulate(config, horizon, warmup_frac=0.0)
 
 
 def test_step_assignment_and_completion_timing() -> None:

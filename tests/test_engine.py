@@ -20,7 +20,7 @@ from mecsched.engine import (
     mean_delay_slots,
     run_simulation,
 )
-from mecsched.errors import ConfigError, ContractViolation, MetricUndefined
+from mecsched.errors import ConfigError, MetricUndefined
 from mecsched.policy import ACTION_SPLIT_LOCAL_MEC, POLICY_KINDS, PolicySpec, decide
 from mecsched.workload import task_streams
 
@@ -30,12 +30,14 @@ def _system(**cfg_kw):
     return build_system(config), config
 
 
+def _simulate(system, horizon, seed, **run_kw):
+    catalog, cache, params, workload_cfg, policy = system
+    return run_simulation(draw_tasks(catalog, cache, workload_cfg, horizon, seed), params, policy, **run_kw)
+
+
 def _run(horizon=2000, seed=0, warmup_frac=0.1, collect_series=True, **cfg_kw):
-    (catalog, cache, params, workload_cfg, policy), _ = _system(**cfg_kw)
-    return run_simulation(
-        catalog, cache, params, workload_cfg, policy,
-        horizon=horizon, seed=seed, warmup_frac=warmup_frac, collect_series=collect_series,
-    )
+    system, _ = _system(**cfg_kw)
+    return _simulate(system, horizon, seed, warmup_frac=warmup_frac, collect_series=collect_series)
 
 
 def test_no_arrivals_means_no_activity() -> None:
@@ -134,10 +136,7 @@ def test_run_without_series_allocates_nothing_per_slot() -> None:
         table = draw_tasks(catalog, cache, workload_cfg, horizon, seed=0)
         tracemalloc.start()
         try:
-            run_simulation(
-                catalog, cache, params, workload_cfg, policy, horizon=horizon, seed=0,
-                collect_series=False, tasks=table,
-            )
+            run_simulation(table, params, policy)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -166,35 +165,31 @@ def test_decile_means_values() -> None:
 
 
 def test_series_collection_optional() -> None:
-    metrics = _run(horizon=1000, collect_series=False)
+    # Off by default: a run keeps no 8-byte-per-slot series unless asked.
+    system, _ = _system()
+    metrics = _simulate(system, 1000, 0)
     assert metrics.queue_len_series is None
     assert not metrics.infeasibility_flag
 
 
 def test_run_rejects_bad_arguments() -> None:
+    # The horizon, cache-size and exact-bit guards belong to the draw (see
+    # test_draw_guards_fire_before_allocating); a run checks its warm-up.
     (catalog, cache, params, workload_cfg, policy), _ = _system()
+    table = draw_tasks(catalog, cache, workload_cfg, 100, seed=0)
     with pytest.raises(ConfigError):
-        run_simulation(catalog, cache, params, workload_cfg, policy, horizon=0, seed=0)
+        run_simulation(table, params, policy, warmup_frac=1.0)
     with pytest.raises(ConfigError):
-        run_simulation(catalog, cache, params, workload_cfg, policy, horizon=100, seed=0, warmup_frac=1.0)
-    with pytest.raises(ConfigError):
-        run_simulation(catalog, cache, params, workload_cfg, policy, horizon=100, seed=0, warmup_frac=-0.1)
-    other = ContentCatalog.zipf(10, 0.8, 5e6)
-    mismatched = CacheConfig.for_catalog(other, 5)
-    with pytest.raises(ConfigError):
-        run_simulation(catalog, mismatched, params, workload_cfg, policy, horizon=100, seed=0)
-    with pytest.raises(ConfigError):
-        # bit totals would overflow exact float64 integer range
-        run_simulation(catalog, cache, params, workload_cfg, policy, horizon=10**12, seed=0)
+        run_simulation(table, params, policy, warmup_frac=-0.1)
 
 
 def test_run_rejects_fractional_content_size() -> None:
     # bit totals are exact integers only for whole-bit contents
-    (catalog, cache, params, workload_cfg, policy), _ = _system(tau_bits=0.3)
+    system, _ = _system(tau_bits=0.3)
     with pytest.raises(ConfigError, match="whole number of bits"):
-        run_simulation(catalog, cache, params, workload_cfg, policy, horizon=100, seed=0)
-    (catalog, cache, params, workload_cfg, policy), _ = _system(tau_bits=3.0)
-    assert run_simulation(catalog, cache, params, workload_cfg, policy, horizon=100, seed=0).arrivals > 0
+        _simulate(system, 100, 0)
+    system, _ = _system(tau_bits=3.0)
+    assert _simulate(system, 100, 0).arrivals > 0
 
 
 def test_short_run_regression_pin() -> None:
@@ -222,11 +217,11 @@ def test_chunked_arrivals_equal_one_draw() -> None:
     # slot, so the queue series replays the arrival pattern.  The horizon
     # spans three draw chunks, the last one partial.
     horizon = 2 * 65536 + 3
-    (catalog, cache, params, workload_cfg, policy), config = _system(
+    system, config = _system(
         arrival_prob=0.5, policy="local_only", k_min=1, k_max=1,
         f_local_hz=1e13, rate_bps=1e13,
     )
-    metrics = run_simulation(catalog, cache, params, workload_cfg, policy, horizon=horizon, seed=4)
+    metrics = _simulate(system, horizon, 4, collect_series=True)
     arriving = task_streams(4)[0].random(horizon) < config.arrival_prob
     assert metrics.arrivals == np.count_nonzero(arriving)
     assert np.array_equal(metrics.queue_len_series[1:], arriving[:-1])
@@ -251,8 +246,9 @@ def test_pre_drawn_table_gives_the_fresh_run(policy) -> None:
     for change in ({}, {"v_param": 1e-8}, {"v_param": 0.0}, {"rate_bps": 2e8}, {"f_local_hz": 4e9}):
         point = dataclasses.replace(config, **change).validate()
         system = build_system(point)
-        fresh = run_simulation(*system, horizon=3000, seed=5, warmup_frac=0.2)
-        reused = run_simulation(*system, horizon=3000, seed=5, warmup_frac=0.2, tasks=table)
+        _, _, params, _, point_policy = system
+        fresh = _simulate(system, 3000, 5, warmup_frac=0.2, collect_series=True)
+        reused = run_simulation(table, params, point_policy, warmup_frac=0.2, collect_series=True)
         _assert_same_metrics(reused, fresh)
 
 
@@ -269,46 +265,22 @@ def test_compiled_loop_matches_python_loop(policy, monkeypatch) -> None:
         {"arrival_prob": 0.6, "v_param": 0.0},
         {"arrival_prob": 0.3, "rate_bps": 1e-300},
     ):
-        system, _ = _system(policy=policy, **change)
-        table = draw_tasks(system[0], system[1], system[3], horizon, seed=3)
-        compiled = run_simulation(*system, horizon=horizon, seed=3, tasks=table)
+        (catalog, cache, params, workload_cfg, point_policy), _ = _system(policy=policy, **change)
+        table = draw_tasks(catalog, cache, workload_cfg, horizon, seed=3)
+        compiled = run_simulation(table, params, point_policy, collect_series=True)
         with monkeypatch.context() as patch:
             patch.setattr(engine, "_kernel", None)
-            reference = run_simulation(*system, horizon=horizon, seed=3, tasks=table)
+            reference = run_simulation(table, params, point_policy, collect_series=True)
         _assert_same_metrics(compiled, reference)
 
 
-@pytest.mark.parametrize(
-    "change",
-    [
-        {"seed": 1},
-        {"horizon": 999},
-        {"arrival_prob": 0.5},
-        {"k_min": 41},
-        {"k_max": 59},
-        {"cache_m": 51},
-        {"zipf_alpha": 0.9},
-        {"n_contents": 999, "cache_m": 50},
-        {"tau_bits": 4e6},
-    ],
-)
-def test_mismatched_table_is_refused(change) -> None:
-    (catalog, cache, _, workload_cfg, _), config = _system()
-    table = draw_tasks(catalog, cache, workload_cfg, 1000, seed=0)
-    change = dict(change)
-    run_kw = {"seed": change.pop("seed", 0), "horizon": change.pop("horizon", 1000)}
-    system = build_system(dataclasses.replace(config, **change).validate())
-    with pytest.raises(ContractViolation, match="task table"):
-        run_simulation(*system, tasks=table, **run_kw)
-
-
 def test_table_arrays_are_read_only() -> None:
-    (catalog, cache, _, workload_cfg, _), _ = _system()
+    (catalog, cache, params, workload_cfg, policy), _ = _system()
     table = draw_tasks(catalog, cache, workload_cfg, 500, seed=0)
-    for array in (table.arriving, table.arrival_slot, table.ks, table.distinct):
+    for array in (table.arriving, table.arrival_slot, table.local_bits, table.mec_bits):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = array[1]
-    metrics = run_simulation(*build_system(ExperimentConfig().validate()), horizon=500, seed=0, tasks=table)
+    metrics = run_simulation(table, params, policy)
     # Run results are the run's own arrays, free to change.
     metrics.delay_arrival_slots[:1] = -1
 

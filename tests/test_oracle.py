@@ -37,9 +37,14 @@ def _assert_identical(new: RunMetrics, old) -> None:
             assert a == b, name
 
 
-def _both(catalog, cache, params, workload_cfg, policy, **run_kw) -> None:
-    new = run_simulation(catalog, cache, params, workload_cfg, policy, **run_kw)
-    old = oracle_run_simulation(catalog, cache, params, workload_cfg, policy, **run_kw)
+def _both(catalog, cache, params, workload_cfg, policy, horizon, seed, warmup_frac=0.1, collect_series=True) -> None:
+    # The oracle draws its own tasks; the engine runs the drawn table.
+    tasks = draw_tasks(catalog, cache, workload_cfg, horizon, seed)
+    new = run_simulation(tasks, params, policy, warmup_frac=warmup_frac, collect_series=collect_series)
+    old = oracle_run_simulation(
+        catalog, cache, params, workload_cfg, policy,
+        horizon=horizon, seed=seed, warmup_frac=warmup_frac, collect_series=collect_series,
+    )
     _assert_identical(new, old)
 
 
@@ -106,9 +111,10 @@ def test_shared_table_matches_oracle_under_two_weights(system, v_other, horizon,
     tasks = draw_tasks(catalog, cache, workload_cfg, horizon, seed)
     other = PolicySpec(policy.kind, v_other / catalog.size_bits)
     for weighted in (policy, other):
-        run_kw = dict(horizon=horizon, seed=seed, warmup_frac=0.1)
-        new = run_simulation(catalog, cache, params, workload_cfg, weighted, tasks=tasks, **run_kw)
-        old = oracle_run_simulation(catalog, cache, params, workload_cfg, weighted, **run_kw)
+        new = run_simulation(tasks, params, weighted, warmup_frac=0.1, collect_series=True)
+        old = oracle_run_simulation(
+            catalog, cache, params, workload_cfg, weighted, horizon=horizon, seed=seed, warmup_frac=0.1
+        )
         _assert_identical(new, old)
 
 

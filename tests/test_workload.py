@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mecsched import workload
 from mecsched.catalog import CacheConfig, ContentCatalog
 from mecsched.config import ExperimentConfig, build_system
-from mecsched.engine import run_simulation
+from mecsched.engine import draw_tasks
 from mecsched.workload import (
     K_SPAN_LIMIT,
     WorkloadConfig,
@@ -68,8 +68,9 @@ def test_streams_independent_of_each_other(catalog: ContentCatalog, no_cache) ->
 
 
 def _arrivals(horizon: int, arrival_prob: float) -> int:
-    config = ExperimentConfig(arrival_prob=arrival_prob, policy="mec_only").validate()
-    return run_simulation(*build_system(config), horizon=horizon, seed=0).arrivals
+    config = ExperimentConfig(arrival_prob=arrival_prob).validate()
+    catalog, cache, _, workload_cfg, _ = build_system(config)
+    return draw_tasks(catalog, cache, workload_cfg, horizon, seed=0).arrival_slot.size
 
 
 def test_sample_arrival_is_bernoulli_like() -> None:

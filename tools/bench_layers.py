@@ -11,7 +11,8 @@ results file can collect entries measured on several checkouts.
 
 At each point, for every seed, it times
 
-- the draw: ``draw_tasks``, reported in us per drawn task;
+- the draw: ``draw_tasks``, reported in us per drawn task.  It includes
+  each task's two bit counts (``task_bits``);
 - the run: ``run_simulation`` given that table, with no queue series kept
   (as the command line runs it), reported in us per slot.  This is the
   slot loop plus everything computed before and after it.
@@ -72,12 +73,7 @@ def measure_point(overrides: dict) -> dict:
     n_tasks = 0
     for seed in SEEDS:
         t_draw, table = min_time(lambda: draw_tasks(catalog, cache, workload_cfg, HORIZON, seed))
-        t_run, _ = min_time(
-            lambda: run_simulation(
-                catalog, cache, params, workload_cfg, policy, horizon=HORIZON, seed=seed,
-                warmup_frac=config.warmup_frac, collect_series=False, tasks=table,
-            ),
-        )
+        t_run, _ = min_time(lambda: run_simulation(table, params, policy, warmup_frac=config.warmup_frac))
         tasks = table.arrival_slot.size
         draw_s, run_s, n_tasks = draw_s + t_draw, run_s + t_run, n_tasks + tasks
         draw_us.append(1e6 * t_draw / tasks)
