@@ -8,8 +8,6 @@ closed-form expected fetch size of a locally executed task against the
 full task size an offloaded task ships.
 """
 
-import numpy as np
-
 from mecsched.analysis import expected_local_bits, expected_mec_bits, uniform_k_dist
 from mecsched.catalog import CacheConfig, ContentCatalog
 

@@ -8,8 +8,6 @@ the queue finite; the run detector sees the windowed queue means climb
 monotonically.  Below it, the queue settles.
 """
 
-import numpy as np
-
 from mecsched.analysis import estimate_slot_means, uniform_k_dist
 from mecsched.config import ExperimentConfig, build_system
 from mecsched.engine import decile_means, draw_tasks, run_simulation

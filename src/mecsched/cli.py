@@ -10,7 +10,8 @@ Four subcommands drive the library end to end:
 
 All tabular output is CSV with a fixed column order; summaries go to
 stderr so stdout stays machine readable when no --out file is given.
-Exit codes: 0 success, 1 configuration error, 2 runtime or metric error.
+Exit codes: 0 success, 1 configuration error (an input too large to fit in
+memory included), 2 runtime or metric error.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .config import (
     build_system,
     load_config,
     parse_int,
+    set_key,
     sweep_configs,
 )
 from .engine import (
@@ -254,57 +256,48 @@ def _frontier_point(
     d_lo = evaluate(rate_lo)
     d_hi = evaluate(rate_hi)
     probes = 2
-    row = {"f_local_hz": point.f_local_hz, "cache_m": point.cache_m}
     if d_lo + 1e-9 < d_hi:
         # Seed noise made the faster radio slower; bisection has no bracket.
-        row.update(
-            required_rate_bps=math.nan, status="non_monotone", achieved_delay_s=d_hi, probe_runs=probes
-        )
-        return row
-    if d_hi > target_s + tolerance_s:
-        row.update(
-            required_rate_bps=math.nan, status="unreachable", achieved_delay_s=d_hi, probe_runs=probes
-        )
-        return row
-    if d_lo < target_s - tolerance_s:
+        status, rate, delay = "non_monotone", math.nan, d_hi
+    elif d_hi > target_s + tolerance_s:
+        status, rate, delay = "unreachable", math.nan, d_hi
+    elif d_lo < target_s - tolerance_s:
         # Even the slowest radio in the bracket beats the target.
-        row.update(
-            required_rate_bps=rate_lo, status="floor", achieved_delay_s=d_lo, probe_runs=probes
-        )
-        return row
-    if d_lo <= target_s + inner:
-        row.update(required_rate_bps=rate_lo, status="ok", achieved_delay_s=d_lo, probe_runs=probes)
-        return row
-    if d_hi > target_s:
+        status, rate, delay = "floor", rate_lo, d_lo
+    elif d_lo <= target_s + inner:
+        status, rate, delay = "ok", rate_lo, d_lo
+    elif d_hi > target_s:
         # The whole bracket sits above the target but r_hi is within tolerance.
-        row.update(required_rate_bps=rate_hi, status="ok", achieved_delay_s=d_hi, probe_runs=probes)
-        return row
-
-    lo, hi = rate_lo, rate_hi
-    best = min((abs(d_lo - target_s), rate_lo, d_lo), (abs(d_hi - target_s), rate_hi, d_hi))
-    for _ in range(max_iter):
-        mid = math.sqrt(lo * hi)
-        d_mid = evaluate(mid)
-        probes += 1
-        best = min(best, (abs(d_mid - target_s), mid, d_mid))
-        if abs(d_mid - target_s) <= inner:
-            row.update(
-                required_rate_bps=mid, status="ok", achieved_delay_s=d_mid, probe_runs=probes
-            )
-            return row
-        if d_mid > target_s:
-            lo = mid
+        status, rate, delay = "ok", rate_hi, d_hi
+    else:
+        lo, hi = rate_lo, rate_hi
+        best = min((abs(d_lo - target_s), rate_lo, d_lo), (abs(d_hi - target_s), rate_hi, d_hi))
+        for _ in range(max_iter):
+            mid = math.sqrt(lo * hi)
+            d_mid = evaluate(mid)
+            probes += 1
+            if abs(d_mid - target_s) <= inner:
+                # A probe this close is the answer, even if a bracket end was closer.
+                status, rate, delay = "ok", mid, d_mid
+                break
+            best = min(best, (abs(d_mid - target_s), mid, d_mid))
+            if d_mid > target_s:
+                lo = mid
+            else:
+                hi = mid
         else:
-            hi = mid
-    dist, rate, delay = best
-    status = "ok" if dist <= tolerance_s else "unreachable"
-    row.update(
-        required_rate_bps=rate if status == "ok" else math.nan,
-        status=status,
-        achieved_delay_s=delay,
-        probe_runs=probes,
-    )
-    return row
+            dist, rate, delay = best
+            status = "ok"
+            if dist > tolerance_s:
+                status, rate = "unreachable", math.nan
+    return {
+        "f_local_hz": point.f_local_hz,
+        "cache_m": point.cache_m,
+        "required_rate_bps": rate,
+        "status": status,
+        "achieved_delay_s": delay,
+        "probe_runs": probes,
+    }
 
 
 def cmd_frontier(
@@ -470,14 +463,10 @@ def _parse_list(raw: str, what: str, parse: Callable = float) -> list:
 
 
 def _load(args: argparse.Namespace) -> ExperimentConfig:
-    config = load_config(args.config) if args.config else ExperimentConfig().validate()
-    if args.overrides:
-        config = apply_overrides(config, args.overrides)
+    config = load_config(args.config) if args.config else ExperimentConfig()
+    config = apply_overrides(config, args.overrides)
     if args.seeds:
-        try:
-            config.seeds = [int(part) for part in args.seeds.split(",") if part.strip()]
-        except ValueError:
-            raise ConfigError(f"--seeds: expected comma-separated integers, got {args.seeds!r}") from None
+        set_key(config, "seeds", args.seeds, "--seeds")
     if args.warmup_frac is not None:
         config.warmup_frac = args.warmup_frac
     return config.validate()
@@ -538,8 +527,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             _emit(rows_to_csv(rows, ANALYZE_COLUMNS), args.out)
             for line in lines:
                 print(line, file=sys.stderr)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, MemoryError) as exc:
+        # A MemoryError means the input asks for more than the machine holds
+        # (say a huge catalog with no cache); numpy's says how much.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except (ContractViolation, MetricUndefined, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,9 +1,13 @@
 """Experiment configuration: defaults, file parsing, validation.
 
 Config files are line oriented ``key = value`` text; blank lines and
-``#`` comments are ignored.  Unknown keys are an error, as are values
-outside their documented ranges.  The file key ``lambda`` maps to the
-``arrival_prob`` field (``lambda`` is reserved in Python).
+``#`` comments are ignored.  The keys are the field names of
+:class:`ExperimentConfig`, with two exceptions: the key ``lambda`` sets the
+``arrival_prob`` field (``lambda`` is reserved in Python), and
+``warmup_frac`` is no key (the CLI sets it with ``--warmup-frac``).  Config
+lines, ``--set`` items and ``--seeds`` all reach a field through
+:func:`set_key`.  Unknown keys are an error, as are values outside their
+documented ranges.
 """
 
 from __future__ import annotations
@@ -25,45 +29,11 @@ __all__ = [
     "parse_config_text",
     "parse_int",
     "apply_overrides",
+    "set_key",
     "build_system",
 ]
 
 SWEEP_AXES = ("cache_m", "f_local_hz", "v_param", "rate_bps")
-
-# config-file key -> dataclass field
-_KEY_TO_FIELD = {
-    "n_contents": "n_contents",
-    "zipf_alpha": "zipf_alpha",
-    "tau_bits": "tau_bits",
-    "cache_m": "cache_m",
-    "slot_seconds": "slot_seconds",
-    "lambda": "arrival_prob",
-    "w_cycles_per_bit": "w_cycles_per_bit",
-    "f_local_hz": "f_local_hz",
-    "f_mec_hz": "f_mec_hz",
-    "rate_bps": "rate_bps",
-    "v_param": "v_param",
-    "horizon_slots": "horizon_slots",
-    "k_min": "k_min",
-    "k_max": "k_max",
-    "policy": "policy",
-    "sweep_axis": "sweep_axis",
-    "sweep_values": "sweep_values",
-    "seeds": "seeds",
-}
-
-_INT_KEYS = {"n_contents", "cache_m", "horizon_slots", "k_min", "k_max"}
-_FLOAT_KEYS = {
-    "zipf_alpha",
-    "tau_bits",
-    "slot_seconds",
-    "lambda",
-    "w_cycles_per_bit",
-    "f_local_hz",
-    "f_mec_hz",
-    "rate_bps",
-    "v_param",
-}
 
 
 @dataclass
@@ -95,9 +65,9 @@ class ExperimentConfig:
         def bad(key, msg):
             return ConfigError(f"config key {key!r}: {msg}")
 
-        for key in _FLOAT_KEYS:
-            value = getattr(self, _KEY_TO_FIELD[key])
-            if not math.isfinite(value):
+        for key, (name, parse, _) in _KEYS.items():
+            value = getattr(self, name)
+            if parse is float and not math.isfinite(value):
                 raise bad(key, f"must be a finite number, got {value}")
         if self.n_contents < 1:
             raise bad("n_contents", f"must be at least 1, got {self.n_contents}")
@@ -129,10 +99,8 @@ class ExperimentConfig:
                 raise bad("sweep_axis", f"must be one of {SWEEP_AXES}, got {self.sweep_axis!r}")
             if not self.sweep_values:
                 raise bad("sweep_values", "must be a non-empty list when sweep_axis is set")
-            for value in self.sweep_values:
-                probe = dataclasses.replace(self, sweep_axis=None, sweep_values=None)
-                probe = _set_axis_value(probe, self.sweep_axis, value)
-                probe.validate()
+            for _, point in sweep_configs(self):
+                point.validate()
         if not self.seeds or min(self.seeds) < 0:
             raise bad("seeds", f"must be a non-empty list of non-negative integers, got {self.seeds}")
         if not 0 <= self.warmup_frac < 1:
@@ -165,34 +133,42 @@ def parse_int(raw: str) -> int:
     return int(as_float)
 
 
-def _parse_scalar(key: str, raw: str):
+def _list_of(parse):
+    return lambda raw: [parse(part) for part in raw.split(",") if part.strip()]
+
+
+# field type -> (parser of a value's text, what a parse error says was
+# expected).  The types are annotation text, as this module defers
+# annotations; a field of a type not listed here fails at import.
+_PARSERS = {
+    "int": (parse_int, "an integer"),
+    "float": (float, "a number"),
+    "str": (str, None),
+    "Optional[str]": (str, None),
+    "list[int]": (_list_of(int), "comma-separated integers"),
+    "Optional[list[float]]": (_list_of(float), "comma-separated numbers"),
+}
+
+# config key -> (field, parser, expected text): every field is its own key,
+# except that ``lambda`` names ``arrival_prob`` and ``warmup_frac`` is no key.
+_KEYS = {
+    ("lambda" if f.name == "arrival_prob" else f.name): (f.name, *_PARSERS[f.type])
+    for f in dataclasses.fields(ExperimentConfig)
+    if f.name != "warmup_frac"
+}
+
+
+def set_key(config: ExperimentConfig, key: str, raw: str, where: str) -> None:
+    """Assign config key ``key`` from its text ``raw``, unvalidated.  Errors
+    name ``where`` the text came from (a file line, a flag) and the key."""
+    if key not in _KEYS:
+        raise ConfigError(f"{where}: unknown config key {key!r}")
+    name, parse, expected = _KEYS[key]
     try:
-        if key in _INT_KEYS:
-            return parse_int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
+        value = parse(raw)
     except ValueError:
-        kind = "an integer" if key in _INT_KEYS else "a number"
-        raise ConfigError(f"config key {key!r}: expected {kind}, got {raw!r}") from None
-    return raw
-
-
-def _parse_value(key: str, raw: str):
-    if key == "seeds":
-        try:
-            return [int(part) for part in raw.split(",") if part.strip()]
-        except ValueError:
-            raise ConfigError(f"config key 'seeds': expected comma-separated integers, got {raw!r}") from None
-    if key == "sweep_values":
-        try:
-            return [float(part) for part in raw.split(",") if part.strip()]
-        except ValueError:
-            raise ConfigError(
-                f"config key 'sweep_values': expected comma-separated numbers, got {raw!r}"
-            ) from None
-    if key in ("policy", "sweep_axis"):
-        return raw
-    return _parse_scalar(key, raw)
+        raise ConfigError(f"{where}: config key {key!r}: expected {expected}, got {raw!r}") from None
+    setattr(config, name, value)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
@@ -205,9 +181,7 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
         if "=" not in stripped:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line.rstrip()!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _KEY_TO_FIELD:
-            raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
-        setattr(config, _KEY_TO_FIELD[key], _parse_value(key, raw))
+        set_key(config, key, raw, f"{source}:{lineno}")
     return config.validate()
 
 
@@ -227,9 +201,7 @@ def apply_overrides(config: ExperimentConfig, overrides: list[str]) -> Experimen
         if "=" not in item:
             raise ConfigError(f"override {item!r}: expected key=value")
         key, raw = (part.strip() for part in item.split("=", 1))
-        if key not in _KEY_TO_FIELD:
-            raise ConfigError(f"override {item!r}: unknown config key {key!r}")
-        setattr(config, _KEY_TO_FIELD[key], _parse_value(key, raw))
+        set_key(config, key, raw, f"override {item!r}")
     return config.validate()
 
 

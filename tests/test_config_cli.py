@@ -111,6 +111,59 @@ def test_apply_overrides() -> None:
         apply_overrides(config, ["lambda=7"])
 
 
+# config key -> (a non-default value's text, the value the field must hold)
+KEY_VALUES = {
+    "n_contents": ("2e3", 2000),
+    "zipf_alpha": ("1.1", 1.1),
+    "tau_bits": ("4e6", 4e6),
+    "cache_m": ("100", 100),
+    "slot_seconds": ("0.1", 0.1),
+    "lambda": ("0.3", 0.3),
+    "w_cycles_per_bit": ("2", 2.0),
+    "f_local_hz": ("2e9", 2e9),
+    "f_mec_hz": ("2e10", 2e10),
+    "rate_bps": ("1e9", 1e9),
+    "v_param": ("1e-7", 1e-7),
+    "horizon_slots": ("5e3", 5000),
+    "k_min": ("30", 30),
+    "k_max": ("70", 70),
+    "policy": ("mec_only", "mec_only"),
+    "sweep_axis": ("rate_bps", "rate_bps"),
+    "sweep_values": ("1e8, 2e8", [1e8, 2e8]),
+    "seeds": ("7, 8", [7, 8]),
+}
+
+
+def _field(key: str) -> str:
+    return "arrival_prob" if key == "lambda" else key
+
+
+def test_every_key_round_trips_through_file_and_set() -> None:
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"warmup_frac"}
+    assert {_field(key) for key in KEY_VALUES} == fields
+    from_file = parse_config_text("".join(f"{key} = {text}\n" for key, (text, _) in KEY_VALUES.items()))
+    from_set = apply_overrides(ExperimentConfig(), [f"{key}={text}" for key, (text, _) in KEY_VALUES.items()])
+    for config in (from_file, from_set):
+        for key, (_, expected) in KEY_VALUES.items():
+            value = getattr(config, _field(key))
+            assert value == expected and type(value) is type(expected), key
+            if isinstance(expected, list):
+                assert [type(v) for v in value] == [type(v) for v in expected], key
+
+
+@pytest.mark.parametrize("key", [key for key, (_, value) in KEY_VALUES.items() if not isinstance(value, str)])
+def test_parse_errors_name_their_source_and_key(key) -> None:
+    with pytest.raises(ConfigError, match=f"^run.cfg:2: config key '{key}': expected "):
+        parse_config_text(f"# header\n{key} = x1\n", source="run.cfg")
+    with pytest.raises(ConfigError, match=f"^override '{key}=x1': config key '{key}': expected "):
+        apply_overrides(ExperimentConfig(), [f"{key}=x1"])
+
+
+def test_seeds_flag_errors_name_the_flag(capsys) -> None:
+    assert main(["simulate", "--seeds", "1,x"]) == 1
+    assert capsys.readouterr().err == "error: --seeds: config key 'seeds': expected comma-separated integers, got '1,x'\n"
+
+
 def test_sweep_configs_expand() -> None:
     config = ExperimentConfig(sweep_axis="cache_m", sweep_values=[0.0, 50.0, 200.0]).validate()
     points = sweep_configs(config)
@@ -216,6 +269,51 @@ def test_frontier_non_monotone_point_does_not_abort_grid(monkeypatch) -> None:
     assert good["cache_m"] == 50 and good["status"] == "ok"
     assert good["required_rate_bps"] == pytest.approx(1e9)
     assert "non_monotone" in rows_to_csv(rows, FRONTIER_COLUMNS)
+
+
+def _curve(lo: float, hi: float, mid_at_or_below_1e9: float = math.nan, mid_above_1e9: float = math.nan):
+    """Fake across-seed delay by radio rate: the bracket ends 1e8 and 1e10
+    give ``lo`` and ``hi``, bisection probes give one of two values."""
+    def fake_delay(point, memo) -> float:
+        rate = point.rate_bps
+        if rate == 1e8:
+            return lo
+        if rate == 1e10:
+            return hi
+        return mid_at_or_below_1e9 if rate <= 1e9 else mid_above_1e9
+    return fake_delay
+
+
+@pytest.mark.parametrize(
+    "curve, max_iter, status, rate, delay, probes",
+    [
+        pytest.param(_curve(0.5, 0.7), 8, "non_monotone", math.nan, 0.7, 2, id="non_monotone"),
+        pytest.param(_curve(2.0, 0.9), 8, "unreachable", math.nan, 0.9, 2, id="unreachable_bracket"),
+        pytest.param(_curve(0.4, 0.3), 8, "floor", 1e8, 0.4, 2, id="floor"),
+        pytest.param(_curve(0.62, 0.3), 8, "ok", 1e8, 0.62, 2, id="ok_rate_lo"),
+        pytest.param(_curve(2.0, 0.68), 8, "ok", 1e10, 0.68, 2, id="ok_rate_hi"),
+        # r_hi (0.01 off) is closer than the first midpoint (0.04 off), but
+        # the midpoint lies within half the tolerance and is the answer.
+        pytest.param(_curve(2.0, 0.59, 0.64), 8, "ok", 1e9, 0.64, 3, id="bisection_hit"),
+        pytest.param(_curve(2.0, 0.45, 0.67, 0.45), 2, "ok", 1e9, 0.67, 4, id="exhausted_ok"),
+        pytest.param(
+            _curve(2.0, 0.35, 0.85, 0.42), 2, "unreachable", math.nan, 0.42, 4, id="exhausted_unreachable"
+        ),
+    ],
+)
+def test_frontier_point_exits(monkeypatch, curve, max_iter, status, rate, delay, probes) -> None:
+    monkeypatch.setattr(cli, "_mean_delay_seconds", curve)
+    (row,) = cmd_frontier(
+        ExperimentConfig().validate(), target_delay_s=0.6, delay_tolerance_s=0.1,
+        f_values=[1e9], m_values=[50], rate_lo=1e8, rate_hi=1e10, max_iter=max_iter,
+    )
+    assert row["status"] == status
+    if math.isnan(rate):
+        assert math.isnan(row["required_rate_bps"])
+    else:
+        assert row["required_rate_bps"] == pytest.approx(rate)
+    assert row["achieved_delay_s"] == delay
+    assert row["probe_runs"] == probes
 
 
 def test_frontier_rejects_bad_grid() -> None:
@@ -416,6 +514,17 @@ def test_main_config_error_exit_code(capsys) -> None:
     code = main(["simulate", "--set", "lambda=bogus"])
     assert code == 1
     assert "lambda" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("message, shown", [("Unable to allocate 7.28 TiB", "Unable to allocate 7.28 TiB"), ("", "out of memory")])
+def test_main_out_of_memory_is_a_config_error(monkeypatch, capsys, message, shown) -> None:
+    # an input too large to hold, e.g. n_contents=1e12 with cache_m=0
+    def build_system(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "build_system", build_system)
+    assert main(["simulate", "--seeds", "0"]) == 1
+    assert capsys.readouterr().err == f"error: {shown}\n"
 
 
 def test_main_usage_errors(capsys) -> None:

@@ -9,7 +9,6 @@ import pytest
 from mecsched import engine
 from mecsched.catalog import CacheConfig, ContentCatalog
 from mecsched.config import ExperimentConfig, build_system
-from mecsched.dynamics import SystemParams
 from mecsched.engine import (
     RunMetrics,
     avg_data_per_task,
@@ -21,7 +20,7 @@ from mecsched.engine import (
     run_simulation,
 )
 from mecsched.errors import ConfigError, MetricUndefined
-from mecsched.policy import ACTION_SPLIT_LOCAL_MEC, POLICY_KINDS, PolicySpec, decide
+from mecsched.policy import ACTION_SPLIT_LOCAL_MEC, POLICY_KINDS, decide
 from mecsched.workload import task_streams
 
 
