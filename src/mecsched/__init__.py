@@ -13,17 +13,18 @@ rule with a single control weight.
 Subpackage map:
 
 - ``catalog``   content universe, Zipf popularity, the most-popular-first cache
-- ``workload``  Bernoulli arrivals and the per-run task table
+- ``workload``  Bernoulli arrivals and task composition, drawn through the kernel
 - ``dynamics``  uplink bits and busy-slot counts of the two execution modes
 - ``policy``    the five actions, the feasibility rule, the scheduling rules
 - ``engine``    the task-table draw, the pointer-queue simulation loop and run metrics
-- ``_kernel``   builds and loads the engine's slot loop in C, where a C compiler exists
+- ``_kernel``   builds and loads the task draw and the slot loop in C, where a C compiler
+                exists, as ``_kernel.lib``
 - ``analysis``  closed-form expectations, regimes and bounds
 - ``cli``       config files, experiment commands, CSV output
 """
 
 from .catalog import CacheConfig, ContentCatalog, zipf_popularity
-from .workload import WorkloadConfig, distinct_uncached_counts, sample_tasks
+from .workload import WorkloadConfig, sample_tasks
 from .dynamics import SystemParams, slots_local, slots_mec, task_bits
 from .policy import ACTION_IDLE, ACTIONS, PolicySpec, decide, feasible_actions
 from .engine import (
@@ -68,7 +69,6 @@ __all__ = [
     "avg_data_per_task",
     "avg_queue_length",
     "decide",
-    "distinct_uncached_counts",
     "draw_tasks",
     "estimate_slot_means",
     "expected_local_bits",

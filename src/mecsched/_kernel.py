@@ -1,7 +1,8 @@
-"""Build and load the compiled slot loop (``_slot_loop.c``) on first use.
+"""Build and load the compiled kernel (``_slot_loop.c``) on first use.
 
-:func:`load` compiles the C source with the system C compiler into a
-per-user cache (``$XDG_CACHE_HOME/mecsched``, else ``~/.cache/mecsched``)
+The kernel holds the task draw (:mod:`mecsched.workload`) and the slot
+loop (:mod:`mecsched.engine`).  :func:`load` compiles the C source with
+the system C compiler into a per-user cache (``$XDG_CACHE_HOME/mecsched``, else ``~/.cache/mecsched``)
 and loads it through :mod:`ctypes`.  The library's file name is the
 SHA-256 of the source, the compiler flags and the compiler's identity
 (its resolved path, size and modification time), so a changed source or
@@ -11,8 +12,10 @@ renamed into place, so concurrent first uses never see a partial file,
 and nothing is written next to the source.
 
 When no compiler is found, the build fails or the cache cannot be
-written, :func:`load` returns ``None`` and the engine runs its Python
-loop instead, with the same results.
+written, :func:`load` returns ``None``.  The library is loaded once, at
+import, into :data:`lib`; the draw and the engine read that handle at
+call time and run their Python paths, with the same results, while it is
+``None``.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ KIND_CODES = {kind: code for code, kind in enumerate(POLICY_KINDS)}
 
 
 def load() -> Optional[ctypes.CDLL]:
-    """The compiled slot loop, built first if need be, or ``None``."""
+    """The compiled kernel, built first if need be, or ``None``."""
     try:
         found = shutil.which("cc")
         if found is None:
@@ -59,6 +62,12 @@ def load() -> Optional[ctypes.CDLL]:
             _array(np.int64), _array(np.int64), _array(np.int64), _array(np.bool_), _array(np.int64),
         ]
         lib.mecsched_slot_loop.restype = None
+        lib.mecsched_draw_tasks.argtypes = [
+            ctypes.c_void_p, i64, ctypes.c_int, i64, ctypes.c_uint32, _array(np.int64),
+            _array(np.int32), _array(np.bool_), i64, _array(np.float64), i64, i64,
+            _array(np.int64), _array(np.int64),
+        ]
+        lib.mecsched_draw_tasks.restype = None
     except (OSError, RuntimeError, AttributeError):
         return None
     return lib
@@ -89,3 +98,8 @@ def _build(cc: str, path: Path) -> None:
     finally:
         if os.path.exists(partial):
             os.unlink(partial)
+
+
+# The loaded kernel, or None: the one switch between the compiled paths and
+# the Python ones.
+lib = load()

@@ -20,7 +20,7 @@ import numpy as np
 
 from .catalog import CacheConfig, ContentCatalog
 from .dynamics import SystemParams, slots_local, slots_mec, task_bits
-from .workload import distinct_uncached_counts, sample_content_indices
+from .workload import draw_contents
 
 __all__ = [
     "uniform_k_dist",
@@ -38,9 +38,9 @@ __all__ = [
 
 # Tasks sampled and counted per step of the Monte Carlo estimate.  Each
 # step pays fixed costs (numpy dispatch, the slot counts' error-state
-# switch), so steps are larger than the run sampler's; the stream is the
-# same for any step size.
-_STEP_TASKS = 256
+# switch), and its temporaries span the step, so a single step would raise
+# the peak memory.  The stream is the same for any step size.
+_STEP_TASKS = 4096
 
 REGIME_LOCAL_ONLY = "local_only_optimal"
 REGIME_MIXED = "mixed"
@@ -160,14 +160,12 @@ def estimate_slot_means(
     ks = np.array(sorted(k_dist), dtype=np.int64)
     probs = np.array([k_dist[int(k)] for k in ks])
     drawn_ks = rng.choice(ks, size=samples, p=probs)
-    # Each task's contents are the next k uniforms of the stream, so a
-    # chunk of tasks can draw its contents in one call.
+    # Each task's contents are the next k uniforms of the stream.
     local_counts = np.empty(samples, dtype=np.float64)
     mec_counts = np.empty(samples, dtype=np.float64)
     for first in range(0, samples, _STEP_TASKS):
         chunk = drawn_ks[first:first + _STEP_TASKS]
-        ranks = sample_content_indices(rng, catalog, int(chunk.sum()))
-        distinct = distinct_uncached_counts(ranks, chunk, cache)
+        distinct = draw_contents(rng, catalog, chunk, cache)
         local_bits, mec_bits = task_bits(catalog, chunk, distinct)
         local_counts[first:first + chunk.size] = slots_local(mec_bits, local_bits, params)
         mec_counts[first:first + chunk.size] = slots_mec(mec_bits, params)

@@ -313,7 +313,9 @@ def cmd_frontier(
     """Minimum radio rate meeting the delay target at every grid point.
 
     A point whose delay is lower at the bracket's slow end than at its fast
-    end gets status ``non_monotone`` and no rate; the grid carries on.
+    end gets status ``non_monotone`` and no rate; the grid carries on.  Rows
+    come ``f``-major; the points run cache value by cache value, so the
+    points of one cache share each seed's task table.
     """
     if not 0 < target_delay_s < math.inf:
         raise ConfigError(f"target delay must be positive and finite, got {target_delay_s}")
@@ -325,17 +327,20 @@ def cmd_frontier(
         raise ConfigError(f"need 0 < rate_lo < rate_hi < inf, got ({rate_lo}, {rate_hi})")
     if max_iter < 0:
         raise ConfigError(f"bisection rounds must be non-negative, got {max_iter}")
-    rows = []
+    # The grid's values come from f_values and m_values, not from where the
+    # config set those keys.
+    sources = {**config.sources, "f_local_hz": None, "cache_m": None}
+    points = [
+        dataclasses.replace(config, f_local_hz=f_local, cache_m=cache_m, sources=sources).validate()
+        for f_local in f_values
+        for cache_m in m_values
+    ]
     memo = _Memo()
-    for f_local in f_values:
-        for cache_m in m_values:
-            point = dataclasses.replace(config, f_local_hz=f_local, cache_m=cache_m)
-            point.validate()
-            rows.append(
-                _frontier_point(
-                    point, target_delay_s, delay_tolerance_s, rate_lo, rate_hi, max_iter, memo
-                )
-            )
+    rows = [None] * len(points)
+    for index in sorted(range(len(points)), key=lambda index: index % len(m_values)):
+        rows[index] = _frontier_point(
+            points[index], target_delay_s, delay_tolerance_s, rate_lo, rate_hi, max_iter, memo
+        )
     return rows
 
 

@@ -2,12 +2,13 @@
 
 Config files are line oriented ``key = value`` text; blank lines and
 ``#`` comments are ignored.  The keys are the field names of
-:class:`ExperimentConfig`, with two exceptions: the key ``lambda`` sets the
-``arrival_prob`` field (``lambda`` is reserved in Python), and
-``warmup_frac`` is no key (the CLI sets it with ``--warmup-frac``).  Config
-lines, ``--set`` items and ``--seeds`` all reach a field through
-:func:`set_key`.  Unknown keys are an error, as are values outside their
-documented ranges.
+:class:`ExperimentConfig`, with three exceptions: the key ``lambda`` sets
+the ``arrival_prob`` field (``lambda`` is reserved in Python),
+``warmup_frac`` is no key (the CLI sets it with ``--warmup-frac``), and
+neither is ``sources``.  Config lines, ``--set`` items and ``--seeds`` all
+reach a field through :func:`set_key`, which records in ``sources`` where
+each key was last set.  Unknown keys are an error, as are values outside
+their documented ranges; both errors name where the key was set.
 """
 
 from __future__ import annotations
@@ -60,10 +61,13 @@ class ExperimentConfig:
     sweep_values: Optional[list[float]] = None
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2, 3, 4])
     warmup_frac: float = 0.1
+    # config key -> where it was last set (a file line, a flag); no entry,
+    # or None, for a key left at its default or set in code.
+    sources: dict[str, Optional[str]] = field(default_factory=dict, compare=False, repr=False)
 
     def validate(self) -> "ExperimentConfig":
         def bad(key, msg):
-            return ConfigError(f"config key {key!r}: {msg}")
+            return _range_error(self, key, msg)
 
         for key, (name, parse, _) in _KEYS.items():
             value = getattr(self, name)
@@ -108,20 +112,28 @@ class ExperimentConfig:
         return self
 
 
+def _range_error(config: ExperimentConfig, key: str, msg: str) -> ConfigError:
+    where = config.sources.get(key)
+    return ConfigError(f"{where + ': ' if where else ''}config key {key!r}: {msg}")
+
+
 def _set_axis_value(config: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
     if axis == "cache_m":
         if not float(value).is_integer():
-            raise ConfigError(f"config key 'sweep_values': cache_m values must be integers, got {value}")
+            raise _range_error(config, "sweep_values", f"cache_m values must be integers, got {value}")
         return dataclasses.replace(config, cache_m=int(value))
     return dataclasses.replace(config, **{axis: value})
 
 
 def sweep_configs(config: ExperimentConfig) -> list[tuple[float, ExperimentConfig]]:
-    """Expand a sweep config into (axis value, point config) pairs."""
-    if config.sweep_axis is None:
+    """Expand a sweep config into (axis value, point config) pairs.  A
+    point's axis value, and so its source, is that of ``sweep_values``."""
+    axis = config.sweep_axis
+    if axis is None:
         raise ConfigError("sweep requested but config sets no sweep_axis")
-    base = dataclasses.replace(config, sweep_axis=None, sweep_values=None)
-    return [(v, _set_axis_value(base, config.sweep_axis, v)) for v in config.sweep_values]
+    sources = {**config.sources, axis: config.sources.get("sweep_values")}
+    base = dataclasses.replace(config, sweep_axis=None, sweep_values=None, sources=sources)
+    return [(v, _set_axis_value(base, axis, v)) for v in config.sweep_values]
 
 
 def parse_int(raw: str) -> int:
@@ -145,22 +157,24 @@ _PARSERS = {
     "float": (float, "a number"),
     "str": (str, None),
     "Optional[str]": (str, None),
-    "list[int]": (_list_of(int), "comma-separated integers"),
+    "list[int]": (_list_of(parse_int), "comma-separated integers"),
     "Optional[list[float]]": (_list_of(float), "comma-separated numbers"),
 }
 
 # config key -> (field, parser, expected text): every field is its own key,
-# except that ``lambda`` names ``arrival_prob`` and ``warmup_frac`` is no key.
+# except that ``lambda`` names ``arrival_prob`` and neither ``warmup_frac``
+# nor ``sources`` is a key.
 _KEYS = {
     ("lambda" if f.name == "arrival_prob" else f.name): (f.name, *_PARSERS[f.type])
     for f in dataclasses.fields(ExperimentConfig)
-    if f.name != "warmup_frac"
+    if f.name not in ("warmup_frac", "sources")
 }
 
 
 def set_key(config: ExperimentConfig, key: str, raw: str, where: str) -> None:
-    """Assign config key ``key`` from its text ``raw``, unvalidated.  Errors
-    name ``where`` the text came from (a file line, a flag) and the key."""
+    """Assign config key ``key`` from its text ``raw``, unvalidated, and
+    record ``where`` the text came from (a file line, a flag).  Errors name
+    that source and the key."""
     if key not in _KEYS:
         raise ConfigError(f"{where}: unknown config key {key!r}")
     name, parse, expected = _KEYS[key]
@@ -169,6 +183,7 @@ def set_key(config: ExperimentConfig, key: str, raw: str, where: str) -> None:
     except ValueError:
         raise ConfigError(f"{where}: config key {key!r}: expected {expected}, got {raw!r}") from None
     setattr(config, name, value)
+    config.sources[key] = where
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:

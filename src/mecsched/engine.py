@@ -25,12 +25,13 @@ nothing else; it records each started task's start slot and mode.
 
 The loop exists twice.  :func:`_python_slot_loop` is the reference: it
 calls :func:`mecsched.policy.decide` once per slot.  ``_slot_loop.c``
-holds the same loop and the same rule in C; :mod:`mecsched._kernel`
-compiles it with the system C compiler on first use into a per-user
-cache and loads it once, when this module is imported, as ``_kernel``.
-When no compiler is found or the build fails, ``_kernel`` is ``None`` and
-the Python loop runs.  Both give identical runs: the C rule makes the
-same floating-point comparisons as ``decide``, bit for bit.
+holds the same loop and the same rule in C, beside the task draw;
+:mod:`mecsched._kernel` compiles it with the system C compiler on first
+use into a per-user cache and loads it once, as ``_kernel.lib``, which
+each run reads.  When no compiler is found or the build fails,
+``_kernel.lib`` is ``None`` and the Python loop runs.  Both give
+identical runs: the C rule makes the same floating-point comparisons as
+``decide``, bit for bit.
 
 Everything else follows from those records and the arrival flags, in
 numpy passes after the loop:
@@ -74,7 +75,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernel import KIND_CODES, load as _load_kernel
+from . import _kernel
 from .catalog import CacheConfig, ContentCatalog
 from .dynamics import SystemParams, slots_local, slots_mec, task_bits
 from .errors import ConfigError, ContractViolation, MetricUndefined
@@ -100,9 +101,6 @@ _ARRIVAL_CHUNK = 1 << 16
 # Slots whose queue is rebuilt at a time.  The pass holds about ten int64
 # arrays of this length (about 300 kB); larger chunks cost no less per slot.
 _QUEUE_CHUNK = 1 << 12
-# The compiled slot loop, or None when it cannot be built; the Python loop
-# then runs, with the same results.
-_kernel = _load_kernel()
 
 
 @dataclass
@@ -228,7 +226,7 @@ def run_simulation(
     start_slot = np.empty(n_tasks, dtype=np.int64)
     on_mec = np.zeros(n_tasks, dtype=bool)
 
-    slot_loop = _python_slot_loop if _kernel is None else _c_slot_loop
+    slot_loop = _python_slot_loop if _kernel.lib is None else _c_slot_loop
     head, arrived, busy_local, busy_mec = slot_loop(
         policy, arriving, local_bits, mec_bits, n_local, n_mec, start_slot, on_mec
     )
@@ -336,8 +334,8 @@ def _c_slot_loop(
 ) -> tuple[int, int, int, int]:
     """:func:`_python_slot_loop`, run by the compiled kernel."""
     state = np.empty(4, dtype=np.int64)
-    _kernel.mecsched_slot_loop(
-        KIND_CODES[policy.kind], policy.v_param, arriving.size, arriving,
+    _kernel.lib.mecsched_slot_loop(
+        _kernel.KIND_CODES[policy.kind], policy.v_param, arriving.size, arriving,
         local_bits, mec_bits, n_local, n_mec, start_slot, on_mec, state,
     )
     return tuple(state.tolist())

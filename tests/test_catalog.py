@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mecsched.catalog import CacheConfig, ContentCatalog, zipf_popularity
-from mecsched.workload import distinct_uncached_counts
+from fixed_uniforms import distinct_uncached
 
 
 def test_zipf_two_contents_alpha_one() -> None:
@@ -77,19 +77,18 @@ def test_cache_capacity_bounds() -> None:
         CacheConfig.for_catalog(cat, -1)
 
 
-def _missed(ranks, cache: CacheConfig) -> list[int]:
+def _missed(catalog: ContentCatalog, ranks, cache: CacheConfig) -> list[int]:
     # one single-content task per rank: 1 where the cache misses it
-    ranks = np.asarray(ranks, dtype=np.int64)
-    return distinct_uncached_counts(ranks, np.ones(ranks.size, dtype=np.int64), cache).tolist()
+    return distinct_uncached(catalog, cache, [[rank] for rank in ranks])
 
 
 def test_is_cached_boundary() -> None:
     cat = ContentCatalog.zipf(100, 0.8, 1e6)
     cache = CacheConfig.for_catalog(cat, 50)
-    assert _missed([1, 50, 51, 100], cache) == [0, 0, 1, 1]
+    assert _missed(cat, [1, 50, 51, 100], cache) == [0, 0, 1, 1]
 
 
 def test_is_cached_empty_cache() -> None:
     cat = ContentCatalog.zipf(10, 0.0, 1e6)
     cache = CacheConfig.for_catalog(cat, 0)
-    assert _missed(range(1, 11), cache) == [1] * 10
+    assert _missed(cat, range(1, 11), cache) == [1] * 10

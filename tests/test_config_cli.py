@@ -130,7 +130,7 @@ KEY_VALUES = {
     "policy": ("mec_only", "mec_only"),
     "sweep_axis": ("rate_bps", "rate_bps"),
     "sweep_values": ("1e8, 2e8", [1e8, 2e8]),
-    "seeds": ("7, 8", [7, 8]),
+    "seeds": ("7, 1e2", [7, 100]),
 }
 
 
@@ -139,7 +139,7 @@ def _field(key: str) -> str:
 
 
 def test_every_key_round_trips_through_file_and_set() -> None:
-    fields = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"warmup_frac"}
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"warmup_frac", "sources"}
     assert {_field(key) for key in KEY_VALUES} == fields
     from_file = parse_config_text("".join(f"{key} = {text}\n" for key, (text, _) in KEY_VALUES.items()))
     from_set = apply_overrides(ExperimentConfig(), [f"{key}={text}" for key, (text, _) in KEY_VALUES.items()])
@@ -162,6 +162,35 @@ def test_parse_errors_name_their_source_and_key(key) -> None:
 def test_seeds_flag_errors_name_the_flag(capsys) -> None:
     assert main(["simulate", "--seeds", "1,x"]) == 1
     assert capsys.readouterr().err == "error: --seeds: config key 'seeds': expected comma-separated integers, got '1,x'\n"
+
+
+def test_range_errors_name_where_the_key_was_set(tmp_path, capsys) -> None:
+    path = tmp_path / "run.cfg"
+    path.write_text("lambda = 0.3\ncache_m = 20\n")
+    # The last setting names the source: here a --set item over the file.
+    assert main(["simulate", "--config", str(path), "--set", "cache_m=3000"]) == 1
+    assert capsys.readouterr().err == (
+        "error: override 'cache_m=3000': config key 'cache_m': must lie in 0..n_contents, got 3000\n"
+    )
+    assert main(["simulate", "--seeds", "-3"]) == 1
+    assert capsys.readouterr().err.startswith("error: --seeds: config key 'seeds': must be ")
+    path.write_text("lambda = 0.3\ncache_m = 2000\n")
+    message = "config key 'cache_m': must lie in 0..n_contents, got 2000"
+    with pytest.raises(ConfigError) as found:
+        load_config(path)
+    assert str(found.value) == f"{path}:2: {message}"
+    # A sweep point's value comes from sweep_values.
+    path.write_text("sweep_axis = cache_m\n\nsweep_values = 0, 2000\n")
+    with pytest.raises(ConfigError) as found:
+        load_config(path)
+    assert str(found.value) == f"{path}:3: {message}"
+    # A frontier point's cache comes from --m-values, not from --set.
+    assert main(["frontier", "--target-delay-s", "0.6", "--set", "cache_m=10", "--m-values", "2000"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    # A default value, or one set in code, has no source.
+    with pytest.raises(ConfigError) as found:
+        ExperimentConfig(cache_m=2000).validate()
+    assert str(found.value) == message
 
 
 def test_sweep_configs_expand() -> None:
@@ -399,19 +428,25 @@ def test_sweep_draws_each_table_once(count_draws, axis, values, n_draws) -> None
     assert draws == [0, 1] * (n_draws // 2)
 
 
-def test_frontier_draws_each_table_once_per_grid_point(count_draws) -> None:
+def test_frontier_draws_each_table_once(count_draws) -> None:
+    # The points of one cache value run back to back and share each seed's
+    # table, so a 3 x 2 grid draws 2 tables per seed, not 6; the rows keep
+    # the f-major order.
     draws, runs = count_draws
     config = ExperimentConfig(
         horizon_slots=3000, seeds=[0, 1], arrival_prob=0.2, v_param=0.0,
     ).validate()
     rows = cmd_frontier(
         config, target_delay_s=0.6, delay_tolerance_s=0.04,
-        f_values=[1e9, 4e9], m_values=[0, 200], rate_lo=1e8, rate_hi=1e10,
+        f_values=[1e9, 2e9, 4e9], m_values=[0, 200], rate_lo=1e8, rate_hi=1e10,
     )
+    assert [(row["f_local_hz"], row["cache_m"]) for row in rows] == [
+        (f, m) for f in (1e9, 2e9, 4e9) for m in (0, 200)
+    ]
     probes = sum(row["probe_runs"] for row in rows)
     assert probes > 2 * len(rows)
     assert len(runs) == 2 * probes
-    assert draws == [0, 1] * len(rows)
+    assert draws == [0, 1, 0, 1]
 
 
 def test_simulate_keeps_no_tables(count_draws) -> None:

@@ -17,7 +17,7 @@ from mecsched.policy import (
     ACTION_SPLIT_MEC_LOCAL,
     ACTIONS,
 )
-from mecsched.workload import distinct_uncached_counts
+from fixed_uniforms import distinct_uncached
 
 
 def _simulate(config: ExperimentConfig, horizon: int, **run_kw):
@@ -45,9 +45,8 @@ def _params(**kw) -> SystemParams:
 
 def _bits(contents, cache, catalog) -> tuple[float, float]:
     """(local_bits, mec_bits) of one task with the given content ranks."""
-    ranks = np.asarray(contents, dtype=np.int64)
-    distinct = distinct_uncached_counts(ranks, np.array([ranks.size]), cache)
-    local, mec = task_bits(catalog, [ranks.size], distinct)
+    distinct = distinct_uncached(catalog, cache, [contents])
+    local, mec = task_bits(catalog, [len(contents)], distinct)
     return float(local[0]), float(mec[0])
 
 

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mecsched import engine
+from mecsched import _kernel, engine
 from mecsched.catalog import CacheConfig, ContentCatalog
 from mecsched.config import ExperimentConfig, build_system
 from mecsched.engine import (
@@ -117,7 +117,7 @@ def test_drift_audit_catches_starts_beyond_the_queue(monkeypatch) -> None:
         return decide(policy, busy_local, busy_mec, q_len, *bits)
 
     # Only the Python loop calls engine.decide; the compiled one has its own.
-    monkeypatch.setattr(engine, "_kernel", None)
+    monkeypatch.setattr(_kernel, "lib", None)
     monkeypatch.setattr(engine, "decide", split_whenever_free)
     metrics = _run(horizon=3000, seed=0)
     assert metrics.queue_len_series.min() < 0
@@ -255,7 +255,7 @@ def test_pre_drawn_table_gives_the_fresh_run(policy) -> None:
 def test_compiled_loop_matches_python_loop(policy, monkeypatch) -> None:
     # Light, heavy and weight-free loads, and one whose tasks never finish
     # (busy counts at the 2**62 cap): every field equal under both loops.
-    if engine._kernel is None:
+    if _kernel.lib is None:
         pytest.skip("no C compiler: the compiled slot loop is not built")
     horizon = 20_000
     for change in (
@@ -268,7 +268,7 @@ def test_compiled_loop_matches_python_loop(policy, monkeypatch) -> None:
         table = draw_tasks(catalog, cache, workload_cfg, horizon, seed=3)
         compiled = run_simulation(table, params, point_policy, collect_series=True)
         with monkeypatch.context() as patch:
-            patch.setattr(engine, "_kernel", None)
+            patch.setattr(_kernel, "lib", None)
             reference = run_simulation(table, params, point_policy, collect_series=True)
         _assert_same_metrics(compiled, reference)
 

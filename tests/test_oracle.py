@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mecsched import engine
+from mecsched import _kernel, engine
 from mecsched.catalog import CacheConfig, ContentCatalog
 from mecsched.config import ExperimentConfig, build_system
 from mecsched.dynamics import SystemParams
@@ -93,7 +93,7 @@ def test_engine_matches_oracle_on_small_systems(system, horizon, seed, warmup_fr
 @settings(max_examples=300, deadline=None)
 @given(**_SMALL_RUNS)
 def test_python_loop_matches_oracle_on_small_systems(system, horizon, seed, warmup_frac, collect_series) -> None:
-    with mock.patch.object(engine, "_kernel", None):
+    with mock.patch.object(_kernel, "lib", None):
         _both(*system, horizon=horizon, seed=seed, warmup_frac=warmup_frac, collect_series=collect_series)
 
 

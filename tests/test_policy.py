@@ -3,8 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mecsched import engine
-from mecsched._kernel import KIND_CODES
+from mecsched import _kernel
 from mecsched.catalog import CacheConfig, ContentCatalog
 from mecsched.dynamics import task_bits
 from mecsched.policy import (
@@ -18,7 +17,7 @@ from mecsched.policy import (
     decide,
     feasible_actions,
 )
-from mecsched.workload import distinct_uncached_counts
+from fixed_uniforms import distinct_uncached
 
 
 @pytest.fixture(scope="module")
@@ -36,9 +35,8 @@ def bits(catalog, cache):
     """(local_bits, mec_bits) of a task with the given content ranks."""
 
     def task(contents) -> tuple[float, float]:
-        ranks = np.asarray(contents, dtype=np.int64)
-        distinct = distinct_uncached_counts(ranks, np.array([ranks.size]), cache)
-        local, mec = task_bits(catalog, [ranks.size], distinct)
+        distinct = distinct_uncached(catalog, cache, [contents])
+        local, mec = task_bits(catalog, [len(contents)], distinct)
         return float(local[0]), float(mec[0])
 
     return task
@@ -281,11 +279,11 @@ def test_decide_matches_brute_force_minimum() -> None:
 @pytest.fixture(scope="module")
 def compiled_decide():
     """``decide`` as the compiled slot loop runs it, returning flag tuples."""
-    if engine._kernel is None:
+    if _kernel.lib is None:
         pytest.skip("no C compiler: the compiled slot loop is not built")
 
     def run(policy, *state) -> tuple[int, ...]:
-        code = engine._kernel.mecsched_decide(KIND_CODES[policy.kind], policy.v_param, *state)
+        code = _kernel.lib.mecsched_decide(_kernel.KIND_CODES[policy.kind], policy.v_param, *state)
         return tuple((code >> bit) & 1 for bit in range(4))
 
     return run

@@ -1,22 +1,18 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mecsched import workload
+from mecsched import _kernel
 from mecsched.catalog import CacheConfig, ContentCatalog
 from mecsched.config import ExperimentConfig, build_system
 from mecsched.engine import draw_tasks
-from mecsched.workload import (
-    K_SPAN_LIMIT,
-    WorkloadConfig,
-    distinct_uncached_counts,
-    sample_content_indices,
-    sample_tasks,
-    task_streams,
-)
+from mecsched.workload import K_SPAN_LIMIT, WorkloadConfig, draw_contents, sample_tasks, task_streams
+from fixed_uniforms import FixedUniforms, distinct_uncached, pcg64_with_next
 
 
 @pytest.fixture(scope="module")
@@ -84,17 +80,23 @@ def test_sample_arrival_degenerate_rates() -> None:
 
 
 def test_content_indices_in_range(catalog: ContentCatalog) -> None:
-    rng = np.random.default_rng(5)
-    idx = sample_content_indices(rng, catalog, 10000)
-    assert idx.min() >= 1
-    assert idx.max() <= 1000
-    assert idx.dtype == np.int64
+    # Single-content tasks: a whole-catalog cache holds every drawn rank,
+    # an empty cache none of them.
+    ks = np.ones(10000, dtype=np.int64)
+    full = draw_contents(np.random.default_rng(5), catalog, ks, CacheConfig.for_catalog(catalog, 1000))
+    empty = draw_contents(np.random.default_rng(5), catalog, ks, CacheConfig.for_catalog(catalog, 0))
+    assert full.dtype == empty.dtype == np.int64
+    assert full.tolist() == [0] * 10000
+    assert empty.tolist() == [1] * 10000
 
 
 def test_content_indices_follow_popularity(catalog: ContentCatalog) -> None:
-    rng = np.random.default_rng(11)
-    idx = sample_content_indices(rng, catalog, 200000)
-    freq1 = np.mean(idx == 1)
+    # A one-content cache holds rank 1 only, so single-content tasks miss
+    # it with probability 1 - p[0].
+    counts = draw_contents(
+        np.random.default_rng(11), catalog, np.ones(200000, dtype=np.int64), CacheConfig.for_catalog(catalog, 1)
+    )
+    freq1 = np.mean(counts == 0)
     assert freq1 == pytest.approx(catalog.popularity[0], rel=0.03)
 
 
@@ -117,9 +119,19 @@ def test_sample_task_frozen_stream(catalog: ContentCatalog, no_cache) -> None:
     # the first task's contents are the k uniforms after its k draw
     _, comp = task_streams(0)
     comp.integers(cfg.k_min, cfg.k_max + 1)
-    contents = sample_content_indices(comp, catalog, 53)
+    contents = _ranks(catalog, comp.random(53))
     assert contents[:6].tolist() == [12, 166, 51, 478, 375, 123]
     assert distinct[0] == np.unique(contents).size
+
+
+def _ranks(catalog: ContentCatalog, u: np.ndarray) -> np.ndarray:
+    """The inverse-CDF ranks of uniforms ``u``."""
+    return np.searchsorted(catalog.cdf, u, side="right") + 1
+
+
+def _paths() -> list:
+    """The compiled draw when it is loaded, then the Python one."""
+    return list(dict.fromkeys((_kernel.lib, None)))
 
 
 def _one_task_at_a_time(rng, catalog, cfg, n_tasks, capacity) -> tuple[list[int], list[int]]:
@@ -127,23 +139,23 @@ def _one_task_at_a_time(rng, catalog, cfg, n_tasks, capacity) -> tuple[list[int]
     ks, distinct = [], []
     for _ in range(n_tasks):
         k = int(rng.integers(cfg.k_min, cfg.k_max + 1))
-        contents = sample_content_indices(rng, catalog, k)
+        contents = _ranks(catalog, rng.random(k))
         ks.append(k)
         distinct.append(np.unique(contents[contents > capacity]).size)
     return ks, distinct
 
 
 def test_sample_tasks_match_one_task_at_a_time(catalog: ContentCatalog) -> None:
-    # Chunked sampling consumes the stream exactly as drawing each task's
-    # k, then its contents, one task at a time; 2 * chunk + 3 tasks span
-    # three chunks.
+    # Drawing many tasks at once consumes the stream exactly as drawing
+    # each task's k, then its contents, one task at a time.
     cfg = _cfg(k_min=1, k_max=30)
-    n_tasks = 2 * workload._CHUNK_TASKS + 3
-    for capacity in (0, 50, 1000):
-        cache = CacheConfig.for_catalog(catalog, capacity)
-        ks, distinct = sample_tasks(task_streams(9)[1], catalog, cfg, n_tasks, cache)
-        expected = _one_task_at_a_time(task_streams(9)[1], catalog, cfg, n_tasks, capacity)
-        assert (ks.tolist(), distinct.tolist()) == expected
+    for lib in _paths():
+        with mock.patch.object(_kernel, "lib", lib):
+            for capacity in (0, 50, 1000):
+                cache = CacheConfig.for_catalog(catalog, capacity)
+                ks, distinct = sample_tasks(task_streams(9)[1], catalog, cfg, 515, cache)
+                expected = _one_task_at_a_time(task_streams(9)[1], catalog, cfg, 515, capacity)
+                assert (ks.tolist(), distinct.tolist()) == expected
 
 
 def _rejected_halves(span: int) -> list[int]:
@@ -157,71 +169,115 @@ def _rejected_halves(span: int) -> list[int]:
 
 @st.composite
 def _sampler_cases(draw):
-    chunk = workload._CHUNK_TASKS
     # 0 draws nothing; span + 1 a power of two rejects nothing.
     span = draw(st.sampled_from([0, 1, 2, 3, 7, 20, 31, 62, 999]))
     k_min = draw(st.integers(1, 63 - span)) if span < 63 else 1
-    n_tasks = draw(st.sampled_from([0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3]) | st.integers(0, 40))
-    capacity = draw(st.sampled_from([0, 1, 10, 36]))
+    n_tasks = draw(st.sampled_from([0, 1, 515]) | st.integers(0, 40))
+    # Steep catalogs crowd their tail into wide guide buckets.
+    n = draw(st.integers(1, 60))
+    alpha = draw(st.sampled_from([0.0, 0.8, 1.3, 3.0]))
+    capacity = draw(st.sampled_from([0, 1, n]) | st.integers(0, n))
     half = None
     if draw(st.booleans()):
         half = draw(st.sampled_from(_rejected_halves(span) + [0, 2**32 - 1]) | st.integers(0, 2**32 - 1))
-    return WorkloadConfig(0.4, k_min, k_min + span), n_tasks, capacity, half, draw(st.integers(0, 2**32))
+    return WorkloadConfig(0.4, k_min, k_min + span), n_tasks, (n, alpha), capacity, half, draw(st.integers(0, 2**32))
 
 
 @settings(max_examples=60, deadline=None)
 @given(_sampler_cases())
-@example((WorkloadConfig(0.4, 40, 60), 3, 0, 1022611261, 5))
-@example((WorkloadConfig(0.4, 1, 1000), 40, 10, 0, 6))
-@example((WorkloadConfig(0.4, 5, 5), 2 * workload._CHUNK_TASKS + 3, 1, 2**32 - 1, 7))
+@example((WorkloadConfig(0.4, 40, 60), 3, (37, 1.3), 0, 1022611261, 5))
+@example((WorkloadConfig(0.4, 1, 1000), 40, (37, 1.3), 10, 0, 6))
+@example((WorkloadConfig(0.4, 5, 5), 515, (37, 1.3), 1, 2**32 - 1, 7))
+@example((WorkloadConfig(0.4, 3, 66), 515, (50, 3.0), 5, None, 0))
 def test_sample_tasks_equal_per_task_draws_and_leave_the_same_state(case) -> None:
-    # The whole stream, the generator's end state and its next draws equal
-    # the per-task integers + random(k) calls, including a 32-bit half
-    # already buffered before the first task, forced rejections of it, k
-    # spans with and without a rejection threshold, and chunk edges.
-    cfg, n_tasks, capacity, half, seed = case
-    catalog = ContentCatalog.zipf(37, 1.3, 1.0)
-    rngs = np.random.default_rng(seed), np.random.default_rng(seed)
-    if half is not None:
-        for rng in rngs:
-            state = rng.bit_generator.state
-            state["has_uint32"], state["uinteger"] = 1, half
-            rng.bit_generator.state = state
-    fast, reference = rngs
-    ks, distinct = sample_tasks(fast, catalog, cfg, n_tasks, CacheConfig.for_catalog(catalog, capacity))
-    expected = _one_task_at_a_time(reference, catalog, cfg, n_tasks, capacity)
-    assert (ks.tolist(), distinct.tolist()) == expected
-    assert fast.bit_generator.state == reference.bit_generator.state
-    assert fast.integers(0, 1000, 3).tolist() == reference.integers(0, 1000, 3).tolist()
-    assert fast.random() == reference.random()
+    # On both draws, the whole stream, the generator's end state and its
+    # next draws equal the per-task integers + random(k) calls, including a
+    # 32-bit half already buffered before the first task, forced rejections
+    # of it, k spans with and without a rejection threshold, and ranks in
+    # wide guide buckets.
+    cfg, n_tasks, (n, alpha), capacity, half, seed = case
+    catalog = ContentCatalog.zipf(n, alpha, 1.0)
+    cache = CacheConfig.for_catalog(catalog, capacity)
+    for lib in _paths():
+        rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+        if half is not None:
+            for rng in rngs:
+                state = rng.bit_generator.state
+                state["has_uint32"], state["uinteger"] = 1, half
+                rng.bit_generator.state = state
+        fast, reference = rngs
+        with mock.patch.object(_kernel, "lib", lib):
+            ks, distinct = sample_tasks(fast, catalog, cfg, n_tasks, cache)
+        expected = _one_task_at_a_time(reference, catalog, cfg, n_tasks, capacity)
+        assert (ks.tolist(), distinct.tolist()) == expected
+        assert fast.bit_generator.state == reference.bit_generator.state
+        assert fast.integers(0, 1000, 3).tolist() == reference.integers(0, 1000, 3).tolist()
+        assert fast.random() == reference.random()
+
+
+def test_k_draw_rejects_values_in_a_row(catalog: ContentCatalog, no_cache) -> None:
+    # The buffered half and the next word's two halves are all rejected
+    # 32-bit values, so the first k draw rejects three times before it
+    # accepts.
+    cfg = _cfg(k_min=1, k_max=1000)
+    rejected = _rejected_halves(999)
+    assert rejected[0] == 0
+    for lib in _paths():
+        fast, reference = pcg64_with_next(rejected[-1], 0), pcg64_with_next(rejected[-1], 0)
+        with mock.patch.object(_kernel, "lib", lib):
+            ks, distinct = sample_tasks(fast, catalog, cfg, 5, no_cache)
+        assert (ks.tolist(), distinct.tolist()) == _one_task_at_a_time(reference, catalog, cfg, 5, 0)
+        assert fast.bit_generator.state == reference.bit_generator.state
+
+
+def test_sample_tasks_follow_any_bit_generator(catalog: ContentCatalog) -> None:
+    # The draw calls the generator's own functions, so generators that
+    # build their doubles and 32-bit values differently are followed too.
+    cfg = _cfg(k_min=1, k_max=30)
+    cache = CacheConfig.for_catalog(catalog, 50)
+    for bit_generator in (np.random.MT19937, np.random.Philox, np.random.SFC64):
+        for lib in _paths():
+            fast, reference = np.random.Generator(bit_generator(5)), np.random.Generator(bit_generator(5))
+            with mock.patch.object(_kernel, "lib", lib):
+                ks, distinct = sample_tasks(fast, catalog, cfg, 300, cache)
+            assert (ks.tolist(), distinct.tolist()) == _one_task_at_a_time(reference, catalog, cfg, 300, 50)
+            assert fast.integers(0, 1000, 3).tolist() == reference.integers(0, 1000, 3).tolist()
+            assert fast.random() == reference.random()
+
+
+def test_draw_contents_equal_per_task_random_calls(catalog: ContentCatalog) -> None:
+    # The Monte Carlo estimate's draw: k given, so each task takes the next
+    # random(k) uniforms and nothing else.
+    ks = np.random.default_rng(1).integers(0, 70, 600)
+    for capacity in (0, 50, 1000):
+        cache = CacheConfig.for_catalog(catalog, capacity)
+        for lib in _paths():
+            fast, reference = np.random.default_rng(4), np.random.default_rng(4)
+            with mock.patch.object(_kernel, "lib", lib):
+                counts = draw_contents(fast, catalog, ks, cache)
+            expected = []
+            for k in ks:
+                contents = _ranks(catalog, reference.random(k))
+                expected.append(np.unique(contents[contents > capacity]).size)
+            assert counts.tolist() == expected
+            assert fast.bit_generator.state == reference.bit_generator.state
 
 
 def test_sample_tasks_refuse_what_they_cannot_follow(catalog: ContentCatalog, no_cache) -> None:
-    # MT19937 builds its doubles differently, and wider k ranges leave
-    # numpy's 32-bit k draw.
-    with pytest.raises(ValueError, match="PCG64"):
-        sample_tasks(np.random.Generator(np.random.MT19937(0)), catalog, _cfg(), 1, no_cache)
+    # Wider k ranges leave numpy's 32-bit k draw.
     wide = _cfg(k_min=1, k_max=K_SPAN_LIMIT + 1)
     with pytest.raises(ValueError, match="2\\*\\*32"):
         sample_tasks(np.random.default_rng(0), catalog, wide, 1, no_cache)
 
 
 def test_distinct_uncached_counts_by_hand(catalog: ContentCatalog) -> None:
+    # Repeated ranks count once, cached ranks not at all, and a task with
+    # no contents or only cached ones counts 0.
     cache = CacheConfig.for_catalog(catalog, 50)
-    ranks = np.array([1, 51, 51, 52, 7, 50, 1000, 1000, 999])
-    counts = distinct_uncached_counts(ranks, np.array([4, 0, 2, 3]), cache)
-    assert counts.tolist() == [2, 0, 0, 2]
-
-
-class _FixedUniforms:
-    """Stands in for a generator whose next uniforms are known."""
-
-    def __init__(self, u: np.ndarray) -> None:
-        self.u = u
-
-    def random(self, k: int) -> np.ndarray:
-        assert k == self.u.size
-        return self.u
+    tasks = [[1, 51, 51, 52], [], [7, 50], [1000, 1000, 999]]
+    for lib in _paths():
+        with mock.patch.object(_kernel, "lib", lib):
+            assert distinct_uncached(catalog, cache, tasks) == [2, 0, 0, 2]
 
 
 @pytest.mark.parametrize(
@@ -229,32 +285,27 @@ class _FixedUniforms:
 )
 def test_content_ranks_equal_binary_search(n: int, alpha: float) -> None:
     # The guide-table lookup must give the inverse-CDF rank for every
-    # uniform, including those on or next to a cdf entry or a bucket edge.
+    # uniform on or next to a cdf entry or a bucket edge.  A one-content
+    # task counts 1 exactly when its rank lies above the cache, so the
+    # capacities r - 1 (count 1) and r (count 0) pin a rank r.
     cat = ContentCatalog.zipf(n, alpha, 1.0)
     buckets = cat.guide.size
     cdf = cat.cdf
     u = np.concatenate([
-        np.random.default_rng(n).random(200_000),
         cdf,
         np.nextafter(cdf, 0.0),
         np.nextafter(cdf, 2.0),
         np.arange(buckets) / buckets,
         [0.0, np.nextafter(1.0, 0.0)],
     ])
-    u = u[u < 1.0]
-    expected = np.searchsorted(cdf, u, side="right") + 1
-    ranks = sample_content_indices(_FixedUniforms(u), cat, u.size)
-    assert ranks.dtype == np.int64
-    assert np.array_equal(ranks, expected)
-
-
-def _distinct_uncached_reference(ranks: np.ndarray, ks: np.ndarray, capacity: int) -> list[int]:
-    bounds = np.concatenate([[0], np.cumsum(ks)])
-    out = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        task = ranks[lo:hi]
-        out.append(np.unique(task[task > capacity]).size)
-    return out
+    u = np.sort(u[u < 1.0])
+    expected = _ranks(cat, u)
+    # The uniforms of rank r are u[first[r - 1]:first[r]].
+    first = np.searchsorted(expected, np.arange(1, n + 2))
+    for capacity in range(n + 1):
+        near = slice(first[max(capacity - 1, 0)], first[min(capacity + 1, n)])
+        counts = draw_contents(FixedUniforms(u[near]), cat, np.ones(near.stop - near.start), CacheConfig(capacity, n))
+        assert counts.tolist() == (expected[near] > capacity).tolist()
 
 
 @st.composite
@@ -263,13 +314,17 @@ def _tasks(draw):
     ks = draw(st.lists(st.integers(0, 12), max_size=20))
     ranks = draw(st.lists(st.integers(1, n), min_size=sum(ks), max_size=sum(ks)))
     capacity = draw(st.integers(0, n))
-    return n, np.array(ranks, dtype=np.int64), np.array(ks, dtype=np.int64), capacity
+    bounds = np.cumsum([0] + ks)
+    return n, [ranks[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])], capacity
 
 
 @settings(max_examples=300, deadline=None)
 @given(_tasks())
 def test_distinct_uncached_counts_match_per_task_unique(tasks) -> None:
-    n, ranks, ks, capacity = tasks
+    n, contents, capacity = tasks
+    catalog = ContentCatalog.zipf(n, 0.0, 1.0)
     cache = CacheConfig(capacity=capacity, n_contents=n)
-    counts = distinct_uncached_counts(ranks, ks, cache)
-    assert counts.tolist() == _distinct_uncached_reference(ranks, ks, capacity)
+    expected = [len({rank for rank in task if rank > capacity}) for task in contents]
+    for lib in _paths():
+        with mock.patch.object(_kernel, "lib", lib):
+            assert distinct_uncached(catalog, cache, contents) == expected

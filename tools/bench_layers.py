@@ -17,9 +17,11 @@ At each point, for every seed, it times
   (as the command line runs it), reported in us per slot.  This is the
   slot loop plus everything computed before and after it.
 
-The entry's environment records which slot loop the runs used:
-``"slot_loop": "c"`` when the engine loaded its compiled kernel,
-``"python"`` otherwise (always so for checkouts that predate it).
+The entry's environment records which slot loop (and, where the kernel
+holds it, which task draw) the runs used: ``"slot_loop": "c"`` when the
+compiled kernel loaded (``mecsched._kernel.lib``, or ``engine._kernel``
+in checkouts that predate that handle), ``"python"`` otherwise (always
+so for checkouts that predate the kernel).
 
 Each time is the minimum of ``REPEATS`` calls; a point's figure is the
 sum of its seeds' minima over their summed tasks or slots, with the
@@ -104,6 +106,8 @@ def environment(repo: Path) -> dict:
 
     from mecsched import engine
 
+    kernel = sys.modules.get("mecsched._kernel")
+    lib = getattr(kernel, "lib", getattr(engine, "_kernel", None))
     git = subprocess.run(["git", "-C", str(repo), "rev-parse", "HEAD"], capture_output=True, text=True)
     dirty = subprocess.run(
         ["git", "-C", str(repo), "status", "--porcelain", "--", "src"], capture_output=True, text=True
@@ -118,7 +122,7 @@ def environment(repo: Path) -> dict:
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "nproc": len(os.sched_getaffinity(0)),
-        "slot_loop": "python" if getattr(engine, "_kernel", None) is None else "c",
+        "slot_loop": "python" if lib is None else "c",
         "when": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
 
