@@ -10,7 +10,6 @@ from mecsched import _kernel, engine
 from mecsched.catalog import CacheConfig, ContentCatalog
 from mecsched.config import ExperimentConfig, build_system
 from mecsched.engine import (
-    RunMetrics,
     avg_data_per_task,
     avg_queue_length,
     decile_means,
@@ -22,6 +21,7 @@ from mecsched.engine import (
 from mecsched.errors import ConfigError, MetricUndefined
 from mecsched.policy import ACTION_SPLIT_LOCAL_MEC, POLICY_KINDS, decide
 from mecsched.workload import task_streams
+from kernel_extremes import assert_same_metrics
 
 
 def _system(**cfg_kw):
@@ -226,16 +226,6 @@ def test_chunked_arrivals_equal_one_draw() -> None:
     assert np.array_equal(metrics.queue_len_series[1:], arriving[:-1])
 
 
-def _assert_same_metrics(a: RunMetrics, b: RunMetrics) -> None:
-    for f in dataclasses.fields(RunMetrics):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        if isinstance(y, np.ndarray):
-            assert isinstance(x, np.ndarray) and x.dtype == y.dtype, f.name
-            assert np.array_equal(x, y), f.name
-        else:
-            assert type(x) is type(y) and x == y, f.name
-
-
 @pytest.mark.parametrize("policy", POLICY_KINDS)
 def test_pre_drawn_table_gives_the_fresh_run(policy) -> None:
     # One table, drawn at the base point, serves runs whose weight, radio
@@ -248,7 +238,7 @@ def test_pre_drawn_table_gives_the_fresh_run(policy) -> None:
         _, _, params, _, point_policy = system
         fresh = _simulate(system, 3000, 5, warmup_frac=0.2, collect_series=True)
         reused = run_simulation(table, params, point_policy, warmup_frac=0.2, collect_series=True)
-        _assert_same_metrics(reused, fresh)
+        assert_same_metrics(reused, fresh)
 
 
 @pytest.mark.parametrize("policy", POLICY_KINDS)
@@ -270,7 +260,7 @@ def test_compiled_loop_matches_python_loop(policy, monkeypatch) -> None:
         with monkeypatch.context() as patch:
             patch.setattr(_kernel, "lib", None)
             reference = run_simulation(table, params, point_policy, collect_series=True)
-        _assert_same_metrics(compiled, reference)
+        assert_same_metrics(compiled, reference)
 
 
 def test_table_arrays_are_read_only() -> None:

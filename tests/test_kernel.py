@@ -1,7 +1,7 @@
 """The compiled kernel: it is built when it can be, the draw and the slot
 loop fall back to Python quietly when it cannot, it caches its build
-outside the source tree, and a build with the undefined-behaviour
-sanitizer runs the extremes clean."""
+outside the source tree, and builds with the undefined-behaviour and the
+address sanitizers run the extremes clean."""
 
 from __future__ import annotations
 
@@ -11,17 +11,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from mecsched import _kernel
-from mecsched.catalog import CacheConfig, ContentCatalog
-from mecsched.config import ExperimentConfig, build_system
-from mecsched.engine import draw_tasks, run_simulation
-from mecsched.policy import POLICY_KINDS
-from mecsched.workload import K_SPAN_LIMIT, WorkloadConfig, draw_contents, sample_tasks
-from fixed_uniforms import pcg64_with_next
-from test_engine import _assert_same_metrics
+from kernel_extremes import compare_at_the_extremes
 
 SRC = Path(_kernel.__file__).resolve().parent.parent
 _HAS_CC = shutil.which("cc") is not None
@@ -143,52 +136,57 @@ def test_fallback_run_is_identical_and_quiet(case, tmp_path) -> None:
     assert fallback.stderr == compiled.stderr == "simulate: 2 runs at policy=lyapunov\n"
 
 
-def _has_ubsan() -> bool:
+def _runtime(name: str):
+    """The path of cc's sanitizer runtime ``name``, or None."""
     # cc prints the bare file name when it has no such library.
-    found = subprocess.run(["cc", "-print-file-name=libubsan.so"], capture_output=True, text=True)
-    return os.path.isabs(found.stdout.strip())
+    found = subprocess.run(["cc", f"-print-file-name={name}"], capture_output=True, text=True).stdout.strip()
+    return found if os.path.isabs(found) else None
 
 
 @needs_cc
 def test_sanitized_kernel_matches_python_at_the_extremes(cache, monkeypatch) -> None:
-    # Built with UBSan, the kernel's draw and loop equal the Python ones on
-    # a one-content catalog, a cache of the whole catalog, wide guide
-    # buckets, k spans 0 and K_SPAN_LIMIT - 1, and busy counts at the 2**62
-    # cap.  A finding ends the whole process; run this test alone with -s
-    # to read UBSan's report.
-    if not _has_ubsan():
+    # Built with UBSan.  A finding ends the whole process; run this test
+    # alone with -s to read UBSan's report.
+    if _runtime("libubsan.so") is None:
         pytest.skip("no UBSan runtime")
     monkeypatch.setattr(_kernel, "FLAGS", _kernel.FLAGS + ("-fsanitize=undefined", "-fno-sanitize-recover=all"))
     sanitized = _kernel.load()
     assert sanitized is not None
+    compare_at_the_extremes(sanitized)
 
-    def both(fn) -> list:
-        results = []
-        for lib in (sanitized, None):
-            monkeypatch.setattr(_kernel, "lib", lib)
-            results.append(fn())
-        return results
 
-    one, steep = ContentCatalog.zipf(1, 0.0, 1.0), ContentCatalog.zipf(50, 3.0, 1.0)
-    for catalog, capacity, k_min, k_max in (
-        (one, 0, 1, 5), (one, 1, 1, 5), (steep, 0, 3, 66), (steep, 50, 3, 66), (steep, 5, 7, 7),
-    ):
-        cfg, cache_cfg = WorkloadConfig(0.4, k_min, k_max), CacheConfig.for_catalog(catalog, capacity)
-        compiled, python = both(lambda: sample_tasks(np.random.default_rng(1), catalog, cfg, 300, cache_cfg))
-        assert [a.tolist() for a in compiled] == [a.tolist() for a in python]
-        compiled, python = both(lambda: draw_contents(np.random.default_rng(1), catalog, [0, 1, 3, 40], cache_cfg))
-        assert compiled.tolist() == python.tolist()
-    # The widest span: a rejected 0, then k = 2 from the word's low half and
-    # k = 1 from its high half.
-    widest, cache_cfg = WorkloadConfig(0.4, 1, K_SPAN_LIMIT), CacheConfig.for_catalog(steep, 0)
-    compiled, python = both(lambda: sample_tasks(pcg64_with_next(1 << 32 | 2, 0), steep, widest, 2, cache_cfg))
-    assert compiled[0].tolist() == python[0].tolist() == [2, 1]
-    assert compiled[1].tolist() == python[1].tolist()
+# Builds the kernel with ASan into the cache directory argv[1] and runs the
+# extremes on it; exits 3 when the build did not load.
+_ASAN_CHILD = """
+import os, sys
+from mecsched import _kernel
+from kernel_extremes import compare_at_the_extremes
+os.environ["XDG_CACHE_HOME"] = sys.argv[1]
+_kernel.FLAGS += ("-fsanitize=address",)
+sanitized = _kernel.load()
+if sanitized is None:
+    sys.exit(3)
+compare_at_the_extremes(sanitized)
+"""
 
-    for policy in POLICY_KINDS:
-        for fields in ({"n_contents": 1, "cache_m": 1}, {"rate_bps": 1e-300}):
-            catalog, cache_cfg, params, workload_cfg, spec = build_system(ExperimentConfig(policy=policy, **fields))
-            monkeypatch.setattr(_kernel, "lib", sanitized)
-            table = draw_tasks(catalog, cache_cfg, workload_cfg, 2000, seed=3)
-            compiled, python = both(lambda: run_simulation(table, params, spec, collect_series=True))
-            _assert_same_metrics(compiled, python)
+
+@needs_cc
+def test_address_sanitized_kernel_matches_python_at_the_extremes(tmp_path) -> None:
+    # The same extremes on an ASan build, which must be the first library
+    # loaded, so it runs in a child started with the runtime preloaded.  A
+    # finding fails the child, and its report is in the assertion message.
+    runtime = _runtime("libasan.so")
+    if runtime is None:
+        pytest.skip("no ASan runtime")
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join((str(SRC), str(Path(__file__).resolve().parent))),
+        "LD_PRELOAD": runtime,
+        # Python's own allocations outlive the interpreter by design.
+        "ASAN_OPTIONS": "detect_leaks=0",
+    }
+    child = subprocess.run(
+        [sys.executable, "-c", _ASAN_CHILD, str(tmp_path / "xdg")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr

@@ -46,11 +46,16 @@ HORIZON = 100_000
 SEEDS = (0, 1, 2, 3, 4)
 REPEATS = 5
 # (name, ExperimentConfig overrides); every other value is the default.
+# The last two bracket the draw's cache test and its lookup tables: with
+# no cache every content lands above the capacity, and 100000 contents
+# give guide and cdf tables far larger than L1.
 POINTS = (
     ("lyapunov_lambda0.4", {"policy": "lyapunov", "arrival_prob": 0.4}),
     ("lyapunov_lambda0.8", {"policy": "lyapunov", "arrival_prob": 0.8}),
     ("mec_only_lambda0.4", {"policy": "mec_only", "arrival_prob": 0.4}),
     ("local_only_lambda0.4", {"policy": "local_only", "arrival_prob": 0.4}),
+    ("cache0", {"policy": "lyapunov", "arrival_prob": 0.4, "cache_m": 0}),
+    ("catalog100k", {"policy": "lyapunov", "arrival_prob": 0.4, "n_contents": 100_000, "cache_m": 1000}),
 )
 
 
