@@ -38,9 +38,8 @@ enum { BLOCK = 64 };
  * ks[i].  Its k contents are k next_double uniforms, each ranked through
  * the catalog's guide table (a binary search in wide buckets only), and
  * distinct[i] gets the number of distinct ranks above capacity.  stamp
- * holds n_contents + 1 zeros; stamp[rank] is the tag of the last task that
- * drew rank, and every cached rank maps to stamp[0], which holds the
- * current task's tag, so the count needs no branch. */
+ * holds n_contents zeros; stamp[rank - 1] is the tag of the last task that
+ * drew rank. */
 void mecsched_draw_tasks(bitgen_t *rng, int64_t n_tasks, int draw_k, int64_t k_lo, uint32_t span,
                          int64_t *ks, const int32_t *guide, const uint8_t *guide_wide,
                          int64_t n_buckets, const double *cdf, int64_t n_contents,
@@ -62,7 +61,6 @@ void mecsched_draw_tasks(bitgen_t *rng, int64_t n_tasks, int draw_k, int64_t k_l
         }
         const int64_t tag = i + 1;
         int64_t count = 0;
-        stamp[0] = tag;
         for (int64_t first = 0; first < k; first += BLOCK) {
             const int64_t n = k - first < BLOCK ? k - first : BLOCK;
             for (int64_t j = 0; j < n; j++) block[j] = rng->next_double(rng->state);
@@ -81,13 +79,12 @@ void mecsched_draw_tasks(bitgen_t *rng, int64_t n_tasks, int draw_k, int64_t k_l
                     below += cdf[below] <= u;
                 }
                 /* Must stay branch-free.  At the defaults (Zipf 0.8, 1000
-                 * contents, cache 50) 42% of draws are cached, so the
-                 * conditional jump gcc 12 -O2 makes of "below >= capacity ?
-                 * below + 1 : 0" is a coin flip: 0.9 us per task against
-                 * 0.3 us with this mask. */
-                int64_t slot = (below + 1) & -(int64_t)(below >= capacity);
-                count += stamp[slot] != tag;
-                stamp[slot] = tag;
+                 * contents, cache 50) 42% of draws are cached, so a
+                 * conditional jump on the cache test, as gcc 12 -O2 makes
+                 * of "below >= capacity ? below + 1 : 0", is a coin flip:
+                 * 0.9 us per task against 0.3 us without it. */
+                count += (stamp[below] != tag) & (below >= capacity);
+                stamp[below] = tag;
             }
         }
         distinct[i] = count;

@@ -114,7 +114,7 @@ def _draw(rng, catalog: ContentCatalog, cache: CacheConfig, ks: np.ndarray, cfg)
             distinct[i] = len(set(ranks[ranks > cache.capacity].tolist()))
         return distinct
     k_min, span = (0, 0) if cfg is None else (cfg.k_min, cfg.k_max - cfg.k_min)
-    stamp = np.zeros(catalog.n_contents + 1, dtype=np.int64)
+    stamp = np.zeros(catalog.n_contents, dtype=np.int64)
     bitgen = rng.bit_generator
     # ctypes releases the GIL; the lock keeps other threads off the stream.
     with bitgen.lock:
