@@ -136,7 +136,7 @@ def test_fallback_run_is_identical_and_quiet(case, tmp_path) -> None:
     assert fallback.stderr == compiled.stderr == "simulate: 2 runs at policy=lyapunov\n"
 
 
-def _runtime(name: str):
+def _runtime(name: str) -> str | None:
     """The path of cc's sanitizer runtime ``name``, or None."""
     # cc prints the bare file name when it has no such library.
     found = subprocess.run(["cc", f"-print-file-name={name}"], capture_output=True, text=True).stdout.strip()
@@ -189,4 +189,4 @@ def test_address_sanitized_kernel_matches_python_at_the_extremes(tmp_path) -> No
         [sys.executable, "-c", _ASAN_CHILD, str(tmp_path / "xdg")],
         env=env, capture_output=True, text=True, timeout=120,
     )
-    assert child.returncode == 0, child.stderr
+    assert child.returncode == 0, f"exit {child.returncode}\n{child.stderr}"
