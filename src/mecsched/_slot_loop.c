@@ -24,14 +24,6 @@ typedef struct {
     uint64_t (*next_raw)(void *st);
 } bitgen_t;
 
-/* A task's k contents are drawn BLOCK at a time: first all of a block's
- * next_double calls, then all of its lookups, so the generator makes the
- * same calls in the same order.  The lookups do not wait on one another,
- * so out-of-order execution overlaps their cache misses once the guide
- * table outgrows L1: 0.86 -> 0.64 us per task at 100000 contents, no
- * change at 1000 (2-core Xeon VM). */
-enum { BLOCK = 64 };
-
 /* Draws n_tasks tasks in turn.  With draw_k, task i's k is
  * Generator.integers(k_lo, k_lo + span + 1), numpy's 32-bit Lemire
  * rejection (span < 2**32 - 1), and is stored in ks[i]; otherwise k is
@@ -47,7 +39,6 @@ void mecsched_draw_tasks(bitgen_t *rng, int64_t n_tasks, int draw_k, int64_t k_l
 {
     const uint64_t k_range = (uint64_t)span + 1;
     const uint32_t threshold = (UINT32_MAX - span) % k_range;
-    double block[BLOCK];
     for (int64_t i = 0; i < n_tasks; i++) {
         int64_t k = ks[i];
         if (draw_k) {
@@ -61,31 +52,27 @@ void mecsched_draw_tasks(bitgen_t *rng, int64_t n_tasks, int draw_k, int64_t k_l
         }
         const int64_t tag = i + 1;
         int64_t count = 0;
-        for (int64_t first = 0; first < k; first += BLOCK) {
-            const int64_t n = k - first < BLOCK ? k - first : BLOCK;
-            for (int64_t j = 0; j < n; j++) block[j] = rng->next_double(rng->state);
-            for (int64_t j = 0; j < n; j++) {
-                double u = block[j];
-                int64_t bucket = (int64_t)(u * (double)n_buckets);
-                int64_t below = guide[bucket];  /* cdf entries <= u */
-                if (guide_wide[bucket]) {
-                    int64_t hi = n_contents - 1;  /* cdf[n_contents - 1] is 1 > u */
-                    while (below < hi) {
-                        int64_t mid = below + (hi - below) / 2;
-                        if (cdf[mid] <= u) below = mid + 1;
-                        else hi = mid;
-                    }
-                } else {
-                    below += cdf[below] <= u;
+        for (int64_t j = 0; j < k; j++) {
+            double u = rng->next_double(rng->state);
+            int64_t bucket = (int64_t)(u * (double)n_buckets);
+            int64_t below = guide[bucket];  /* cdf entries <= u */
+            if (guide_wide[bucket]) {
+                int64_t hi = n_contents - 1;  /* cdf[n_contents - 1] is 1 > u */
+                while (below < hi) {
+                    int64_t mid = below + (hi - below) / 2;
+                    if (cdf[mid] <= u) below = mid + 1;
+                    else hi = mid;
                 }
-                /* Must stay branch-free.  At the defaults (Zipf 0.8, 1000
-                 * contents, cache 50) 42% of draws are cached, so a
-                 * conditional jump on the cache test, as gcc 12 -O2 makes
-                 * of "below >= capacity ? below + 1 : 0", is a coin flip:
-                 * 0.9 us per task against 0.3 us without it. */
-                count += (stamp[below] != tag) & (below >= capacity);
-                stamp[below] = tag;
+            } else {
+                below += cdf[below] <= u;
             }
+            /* Must stay branch-free.  At the defaults (Zipf 0.8, 1000
+             * contents, cache 50) 42% of draws are cached, so a
+             * conditional jump on the cache test, as gcc 12 -O2 makes of
+             * "below >= capacity ? below + 1 : 0", is a coin flip: 0.9 us
+             * per task against 0.3 us without it. */
+            count += (stamp[below] != tag) & (below >= capacity);
+            stamp[below] = tag;
         }
         distinct[i] = count;
     }

@@ -248,8 +248,8 @@ def test_sample_tasks_follow_any_bit_generator(catalog: ContentCatalog) -> None:
 def test_draw_contents_equal_per_task_random_calls(catalog: ContentCatalog) -> None:
     # The Monte Carlo estimate's draw: k given, so each task takes the next
     # random(k) uniforms and nothing else.  Every k from 0 to 130 comes
-    # first, so the kernel's 64-uniform blocks are crossed at one and two
-    # blocks and on either side of each edge.
+    # first, so any k where a loop over a task's uniforms could stop one
+    # short or run one long is among them.
     ks = np.concatenate([np.arange(131), np.random.default_rng(1).integers(0, 70, 600)])
     for capacity in (0, 50, 1000):
         cache = CacheConfig.for_catalog(catalog, capacity)
