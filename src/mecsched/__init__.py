@@ -23,66 +23,4 @@ Subpackage map:
 - ``cli``       config files, experiment commands, CSV output
 """
 
-from .catalog import CacheConfig, ContentCatalog, zipf_popularity
-from .workload import WorkloadConfig, sample_tasks
-from .dynamics import SystemParams, slots_local, slots_mec, task_bits
-from .policy import ACTION_IDLE, ACTIONS, PolicySpec, decide, feasible_actions
-from .engine import (
-    RunMetrics,
-    TaskTable,
-    avg_data_per_task,
-    avg_queue_length,
-    draw_tasks,
-    little_delay,
-    mean_delay_slots,
-    run_simulation,
-)
-from .analysis import (
-    RegimeReport,
-    SlotMeanEstimate,
-    estimate_slot_means,
-    expected_local_bits,
-    expected_mec_bits,
-    optimal_average_data,
-    optimality_gap_bound,
-    uniform_k_dist,
-)
-from .errors import ConfigError, ContractViolation, MetricUndefined
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ACTIONS",
-    "ACTION_IDLE",
-    "CacheConfig",
-    "ConfigError",
-    "ContentCatalog",
-    "ContractViolation",
-    "MetricUndefined",
-    "PolicySpec",
-    "RegimeReport",
-    "RunMetrics",
-    "SlotMeanEstimate",
-    "SystemParams",
-    "TaskTable",
-    "WorkloadConfig",
-    "avg_data_per_task",
-    "avg_queue_length",
-    "decide",
-    "draw_tasks",
-    "estimate_slot_means",
-    "expected_local_bits",
-    "expected_mec_bits",
-    "feasible_actions",
-    "little_delay",
-    "mean_delay_slots",
-    "optimal_average_data",
-    "optimality_gap_bound",
-    "run_simulation",
-    "sample_tasks",
-    "slots_local",
-    "slots_mec",
-    "task_bits",
-    "uniform_k_dist",
-    "zipf_popularity",
-]

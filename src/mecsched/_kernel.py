@@ -64,8 +64,7 @@ def load() -> Optional[ctypes.CDLL]:
         lib.mecsched_slot_loop.restype = None
         lib.mecsched_draw_tasks.argtypes = [
             ctypes.c_void_p, i64, ctypes.c_int, i64, ctypes.c_uint32, _array(np.int64),
-            _array(np.int32), _array(np.bool_), i64, _array(np.float64), i64, i64,
-            _array(np.int64), _array(np.int64),
+            _array(np.int32), i64, _array(np.float64), i64, _array(np.int64), _array(np.int64),
         ]
         lib.mecsched_draw_tasks.restype = None
     except (OSError, RuntimeError, AttributeError):

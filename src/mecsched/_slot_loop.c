@@ -28,13 +28,12 @@ typedef struct {
  * Generator.integers(k_lo, k_lo + span + 1), numpy's 32-bit Lemire
  * rejection (span < 2**32 - 1), and is stored in ks[i]; otherwise k is
  * ks[i].  Its k contents are k next_double uniforms, each ranked through
- * the catalog's guide table (a binary search in wide buckets only), and
- * distinct[i] gets the number of distinct ranks above capacity.  stamp
- * holds n_contents zeros; stamp[rank - 1] is the tag of the last task that
- * drew rank. */
+ * the catalog's guide table of n_buckets + 1 entries (a binary search in
+ * buckets holding more than one cdf entry only), and distinct[i] gets the
+ * number of distinct ranks above capacity.  stamp holds one zero per
+ * content; stamp[rank - 1] is the tag of the last task that drew rank. */
 void mecsched_draw_tasks(bitgen_t *rng, int64_t n_tasks, int draw_k, int64_t k_lo, uint32_t span,
-                         int64_t *ks, const int32_t *guide, const uint8_t *guide_wide,
-                         int64_t n_buckets, const double *cdf, int64_t n_contents,
+                         int64_t *ks, const int32_t *guide, int64_t n_buckets, const double *cdf,
                          int64_t capacity, int64_t *stamp, int64_t *distinct)
 {
     const uint64_t k_range = (uint64_t)span + 1;
@@ -56,8 +55,8 @@ void mecsched_draw_tasks(bitgen_t *rng, int64_t n_tasks, int draw_k, int64_t k_l
             double u = rng->next_double(rng->state);
             int64_t bucket = (int64_t)(u * (double)n_buckets);
             int64_t below = guide[bucket];  /* cdf entries <= u */
-            if (guide_wide[bucket]) {
-                int64_t hi = n_contents - 1;  /* cdf[n_contents - 1] is 1 > u */
+            int64_t hi = guide[bucket + 1];  /* and at most this many */
+            if (hi - below > 1) {
                 while (below < hi) {
                     int64_t mid = below + (hi - below) / 2;
                     if (cdf[mid] <= u) below = mid + 1;

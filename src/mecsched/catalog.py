@@ -66,12 +66,13 @@ class ContentCatalog:
 
     Derived fields: ``cdf`` is the cumulative popularity (last entry
     exactly 1).  ``guide`` splits [0, 1) into B equal buckets, B the
-    smallest power of two ``>= 4 * n_contents``; ``guide[j]`` is the number
-    of ``cdf`` entries ``<= j / B``, so for ``u`` in bucket ``j`` the number
-    of entries ``<= u`` is ``guide[j]`` plus those inside the bucket.
-    ``guide_wide[j]`` marks the buckets that hold more than one entry; in
-    every other bucket one comparison with ``cdf[guide[j]]`` finishes the
-    count.  The two tables cost 5 bytes per bucket.
+    smallest power of two ``>= 4 * n_contents``, and has B + 1 entries;
+    ``guide[j]`` is the number of ``cdf`` entries ``<= j / B``, so for
+    ``u`` in bucket ``j`` the number of entries ``<= u`` lies between
+    ``guide[j]`` and ``guide[j + 1]``.  In a bucket where the two differ
+    by at most one, one comparison with ``cdf[guide[j]]`` finishes the
+    count; a wider one needs a binary search between them.  The table
+    costs 4 bytes per bucket.
     """
 
     n_contents: int
@@ -79,7 +80,6 @@ class ContentCatalog:
     popularity: np.ndarray
     cdf: np.ndarray = field(init=False, repr=False)
     guide: np.ndarray = field(init=False, repr=False)
-    guide_wide: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n_contents < 1:
@@ -105,8 +105,7 @@ class ContentCatalog:
         # power of two is exact, so the bucket counts have no rounding error.
         buckets = 1 << (4 * self.n_contents - 1).bit_length()
         per_bucket = np.bincount(np.ceil(cdf * buckets).astype(np.intp), minlength=buckets + 1)
-        object.__setattr__(self, "guide", np.cumsum(per_bucket[:buckets], dtype=np.int32))
-        object.__setattr__(self, "guide_wide", per_bucket[1:buckets + 1] > 1)
+        object.__setattr__(self, "guide", np.cumsum(per_bucket, dtype=np.int32))
 
     @classmethod
     def zipf(cls, n_contents: int, alpha: float, size_bits: float) -> "ContentCatalog":

@@ -224,19 +224,23 @@ def build_system(config: ExperimentConfig, catalogs: Optional[dict] = None):
     """Materialise the simulator objects a config describes.
 
     Returns ``(catalog, cache, params, workload_cfg, policy)``.  A value
-    the objects reject (for example a Zipf exponent so large that the
-    tail popularity underflows to zero) raises :class:`ConfigError`.
+    the objects reject raises :class:`ConfigError`; a catalog rejected
+    after validation (a Zipf exponent so large that the tail popularity
+    underflows to zero) names ``zipf_alpha`` and where it was set.
     ``catalogs``, when given, is a memo of catalogs by ``(n_contents,
     zipf_alpha, tau_bits)``: the catalog comes from there, and is built and
     stored there on first use.
     """
-    try:
-        key = (config.n_contents, config.zipf_alpha, config.tau_bits)
-        catalog = None if catalogs is None else catalogs.get(key)
-        if catalog is None:
+    key = (config.n_contents, config.zipf_alpha, config.tau_bits)
+    catalog = None if catalogs is None else catalogs.get(key)
+    if catalog is None:
+        try:
             catalog = ContentCatalog.zipf(*key)
-            if catalogs is not None:
-                catalogs[key] = catalog
+        except ValueError as exc:
+            raise _range_error(config, "zipf_alpha", f"gives a popularity the catalog rejects: {exc}") from exc
+        if catalogs is not None:
+            catalogs[key] = catalog
+    try:
         cache = CacheConfig.for_catalog(catalog, config.cache_m)
         params = SystemParams(
             slot_seconds=config.slot_seconds,

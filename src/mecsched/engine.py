@@ -33,20 +33,22 @@ each run reads.  When no compiler is found or the build fails,
 identical runs: the C rule makes the same floating-point comparisons as
 ``decide``, bit for bit.
 
-Everything else follows from those records and the arrival flags, in
+Everything else follows from those records and the per-task arrays, in
 numpy passes after the loop:
 
 - completion times and transmitted bits, from each started task's start
   slot, mode and busy-slot count;
-- the queue before each slot, ``q_t = A_t - S_t`` with ``A_t`` the
-  arrivals and ``S_t`` the starts before slot ``t``, and from it the queue
-  sums, the series (only when asked for) and the drift audit below.  This
-  pass works through the slots in chunks of ``_QUEUE_CHUNK``, carrying
-  ``A`` and ``S`` across chunk edges.
+- the queue sums, in closed form.  The queue before slot ``t`` is
+  ``q_t = A_t - S_t``, the tasks arrived minus those started before slot
+  ``t``, so a task counts in it on the slots after its arrival slot
+  ``a_i`` up to its start slot ``s_i``.  Summed over slots ``W..H-1``:
+  ``sum_i (H - max(a_i + 1, W)) - sum_j (H - max(s_j + 1, W))``.  Each
+  term is at most ``H``; :func:`draw_tasks` keeps ``H**2`` within int64.
+- the series ``A_t - S_t``, only when asked for.
 
-A run therefore holds its table's 1 byte per slot of arrival flags, about
-120 bytes per task (table included) and chunk-sized temporaries; the
-queue series adds 8 bytes per slot when asked for.
+A run therefore holds its table's 1 byte per slot of arrival flags and
+about 120 bytes per task (table included); the queue series adds 8 bytes
+per slot, and its build twice that for a moment, when asked for.
 
 Two bookkeeping details worth knowing:
 
@@ -55,21 +57,25 @@ Two bookkeeping details worth knowing:
   tasks.  Dividing by raw arrivals instead would silently drift low
   whenever the horizon ends with a backlog, which is exactly the regime
   the overload experiments probe.
-- Every slot is audited against the squared-queue drift inequality
+- The drift audit counts the slots that break the squared-queue drift
+  inequality
 
       q_next^2 <= q^2 + u^2 + a^2 - 2*q*(u - a)
 
-  (``u`` tasks started, ``a`` arrivals) in exact integer arithmetic.  With
-  ``q_next = q - u + a`` the inequality reduces to ``2*u*a >= 0``, an
-  identity of the queue recursion, so the audit also counts a slot that
-  breaks one of its preconditions: no more starts than queued tasks
-  (``u <= q``), and no task started before the slot after its arrival.
-  Violations are counted, never raised; a correct run keeps the count at
-  zero.
+  (``u`` tasks started, ``a`` arrivals) or its precondition ``u <= q``.
+  With ``q_next = q - u + a`` the inequality reduces to ``2*u*a >= 0``,
+  an identity of the queue recursion, so only the precondition can fail,
+  and ``u_t > q_t`` exactly when ``S_(t+1) > A_t``.  On the slots
+  ``(a_(m-1), a_m]``, ``A_t = m``, so the count is
+  ``sum_m max(0, a_m - max(a_(m-1) + 1, s_m) + 1)`` over started tasks.
+  A start no later than its own arrival slot needs no count of its own:
+  its slot has ``S_(t+1) > m >= A_t``.  Violations are counted, never
+  raised; a correct run keeps the count at zero.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -96,11 +102,10 @@ __all__ = [
 
 # Keep every bit count exactly representable in a float64.
 _EXACT_FLOAT_LIMIT = 2.0**53
+# The longest horizon whose square fits an int64.
+_QUEUE_SUM_HORIZON_LIMIT = math.isqrt(2**63 - 1)
 # Slots whose arrival uniforms are drawn at a time.
 _ARRIVAL_CHUNK = 1 << 16
-# Slots whose queue is rebuilt at a time.  The pass holds about ten int64
-# arrays of this length (about 300 kB); larger chunks cost no less per slot.
-_QUEUE_CHUNK = 1 << 12
 
 
 @dataclass
@@ -179,6 +184,12 @@ def draw_tasks(
     # to the same value in any order.
     if not horizon * workload_cfg.k_max * catalog.size_bits < _EXACT_FLOAT_LIMIT:
         raise ConfigError("horizon * k_max * size_bits too large for exact bit accounting")
+    # A queue sum adds up to horizon slots per task, so it stays exact in
+    # int64 while horizon**2 does.
+    if horizon > _QUEUE_SUM_HORIZON_LIMIT:
+        raise ConfigError(
+            f"horizon must stay at most {_QUEUE_SUM_HORIZON_LIMIT} slots for exact queue sums, got {horizon}"
+        )
     if not float(catalog.size_bits).is_integer():
         raise ConfigError(f"content size must be a whole number of bits, got {catalog.size_bits}")
     # Wider k ranges leave the 32-bit integer draw the task sampler follows.
@@ -234,9 +245,8 @@ def run_simulation(
     # Tasks [0, head) were started; each completes n - 1 slots after its start.
     start_slot, on_mec = start_slot[:head], on_mec[:head]
     warmup_slots = int(warmup_frac * horizon)
-    series = np.empty(horizon, dtype=np.int64) if collect_series else None
-    queue_len_sum, queue_len_sum_after_warmup, drift_violations = _queue_pass(
-        arriving, arrival_slot, start_slot, warmup_slots, series
+    queue_len_sum, queue_len_sum_after_warmup, drift_violations, series = _queue_pass(
+        arrival_slot, start_slot, horizon, warmup_slots, collect_series
     )
     done_slot = start_slot + np.where(on_mec, n_mec[:head], n_local[:head]) - 1
     tx_bits = np.where(on_mec, mec_bits[:head], local_bits[:head])
@@ -342,50 +352,37 @@ def _c_slot_loop(
 
 
 def _queue_pass(
-    arriving: np.ndarray,
     arrival_slot: np.ndarray,
     start_slot: np.ndarray,
+    horizon: int,
     warmup_slots: int,
-    series: Optional[np.ndarray],
-) -> tuple[int, int, int]:
-    """Rebuild the per-slot queue from the arrivals and the start slots.
+    collect_series: bool,
+) -> tuple[int, int, int, Optional[np.ndarray]]:
+    """The queue sums, the drift audit and the series, in the closed forms
+    of the module docstring.
 
-    Works through the slots ``_QUEUE_CHUNK`` at a time, carrying the
-    arrivals and starts counted so far across chunk edges, and fills
-    ``series`` when given.  Returns ``(queue_len_sum,
-    queue_len_sum_after_warmup, drift_violations)``.  ``start_slot`` is
-    non-decreasing, since the loop starts tasks in queue order.
+    Returns ``(queue_len_sum, queue_len_sum_after_warmup, drift_violations,
+    series)``; ``series`` is ``None`` unless ``collect_series``.
+    ``start_slot`` is non-decreasing, since the loop starts tasks in queue
+    order.
     """
-    # A task arriving in slot t joins the queue after that slot's decision.
-    early = start_slot[start_slot <= arrival_slot[:start_slot.size]]
-    queue_len_sum = queue_len_sum_after_warmup = drift_violations = 0
-    arrived = started = 0
-    for first in range(0, arriving.size, _QUEUE_CHUNK):
-        a = arriving[first:first + _QUEUE_CHUNK].astype(np.int64)
-        stop = int(np.searchsorted(start_slot, first + a.size))
-        u = np.bincount(start_slot[started:stop] - first, minlength=a.size)
-        # q_ext[i] is the queue before slot first + i; its last entry is the
-        # queue after the chunk's last slot.
-        q_ext = np.empty(a.size + 1, dtype=np.int64)
-        q_ext[0] = arrived - started
-        np.cumsum(a - u, out=q_ext[1:])
-        q_ext[1:] += q_ext[0]
-        q, q_next = q_ext[:-1], q_ext[1:]
+    def queue_sum(first: int) -> int:
+        joined = horizon - np.maximum(arrival_slot + 1, first)
+        left = horizon - np.maximum(start_slot + 1, first)
+        return int(joined.sum()) - int(left.sum())
 
-        queue_len_sum += int(q.sum())
-        queue_len_sum_after_warmup += int(q[max(warmup_slots - first, 0):].sum())
-        if series is not None:
-            series[first:first + a.size] = q
-        # The drift inequality with q**2 taken off both sides: every term is
-        # then at most a few times the horizon, which the draw's guard keeps
-        # below 2**53, so int64 holds it exactly.
-        bad = (q_next - q) * (q_next + q) > u * u + a * a - 2 * q * (u - a)
-        bad |= u > q
-        bad[early[(early >= first) & (early < first + a.size)] - first] = True
-        drift_violations += int(np.count_nonzero(bad))
-        arrived += int(a.sum())
-        started = stop
-    return queue_len_sum, queue_len_sum_after_warmup, drift_violations
+    # Per started task m: its slots (a_(m-1), a_m] from s_m on.
+    arrived = arrival_slot[:start_slot.size]
+    first = start_slot.copy()
+    np.maximum(first[1:], arrived[:-1] + 1, out=first[1:])
+    drift_violations = int(np.maximum(arrived - first + 1, 0).sum())
+
+    series = None
+    if collect_series:
+        slots = np.arange(horizon)
+        series = np.searchsorted(arrival_slot, slots)
+        series -= np.searchsorted(start_slot, slots)
+    return queue_sum(0), queue_sum(warmup_slots), drift_violations, series
 
 
 def avg_data_per_task(metrics: RunMetrics) -> float:

@@ -120,7 +120,6 @@ def _draw(rng, catalog: ContentCatalog, cache: CacheConfig, ks: np.ndarray, cfg)
     with bitgen.lock:
         lib.mecsched_draw_tasks(
             bitgen.ctypes.bit_generator, ks.size, cfg is not None, k_min, span, ks,
-            catalog.guide, catalog.guide_wide, catalog.guide.size, catalog.cdf,
-            catalog.n_contents, cache.capacity, stamp, distinct,
+            catalog.guide, catalog.guide.size - 1, catalog.cdf, cache.capacity, stamp, distinct,
         )
     return distinct

@@ -191,6 +191,15 @@ def test_range_errors_name_where_the_key_was_set(tmp_path, capsys) -> None:
     with pytest.raises(ConfigError) as found:
         ExperimentConfig(cache_m=2000).validate()
     assert str(found.value) == message
+    # A Zipf exponent whose tail popularity underflows to zero passes
+    # validation; the catalog build names the key and its source.
+    underflow = "config key 'zipf_alpha': gives a popularity the catalog rejects: " \
+        "popularity entries must be strictly positive"
+    assert main(["simulate", "--set", "zipf_alpha=1e300"]) == 1
+    assert capsys.readouterr().err == f"error: override 'zipf_alpha=1e300': {underflow}\n"
+    path.write_text("lambda = 0.3\nzipf_alpha = 400\n")
+    assert main(["simulate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}:2: {underflow}\n"
 
 
 def test_sweep_configs_expand() -> None:

@@ -106,11 +106,23 @@ def test_drift_inequality_never_violated() -> None:
         assert metrics.drift_violations == 0
 
 
-def test_drift_audit_catches_starts_beyond_the_queue(monkeypatch) -> None:
+@pytest.mark.parametrize(
+    "arrival_prob, seed, horizon, warmup_frac, expected",
+    [
+        (0.4, 0, 3000, 0.1, (1324, 197, 180)),
+        (0.4, 1, 5000, 0.3, (1985, 900, 777)),
+        (0.8, 2, 4000, 0.0, (1, 1498737, 1498737)),
+        (0.2, 3, 6000, 0.5, (2940, -1712, -767)),
+    ],
+    ids=["seed0", "seed1", "seed2", "seed3"],
+)
+def test_drift_audit_catches_starts_beyond_the_queue(
+    monkeypatch, arrival_prob, seed, horizon, warmup_frac, expected
+) -> None:
     # A rule that starts two tasks whenever both processors are free, even
     # with one queued: it drives the queue negative and starts a task before
     # it arrives.  The inequality alone holds on every slot (it is an
-    # identity of the queue recursion); its preconditions do not.
+    # identity of the queue recursion); its precondition u <= q does not.
     def split_whenever_free(policy, busy_local, busy_mec, q_len, *bits):
         if not busy_local and not busy_mec and q_len >= 1:
             return ACTION_SPLIT_LOCAL_MEC
@@ -119,9 +131,17 @@ def test_drift_audit_catches_starts_beyond_the_queue(monkeypatch) -> None:
     # Only the Python loop calls engine.decide; the compiled one has its own.
     monkeypatch.setattr(_kernel, "lib", None)
     monkeypatch.setattr(engine, "decide", split_whenever_free)
-    metrics = _run(horizon=3000, seed=0)
-    assert metrics.queue_len_series.min() < 0
-    assert metrics.drift_violations > 0
+    (catalog, cache, params, workload_cfg, policy), _ = _system(arrival_prob=arrival_prob)
+    table = draw_tasks(catalog, cache, workload_cfg, horizon, seed)
+    metrics = run_simulation(table, params, policy, warmup_frac=warmup_frac, collect_series=True)
+    found = (metrics.drift_violations, metrics.queue_len_sum, metrics.queue_len_sum_after_warmup)
+    assert found == expected
+    # Slot by slot: u_t = q_t - q_(t+1) + a_t starts, q_H the final backlog.
+    q = np.append(metrics.queue_len_series, metrics.arrivals - metrics.scheduled)
+    started = q[:-1] - q[1:] + table.arriving
+    assert np.count_nonzero(started > q[:-1]) == metrics.drift_violations
+    assert q[:-1].sum() == metrics.queue_len_sum
+    assert q[metrics.warmup_slots:-1].sum() == metrics.queue_len_sum_after_warmup
 
 
 def test_run_without_series_allocates_nothing_per_slot() -> None:
@@ -283,6 +303,11 @@ def test_draw_guards_fire_before_allocating() -> None:
         draw_tasks(catalog, cache, workload_cfg, 10**15, seed=0)
     with pytest.raises(ConfigError):
         draw_tasks(catalog, CacheConfig.for_catalog(ContentCatalog.zipf(10, 0.8, 5e6), 5), workload_cfg, 100, seed=0)
+    # One-bit, one-content tasks pass the bit guard at any feasible horizon;
+    # past 3,037,000,499 slots a queue sum could leave int64.
+    (catalog, cache, _, workload_cfg, _), _ = _system(tau_bits=1.0, k_min=1, k_max=1)
+    with pytest.raises(ConfigError, match="exact queue sums"):
+        draw_tasks(catalog, cache, workload_cfg, 3_037_000_500, seed=0)
     (catalog, cache, _, workload_cfg, _), _ = _system(tau_bits=0.3)
     with pytest.raises(ConfigError, match="whole number of bits"):
         draw_tasks(catalog, cache, workload_cfg, 100, seed=0)

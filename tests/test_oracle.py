@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mecsched import _kernel, engine
+from mecsched import _kernel
 from mecsched.catalog import CacheConfig, ContentCatalog
 from mecsched.config import ExperimentConfig, build_system
 from mecsched.dynamics import SystemParams
@@ -143,6 +143,5 @@ def test_engine_matches_oracle_at_reference_point(fields) -> None:
     ],
 )
 def test_queue_pass_matches_oracle_across_chunk_edges(fields) -> None:
-    # Three chunks of the queue pass, the last one partial.
     config = ExperimentConfig(**fields).validate()
-    _both(*build_system(config), horizon=2 * engine._QUEUE_CHUNK + 3, seed=4)
+    _both(*build_system(config), horizon=8195, seed=4)

@@ -291,7 +291,7 @@ def test_content_ranks_equal_binary_search(n: int, alpha: float) -> None:
     # task counts 1 exactly when its rank lies above the cache, so the
     # capacities r - 1 (count 1) and r (count 0) pin a rank r.
     cat = ContentCatalog.zipf(n, alpha, 1.0)
-    buckets = cat.guide.size
+    buckets = cat.guide.size - 1
     cdf = cat.cdf
     u = np.concatenate([
         cdf,

@@ -25,9 +25,16 @@ so for checkouts that predate the kernel).
 
 Each time is the minimum of ``REPEATS`` calls; a point's figure is the
 sum of its seeds' minima over their summed tasks or slots, with the
-per-seed range beside it.  The Tier-1 suite then runs once in a child
-process (``python -m pytest -q --continue-on-collection-errors`` in
-``DIR``) and its wall time is recorded with pytest's summary line.
+per-seed range beside it.  A shared host can run the same code twice as
+slow for minutes, so each point also records the host's speed:
+``reference_s`` holds the times of the benchmark's fixed reference
+kernel (``time_reference()`` from this checkout's
+``perfbench/reference.py``, loaded read-only) just before and just after
+the point, and ``host_speed`` is the kernel's idle-host time
+``REFERENCE_S`` over their mean.  A time multiplied by ``host_speed`` is
+what the idle host would have measured.  The Tier-1 suite then runs once
+in a child process (``python -m pytest -q --continue-on-collection-errors``
+in ``DIR``) and its wall time is recorded with pytest's summary line.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ import hashlib
 import json
 import os
 import platform
+import runpy
 import subprocess
 import sys
 import time
@@ -69,12 +77,13 @@ def min_time(fn) -> tuple[float, object]:
     return best, result
 
 
-def measure_point(overrides: dict) -> dict:
+def measure_point(overrides: dict, reference: dict) -> dict:
     from mecsched.config import ExperimentConfig, build_system
     from mecsched.engine import draw_tasks, run_simulation
 
     config = ExperimentConfig(horizon_slots=HORIZON, **overrides).validate()
     catalog, cache, params, workload_cfg, policy = build_system(config)
+    before = reference["time_reference"]()
     draw_us, run_us = [], []
     draw_s = run_s = 0.0
     n_tasks = 0
@@ -85,12 +94,15 @@ def measure_point(overrides: dict) -> dict:
         draw_s, run_s, n_tasks = draw_s + t_draw, run_s + t_run, n_tasks + tasks
         draw_us.append(1e6 * t_draw / tasks)
         run_us.append(1e6 * t_run / HORIZON)
+    after = reference["time_reference"]()
     return {
         "draw_us_per_task": 1e6 * draw_s / n_tasks,
         "draw_us_per_task_range": [min(draw_us), max(draw_us)],
         "run_us_per_slot": 1e6 * run_s / (HORIZON * len(SEEDS)),
         "run_us_per_slot_range": [min(run_us), max(run_us)],
         "tasks": n_tasks,
+        "reference_s": [before, after],
+        "host_speed": reference["REFERENCE_S"] / ((before + after) / 2),
     }
 
 
@@ -140,13 +152,14 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     repo = args.repo.resolve()
     sys.path.insert(0, str(repo / "src"))
+    reference = runpy.run_path(str(here / "perfbench" / "reference.py"))
 
     entry = {
         "environment": environment(repo),
         "horizon_slots": HORIZON,
         "seeds": list(SEEDS),
         "repeats": REPEATS,
-        "points": {name: measure_point(overrides) for name, overrides in POINTS},
+        "points": {name: measure_point(overrides, reference) for name, overrides in POINTS},
         "tier1": tier1(repo),
     }
     entries = json.loads(args.out.read_text()) if args.out.exists() else []
