@@ -58,7 +58,7 @@ def load() -> Optional[ctypes.CDLL]:
         lib.mecsched_decide.argtypes = [ctypes.c_int, f64, i64, i64, i64, f64, f64, f64, f64]
         lib.mecsched_decide.restype = ctypes.c_int
         lib.mecsched_slot_loop.argtypes = [
-            ctypes.c_int, f64, i64, _array(np.bool_), _array(np.float64), _array(np.float64),
+            ctypes.c_int, f64, i64, _array(np.int64), _array(np.float64), _array(np.float64),
             _array(np.int64), _array(np.int64), _array(np.int64), _array(np.bool_), _array(np.int64),
         ]
         lib.mecsched_slot_loop.restype = None

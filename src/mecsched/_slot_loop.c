@@ -108,9 +108,11 @@ int mecsched_decide(int kind, double v, int64_t busy_local, int64_t busy_mec, in
     return decide(kind, v, busy_local, busy_mec, q_len, head_local, head_mec, second_local, second_mec);
 }
 
-/* Runs every slot of arriving[0, horizon); fills start_slot and on_mec for
- * the tasks started and leaves (head, arrived, busy_local, busy_mec) in state. */
-void mecsched_slot_loop(int kind, double v, int64_t horizon, const uint8_t *arriving,
+/* Runs slots [0, horizon); fills start_slot and on_mec for the tasks
+ * started and leaves (head, arrived, busy_local, busy_mec) in state.
+ * arrival holds the tasks' arrival slots followed by horizon, so
+ * arrival[arrived] is the next task's arrival slot and stays in bounds. */
+void mecsched_slot_loop(int kind, double v, int64_t horizon, const int64_t *arrival,
                         const double *local_bits, const double *mec_bits,
                         const int64_t *n_local, const int64_t *n_mec,
                         int64_t *start_slot, uint8_t *on_mec, int64_t *state)
@@ -138,7 +140,7 @@ void mecsched_slot_loop(int kind, double v, int64_t horizon, const uint8_t *arri
         }
         /* Departures from the head, then the slot's arrival at the tail. */
         head += ((action & (LF | LS)) != 0) + ((action & (MF | MS)) != 0);
-        arrived += arriving[t];
+        arrived += arrival[arrived] == t;
     }
     state[0] = head;
     state[1] = arrived;

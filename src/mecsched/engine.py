@@ -2,25 +2,26 @@
 
 A run has two stages.  The draw stage (:func:`draw_tasks`) samples the
 run's arrivals and the composition of every arriving task into a
-:class:`TaskTable`: per slot whether a task arrives, and per task its
-arrival slot and its two bit counts, the distinct uncached bits a local
-run fetches and the full task an offload ships.  The table depends only on
-the seed, the horizon, the arrival probability, the ``k`` range, the
-catalog (popularity and content size) and the cache capacity; the weight
+:class:`TaskTable`: the horizon, and per task its arrival slot and its
+two bit counts, the distinct uncached bits a local run fetches and the
+full task an offload ships.  The table depends only on the seed, the
+horizon, the arrival probability, the ``k`` range, the catalog
+(popularity and content size) and the cache capacity; the weight
 ``v``, the radio rate, the processor speeds and the slot length never
 enter a draw.  Runs that differ only in those controls can therefore
 share one table.  Its arrays are read-only, so no run can alter what
 another run sees.
 
 The loop stage (:func:`run_simulation`) takes a table and the run's own
-parameters, turns the bits into busy-slot counts and simulates as many
-slots as the table has arrival flags.  The FIFO queue is then just
+parameters, turns the bits into busy-slot counts and simulates the
+table's horizon slot by slot.  The FIFO queue is then just
 ``table[head:arrived]`` and the whole system state is four integers:
 ``head`` (tasks started so far), ``arrived`` (tasks arrived so far) and
 the two processors' busy countdowns.  Each slot runs decide -> start: the
 decision sees the queue as it stands before the slot, the chosen action
 starts tasks at the head and counts down the processors, and the slot's
-Bernoulli arrival (if any) joins the queue tail afterwards.  The loop does
+Bernoulli arrival (if any) joins the queue tail afterwards: the next task
+arrives in slot ``t`` when its arrival slot is ``t``.  The loop does
 nothing else; it records each started task's start slot and mode.
 
 The loop exists twice.  :func:`_python_slot_loop` is the reference: it
@@ -46,8 +47,8 @@ numpy passes after the loop:
   term is at most ``H``; :func:`draw_tasks` keeps ``H**2`` within int64.
 - the series ``A_t - S_t``, only when asked for.
 
-A run therefore holds its table's 1 byte per slot of arrival flags and
-about 120 bytes per task (table included); the queue series adds 8 bytes
+A run therefore holds per-task arrays only, about 120 bytes per task
+(table included), and nothing per slot; the queue series adds 8 bytes
 per slot, and its build twice that for a moment, when asked for.
 
 Two bookkeeping details worth knowing:
@@ -146,14 +147,13 @@ def decile_means(series: np.ndarray) -> np.ndarray:
 class TaskTable:
     """One seed's arrivals and tasks, drawn once by :func:`draw_tasks`.
 
-    ``arriving[t]`` says whether a task arrives in slot ``t``, so the
-    table covers ``arriving.size`` slots.  ``arrival_slot``,
-    ``local_bits`` and ``mec_bits`` hold per task, in arrival order, its
-    arrival slot, the distinct uncached bits a local run fetches and the
-    full task an offload ships.  The arrays are read-only.
+    The table covers ``horizon`` slots.  ``arrival_slot``, ``local_bits``
+    and ``mec_bits`` hold per task, in arrival order, its arrival slot,
+    the distinct uncached bits a local run fetches and the full task an
+    offload ships.  The arrays are read-only.
     """
 
-    arriving: np.ndarray
+    horizon: int
     arrival_slot: np.ndarray
     local_bits: np.ndarray
     mec_bits: np.ndarray
@@ -201,16 +201,16 @@ def draw_tasks(
     arrival_rng, composition_rng = task_streams(seed)
     # Chunked draws continue one stream, so the arrivals equal those of a
     # single random(horizon) call without its 8-byte-per-slot temporary.
-    arriving = np.empty(horizon, dtype=bool)
+    blocks = []
     for first in range(0, horizon, _ARRIVAL_CHUNK):
-        block = arriving[first:first + _ARRIVAL_CHUNK]
-        np.less(arrival_rng.random(block.size), workload_cfg.arrival_prob, out=block)
-    arrival_slot = np.flatnonzero(arriving)
+        uniforms = arrival_rng.random(min(_ARRIVAL_CHUNK, horizon - first))
+        blocks.append(first + np.flatnonzero(uniforms < workload_cfg.arrival_prob))
+    arrival_slot = np.concatenate(blocks)
     ks, distinct = sample_tasks(composition_rng, catalog, workload_cfg, arrival_slot.size, cache)
     local_bits, mec_bits = task_bits(catalog, ks, distinct)
-    for array in (arriving, arrival_slot, local_bits, mec_bits):
+    for array in (arrival_slot, local_bits, mec_bits):
         array.flags.writeable = False
-    return TaskTable(arriving, arrival_slot, local_bits, mec_bits)
+    return TaskTable(horizon, arrival_slot, local_bits, mec_bits)
 
 
 def run_simulation(
@@ -228,18 +228,20 @@ def run_simulation(
     """
     if not 0.0 <= warmup_frac < 1.0:
         raise ConfigError(f"warmup_frac must lie in [0, 1), got {warmup_frac}")
-    arriving, arrival_slot = tasks.arriving, tasks.arrival_slot
+    horizon, arrival_slot = tasks.horizon, tasks.arrival_slot
     local_bits, mec_bits = tasks.local_bits, tasks.mec_bits
-    horizon, n_tasks = arriving.size, arrival_slot.size
+    n_tasks = arrival_slot.size
 
     n_local = slots_local(mec_bits, local_bits, params)
     n_mec = slots_mec(mec_bits, params)
     start_slot = np.empty(n_tasks, dtype=np.int64)
     on_mec = np.zeros(n_tasks, dtype=bool)
+    # The task behind the tail "arrives" in slot horizon, which no loop reaches.
+    arrival = np.append(arrival_slot, horizon)
 
     slot_loop = _python_slot_loop if _kernel.lib is None else _c_slot_loop
     head, arrived, busy_local, busy_mec = slot_loop(
-        policy, arriving, local_bits, mec_bits, n_local, n_mec, start_slot, on_mec
+        policy, horizon, arrival, local_bits, mec_bits, n_local, n_mec, start_slot, on_mec
     )
 
     # Tasks [0, head) were started; each completes n - 1 slots after its start.
@@ -286,7 +288,8 @@ def run_simulation(
 
 def _python_slot_loop(
     policy: PolicySpec,
-    arriving: np.ndarray,
+    horizon: int,
+    arrival: np.ndarray,
     local_bits: np.ndarray,
     mec_bits: np.ndarray,
     n_local: np.ndarray,
@@ -296,9 +299,10 @@ def _python_slot_loop(
 ) -> tuple[int, int, int, int]:
     """The slot loop in Python, the reference the compiled loop follows.
 
-    Runs every slot of ``arriving``, writes each started task's start slot
+    Runs slots ``0..horizon-1``, writes each started task's start slot
     and mode into ``start_slot`` and ``on_mec``, and returns the final
-    ``(head, arrived, busy_local, busy_mec)``.
+    ``(head, arrived, busy_local, busy_mec)``.  ``arrival`` holds the
+    tasks' arrival slots followed by ``horizon``.
     """
     # Memoryviews give the slot loop plain Python numbers; two zero entries
     # stand in for the bits of tasks behind the tail.
@@ -306,9 +310,10 @@ def _python_slot_loop(
     mec_view = memoryview(np.append(mec_bits, (0.0, 0.0)))
     n_local_view, n_mec_view = memoryview(n_local), memoryview(n_mec)
     start_view, on_mec_view = memoryview(start_slot), memoryview(on_mec)
+    arrival_view = memoryview(arrival)
     head = arrived = busy_local = busy_mec = 0
 
-    for t, a_t in enumerate(memoryview(arriving)):
+    for t in range(horizon):
         local_first, local_second, mec_first, mec_second = decide(
             policy, busy_local, busy_mec, arrived - head,
             local_view[head], mec_view[head], local_view[head + 1], mec_view[head + 1],
@@ -328,13 +333,14 @@ def _python_slot_loop(
             busy_mec -= 1
         # Departures from the head, then the slot's arrival at the tail.
         head += local_first + local_second + mec_first + mec_second
-        arrived += a_t
+        arrived += arrival_view[arrived] == t
     return head, arrived, busy_local, busy_mec
 
 
 def _c_slot_loop(
     policy: PolicySpec,
-    arriving: np.ndarray,
+    horizon: int,
+    arrival: np.ndarray,
     local_bits: np.ndarray,
     mec_bits: np.ndarray,
     n_local: np.ndarray,
@@ -345,7 +351,7 @@ def _c_slot_loop(
     """:func:`_python_slot_loop`, run by the compiled kernel."""
     state = np.empty(4, dtype=np.int64)
     _kernel.lib.mecsched_slot_loop(
-        _kernel.KIND_CODES[policy.kind], policy.v_param, arriving.size, arriving,
+        _kernel.KIND_CODES[policy.kind], policy.v_param, horizon, arrival,
         local_bits, mec_bits, n_local, n_mec, start_slot, on_mec, state,
     )
     return tuple(state.tolist())

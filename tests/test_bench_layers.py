@@ -1,0 +1,40 @@
+"""Smoke test of ``tools/bench_layers.py``: one small point, end to end."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+from mecsched.config import ExperimentConfig, build_system
+from mecsched.engine import draw_tasks
+
+_TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_layers.py"
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("bench_layers", _TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_measure_point_reports_a_small_point(monkeypatch) -> None:
+    tool = _load_tool()
+    monkeypatch.setattr(tool, "HORIZON", 2000)
+    monkeypatch.setattr(tool, "SEEDS", (0,))
+    monkeypatch.setattr(tool, "REPEATS", 1)
+    # A stand-in for perfbench's reference kernel: two calls, 0.2 s and 0.4 s.
+    times = iter((0.2, 0.4))
+    reference = {"time_reference": lambda: next(times), "REFERENCE_S": 0.1}
+    overrides = {"policy": "lyapunov", "arrival_prob": 0.4}
+    point = tool.measure_point(overrides, reference)
+
+    assert set(point) == {
+        "draw_us_per_task", "draw_us_per_task_range", "run_us_per_slot",
+        "run_us_per_slot_range", "tasks", "reference_s", "host_speed",
+    }
+    catalog, cache, _, workload_cfg, _ = build_system(ExperimentConfig(horizon_slots=2000, **overrides).validate())
+    assert point["tasks"] == draw_tasks(catalog, cache, workload_cfg, 2000, seed=0).arrival_slot.size
+    assert point["reference_s"] == [0.2, 0.4]
+    assert point["host_speed"] == [0.25, 0.5]
+    assert point["draw_us_per_task"] > 0 and point["run_us_per_slot"] > 0

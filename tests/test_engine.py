@@ -138,16 +138,15 @@ def test_drift_audit_catches_starts_beyond_the_queue(
     assert found == expected
     # Slot by slot: u_t = q_t - q_(t+1) + a_t starts, q_H the final backlog.
     q = np.append(metrics.queue_len_series, metrics.arrivals - metrics.scheduled)
-    started = q[:-1] - q[1:] + table.arriving
+    started = q[:-1] - q[1:] + np.bincount(table.arrival_slot, minlength=horizon)
     assert np.count_nonzero(started > q[:-1]) == metrics.drift_violations
     assert q[:-1].sum() == metrics.queue_len_sum
     assert q[metrics.warmup_slots:-1].sum() == metrics.queue_len_sum_after_warmup
 
 
 def test_run_without_series_allocates_nothing_per_slot() -> None:
-    # The table holds the run's only per-slot array (1 byte of arrival flag
-    # per slot).  Given it, a run without a series grows between two
-    # horizons past the queue pass's chunk by its per-task arrays alone.  A
+    # The table holds per-task arrays only.  Given it, a run without a
+    # series grows between two horizons by its per-task arrays alone.  A
     # series would add 8 bytes per slot, more than the whole allowance.
     (catalog, cache, params, workload_cfg, policy), _ = _system(arrival_prob=0.02)
     peaks, n_tasks = [], []
@@ -161,6 +160,29 @@ def test_run_without_series_allocates_nothing_per_slot() -> None:
             tracemalloc.stop()
         n_tasks.append(table.arrival_slot.size)
     assert peaks[1] - peaks[0] <= 2 * 50_000 + 128 * (n_tasks[1] - n_tasks[0])
+
+
+def test_table_keeps_nothing_per_slot() -> None:
+    # 400,000 more slots bring about 400 more tasks: what the draw keeps
+    # and what it peaks at grow by those tasks' arrays alone.  One byte per
+    # added slot would exceed the allowance twentyfold.
+    (catalog, cache, _, workload_cfg, _), _ = _system(arrival_prob=0.001)
+    # A first draw imports numpy.random; it stays out of the measurement.
+    draw_tasks(catalog, cache, workload_cfg, 100, seed=0)
+    kept, peaks, n_tasks = [], [], []
+    for horizon in (200_000, 600_000):
+        tracemalloc.start()
+        try:
+            table = draw_tasks(catalog, cache, workload_cfg, horizon, seed=0)
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept.append(size)
+        peaks.append(peak)
+        n_tasks.append(table.arrival_slot.size)
+    allowance = 32 * (n_tasks[1] - n_tasks[0]) + 4096
+    assert kept[1] - kept[0] <= allowance
+    assert peaks[1] - peaks[0] <= allowance
 
 
 def test_warmup_window_bookkeeping() -> None:
@@ -286,7 +308,7 @@ def test_compiled_loop_matches_python_loop(policy, monkeypatch) -> None:
 def test_table_arrays_are_read_only() -> None:
     (catalog, cache, params, workload_cfg, policy), _ = _system()
     table = draw_tasks(catalog, cache, workload_cfg, 500, seed=0)
-    for array in (table.arriving, table.arrival_slot, table.local_bits, table.mec_bits):
+    for array in (table.arrival_slot, table.local_bits, table.mec_bits):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = array[1]
     metrics = run_simulation(table, params, policy)
@@ -299,7 +321,7 @@ def test_draw_guards_fire_before_allocating() -> None:
     with pytest.raises(ConfigError):
         draw_tasks(catalog, cache, workload_cfg, 0, seed=0)
     with pytest.raises(ConfigError, match="exact bit accounting"):
-        # 10**15 slots would need a petabyte of arrival flags.
+        # 10**15 slots would draw petabytes of per-task arrays.
         draw_tasks(catalog, cache, workload_cfg, 10**15, seed=0)
     with pytest.raises(ConfigError):
         draw_tasks(catalog, CacheConfig.for_catalog(ContentCatalog.zipf(10, 0.8, 5e6), 5), workload_cfg, 100, seed=0)

@@ -26,13 +26,15 @@ so for checkouts that predate the kernel).
 Each time is the minimum of ``REPEATS`` calls; a point's figure is the
 sum of its seeds' minima over their summed tasks or slots, with the
 per-seed range beside it.  A shared host can run the same code twice as
-slow for minutes, so each point also records the host's speed:
-``reference_s`` holds the times of the benchmark's fixed reference
-kernel (``time_reference()`` from this checkout's
-``perfbench/reference.py``, loaded read-only) just before and just after
-the point, and ``host_speed`` is the kernel's idle-host time
-``REFERENCE_S`` over their mean.  A time multiplied by ``host_speed`` is
-what the idle host would have measured.  The Tier-1 suite then runs once
+slow for minutes, or change speed within a point, so each point also
+records the host's speed: ``reference_s`` holds the times of the
+benchmark's fixed reference kernel (``time_reference()`` from this
+checkout's ``perfbench/reference.py``, loaded read-only) just before
+each seed and just after the last one, and ``host_speed`` is
+``[min, max]`` of the kernel's idle-host time ``REFERENCE_S`` over each
+of them.  A time multiplied by the two bounds brackets what the idle
+host would have measured, as far as the host's speed stayed within the
+range it showed between seeds.  The Tier-1 suite then runs once
 in a child process (``python -m pytest -q --continue-on-collection-errors``
 in ``DIR``) and its wall time is recorded with pytest's summary line.
 """
@@ -83,26 +85,27 @@ def measure_point(overrides: dict, reference: dict) -> dict:
 
     config = ExperimentConfig(horizon_slots=HORIZON, **overrides).validate()
     catalog, cache, params, workload_cfg, policy = build_system(config)
-    before = reference["time_reference"]()
-    draw_us, run_us = [], []
+    draw_us, run_us, reference_s = [], [], []
     draw_s = run_s = 0.0
     n_tasks = 0
     for seed in SEEDS:
+        reference_s.append(reference["time_reference"]())
         t_draw, table = min_time(lambda: draw_tasks(catalog, cache, workload_cfg, HORIZON, seed))
         t_run, _ = min_time(lambda: run_simulation(table, params, policy, warmup_frac=config.warmup_frac))
         tasks = table.arrival_slot.size
         draw_s, run_s, n_tasks = draw_s + t_draw, run_s + t_run, n_tasks + tasks
         draw_us.append(1e6 * t_draw / tasks)
         run_us.append(1e6 * t_run / HORIZON)
-    after = reference["time_reference"]()
+    reference_s.append(reference["time_reference"]())
+    speeds = [reference["REFERENCE_S"] / seconds for seconds in reference_s]
     return {
         "draw_us_per_task": 1e6 * draw_s / n_tasks,
         "draw_us_per_task_range": [min(draw_us), max(draw_us)],
         "run_us_per_slot": 1e6 * run_s / (HORIZON * len(SEEDS)),
         "run_us_per_slot_range": [min(run_us), max(run_us)],
         "tasks": n_tasks,
-        "reference_s": [before, after],
-        "host_speed": reference["REFERENCE_S"] / ((before + after) / 2),
+        "reference_s": reference_s,
+        "host_speed": [min(speeds), max(speeds)],
     }
 
 
