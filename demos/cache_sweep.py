@@ -17,9 +17,9 @@ HORIZON = 20000
 SEEDS = (0, 1)
 
 offload = ExperimentConfig(horizon_slots=HORIZON, policy="mec_only").validate()
-catalog, cache, params, wl, policy = build_system(offload)
+catalog, capacity, params, wl, policy = build_system(offload)
 baseline = np.mean([
-    avg_data_per_task(run_simulation(draw_tasks(catalog, cache, wl, HORIZON, s), params, policy))
+    avg_data_per_task(run_simulation(draw_tasks(catalog, capacity, wl, HORIZON, s), params, policy))
     for s in SEEDS
 ])
 print(f"offload-everything baseline: {baseline / 1e6:.1f} Mbit per task\n")
@@ -27,9 +27,9 @@ print(f"offload-everything baseline: {baseline / 1e6:.1f} Mbit per task\n")
 print("cache    mean data    vs baseline")
 for m in (0, 20, 40, 60, 80, 100):
     config = ExperimentConfig(horizon_slots=HORIZON, cache_m=m, v_param=1e-6).validate()
-    catalog, cache, params, wl, policy = build_system(config)
+    catalog, capacity, params, wl, policy = build_system(config)
     values = [
-        avg_data_per_task(run_simulation(draw_tasks(catalog, cache, wl, HORIZON, s), params, policy))
+        avg_data_per_task(run_simulation(draw_tasks(catalog, capacity, wl, HORIZON, s), params, policy))
         for s in SEEDS
     ]
     mean = float(np.mean(values))

@@ -9,7 +9,7 @@ full task size an offloaded task ships.
 """
 
 from mecsched.analysis import expected_local_bits, expected_mec_bits, uniform_k_dist
-from mecsched.catalog import CacheConfig, ContentCatalog
+from mecsched.catalog import ContentCatalog
 
 catalog = ContentCatalog.zipf(n_contents=1000, alpha=0.8, size_bits=5e6)
 
@@ -20,7 +20,6 @@ print(f"  rank 1000: p = {catalog.popularity[-1]:.6f}")
 
 # mass captured by the first M ranks = cache hit probability per draw
 for m in (0, 10, 50, 200, 500):
-    cache = CacheConfig.for_catalog(catalog, m)
     hit = catalog.popularity[:m].sum()
     print(f"cache {m:3d} contents -> hit probability per content draw {hit:.3f}")
 

@@ -26,12 +26,12 @@ floor = None
 print("f_local      local rate   mean data")
 for f in (1e9, 1.5e9, 2e9, 5e9, 1e10):
     config = ExperimentConfig(horizon_slots=HORIZON, f_local_hz=f, v_param=3e-7).validate()
-    catalog, cache, params, wl, policy = build_system(config)
+    catalog, capacity, params, wl, policy = build_system(config)
     if floor is None:
         floor = expected_local_bits(catalog.size_bits, catalog.popularity, config.cache_m, dist)
-    est = estimate_slot_means(catalog, cache, params, dist, samples=5000, seed=0)
+    est = estimate_slot_means(catalog, capacity, params, dist, samples=5000, seed=0)
     values = [
-        avg_data_per_task(run_simulation(draw_tasks(catalog, cache, wl, HORIZON, s), params, policy))
+        avg_data_per_task(run_simulation(draw_tasks(catalog, capacity, wl, HORIZON, s), params, policy))
         for s in (0, 1)
     ]
     # 1/mean busy slots = tasks per slot the device alone can absorb

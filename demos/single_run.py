@@ -17,9 +17,9 @@ from mecsched.engine import (
 )
 
 config = ExperimentConfig(horizon_slots=20000, v_param=1e-8).validate()
-catalog, cache, params, workload_cfg, policy = build_system(config)
+catalog, capacity, params, workload_cfg, policy = build_system(config)
 
-tasks = draw_tasks(catalog, cache, workload_cfg, config.horizon_slots, seed=0)
+tasks = draw_tasks(catalog, capacity, workload_cfg, config.horizon_slots, seed=0)
 metrics = run_simulation(tasks, params, policy, warmup_frac=config.warmup_frac, collect_series=True)
 
 print(f"policy {policy.kind}, weight {policy.v_param:g} per bit")

@@ -15,16 +15,16 @@ from mecsched.engine import decile_means, draw_tasks, run_simulation
 HORIZON = 30000
 
 config = ExperimentConfig().validate()
-catalog, cache, params, wl, _ = build_system(config)
-est = estimate_slot_means(catalog, cache, params, uniform_k_dist(40, 60), samples=10000, seed=0)
+catalog, capacity, params, wl, _ = build_system(config)
+est = estimate_slot_means(catalog, capacity, params, uniform_k_dist(40, 60), samples=10000, seed=0)
 capacity = 1.0 / est.local_mean + 1.0 / est.mec_mean
 print(f"service capacity: 1/{est.local_mean:.2f} + 1/{est.mec_mean:.2f} "
       f"= {capacity:.3f} tasks per slot\n")
 
 for lam in (0.4, 0.8):
     cfg = ExperimentConfig(horizon_slots=HORIZON, arrival_prob=lam, v_param=1e-8).validate()
-    catalog, cache, params, wl, policy = build_system(cfg)
-    m = run_simulation(draw_tasks(catalog, cache, wl, HORIZON, seed=0), params, policy, collect_series=True)
+    catalog, capacity, params, wl, policy = build_system(cfg)
+    m = run_simulation(draw_tasks(catalog, capacity, wl, HORIZON, seed=0), params, policy, collect_series=True)
     deciles = decile_means(m.queue_len_series)
     verdict = "diverging" if m.infeasibility_flag else "stable"
     print(f"arrival rate {lam}: {verdict}")

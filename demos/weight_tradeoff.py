@@ -27,8 +27,8 @@ HORIZON = 20000
 dist = uniform_k_dist(40, 60)
 
 config = ExperimentConfig(horizon_slots=HORIZON).validate()
-catalog, cache, params, wl, _ = build_system(config)
-est = estimate_slot_means(catalog, cache, params, dist, samples=20000, seed=0)
+catalog, capacity, params, wl, _ = build_system(config)
+est = estimate_slot_means(catalog, capacity, params, dist, samples=20000, seed=0)
 report = optimal_average_data(
     est.local_mean, est.mec_mean, config.arrival_prob,
     expected_mec_bits(catalog.size_bits, dist),
@@ -40,11 +40,11 @@ print(f"best achievable data average: {report.optimal_bits / 1e6:.1f} Mbit per t
 print("v            mean data    waiting     guarantee")
 for v in (1e-9, 1e-8, 1e-7, 1e-6):
     cfg = ExperimentConfig(horizon_slots=HORIZON, v_param=v).validate()
-    catalog, cache, params, wl, policy = build_system(cfg)
+    catalog, capacity, params, wl, policy = build_system(cfg)
     data = []
     wait = []
     for seed in (0, 1):
-        m = run_simulation(draw_tasks(catalog, cache, wl, HORIZON, seed), params, policy)
+        m = run_simulation(draw_tasks(catalog, capacity, wl, HORIZON, seed), params, policy)
         data.append(avg_data_per_task(m))
         wait.append(little_delay(m, cfg.arrival_prob, cfg.slot_seconds))
     bound = optimality_gap_bound(v)

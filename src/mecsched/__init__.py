@@ -12,7 +12,8 @@ rule with a single control weight.
 
 Subpackage map:
 
-- ``catalog``   content universe, Zipf popularity, the most-popular-first cache
+- ``catalog``   content universe and its Zipf popularity; a cache of capacity ``m``
+                holds the ``m`` most popular ranks
 - ``workload``  Bernoulli arrivals and task composition, drawn through the kernel
 - ``dynamics``  uplink bits and busy-slot counts of the two execution modes
 - ``policy``    the five actions, the feasibility rule, the scheduling rules

@@ -18,7 +18,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .catalog import CacheConfig, ContentCatalog
+from .catalog import ContentCatalog
 from .dynamics import SystemParams, slots_local, slots_mec, task_bits
 from .workload import draw_contents
 
@@ -139,7 +139,7 @@ class SlotMeanEstimate:
 
 def estimate_slot_means(
     catalog: ContentCatalog,
-    cache: CacheConfig,
+    capacity: int,
     params: SystemParams,
     k_dist: Mapping[int, float],
     samples: int = 20000,
@@ -165,7 +165,7 @@ def estimate_slot_means(
     mec_counts = np.empty(samples, dtype=np.float64)
     for first in range(0, samples, _STEP_TASKS):
         chunk = drawn_ks[first:first + _STEP_TASKS]
-        distinct = draw_contents(rng, catalog, chunk, cache)
+        distinct = draw_contents(rng, catalog, chunk, capacity)
         local_bits, mec_bits = task_bits(catalog, chunk, distinct)
         local_counts[first:first + chunk.size] = slots_local(mec_bits, local_bits, params)
         mec_counts[first:first + chunk.size] = slots_mec(mec_bits, params)

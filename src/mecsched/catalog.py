@@ -3,8 +3,9 @@
 Every task is assembled from a fixed universe of ``n_contents`` contents,
 all of the same size in bits.  Content rank ``k`` is drawn with probability
 ``p[k-1]`` following a truncated Zipf law, so low ranks are the popular
-ones.  The device cache pins the ``capacity`` most popular ranks, which
-makes cache membership a pure index comparison.
+ones.  The device cache pins the ``capacity`` most popular ranks, so the
+integer ``capacity`` describes it and cache membership is a pure index
+comparison.
 
 Ranks are drawn by inversion: a uniform ``u`` in [0, 1) maps to one plus
 the number of cumulative-popularity entries ``<= u``.  Beside the ``cdf``
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["ContentCatalog", "CacheConfig", "zipf_popularity"]
+__all__ = ["ContentCatalog", "zipf_popularity"]
 
 # Popularity vectors must be normalised at least this well.
 POPULARITY_SUM_TOL = 1e-12
@@ -57,14 +58,13 @@ class ContentCatalog:
 
     Parameters
     ----------
-    n_contents : int
-        Universe size.
     size_bits : float
         Size of every content in bits (all contents are equally sized).
     popularity : numpy.ndarray
         Per-rank request probability, non-increasing, summing to 1.
 
-    Derived fields: ``cdf`` is the cumulative popularity (last entry
+    Derived fields: ``n_contents`` is the universe size, the length of
+    ``popularity``.  ``cdf`` is the cumulative popularity (last entry
     exactly 1).  ``guide`` splits [0, 1) into B equal buckets, B the
     smallest power of two ``>= 4 * n_contents``, and has B + 1 entries;
     ``guide[j]`` is the number of ``cdf`` entries ``<= j / B``, so for
@@ -75,22 +75,18 @@ class ContentCatalog:
     costs 4 bytes per bucket.
     """
 
-    n_contents: int
     size_bits: float
     popularity: np.ndarray
+    n_contents: int = field(init=False)
     cdf: np.ndarray = field(init=False, repr=False)
     guide: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.n_contents < 1:
-            raise ValueError(f"catalog needs at least one content, got {self.n_contents}")
         if not self.size_bits > 0:
             raise ValueError(f"content size must be positive, got {self.size_bits}")
         pop = np.asarray(self.popularity, dtype=np.float64)
-        if pop.shape != (self.n_contents,):
-            raise ValueError(
-                f"popularity length {pop.shape} does not match n_contents={self.n_contents}"
-            )
+        if pop.ndim != 1 or pop.size < 1:
+            raise ValueError(f"popularity must be a non-empty 1-D vector, got shape {pop.shape}")
         if not np.all(pop > 0):
             raise ValueError("popularity entries must be strictly positive")
         if abs(pop.sum() - 1.0) > POPULARITY_SUM_TOL:
@@ -98,6 +94,7 @@ class ContentCatalog:
         if np.any(np.diff(pop) > 0):
             raise ValueError("popularity must be non-increasing in rank")
         object.__setattr__(self, "popularity", pop)
+        object.__setattr__(self, "n_contents", pop.size)
         cdf = np.cumsum(pop)
         cdf[-1] = 1.0  # every u < 1 then ranks at most n_contents, despite rounding
         object.__setattr__(self, "cdf", cdf)
@@ -110,31 +107,5 @@ class ContentCatalog:
     @classmethod
     def zipf(cls, n_contents: int, alpha: float, size_bits: float) -> "ContentCatalog":
         """Build a catalog whose popularity is ``zipf_popularity(n, alpha)``."""
-        return cls(
-            n_contents=n_contents,
-            size_bits=size_bits,
-            popularity=zipf_popularity(n_contents, alpha),
-        )
-
-
-@dataclass(frozen=True)
-class CacheConfig:
-    """Device cache holding the ``capacity`` most popular content ranks."""
-
-    capacity: int
-    n_contents: int
-
-    def __post_init__(self):
-        if self.capacity < 0:
-            raise ValueError(f"cache capacity must be non-negative, got {self.capacity}")
-        if self.n_contents < 1:
-            raise ValueError(f"cache needs a non-empty universe, got {self.n_contents}")
-        if self.capacity > self.n_contents:
-            raise ValueError(
-                f"cache capacity {self.capacity} exceeds universe size {self.n_contents}"
-            )
-
-    @classmethod
-    def for_catalog(cls, catalog: ContentCatalog, capacity: int) -> "CacheConfig":
-        return cls(capacity=capacity, n_contents=catalog.n_contents)
+        return cls(size_bits=size_bits, popularity=zipf_popularity(n_contents, alpha))
 

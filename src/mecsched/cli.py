@@ -152,8 +152,8 @@ def _simulate(config: ExperimentConfig, seed: int, memo: _Memo) -> RunMetrics:
     each on first use.  A run whose other draw inputs differ from the held
     tables' empties them first.
     """
-    catalog, cache, params, workload_cfg, policy = build_system(config, memo.catalogs)
-    key = (catalog, cache, workload_cfg, config.horizon_slots, seed)
+    catalog, capacity, params, workload_cfg, policy = build_system(config, memo.catalogs)
+    key = (catalog, capacity, workload_cfg, config.horizon_slots, seed)
     tables = {} if memo.tables is None else memo.tables
     tasks = tables.get(key)
     if tasks is None:
@@ -353,11 +353,11 @@ def cmd_analyze(config: ExperimentConfig, samples: int = 20000) -> tuple[list[di
         raise ConfigError(f"--samples: need at least 2 sampled tasks for a standard error, got {samples}")
     if not config.arrival_prob > 0:
         raise ConfigError("analyze: lambda must be positive; a zero arrival rate has no feasibility regime")
-    catalog, cache, params, _, _ = build_system(config)
+    catalog, capacity, params, _, _ = build_system(config)
     k_dist = uniform_k_dist(config.k_min, config.k_max)
     mec_mean = expected_mec_bits(config.tau_bits, k_dist)
-    local_mean = expected_local_bits(config.tau_bits, catalog.popularity, config.cache_m, k_dist)
-    estimate = estimate_slot_means(catalog, cache, params, k_dist, samples=samples, seed=config.seeds[0])
+    local_mean = expected_local_bits(config.tau_bits, catalog.popularity, capacity, k_dist)
+    estimate = estimate_slot_means(catalog, capacity, params, k_dist, samples=samples, seed=config.seeds[0])
     report = optimal_average_data(
         estimate.local_mean, estimate.mec_mean, config.arrival_prob, mec_mean, local_mean
     )
@@ -474,6 +474,7 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
         set_key(config, "seeds", args.seeds, "--seeds")
     if args.warmup_frac is not None:
         config.warmup_frac = args.warmup_frac
+        config.sources["warmup_frac"] = "--warmup-frac"
     return config.validate()
 
 

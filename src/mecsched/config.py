@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .catalog import CacheConfig, ContentCatalog
+from .catalog import ContentCatalog
 from .dynamics import SystemParams
 from .errors import ConfigError
 from .policy import POLICY_KINDS, PolicySpec
@@ -223,10 +223,12 @@ def apply_overrides(config: ExperimentConfig, overrides: list[str]) -> Experimen
 def build_system(config: ExperimentConfig, catalogs: Optional[dict] = None):
     """Materialise the simulator objects a config describes.
 
-    Returns ``(catalog, cache, params, workload_cfg, policy)``.  A value
-    the objects reject raises :class:`ConfigError`; a catalog rejected
-    after validation (a Zipf exponent so large that the tail popularity
-    underflows to zero) names ``zipf_alpha`` and where it was set.
+    Returns ``(catalog, capacity, params, workload_cfg, policy)``, where
+    ``capacity`` is ``config.cache_m``, the number of most popular ranks
+    the device cache holds.  A value the objects reject raises
+    :class:`ConfigError`; a catalog rejected after validation (a Zipf
+    exponent so large that the tail popularity underflows to zero) names
+    ``zipf_alpha`` and where it was set.
     ``catalogs``, when given, is a memo of catalogs by ``(n_contents,
     zipf_alpha, tau_bits)``: the catalog comes from there, and is built and
     stored there on first use.
@@ -241,7 +243,6 @@ def build_system(config: ExperimentConfig, catalogs: Optional[dict] = None):
         if catalogs is not None:
             catalogs[key] = catalog
     try:
-        cache = CacheConfig.for_catalog(catalog, config.cache_m)
         params = SystemParams(
             slot_seconds=config.slot_seconds,
             cycles_per_bit=config.w_cycles_per_bit,
@@ -257,4 +258,4 @@ def build_system(config: ExperimentConfig, catalogs: Optional[dict] = None):
         policy = PolicySpec(kind=config.policy, v_param=config.v_param)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return catalog, cache, params, workload_cfg, policy
+    return catalog, config.cache_m, params, workload_cfg, policy

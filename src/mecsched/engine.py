@@ -83,7 +83,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernel
-from .catalog import CacheConfig, ContentCatalog
+from .catalog import ContentCatalog
 from .dynamics import SystemParams, slots_local, slots_mec, task_bits
 from .errors import ConfigError, ContractViolation, MetricUndefined
 from .policy import PolicySpec, decide
@@ -161,7 +161,7 @@ class TaskTable:
 
 def draw_tasks(
     catalog: ContentCatalog,
-    cache: CacheConfig,
+    capacity: int,
     workload_cfg: WorkloadConfig,
     horizon: int,
     seed: int,
@@ -176,10 +176,6 @@ def draw_tasks(
     """
     if horizon < 1:
         raise ConfigError(f"horizon must be at least 1 slot, got {horizon}")
-    if cache.n_contents != catalog.n_contents:
-        raise ConfigError(
-            f"cache sized for {cache.n_contents} contents, catalog holds {catalog.n_contents}"
-        )
     # Bit totals stay exact integers in float64 up to 2**53, so they sum
     # to the same value in any order.
     if not horizon * workload_cfg.k_max * catalog.size_bits < _EXACT_FLOAT_LIMIT:
@@ -206,7 +202,7 @@ def draw_tasks(
         uniforms = arrival_rng.random(min(_ARRIVAL_CHUNK, horizon - first))
         blocks.append(first + np.flatnonzero(uniforms < workload_cfg.arrival_prob))
     arrival_slot = np.concatenate(blocks)
-    ks, distinct = sample_tasks(composition_rng, catalog, workload_cfg, arrival_slot.size, cache)
+    ks, distinct = sample_tasks(composition_rng, catalog, workload_cfg, arrival_slot.size, capacity)
     local_bits, mec_bits = task_bits(catalog, ks, distinct)
     for array in (arrival_slot, local_bits, mec_bits):
         array.flags.writeable = False

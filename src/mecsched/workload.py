@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel
-from .catalog import CacheConfig, ContentCatalog
+from .catalog import ContentCatalog
 
 __all__ = [
     "WorkloadConfig",
@@ -77,33 +77,38 @@ def sample_tasks(
     catalog: ContentCatalog,
     cfg: WorkloadConfig,
     n_tasks: int,
-    cache: CacheConfig,
+    capacity: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``n_tasks`` tasks in arrival order; returns ``(k, distinct_uncached)``.
 
     The result, and the state ``rng`` is left in, are exactly those of
     drawing each task in turn as ``k = rng.integers(k_min, k_max + 1)``
     followed by ``rng.random(k)``.  ``k_max - k_min`` must stay below
-    :data:`K_SPAN_LIMIT`; a wider span raises :class:`ValueError`.
+    :data:`K_SPAN_LIMIT`; a wider span raises :class:`ValueError`.  The
+    cache holds ranks ``1..capacity``; a ``capacity`` outside
+    ``0..catalog.n_contents`` raises :class:`ValueError`, here and in
+    :func:`draw_contents`.
     """
     span = cfg.k_max - cfg.k_min
     if span >= K_SPAN_LIMIT:
         raise ValueError(f"k_max - k_min must stay below 2**32 - 1, got {span}")
     ks = np.empty(n_tasks, dtype=np.int64)
-    return ks, _draw(rng, catalog, cache, ks, cfg)
+    return ks, _draw(rng, catalog, capacity, ks, cfg)
 
 
-def draw_contents(rng: np.random.Generator, catalog: ContentCatalog, ks, cache: CacheConfig) -> np.ndarray:
+def draw_contents(rng: np.random.Generator, catalog: ContentCatalog, ks, capacity: int) -> np.ndarray:
     """Per task, the distinct uncached contents among ``ks[i]`` drawn ones.
 
     Task ``i``'s contents are ``rng.random(ks[i])``, drawn task by task.
     """
-    return _draw(rng, catalog, cache, np.array(ks, dtype=np.int64), None)
+    return _draw(rng, catalog, capacity, np.array(ks, dtype=np.int64), None)
 
 
-def _draw(rng, catalog: ContentCatalog, cache: CacheConfig, ks: np.ndarray, cfg) -> np.ndarray:
+def _draw(rng, catalog: ContentCatalog, capacity: int, ks: np.ndarray, cfg) -> np.ndarray:
     """Draw each task's ``k`` (into ``ks``, unless ``cfg`` is None) and its
     contents; returns the distinct uncached counts."""
+    if not 0 <= capacity <= catalog.n_contents:
+        raise ValueError(f"cache capacity must lie in 0..{catalog.n_contents}, got {capacity}")
     distinct = np.empty(ks.size, dtype=np.int64)
     lib = _kernel.lib
     if lib is None:
@@ -111,7 +116,7 @@ def _draw(rng, catalog: ContentCatalog, cache: CacheConfig, ks: np.ndarray, cfg)
             if cfg is not None:
                 ks[i] = rng.integers(cfg.k_min, cfg.k_max + 1)
             ranks = np.searchsorted(catalog.cdf, rng.random(ks[i]), side="right") + 1
-            distinct[i] = len(set(ranks[ranks > cache.capacity].tolist()))
+            distinct[i] = len(set(ranks[ranks > capacity].tolist()))
         return distinct
     k_min, span = (0, 0) if cfg is None else (cfg.k_min, cfg.k_max - cfg.k_min)
     stamp = np.zeros(catalog.n_contents, dtype=np.int64)
@@ -120,6 +125,6 @@ def _draw(rng, catalog: ContentCatalog, cache: CacheConfig, ks: np.ndarray, cfg)
     with bitgen.lock:
         lib.mecsched_draw_tasks(
             bitgen.ctypes.bit_generator, ks.size, cfg is not None, k_min, span, ks,
-            catalog.guide, catalog.guide.size - 1, catalog.cdf, cache.capacity, stamp, distinct,
+            catalog.guide, catalog.guide.size - 1, catalog.cdf, capacity, stamp, distinct,
         )
     return distinct

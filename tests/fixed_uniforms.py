@@ -77,10 +77,10 @@ def _lower_edges(catalog, ranks) -> np.ndarray:
     return np.concatenate(([0.0], catalog.cdf[:-1]))[np.asarray(ranks, dtype=np.int64) - 1]
 
 
-def distinct_uncached(catalog, cache, tasks) -> list[int]:
-    """Per task, given as its list of content ranks, the distinct uncached
-    count the content draw makes of it."""
+def distinct_uncached(catalog, capacity, tasks) -> list[int]:
+    """Per task, given as its list of content ranks, the distinct count
+    above rank ``capacity`` the content draw makes of it."""
     rng = FixedUniforms(_lower_edges(catalog, [rank for task in tasks for rank in task]))
-    counts = draw_contents(rng, catalog, [len(task) for task in tasks], cache)
+    counts = draw_contents(rng, catalog, [len(task) for task in tasks], capacity)
     assert rng.used == rng.u.size
     return counts.tolist()

@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 
 from mecsched import _kernel
-from mecsched.catalog import CacheConfig, ContentCatalog
+from mecsched.catalog import ContentCatalog
 from mecsched.config import ExperimentConfig, build_system
 from mecsched.engine import RunMetrics, draw_tasks, run_simulation
 from mecsched.policy import POLICY_KINDS
@@ -44,22 +44,22 @@ def compare_at_the_extremes(sanitized) -> None:
     for catalog, capacity, k_min, k_max in (
         (one, 0, 1, 5), (one, 1, 1, 5), (steep, 0, 3, 66), (steep, 50, 3, 66), (steep, 5, 7, 7),
     ):
-        cfg, cache_cfg = WorkloadConfig(0.4, k_min, k_max), CacheConfig.for_catalog(catalog, capacity)
-        compiled, python = both(lambda: sample_tasks(np.random.default_rng(1), catalog, cfg, 300, cache_cfg))
+        cfg = WorkloadConfig(0.4, k_min, k_max)
+        compiled, python = both(lambda: sample_tasks(np.random.default_rng(1), catalog, cfg, 300, capacity))
         assert [a.tolist() for a in compiled] == [a.tolist() for a in python]
-        compiled, python = both(lambda: draw_contents(np.random.default_rng(1), catalog, [0, 1, 3, 40], cache_cfg))
+        compiled, python = both(lambda: draw_contents(np.random.default_rng(1), catalog, [0, 1, 3, 40], capacity))
         assert compiled.tolist() == python.tolist()
     # The widest span: a rejected 0, then k = 2 from the word's low half and
     # k = 1 from its high half.
-    widest, cache_cfg = WorkloadConfig(0.4, 1, K_SPAN_LIMIT), CacheConfig.for_catalog(steep, 0)
-    compiled, python = both(lambda: sample_tasks(pcg64_with_next(1 << 32 | 2, 0), steep, widest, 2, cache_cfg))
+    widest = WorkloadConfig(0.4, 1, K_SPAN_LIMIT)
+    compiled, python = both(lambda: sample_tasks(pcg64_with_next(1 << 32 | 2, 0), steep, widest, 2, 0))
     assert compiled[0].tolist() == python[0].tolist() == [2, 1]
     assert compiled[1].tolist() == python[1].tolist()
 
     for policy in POLICY_KINDS:
         for fields in ({"n_contents": 1, "cache_m": 1}, {"rate_bps": 1e-300}):
-            catalog, cache_cfg, params, workload_cfg, spec = build_system(ExperimentConfig(policy=policy, **fields))
+            catalog, capacity, params, workload_cfg, spec = build_system(ExperimentConfig(policy=policy, **fields))
             with mock.patch.object(_kernel, "lib", sanitized):
-                table = draw_tasks(catalog, cache_cfg, workload_cfg, 2000, seed=3)
+                table = draw_tasks(catalog, capacity, workload_cfg, 2000, seed=3)
             compiled, python = both(lambda: run_simulation(table, params, spec, collect_series=True))
             assert_same_metrics(compiled, python)

@@ -1,7 +1,7 @@
 # Frozen copy of mecsched/dynamics.py from the object-per-task engine (a Task
 # object per arrival, a deque queue, SystemState and step), kept as the
-# differential oracle for tests/test_oracle.py.  Only the imports were edited;
-# do not change anything else.
+# differential oracle for tests/test_oracle.py.  Only the imports and the cache
+# parameter (now the integer capacity) were edited; do not change anything else.
 
 """Slot counts, transmission sizes, and the per-slot state transition.
 
@@ -33,7 +33,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from mecsched.catalog import CacheConfig, ContentCatalog
+from mecsched.catalog import ContentCatalog
 from mecsched.errors import ContractViolation
 from .workload import Task
 
@@ -159,17 +159,17 @@ class SystemState:
         return (self.in_service_local is not None) + (self.in_service_mec is not None)
 
 
-def uncached_distinct_bits(task: Task, cache: CacheConfig, catalog: ContentCatalog) -> float:
+def uncached_distinct_bits(task: Task, capacity: int, catalog: ContentCatalog) -> float:
     """Bits the device must fetch to run ``task`` locally.
 
     Counts distinct content ranks above the cache capacity; repeats within
     a task are fetched once, cached contents not at all.
     """
-    count = task._distinct_uncached.get(cache.capacity)
+    count = task._distinct_uncached.get(capacity)
     if count is None:
-        above = task.contents[task.contents > cache.capacity]
+        above = task.contents[task.contents > capacity]
         count = int(np.unique(above).size)
-        task._distinct_uncached[cache.capacity] = count
+        task._distinct_uncached[capacity] = count
     return catalog.size_bits * count
 
 
@@ -182,15 +182,15 @@ def transmitted_bits(
     action: Action,
     first_task: Optional[Task],
     second_task: Optional[Task],
-    cache: CacheConfig,
+    capacity: int,
     catalog: ContentCatalog,
 ) -> float:
     """Uplink bits the action moves this slot (fetches plus offloads)."""
     bits = 0.0
     if action.local_first:
-        bits += uncached_distinct_bits(first_task, cache, catalog)
+        bits += uncached_distinct_bits(first_task, capacity, catalog)
     if action.local_second:
-        bits += uncached_distinct_bits(second_task, cache, catalog)
+        bits += uncached_distinct_bits(second_task, capacity, catalog)
     if action.mec_first:
         bits += mec_bits(first_task)
     if action.mec_second:
@@ -198,14 +198,14 @@ def transmitted_bits(
     return bits
 
 
-def slots_local(task: Task, cache: CacheConfig, catalog: ContentCatalog, params: SystemParams) -> int:
+def slots_local(task: Task, capacity: int, catalog: ContentCatalog, params: SystemParams) -> int:
     """Whole slots to finish ``task`` on the device CPU.
 
     Computation covers the full task size; transmission covers only the
     distinct uncached bits.  Always at least 1.
     """
     compute = task.total_bits * params.cycles_per_bit / (params.f_local_hz * params.slot_seconds)
-    fetch = uncached_distinct_bits(task, cache, catalog) / (params.rate_bps * params.slot_seconds)
+    fetch = uncached_distinct_bits(task, capacity, catalog) / (params.rate_bps * params.slot_seconds)
     return math.ceil(compute + fetch)
 
 
@@ -242,7 +242,7 @@ def step(
     second_task: Optional[Task],
     arrival: Optional[Task],
     params: SystemParams,
-    cache: CacheConfig,
+    capacity: int,
     catalog: ContentCatalog,
 ) -> tuple[SystemState, list[CompletionEvent], float]:
     """Advance one slot: start tasks, count down busy processors, enqueue
@@ -271,12 +271,12 @@ def step(
         raise ContractViolation("second_task is not the second queued task")
 
     completions: list[CompletionEvent] = []
-    tx_bits = transmitted_bits(action, first_task, second_task, cache, catalog)
+    tx_bits = transmitted_bits(action, first_task, second_task, capacity, catalog)
 
     # Local processor.
     if action.uses_local:
         task = first_task if action.local_first else second_task
-        n = slots_local(task, cache, catalog, params)
+        n = slots_local(task, capacity, catalog, params)
         state.busy_local = _start(state, task, MODE_LOCAL, n, completions)
     elif state.busy_local > 0:
         state.busy_local -= 1

@@ -1,7 +1,7 @@
 # Frozen copy of mecsched/engine.py from the object-per-task engine (a Task
 # object per arrival, a deque queue, SystemState and step), kept as the
-# differential oracle for tests/test_oracle.py.  Only the imports were edited;
-# do not change anything else.
+# differential oracle for tests/test_oracle.py.  Only the imports and the cache
+# parameter (now the integer capacity) were edited; do not change anything else.
 
 """The simulation loop and per-run metrics.
 
@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from mecsched.catalog import CacheConfig, ContentCatalog
+from mecsched.catalog import ContentCatalog
 from .dynamics import SystemParams, SystemState, step
 from mecsched.errors import ConfigError, ContractViolation, MetricUndefined
 from .policy import PolicySpec, decide
@@ -89,7 +89,7 @@ def decile_means(series: np.ndarray) -> np.ndarray:
 
 def run_simulation(
     catalog: ContentCatalog,
-    cache: CacheConfig,
+    capacity: int,
     params: SystemParams,
     workload_cfg: WorkloadConfig,
     policy: PolicySpec,
@@ -108,10 +108,6 @@ def run_simulation(
         raise ConfigError(f"horizon must be at least 1 slot, got {horizon}")
     if not 0.0 <= warmup_frac < 1.0:
         raise ConfigError(f"warmup_frac must lie in [0, 1), got {warmup_frac}")
-    if cache.n_contents != catalog.n_contents:
-        raise ConfigError(
-            f"cache sized for {cache.n_contents} contents, catalog holds {catalog.n_contents}"
-        )
     # Bit totals stay exact integers in float64 up to 2**53.
     if horizon * workload_cfg.k_max * catalog.size_bits >= _EXACT_FLOAT_LIMIT:
         raise ConfigError("horizon * k_max * size_bits too large for exact bit accounting")
@@ -138,7 +134,7 @@ def run_simulation(
         if past_warmup:
             metrics.queue_len_sum_after_warmup += q_t
 
-        action = decide(policy, state, cache, catalog, params)
+        action = decide(policy, state, capacity, catalog, params)
         first = queue[0] if q_t >= 1 else None
         second = queue[1] if q_t >= 2 else None
 
@@ -150,7 +146,7 @@ def run_simulation(
                 metrics.arrivals_after_warmup += 1
 
         _, completions, tx_bits = step(
-            state, action, first, second, arrival, params, cache, catalog
+            state, action, first, second, arrival, params, capacity, catalog
         )
 
         n_started = action.scheduled

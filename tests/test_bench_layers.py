@@ -33,8 +33,8 @@ def test_measure_point_reports_a_small_point(monkeypatch) -> None:
         "draw_us_per_task", "draw_us_per_task_range", "run_us_per_slot",
         "run_us_per_slot_range", "tasks", "reference_s", "host_speed",
     }
-    catalog, cache, _, workload_cfg, _ = build_system(ExperimentConfig(horizon_slots=2000, **overrides).validate())
-    assert point["tasks"] == draw_tasks(catalog, cache, workload_cfg, 2000, seed=0).arrival_slot.size
+    catalog, capacity, _, workload_cfg, _ = build_system(ExperimentConfig(horizon_slots=2000, **overrides).validate())
+    assert point["tasks"] == draw_tasks(catalog, capacity, workload_cfg, 2000, seed=0).arrival_slot.size
     assert point["reference_s"] == [0.2, 0.4]
     assert point["host_speed"] == [0.25, 0.5]
     assert point["draw_us_per_task"] > 0 and point["run_us_per_slot"] > 0

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mecsched.catalog import CacheConfig, ContentCatalog, zipf_popularity
+from mecsched.catalog import ContentCatalog, zipf_popularity
 from fixed_uniforms import distinct_uncached
 
 
@@ -48,16 +48,17 @@ def test_zipf_rejects_bad_arguments() -> None:
 
 def test_catalog_constructor_validates_popularity() -> None:
     good = zipf_popularity(4, 1.0)
-    ContentCatalog(n_contents=4, size_bits=1e6, popularity=good)
+    assert ContentCatalog(size_bits=1e6, popularity=good).n_contents == 4
+    for shape in ([], [[0.5, 0.5]]):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            ContentCatalog(1e6, np.array(shape))
     with pytest.raises(ValueError):
-        ContentCatalog(n_contents=3, size_bits=1e6, popularity=good)
-    with pytest.raises(ValueError):
-        ContentCatalog(4, 1e6, np.array([0.5, 0.3, 0.3, -0.1]))
+        ContentCatalog(1e6, np.array([0.5, 0.3, 0.3, -0.1]))
     with pytest.raises(ValueError):
         # increasing order
-        ContentCatalog(4, 1e6, np.array([0.1, 0.2, 0.3, 0.4]))
+        ContentCatalog(1e6, np.array([0.1, 0.2, 0.3, 0.4]))
     with pytest.raises(ValueError):
-        ContentCatalog(4, 0.0, good)
+        ContentCatalog(0.0, good)
 
 
 def test_catalog_cdf_ends_at_one() -> None:
@@ -67,28 +68,16 @@ def test_catalog_cdf_ends_at_one() -> None:
     assert cat.cdf[0] == pytest.approx(cat.popularity[0])
 
 
-def test_cache_capacity_bounds() -> None:
-    cat = ContentCatalog.zipf(10, 0.8, 1e6)
-    CacheConfig.for_catalog(cat, 0)
-    CacheConfig.for_catalog(cat, 10)
-    with pytest.raises(ValueError):
-        CacheConfig.for_catalog(cat, 11)
-    with pytest.raises(ValueError):
-        CacheConfig.for_catalog(cat, -1)
-
-
-def _missed(catalog: ContentCatalog, ranks, cache: CacheConfig) -> list[int]:
+def _missed(catalog: ContentCatalog, ranks, capacity: int) -> list[int]:
     # one single-content task per rank: 1 where the cache misses it
-    return distinct_uncached(catalog, cache, [[rank] for rank in ranks])
+    return distinct_uncached(catalog, capacity, [[rank] for rank in ranks])
 
 
 def test_is_cached_boundary() -> None:
     cat = ContentCatalog.zipf(100, 0.8, 1e6)
-    cache = CacheConfig.for_catalog(cat, 50)
-    assert _missed(cat, [1, 50, 51, 100], cache) == [0, 0, 1, 1]
+    assert _missed(cat, [1, 50, 51, 100], 50) == [0, 0, 1, 1]
 
 
 def test_is_cached_empty_cache() -> None:
     cat = ContentCatalog.zipf(10, 0.0, 1e6)
-    cache = CacheConfig.for_catalog(cat, 0)
-    assert _missed(cat, range(1, 11), cache) == [1] * 10
+    assert _missed(cat, range(1, 11), 0) == [1] * 10

@@ -174,6 +174,8 @@ def test_range_errors_name_where_the_key_was_set(tmp_path, capsys) -> None:
     )
     assert main(["simulate", "--seeds", "-3"]) == 1
     assert capsys.readouterr().err.startswith("error: --seeds: config key 'seeds': must be ")
+    assert main(["simulate", "--warmup-frac", "1.5"]) == 1
+    assert capsys.readouterr().err.startswith("error: --warmup-frac: ")
     path.write_text("lambda = 0.3\ncache_m = 2000\n")
     message = "config key 'cache_m': must lie in 0..n_contents, got 2000"
     with pytest.raises(ConfigError) as found:
@@ -215,9 +217,9 @@ def test_sweep_configs_expand() -> None:
 
 def test_build_system_objects() -> None:
     config = ExperimentConfig(cache_m=7, seeds=[9]).validate()
-    catalog, cache, params, workload_cfg, policy = build_system(config)
+    catalog, capacity, params, workload_cfg, policy = build_system(config)
     assert catalog.n_contents == 1000
-    assert cache.capacity == 7
+    assert capacity == 7
     assert params.rate_bps == 5e8
     assert workload_cfg.k_max == 60
     assert policy.kind == "lyapunov"
@@ -239,8 +241,8 @@ def test_simulate_rows_match_direct_run() -> None:
     rows = cmd_simulate(config)
     assert [r["seed"] for r in rows] == [0, 1]
     assert set(rows[0]) == set(SIMULATE_COLUMNS)
-    catalog, cache, params, workload_cfg, policy = build_system(config)
-    tasks = draw_tasks(catalog, cache, workload_cfg, 2000, seed=0)
+    catalog, capacity, params, workload_cfg, policy = build_system(config)
+    tasks = draw_tasks(catalog, capacity, workload_cfg, 2000, seed=0)
     direct = run_simulation(tasks, params, policy, warmup_frac=config.warmup_frac)
     assert rows[0]["avg_data_per_task_bits"] == avg_data_per_task(direct)
     assert rows[0]["arrivals"] == direct.arrivals
@@ -471,7 +473,7 @@ def count_catalogs(monkeypatch):
     original = ContentCatalog.__post_init__
 
     def counting(self):
-        builds.append(self.n_contents)
+        builds.append(len(self.popularity))
         original(self)
 
     monkeypatch.setattr(ContentCatalog, "__post_init__", counting)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mecsched.catalog import CacheConfig, ContentCatalog
+from mecsched.catalog import ContentCatalog
 from mecsched.config import ExperimentConfig, build_system
 from mecsched.dynamics import SystemParams, slots_local, slots_mec, task_bits
 from mecsched.engine import draw_tasks, run_simulation
@@ -22,8 +22,8 @@ from fixed_uniforms import distinct_uncached
 
 def _simulate(config: ExperimentConfig, horizon: int, **run_kw):
     """Draw seed 0's tasks for ``config`` and run them, keeping the queue series."""
-    catalog, cache, params, workload_cfg, policy = build_system(config)
-    tasks = draw_tasks(catalog, cache, workload_cfg, horizon, seed=0)
+    catalog, capacity, params, workload_cfg, policy = build_system(config)
+    tasks = draw_tasks(catalog, capacity, workload_cfg, horizon, seed=0)
     return run_simulation(tasks, params, policy, collect_series=True, **run_kw)
 
 
@@ -33,8 +33,8 @@ def catalog() -> ContentCatalog:
 
 
 @pytest.fixture(scope="module")
-def cache(catalog) -> CacheConfig:
-    return CacheConfig.for_catalog(catalog, 50)
+def capacity() -> int:
+    return 50
 
 
 def _params(**kw) -> SystemParams:
@@ -43,20 +43,20 @@ def _params(**kw) -> SystemParams:
     return SystemParams(**base)
 
 
-def _bits(contents, cache, catalog) -> tuple[float, float]:
+def _bits(contents, capacity, catalog) -> tuple[float, float]:
     """(local_bits, mec_bits) of one task with the given content ranks."""
-    distinct = distinct_uncached(catalog, cache, [contents])
+    distinct = distinct_uncached(catalog, capacity, [contents])
     local, mec = task_bits(catalog, [len(contents)], distinct)
     return float(local[0]), float(mec[0])
 
 
-def _slots_local(contents, cache, catalog, params) -> int:
-    local, mec = _bits(contents, cache, catalog)
+def _slots_local(contents, capacity, catalog, params) -> int:
+    local, mec = _bits(contents, capacity, catalog)
     return int(slots_local([mec], [local], params)[0])
 
 
-def _slots_mec(contents, cache, catalog, params) -> int:
-    _, mec = _bits(contents, cache, catalog)
+def _slots_mec(contents, capacity, catalog, params) -> int:
+    _, mec = _bits(contents, capacity, catalog)
     return int(slots_mec([mec], params)[0])
 
 
@@ -90,18 +90,17 @@ def test_params_validation() -> None:
         _params(slot_seconds=-1)
 
 
-def test_uncached_distinct_counts_each_rank_once(catalog, cache) -> None:
-    assert _bits([1, 2, 51, 51, 52], cache, catalog)[0] == 2 * 5e6
-    empty = CacheConfig.for_catalog(catalog, 0)
-    assert _bits([1, 2, 51, 51, 52], empty, catalog)[0] == 4 * 5e6
+def test_uncached_distinct_counts_each_rank_once(catalog, capacity) -> None:
+    assert _bits([1, 2, 51, 51, 52], capacity, catalog)[0] == 2 * 5e6
+    assert _bits([1, 2, 51, 51, 52], 0, catalog)[0] == 4 * 5e6
 
 
-def test_uncached_distinct_fully_cached(catalog, cache) -> None:
-    assert _bits([1, 5, 50, 50], cache, catalog)[0] == 0.0
+def test_uncached_distinct_fully_cached(catalog, capacity) -> None:
+    assert _bits([1, 5, 50, 50], capacity, catalog)[0] == 0.0
 
 
-def test_mec_bits_is_full_task(catalog, cache) -> None:
-    assert _bits([1, 2, 3, 4], cache, catalog)[1] == 20e6
+def test_mec_bits_is_full_task(catalog, capacity) -> None:
+    assert _bits([1, 2, 3, 4], capacity, catalog)[1] == 20e6
 
 
 def test_transmitted_bits_per_action() -> None:
@@ -130,43 +129,43 @@ def test_transmitted_bits_per_action() -> None:
     assert idle.scheduled == 0 and idle.total_tx_bits == 0.0
 
 
-def test_slots_mec_reference_task(catalog, cache) -> None:
+def test_slots_mec_reference_task(catalog, capacity) -> None:
     # 50 contents, 250 Mbit: compute 0.125 slots, uplink 2.5 slots.
-    assert _slots_mec(range(1, 51), cache, catalog, _params()) == 3
+    assert _slots_mec(range(1, 51), capacity, catalog, _params()) == 3
 
 
-def test_slots_mec_fast_rate(catalog, cache) -> None:
-    assert _slots_mec(range(1, 51), cache, catalog, _params(rate_bps=1e10)) == 1
+def test_slots_mec_fast_rate(catalog, capacity) -> None:
+    assert _slots_mec(range(1, 51), capacity, catalog, _params(rate_bps=1e10)) == 1
 
 
-def test_slots_local_fully_cached(catalog, cache) -> None:
+def test_slots_local_fully_cached(catalog, capacity) -> None:
     # 250 Mbit task, nothing to fetch: 1.25 compute slots, ceil 2.
     contents = np.arange(1, 51) % 50 + 1
-    assert _bits(contents, cache, catalog)[0] == 0.0
-    assert _slots_local(contents, cache, catalog, _params()) == 2
+    assert _bits(contents, capacity, catalog)[0] == 0.0
+    assert _slots_local(contents, capacity, catalog, _params()) == 2
 
 
-def test_slots_local_with_fetch(catalog, cache) -> None:
+def test_slots_local_with_fetch(catalog, capacity) -> None:
     # 50 contents, 20 distinct uncached (100 Mbit): 1.25 + 1.0 -> 3.
     contents = list(range(1, 31)) + list(range(51, 71))
-    assert _bits(contents, cache, catalog)[0] == 100e6
-    assert _slots_local(contents, cache, catalog, _params()) == 3
+    assert _bits(contents, capacity, catalog)[0] == 100e6
+    assert _slots_local(contents, capacity, catalog, _params()) == 3
 
 
-def test_slot_count_integer_boundary(catalog, cache) -> None:
+def test_slot_count_integer_boundary(catalog, capacity) -> None:
     # compute 40 contents * 5 Mbit = 200 Mbit -> exactly 1.0 slot at 1 GHz;
     # fetch 20 distinct uncached = 100 Mbit -> exactly 1.0 slot; total exactly 2.
     contents = list(range(1, 21)) + list(range(51, 71))
-    assert _bits(contents, cache, catalog) == (100e6, 200e6)
-    assert _slots_local(contents, cache, catalog, _params()) == 2
+    assert _bits(contents, capacity, catalog) == (100e6, 200e6)
+    assert _slots_local(contents, capacity, catalog, _params()) == 2
     # any extra work tips it to 3
-    assert _slots_local(contents + [71], cache, catalog, _params()) == 3
+    assert _slots_local(contents + [71], capacity, catalog, _params()) == 3
 
 
-def test_slots_always_at_least_one(catalog, cache) -> None:
+def test_slots_always_at_least_one(catalog, capacity) -> None:
     fast = _params(f_local_hz=1e12, f_mec_hz=1e12, rate_bps=1e12)
-    assert _slots_local([1], cache, catalog, fast) == 1
-    assert _slots_mec([1], cache, catalog, fast) == 1
+    assert _slots_local([1], capacity, catalog, fast) == 1
+    assert _slots_mec([1], capacity, catalog, fast) == 1
     # a duration that rounds to zero (speed * slot overflows) still takes
     # its start slot, so the processor is free again in the next one
     huge = _params(slot_seconds=1e300, f_local_hz=1e300, f_mec_hz=1e300, rate_bps=1e300)

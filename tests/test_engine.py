@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from mecsched import _kernel, engine
-from mecsched.catalog import CacheConfig, ContentCatalog
 from mecsched.config import ExperimentConfig, build_system
 from mecsched.engine import (
     avg_data_per_task,
@@ -30,8 +29,8 @@ def _system(**cfg_kw):
 
 
 def _simulate(system, horizon, seed, **run_kw):
-    catalog, cache, params, workload_cfg, policy = system
-    return run_simulation(draw_tasks(catalog, cache, workload_cfg, horizon, seed), params, policy, **run_kw)
+    catalog, capacity, params, workload_cfg, policy = system
+    return run_simulation(draw_tasks(catalog, capacity, workload_cfg, horizon, seed), params, policy, **run_kw)
 
 
 def _run(horizon=2000, seed=0, warmup_frac=0.1, collect_series=True, **cfg_kw):
@@ -131,8 +130,8 @@ def test_drift_audit_catches_starts_beyond_the_queue(
     # Only the Python loop calls engine.decide; the compiled one has its own.
     monkeypatch.setattr(_kernel, "lib", None)
     monkeypatch.setattr(engine, "decide", split_whenever_free)
-    (catalog, cache, params, workload_cfg, policy), _ = _system(arrival_prob=arrival_prob)
-    table = draw_tasks(catalog, cache, workload_cfg, horizon, seed)
+    (catalog, capacity, params, workload_cfg, policy), _ = _system(arrival_prob=arrival_prob)
+    table = draw_tasks(catalog, capacity, workload_cfg, horizon, seed)
     metrics = run_simulation(table, params, policy, warmup_frac=warmup_frac, collect_series=True)
     found = (metrics.drift_violations, metrics.queue_len_sum, metrics.queue_len_sum_after_warmup)
     assert found == expected
@@ -148,10 +147,10 @@ def test_run_without_series_allocates_nothing_per_slot() -> None:
     # The table holds per-task arrays only.  Given it, a run without a
     # series grows between two horizons by its per-task arrays alone.  A
     # series would add 8 bytes per slot, more than the whole allowance.
-    (catalog, cache, params, workload_cfg, policy), _ = _system(arrival_prob=0.02)
+    (catalog, capacity, params, workload_cfg, policy), _ = _system(arrival_prob=0.02)
     peaks, n_tasks = [], []
     for horizon in (25_000, 75_000):
-        table = draw_tasks(catalog, cache, workload_cfg, horizon, seed=0)
+        table = draw_tasks(catalog, capacity, workload_cfg, horizon, seed=0)
         tracemalloc.start()
         try:
             run_simulation(table, params, policy)
@@ -166,14 +165,14 @@ def test_table_keeps_nothing_per_slot() -> None:
     # 400,000 more slots bring about 400 more tasks: what the draw keeps
     # and what it peaks at grow by those tasks' arrays alone.  One byte per
     # added slot would exceed the allowance twentyfold.
-    (catalog, cache, _, workload_cfg, _), _ = _system(arrival_prob=0.001)
+    (catalog, capacity, _, workload_cfg, _), _ = _system(arrival_prob=0.001)
     # A first draw imports numpy.random; it stays out of the measurement.
-    draw_tasks(catalog, cache, workload_cfg, 100, seed=0)
+    draw_tasks(catalog, capacity, workload_cfg, 100, seed=0)
     kept, peaks, n_tasks = [], [], []
     for horizon in (200_000, 600_000):
         tracemalloc.start()
         try:
-            table = draw_tasks(catalog, cache, workload_cfg, horizon, seed=0)
+            table = draw_tasks(catalog, capacity, workload_cfg, horizon, seed=0)
             size, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -214,10 +213,10 @@ def test_series_collection_optional() -> None:
 
 
 def test_run_rejects_bad_arguments() -> None:
-    # The horizon, cache-size and exact-bit guards belong to the draw (see
+    # The horizon and exact-bit guards belong to the draw (see
     # test_draw_guards_fire_before_allocating); a run checks its warm-up.
-    (catalog, cache, params, workload_cfg, policy), _ = _system()
-    table = draw_tasks(catalog, cache, workload_cfg, 100, seed=0)
+    (catalog, capacity, params, workload_cfg, policy), _ = _system()
+    table = draw_tasks(catalog, capacity, workload_cfg, 100, seed=0)
     with pytest.raises(ConfigError):
         run_simulation(table, params, policy, warmup_frac=1.0)
     with pytest.raises(ConfigError):
@@ -272,8 +271,8 @@ def test_chunked_arrivals_equal_one_draw() -> None:
 def test_pre_drawn_table_gives_the_fresh_run(policy) -> None:
     # One table, drawn at the base point, serves runs whose weight, radio
     # rate or device speed differ: none of them enters a draw.
-    (catalog, cache, _, workload_cfg, _), config = _system(policy=policy, arrival_prob=0.6)
-    table = draw_tasks(catalog, cache, workload_cfg, 3000, seed=5)
+    (catalog, capacity, _, workload_cfg, _), config = _system(policy=policy, arrival_prob=0.6)
+    table = draw_tasks(catalog, capacity, workload_cfg, 3000, seed=5)
     for change in ({}, {"v_param": 1e-8}, {"v_param": 0.0}, {"rate_bps": 2e8}, {"f_local_hz": 4e9}):
         point = dataclasses.replace(config, **change).validate()
         system = build_system(point)
@@ -296,8 +295,8 @@ def test_compiled_loop_matches_python_loop(policy, monkeypatch) -> None:
         {"arrival_prob": 0.6, "v_param": 0.0},
         {"arrival_prob": 0.3, "rate_bps": 1e-300},
     ):
-        (catalog, cache, params, workload_cfg, point_policy), _ = _system(policy=policy, **change)
-        table = draw_tasks(catalog, cache, workload_cfg, horizon, seed=3)
+        (catalog, capacity, params, workload_cfg, point_policy), _ = _system(policy=policy, **change)
+        table = draw_tasks(catalog, capacity, workload_cfg, horizon, seed=3)
         compiled = run_simulation(table, params, point_policy, collect_series=True)
         with monkeypatch.context() as patch:
             patch.setattr(_kernel, "lib", None)
@@ -306,8 +305,8 @@ def test_compiled_loop_matches_python_loop(policy, monkeypatch) -> None:
 
 
 def test_table_arrays_are_read_only() -> None:
-    (catalog, cache, params, workload_cfg, policy), _ = _system()
-    table = draw_tasks(catalog, cache, workload_cfg, 500, seed=0)
+    (catalog, capacity, params, workload_cfg, policy), _ = _system()
+    table = draw_tasks(catalog, capacity, workload_cfg, 500, seed=0)
     for array in (table.arrival_slot, table.local_bits, table.mec_bits):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = array[1]
@@ -317,19 +316,17 @@ def test_table_arrays_are_read_only() -> None:
 
 
 def test_draw_guards_fire_before_allocating() -> None:
-    (catalog, cache, _, workload_cfg, _), _ = _system()
+    (catalog, capacity, _, workload_cfg, _), _ = _system()
     with pytest.raises(ConfigError):
-        draw_tasks(catalog, cache, workload_cfg, 0, seed=0)
+        draw_tasks(catalog, capacity, workload_cfg, 0, seed=0)
     with pytest.raises(ConfigError, match="exact bit accounting"):
         # 10**15 slots would draw petabytes of per-task arrays.
-        draw_tasks(catalog, cache, workload_cfg, 10**15, seed=0)
-    with pytest.raises(ConfigError):
-        draw_tasks(catalog, CacheConfig.for_catalog(ContentCatalog.zipf(10, 0.8, 5e6), 5), workload_cfg, 100, seed=0)
+        draw_tasks(catalog, capacity, workload_cfg, 10**15, seed=0)
     # One-bit, one-content tasks pass the bit guard at any feasible horizon;
     # past 3,037,000,499 slots a queue sum could leave int64.
-    (catalog, cache, _, workload_cfg, _), _ = _system(tau_bits=1.0, k_min=1, k_max=1)
+    (catalog, capacity, _, workload_cfg, _), _ = _system(tau_bits=1.0, k_min=1, k_max=1)
     with pytest.raises(ConfigError, match="exact queue sums"):
-        draw_tasks(catalog, cache, workload_cfg, 3_037_000_500, seed=0)
-    (catalog, cache, _, workload_cfg, _), _ = _system(tau_bits=0.3)
+        draw_tasks(catalog, capacity, workload_cfg, 3_037_000_500, seed=0)
+    (catalog, capacity, _, workload_cfg, _), _ = _system(tau_bits=0.3)
     with pytest.raises(ConfigError, match="whole number of bits"):
-        draw_tasks(catalog, cache, workload_cfg, 100, seed=0)
+        draw_tasks(catalog, capacity, workload_cfg, 100, seed=0)

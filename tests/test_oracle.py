@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mecsched import _kernel
-from mecsched.catalog import CacheConfig, ContentCatalog
+from mecsched.catalog import ContentCatalog
 from mecsched.config import ExperimentConfig, build_system
 from mecsched.dynamics import SystemParams
 from mecsched.engine import RunMetrics, draw_tasks, run_simulation
@@ -37,12 +37,12 @@ def _assert_identical(new: RunMetrics, old) -> None:
             assert a == b, name
 
 
-def _both(catalog, cache, params, workload_cfg, policy, horizon, seed, warmup_frac=0.1, collect_series=True) -> None:
+def _both(catalog, capacity, params, workload_cfg, policy, horizon, seed, warmup_frac=0.1, collect_series=True) -> None:
     # The oracle draws its own tasks; the engine runs the drawn table.
-    tasks = draw_tasks(catalog, cache, workload_cfg, horizon, seed)
+    tasks = draw_tasks(catalog, capacity, workload_cfg, horizon, seed)
     new = run_simulation(tasks, params, policy, warmup_frac=warmup_frac, collect_series=collect_series)
     old = oracle_run_simulation(
-        catalog, cache, params, workload_cfg, policy,
+        catalog, capacity, params, workload_cfg, policy,
         horizon=horizon, seed=seed, warmup_frac=warmup_frac, collect_series=collect_series,
     )
     _assert_identical(new, old)
@@ -55,7 +55,7 @@ def small_systems(draw):
     n_contents = draw(st.integers(1, 40))
     size_bits = draw(st.sampled_from([1, 1000, 5_000_000]))
     catalog = ContentCatalog.zipf(n_contents, draw(st.sampled_from([0.0, 0.8, 2.0])), size_bits)
-    cache = CacheConfig.for_catalog(catalog, draw(st.integers(0, n_contents)))
+    capacity = draw(st.integers(0, n_contents))
     contents_per_slot = st.sampled_from([0.4, 1.0, 3.0, 10.0, 1e9])
     params = SystemParams(
         slot_seconds=1.0,
@@ -70,7 +70,7 @@ def small_systems(draw):
     # v in 1/bits: zero, tiny and huge against the bits of one content.
     v = draw(st.sampled_from([0.0, 1e-3, 0.3, 1.0, 1e3])) / size_bits
     policy = PolicySpec(draw(st.sampled_from(POLICY_KINDS)), v)
-    return catalog, cache, params, workload_cfg, policy
+    return catalog, capacity, params, workload_cfg, policy
 
 
 _SMALL_RUNS = dict(
@@ -107,13 +107,13 @@ def test_python_loop_matches_oracle_on_small_systems(system, horizon, seed, warm
 def test_shared_table_matches_oracle_under_two_weights(system, v_other, horizon, seed) -> None:
     # One drawn table serves runs at two weights; each must equal the
     # oracle's own run, which draws its tasks afresh.
-    catalog, cache, params, workload_cfg, policy = system
-    tasks = draw_tasks(catalog, cache, workload_cfg, horizon, seed)
+    catalog, capacity, params, workload_cfg, policy = system
+    tasks = draw_tasks(catalog, capacity, workload_cfg, horizon, seed)
     other = PolicySpec(policy.kind, v_other / catalog.size_bits)
     for weighted in (policy, other):
         new = run_simulation(tasks, params, weighted, warmup_frac=0.1, collect_series=True)
         old = oracle_run_simulation(
-            catalog, cache, params, workload_cfg, weighted, horizon=horizon, seed=seed, warmup_frac=0.1
+            catalog, capacity, params, workload_cfg, weighted, horizon=horizon, seed=seed, warmup_frac=0.1
         )
         _assert_identical(new, old)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mecsched import _kernel
-from mecsched.catalog import CacheConfig, ContentCatalog
+from mecsched.catalog import ContentCatalog
 from mecsched.dynamics import task_bits
 from mecsched.policy import (
     ACTION_FIRST_LOCAL,
@@ -26,16 +26,11 @@ def catalog() -> ContentCatalog:
 
 
 @pytest.fixture(scope="module")
-def cache(catalog) -> CacheConfig:
-    return CacheConfig.for_catalog(catalog, 50)
-
-
-@pytest.fixture(scope="module")
-def bits(catalog, cache):
+def bits(catalog):
     """(local_bits, mec_bits) of a task with the given content ranks."""
 
     def task(contents) -> tuple[float, float]:
-        distinct = distinct_uncached(catalog, cache, [contents])
+        distinct = distinct_uncached(catalog, 50, [contents])
         local, mec = task_bits(catalog, [len(contents)], distinct)
         return float(local[0]), float(mec[0])
 

@@ -8,8 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mecsched import _kernel
-from mecsched.catalog import CacheConfig, ContentCatalog
+from mecsched.catalog import ContentCatalog
+from mecsched.analysis import estimate_slot_means
 from mecsched.config import ExperimentConfig, build_system
+from mecsched.dynamics import SystemParams
 from mecsched.engine import draw_tasks
 from mecsched.workload import K_SPAN_LIMIT, WorkloadConfig, draw_contents, sample_tasks, task_streams
 from fixed_uniforms import FixedUniforms, distinct_uncached, pcg64_with_next
@@ -18,11 +20,6 @@ from fixed_uniforms import FixedUniforms, distinct_uncached, pcg64_with_next
 @pytest.fixture(scope="module")
 def catalog() -> ContentCatalog:
     return ContentCatalog.zipf(1000, 0.8, 5e6)
-
-
-@pytest.fixture(scope="module")
-def no_cache(catalog) -> CacheConfig:
-    return CacheConfig.for_catalog(catalog, 0)
 
 
 def _cfg(**kw) -> WorkloadConfig:
@@ -49,7 +46,7 @@ def test_streams_deterministic() -> None:
     assert np.array_equal(c1.random(100), c2.random(100))
 
 
-def test_streams_independent_of_each_other(catalog: ContentCatalog, no_cache) -> None:
+def test_streams_independent_of_each_other(catalog: ContentCatalog) -> None:
     # Consuming different amounts of the arrival stream must not shift
     # the composition stream: the i-th task stays the same task.
     cfg = _cfg()
@@ -57,16 +54,16 @@ def test_streams_independent_of_each_other(catalog: ContentCatalog, no_cache) ->
     a2, c2 = task_streams(3)
     a1.random(10)
     a2.random(500)
-    t1 = sample_tasks(c1, catalog, cfg, 5, no_cache)
-    t2 = sample_tasks(c2, catalog, cfg, 5, no_cache)
+    t1 = sample_tasks(c1, catalog, cfg, 5, 0)
+    t2 = sample_tasks(c2, catalog, cfg, 5, 0)
     for x, y in zip(t1, t2):
         assert np.array_equal(x, y)
 
 
 def _arrivals(horizon: int, arrival_prob: float) -> int:
     config = ExperimentConfig(arrival_prob=arrival_prob).validate()
-    catalog, cache, _, workload_cfg, _ = build_system(config)
-    return draw_tasks(catalog, cache, workload_cfg, horizon, seed=0).arrival_slot.size
+    catalog, capacity, _, workload_cfg, _ = build_system(config)
+    return draw_tasks(catalog, capacity, workload_cfg, horizon, seed=0).arrival_slot.size
 
 
 def test_sample_arrival_is_bernoulli_like() -> None:
@@ -83,8 +80,8 @@ def test_content_indices_in_range(catalog: ContentCatalog) -> None:
     # Single-content tasks: a whole-catalog cache holds every drawn rank,
     # an empty cache none of them.
     ks = np.ones(10000, dtype=np.int64)
-    full = draw_contents(np.random.default_rng(5), catalog, ks, CacheConfig.for_catalog(catalog, 1000))
-    empty = draw_contents(np.random.default_rng(5), catalog, ks, CacheConfig.for_catalog(catalog, 0))
+    full = draw_contents(np.random.default_rng(5), catalog, ks, 1000)
+    empty = draw_contents(np.random.default_rng(5), catalog, ks, 0)
     assert full.dtype == empty.dtype == np.int64
     assert full.tolist() == [0] * 10000
     assert empty.tolist() == [1] * 10000
@@ -93,28 +90,26 @@ def test_content_indices_in_range(catalog: ContentCatalog) -> None:
 def test_content_indices_follow_popularity(catalog: ContentCatalog) -> None:
     # A one-content cache holds rank 1 only, so single-content tasks miss
     # it with probability 1 - p[0].
-    counts = draw_contents(
-        np.random.default_rng(11), catalog, np.ones(200000, dtype=np.int64), CacheConfig.for_catalog(catalog, 1)
-    )
+    counts = draw_contents(np.random.default_rng(11), catalog, np.ones(200000, dtype=np.int64), 1)
     freq1 = np.mean(counts == 0)
     assert freq1 == pytest.approx(catalog.popularity[0], rel=0.03)
 
 
-def test_sample_task_shape(catalog: ContentCatalog, no_cache) -> None:
+def test_sample_task_shape(catalog: ContentCatalog) -> None:
     cfg = _cfg()
     _, comp = task_streams(0)
-    ks, distinct = sample_tasks(comp, catalog, cfg, 50, no_cache)
+    ks, distinct = sample_tasks(comp, catalog, cfg, 50, 0)
     assert ks.shape == distinct.shape == (50,)
     assert np.all((cfg.k_min <= ks) & (ks <= cfg.k_max))
     assert np.all((1 <= distinct) & (distinct <= ks))
 
 
-def test_sample_task_frozen_stream(catalog: ContentCatalog, no_cache) -> None:
+def test_sample_task_frozen_stream(catalog: ContentCatalog) -> None:
     # Regression pin: seed 0's first two tasks, so any accidental change
     # to stream consumption shows up.
     cfg = _cfg()
     _, comp = task_streams(0)
-    ks, distinct = sample_tasks(comp, catalog, cfg, 2, no_cache)
+    ks, distinct = sample_tasks(comp, catalog, cfg, 2, 0)
     assert ks.tolist() == [53, 54]
     # the first task's contents are the k uniforms after its k draw
     _, comp = task_streams(0)
@@ -152,8 +147,7 @@ def test_sample_tasks_match_one_task_at_a_time(catalog: ContentCatalog) -> None:
     for lib in _paths():
         with mock.patch.object(_kernel, "lib", lib):
             for capacity in (0, 50, 1000):
-                cache = CacheConfig.for_catalog(catalog, capacity)
-                ks, distinct = sample_tasks(task_streams(9)[1], catalog, cfg, 515, cache)
+                ks, distinct = sample_tasks(task_streams(9)[1], catalog, cfg, 515, capacity)
                 expected = _one_task_at_a_time(task_streams(9)[1], catalog, cfg, 515, capacity)
                 assert (ks.tolist(), distinct.tolist()) == expected
 
@@ -197,7 +191,6 @@ def test_sample_tasks_equal_per_task_draws_and_leave_the_same_state(case) -> Non
     # wide guide buckets.
     cfg, n_tasks, (n, alpha), capacity, half, seed = case
     catalog = ContentCatalog.zipf(n, alpha, 1.0)
-    cache = CacheConfig.for_catalog(catalog, capacity)
     for lib in _paths():
         rngs = np.random.default_rng(seed), np.random.default_rng(seed)
         if half is not None:
@@ -207,7 +200,7 @@ def test_sample_tasks_equal_per_task_draws_and_leave_the_same_state(case) -> Non
                 rng.bit_generator.state = state
         fast, reference = rngs
         with mock.patch.object(_kernel, "lib", lib):
-            ks, distinct = sample_tasks(fast, catalog, cfg, n_tasks, cache)
+            ks, distinct = sample_tasks(fast, catalog, cfg, n_tasks, capacity)
         expected = _one_task_at_a_time(reference, catalog, cfg, n_tasks, capacity)
         assert (ks.tolist(), distinct.tolist()) == expected
         assert fast.bit_generator.state == reference.bit_generator.state
@@ -215,7 +208,7 @@ def test_sample_tasks_equal_per_task_draws_and_leave_the_same_state(case) -> Non
         assert fast.random() == reference.random()
 
 
-def test_k_draw_rejects_values_in_a_row(catalog: ContentCatalog, no_cache) -> None:
+def test_k_draw_rejects_values_in_a_row(catalog: ContentCatalog) -> None:
     # The buffered half and the next word's two halves are all rejected
     # 32-bit values, so the first k draw rejects three times before it
     # accepts.
@@ -225,7 +218,7 @@ def test_k_draw_rejects_values_in_a_row(catalog: ContentCatalog, no_cache) -> No
     for lib in _paths():
         fast, reference = pcg64_with_next(rejected[-1], 0), pcg64_with_next(rejected[-1], 0)
         with mock.patch.object(_kernel, "lib", lib):
-            ks, distinct = sample_tasks(fast, catalog, cfg, 5, no_cache)
+            ks, distinct = sample_tasks(fast, catalog, cfg, 5, 0)
         assert (ks.tolist(), distinct.tolist()) == _one_task_at_a_time(reference, catalog, cfg, 5, 0)
         assert fast.bit_generator.state == reference.bit_generator.state
 
@@ -234,12 +227,11 @@ def test_sample_tasks_follow_any_bit_generator(catalog: ContentCatalog) -> None:
     # The draw calls the generator's own functions, so generators that
     # build their doubles and 32-bit values differently are followed too.
     cfg = _cfg(k_min=1, k_max=30)
-    cache = CacheConfig.for_catalog(catalog, 50)
     for bit_generator in (np.random.MT19937, np.random.Philox, np.random.SFC64):
         for lib in _paths():
             fast, reference = np.random.Generator(bit_generator(5)), np.random.Generator(bit_generator(5))
             with mock.patch.object(_kernel, "lib", lib):
-                ks, distinct = sample_tasks(fast, catalog, cfg, 300, cache)
+                ks, distinct = sample_tasks(fast, catalog, cfg, 300, 50)
             assert (ks.tolist(), distinct.tolist()) == _one_task_at_a_time(reference, catalog, cfg, 300, 50)
             assert fast.integers(0, 1000, 3).tolist() == reference.integers(0, 1000, 3).tolist()
             assert fast.random() == reference.random()
@@ -252,11 +244,10 @@ def test_draw_contents_equal_per_task_random_calls(catalog: ContentCatalog) -> N
     # short or run one long is among them.
     ks = np.concatenate([np.arange(131), np.random.default_rng(1).integers(0, 70, 600)])
     for capacity in (0, 50, 1000):
-        cache = CacheConfig.for_catalog(catalog, capacity)
         for lib in _paths():
             fast, reference = np.random.default_rng(4), np.random.default_rng(4)
             with mock.patch.object(_kernel, "lib", lib):
-                counts = draw_contents(fast, catalog, ks, cache)
+                counts = draw_contents(fast, catalog, ks, capacity)
             expected = []
             for k in ks:
                 contents = _ranks(catalog, reference.random(k))
@@ -265,21 +256,42 @@ def test_draw_contents_equal_per_task_random_calls(catalog: ContentCatalog) -> N
             assert fast.bit_generator.state == reference.bit_generator.state
 
 
-def test_sample_tasks_refuse_what_they_cannot_follow(catalog: ContentCatalog, no_cache) -> None:
+def test_sample_tasks_refuse_what_they_cannot_follow(catalog: ContentCatalog) -> None:
     # Wider k ranges leave numpy's 32-bit k draw.
     wide = _cfg(k_min=1, k_max=K_SPAN_LIMIT + 1)
     with pytest.raises(ValueError, match="2\\*\\*32"):
-        sample_tasks(np.random.default_rng(0), catalog, wide, 1, no_cache)
+        sample_tasks(np.random.default_rng(0), catalog, wide, 1, 0)
+
+
+def test_every_draw_refuses_a_capacity_outside_the_catalog(catalog: ContentCatalog) -> None:
+    # The cache holds ranks 1..capacity, so 0 and n_contents are its edges;
+    # every draw, compiled or not, takes both and refuses one past either.
+    n = catalog.n_contents
+    cfg = _cfg(k_min=1, k_max=3)
+    params = SystemParams(slot_seconds=0.1, cycles_per_bit=10, f_local_hz=1e9, f_mec_hz=1e10, rate_bps=1e8)
+    draws = [
+        lambda capacity: draw_contents(np.random.default_rng(0), catalog, [2, 0, 3], capacity),
+        lambda capacity: sample_tasks(np.random.default_rng(0), catalog, cfg, 3, capacity),
+        lambda capacity: draw_tasks(catalog, capacity, cfg, 10, seed=0),
+        lambda capacity: estimate_slot_means(catalog, capacity, params, {1: 0.5, 3: 0.5}, samples=2),
+    ]
+    for lib in _paths():
+        with mock.patch.object(_kernel, "lib", lib):
+            for draw in draws:
+                for capacity in (0, n):
+                    draw(capacity)
+                for capacity in (-1, n + 1):
+                    with pytest.raises(ValueError, match=f"capacity must lie in 0..{n}, got {capacity}"):
+                        draw(capacity)
 
 
 def test_distinct_uncached_counts_by_hand(catalog: ContentCatalog) -> None:
     # Repeated ranks count once, cached ranks not at all, and a task with
     # no contents or only cached ones counts 0.
-    cache = CacheConfig.for_catalog(catalog, 50)
     tasks = [[1, 51, 51, 52], [], [7, 50], [1000, 1000, 999]]
     for lib in _paths():
         with mock.patch.object(_kernel, "lib", lib):
-            assert distinct_uncached(catalog, cache, tasks) == [2, 0, 0, 2]
+            assert distinct_uncached(catalog, 50, tasks) == [2, 0, 0, 2]
 
 
 @pytest.mark.parametrize(
@@ -306,7 +318,7 @@ def test_content_ranks_equal_binary_search(n: int, alpha: float) -> None:
     first = np.searchsorted(expected, np.arange(1, n + 2))
     for capacity in range(n + 1):
         near = slice(first[max(capacity - 1, 0)], first[min(capacity + 1, n)])
-        counts = draw_contents(FixedUniforms(u[near]), cat, np.ones(near.stop - near.start), CacheConfig(capacity, n))
+        counts = draw_contents(FixedUniforms(u[near]), cat, np.ones(near.stop - near.start), capacity)
         assert counts.tolist() == (expected[near] > capacity).tolist()
 
 
@@ -325,8 +337,7 @@ def _tasks(draw):
 def test_distinct_uncached_counts_match_per_task_unique(tasks) -> None:
     n, contents, capacity = tasks
     catalog = ContentCatalog.zipf(n, 0.0, 1.0)
-    cache = CacheConfig(capacity=capacity, n_contents=n)
     expected = [len({rank for rank in task if rank > capacity}) for task in contents]
     for lib in _paths():
         with mock.patch.object(_kernel, "lib", lib):
-            assert distinct_uncached(catalog, cache, contents) == expected
+            assert distinct_uncached(catalog, capacity, contents) == expected

@@ -84,13 +84,13 @@ def measure_point(overrides: dict, reference: dict) -> dict:
     from mecsched.engine import draw_tasks, run_simulation
 
     config = ExperimentConfig(horizon_slots=HORIZON, **overrides).validate()
-    catalog, cache, params, workload_cfg, policy = build_system(config)
+    catalog, capacity, params, workload_cfg, policy = build_system(config)
     draw_us, run_us, reference_s = [], [], []
     draw_s = run_s = 0.0
     n_tasks = 0
     for seed in SEEDS:
         reference_s.append(reference["time_reference"]())
-        t_draw, table = min_time(lambda: draw_tasks(catalog, cache, workload_cfg, HORIZON, seed))
+        t_draw, table = min_time(lambda: draw_tasks(catalog, capacity, workload_cfg, HORIZON, seed))
         t_run, _ = min_time(lambda: run_simulation(table, params, policy, warmup_frac=config.warmup_frac))
         tasks = table.arrival_slot.size
         draw_s, run_s, n_tasks = draw_s + t_draw, run_s + t_run, n_tasks + tasks
