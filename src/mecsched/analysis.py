@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -47,25 +47,22 @@ REGIME_MIXED = "mixed"
 REGIME_INFEASIBLE = "infeasible"
 
 
-def uniform_k_dist(k_min: int, k_max: int) -> dict[int, float]:
-    """Uniform distribution over the contents-per-task counts ``k_min..k_max``."""
+def uniform_k_dist(k_min: int, k_max: int) -> range:
+    """The contents-per-task counts ``k_min..k_max``, as the ``ks`` the
+    functions below take: each value equally likely."""
     if k_min < 1 or k_max < k_min:
         raise ValueError(f"need 1 <= k_min <= k_max, got ({k_min}, {k_max})")
-    n = k_max - k_min + 1
-    return {k: 1.0 / n for k in range(k_min, k_max + 1)}
+    return range(k_min, k_max + 1)
 
 
-def _check_k_dist(k_dist: Mapping[int, float]) -> None:
-    if not k_dist:
-        raise ValueError("empty contents-per-task distribution")
-    if any(k < 1 for k in k_dist):
-        raise ValueError("contents-per-task counts must be at least 1")
-    total = sum(k_dist.values())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"contents-per-task probabilities sum to {total!r}, expected 1")
+def _check_ks(ks: range) -> float:
+    """The probability of each of the equally likely counts ``ks``."""
+    if not (isinstance(ks, range) and ks and ks.step == 1 and ks.start >= 1):
+        raise ValueError(f"contents-per-task counts must be a non-empty step-1 range from 1, got {ks!r}")
+    return 1.0 / len(ks)
 
 
-def expected_mec_bits(size_bits: float, k_dist: Mapping[int, float]) -> float:
+def expected_mec_bits(size_bits: float, ks: range) -> float:
     """Expected uplink bits per offloaded task.
 
     An offloaded task ships all of its ``k`` contents, so this is just
@@ -75,25 +72,25 @@ def expected_mec_bits(size_bits: float, k_dist: Mapping[int, float]) -> float:
     ----------
     size_bits : float
         Size of one content in bits.
-    k_dist : mapping of int to float
-        Distribution of the contents-per-task count.
+    ks : range
+        The contents-per-task counts, each equally likely.
     """
-    _check_k_dist(k_dist)
-    return size_bits * sum(k * p for k, p in k_dist.items())
+    p = _check_ks(ks)
+    return size_bits * sum(k * p for k in ks)
 
 
 def expected_local_bits(
     size_bits: float,
     popularity: np.ndarray,
     capacity: int,
-    k_dist: Mapping[int, float],
+    ks: range,
 ) -> float:
     """Expected uplink bits per locally executed task.
 
     A local task fetches each uncached content rank at most once, so with
     i.i.d. draws the expected distinct-uncached count for a task of ``k``
     contents is ``sum_n (1 - (1 - p_n)^k)`` over the uncached ranks ``n``.
-    The returned value averages that over ``k_dist`` and scales by the
+    The returned value averages that over ``ks`` and scales by the
     content size; it is exact, not an approximation.
 
     Parameters
@@ -104,21 +101,19 @@ def expected_local_bits(
         Per-rank request probabilities.
     capacity : int
         Cache capacity in contents; ranks ``1..capacity`` are never fetched.
-    k_dist : mapping of int to float
-        Distribution of the contents-per-task count.
+    ks : range
+        The contents-per-task counts, each equally likely.
     """
-    _check_k_dist(k_dist)
+    p = _check_ks(ks)
     pop = np.asarray(popularity, dtype=np.float64)
     if not 0 <= capacity <= len(pop):
         raise ValueError(f"capacity {capacity} outside 0..{len(pop)}")
     miss = 1.0 - pop[capacity:]
     if miss.size == 0:
         return 0.0
-    ks = np.array(sorted(k_dist), dtype=np.float64)
-    probs = np.array([k_dist[int(k)] for k in ks])
     # expected distinct uncached contents for each k, then average over k
-    distinct = (1.0 - np.power.outer(miss, ks)).sum(axis=0)
-    return size_bits * float(np.dot(probs, distinct))
+    distinct = (1.0 - np.power.outer(miss, np.asarray(ks, dtype=np.float64))).sum(axis=0)
+    return size_bits * float(np.dot(np.full(len(ks), p), distinct))
 
 
 @dataclass(frozen=True)
@@ -141,25 +136,24 @@ def estimate_slot_means(
     catalog: ContentCatalog,
     capacity: int,
     params: SystemParams,
-    k_dist: Mapping[int, float],
+    ks: range,
     samples: int = 20000,
     seed: int = 0,
 ) -> SlotMeanEstimate:
     """Estimate the mean busy-slot counts by sampling tasks.
 
-    Tasks are drawn exactly as the workload generator draws them (size
-    from ``k_dist``, contents i.i.d. from the catalog popularity) and
-    pushed through the same slot-count formulas the simulator uses, so
-    the estimate is the canonical evaluator for quantities that have no
-    closed form.  Deterministic given ``seed``.
+    Tasks are drawn exactly as the workload generator draws them (``k``
+    from ``ks``, each value equally likely; contents i.i.d. from the
+    catalog popularity) and pushed through the same slot-count formulas
+    the simulator uses, so the estimate is the canonical evaluator for
+    quantities that have no closed form.  Deterministic given ``seed``.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples for a standard error, got {samples}")
-    _check_k_dist(k_dist)
+    p = _check_ks(ks)
     rng = np.random.default_rng(seed)
-    ks = np.array(sorted(k_dist), dtype=np.int64)
-    probs = np.array([k_dist[int(k)] for k in ks])
-    drawn_ks = rng.choice(ks, size=samples, p=probs)
+    # Passing p, rather than calling integers, keeps every analyze CSV's stream.
+    drawn_ks = rng.choice(np.asarray(ks, dtype=np.int64), size=samples, p=np.full(len(ks), p))
     # Each task's contents are the next k uniforms of the stream.
     local_counts = np.empty(samples, dtype=np.float64)
     mec_counts = np.empty(samples, dtype=np.float64)

@@ -108,7 +108,10 @@ class ExperimentConfig:
         if not self.seeds or min(self.seeds) < 0:
             raise bad("seeds", f"must be a non-empty list of non-negative integers, got {self.seeds}")
         if not 0 <= self.warmup_frac < 1:
-            raise bad("warmup_frac", f"must lie in [0, 1), got {self.warmup_frac}")
+            # No config key: its flag, when set, names it.
+            where = self.sources.get("warmup_frac")
+            label = f"{where}:" if where else "warmup_frac"
+            raise ConfigError(f"{label} must lie in [0, 1), got {self.warmup_frac}")
         return self
 
 

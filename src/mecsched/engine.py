@@ -87,7 +87,7 @@ from .catalog import ContentCatalog
 from .dynamics import SystemParams, slots_local, slots_mec, task_bits
 from .errors import ConfigError, ContractViolation, MetricUndefined
 from .policy import PolicySpec, decide
-from .workload import K_SPAN_LIMIT, WorkloadConfig, sample_tasks, task_streams
+from .workload import WorkloadConfig, sample_tasks, task_streams
 
 __all__ = [
     "RunMetrics",
@@ -188,11 +188,8 @@ def draw_tasks(
         )
     if not float(catalog.size_bits).is_integer():
         raise ConfigError(f"content size must be a whole number of bits, got {catalog.size_bits}")
-    # Wider k ranges leave the 32-bit integer draw the task sampler follows.
-    if workload_cfg.k_max - workload_cfg.k_min >= K_SPAN_LIMIT:
-        raise ConfigError(
-            f"k_max - k_min must stay below 2**32 - 1, got {workload_cfg.k_max - workload_cfg.k_min}"
-        )
+    if not 0 <= capacity <= catalog.n_contents:
+        raise ConfigError(f"cache capacity must lie in 0..{catalog.n_contents}, got {capacity}")
 
     arrival_rng, composition_rng = task_streams(seed)
     # Chunked draws continue one stream, so the arrivals equal those of a

@@ -48,6 +48,10 @@ K_SPAN_LIMIT = 2**32 - 1
 
 @dataclass(frozen=True)
 class WorkloadConfig:
+    """Per-slot arrival probability, and ``k`` uniform on ``k_min..k_max``.
+    The span stays below :data:`K_SPAN_LIMIT`, so that every draw can
+    follow numpy's 32-bit ``k`` draw."""
+
     arrival_prob: float
     k_min: int
     k_max: int
@@ -59,6 +63,8 @@ class WorkloadConfig:
             raise ValueError(f"k_min must be at least 1, got {self.k_min}")
         if self.k_max < self.k_min:
             raise ValueError(f"k_max {self.k_max} below k_min {self.k_min}")
+        if self.k_max - self.k_min >= K_SPAN_LIMIT:
+            raise ValueError(f"k_max - k_min must stay below 2**32 - 1, got {self.k_max - self.k_min}")
 
 
 def task_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
@@ -83,15 +89,10 @@ def sample_tasks(
 
     The result, and the state ``rng`` is left in, are exactly those of
     drawing each task in turn as ``k = rng.integers(k_min, k_max + 1)``
-    followed by ``rng.random(k)``.  ``k_max - k_min`` must stay below
-    :data:`K_SPAN_LIMIT`; a wider span raises :class:`ValueError`.  The
-    cache holds ranks ``1..capacity``; a ``capacity`` outside
-    ``0..catalog.n_contents`` raises :class:`ValueError`, here and in
-    :func:`draw_contents`.
+    followed by ``rng.random(k)``.  The cache holds ranks
+    ``1..capacity``; a ``capacity`` outside ``0..catalog.n_contents``
+    raises :class:`ValueError`, here and in :func:`draw_contents`.
     """
-    span = cfg.k_max - cfg.k_min
-    if span >= K_SPAN_LIMIT:
-        raise ValueError(f"k_max - k_min must stay below 2**32 - 1, got {span}")
     ks = np.empty(n_tasks, dtype=np.int64)
     return ks, _draw(rng, catalog, capacity, ks, cfg)
 

@@ -31,37 +31,36 @@ def params() -> SystemParams:
 
 
 def test_uniform_k_dist_shape() -> None:
-    dist = uniform_k_dist(40, 60)
-    assert len(dist) == 21
-    assert set(dist) == set(range(40, 61))
-    assert all(p == 1.0 / 21 for p in dist.values())
-    assert uniform_k_dist(3, 3) == {3: 1.0}
+    assert uniform_k_dist(40, 60) == range(40, 61)
+    assert uniform_k_dist(3, 3) == range(3, 4)
     with pytest.raises(ValueError):
         uniform_k_dist(0, 5)
     with pytest.raises(ValueError):
         uniform_k_dist(5, 3)
 
 
-def test_k_dist_checks_apply() -> None:
-    with pytest.raises(ValueError):
-        expected_mec_bits(5e6, {})
-    with pytest.raises(ValueError):
-        expected_mec_bits(5e6, {0: 1.0})
-    with pytest.raises(ValueError):
-        expected_mec_bits(5e6, {2: 0.5})
+def test_k_dist_checks_apply(catalog, params) -> None:
+    # Only a non-empty step-1 range from 1 up is taken; a dict fails loudly
+    # rather than being read as its keys.
+    for ks in (range(3, 3), range(0, 4), range(2, 8, 2), {2: 0.5, 6: 0.5}):
+        with pytest.raises(ValueError, match="contents-per-task counts"):
+            expected_mec_bits(5e6, ks)
+        with pytest.raises(ValueError, match="contents-per-task counts"):
+            expected_local_bits(5e6, catalog.popularity, 50, ks)
+        with pytest.raises(ValueError, match="contents-per-task counts"):
+            estimate_slot_means(catalog, 50, params, ks, samples=2)
 
 
 def test_offloaded_bits_mean() -> None:
     assert expected_mec_bits(5e6, uniform_k_dist(40, 60)) == pytest.approx(250e6, rel=1e-12)
-    assert expected_mec_bits(5e6, {4: 1.0}) == 20e6
-    assert expected_mec_bits(5e6, {2: 0.5, 6: 0.5}) == 20e6
+    assert expected_mec_bits(5e6, range(4, 5)) == 20e6
 
 
 def test_local_bits_tiny_catalog_by_hand() -> None:
     # ten equally popular contents, no cache, tasks of 3 draws:
     # expected distinct = 10 * (1 - 0.9**3)
     pop = np.full(10, 0.1)
-    value = expected_local_bits(1.0, pop, 0, {3: 1.0})
+    value = expected_local_bits(1.0, pop, 0, range(3, 4))
     assert value == pytest.approx(10 * (1 - 0.9**3), rel=1e-12)
 
 
@@ -88,9 +87,9 @@ def test_local_bits_frozen_values(catalog) -> None:
 
 def test_local_bits_capacity_bounds(catalog) -> None:
     with pytest.raises(ValueError):
-        expected_local_bits(5e6, catalog.popularity, -1, {3: 1.0})
+        expected_local_bits(5e6, catalog.popularity, -1, range(3, 4))
     with pytest.raises(ValueError):
-        expected_local_bits(5e6, catalog.popularity, 1001, {3: 1.0})
+        expected_local_bits(5e6, catalog.popularity, 1001, range(3, 4))
 
 
 def test_slot_mean_estimate_frozen(catalog, params) -> None:

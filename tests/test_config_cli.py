@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -174,8 +178,9 @@ def test_range_errors_name_where_the_key_was_set(tmp_path, capsys) -> None:
     )
     assert main(["simulate", "--seeds", "-3"]) == 1
     assert capsys.readouterr().err.startswith("error: --seeds: config key 'seeds': must be ")
+    # warmup_frac is no config key; the flag names it.
     assert main(["simulate", "--warmup-frac", "1.5"]) == 1
-    assert capsys.readouterr().err.startswith("error: --warmup-frac: ")
+    assert capsys.readouterr().err == "error: --warmup-frac: must lie in [0, 1), got 1.5\n"
     path.write_text("lambda = 0.3\ncache_m = 2000\n")
     message = "config key 'cache_m': must lie in 0..n_contents, got 2000"
     with pytest.raises(ConfigError) as found:
@@ -193,6 +198,9 @@ def test_range_errors_name_where_the_key_was_set(tmp_path, capsys) -> None:
     with pytest.raises(ConfigError) as found:
         ExperimentConfig(cache_m=2000).validate()
     assert str(found.value) == message
+    with pytest.raises(ConfigError) as found:
+        ExperimentConfig(warmup_frac=1.5).validate()
+    assert str(found.value) == "warmup_frac must lie in [0, 1), got 1.5"
     # A Zipf exponent whose tail popularity underflows to zero passes
     # validation; the catalog build names the key and its source.
     underflow = "config key 'zipf_alpha': gives a popularity the catalog rejects: " \
@@ -624,3 +632,54 @@ def test_main_bad_input_is_a_config_error(argv, capsys) -> None:
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Runs every input of the fuzz below through cli.main in one child capped at
+# 2 GB of address space, with warnings as errors, and prints each call's
+# argv, exit code (or the exception it raised) and stderr as JSON.
+_FUZZ_CHILD = """
+import contextlib, io, json, resource, sys, warnings
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from mecsched import cli, config
+warnings.simplefilter("error")
+values = json.loads(sys.argv[1])
+commands = [
+    ["simulate", "--seeds", "0", "--set", "horizon_slots=200"],
+    ["analyze", "--seeds", "0", "--samples", "100"],
+]
+calls = [[*command, "--set", f"{key}={value}"] for key in config._KEYS for command in commands for value in values]
+calls += [[*commands[0], f"--warmup-frac={value}"] for value in values]
+results = []
+for argv in calls:
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    except Exception as exc:
+        code = repr(exc)
+    results.append((argv, code, err.getvalue()))
+print(json.dumps(results))
+"""
+
+
+def test_every_key_survives_edge_values_in_a_capped_child() -> None:
+    # Each config key, and --warmup-frac, takes each edge value through
+    # simulate and analyze: every call exits 0 or 1, never runs out of
+    # memory, and a refusal is one error line (argparse's usage message
+    # for a --warmup-frac it cannot parse spans two).
+    values = ["0", "-1", "0.5", "1e300", "-1e300", "nan", "inf", "-inf", "x", ""]
+    src = Path(cli.__file__).resolve().parent.parent
+    threads = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = {**os.environ, "PYTHONPATH": str(src), **threads}
+    child = subprocess.run(
+        [sys.executable, "-c", _FUZZ_CHILD, json.dumps(values)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    results = json.loads(child.stdout)
+    assert len(results) == (2 * len(KEY_VALUES) + 1) * len(values)
+    for argv, code, err in results:
+        assert code in (0, 1), (argv, code, err)
+        assert "out of memory" not in err, argv
+        if code == 1 and not argv[-1].startswith("--warmup-frac"):
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)

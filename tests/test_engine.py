@@ -315,7 +315,7 @@ def test_table_arrays_are_read_only() -> None:
     metrics.delay_arrival_slots[:1] = -1
 
 
-def test_draw_guards_fire_before_allocating() -> None:
+def test_draw_guards_fire_before_allocating(monkeypatch) -> None:
     (catalog, capacity, _, workload_cfg, _), _ = _system()
     with pytest.raises(ConfigError):
         draw_tasks(catalog, capacity, workload_cfg, 0, seed=0)
@@ -330,3 +330,12 @@ def test_draw_guards_fire_before_allocating() -> None:
     (catalog, capacity, _, workload_cfg, _), _ = _system(tau_bits=0.3)
     with pytest.raises(ConfigError, match="whole number of bits"):
         draw_tasks(catalog, capacity, workload_cfg, 100, seed=0)
+    # A capacity outside the catalog is refused before any arrival is drawn.
+    def no_draw(seed):
+        raise AssertionError("the draw started")
+
+    monkeypatch.setattr(engine, "task_streams", no_draw)
+    (catalog, _, _, workload_cfg, _), _ = _system()
+    n = catalog.n_contents
+    with pytest.raises(ConfigError, match=f"capacity must lie in 0..{n}, got {n + 1}"):
+        draw_tasks(catalog, n + 1, workload_cfg, 100, seed=0)

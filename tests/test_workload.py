@@ -256,11 +256,11 @@ def test_draw_contents_equal_per_task_random_calls(catalog: ContentCatalog) -> N
             assert fast.bit_generator.state == reference.bit_generator.state
 
 
-def test_sample_tasks_refuse_what_they_cannot_follow(catalog: ContentCatalog) -> None:
-    # Wider k ranges leave numpy's 32-bit k draw.
-    wide = _cfg(k_min=1, k_max=K_SPAN_LIMIT + 1)
-    with pytest.raises(ValueError, match="2\\*\\*32"):
-        sample_tasks(np.random.default_rng(0), catalog, wide, 1, 0)
+def test_workload_config_refuses_a_k_span_no_draw_can_follow() -> None:
+    # Wider k ranges leave numpy's 32-bit k draw; the widest one is taken.
+    _cfg(k_min=1, k_max=K_SPAN_LIMIT)
+    with pytest.raises(ValueError, match=f"must stay below 2\\*\\*32 - 1, got {K_SPAN_LIMIT}"):
+        _cfg(k_min=1, k_max=K_SPAN_LIMIT + 1)
 
 
 def test_every_draw_refuses_a_capacity_outside_the_catalog(catalog: ContentCatalog) -> None:
@@ -273,7 +273,7 @@ def test_every_draw_refuses_a_capacity_outside_the_catalog(catalog: ContentCatal
         lambda capacity: draw_contents(np.random.default_rng(0), catalog, [2, 0, 3], capacity),
         lambda capacity: sample_tasks(np.random.default_rng(0), catalog, cfg, 3, capacity),
         lambda capacity: draw_tasks(catalog, capacity, cfg, 10, seed=0),
-        lambda capacity: estimate_slot_means(catalog, capacity, params, {1: 0.5, 3: 0.5}, samples=2),
+        lambda capacity: estimate_slot_means(catalog, capacity, params, range(1, 4), samples=2),
     ]
     for lib in _paths():
         with mock.patch.object(_kernel, "lib", lib):
