@@ -9,7 +9,9 @@ SHA-256 of the source, the compiler flags and the compiler's identity
 an upgraded compiler gets a fresh build, and a cached library loads
 without starting the compiler.  A build goes to a temporary file that is
 renamed into place, so concurrent first uses never see a partial file,
-and nothing is written next to the source.
+and nothing is written next to the source.  A fresh build removes the
+other builds not modified for 30 days; a cached load
+removes nothing, so checkouts that share the cache keep each other's.
 
 When no compiler is found, the build fails or the cache cannot be
 written, :func:`load` returns ``None``.  The library is loaded once, at
@@ -24,6 +26,7 @@ import ctypes
 import hashlib
 import os
 import shutil
+import time
 from pathlib import Path
 from typing import Optional
 
@@ -37,6 +40,8 @@ SOURCE = Path(__file__).with_name("_slot_loop.c")
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 # Policy kind -> the C enum (lyapunov 0, mec_only 1, local_only 2).
 KIND_CODES = {kind: code for code, kind in enumerate(POLICY_KINDS)}
+# A build not modified for this long (30 days) is taken to be unused.
+_STALE_S = 30 * 24 * 3600
 
 
 def load() -> Optional[ctypes.CDLL]:
@@ -53,6 +58,7 @@ def load() -> Optional[ctypes.CDLL]:
         path = cache / f"slot_loop-{key.hexdigest()}.so"
         if not path.exists():
             _build(cc, path)
+            _remove_stale(path)
         lib = ctypes.CDLL(str(path))
         i64, f64 = ctypes.c_int64, ctypes.c_double
         lib.mecsched_decide.argtypes = [ctypes.c_int, f64, i64, i64, i64, f64, f64, f64, f64]
@@ -74,6 +80,16 @@ def load() -> Optional[ctypes.CDLL]:
 
 def _array(dtype):
     return np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
+
+
+def _remove_stale(keep: Path) -> None:
+    cutoff = time.time() - _STALE_S
+    for old in keep.parent.glob("slot_loop-*.so"):
+        try:
+            if old != keep and old.stat().st_mtime < cutoff:
+                old.unlink()
+        except OSError:
+            pass
 
 
 def _build(cc: str, path: Path) -> None:

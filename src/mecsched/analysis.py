@@ -76,7 +76,11 @@ def expected_mec_bits(size_bits: float, ks: range) -> float:
         The contents-per-task counts, each equally likely.
     """
     p = _check_ks(ks)
-    return size_bits * sum(k * p for k in ks)
+    # A running sum in the order of ``sum(k * p for k in ks)``, so the same
+    # bits, without a Python step per k.
+    terms = np.arange(ks.start, ks.stop, dtype=np.float64)
+    terms *= p
+    return size_bits * float(np.cumsum(terms, out=terms)[-1])
 
 
 def expected_local_bits(
@@ -112,7 +116,7 @@ def expected_local_bits(
     if miss.size == 0:
         return 0.0
     # expected distinct uncached contents for each k, then average over k
-    distinct = (1.0 - np.power.outer(miss, np.asarray(ks, dtype=np.float64))).sum(axis=0)
+    distinct = (1.0 - np.power.outer(miss, np.arange(ks.start, ks.stop, dtype=np.float64))).sum(axis=0)
     return size_bits * float(np.dot(np.full(len(ks), p), distinct))
 
 
@@ -153,7 +157,7 @@ def estimate_slot_means(
     p = _check_ks(ks)
     rng = np.random.default_rng(seed)
     # Passing p, rather than calling integers, keeps every analyze CSV's stream.
-    drawn_ks = rng.choice(np.asarray(ks, dtype=np.int64), size=samples, p=np.full(len(ks), p))
+    drawn_ks = rng.choice(np.arange(ks.start, ks.stop, dtype=np.int64), size=samples, p=np.full(len(ks), p))
     # Each task's contents are the next k uniforms of the stream.
     local_counts = np.empty(samples, dtype=np.float64)
     mec_counts = np.empty(samples, dtype=np.float64)

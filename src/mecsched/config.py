@@ -7,8 +7,9 @@ the ``arrival_prob`` field (``lambda`` is reserved in Python),
 ``warmup_frac`` is no key (the CLI sets it with ``--warmup-frac``), and
 neither is ``sources``.  Config lines, ``--set`` items and ``--seeds`` all
 reach a field through :func:`set_key`, which records in ``sources`` where
-each key was last set.  Unknown keys are an error, as are values outside
-their documented ranges; both errors name where the key was set.
+each key was last set and fails at once on an unknown key or bad text.
+:meth:`ExperimentConfig.validate` checks ranges once, on the finished
+config, so a file need not be valid on its own.  Both errors name the source.
 """
 
 from __future__ import annotations
@@ -190,7 +191,7 @@ def set_key(config: ExperimentConfig, key: str, raw: str, where: str) -> None:
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
-    """Parse ``key = value`` lines into a validated config."""
+    """Parse ``key = value`` lines into a config, unvalidated."""
     config = ExperimentConfig()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -200,11 +201,11 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line.rstrip()!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
         set_key(config, key, raw, f"{source}:{lineno}")
-    return config.validate()
+    return config
 
 
 def load_config(path) -> ExperimentConfig:
-    """Read and validate a config file; missing keys keep their defaults."""
+    """Read a config file, unvalidated; missing keys keep their defaults."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -214,13 +215,13 @@ def load_config(path) -> ExperimentConfig:
 
 
 def apply_overrides(config: ExperimentConfig, overrides: list[str]) -> ExperimentConfig:
-    """Apply ``key=value`` strings (the --set flag) on top of a config."""
+    """Apply ``key=value`` strings (the --set flag) to a config, unvalidated."""
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r}: expected key=value")
         key, raw = (part.strip() for part in item.split("=", 1))
         set_key(config, key, raw, f"override {item!r}")
-    return config.validate()
+    return config
 
 
 def build_system(config: ExperimentConfig, catalogs: Optional[dict] = None):

@@ -66,29 +66,26 @@ def slots_local(total_bits, fetch_bits, params: SystemParams) -> np.ndarray:
     distinct uncached bits.  Always at least 1; a task that could not
     finish within any horizon gets ``2**62``.
     """
-    # A division that overflows, or is undefined as 0/0 once a product of
-    # tiny rates underflows, is a duration past every horizon: the cap
-    # defines the result, so numpy need not warn.
-    with np.errstate(over="ignore", invalid="ignore"):
-        compute = np.asarray(total_bits) * params.cycles_per_bit / (params.f_local_hz * params.slot_seconds)
-        fetch = np.asarray(fetch_bits) / (params.rate_bps * params.slot_seconds)
-    return _whole_slots(compute + fetch)
+    return _busy_slots(total_bits, fetch_bits, params.f_local_hz, params)
 
 
 def slots_mec(total_bits, params: SystemParams) -> np.ndarray:
     """Whole slots to finish each task on the edge server (compute + uplink)."""
+    return _busy_slots(total_bits, total_bits, params.f_mec_hz, params)
+
+
+def _busy_slots(total_bits, shipped_bits, f_hz: float, params: SystemParams) -> np.ndarray:
+    # A division that overflows, or is undefined as 0/0 once a product of
+    # tiny rates underflows, is a duration past every horizon: the cap
+    # defines the result, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
-        compute = np.asarray(total_bits) * params.cycles_per_bit / (params.f_mec_hz * params.slot_seconds)
-        ship = np.asarray(total_bits) / (params.rate_bps * params.slot_seconds)
-    return _whole_slots(compute + ship)
-
-
-def _whole_slots(duration: np.ndarray) -> np.ndarray:
+        compute = np.asarray(total_bits) * params.cycles_per_bit / (f_hz * params.slot_seconds)
+        ship = np.asarray(shipped_bits) / (params.rate_bps * params.slot_seconds)
     # A duration that underflows to zero still occupies its start slot.  One
     # too long for any horizon (infinite, or undefined as 0/0 when the rate
     # times the slot length underflows) is capped at _NEVER_DONE, so the
     # task stays in service for the rest of the run.
-    slots = np.ceil(duration)
+    slots = np.ceil(compute + ship)
     np.maximum(slots, 1, out=slots)
     np.fmin(slots, _NEVER_DONE, out=slots)
     return slots.astype(np.int64)

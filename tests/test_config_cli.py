@@ -26,6 +26,7 @@ from mecsched.cli import (
     rows_to_csv,
 )
 from mecsched.config import (
+    SWEEP_AXES,
     ExperimentConfig,
     apply_overrides,
     build_system,
@@ -111,8 +112,9 @@ def test_apply_overrides() -> None:
         apply_overrides(config, ["lambda"])
     with pytest.raises(ConfigError, match="unknown config key"):
         apply_overrides(config, ["nope=1"])
+    # Ranges are checked once, on the finished config.
     with pytest.raises(ConfigError, match="'lambda'"):
-        apply_overrides(config, ["lambda=7"])
+        apply_overrides(config, ["lambda=7"]).validate()
 
 
 # config key -> (a non-default value's text, the value the field must hold)
@@ -184,12 +186,12 @@ def test_range_errors_name_where_the_key_was_set(tmp_path, capsys) -> None:
     path.write_text("lambda = 0.3\ncache_m = 2000\n")
     message = "config key 'cache_m': must lie in 0..n_contents, got 2000"
     with pytest.raises(ConfigError) as found:
-        load_config(path)
+        load_config(path).validate()
     assert str(found.value) == f"{path}:2: {message}"
     # A sweep point's value comes from sweep_values.
     path.write_text("sweep_axis = cache_m\n\nsweep_values = 0, 2000\n")
     with pytest.raises(ConfigError) as found:
-        load_config(path)
+        load_config(path).validate()
     assert str(found.value) == f"{path}:3: {message}"
     # A frontier point's cache comes from --m-values, not from --set.
     assert main(["frontier", "--target-delay-s", "0.6", "--set", "cache_m=10", "--m-values", "2000"]) == 1
@@ -210,6 +212,28 @@ def test_range_errors_name_where_the_key_was_set(tmp_path, capsys) -> None:
     path.write_text("lambda = 0.3\nzipf_alpha = 400\n")
     assert main(["simulate", "--config", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {path}:2: {underflow}\n"
+
+
+@pytest.mark.parametrize(
+    "command, in_file, by_set",
+    [
+        ("simulate", "n_contents = 10", "cache_m=5"),
+        ("sweep", "sweep_axis = v_param", "sweep_values=0,1e-7"),
+        ("simulate", "k_min = 100", "k_max=120"),
+    ],
+)
+def test_a_file_can_be_completed_by_set(command, in_file, by_set, tmp_path, capsys) -> None:
+    # Each key of the pair is valid only next to the other.  The config is
+    # checked once every source is in, so where each key comes from does
+    # not matter.
+    common = [command, "--seeds", "0", "--set", "horizon_slots=200"]
+    key, value = (part.strip() for part in in_file.split("="))
+    assert main([*common, "--set", f"{key}={value}", "--set", by_set]) == 0
+    all_by_set = capsys.readouterr().out
+    path = tmp_path / "run.cfg"
+    path.write_text(in_file + "\n")
+    assert main([*common, "--config", str(path), "--set", by_set]) == 0
+    assert capsys.readouterr().out == all_by_set
 
 
 def test_sweep_configs_expand() -> None:
@@ -649,6 +673,14 @@ commands = [
 ]
 calls = [[*command, "--set", f"{key}={value}"] for key in config._KEYS for command in commands for value in values]
 calls += [[*commands[0], f"--warmup-frac={value}"] for value in values]
+calls += [
+    ["sweep", *commands[0][1:], "--set", f"sweep_axis={axis}", "--set", f"sweep_values={value}"]
+    for axis in config.SWEEP_AXES for value in values
+]
+frontier = ["frontier", "--seeds", "0", "--set", "horizon_slots=200", "--max-iter", "3", "--target-delay-s", "1"]
+flags = ["--target-delay-s", "--tolerance-s", "--f-values", "--m-values", "--r-bracket", "--max-iter"]
+calls += [[*frontier, f"{flag}={value}"] for flag in flags for value in values]
+calls += [[*commands[1], "--set", f"k_max={value}"] for value in ("1e8", "4000000000")]
 results = []
 for argv in calls:
     err = io.StringIO()
@@ -664,9 +696,11 @@ print(json.dumps(results))
 
 def test_every_key_survives_edge_values_in_a_capped_child() -> None:
     # Each config key, and --warmup-frac, takes each edge value through
-    # simulate and analyze: every call exits 0 or 1, never runs out of
-    # memory, and a refusal is one error line (argparse's usage message
-    # for a --warmup-frac it cannot parse spans two).
+    # simulate and analyze, each sweep axis takes them as sweep_values, and
+    # each frontier flag takes them too.  Every call exits 0 or 1, never
+    # runs out of memory, and a refusal is one error line (argparse's usage
+    # message for a number flag it cannot parse spans two).  A k span the
+    # workload accepts but no analysis fits in memory fails fast, in one line.
     values = ["0", "-1", "0.5", "1e300", "-1e300", "nan", "inf", "-inf", "x", ""]
     src = Path(cli.__file__).resolve().parent.parent
     threads = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -677,9 +711,12 @@ def test_every_key_survives_edge_values_in_a_capped_child() -> None:
     )
     assert child.returncode == 0, child.stderr
     results = json.loads(child.stdout)
-    assert len(results) == (2 * len(KEY_VALUES) + 1) * len(values)
+    sweeps, frontiers, analyses = len(SWEEP_AXES), 6, 2
+    assert len(results) == (2 * len(KEY_VALUES) + 1 + sweeps + frontiers) * len(values) + analyses
+    argparse_flags = ("--warmup-frac=", "--target-delay-s=", "--tolerance-s=", "--max-iter=")
     for argv, code, err in results:
         assert code in (0, 1), (argv, code, err)
         assert "out of memory" not in err, argv
-        if code == 1 and not argv[-1].startswith("--warmup-frac"):
+        if code == 1 and not argv[-1].startswith(argparse_flags):
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    assert [code for _, code, _ in results[-analyses:]] == [1] * analyses

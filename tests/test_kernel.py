@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,24 @@ def test_second_load_reuses_the_cached_library(cache, monkeypatch) -> None:
     assert _kernel.load() is not None
     assert [p.name for p in cache.iterdir()] == [built.name]
     assert built.stat().st_mtime_ns == stamp
+
+
+@needs_cc
+def test_a_fresh_build_removes_only_builds_older_than_30_days(cache) -> None:
+    cache.mkdir(parents=True)
+    old, recent = (cache / f"slot_loop-{digit * 64}.so" for digit in "01")
+    month_ago = time.time() - 31 * 24 * 3600
+    for planted in (old, recent):
+        planted.write_bytes(b"")
+    os.utime(old, (month_ago, month_ago))
+    assert _kernel.load() is not None
+    assert not old.exists() and recent.exists()
+    assert len(list(cache.glob("slot_loop-*.so"))) == 2
+    # A cached load removes nothing.
+    old.write_bytes(b"")
+    os.utime(old, (month_ago, month_ago))
+    assert _kernel.load() is not None
+    assert old.exists()
 
 
 @needs_cc
