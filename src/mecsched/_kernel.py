@@ -1,8 +1,8 @@
 """Build and load the compiled kernel (``_slot_loop.c``) on first use.
 
-The kernel holds the task draw (:mod:`mecsched.workload`) and the slot
-loop (:mod:`mecsched.engine`).  :func:`load` compiles the C source with
-the system C compiler into a per-user cache (``$XDG_CACHE_HOME/mecsched``, else ``~/.cache/mecsched``)
+The kernel holds the task and rank draws (:mod:`mecsched.workload`) and
+the slot loop (:mod:`mecsched.engine`).  :func:`load` compiles the C
+source with the system C compiler into a per-user cache (``$XDG_CACHE_HOME/mecsched``, else ``~/.cache/mecsched``)
 and loads it through :mod:`ctypes`.  The library's file name is the
 SHA-256 of the source, the compiler flags and the compiler's identity
 (its resolved path, size and modification time), so a changed source or
@@ -73,6 +73,10 @@ def load() -> Optional[ctypes.CDLL]:
             _array(np.int32), i64, _array(np.float64), i64, _array(np.int64), _array(np.int64),
         ]
         lib.mecsched_draw_tasks.restype = None
+        lib.mecsched_draw_ranks.argtypes = [
+            ctypes.c_void_p, i64, _array(np.int32), i64, _array(np.float64), _array(np.int64),
+        ]
+        lib.mecsched_draw_ranks.restype = None
     except (OSError, RuntimeError, AttributeError):
         return None
     return lib

@@ -1,10 +1,11 @@
 /* The engine's two hot paths, compiled: the task draw and the
- * decide-and-start slot loop.
+ * decide-and-start slot loop; and the rank draw of the Monte Carlo
+ * estimate's k values.
  *
- * mecsched_draw_tasks draws through numpy's bit generator interface
- * (bitgen_t, declared as in numpy/random/bitgen.h), calling the same
- * next_uint32 and next_double that Generator.integers and
- * Generator.random call, so it follows their stream by construction.
+ * mecsched_draw_tasks and mecsched_draw_ranks draw through numpy's bit
+ * generator interface (bitgen_t, declared as in numpy/random/bitgen.h),
+ * calling the same next_uint32 and next_double that Generator.integers
+ * and Generator.random call, so they follow their stream by construction.
  *
  * The slot loop is a transcription of the Python loop in
  * engine._python_slot_loop and of policy.decide; those stay the
@@ -24,14 +25,42 @@ typedef struct {
     uint64_t (*next_raw)(void *st);
 } bitgen_t;
 
+/* The number of cdf entries <= u, for u in [0, 1), through the guide
+ * table of n_buckets + 1 entries built by catalog.guide_table: one
+ * comparison in buckets holding at most one cdf entry, a binary search
+ * between the bucket's bounds in wider ones. */
+static inline int64_t rank(double u, const int32_t *guide, int64_t n_buckets, const double *cdf)
+{
+    int64_t bucket = (int64_t)(u * (double)n_buckets);
+    int64_t below = guide[bucket];  /* cdf entries <= u */
+    int64_t hi = guide[bucket + 1];  /* and at most this many */
+    if (hi - below > 1) {
+        while (below < hi) {
+            int64_t mid = below + (hi - below) / 2;
+            if (cdf[mid] <= u) below = mid + 1;
+            else hi = mid;
+        }
+    } else {
+        below += cdf[below] <= u;
+    }
+    return below;
+}
+
+/* Draws n next_double uniforms and stores each one's rank(u) in out:
+ * Generator.random(n) ranked as searchsorted(cdf, u, side="right"). */
+void mecsched_draw_ranks(bitgen_t *rng, int64_t n, const int32_t *guide, int64_t n_buckets,
+                         const double *cdf, int64_t *out)
+{
+    for (int64_t i = 0; i < n; i++) out[i] = rank(rng->next_double(rng->state), guide, n_buckets, cdf);
+}
+
 /* Draws n_tasks tasks in turn.  With draw_k, task i's k is
  * Generator.integers(k_lo, k_lo + span + 1), numpy's 32-bit Lemire
  * rejection (span < 2**32 - 1), and is stored in ks[i]; otherwise k is
  * ks[i].  Its k contents are k next_double uniforms, each ranked through
- * the catalog's guide table of n_buckets + 1 entries (a binary search in
- * buckets holding more than one cdf entry only), and distinct[i] gets the
- * number of distinct ranks above capacity.  stamp holds one zero per
- * content; stamp[rank - 1] is the tag of the last task that drew rank. */
+ * the catalog's guide table, and distinct[i] gets the number of distinct
+ * ranks above capacity.  stamp holds one zero per content; stamp[rank - 1]
+ * is the tag of the last task that drew rank. */
 void mecsched_draw_tasks(bitgen_t *rng, int64_t n_tasks, int draw_k, int64_t k_lo, uint32_t span,
                          int64_t *ks, const int32_t *guide, int64_t n_buckets, const double *cdf,
                          int64_t capacity, int64_t *stamp, int64_t *distinct)
@@ -52,19 +81,7 @@ void mecsched_draw_tasks(bitgen_t *rng, int64_t n_tasks, int draw_k, int64_t k_l
         const int64_t tag = i + 1;
         int64_t count = 0;
         for (int64_t j = 0; j < k; j++) {
-            double u = rng->next_double(rng->state);
-            int64_t bucket = (int64_t)(u * (double)n_buckets);
-            int64_t below = guide[bucket];  /* cdf entries <= u */
-            int64_t hi = guide[bucket + 1];  /* and at most this many */
-            if (hi - below > 1) {
-                while (below < hi) {
-                    int64_t mid = below + (hi - below) / 2;
-                    if (cdf[mid] <= u) below = mid + 1;
-                    else hi = mid;
-                }
-            } else {
-                below += cdf[below] <= u;
-            }
+            int64_t below = rank(rng->next_double(rng->state), guide, n_buckets, cdf);
             /* Must stay branch-free.  At the defaults (Zipf 0.8, 1000
              * contents, cache 50) 42% of draws are cached, so a
              * conditional jump on the cache test, as gcc 12 -O2 makes of

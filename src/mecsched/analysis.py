@@ -20,7 +20,7 @@ import numpy as np
 
 from .catalog import ContentCatalog
 from .dynamics import SystemParams, slots_local, slots_mec, task_bits
-from .workload import draw_contents
+from .workload import draw_contents, draw_ranks
 
 __all__ = [
     "uniform_k_dist",
@@ -146,19 +146,29 @@ def estimate_slot_means(
 ) -> SlotMeanEstimate:
     """Estimate the mean busy-slot counts by sampling tasks.
 
-    Tasks are drawn exactly as the workload generator draws them (``k``
-    from ``ks``, each value equally likely; contents i.i.d. from the
-    catalog popularity) and pushed through the same slot-count formulas
-    the simulator uses, so the estimate is the canonical evaluator for
+    Tasks are drawn as the workload generator draws them (``k`` from
+    ``ks``, each value equally likely; contents i.i.d. from the catalog
+    popularity) and pushed through the same slot-count formulas the
+    simulator uses, so the estimate is the canonical evaluator for
     quantities that have no closed form.  Deterministic given ``seed``.
+
+    The stream is defined here: from ``default_rng(seed)``, first
+    ``random(samples)``, each uniform ranked through ``cdf = cumsum(p) /
+    cdf[-1]`` (``p`` the equal probabilities of ``ks``) as
+    ``searchsorted(cdf, u, side="right")``, which picks the ``k`` values
+    in order (see :func:`~mecsched.workload.draw_ranks`); then each task's
+    contents are the next ``k`` uniforms.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples for a standard error, got {samples}")
-    p = _check_ks(ks)
+    cdf = np.cumsum(np.full(len(ks), _check_ks(ks)))
+    cdf /= cdf[-1]
     rng = np.random.default_rng(seed)
-    # Passing p, rather than calling integers, keeps every analyze CSV's stream.
-    drawn_ks = rng.choice(np.arange(ks.start, ks.stop, dtype=np.int64), size=samples, p=np.full(len(ks), p))
-    # Each task's contents are the next k uniforms of the stream.
+    # Ranking uniforms, rather than calling integers, keeps every analyze
+    # CSV's stream; adding in place keeps a second samples-long array out
+    # of the peak memory.
+    drawn_ks = draw_ranks(rng, cdf, samples)
+    drawn_ks += ks.start
     local_counts = np.empty(samples, dtype=np.float64)
     mec_counts = np.empty(samples, dtype=np.float64)
     for first in range(0, samples, _STEP_TASKS):

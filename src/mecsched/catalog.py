@@ -9,9 +9,9 @@ comparison.
 
 Ranks are drawn by inversion: a uniform ``u`` in [0, 1) maps to one plus
 the number of cumulative-popularity entries ``<= u``.  Beside the ``cdf``
-the catalog keeps a guide table (Chen & Asau, 1974) that answers this in
-O(1) for almost every ``u`` with the very same result as a binary search
-(see :class:`ContentCatalog`).
+the catalog keeps a guide table (Chen & Asau, 1974, see
+:func:`guide_table`) that answers this in O(1) for almost every ``u`` with
+the very same result as a binary search.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["ContentCatalog", "zipf_popularity"]
+__all__ = ["ContentCatalog", "guide_table", "zipf_popularity"]
 
 # Popularity vectors must be normalised at least this well.
 POPULARITY_SUM_TOL = 1e-12
@@ -52,6 +52,29 @@ def zipf_popularity(n: int, alpha: float) -> np.ndarray:
     return weights / weights.sum()
 
 
+def guide_table(cdf: np.ndarray) -> np.ndarray:
+    """Guide table for ranking uniforms against ``cdf`` (Chen & Asau, 1974).
+
+    ``cdf`` is non-decreasing, with 1 to 2**31 - 1 entries (so that the
+    table's entries fit int32) and last entry exactly 1, which keeps every
+    lookup of a ``u`` in [0, 1) in bounds.  The table splits
+    [0, 1) into B equal buckets, B the smallest power of two ``>= 4 *
+    cdf.size``, and has B + 1 int32 entries: entry ``j`` is the number of
+    ``cdf`` entries ``<= j / B``.  For ``u`` in bucket ``j`` the number of
+    entries ``<= u`` therefore lies between entries ``j`` and ``j + 1``; in
+    a bucket where the two differ by at most one, one comparison with
+    ``cdf[table[j]]`` finishes the count, and a wider one needs a binary
+    search between them.  The table costs 4 bytes per bucket.
+    """
+    if not (0 < cdf.size < 2**31 and cdf[-1] == 1.0):
+        raise ValueError(f"a guide table needs 1 to 2**31 - 1 cdf entries, the last exactly 1, got {cdf[-1:]!r}")
+    # An entry c is <= j / B exactly when ceil(c * B) <= j; scaling by a
+    # power of two is exact, so the bucket counts have no rounding error.
+    buckets = 1 << (4 * cdf.size - 1).bit_length()
+    per_bucket = np.bincount(np.ceil(cdf * buckets).astype(np.intp), minlength=buckets + 1)
+    return np.cumsum(per_bucket, dtype=np.int32)
+
+
 @dataclass(frozen=True, eq=False)
 class ContentCatalog:
     """Immutable description of the content universe.
@@ -65,14 +88,7 @@ class ContentCatalog:
 
     Derived fields: ``n_contents`` is the universe size, the length of
     ``popularity``.  ``cdf`` is the cumulative popularity (last entry
-    exactly 1).  ``guide`` splits [0, 1) into B equal buckets, B the
-    smallest power of two ``>= 4 * n_contents``, and has B + 1 entries;
-    ``guide[j]`` is the number of ``cdf`` entries ``<= j / B``, so for
-    ``u`` in bucket ``j`` the number of entries ``<= u`` lies between
-    ``guide[j]`` and ``guide[j + 1]``.  In a bucket where the two differ
-    by at most one, one comparison with ``cdf[guide[j]]`` finishes the
-    count; a wider one needs a binary search between them.  The table
-    costs 4 bytes per bucket.
+    exactly 1), and ``guide`` is its :func:`guide_table`.
     """
 
     size_bits: float
@@ -98,11 +114,7 @@ class ContentCatalog:
         cdf = np.cumsum(pop)
         cdf[-1] = 1.0  # every u < 1 then ranks at most n_contents, despite rounding
         object.__setattr__(self, "cdf", cdf)
-        # An entry c is <= j / B exactly when ceil(c * B) <= j; scaling by a
-        # power of two is exact, so the bucket counts have no rounding error.
-        buckets = 1 << (4 * self.n_contents - 1).bit_length()
-        per_bucket = np.bincount(np.ceil(cdf * buckets).astype(np.intp), minlength=buckets + 1)
-        object.__setattr__(self, "guide", np.cumsum(per_bucket, dtype=np.int32))
+        object.__setattr__(self, "guide", guide_table(cdf))
 
     @classmethod
     def zipf(cls, n_contents: int, alpha: float, size_bits: float) -> "ContentCatalog":

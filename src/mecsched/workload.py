@@ -22,6 +22,13 @@ It ranks through the catalog's guide table, which gives the binary
 search's rank for every uniform.  While the kernel is ``None`` the
 stream's definition runs, one task at a time: about 20 us per task
 against about 0.3 us in C.
+
+The Monte Carlo estimate (:mod:`mecsched.analysis`) takes its ``k``
+values from :func:`draw_ranks`: ``random(n)``, each uniform ranked as
+``searchsorted(cdf, u, side="right")``, which the kernel answers through a
+guide table built for that cdf.  With ``cdf = cumsum(p) / cdf[-1]`` this
+is the stream ``Generator.choice(a, p=p)`` makes, but it is defined here,
+so it does not depend on ``choice``'s internals.
 """
 
 from __future__ import annotations
@@ -31,13 +38,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel
-from .catalog import ContentCatalog
+from .catalog import ContentCatalog, guide_table
 
 __all__ = [
     "WorkloadConfig",
     "task_streams",
     "sample_tasks",
     "draw_contents",
+    "draw_ranks",
     "K_SPAN_LIMIT",
 ]
 
@@ -103,6 +111,24 @@ def draw_contents(rng: np.random.Generator, catalog: ContentCatalog, ks, capacit
     Task ``i``'s contents are ``rng.random(ks[i])``, drawn task by task.
     """
     return _draw(rng, catalog, capacity, np.array(ks, dtype=np.int64), None)
+
+
+def draw_ranks(rng: np.random.Generator, cdf: np.ndarray, n: int) -> np.ndarray:
+    """``n`` uniforms ``rng.random(n)``, each ranked as the number of
+    entries of ``cdf`` (non-decreasing, last entry exactly 1) ``<= u``.
+
+    The result, and the state ``rng`` is left in, are exactly those of
+    ``np.searchsorted(cdf, rng.random(n), side="right")``.
+    """
+    lib = _kernel.lib
+    if lib is None:
+        return np.searchsorted(cdf, rng.random(n), side="right")
+    guide = guide_table(cdf)
+    ranks = np.empty(n, dtype=np.int64)
+    bitgen = rng.bit_generator
+    with bitgen.lock:
+        lib.mecsched_draw_ranks(bitgen.ctypes.bit_generator, n, guide, guide.size - 1, cdf, ranks)
+    return ranks
 
 
 def _draw(rng, catalog: ContentCatalog, capacity: int, ks: np.ndarray, cfg) -> np.ndarray:

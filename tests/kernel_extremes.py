@@ -13,7 +13,7 @@ from mecsched.catalog import ContentCatalog
 from mecsched.config import ExperimentConfig, build_system
 from mecsched.engine import RunMetrics, draw_tasks, run_simulation
 from mecsched.policy import POLICY_KINDS
-from mecsched.workload import K_SPAN_LIMIT, WorkloadConfig, draw_contents, sample_tasks
+from mecsched.workload import K_SPAN_LIMIT, WorkloadConfig, draw_contents, draw_ranks, sample_tasks
 from fixed_uniforms import pcg64_with_next
 
 
@@ -30,7 +30,8 @@ def assert_same_metrics(a: RunMetrics, b: RunMetrics) -> None:
 def compare_at_the_extremes(sanitized) -> None:
     """Assert that the kernel ``sanitized`` and the Python paths agree at the
     extremes: a one-content catalog, a cache of the whole catalog, wide guide
-    buckets, k spans 0 and K_SPAN_LIMIT - 1, and busy counts at the 2**62
+    buckets, k spans 0 and K_SPAN_LIMIT - 1, rank draws from a one-entry
+    cdf, from a steep one and of no values, and busy counts at the 2**62
     cap."""
 
     def both(fn) -> list:
@@ -55,6 +56,15 @@ def compare_at_the_extremes(sanitized) -> None:
     compiled, python = both(lambda: sample_tasks(pcg64_with_next(1 << 32 | 2, 0), steep, widest, 2, 0))
     assert compiled[0].tolist() == python[0].tolist() == [2, 1]
     assert compiled[1].tolist() == python[1].tolist()
+
+    def ranks_and_next(cdf, n) -> tuple[list, float]:
+        rng = np.random.default_rng(2)
+        return draw_ranks(rng, cdf, n).tolist(), rng.random()
+
+    for cdf in (np.ones(1), steep.cdf):
+        for n in (0, 1000):
+            compiled, python = both(lambda: ranks_and_next(cdf, n))
+            assert compiled == python
 
     for policy in POLICY_KINDS:
         for fields in ({"n_contents": 1, "cache_m": 1}, {"rate_bps": 1e-300}):

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from mecsched import _kernel
 from mecsched.analysis import (
     REGIME_INFEASIBLE,
     REGIME_LOCAL_ONLY,
@@ -18,6 +20,7 @@ from mecsched.analysis import (
 )
 from mecsched.catalog import ContentCatalog
 from mecsched.dynamics import SystemParams
+from mecsched.workload import draw_ranks
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +113,32 @@ def test_slot_mean_estimate_deterministic(catalog, params) -> None:
     assert c != a
     with pytest.raises(ValueError):
         estimate_slot_means(catalog, 50, params, dist, samples=1)
+
+
+@pytest.mark.parametrize("k_min, k_max", [(1, 1), (1, 2), (40, 60), (3, 66), (1, 1000), (7, 7919)])
+def test_k_draw_equals_generator_choice(k_min, k_max) -> None:
+    # The estimate ranks its k uniforms as Generator.choice(ks, p=equal
+    # probabilities) does: random(n) against cumsum(p) / its last entry.
+    # Both paths give choice's values and leave the generator as it does.
+    ks = np.arange(k_min, k_max + 1, dtype=np.int64)
+    p = np.full(ks.size, 1.0 / ks.size)
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    for lib in dict.fromkeys((_kernel.lib, None)):
+        for seed in (0, 1, 11, 2024):
+            fast, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            with mock.patch.object(_kernel, "lib", lib):
+                drawn = k_min + draw_ranks(fast, cdf, 5000)
+            assert drawn.tolist() == reference.choice(ks, size=5000, p=p).tolist()
+            assert fast.bit_generator.state == reference.bit_generator.state
+
+
+def test_slot_mean_estimate_same_on_both_paths(catalog, params) -> None:
+    estimates = []
+    for lib in dict.fromkeys((_kernel.lib, None)):
+        with mock.patch.object(_kernel, "lib", lib):
+            estimates.append(estimate_slot_means(catalog, 50, params, range(3, 67), samples=3000, seed=5))
+    assert estimates[0] == estimates[-1]
 
 
 def test_slot_means_near_simulated_defaults(catalog, params) -> None:

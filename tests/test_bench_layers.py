@@ -38,3 +38,22 @@ def test_measure_point_reports_a_small_point(monkeypatch) -> None:
     assert point["reference_s"] == [0.2, 0.4]
     assert point["host_speed"] == [0.25, 0.5]
     assert point["draw_us_per_task"] > 0 and point["run_us_per_slot"] > 0
+
+
+def test_measure_estimate_reports_the_analyze_point(monkeypatch) -> None:
+    tool = _load_tool()
+    monkeypatch.setattr(tool, "ESTIMATE_SAMPLES", 200)
+    monkeypatch.setattr(tool, "SEEDS", (0, 1))
+    monkeypatch.setattr(tool, "REPEATS", 1)
+    times = iter((0.2, 0.4, 0.1))
+    reference = {"time_reference": lambda: next(times), "REFERENCE_S": 0.1}
+    point = tool.measure_estimate(reference)
+
+    assert set(point) == {
+        "estimate_us_per_sample", "estimate_us_per_sample_range", "samples", "reference_s", "host_speed",
+    }
+    assert point["samples"] == 200
+    assert point["reference_s"] == [0.2, 0.4, 0.1]
+    assert point["host_speed"] == [0.25, 1.0]
+    low, high = point["estimate_us_per_sample_range"]
+    assert 0 < low <= point["estimate_us_per_sample"] <= high

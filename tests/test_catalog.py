@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mecsched.catalog import ContentCatalog, zipf_popularity
+from mecsched.catalog import ContentCatalog, guide_table, zipf_popularity
 from fixed_uniforms import distinct_uncached
 
 
@@ -66,6 +66,14 @@ def test_catalog_cdf_ends_at_one() -> None:
     assert cat.cdf[-1] == 1.0
     assert np.all(np.diff(cat.cdf) > 0)
     assert cat.cdf[0] == pytest.approx(cat.popularity[0])
+
+
+def test_guide_table_refuses_a_cdf_a_lookup_could_run_past() -> None:
+    # A lookup stays in bounds only when the last entry is exactly 1.
+    assert guide_table(np.ones(1)).tolist() == [0, 0, 0, 0, 1]
+    for cdf in (np.empty(0), np.array([0.5, 1.0 - 2**-53])):
+        with pytest.raises(ValueError, match="the last exactly 1"):
+            guide_table(cdf)
 
 
 def _missed(catalog: ContentCatalog, ranks, capacity: int) -> list[int]:

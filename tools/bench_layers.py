@@ -1,4 +1,4 @@
-"""Layer bench: the cost of a run's two stages, and the Tier-1 wall time.
+"""Layer bench: the cost of a run's stages and of the estimate, and the Tier-1 wall time.
 
 Usage (from the repository root)::
 
@@ -16,6 +16,11 @@ At each point, for every seed, it times
 - the run: ``run_simulation`` given that table, with no queue series kept
   (as the command line runs it), reported in us per slot.  This is the
   slot loop plus everything computed before and after it.
+
+One more point, ``analyze_estimate``, times ``estimate_slot_means`` (the
+``analyze`` command's Monte Carlo estimate) at the default configuration
+with ``ESTIMATE_SAMPLES`` samples, once per seed, and reports it in us
+per sample.
 
 The entry's environment records which slot loop (and, where the kernel
 holds it, which task draw) the runs used: ``"slot_loop": "c"`` when the
@@ -55,6 +60,8 @@ from pathlib import Path
 HORIZON = 100_000
 SEEDS = (0, 1, 2, 3, 4)
 REPEATS = 5
+# The analyze_mc workload's sample count.
+ESTIMATE_SAMPLES = 50_000
 # (name, ExperimentConfig overrides); every other value is the default.
 # The last two bracket the draw's cache test and its lookup tables: with
 # no cache every content lands above the capacity, and 100000 contents
@@ -96,17 +103,44 @@ def measure_point(overrides: dict, reference: dict) -> dict:
         draw_s, run_s, n_tasks = draw_s + t_draw, run_s + t_run, n_tasks + tasks
         draw_us.append(1e6 * t_draw / tasks)
         run_us.append(1e6 * t_run / HORIZON)
-    reference_s.append(reference["time_reference"]())
-    speeds = [reference["REFERENCE_S"] / seconds for seconds in reference_s]
     return {
         "draw_us_per_task": 1e6 * draw_s / n_tasks,
         "draw_us_per_task_range": [min(draw_us), max(draw_us)],
         "run_us_per_slot": 1e6 * run_s / (HORIZON * len(SEEDS)),
         "run_us_per_slot_range": [min(run_us), max(run_us)],
         "tasks": n_tasks,
-        "reference_s": reference_s,
-        "host_speed": [min(speeds), max(speeds)],
+        **host_speed(reference, reference_s),
     }
+
+
+def measure_estimate(reference: dict) -> dict:
+    from mecsched.analysis import estimate_slot_means, uniform_k_dist
+    from mecsched.config import ExperimentConfig, build_system
+
+    config = ExperimentConfig().validate()
+    catalog, capacity, params, _, _ = build_system(config)
+    k_dist = uniform_k_dist(config.k_min, config.k_max)
+    estimate_us, reference_s = [], []
+    for seed in SEEDS:
+        reference_s.append(reference["time_reference"]())
+        t_estimate, _ = min_time(
+            lambda: estimate_slot_means(catalog, capacity, params, k_dist, samples=ESTIMATE_SAMPLES, seed=seed)
+        )
+        estimate_us.append(1e6 * t_estimate / ESTIMATE_SAMPLES)
+    return {
+        "estimate_us_per_sample": sum(estimate_us) / len(estimate_us),
+        "estimate_us_per_sample_range": [min(estimate_us), max(estimate_us)],
+        "samples": ESTIMATE_SAMPLES,
+        **host_speed(reference, reference_s),
+    }
+
+
+def host_speed(reference: dict, reference_s: list) -> dict:
+    """The reference kernel's times, one more taken now, and the host speed
+    range they give."""
+    reference_s = [*reference_s, reference["time_reference"]()]
+    speeds = [reference["REFERENCE_S"] / seconds for seconds in reference_s]
+    return {"reference_s": reference_s, "host_speed": [min(speeds), max(speeds)]}
 
 
 def tier1(repo: Path) -> dict:
@@ -162,7 +196,10 @@ def main(argv=None) -> None:
         "horizon_slots": HORIZON,
         "seeds": list(SEEDS),
         "repeats": REPEATS,
-        "points": {name: measure_point(overrides, reference) for name, overrides in POINTS},
+        "points": {
+            **{name: measure_point(overrides, reference) for name, overrides in POINTS},
+            "analyze_estimate": measure_estimate(reference),
+        },
         "tier1": tier1(repo),
     }
     entries = json.loads(args.out.read_text()) if args.out.exists() else []
