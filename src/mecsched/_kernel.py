@@ -63,9 +63,11 @@ def load() -> Optional[ctypes.CDLL]:
         i64, f64 = ctypes.c_int64, ctypes.c_double
         lib.mecsched_decide.argtypes = [ctypes.c_int, f64, i64, i64, i64, f64, f64, f64, f64]
         lib.mecsched_decide.restype = ctypes.c_int
+        # The series is a raw pointer: NULL when no series is kept.
         lib.mecsched_slot_loop.argtypes = [
-            ctypes.c_int, f64, i64, _array(np.int64), _array(np.float64), _array(np.float64),
-            _array(np.int64), _array(np.int64), _array(np.int64), _array(np.bool_), _array(np.int64),
+            ctypes.c_int, f64, i64, i64, _array(np.int64), _array(np.float64), _array(np.float64),
+            _array(np.int64), _array(np.int64), _array(np.int64), _array(np.int64), ctypes.c_void_p,
+            _array(np.int64), _array(np.float64),
         ]
         lib.mecsched_slot_loop.restype = None
         lib.mecsched_draw_tasks.argtypes = [

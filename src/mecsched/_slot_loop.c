@@ -1,6 +1,6 @@
-/* The engine's two hot paths, compiled: the task draw and the
- * decide-and-start slot loop; and the rank draw of the Monte Carlo
- * estimate's k values.
+/* The engine's two hot paths, compiled: the task draw and the slot loop,
+ * which keeps the run's sums and completions as it goes; and the rank draw
+ * of the Monte Carlo estimate's k values.
  *
  * mecsched_draw_tasks and mecsched_draw_ranks draw through numpy's bit
  * generator interface (bitgen_t, declared as in numpy/random/bitgen.h),
@@ -125,42 +125,76 @@ int mecsched_decide(int kind, double v, int64_t busy_local, int64_t busy_mec, in
     return decide(kind, v, busy_local, busy_mec, q_len, head_local, head_mec, second_local, second_mec);
 }
 
-/* Runs slots [0, horizon); fills start_slot and on_mec for the tasks
- * started and leaves (head, arrived, busy_local, busy_mec) in state.
+/* Runs slots [0, horizon) and keeps the run's sums as it goes.
+ *
  * arrival holds the tasks' arrival slots followed by horizon, so
- * arrival[arrived] is the next task's arrival slot and stays in bounds. */
-void mecsched_slot_loop(int kind, double v, int64_t horizon, const int64_t *arrival,
-                        const double *local_bits, const double *mec_bits,
+ * arrival[arrived] is the next task's arrival slot and stays in bounds.
+ * Each processor keeps the done slot of the task it serves (-1 before its
+ * first) and that task's arrival slot; it is busy in slot t while
+ * done >= t.  A task finishing in slot t writes its delay t - a + 1 and
+ * its arrival slot a at delays[completions] and delay_arrival[completions],
+ * the local processor's before the server's.  When series is not NULL,
+ * series[t] gets the queue before slot t.
+ *
+ * counts gets (head, arrived, completions, done_local, done_mec,
+ * queue_sum, drift_violations) and then queue_sum, arrived and head as
+ * they stood before slot warmup_slots (0 if the loop never reaches it);
+ * bits gets the bits charged at start over the run, and before slot
+ * warmup_slots.  Every partial bit sum is an integer below 2**53, so both
+ * are exact. */
+void mecsched_slot_loop(int kind, double v, int64_t horizon, int64_t warmup_slots,
+                        const int64_t *arrival, const double *local_bits, const double *mec_bits,
                         const int64_t *n_local, const int64_t *n_mec,
-                        int64_t *start_slot, uint8_t *on_mec, int64_t *state)
+                        int64_t *delays, int64_t *delay_arrival, int64_t *series,
+                        int64_t *counts, double *bits)
 {
-    int64_t head = 0, arrived = 0, busy_local = 0, busy_mec = 0;
+    int64_t head = 0, arrived = 0, completions = 0, queue_sum = 0, drift_violations = 0;
+    int64_t done_local = -1, done_mec = -1, from_local = 0, from_mec = 0;
+    int64_t warm_queue_sum = 0, warm_arrived = 0, warm_head = 0;
+    double tx_bits = 0.0, warm_tx_bits = 0.0;
     for (int64_t t = 0; t < horizon; t++) {
         int64_t q_len = arrived - head;
-        int action = decide(kind, v, busy_local, busy_mec, q_len,
+        if (t == warmup_slots) {
+            warm_queue_sum = queue_sum;
+            warm_arrived = arrived;
+            warm_head = head;
+            warm_tx_bits = tx_bits;
+        }
+        if (series) series[t] = q_len;
+        queue_sum += q_len;
+        int action = decide(kind, v, done_local >= t, done_mec >= t, q_len,
                             q_len > 0 ? local_bits[head] : 0.0, q_len > 0 ? mec_bits[head] : 0.0,
                             q_len > 1 ? local_bits[head + 1] : 0.0, q_len > 1 ? mec_bits[head + 1] : 0.0);
         if (action & (LF | LS)) {
             int64_t task = head + ((action & LS) != 0);
-            start_slot[task] = t;
-            busy_local = n_local[task] - 1;
-        } else if (busy_local) {
-            busy_local -= 1;
+            done_local = t + n_local[task] - 1;
+            from_local = arrival[task];
+            tx_bits += local_bits[task];
         }
         if (action & (MF | MS)) {
             int64_t task = head + ((action & MS) != 0);
-            start_slot[task] = t;
-            on_mec[task] = 1;
-            busy_mec = n_mec[task] - 1;
-        } else if (busy_mec) {
-            busy_mec -= 1;
+            done_mec = t + n_mec[task] - 1;
+            from_mec = arrival[task];
+            tx_bits += mec_bits[task];
         }
-        /* Departures from the head, then the slot's arrival at the tail. */
-        head += ((action & (LF | LS)) != 0) + ((action & (MF | MS)) != 0);
+        if (done_local == t) {
+            delays[completions] = t - from_local + 1;
+            delay_arrival[completions++] = from_local;
+        }
+        if (done_mec == t) {
+            delays[completions] = t - from_mec + 1;
+            delay_arrival[completions++] = from_mec;
+        }
+        /* The drift audit's precondition: no more starts than queued tasks.
+         * Then departures from the head, and the slot's arrival at the tail. */
+        int64_t started = ((action & (LF | LS)) != 0) + ((action & (MF | MS)) != 0);
+        drift_violations += started > q_len;
+        head += started;
         arrived += arrival[arrived] == t;
     }
-    state[0] = head;
-    state[1] = arrived;
-    state[2] = busy_local;
-    state[3] = busy_mec;
+    int64_t out[] = {head, arrived, completions, done_local, done_mec, queue_sum, drift_violations,
+                     warm_queue_sum, warm_arrived, warm_head};
+    for (int i = 0; i < 10; i++) counts[i] = out[i];
+    bits[0] = tx_bits;
+    bits[1] = warm_tx_bits;
 }

@@ -41,6 +41,10 @@ __all__ = [
 # switch), and its temporaries span the step, so a single step would raise
 # the peak memory.  The stream is the same for any step size.
 _STEP_TASKS = 4096
+# Entries of the (uncached contents x k) power table that
+# expected_local_bits builds at a time: 2 MB of float64, however large the
+# catalog or the k span.
+_TABLE_ENTRIES = 1 << 18
 
 REGIME_LOCAL_ONLY = "local_only_optimal"
 REGIME_MIXED = "mixed"
@@ -115,9 +119,21 @@ def expected_local_bits(
     miss = 1.0 - pop[capacity:]
     if miss.size == 0:
         return 0.0
-    # expected distinct uncached contents for each k, then average over k
-    distinct = (1.0 - np.power.outer(miss, np.arange(ks.start, ks.stop, dtype=np.float64))).sum(axis=0)
-    return size_bits * float(np.dot(np.full(len(ks), p), distinct))
+    # Expected distinct uncached contents for each k, then the average over
+    # k.  Every array as long as the span comes first, so a span that does
+    # not fit in memory fails at once, not after its blocks.
+    k = np.arange(ks.start, ks.stop, dtype=np.float64)
+    distinct = np.empty_like(k)
+    weights = np.full(len(ks), p)
+    # numpy sums a block of one column pairwise, but a wider one row by row,
+    # as it sums the whole table; so only a span of one k is one column wide.
+    block = max(2, _TABLE_ENTRIES // miss.size)
+    first = 0
+    while first < k.size:
+        stop = k.size if k.size - first <= block + 1 else first + block
+        distinct[first:stop] = (1.0 - np.power.outer(miss, k[first:stop])).sum(axis=0)
+        first = stop
+    return size_bits * float(np.dot(weights, distinct))
 
 
 @dataclass(frozen=True)

@@ -14,15 +14,30 @@ another run sees.
 
 The loop stage (:func:`run_simulation`) takes a table and the run's own
 parameters, turns the bits into busy-slot counts and simulates the
-table's horizon slot by slot.  The FIFO queue is then just
+table's horizon slot by slot, in one pass.  The FIFO queue is then just
 ``table[head:arrived]`` and the whole system state is four integers:
 ``head`` (tasks started so far), ``arrived`` (tasks arrived so far) and
-the two processors' busy countdowns.  Each slot runs decide -> start: the
-decision sees the queue as it stands before the slot, the chosen action
-starts tasks at the head and counts down the processors, and the slot's
-Bernoulli arrival (if any) joins the queue tail afterwards: the next task
-arrives in slot ``t`` when its arrival slot is ``t``.  The loop does
-nothing else; it records each started task's start slot and mode.
+each processor's done slot, the last slot of the task it serves; a
+processor is busy in slot ``t`` while its done slot is at least ``t``.
+Each slot runs decide -> start: the decision sees the queue as it stands
+before the slot, the chosen action starts tasks at the head, and the
+slot's Bernoulli arrival (if any) joins the queue tail afterwards: the
+next task arrives in slot ``t`` when its arrival slot is ``t``.
+
+The same pass keeps every metric of the run, in registers:
+
+- the queue sums, adding ``q_t = arrived - head`` each slot, and the
+  series ``q_t`` when asked for (8 bytes per slot);
+- the bits, charged to the slot a task starts in;
+- the completions: a task finishing in slot ``t`` records its delay
+  ``t - a + 1`` and its arrival slot ``a``, the local processor's before
+  the server's;
+- the drift audit's count;
+- the queue sum, the counts and the bits as they stood before slot
+  ``warmup_slots``, from which the ``*_after_warmup`` fields follow.
+
+A run therefore holds per-task arrays only, about 80 bytes per task
+(table included), and nothing per slot unless the series is asked for.
 
 The loop exists twice.  :func:`_python_slot_loop` is the reference: it
 calls :func:`mecsched.policy.decide` once per slot.  ``_slot_loop.c``
@@ -32,24 +47,8 @@ use into a per-user cache and loads it once, as ``_kernel.lib``, which
 each run reads.  When no compiler is found or the build fails,
 ``_kernel.lib`` is ``None`` and the Python loop runs.  Both give
 identical runs: the C rule makes the same floating-point comparisons as
-``decide``, bit for bit.
-
-Everything else follows from those records and the per-task arrays, in
-numpy passes after the loop:
-
-- completion times and transmitted bits, from each started task's start
-  slot, mode and busy-slot count;
-- the queue sums, in closed form.  The queue before slot ``t`` is
-  ``q_t = A_t - S_t``, the tasks arrived minus those started before slot
-  ``t``, so a task counts in it on the slots after its arrival slot
-  ``a_i`` up to its start slot ``s_i``.  Summed over slots ``W..H-1``:
-  ``sum_i (H - max(a_i + 1, W)) - sum_j (H - max(s_j + 1, W))``.  Each
-  term is at most ``H``; :func:`draw_tasks` keeps ``H**2`` within int64.
-- the series ``A_t - S_t``, only when asked for.
-
-A run therefore holds per-task arrays only, about 120 bytes per task
-(table included), and nothing per slot; the queue series adds 8 bytes
-per slot, and its build twice that for a moment, when asked for.
+``decide``, bit for bit, and every partial bit sum is an integer below
+2**53, so the bits are exact in either.
 
 Two bookkeeping details worth knowing:
 
@@ -65,13 +64,9 @@ Two bookkeeping details worth knowing:
 
   (``u`` tasks started, ``a`` arrivals) or its precondition ``u <= q``.
   With ``q_next = q - u + a`` the inequality reduces to ``2*u*a >= 0``,
-  an identity of the queue recursion, so only the precondition can fail,
-  and ``u_t > q_t`` exactly when ``S_(t+1) > A_t``.  On the slots
-  ``(a_(m-1), a_m]``, ``A_t = m``, so the count is
-  ``sum_m max(0, a_m - max(a_(m-1) + 1, s_m) + 1)`` over started tasks.
-  A start no later than its own arrival slot needs no count of its own:
-  its slot has ``S_(t+1) > m >= A_t``.  Violations are counted, never
-  raised; a correct run keeps the count at zero.
+  an identity of the queue recursion, so only the precondition can fail:
+  the loop counts the slots with ``u_t > q_t``.  Violations are counted,
+  never raised; a correct run keeps the count at zero.
 """
 
 from __future__ import annotations
@@ -222,58 +217,50 @@ def run_simulation(
     if not 0.0 <= warmup_frac < 1.0:
         raise ConfigError(f"warmup_frac must lie in [0, 1), got {warmup_frac}")
     horizon, arrival_slot = tasks.horizon, tasks.arrival_slot
-    local_bits, mec_bits = tasks.local_bits, tasks.mec_bits
     n_tasks = arrival_slot.size
+    warmup_slots = int(warmup_frac * horizon)
 
-    n_local = slots_local(mec_bits, local_bits, params)
-    n_mec = slots_mec(mec_bits, params)
-    start_slot = np.empty(n_tasks, dtype=np.int64)
-    on_mec = np.zeros(n_tasks, dtype=bool)
+    n_local = slots_local(tasks.mec_bits, tasks.local_bits, params)
+    n_mec = slots_mec(tasks.mec_bits, params)
     # The task behind the tail "arrives" in slot horizon, which no loop reaches.
     arrival = np.append(arrival_slot, horizon)
+    delays = np.empty(n_tasks, dtype=np.int64)
+    delay_arrival = np.empty(n_tasks, dtype=np.int64)
+    series = np.empty(horizon, dtype=np.int64) if collect_series else None
 
     slot_loop = _python_slot_loop if _kernel.lib is None else _c_slot_loop
-    head, arrived, busy_local, busy_mec = slot_loop(
-        policy, horizon, arrival, local_bits, mec_bits, n_local, n_mec, start_slot, on_mec
+    (
+        head, arrived, completions, done_local, done_mec, queue_sum, drift_violations,
+        warm_queue_sum, warm_arrived, warm_head, tx_bits, warm_tx_bits,
+    ) = slot_loop(
+        policy, horizon, warmup_slots, arrival, tasks.local_bits, tasks.mec_bits, n_local, n_mec,
+        delays, delay_arrival, series,
     )
 
-    # Tasks [0, head) were started; each completes n - 1 slots after its start.
-    start_slot, on_mec = start_slot[:head], on_mec[:head]
-    warmup_slots = int(warmup_frac * horizon)
-    queue_len_sum, queue_len_sum_after_warmup, drift_violations, series = _queue_pass(
-        arrival_slot, start_slot, horizon, warmup_slots, collect_series
-    )
-    done_slot = start_slot + np.where(on_mec, n_mec[:head], n_local[:head]) - 1
-    tx_bits = np.where(on_mec, mec_bits[:head], local_bits[:head])
-    finished = np.flatnonzero(done_slot < horizon)
-    # Completion order: by slot, the local processor's before the server's.
-    finished = finished[np.lexsort((on_mec[finished], done_slot[finished]))]
-    in_service = (busy_local > 0) + (busy_mec > 0)
-
-    if n_tasks != finished.size + (arrived - head) + in_service:
+    in_service = (done_local >= horizon) + (done_mec >= horizon)
+    if n_tasks != completions + (arrived - head) + in_service:
         raise ContractViolation(
             f"task conservation broken: {n_tasks} arrivals vs "
-            f"{finished.size} completed + {arrived - head} queued + "
+            f"{completions} completed + {arrived - head} queued + "
             f"{in_service} in service"
         )
 
-    past_warmup = start_slot >= warmup_slots
     growing = series is not None and horizon >= 10 and bool(np.all(np.diff(decile_means(series)) > 0))
     return RunMetrics(
         horizon_slots=horizon,
         warmup_slots=warmup_slots,
         arrivals=n_tasks,
-        completions=finished.size,
+        completions=completions,
         scheduled=head,
-        total_tx_bits=float(tx_bits.sum()),
-        queue_len_sum=queue_len_sum,
-        arrivals_after_warmup=int(np.count_nonzero(arrival_slot >= warmup_slots)),
-        scheduled_after_warmup=int(np.count_nonzero(past_warmup)),
-        tx_bits_after_warmup=float(tx_bits[past_warmup].sum()),
-        queue_len_sum_after_warmup=queue_len_sum_after_warmup,
+        total_tx_bits=tx_bits,
+        queue_len_sum=queue_sum,
+        arrivals_after_warmup=arrived - warm_arrived,
+        scheduled_after_warmup=head - warm_head,
+        tx_bits_after_warmup=tx_bits - warm_tx_bits,
+        queue_len_sum_after_warmup=queue_sum - warm_queue_sum,
         queue_len_series=series,
-        delays_slots=done_slot[finished] - arrival_slot[finished] + 1,
-        delay_arrival_slots=arrival_slot[finished],
+        delays_slots=delays[:completions],
+        delay_arrival_slots=delay_arrival[:completions],
         drift_violations=drift_violations,
         infeasibility_flag=growing,
     )
@@ -282,106 +269,105 @@ def run_simulation(
 def _python_slot_loop(
     policy: PolicySpec,
     horizon: int,
+    warmup_slots: int,
     arrival: np.ndarray,
     local_bits: np.ndarray,
     mec_bits: np.ndarray,
     n_local: np.ndarray,
     n_mec: np.ndarray,
-    start_slot: np.ndarray,
-    on_mec: np.ndarray,
-) -> tuple[int, int, int, int]:
+    delays: np.ndarray,
+    delay_arrival: np.ndarray,
+    series: Optional[np.ndarray],
+) -> tuple:
     """The slot loop in Python, the reference the compiled loop follows.
 
-    Runs slots ``0..horizon-1``, writes each started task's start slot
-    and mode into ``start_slot`` and ``on_mec``, and returns the final
-    ``(head, arrived, busy_local, busy_mec)``.  ``arrival`` holds the
-    tasks' arrival slots followed by ``horizon``.
+    Runs slots ``0..horizon-1``.  ``arrival`` holds the tasks' arrival
+    slots followed by ``horizon``.  Each completed task's delay and arrival
+    slot go into ``delays`` and ``delay_arrival``, in completion order, and
+    the queue before each slot into ``series`` unless it is ``None``.
+    Returns ``(head, arrived, completions, done_local, done_mec, queue_sum,
+    drift_violations, warm_queue_sum, warm_arrived, warm_head, tx_bits,
+    warm_tx_bits)``, the ``warm_*`` values as they stood before slot
+    ``warmup_slots``.
     """
     # Memoryviews give the slot loop plain Python numbers; two zero entries
     # stand in for the bits of tasks behind the tail.
     local_view = memoryview(np.append(local_bits, (0.0, 0.0)))
     mec_view = memoryview(np.append(mec_bits, (0.0, 0.0)))
     n_local_view, n_mec_view = memoryview(n_local), memoryview(n_mec)
-    start_view, on_mec_view = memoryview(start_slot), memoryview(on_mec)
     arrival_view = memoryview(arrival)
-    head = arrived = busy_local = busy_mec = 0
+    delay_view, delay_arrival_view = memoryview(delays), memoryview(delay_arrival)
+    series_view = None if series is None else memoryview(series)
+    head = arrived = completions = queue_sum = drift_violations = 0
+    # Each processor's done slot (busy while it is >= t) and its task's arrival slot.
+    done_local = done_mec = -1
+    from_local = from_mec = 0
+    warm_queue_sum = warm_arrived = warm_head = 0
+    tx_bits = warm_tx_bits = 0.0
 
     for t in range(horizon):
+        q_len = arrived - head
+        if t == warmup_slots:
+            warm_queue_sum, warm_arrived, warm_head, warm_tx_bits = queue_sum, arrived, head, tx_bits
+        if series_view is not None:
+            series_view[t] = q_len
+        queue_sum += q_len
         local_first, local_second, mec_first, mec_second = decide(
-            policy, busy_local, busy_mec, arrived - head,
+            policy, done_local >= t, done_mec >= t, q_len,
             local_view[head], mec_view[head], local_view[head + 1], mec_view[head + 1],
         )
         if local_first or local_second:
             task = head + local_second
-            start_view[task] = t
-            busy_local = n_local_view[task] - 1
-        elif busy_local:
-            busy_local -= 1
+            done_local = t + n_local_view[task] - 1
+            from_local = arrival_view[task]
+            tx_bits += local_view[task]
         if mec_first or mec_second:
             task = head + mec_second
-            start_view[task] = t
-            on_mec_view[task] = True
-            busy_mec = n_mec_view[task] - 1
-        elif busy_mec:
-            busy_mec -= 1
-        # Departures from the head, then the slot's arrival at the tail.
-        head += local_first + local_second + mec_first + mec_second
+            done_mec = t + n_mec_view[task] - 1
+            from_mec = arrival_view[task]
+            tx_bits += mec_view[task]
+        if done_local == t:
+            delay_view[completions] = t - from_local + 1
+            delay_arrival_view[completions] = from_local
+            completions += 1
+        if done_mec == t:
+            delay_view[completions] = t - from_mec + 1
+            delay_arrival_view[completions] = from_mec
+            completions += 1
+        # The drift audit's precondition: no more starts than queued tasks.
+        # Then departures from the head, and the slot's arrival at the tail.
+        started = local_first + local_second + mec_first + mec_second
+        drift_violations += started > q_len
+        head += started
         arrived += arrival_view[arrived] == t
-    return head, arrived, busy_local, busy_mec
+    return (
+        head, arrived, completions, done_local, done_mec, queue_sum, drift_violations,
+        warm_queue_sum, warm_arrived, warm_head, tx_bits, warm_tx_bits,
+    )
 
 
 def _c_slot_loop(
     policy: PolicySpec,
     horizon: int,
+    warmup_slots: int,
     arrival: np.ndarray,
     local_bits: np.ndarray,
     mec_bits: np.ndarray,
     n_local: np.ndarray,
     n_mec: np.ndarray,
-    start_slot: np.ndarray,
-    on_mec: np.ndarray,
-) -> tuple[int, int, int, int]:
+    delays: np.ndarray,
+    delay_arrival: np.ndarray,
+    series: Optional[np.ndarray],
+) -> tuple:
     """:func:`_python_slot_loop`, run by the compiled kernel."""
-    state = np.empty(4, dtype=np.int64)
+    counts = np.empty(10, dtype=np.int64)
+    bits = np.empty(2, dtype=np.float64)
     _kernel.lib.mecsched_slot_loop(
-        _kernel.KIND_CODES[policy.kind], policy.v_param, horizon, arrival,
-        local_bits, mec_bits, n_local, n_mec, start_slot, on_mec, state,
+        _kernel.KIND_CODES[policy.kind], policy.v_param, horizon, warmup_slots, arrival,
+        local_bits, mec_bits, n_local, n_mec, delays, delay_arrival,
+        None if series is None else series.ctypes.data, counts, bits,
     )
-    return tuple(state.tolist())
-
-
-def _queue_pass(
-    arrival_slot: np.ndarray,
-    start_slot: np.ndarray,
-    horizon: int,
-    warmup_slots: int,
-    collect_series: bool,
-) -> tuple[int, int, int, Optional[np.ndarray]]:
-    """The queue sums, the drift audit and the series, in the closed forms
-    of the module docstring.
-
-    Returns ``(queue_len_sum, queue_len_sum_after_warmup, drift_violations,
-    series)``; ``series`` is ``None`` unless ``collect_series``.
-    ``start_slot`` is non-decreasing, since the loop starts tasks in queue
-    order.
-    """
-    def queue_sum(first: int) -> int:
-        joined = horizon - np.maximum(arrival_slot + 1, first)
-        left = horizon - np.maximum(start_slot + 1, first)
-        return int(joined.sum()) - int(left.sum())
-
-    # Per started task m: its slots (a_(m-1), a_m] from s_m on.
-    arrived = arrival_slot[:start_slot.size]
-    first = start_slot.copy()
-    np.maximum(first[1:], arrived[:-1] + 1, out=first[1:])
-    drift_violations = int(np.maximum(arrived - first + 1, 0).sum())
-
-    series = None
-    if collect_series:
-        slots = np.arange(horizon)
-        series = np.searchsorted(arrival_slot, slots)
-        series -= np.searchsorted(start_slot, slots)
-    return queue_sum(0), queue_sum(warmup_slots), drift_violations, series
+    return (*counts.tolist(), *bits.tolist())
 
 
 def avg_data_per_task(metrics: RunMetrics) -> float:

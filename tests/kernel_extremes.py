@@ -11,10 +11,37 @@ import numpy as np
 from mecsched import _kernel
 from mecsched.catalog import ContentCatalog
 from mecsched.config import ExperimentConfig, build_system
-from mecsched.engine import RunMetrics, draw_tasks, run_simulation
-from mecsched.policy import POLICY_KINDS
+from mecsched.dynamics import SystemParams
+from mecsched.engine import RunMetrics, TaskTable, draw_tasks, run_simulation
+from mecsched.policy import POLICY_KINDS, PolicySpec
 from mecsched.workload import K_SPAN_LIMIT, WorkloadConfig, draw_contents, draw_ranks, sample_tasks
 from fixed_uniforms import pcg64_with_next
+
+
+# A hand-built run under the delay-only rule (lyapunov, v = 0).  Compute
+# costs vanish and the radio ships one bit per slot, so each task's slot
+# counts equal its bits.  Task 0 starts on the device in slot 1 and ends in
+# slot 2.  Task 1 goes to the server in slot 2 and task 2 to the device in
+# slot 3; both end in slot 4.  Tasks 3 and 4 split in slot 5: task 3 ends on
+# the device in slot 8 and task 4 on the server in slot 9.  Task 5 arrives
+# in slot 5 and waits until slot 9.
+TIE_ARRIVALS = (0, 1, 2, 3, 4, 5)
+TIE_LOCAL_BITS = (2, 1, 2, 4, 5, 1)
+TIE_MEC_BITS = (2, 3, 2, 5, 5, 1)
+TIE_PARAMS = SystemParams(slot_seconds=1.0, cycles_per_bit=1.0, f_local_hz=1e300, f_mec_hz=1e300, rate_bps=1.0)
+TIE_POLICY = PolicySpec("lyapunov", 0.0)
+
+
+def tie_table(horizon: int) -> TaskTable:
+    """The hand-built run's tasks over ``horizon`` slots: at 9, task 3 ends
+    in the last slot and task 4 one slot past it; from 12 on, every task
+    ends."""
+    return TaskTable(
+        horizon,
+        np.array(TIE_ARRIVALS, dtype=np.int64),
+        np.array(TIE_LOCAL_BITS, dtype=np.float64),
+        np.array(TIE_MEC_BITS, dtype=np.float64),
+    )
 
 
 def assert_same_metrics(a: RunMetrics, b: RunMetrics) -> None:
@@ -31,8 +58,10 @@ def compare_at_the_extremes(sanitized) -> None:
     """Assert that the kernel ``sanitized`` and the Python paths agree at the
     extremes: a one-content catalog, a cache of the whole catalog, wide guide
     buckets, k spans 0 and K_SPAN_LIMIT - 1, rank draws from a one-entry
-    cdf, from a steep one and of no values, and busy counts at the 2**62
-    cap."""
+    cdf, from a steep one and of no values, and runs with tasks that never
+    end (2**62 slots), of one slot, with warm-up from the first or the last
+    slot, with and without a series, and with two tasks ending in one slot
+    and every task ending."""
 
     def both(fn) -> list:
         results = []
@@ -66,10 +95,22 @@ def compare_at_the_extremes(sanitized) -> None:
             compiled, python = both(lambda: ranks_and_next(cdf, n))
             assert compiled == python
 
+    def runs(table, params, spec) -> None:
+        horizon = table.horizon
+        for warmup_slots in sorted({0, horizon // 10, horizon - 1}):
+            for series in (False, True):
+                compiled, python = both(lambda: run_simulation(
+                    table, params, spec, warmup_frac=(warmup_slots + 0.5) / horizon, collect_series=series,
+                ))
+                assert python.warmup_slots == warmup_slots
+                assert_same_metrics(compiled, python)
+
     for policy in POLICY_KINDS:
         for fields in ({"n_contents": 1, "cache_m": 1}, {"rate_bps": 1e-300}):
             catalog, capacity, params, workload_cfg, spec = build_system(ExperimentConfig(policy=policy, **fields))
-            with mock.patch.object(_kernel, "lib", sanitized):
-                table = draw_tasks(catalog, capacity, workload_cfg, 2000, seed=3)
-            compiled, python = both(lambda: run_simulation(table, params, spec, collect_series=True))
-            assert_same_metrics(compiled, python)
+            for horizon in (1, 2000):
+                with mock.patch.object(_kernel, "lib", sanitized):
+                    table = draw_tasks(catalog, capacity, workload_cfg, horizon, seed=3)
+                runs(table, params, spec)
+    for horizon in (9, 12):
+        runs(tie_table(horizon), TIE_PARAMS, TIE_POLICY)

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from mecsched import _kernel
+from mecsched import _kernel, analysis
 from mecsched.analysis import (
     REGIME_INFEASIBLE,
     REGIME_LOCAL_ONLY,
@@ -86,6 +87,44 @@ def test_local_bits_frozen_values(catalog) -> None:
     at_0 = expected_local_bits(5e6, catalog.popularity, 0, dist)
     assert at_50 == pytest.approx(141316292.35635206, rel=1e-12)
     assert at_0 == pytest.approx(213768595.98097387, rel=1e-12)
+
+
+def _local_bits_in_one_table(size_bits, popularity, capacity, ks) -> float:
+    # expected_local_bits as one (uncached contents x span) table.
+    miss = 1.0 - popularity[capacity:]
+    distinct = (1.0 - np.power.outer(miss, np.arange(ks.start, ks.stop, dtype=np.float64))).sum(axis=0)
+    return size_bits * float(np.dot(np.full(len(ks), 1.0 / len(ks)), distinct))
+
+
+@pytest.mark.parametrize("block", [2, 3, 7, None])
+def test_local_bits_blocks_keep_the_bits(catalog, block, monkeypatch) -> None:
+    # Blocks of 2, 3 and 7 columns, and the default: spans of one k, of a
+    # block and one column more, of a trailing one-column remainder
+    # (span % block == 1) and of thousands of k, on the default and on a
+    # steep 50-content catalog.
+    steep = ContentCatalog.zipf(50, 3.0, 5e6)
+    for popularity, capacity in ((catalog.popularity, 50), (catalog.popularity, 0), (steep.popularity, 0)):
+        uncached = popularity.size - capacity
+        if block is not None:
+            monkeypatch.setattr(analysis, "_TABLE_ENTRIES", block * uncached)
+        width = block or analysis._TABLE_ENTRIES // uncached
+        for span in (1, 2, width, width + 1, width + 2, 2 * width + 1, 3 * width + 1, 3000):
+            for start in (1, 40):
+                ks = range(start, start + span)
+                expected = _local_bits_in_one_table(5e6, popularity, capacity, ks)
+                assert expected_local_bits(5e6, popularity, capacity, ks) == expected, (capacity, span, start)
+
+
+def test_local_bits_memory_stays_bounded(catalog) -> None:
+    # 950 uncached contents x 3000 values of k: the whole power table and
+    # its complement would take 2 x 22.8 MB; two blocks take about 4.2 MB.
+    tracemalloc.start()
+    try:
+        expected_local_bits(5e6, catalog.popularity, 50, range(1, 3001))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * analysis._TABLE_ENTRIES + (1 << 20)
 
 
 def test_local_bits_capacity_bounds(catalog) -> None:

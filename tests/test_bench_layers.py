@@ -1,8 +1,11 @@
-"""Smoke test of ``tools/bench_layers.py``: one small point, end to end."""
+"""Smoke tests of ``tools/bench_layers.py``: one small point, the estimate
+point and the cold commands, end to end."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
+import runpy
 from pathlib import Path
 
 from mecsched.config import ExperimentConfig, build_system
@@ -57,3 +60,29 @@ def test_measure_estimate_reports_the_analyze_point(monkeypatch) -> None:
     assert point["host_speed"] == [0.25, 1.0]
     low, high = point["estimate_us_per_sample_range"]
     assert 0 < low <= point["estimate_us_per_sample"] <= high
+
+
+def test_measure_commands_times_the_benchmark_commands_cold(monkeypatch) -> None:
+    tool = _load_tool()
+    monkeypatch.setattr(tool, "COMMAND_RUNS", 2)
+    root = _TOOL.parent.parent
+    workloads = runpy.run_path(str(root / "perfbench" / "workloads.py"))
+    times = iter((0.2, 0.4, 0.1, 0.2))
+    reference = {"time_reference": lambda: next(times), "REFERENCE_S": 0.1}
+    commands = tool.measure_commands(root, workloads, reference)
+
+    assert list(commands) == ["simulate_mixed", "sweep_overload"]
+    digests = json.loads((root / "perfbench" / "digests.json").read_text())
+    for name, entry in commands.items():
+        assert set(entry) == {
+            "command_ms", "command_ms_range", "import_numpy_random_ms", "import_numpy_random_ms_range",
+            "runs", "csv_sha256", "reference_s", "host_speed",
+        }
+        assert entry["runs"] == 2
+        # The benchmark's command at its default seed: its stored CSV digest.
+        assert entry["csv_sha256"] == [digests[name]]
+        for key in ("command_ms", "import_numpy_random_ms"):
+            low, high = entry[f"{key}_range"]
+            assert 0 < low <= entry[key] <= high
+    assert commands["simulate_mixed"]["reference_s"] == [0.2, 0.4]
+    assert commands["sweep_overload"]["host_speed"] == [0.5, 1.0]

@@ -20,7 +20,7 @@ from mecsched.engine import (
 from mecsched.errors import ConfigError, MetricUndefined
 from mecsched.policy import ACTION_SPLIT_LOCAL_MEC, POLICY_KINDS, decide
 from mecsched.workload import task_streams
-from kernel_extremes import assert_same_metrics
+from kernel_extremes import TIE_PARAMS, TIE_POLICY, assert_same_metrics, tie_table
 
 
 def _system(**cfg_kw):
@@ -302,6 +302,34 @@ def test_compiled_loop_matches_python_loop(policy, monkeypatch) -> None:
             patch.setattr(_kernel, "lib", None)
             reference = run_simulation(table, params, point_policy, collect_series=True)
         assert_same_metrics(compiled, reference)
+
+
+@pytest.mark.parametrize("loop", ["c", "python"])
+def test_same_slot_completions_and_the_horizon_edge(loop, monkeypatch) -> None:
+    # kernel_extremes.tie_table: tasks 2 (device) and 1 (server) end in slot
+    # 4, task 3 in slot 8 = horizon - 1 and task 4 in slot 9 = horizon.  A
+    # completion records in its slot the device's task before the server's.
+    if loop == "c" and _kernel.lib is None:
+        pytest.skip("no C compiler: the compiled slot loop is not built")
+    if loop == "python":
+        monkeypatch.setattr(_kernel, "lib", None)
+    metrics = run_simulation(tie_table(9), TIE_PARAMS, TIE_POLICY, warmup_frac=0.0, collect_series=True)
+    assert metrics.delays_slots.tolist() == [3, 3, 4, 6]
+    assert metrics.delay_arrival_slots.tolist() == [0, 2, 1, 3]
+    # 6 arrivals = 4 completed + 1 in service (task 4) + 1 queued (task 5).
+    assert (metrics.arrivals, metrics.scheduled, metrics.completions) == (6, 5, 4)
+    assert metrics.queue_len_series.tolist() == [0, 1, 1, 1, 1, 2, 1, 1, 1]
+    assert (metrics.total_tx_bits, metrics.queue_len_sum, metrics.drift_violations) == (16.0, 9, 0)
+    # From slot 5: tasks 3 and 4 start, task 5 arrives.
+    late = run_simulation(tie_table(9), TIE_PARAMS, TIE_POLICY, warmup_frac=5.5 / 9)
+    assert late.warmup_slots == 5
+    assert (late.scheduled_after_warmup, late.tx_bits_after_warmup, late.arrivals_after_warmup) == (2, 9.0, 1)
+    assert late.queue_len_sum_after_warmup == 5
+    # Three slots more: task 5 ends on the device in slot 9, ahead of task 4
+    # on the server.
+    longer = run_simulation(tie_table(12), TIE_PARAMS, TIE_POLICY)
+    assert longer.delay_arrival_slots.tolist() == [0, 2, 1, 3, 5, 4]
+    assert longer.delays_slots.tolist() == [3, 3, 4, 6, 5, 6]
 
 
 def test_table_arrays_are_read_only() -> None:

@@ -22,6 +22,16 @@ One more point, ``analyze_estimate``, times ``estimate_slot_means`` (the
 with ``ESTIMATE_SAMPLES`` samples, once per seed, and reports it in us
 per sample.
 
+The entry's ``commands`` time whole commands cold, each in
+``COMMAND_RUNS`` fresh ``python -I`` children: the benchmark workloads
+named in ``COMMANDS``, with the config fields and seeds that
+``perfbench/workloads.py`` (loaded read-only) gives its default seed.  A
+child builds the config, then times ``import numpy.random`` and, after
+it, the command and its CSV rendering, as ``perfbench/child.py`` does
+in one window.  The import is reported apart, since no change to the
+package can shrink it.  Each command records the medians and ranges of
+both times, its CSV's SHA-256 and the host's speed around its children.
+
 The entry's environment records which slot loop (and, where the kernel
 holds it, which task draw) the runs used: ``"slot_loop": "c"`` when the
 compiled kernel loaded (``mecsched._kernel.lib``, or ``engine._kernel``
@@ -49,6 +59,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import statistics
 import os
 import platform
 import runpy
@@ -74,6 +85,31 @@ POINTS = (
     ("cache0", {"policy": "lyapunov", "arrival_prob": 0.4, "cache_m": 0}),
     ("catalog100k", {"policy": "lyapunov", "arrival_prob": 0.4, "n_contents": 100_000, "cache_m": 1000}),
 )
+
+# Benchmark workloads timed as whole commands, each in COMMAND_RUNS fresh
+# children.
+COMMANDS = ("simulate_mixed", "sweep_overload")
+COMMAND_RUNS = 12
+# One cold command: argv is (src, command, config fields as JSON).
+_COMMAND_CHILD = """
+import hashlib, json, sys, time
+sys.path.insert(0, sys.argv[1])
+from mecsched import cli, config
+cfg = config.ExperimentConfig(**json.loads(sys.argv[3])).validate()
+config.build_system(cfg)
+command = getattr(cli, "cmd_" + sys.argv[2])
+columns = getattr(cli, sys.argv[2].upper() + "_COLUMNS")
+start = time.perf_counter()
+import numpy.random
+imported = time.perf_counter()
+csv_text = cli.rows_to_csv(command(cfg), columns)
+done = time.perf_counter()
+print(json.dumps({
+    "import_numpy_random_s": imported - start,
+    "command_s": done - imported,
+    "csv_sha256": hashlib.sha256(csv_text.encode()).hexdigest(),
+}))
+"""
 
 
 def min_time(fn) -> tuple[float, object]:
@@ -135,6 +171,34 @@ def measure_estimate(reference: dict) -> dict:
     }
 
 
+def measure_commands(repo: Path, workloads: dict, reference: dict) -> dict:
+    """Cold wall times of the ``COMMANDS`` workloads, from ``workloads``
+    (the namespace of ``perfbench/workloads.py``)."""
+    env = {**os.environ, **{name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}}
+    out = {}
+    for name in COMMANDS:
+        workload = workloads["WORKLOADS"][name]
+        fields = workloads["config_fields"](workload, workloads["DEFAULT_SEED"])
+        argv = [sys.executable, "-I", "-c", _COMMAND_CHILD, str(repo / "src"), workload.command, json.dumps(fields)]
+        reference_s = [reference["time_reference"]()]
+        runs = []
+        for _ in range(COMMAND_RUNS):
+            child = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+            runs.append(json.loads(child.stdout.splitlines()[-1]))
+        command_ms = [1e3 * run["command_s"] for run in runs]
+        import_ms = [1e3 * run["import_numpy_random_s"] for run in runs]
+        out[name] = {
+            "command_ms": statistics.median(command_ms),
+            "command_ms_range": [min(command_ms), max(command_ms)],
+            "import_numpy_random_ms": statistics.median(import_ms),
+            "import_numpy_random_ms_range": [min(import_ms), max(import_ms)],
+            "runs": COMMAND_RUNS,
+            "csv_sha256": sorted({run["csv_sha256"] for run in runs}),
+            **host_speed(reference, reference_s),
+        }
+    return out
+
+
 def host_speed(reference: dict, reference_s: list) -> dict:
     """The reference kernel's times, one more taken now, and the host speed
     range they give."""
@@ -190,6 +254,7 @@ def main(argv=None) -> None:
     repo = args.repo.resolve()
     sys.path.insert(0, str(repo / "src"))
     reference = runpy.run_path(str(here / "perfbench" / "reference.py"))
+    workloads = runpy.run_path(str(here / "perfbench" / "workloads.py"))
 
     entry = {
         "environment": environment(repo),
@@ -200,6 +265,7 @@ def main(argv=None) -> None:
             **{name: measure_point(overrides, reference) for name, overrides in POINTS},
             "analyze_estimate": measure_estimate(reference),
         },
+        "commands": measure_commands(repo, workloads, reference),
         "tier1": tier1(repo),
     }
     entries = json.loads(args.out.read_text()) if args.out.exists() else []
