@@ -1,7 +1,9 @@
 """Build and load the compiled kernel (``_slot_loop.c``) on first use.
 
-The kernel holds the task and rank draws (:mod:`mecsched.workload`) and
-the slot loop (:mod:`mecsched.engine`).  :func:`load` compiles the C
+The kernel holds the task and rank draws (:mod:`mecsched.workload`),
+which step numpy's PCG64 themselves from the state the caller passes, and
+the slot loop (:mod:`mecsched.engine`); ``mecsched_count_words`` runs the
+task draw's count on given 64-bit words, for tests.  :func:`load` compiles the C
 source with the system C compiler into a per-user cache (``$XDG_CACHE_HOME/mecsched``, else ``~/.cache/mecsched``)
 and loads it through :mod:`ctypes`.  The library's file name is the
 SHA-256 of the source, the compiler flags and the compiler's identity
@@ -70,15 +72,21 @@ def load() -> Optional[ctypes.CDLL]:
             _array(np.int64), _array(np.float64),
         ]
         lib.mecsched_slot_loop.restype = None
+        # The draws read and write PCG64's state as six uint64 words.
         lib.mecsched_draw_tasks.argtypes = [
-            ctypes.c_void_p, i64, ctypes.c_int, i64, ctypes.c_uint32, _array(np.int64),
-            _array(np.int32), i64, _array(np.float64), i64, _array(np.int64), _array(np.int64),
+            _array(np.uint64), i64, ctypes.c_int, i64, ctypes.c_uint32, _array(np.int64),
+            _array(np.int32), ctypes.c_int, _array(np.uint64), i64, _array(np.int64), _array(np.int64),
         ]
         lib.mecsched_draw_tasks.restype = None
         lib.mecsched_draw_ranks.argtypes = [
-            ctypes.c_void_p, i64, _array(np.int32), i64, _array(np.float64), _array(np.int64),
+            _array(np.uint64), i64, _array(np.int32), ctypes.c_int, _array(np.uint64), _array(np.int64),
         ]
         lib.mecsched_draw_ranks.restype = None
+        lib.mecsched_count_words.argtypes = [
+            i64, _array(np.int64), _array(np.uint64), _array(np.int32), ctypes.c_int, _array(np.uint64), i64,
+            _array(np.int64), _array(np.int64),
+        ]
+        lib.mecsched_count_words.restype = None
     except (OSError, RuntimeError, AttributeError):
         return None
     return lib

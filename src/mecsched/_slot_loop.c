@@ -2,10 +2,14 @@
  * which keeps the run's sums and completions as it goes; and the rank draw
  * of the Monte Carlo estimate's k values.
  *
- * mecsched_draw_tasks and mecsched_draw_ranks draw through numpy's bit
- * generator interface (bitgen_t, declared as in numpy/random/bitgen.h),
- * calling the same next_uint32 and next_double that Generator.integers
- * and Generator.random call, so they follow their stream by construction.
+ * mecsched_draw_tasks and mecsched_draw_ranks step numpy's PCG64 (O'Neill's
+ * XSL-RR 128/64 generator) themselves, from the state numpy's
+ * PCG64.state holds, packed by workload._pcg64_words, and write its end
+ * state back there.  A double is the word's top 53 bits times 2**-53, and a
+ * 32-bit value is the low half of a word, whose high half is kept for the
+ * next one, as numpy's next_double and next_uint32 make them; so the draws
+ * follow Generator.random and Generator.integers bit for bit.  Each word is
+ * ranked in integers (see rank).
  *
  * The slot loop is a transcription of the Python loop in
  * engine._python_slot_loop and of policy.decide; those stay the
@@ -17,54 +21,118 @@
  */
 #include <stdint.h>
 
-typedef struct {
-    void *state;
-    uint64_t (*next_uint64)(void *st);
-    uint32_t (*next_uint32)(void *st);
-    double (*next_double)(void *st);
-    uint64_t (*next_raw)(void *st);
-} bitgen_t;
+typedef unsigned __int128 u128;
 
-/* The number of cdf entries <= u, for u in [0, 1), through the guide
- * table of n_buckets + 1 entries built by catalog.guide_table: one
- * comparison in buckets holding at most one cdf entry, a binary search
- * between the bucket's bounds in wider ones. */
-static inline int64_t rank(double u, const int32_t *guide, int64_t n_buckets, const double *cdf)
+/* PCG64: the state s steps to s * PCG64_MULTIPLIER + inc (mod 2**128),
+ * and the stepped state's output is rotr64(high ^ low, high >> 58).
+ * has_uint32 and uinteger are numpy's buffered high half. */
+#define PCG64_MULTIPLIER (((u128)2549297995355413924ULL << 64) + 4865540595714422341ULL)
+
+typedef struct {
+    u128 state, inc;
+    uint64_t has_uint32, uinteger;
+} pcg64_t;
+
+/* words: the state's high and low word, inc's high and low word,
+ * has_uint32 and uinteger. */
+static pcg64_t pcg64_load(const uint64_t *words)
 {
-    int64_t bucket = (int64_t)(u * (double)n_buckets);
+    pcg64_t rng = {(u128)words[0] << 64 | words[1], (u128)words[2] << 64 | words[3], words[4], words[5]};
+    return rng;
+}
+
+static void pcg64_store(const pcg64_t *rng, uint64_t *words)
+{
+    words[0] = (uint64_t)(rng->state >> 64);
+    words[1] = (uint64_t)rng->state;
+    words[4] = rng->has_uint32;
+    words[5] = rng->uinteger;
+}
+
+static inline uint64_t pcg64_next64(pcg64_t *rng)
+{
+    rng->state = rng->state * PCG64_MULTIPLIER + rng->inc;
+    const uint64_t high = (uint64_t)(rng->state >> 64);
+    const uint64_t x = high ^ (uint64_t)rng->state;
+    const unsigned rot = (unsigned)(high >> 58);
+    return (x >> rot) | (x << ((-rot) & 63));
+}
+
+static inline uint32_t pcg64_next32(pcg64_t *rng)
+{
+    if (rng->has_uint32) {
+        rng->has_uint32 = 0;
+        return (uint32_t)rng->uinteger;
+    }
+    const uint64_t word = pcg64_next64(rng);
+    rng->has_uint32 = 1;
+    rng->uinteger = word >> 32;
+    return (uint32_t)word;
+}
+
+/* The number of cdf entries <= u for the uniform u = (word >> 11) * 2**-53,
+ * through the guide table of B + 1 entries built by catalog.guide_table,
+ * B = 2**(64 - shift): one comparison in buckets holding at most one cdf
+ * entry, a binary search between the bucket's bounds in wider ones.  It
+ * runs in integers: u's bucket floor(u * B) is word >> shift, and
+ * cdf[i] <= u exactly when edge[i] <= word >> 11, edge being
+ * catalog.rank_edges(cdf).  The last edge is 2**53, above every word, so
+ * each lookup stays in bounds. */
+static inline int64_t rank(uint64_t word, const int32_t *guide, int shift, const uint64_t *edge)
+{
+    const uint64_t m = word >> 11;
+    const int64_t bucket = (int64_t)(word >> shift);
     int64_t below = guide[bucket];  /* cdf entries <= u */
     int64_t hi = guide[bucket + 1];  /* and at most this many */
     if (hi - below > 1) {
         while (below < hi) {
             int64_t mid = below + (hi - below) / 2;
-            if (cdf[mid] <= u) below = mid + 1;
+            if (edge[mid] <= m) below = mid + 1;
             else hi = mid;
         }
     } else {
-        below += cdf[below] <= u;
+        below += edge[below] <= m;
     }
     return below;
 }
 
-/* Draws n next_double uniforms and stores each one's rank(u) in out:
- * Generator.random(n) ranked as searchsorted(cdf, u, side="right"). */
-void mecsched_draw_ranks(bitgen_t *rng, int64_t n, const int32_t *guide, int64_t n_buckets,
-                         const double *cdf, int64_t *out)
+/* Ranks one content's word for the task tagged tag; returns 1 if its rank
+ * lies above capacity and the task has not drawn it before, else 0.
+ * stamp holds one zero per content; stamp[rank - 1] is the tag of the last
+ * task that drew rank. */
+static inline int64_t count(uint64_t word, int64_t tag, const int32_t *guide, int shift, const uint64_t *edge,
+                            int64_t capacity, int64_t *stamp)
 {
-    for (int64_t i = 0; i < n; i++) out[i] = rank(rng->next_double(rng->state), guide, n_buckets, cdf);
+    const int64_t below = rank(word, guide, shift, edge);
+    /* Must stay branch-free.  At the defaults (Zipf 0.8, 1000 contents,
+     * cache 50) 42% of draws are cached, so a conditional jump on the
+     * cache test, as gcc 12 -O2 makes of "below >= capacity ? below + 1 :
+     * 0", is a coin flip: 0.9 us per task against 0.3 us without it. */
+    const int64_t fresh = (stamp[below] != tag) & (below >= capacity);
+    stamp[below] = tag;
+    return fresh;
+}
+
+/* Draws n uniforms, Generator.random(n), and stores each one's rank in
+ * out, as searchsorted(cdf, u, side="right") ranks it. */
+void mecsched_draw_ranks(uint64_t *pcg64, int64_t n, const int32_t *guide, int shift, const uint64_t *edge,
+                         int64_t *out)
+{
+    pcg64_t rng = pcg64_load(pcg64);
+    for (int64_t i = 0; i < n; i++) out[i] = rank(pcg64_next64(&rng), guide, shift, edge);
+    pcg64_store(&rng, pcg64);
 }
 
 /* Draws n_tasks tasks in turn.  With draw_k, task i's k is
  * Generator.integers(k_lo, k_lo + span + 1), numpy's 32-bit Lemire
  * rejection (span < 2**32 - 1), and is stored in ks[i]; otherwise k is
- * ks[i].  Its k contents are k next_double uniforms, each ranked through
- * the catalog's guide table, and distinct[i] gets the number of distinct
- * ranks above capacity.  stamp holds one zero per content; stamp[rank - 1]
- * is the tag of the last task that drew rank. */
-void mecsched_draw_tasks(bitgen_t *rng, int64_t n_tasks, int draw_k, int64_t k_lo, uint32_t span,
-                         int64_t *ks, const int32_t *guide, int64_t n_buckets, const double *cdf,
+ * ks[i].  Its k contents are Generator.random(k), and distinct[i] gets the
+ * number of distinct ranks above capacity among them. */
+void mecsched_draw_tasks(uint64_t *pcg64, int64_t n_tasks, int draw_k, int64_t k_lo, uint32_t span,
+                         int64_t *ks, const int32_t *guide, int shift, const uint64_t *edge,
                          int64_t capacity, int64_t *stamp, int64_t *distinct)
 {
+    pcg64_t rng = pcg64_load(pcg64);
     const uint64_t k_range = (uint64_t)span + 1;
     const uint32_t threshold = (UINT32_MAX - span) % k_range;
     for (int64_t i = 0; i < n_tasks; i++) {
@@ -72,25 +140,30 @@ void mecsched_draw_tasks(bitgen_t *rng, int64_t n_tasks, int draw_k, int64_t k_l
         if (draw_k) {
             k = k_lo;
             if (span) {
-                uint64_t m = (uint64_t)rng->next_uint32(rng->state) * k_range;
-                while ((uint32_t)m < threshold) m = (uint64_t)rng->next_uint32(rng->state) * k_range;
+                uint64_t m = (uint64_t)pcg64_next32(&rng) * k_range;
+                while ((uint32_t)m < threshold) m = (uint64_t)pcg64_next32(&rng) * k_range;
                 k += (int64_t)(m >> 32);
             }
             ks[i] = k;
         }
-        const int64_t tag = i + 1;
-        int64_t count = 0;
-        for (int64_t j = 0; j < k; j++) {
-            int64_t below = rank(rng->next_double(rng->state), guide, n_buckets, cdf);
-            /* Must stay branch-free.  At the defaults (Zipf 0.8, 1000
-             * contents, cache 50) 42% of draws are cached, so a
-             * conditional jump on the cache test, as gcc 12 -O2 makes of
-             * "below >= capacity ? below + 1 : 0", is a coin flip: 0.9 us
-             * per task against 0.3 us without it. */
-            count += (stamp[below] != tag) & (below >= capacity);
-            stamp[below] = tag;
-        }
-        distinct[i] = count;
+        int64_t n_distinct = 0;
+        for (int64_t j = 0; j < k; j++)
+            n_distinct += count(pcg64_next64(&rng), i + 1, guide, shift, edge, capacity, stamp);
+        distinct[i] = n_distinct;
+    }
+    pcg64_store(&rng, pcg64);
+}
+
+/* mecsched_draw_tasks for given k values, on the given words in place of
+ * the generator's: task i's contents are the next ks[i] words. */
+void mecsched_count_words(int64_t n_tasks, const int64_t *ks, const uint64_t *words, const int32_t *guide,
+                          int shift, const uint64_t *edge, int64_t capacity, int64_t *stamp, int64_t *distinct)
+{
+    for (int64_t i = 0; i < n_tasks; i++) {
+        int64_t n_distinct = 0;
+        for (int64_t j = 0; j < ks[i]; j++)
+            n_distinct += count(*words++, i + 1, guide, shift, edge, capacity, stamp);
+        distinct[i] = n_distinct;
     }
 }
 

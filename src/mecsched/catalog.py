@@ -11,7 +11,9 @@ Ranks are drawn by inversion: a uniform ``u`` in [0, 1) maps to one plus
 the number of cumulative-popularity entries ``<= u``.  Beside the ``cdf``
 the catalog keeps a guide table (Chen & Asau, 1974, see
 :func:`guide_table`) that answers this in O(1) for almost every ``u`` with
-the very same result as a binary search.
+the very same result as a binary search, and the ``cdf``'s
+:func:`rank_edges`, which let the compiled draw compare numpy's raw
+64-bit words in place of the uniforms made of them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["ContentCatalog", "guide_table", "zipf_popularity"]
+__all__ = ["ContentCatalog", "guide_table", "rank_edges", "zipf_popularity"]
 
 # Popularity vectors must be normalised at least this well.
 POPULARITY_SUM_TOL = 1e-12
@@ -75,6 +77,17 @@ def guide_table(cdf: np.ndarray) -> np.ndarray:
     return np.cumsum(per_bucket, dtype=np.int32)
 
 
+def rank_edges(cdf: np.ndarray) -> np.ndarray:
+    """``ceil(cdf * 2**53)`` as uint64: the integer form of ``cdf``.
+
+    numpy makes each uniform of a 64-bit word ``w`` as ``u = (w >> 11) *
+    2**-53``, so ``cdf[i] <= u`` holds exactly when ``edge[i] <= w >> 11``:
+    scaling by a power of two is exact, and ``w >> 11`` is an integer.  An
+    entry of exactly 1 becomes ``2**53``, above every ``w >> 11``.
+    """
+    return np.ceil(cdf * 2.0**53).astype(np.uint64)
+
+
 @dataclass(frozen=True, eq=False)
 class ContentCatalog:
     """Immutable description of the content universe.
@@ -88,7 +101,8 @@ class ContentCatalog:
 
     Derived fields: ``n_contents`` is the universe size, the length of
     ``popularity``.  ``cdf`` is the cumulative popularity (last entry
-    exactly 1), and ``guide`` is its :func:`guide_table`.
+    exactly 1), ``guide`` is its :func:`guide_table` and ``edge`` its
+    :func:`rank_edges`, the two tables the compiled draw ranks through.
     """
 
     size_bits: float
@@ -96,6 +110,7 @@ class ContentCatalog:
     n_contents: int = field(init=False)
     cdf: np.ndarray = field(init=False, repr=False)
     guide: np.ndarray = field(init=False, repr=False)
+    edge: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.size_bits > 0:
@@ -115,6 +130,7 @@ class ContentCatalog:
         cdf[-1] = 1.0  # every u < 1 then ranks at most n_contents, despite rounding
         object.__setattr__(self, "cdf", cdf)
         object.__setattr__(self, "guide", guide_table(cdf))
+        object.__setattr__(self, "edge", rank_edges(cdf))
 
     @classmethod
     def zipf(cls, n_contents: int, alpha: float, size_bits: float) -> "ContentCatalog":

@@ -15,30 +15,35 @@ sweep does not perturb the content sequence of the sampled tasks.
 The composition stream is defined as, per task, ``k = integers(k_min,
 k_max + 1)`` and then ``random(k)`` for its contents, each ranked
 ``searchsorted(cdf, u, side="right") + 1``.  The compiled kernel
-(``mecsched._kernel.lib``) draws it in C by calling the generator's own
-``next_uint32`` and ``next_double``, the functions those two calls make,
-so it follows any numpy bit generator and leaves it as those calls would.
-It ranks through the catalog's guide table, which gives the binary
-search's rank for every uniform.  While the kernel is ``None`` the
-stream's definition runs, one task at a time: about 20 us per task
-against about 0.3 us in C.
+(``mecsched._kernel.lib``) draws it in C for a generator whose bit
+generator is numpy's ``PCG64``, as every generator the package makes is:
+it reads the generator's state from ``PCG64.state``, steps PCG64 itself,
+makes each double and 32-bit value as numpy's ``next_double`` and
+``next_uint32`` do, and writes the end state back, so it leaves the
+generator as those calls would.  It ranks each raw 64-bit word in integers
+through the catalog's guide table and rank edges, which give the binary
+search's rank for every uniform.  Any other bit generator, and every
+generator while the kernel is ``None``, takes the stream's definition,
+one task at a time: about 20 us per task against about 0.3 us in C.
 
 The Monte Carlo estimate (:mod:`mecsched.analysis`) takes its ``k``
 values from :func:`draw_ranks`: ``random(n)``, each uniform ranked as
-``searchsorted(cdf, u, side="right")``, which the kernel answers through a
-guide table built for that cdf.  With ``cdf = cumsum(p) / cdf[-1]`` this
-is the stream ``Generator.choice(a, p=p)`` makes, but it is defined here,
-so it does not depend on ``choice``'s internals.
+``searchsorted(cdf, u, side="right")``, which the kernel answers, for a
+``PCG64`` generator, through a guide table and rank edges built for that
+cdf.  With ``cdf = cumsum(p) / cdf[-1]`` this is the stream
+``Generator.choice(a, p=p)`` makes, but it is defined here, so it does
+not depend on ``choice``'s internals.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernel
-from .catalog import ContentCatalog, guide_table
+from .catalog import ContentCatalog, guide_table, rank_edges
 
 __all__ = [
     "WorkloadConfig",
@@ -52,6 +57,7 @@ __all__ = [
 # k_max - k_min from which numpy's integers() leaves the 32-bit Lemire
 # draw the kernel makes.
 K_SPAN_LIMIT = 2**32 - 1
+_WORD_MASK = 2**64 - 1
 
 
 @dataclass(frozen=True)
@@ -118,17 +124,51 @@ def draw_ranks(rng: np.random.Generator, cdf: np.ndarray, n: int) -> np.ndarray:
     entries of ``cdf`` (non-decreasing, last entry exactly 1) ``<= u``.
 
     The result, and the state ``rng`` is left in, are exactly those of
-    ``np.searchsorted(cdf, rng.random(n), side="right")``.
+    ``np.searchsorted(cdf, rng.random(n), side="right")``; the kernel
+    draws them for a ``PCG64`` generator, and any other one takes that
+    definition.
     """
-    lib = _kernel.lib
+    lib = _compiled(rng)
     if lib is None:
         return np.searchsorted(cdf, rng.random(n), side="right")
     guide = guide_table(cdf)
     ranks = np.empty(n, dtype=np.int64)
-    bitgen = rng.bit_generator
-    with bitgen.lock:
-        lib.mecsched_draw_ranks(bitgen.ctypes.bit_generator, n, guide, guide.size - 1, cdf, ranks)
+    with _pcg64_words(rng.bit_generator) as words:
+        lib.mecsched_draw_ranks(words, n, guide, _bucket_shift(guide), rank_edges(cdf), ranks)
     return ranks
+
+
+def _compiled(rng):
+    """The kernel when it can draw ``rng``'s stream (its bit generator is
+    numpy's ``PCG64``), else None."""
+    lib = _kernel.lib
+    return lib if lib is not None and type(rng.bit_generator) is np.random.PCG64 else None
+
+
+def _bucket_shift(guide: np.ndarray) -> int:
+    """64 - log2 of the guide table's bucket count: a word's bucket is the
+    word shifted right by this much."""
+    return 65 - (guide.size - 1).bit_length()
+
+
+@contextmanager
+def _pcg64_words(bitgen: np.random.PCG64):
+    """Yields the generator's state as the kernel's six uint64 words (the
+    state's high and low word, inc's high and low word, has_uint32 and
+    uinteger), and stores the state the kernel leaves in them.  The lock is
+    held throughout: ctypes releases the GIL, and the lock keeps other
+    threads off the stream."""
+    with bitgen.lock:
+        state = bitgen.state
+        s, inc = state["state"]["state"], state["state"]["inc"]
+        words = np.array(
+            [s >> 64, s & _WORD_MASK, inc >> 64, inc & _WORD_MASK, state["has_uint32"], state["uinteger"]],
+            dtype=np.uint64,
+        )
+        yield words
+        state["state"]["state"] = int(words[0]) << 64 | int(words[1])
+        state["has_uint32"], state["uinteger"] = int(words[4]), int(words[5])
+        bitgen.state = state
 
 
 def _draw(rng, catalog: ContentCatalog, capacity: int, ks: np.ndarray, cfg) -> np.ndarray:
@@ -137,7 +177,7 @@ def _draw(rng, catalog: ContentCatalog, capacity: int, ks: np.ndarray, cfg) -> n
     if not 0 <= capacity <= catalog.n_contents:
         raise ValueError(f"cache capacity must lie in 0..{catalog.n_contents}, got {capacity}")
     distinct = np.empty(ks.size, dtype=np.int64)
-    lib = _kernel.lib
+    lib = _compiled(rng)
     if lib is None:
         for i in range(ks.size):
             if cfg is not None:
@@ -147,11 +187,9 @@ def _draw(rng, catalog: ContentCatalog, capacity: int, ks: np.ndarray, cfg) -> n
         return distinct
     k_min, span = (0, 0) if cfg is None else (cfg.k_min, cfg.k_max - cfg.k_min)
     stamp = np.zeros(catalog.n_contents, dtype=np.int64)
-    bitgen = rng.bit_generator
-    # ctypes releases the GIL; the lock keeps other threads off the stream.
-    with bitgen.lock:
+    with _pcg64_words(rng.bit_generator) as words:
         lib.mecsched_draw_tasks(
-            bitgen.ctypes.bit_generator, ks.size, cfg is not None, k_min, span, ks,
-            catalog.guide, catalog.guide.size - 1, catalog.cdf, capacity, stamp, distinct,
+            words, ks.size, cfg is not None, k_min, span, ks, catalog.guide, _bucket_shift(catalog.guide),
+            catalog.edge, capacity, stamp, distinct,
         )
     return distinct

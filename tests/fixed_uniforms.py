@@ -1,58 +1,55 @@
 """Generators whose next values are known.
 
-``FixedUniforms(u)`` hands the doubles ``u``, in order, to either content
-draw: to the Python one through ``random(k)``, and to the compiled one
-through a ``bitgen_t`` (numpy/random/bitgen.h) whose ``next_double`` reads
-the same array.  It serves no integers, so it suits
-:func:`mecsched.workload.draw_contents`, whose ``k`` values are given; its
-integer entry points are null.  ``pcg64_with_next(word, half)`` is a PCG64
-generator whose next 32-bit values are chosen, for the ``k`` draw.
+numpy's ``PCG64`` makes each uniform of a 64-bit word ``w`` as ``(w >> 11)
+* 2**-53``, and the compiled draw ranks the words themselves.
+:func:`count_words` therefore feeds chosen words to either content draw:
+to the compiled one through the kernel's ``mecsched_count_words``, which
+shares the draw's count, and to the Python one as the uniforms
+``FixedWords(words).random(k)`` makes of them.  :func:`distinct_uncached`
+builds the words from the content ranks wanted.  ``pcg64_with_next(word,
+half)`` is a PCG64 generator whose next 32-bit and 64-bit values are
+chosen.
 """
 
 from __future__ import annotations
 
-import ctypes
-import threading
-from types import SimpleNamespace
-
 import numpy as np
 
-from mecsched.workload import draw_contents
-
-_NEXT_UINT64 = ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p)
-_NEXT_UINT32 = ctypes.CFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)
-_NEXT_DOUBLE = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
+from mecsched import _kernel
+from mecsched.workload import _bucket_shift, draw_contents
 
 
-class _BitGen(ctypes.Structure):
-    _fields_ = [
-        ("state", ctypes.c_void_p),
-        ("next_uint64", _NEXT_UINT64),
-        ("next_uint32", _NEXT_UINT32),
-        ("next_double", _NEXT_DOUBLE),
-        ("next_raw", _NEXT_UINT64),
-    ]
+class FixedWords:
+    """Serves the uniforms of ``words`` in order; ``used`` counts them."""
 
-
-class FixedUniforms:
-    """Serves ``u`` in order; ``used`` counts the uniforms handed out."""
-
-    def __init__(self, u) -> None:
-        self.u = np.asarray(u, dtype=np.float64)
+    def __init__(self, words) -> None:
+        self.words = np.asarray(words, dtype=np.uint64)
         self.used = 0
-        # The callback must live as long as the struct that points to it.
-        self._next_double = _NEXT_DOUBLE(lambda _state: self.random(1)[0])
-        self._bitgen = _BitGen(None, _NEXT_UINT64(), _NEXT_UINT32(), self._next_double, _NEXT_UINT64())
-        pointer = ctypes.cast(ctypes.pointer(self._bitgen), ctypes.c_void_p)
-        self.bit_generator = SimpleNamespace(
-            lock=threading.Lock(), ctypes=SimpleNamespace(bit_generator=pointer)
-        )
 
     def random(self, k: int) -> np.ndarray:
-        out = self.u[self.used:self.used + k]
-        assert out.size == k, "ran out of fixed uniforms"
+        out = self.words[self.used:self.used + k]
+        assert out.size == k, "ran out of fixed words"
         self.used += k
-        return out
+        return (out >> np.uint64(11)) * 2.0**-53
+
+
+def count_words(catalog, capacity, ks, words) -> list[int]:
+    """Per task, the distinct count above rank ``capacity`` the content
+    draw makes of the words ``words``, task ``i`` taking the next
+    ``ks[i]``: in the kernel while it is loaded, else in Python."""
+    ks = np.asarray(ks, dtype=np.int64)
+    words = np.asarray(words, dtype=np.uint64)
+    assert words.size == ks.sum()
+    lib = _kernel.lib
+    if lib is None:
+        return draw_contents(FixedWords(words), catalog, ks, capacity).tolist()
+    stamp = np.zeros(catalog.n_contents, dtype=np.int64)
+    distinct = np.empty(ks.size, dtype=np.int64)
+    guide = catalog.guide
+    lib.mecsched_count_words(
+        ks.size, ks, words, guide, _bucket_shift(guide), catalog.edge, capacity, stamp, distinct,
+    )
+    return distinct.tolist()
 
 
 # PCG64's LCG multiplier: a state s steps to s * multiplier + inc, and the
@@ -62,7 +59,9 @@ _PCG64_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
 
 def pcg64_with_next(word: int, half: int) -> np.random.Generator:
     """A PCG64 generator whose next 32-bit values are ``half``, then the
-    low and the high half of ``word``, then its ordinary stream."""
+    low and the high half of ``word``, then its ordinary stream; its next
+    64-bit word, the one ``random()`` makes its next double of, is
+    ``word``."""
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     # The state that steps to high 0 (no rotation) and low ``word``.
@@ -72,15 +71,10 @@ def pcg64_with_next(word: int, half: int) -> np.random.Generator:
     return rng
 
 
-def _lower_edges(catalog, ranks) -> np.ndarray:
-    """For each rank, the smallest uniform the inversion maps to it."""
-    return np.concatenate(([0.0], catalog.cdf[:-1]))[np.asarray(ranks, dtype=np.int64) - 1]
-
-
 def distinct_uncached(catalog, capacity, tasks) -> list[int]:
     """Per task, given as its list of content ranks, the distinct count
     above rank ``capacity`` the content draw makes of it."""
-    rng = FixedUniforms(_lower_edges(catalog, [rank for task in tasks for rank in task]))
-    counts = draw_contents(rng, catalog, [len(task) for task in tasks], capacity)
-    assert rng.used == rng.u.size
-    return counts.tolist()
+    ranks = np.array([rank for task in tasks for rank in task], dtype=np.int64)
+    # Rank r's first word: the draw maps it, and no smaller word, to r.
+    first_word = np.concatenate((np.zeros(1, dtype=np.uint64), catalog.edge[:-1])) << np.uint64(11)
+    return count_words(catalog, capacity, [len(task) for task in tasks], first_word[ranks - 1])

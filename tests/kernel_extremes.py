@@ -58,10 +58,12 @@ def compare_at_the_extremes(sanitized) -> None:
     """Assert that the kernel ``sanitized`` and the Python paths agree at the
     extremes: a one-content catalog, a cache of the whole catalog, wide guide
     buckets, k spans 0 and K_SPAN_LIMIT - 1, rank draws from a one-entry
-    cdf, from a steep one and of no values, and runs with tasks that never
-    end (2**62 slots), of one slot, with warm-up from the first or the last
-    slot, with and without a series, and with two tasks ending in one slot
-    and every task ending."""
+    cdf, from a steep one and of no values, first words 0, 2**64 - 1 and a
+    rank edge's first word in every draw, with a 32-bit half buffered at
+    the start (the generator's end state included), and runs with tasks
+    that never end (2**62 slots), of one slot, with warm-up from the first
+    or the last slot, with and without a series, and with two tasks ending
+    in one slot and every task ending."""
 
     def both(fn) -> list:
         results = []
@@ -85,6 +87,25 @@ def compare_at_the_extremes(sanitized) -> None:
     compiled, python = both(lambda: sample_tasks(pcg64_with_next(1 << 32 | 2, 0), steep, widest, 2, 0))
     assert compiled[0].tolist() == python[0].tolist() == [2, 1]
     assert compiled[1].tolist() == python[1].tolist()
+
+    def with_state(draw, word) -> tuple[list, dict]:
+        rng = pcg64_with_next(word, 7)
+        drawn = draw(rng)
+        return [a.tolist() for a in (drawn if isinstance(drawn, tuple) else (drawn,))], rng.bit_generator.state
+
+    # The lowest and the highest word (uniform, bucket and rank) and the
+    # first word of the steep catalog's first rank edge, through the
+    # one-entry cdf (bucket shift 62) and the steep one.  Span 0 leaves the
+    # buffered half for the next call, span 63 draws its k from it.
+    for word in (0, 2**64 - 1, int(steep.edge[0]) << 11):
+        for catalog in (one, steep):
+            for cfg in (WorkloadConfig(0.4, 3, 3), WorkloadConfig(0.4, 3, 66)):
+                compiled, python = both(lambda: with_state(lambda rng: sample_tasks(rng, catalog, cfg, 40, 0), word))
+                assert compiled == python
+            compiled, python = both(lambda: with_state(lambda rng: draw_contents(rng, catalog, [2, 0, 5], 1), word))
+            assert compiled == python
+            compiled, python = both(lambda: with_state(lambda rng: draw_ranks(rng, catalog.cdf, 50), word))
+            assert compiled == python
 
     def ranks_and_next(cdf, n) -> tuple[list, float]:
         rng = np.random.default_rng(2)

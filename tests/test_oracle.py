@@ -136,12 +136,13 @@ def test_engine_matches_oracle_at_reference_point(fields) -> None:
 @pytest.mark.parametrize(
     "fields",
     [
-        # Tasks held back by the weight at each chunk edge.
+        # Light load, yet the weight holds tasks back: up to about 200 wait
+        # for most of the run.
         {"arrival_prob": 0.1, "v_param": 1e-6},
-        # Overloaded: the queue grows across each chunk edge.
+        # Overloaded: the queue grows for the whole run, to over 600.
         {"policy": "mec_only", "arrival_prob": 0.4},
     ],
 )
-def test_queue_pass_matches_oracle_across_chunk_edges(fields) -> None:
+def test_engine_matches_oracle_over_a_long_horizon(fields) -> None:
     config = ExperimentConfig(**fields).validate()
     _both(*build_system(config), horizon=8195, seed=4)

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mecsched import _kernel
+from mecsched import _kernel, engine
 from mecsched.catalog import ContentCatalog
 from mecsched.analysis import estimate_slot_means
 from mecsched.config import ExperimentConfig, build_system
 from mecsched.dynamics import SystemParams
 from mecsched.engine import draw_tasks
-from mecsched.workload import K_SPAN_LIMIT, WorkloadConfig, draw_contents, sample_tasks, task_streams
-from fixed_uniforms import FixedUniforms, distinct_uncached, pcg64_with_next
+from mecsched.workload import K_SPAN_LIMIT, WorkloadConfig, draw_contents, draw_ranks, sample_tasks, task_streams
+from fixed_uniforms import count_words, distinct_uncached, pcg64_with_next
 
 
 @pytest.fixture(scope="module")
@@ -224,8 +224,9 @@ def test_k_draw_rejects_values_in_a_row(catalog: ContentCatalog) -> None:
 
 
 def test_sample_tasks_follow_any_bit_generator(catalog: ContentCatalog) -> None:
-    # The draw calls the generator's own functions, so generators that
-    # build their doubles and 32-bit values differently are followed too.
+    # The kernel steps PCG64 only; generators that build their doubles and
+    # 32-bit values differently take the Python reference path, loaded
+    # kernel or not, and are followed too.
     cfg = _cfg(k_min=1, k_max=30)
     for bit_generator in (np.random.MT19937, np.random.Philox, np.random.SFC64):
         for lib in _paths():
@@ -235,6 +236,42 @@ def test_sample_tasks_follow_any_bit_generator(catalog: ContentCatalog) -> None:
             assert (ks.tolist(), distinct.tolist()) == _one_task_at_a_time(reference, catalog, cfg, 300, 50)
             assert fast.integers(0, 1000, 3).tolist() == reference.integers(0, 1000, 3).tolist()
             assert fast.random() == reference.random()
+
+
+class _NoReferenceDraw(np.random.Generator):
+    """A generator whose ``random`` and ``integers`` raise: the draw's
+    Python reference path calls them, the compiled one does not."""
+
+    def random(self, *args, **kwargs):
+        raise AssertionError("the draw took the Python reference path")
+
+    integers = random
+
+
+@pytest.mark.skipif(_kernel.lib is None, reason="the kernel is not loaded")
+def test_package_generators_take_the_compiled_draw(catalog: ContentCatalog, monkeypatch) -> None:
+    # The kernel draws only a PCG64 stream.  Should the package's
+    # generators ever stop being PCG64, every draw would fall back to the
+    # Python reference, 20 us per task against 0.3, with the same results;
+    # only the benchmark would show it.  Here the reference path raises.
+    default_rng = np.random.default_rng
+
+    def guarded_streams(seed):
+        arrival_rng, composition_rng = task_streams(seed)
+        return arrival_rng, _NoReferenceDraw(composition_rng.bit_generator)
+
+    monkeypatch.setattr(engine, "task_streams", guarded_streams)
+    draw_tasks(catalog, 50, _cfg(), 2000, seed=1)
+    params = SystemParams(slot_seconds=0.1, cycles_per_bit=10, f_local_hz=1e9, f_mec_hz=1e10, rate_bps=1e8)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _NoReferenceDraw(default_rng(seed).bit_generator))
+    estimate_slot_means(catalog, 50, params, range(40, 61), samples=200)
+    guarded = np.random.default_rng(2)
+    sample_tasks(guarded, catalog, _cfg(), 20, 50)
+    draw_contents(guarded, catalog, [3, 0, 5], 50)
+    draw_ranks(guarded, catalog.cdf, 10)
+    # Any other bit generator takes the reference path, and is caught.
+    with pytest.raises(AssertionError, match="reference path"):
+        sample_tasks(_NoReferenceDraw(np.random.MT19937(2)), catalog, _cfg(), 1, 50)
 
 
 def test_draw_contents_equal_per_task_random_calls(catalog: ContentCatalog) -> None:
@@ -298,28 +335,28 @@ def test_distinct_uncached_counts_by_hand(catalog: ContentCatalog) -> None:
     "n, alpha", [(1, 0.0), (2, 0.0), (37, 1.3), (1000, 0.8), (1000, 5.0), (1000, 50.0), (5000, 1.2)]
 )
 def test_content_ranks_equal_binary_search(n: int, alpha: float) -> None:
-    # The guide-table lookup must give the inverse-CDF rank for every
-    # uniform on or next to a cdf entry or a bucket edge.  A one-content
-    # task counts 1 exactly when its rank lies above the cache, so the
-    # capacities r - 1 (count 1) and r (count 0) pin a rank r.
+    # The integer lookup must give the inverse-CDF rank of the uniform
+    # (w >> 11) * 2**-53 for every word w on or next to a rank edge or a
+    # guide bucket's edge: the last word below each edge and the edge's
+    # first word, each bucket's first word and the word before it, and the
+    # first and the last word.  A one-content task counts 1 exactly when
+    # its rank lies above the cache, so the capacities r - 1 (count 1) and
+    # r (count 0) pin a rank r.
     cat = ContentCatalog.zipf(n, alpha, 1.0)
-    buckets = cat.guide.size - 1
-    cdf = cat.cdf
-    u = np.concatenate([
-        cdf,
-        np.nextafter(cdf, 0.0),
-        np.nextafter(cdf, 2.0),
-        np.arange(buckets) / buckets,
-        [0.0, np.nextafter(1.0, 0.0)],
-    ])
-    u = np.sort(u[u < 1.0])
-    expected = _ranks(cat, u)
-    # The uniforms of rank r are u[first[r - 1]:first[r]].
+    shift = 65 - (cat.guide.size - 1).bit_length()
+    edge_words = [int(edge) << 11 for edge in cat.edge if edge < 2**53]
+    bucket_words = [j << shift for j in range(1, cat.guide.size - 1)]
+    words = {0, 2**64 - 1}
+    for first in edge_words + bucket_words:
+        words.update((first - 1, first))
+    words = np.array(sorted(words), dtype=np.uint64)
+    expected = _ranks(cat, (words >> np.uint64(11)) * 2.0**-53)
+    # The words of rank r are words[first[r - 1]:first[r]].
     first = np.searchsorted(expected, np.arange(1, n + 2))
     for capacity in range(n + 1):
         near = slice(first[max(capacity - 1, 0)], first[min(capacity + 1, n)])
-        counts = draw_contents(FixedUniforms(u[near]), cat, np.ones(near.stop - near.start), capacity)
-        assert counts.tolist() == (expected[near] > capacity).tolist()
+        counts = count_words(cat, capacity, np.ones(near.stop - near.start), words[near])
+        assert counts == (expected[near] > capacity).tolist()
 
 
 @st.composite
