@@ -3,11 +3,11 @@
  * of the Monte Carlo estimate's k values.
  *
  * mecsched_draw_tasks and mecsched_draw_ranks step numpy's PCG64 (O'Neill's
- * XSL-RR 128/64 generator) themselves, from the state numpy's
- * PCG64.state holds, packed by workload._pcg64_words, and write its end
- * state back there.  A double is the word's top 53 bits times 2**-53, and a
- * 32-bit value is the low half of a word, whose high half is kept for the
- * next one, as numpy's next_double and next_uint32 make them; so the draws
+ * XSL-RR 128/64 generator) themselves, on the PCG64.state that
+ * workload._pcg64_words packs into six words and stores back after the
+ * call.  A uniform is the word's top 53 bits times 2**-53, and a 32-bit
+ * value is the low half of a word, whose high half is kept for the next
+ * one, as numpy's next_double and next_uint32 make them; so the draws
  * follow Generator.random and Generator.integers bit for bit.  Each word is
  * ranked in integers (see rank).
  *
