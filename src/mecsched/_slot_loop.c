@@ -24,10 +24,10 @@
 typedef unsigned __int128 u128;
 
 /* PCG64: the state s steps to s * PCG64_MULTIPLIER + inc (mod 2**128),
- * and the stepped state's output is rotr64(high ^ low, high >> 58).
- * has_uint32 and uinteger are numpy's buffered high half. */
+ * and the stepped state's output is rotr64(high ^ low, high >> 58). */
 #define PCG64_MULTIPLIER (((u128)2549297995355413924ULL << 64) + 4865540595714422341ULL)
 
+/* has_uint32 and uinteger are numpy's buffered high half. */
 typedef struct {
     u128 state, inc;
     uint64_t has_uint32, uinteger;
