@@ -1,9 +1,11 @@
 """Build and load the compiled kernel (``_slot_loop.c``) on first use.
 
 The kernel holds the task and rank draws (:mod:`mecsched.workload`),
-which step numpy's PCG64 themselves from the state the caller passes, and
-the slot loop (:mod:`mecsched.engine`); ``mecsched_count_words`` runs the
-task draw's count on given 64-bit words, for tests.  :func:`load` compiles the C
+which step numpy's PCG64 themselves from the state the caller passes, the
+slot loop (:mod:`mecsched.engine`) and the Monte Carlo estimate's slot
+counts (:mod:`mecsched.analysis`), both of which compute each task's
+busy-slot count where they use it; ``mecsched_count_words`` runs the task
+draw's count on given 64-bit words, for tests.  :func:`load` compiles the C
 source with the system C compiler into a per-user cache (``$XDG_CACHE_HOME/mecsched``, else ``~/.cache/mecsched``)
 and loads it through :mod:`ctypes`.  The library's file name is the
 SHA-256 of the source, the compiler flags and the compiler's identity
@@ -68,7 +70,7 @@ def load() -> Optional[ctypes.CDLL]:
         # The series is a raw pointer: NULL when no series is kept.
         lib.mecsched_slot_loop.argtypes = [
             ctypes.c_int, f64, i64, i64, _array(np.int64), _array(np.float64), _array(np.float64),
-            _array(np.int64), _array(np.int64), _array(np.int64), _array(np.int64), ctypes.c_void_p,
+            f64, f64, f64, f64, _array(np.int64), _array(np.int64), ctypes.c_void_p,
             _array(np.int64), _array(np.float64),
         ]
         lib.mecsched_slot_loop.restype = None
@@ -87,6 +89,11 @@ def load() -> Optional[ctypes.CDLL]:
             _array(np.int64), _array(np.int64),
         ]
         lib.mecsched_count_words.restype = None
+        lib.mecsched_estimate_slots.argtypes = [
+            _array(np.uint64), i64, _array(np.int64), _array(np.int32), ctypes.c_int, _array(np.uint64), i64,
+            _array(np.int64), f64, f64, f64, f64, f64, _array(np.float64), _array(np.float64),
+        ]
+        lib.mecsched_estimate_slots.restype = None
     except (OSError, RuntimeError, AttributeError):
         return None
     return lib

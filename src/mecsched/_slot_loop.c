@@ -1,6 +1,6 @@
 /* The engine's two hot paths, compiled: the task draw and the slot loop,
- * which keeps the run's sums and completions as it goes; and the rank draw
- * of the Monte Carlo estimate's k values.
+ * which keeps the run's sums and completions as it goes; and the Monte
+ * Carlo estimate's two draws, of its k values and of its slot counts.
  *
  * mecsched_draw_tasks and mecsched_draw_ranks step numpy's PCG64 (O'Neill's
  * XSL-RR 128/64 generator) themselves, on the PCG64.state that
@@ -10,6 +10,10 @@
  * one, as numpy's next_double and next_uint32 make them; so the draws
  * follow Generator.random and Generator.integers bit for bit.  Each word is
  * ranked in integers (see rank).
+ *
+ * A task's busy-slot count in either mode is busy_slots, the formula of
+ * dynamics._busy_slots with its operations in the same order; the slot
+ * loop computes it when a task starts, the estimate for every sample.
  *
  * The slot loop is a transcription of the Python loop in
  * engine._python_slot_loop and of policy.decide; those stay the
@@ -113,6 +117,29 @@ static inline int64_t count(uint64_t word, int64_t tag, const int32_t *guide, in
     return fresh;
 }
 
+/* Whole slots a processor of f_dt cycles per slot and a link of rate_dt
+ * bits per slot take on a task of total bits that ships shipped of them:
+ * ceil(total * cycles_per_bit / f_dt + shipped / rate_dt), at least 1 and
+ * at most 2**62, as dynamics._busy_slots takes it with numpy's ceil,
+ * maximum and fmin.  A duration that is NaN (0/0 once a divisor underflows
+ * to 0) stays NaN through the max, as in np.maximum, and the cap then
+ * takes it, as np.fmin does.  No libm call: the library is not linked
+ * against it, so ceil is made here. */
+static inline int64_t busy_slots(double total, double shipped, double cycles_per_bit, double f_dt, double rate_dt)
+{
+    double s = total * cycles_per_bit / f_dt + shipped / rate_dt;
+    /* ceil: every double from 2**52 up is whole, and below it the
+     * truncation is exact.  s is never negative; the lower bound only keeps
+     * the cast defined. */
+    if (s > -0x1p52 && s < 0x1p52) {
+        const double whole = (double)(int64_t)s;
+        s = whole < s ? whole + 1.0 : whole;
+    }
+    if (s < 1.0) s = 1.0;
+    if (!(s <= 0x1p62)) s = 0x1p62;
+    return (int64_t)s;
+}
+
 /* Draws n uniforms, Generator.random(n), and stores each one's rank in
  * out, as searchsorted(cdf, u, side="right") ranks it. */
 void mecsched_draw_ranks(uint64_t *pcg64, int64_t n, const int32_t *guide, int shift, const uint64_t *edge,
@@ -167,6 +194,29 @@ void mecsched_count_words(int64_t n_tasks, const int64_t *ks, const uint64_t *wo
     }
 }
 
+/* The Monte Carlo estimate's slot counts, on the stream of
+ * mecsched_draw_tasks for given k values: task i's contents are the next
+ * ks[i] words, and with its bits size_bits * distinct (a local run) and
+ * size_bits * ks[i] (an offload), local_counts[i] and mec_counts[i] get
+ * busy_slots of each, as dynamics.task_bits, slots_local and slots_mec
+ * give them. */
+void mecsched_estimate_slots(uint64_t *pcg64, int64_t n_tasks, const int64_t *ks, const int32_t *guide, int shift,
+                             const uint64_t *edge, int64_t capacity, int64_t *stamp, double size_bits,
+                             double cycles_per_bit, double f_local_dt, double f_mec_dt, double rate_dt,
+                             double *local_counts, double *mec_counts)
+{
+    pcg64_t rng = pcg64_load(pcg64);
+    for (int64_t i = 0; i < n_tasks; i++) {
+        int64_t n_distinct = 0;
+        for (int64_t j = 0; j < ks[i]; j++)
+            n_distinct += count(pcg64_next64(&rng), i + 1, guide, shift, edge, capacity, stamp);
+        const double local_bits = size_bits * (double)n_distinct, mec_bits = size_bits * (double)ks[i];
+        local_counts[i] = (double)busy_slots(mec_bits, local_bits, cycles_per_bit, f_local_dt, rate_dt);
+        mec_counts[i] = (double)busy_slots(mec_bits, mec_bits, cycles_per_bit, f_mec_dt, rate_dt);
+    }
+    pcg64_store(&rng, pcg64);
+}
+
 enum { LYAPUNOV, MEC_ONLY, LOCAL_ONLY };
 enum { LF = 1, LS = 2, MF = 4, MS = 8 };
 enum { IDLE = 0, FIRST_LOCAL = LF, FIRST_MEC = MF, SPLIT_LOCAL_MEC = LF | MS, SPLIT_MEC_LOCAL = LS | MF };
@@ -204,9 +254,12 @@ int mecsched_decide(int kind, double v, int64_t busy_local, int64_t busy_mec, in
  * arrival[arrived] is the next task's arrival slot and stays in bounds.
  * Each processor keeps the done slot of the task it serves (-1 before its
  * first) and that task's arrival slot; it is busy in slot t while
- * done >= t.  A task finishing in slot t writes its delay t - a + 1 and
- * its arrival slot a at delays[completions] and delay_arrival[completions],
- * the local processor's before the server's.  When series is not NULL,
+ * done >= t.  A task started in slot t on the device is done in slot
+ * t + n - 1, n being busy_slots of its bits with f_local_dt, and on the
+ * server likewise with f_mec_dt; the divisors are the processor speeds and
+ * the rate times the slot length.  A task finishing in slot t writes its
+ * delay t - a + 1 and its arrival slot a at delays[completions] and
+ * delay_arrival[completions], the local processor's before the server's.  When series is not NULL,
  * series[t] gets the queue before slot t.
  *
  * counts gets (head, arrived, completions, done_local, done_mec,
@@ -217,7 +270,7 @@ int mecsched_decide(int kind, double v, int64_t busy_local, int64_t busy_mec, in
  * are exact. */
 void mecsched_slot_loop(int kind, double v, int64_t horizon, int64_t warmup_slots,
                         const int64_t *arrival, const double *local_bits, const double *mec_bits,
-                        const int64_t *n_local, const int64_t *n_mec,
+                        double cycles_per_bit, double f_local_dt, double f_mec_dt, double rate_dt,
                         int64_t *delays, int64_t *delay_arrival, int64_t *series,
                         int64_t *counts, double *bits)
 {
@@ -240,13 +293,13 @@ void mecsched_slot_loop(int kind, double v, int64_t horizon, int64_t warmup_slot
                             q_len > 1 ? local_bits[head + 1] : 0.0, q_len > 1 ? mec_bits[head + 1] : 0.0);
         if (action & (LF | LS)) {
             int64_t task = head + ((action & LS) != 0);
-            done_local = t + n_local[task] - 1;
+            done_local = t + busy_slots(mec_bits[task], local_bits[task], cycles_per_bit, f_local_dt, rate_dt) - 1;
             from_local = arrival[task];
             tx_bits += local_bits[task];
         }
         if (action & (MF | MS)) {
             int64_t task = head + ((action & MS) != 0);
-            done_mec = t + n_mec[task] - 1;
+            done_mec = t + busy_slots(mec_bits[task], mec_bits[task], cycles_per_bit, f_mec_dt, rate_dt) - 1;
             from_mec = arrival[task];
             tx_bits += mec_bits[task];
         }

@@ -4,7 +4,8 @@ This module carries the quantities the simulator is checked against:
 
 - exact expected uplink bits per task for both execution modes under
   i.i.d. content draws,
-- seeded Monte Carlo estimates of the mean busy-slot counts,
+- seeded Monte Carlo estimates of the mean busy-slot counts, which the
+  compiled kernel counts in one call when it is loaded,
 - the minimum achievable long-run data average and its feasibility
   regime as a function of the arrival rate,
 - the additive optimality-gap bound of the drift-plus-penalty rule.
@@ -19,8 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .catalog import ContentCatalog
-from .dynamics import SystemParams, slots_local, slots_mec, task_bits
-from .workload import draw_contents, draw_ranks
+from .dynamics import SystemParams, busy_slot_terms, slots_local, slots_mec, task_bits
+from .workload import _bucket_shift, _check_capacity, _compiled, _pcg64_words, draw_contents, draw_ranks
 
 __all__ = [
     "uniform_k_dist",
@@ -36,10 +37,10 @@ __all__ = [
     "optimality_gap_bound",
 ]
 
-# Tasks sampled and counted per step of the Monte Carlo estimate.  Each
-# step pays fixed costs (numpy dispatch, the slot counts' error-state
-# switch), and its temporaries span the step, so a single step would raise
-# the peak memory.  The stream is the same for any step size.
+# Tasks sampled and counted per step of the Monte Carlo estimate's Python
+# path.  Each step pays fixed costs (numpy dispatch, the slot counts'
+# error-state switch), and its temporaries span the step, so a single step
+# would raise the peak memory.  The stream is the same for any step size.
 _STEP_TASKS = 4096
 # Entries of the (uncached contents x k) power table that
 # expected_local_bits builds at a time: 2 MB of float64, however large the
@@ -174,9 +175,19 @@ def estimate_slot_means(
     ``searchsorted(cdf, u, side="right")``, which picks the ``k`` values
     in order (see :func:`~mecsched.workload.draw_ranks`); then each task's
     contents are the next ``k`` uniforms.
+
+    With the compiled kernel, one call draws every task's contents and
+    writes its two slot counts (``mecsched_estimate_slots``, the
+    formula of :mod:`mecsched.dynamics` in C); without it, the tasks are
+    drawn and counted in steps of ``_STEP_TASKS`` through
+    :func:`~mecsched.workload.draw_contents` and the ``dynamics``
+    functions, the reference.  Both give the same counts.  The standard
+    errors are taken in the count arrays' own memory, so the estimate
+    holds 24 bytes per sample: the ``k`` values and the two counts.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples for a standard error, got {samples}")
+    _check_capacity(catalog, capacity)
     cdf = np.cumsum(np.full(len(ks), _check_ks(ks)))
     cdf /= cdf[-1]
     rng = np.random.default_rng(seed)
@@ -187,19 +198,39 @@ def estimate_slot_means(
     drawn_ks += ks.start
     local_counts = np.empty(samples, dtype=np.float64)
     mec_counts = np.empty(samples, dtype=np.float64)
-    for first in range(0, samples, _STEP_TASKS):
-        chunk = drawn_ks[first:first + _STEP_TASKS]
-        distinct = draw_contents(rng, catalog, chunk, capacity)
-        local_bits, mec_bits = task_bits(catalog, chunk, distinct)
-        local_counts[first:first + chunk.size] = slots_local(mec_bits, local_bits, params)
-        mec_counts[first:first + chunk.size] = slots_mec(mec_bits, params)
+    lib = _compiled(rng)
+    if lib is None:
+        for first in range(0, samples, _STEP_TASKS):
+            chunk = drawn_ks[first:first + _STEP_TASKS]
+            distinct = draw_contents(rng, catalog, chunk, capacity)
+            local_bits, mec_bits = task_bits(catalog, chunk, distinct)
+            local_counts[first:first + chunk.size] = slots_local(mec_bits, local_bits, params)
+            mec_counts[first:first + chunk.size] = slots_mec(mec_bits, params)
+    else:
+        stamp = np.zeros(catalog.n_contents, dtype=np.int64)
+        with _pcg64_words(rng.bit_generator) as words:
+            lib.mecsched_estimate_slots(
+                words, samples, drawn_ks, catalog.guide, _bucket_shift(catalog.guide), catalog.edge, capacity,
+                stamp, float(catalog.size_bits), *busy_slot_terms(params), local_counts, mec_counts,
+            )
+    local_mean, mec_mean = float(local_counts.mean()), float(mec_counts.mean())
     return SlotMeanEstimate(
-        local_mean=float(local_counts.mean()),
-        mec_mean=float(mec_counts.mean()),
-        local_se=float(local_counts.std(ddof=1) / math.sqrt(samples)),
-        mec_se=float(mec_counts.std(ddof=1) / math.sqrt(samples)),
+        local_mean=local_mean,
+        mec_mean=mec_mean,
+        local_se=_standard_error(local_counts, local_mean),
+        mec_se=_standard_error(mec_counts, mec_mean),
         samples=samples,
     )
+
+
+def _standard_error(counts: np.ndarray, mean: float) -> float:
+    """``counts.std(ddof=1) / sqrt(counts.size)``, bit for bit, computed in
+    ``counts``'s own memory: numpy's ``std`` subtracts the mean, squares,
+    sums with ``add.reduce``, divides by ``n - 1`` and takes the root, in
+    a temporary as long as ``counts``."""
+    counts -= mean
+    counts *= counts
+    return math.sqrt(float(np.add.reduce(counts)) / (counts.size - 1)) / math.sqrt(counts.size)
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,7 @@ __all__ = [
     "cmd_sweep",
     "cmd_frontier",
     "cmd_analyze",
+    "LOCAL_BITS_ENTRY_LIMIT",
     "rows_to_csv",
     "main",
 ]
@@ -344,15 +345,29 @@ def cmd_frontier(
     return rows
 
 
+# The largest (uncached contents x k span) table expected_local_bits is
+# asked to sum.  Its time grows with the product, at 10-13 ns per entry on
+# a 2-vCPU x86-64 VM: about 1-1.3 s at this bound.
+LOCAL_BITS_ENTRY_LIMIT = 10**8
+
+
 def cmd_analyze(config: ExperimentConfig, samples: int = 20000) -> tuple[list[dict], list[str]]:
     """Closed-form expectations, slot-count estimates, regime and bounds.
 
     Returns CSV rows (one per control weight) and human-readable lines.
+    An input whose exact local bits would sum more than
+    :data:`LOCAL_BITS_ENTRY_LIMIT` entries is refused before any work.
     """
     if samples < 2:
         raise ConfigError(f"--samples: need at least 2 sampled tasks for a standard error, got {samples}")
     if not config.arrival_prob > 0:
         raise ConfigError("analyze: lambda must be positive; a zero arrival rate has no feasibility regime")
+    entries = (config.n_contents - config.cache_m) * (config.k_max - config.k_min + 1)
+    if entries > LOCAL_BITS_ENTRY_LIMIT:
+        raise ConfigError(
+            f"analyze: the exact local bits would sum {entries:,} entries (uncached contents x k span), "
+            f"above the bound LOCAL_BITS_ENTRY_LIMIT = {LOCAL_BITS_ENTRY_LIMIT:,}"
+        )
     catalog, capacity, params, _, _ = build_system(config)
     k_dist = uniform_k_dist(config.k_min, config.k_max)
     mec_mean = expected_mec_bits(config.tau_bits, k_dist)

@@ -13,12 +13,19 @@ where ``D`` is the full task size in bits, ``D_missing`` the distinct
 uncached bits, ``w`` cycles per bit, ``f`` the processor speed in Hz,
 ``rate`` the radio rate in bit/s and ``dt`` the slot length in seconds.
 
-These are the four numbers a task contributes to a run; the functions
-here compute them for a whole task table at once.  The engine's slot loop
-uses them as follows: a task started in slot ``t`` with count ``n``
-completes at the end of slot ``t + n - 1``, and its processor stays busy
-for the ``n - 1`` slots after ``t``, so a one-slot task never shows up as
-busy at all.
+These are the four numbers a task contributes to a run.  The functions
+here compute them for whole arrays of tasks, and they are the reference.
+The compiled kernel (``_slot_loop.c``) applies the same busy-slot formula,
+with the same operations in the same order, where it uses a count: the
+slot loop when a task starts and the Monte Carlo estimate for each sample,
+so neither builds a per-task count array.  It takes the formula's factor
+and divisors from :func:`busy_slot_terms`.  The Python paths (no kernel)
+call :func:`slots_local` and :func:`slots_mec`.
+
+The engine's slot loop uses a count as follows: a task started in slot
+``t`` with count ``n`` completes at the end of slot ``t + n - 1``, and its
+processor stays busy for the ``n - 1`` slots after ``t``, so a one-slot
+task never shows up as busy at all.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import numpy as np
 
 from .catalog import ContentCatalog
 
-__all__ = ["SystemParams", "task_bits", "slots_local", "slots_mec"]
+__all__ = ["SystemParams", "task_bits", "slots_local", "slots_mec", "busy_slot_terms"]
 
 # Busy-slot cap: beyond every horizon (those are below 2**53), and a start
 # slot plus the count stays inside int64.
@@ -74,11 +81,21 @@ def slots_mec(total_bits, params: SystemParams) -> np.ndarray:
     return _busy_slots(total_bits, total_bits, params.f_mec_hz, params)
 
 
+def busy_slot_terms(params: SystemParams) -> tuple[float, float, float, float]:
+    """``(cycles_per_bit, f_local_hz * dt, f_mec_hz * dt, rate_bps * dt)``:
+    the busy-slot formula's factor and its three divisors, the products
+    rounded as :func:`slots_local` and :func:`slots_mec` round them.  The
+    compiled kernel takes these four numbers and applies the formula
+    itself."""
+    dt = params.slot_seconds
+    return params.cycles_per_bit, params.f_local_hz * dt, params.f_mec_hz * dt, params.rate_bps * dt
+
+
 def _busy_slots(total_bits, shipped_bits, f_hz: float, params: SystemParams) -> np.ndarray:
-    # A division that overflows, or is undefined as 0/0 once a product of
-    # tiny rates underflows, is a duration past every horizon: the cap
-    # defines the result, so numpy need not warn.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # A division that overflows, by a divisor that underflowed to 0, or is
+    # undefined as 0/0 is a duration past every horizon: the cap defines
+    # the result, so numpy need not warn.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         compute = np.asarray(total_bits) * params.cycles_per_bit / (f_hz * params.slot_seconds)
         ship = np.asarray(shipped_bits) / (params.rate_bps * params.slot_seconds)
     # A duration that underflows to zero still occupies its start slot.  One

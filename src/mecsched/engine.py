@@ -13,8 +13,11 @@ share one table.  Its arrays are read-only, so no run can alter what
 another run sees.
 
 The loop stage (:func:`run_simulation`) takes a table and the run's own
-parameters, turns the bits into busy-slot counts and simulates the
-table's horizon slot by slot, in one pass.  The FIFO queue is then just
+parameters and simulates the table's horizon slot by slot, in one pass.
+The compiled loop computes a task's busy-slot count on the processor it
+starts on from its bits when it starts (the formula of
+:mod:`mecsched.dynamics`), so it keeps no count per task.  The FIFO queue
+is then just
 ``table[head:arrived]`` and the whole system state is four integers:
 ``head`` (tasks started so far), ``arrived`` (tasks arrived so far) and
 each processor's done slot, the last slot of the task it serves; a
@@ -36,19 +39,25 @@ The same pass keeps every metric of the run, in registers:
 - the queue sum, the counts and the bits as they stood before slot
   ``warmup_slots``, from which the ``*_after_warmup`` fields follow.
 
-A run therefore holds per-task arrays only, about 80 bytes per task
-(table included), and nothing per slot unless the series is asked for.
+A run therefore holds per-task arrays only, and nothing per slot unless
+the series is asked for: the table's 24 bytes per task (arrival slot and
+two bit counts), and a compiled run's own 24, a copy of the arrival
+slots and each completion's delay and arrival slot.
 
 The loop exists twice.  :func:`_python_slot_loop` is the reference: it
-calls :func:`mecsched.policy.decide` once per slot.  ``_slot_loop.c``
+calls :func:`mecsched.policy.decide` once per slot, and it takes every
+task's counts from :func:`~mecsched.dynamics.slots_local` and
+:func:`~mecsched.dynamics.slots_mec` before the first slot (16 more bytes
+per task).  ``_slot_loop.c``
 holds the same loop and the same rule in C, beside the task draw;
 :mod:`mecsched._kernel` compiles it with the system C compiler on first
 use into a per-user cache and loads it once, as ``_kernel.lib``, which
 each run reads.  When no compiler is found or the build fails,
 ``_kernel.lib`` is ``None`` and the Python loop runs.  Both give
 identical runs: the C rule makes the same floating-point comparisons as
-``decide``, bit for bit, and every partial bit sum is an integer below
-2**53, so the bits are exact in either.
+``decide`` and the C count the same operations as ``dynamics``, bit for
+bit, and every partial bit sum is an integer below 2**53, so the bits are
+exact in either.
 
 Two bookkeeping details worth knowing:
 
@@ -79,7 +88,7 @@ import numpy as np
 
 from . import _kernel
 from .catalog import ContentCatalog
-from .dynamics import SystemParams, slots_local, slots_mec, task_bits
+from .dynamics import SystemParams, busy_slot_terms, slots_local, slots_mec, task_bits
 from .errors import ConfigError, ContractViolation, MetricUndefined
 from .policy import PolicySpec, decide
 from .workload import WorkloadConfig, sample_tasks, task_streams
@@ -220,8 +229,6 @@ def run_simulation(
     n_tasks = arrival_slot.size
     warmup_slots = int(warmup_frac * horizon)
 
-    n_local = slots_local(tasks.mec_bits, tasks.local_bits, params)
-    n_mec = slots_mec(tasks.mec_bits, params)
     # The task behind the tail "arrives" in slot horizon, which no loop reaches.
     arrival = np.append(arrival_slot, horizon)
     delays = np.empty(n_tasks, dtype=np.int64)
@@ -233,7 +240,7 @@ def run_simulation(
         head, arrived, completions, done_local, done_mec, queue_sum, drift_violations,
         warm_queue_sum, warm_arrived, warm_head, tx_bits, warm_tx_bits,
     ) = slot_loop(
-        policy, horizon, warmup_slots, arrival, tasks.local_bits, tasks.mec_bits, n_local, n_mec,
+        policy, horizon, warmup_slots, arrival, tasks.local_bits, tasks.mec_bits, params,
         delays, delay_arrival, series,
     )
 
@@ -273,8 +280,7 @@ def _python_slot_loop(
     arrival: np.ndarray,
     local_bits: np.ndarray,
     mec_bits: np.ndarray,
-    n_local: np.ndarray,
-    n_mec: np.ndarray,
+    params: SystemParams,
     delays: np.ndarray,
     delay_arrival: np.ndarray,
     series: Optional[np.ndarray],
@@ -282,7 +288,11 @@ def _python_slot_loop(
     """The slot loop in Python, the reference the compiled loop follows.
 
     Runs slots ``0..horizon-1``.  ``arrival`` holds the tasks' arrival
-    slots followed by ``horizon``.  Each completed task's delay and arrival
+    slots followed by ``horizon``.  Each task's busy-slot counts come from
+    :func:`~mecsched.dynamics.slots_local` and
+    :func:`~mecsched.dynamics.slots_mec`, for all tasks before the first
+    slot; the compiled loop computes each one when its task starts.  Each
+    completed task's delay and arrival
     slot go into ``delays`` and ``delay_arrival``, in completion order, and
     the queue before each slot into ``series`` unless it is ``None``.
     Returns ``(head, arrived, completions, done_local, done_mec, queue_sum,
@@ -294,7 +304,8 @@ def _python_slot_loop(
     # stand in for the bits of tasks behind the tail.
     local_view = memoryview(np.append(local_bits, (0.0, 0.0)))
     mec_view = memoryview(np.append(mec_bits, (0.0, 0.0)))
-    n_local_view, n_mec_view = memoryview(n_local), memoryview(n_mec)
+    n_local_view = memoryview(slots_local(mec_bits, local_bits, params))
+    n_mec_view = memoryview(slots_mec(mec_bits, params))
     arrival_view = memoryview(arrival)
     delay_view, delay_arrival_view = memoryview(delays), memoryview(delay_arrival)
     series_view = None if series is None else memoryview(series)
@@ -353,8 +364,7 @@ def _c_slot_loop(
     arrival: np.ndarray,
     local_bits: np.ndarray,
     mec_bits: np.ndarray,
-    n_local: np.ndarray,
-    n_mec: np.ndarray,
+    params: SystemParams,
     delays: np.ndarray,
     delay_arrival: np.ndarray,
     series: Optional[np.ndarray],
@@ -364,7 +374,7 @@ def _c_slot_loop(
     bits = np.empty(2, dtype=np.float64)
     _kernel.lib.mecsched_slot_loop(
         _kernel.KIND_CODES[policy.kind], policy.v_param, horizon, warmup_slots, arrival,
-        local_bits, mec_bits, n_local, n_mec, delays, delay_arrival,
+        local_bits, mec_bits, *busy_slot_terms(params), delays, delay_arrival,
         None if series is None else series.ctypes.data, counts, bits,
     )
     return (*counts.tolist(), *bits.tolist())

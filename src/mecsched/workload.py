@@ -171,11 +171,17 @@ def _pcg64_words(bitgen: np.random.PCG64):
         bitgen.state = state
 
 
+def _check_capacity(catalog: ContentCatalog, capacity: int) -> None:
+    """Refuse a cache capacity outside ``0..catalog.n_contents``, the
+    numbers of top-ranked contents a cache can hold."""
+    if not 0 <= capacity <= catalog.n_contents:
+        raise ValueError(f"cache capacity must lie in 0..{catalog.n_contents}, got {capacity}")
+
+
 def _draw(rng, catalog: ContentCatalog, capacity: int, ks: np.ndarray, cfg) -> np.ndarray:
     """Draw each task's ``k`` (into ``ks``, unless ``cfg`` is None) and its
     contents; returns the distinct uncached counts."""
-    if not 0 <= capacity <= catalog.n_contents:
-        raise ValueError(f"cache capacity must lie in 0..{catalog.n_contents}, got {capacity}")
+    _check_capacity(catalog, capacity)
     distinct = np.empty(ks.size, dtype=np.int64)
     lib = _compiled(rng)
     if lib is None:

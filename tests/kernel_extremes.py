@@ -9,6 +9,7 @@ from unittest import mock
 import numpy as np
 
 from mecsched import _kernel
+from mecsched.analysis import estimate_slot_means
 from mecsched.catalog import ContentCatalog
 from mecsched.config import ExperimentConfig, build_system
 from mecsched.dynamics import SystemParams
@@ -30,6 +31,24 @@ TIE_LOCAL_BITS = (2, 1, 2, 4, 5, 1)
 TIE_MEC_BITS = (2, 3, 2, 5, 5, 1)
 TIE_PARAMS = SystemParams(slot_seconds=1.0, cycles_per_bit=1.0, f_local_hz=1e300, f_mec_hz=1e300, rate_bps=1.0)
 TIE_POLICY = PolicySpec("lyapunov", 0.0)
+
+
+# Parameters at the busy-slot formula's extremes:
+# - the rate times the slot length underflows to 0, so a fetch divides by 0
+#   and a fully cached task's 0 bits make 0/0 (the cap takes both);
+# - the device's speed times the slot length underflows to 0 (x/0 on every
+#   local task), while the server finishes every task in one slot;
+# - cycles per bit so large that every compute product overflows;
+# - durations so short that every count rounds up to 1;
+# - a compute duration that underflows to 0, which a fully cached task
+#   adds nothing to: a count of 0, raised to 1.
+EXTREME_PARAMS = (
+    SystemParams(slot_seconds=1e-170, cycles_per_bit=1.0, f_local_hz=1e300, f_mec_hz=1e300, rate_bps=1e-170),
+    SystemParams(slot_seconds=1e-170, cycles_per_bit=1.0, f_local_hz=1e-170, f_mec_hz=1e300, rate_bps=1e300),
+    SystemParams(slot_seconds=0.2, cycles_per_bit=1e300, f_local_hz=1e9, f_mec_hz=1e10, rate_bps=5e8),
+    SystemParams(slot_seconds=1.0, cycles_per_bit=1.0, f_local_hz=1e300, f_mec_hz=1e300, rate_bps=1e300),
+    SystemParams(slot_seconds=1.0, cycles_per_bit=1e-300, f_local_hz=1e300, f_mec_hz=1e300, rate_bps=1e300),
+)
 
 
 def tie_table(horizon: int) -> TaskTable:
@@ -63,7 +82,8 @@ def compare_at_the_extremes(sanitized) -> None:
     the start (the generator's end state included), and runs with tasks
     that never end (2**62 slots), of one slot, with warm-up from the first
     or the last slot, with and without a series, and with two tasks ending
-    in one slot and every task ending."""
+    in one slot and every task ending; and busy-slot counts, in runs and in
+    the Monte Carlo estimate, at the formula's extremes (EXTREME_PARAMS)."""
 
     def both(fn) -> list:
         results = []
@@ -135,3 +155,21 @@ def compare_at_the_extremes(sanitized) -> None:
                 runs(table, params, spec)
     for horizon in (9, 12):
         runs(tie_table(horizon), TIE_PARAMS, TIE_POLICY)
+
+    # The busy-slot formula at its extremes, in the slot loop and in the
+    # estimate, on tasks with and without contents to fetch (the steep
+    # catalog caches about 99.6% of draws at capacity 10, and all at 50).
+    workload_cfg = WorkloadConfig(0.4, 3, 66)
+    tables = {}
+    with mock.patch.object(_kernel, "lib", sanitized):
+        for capacity in (0, 10, 50):
+            tables[capacity] = draw_tasks(steep, capacity, workload_cfg, 500, seed=4)
+    for params in EXTREME_PARAMS:
+        for capacity, table in tables.items():
+            compiled, python = both(lambda: estimate_slot_means(steep, capacity, params, range(3, 67), 300, seed=4))
+            assert compiled == python, (params, capacity)
+            for policy in POLICY_KINDS:
+                compiled, python = both(lambda: run_simulation(
+                    table, params, PolicySpec(policy, 1e-9), collect_series=True,
+                ))
+                assert_same_metrics(compiled, python)

@@ -20,8 +20,8 @@ from mecsched.analysis import (
     uniform_k_dist,
 )
 from mecsched.catalog import ContentCatalog
-from mecsched.dynamics import SystemParams
-from mecsched.workload import draw_ranks
+from mecsched.dynamics import SystemParams, slots_local, slots_mec, task_bits
+from mecsched.workload import draw_contents, draw_ranks
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +178,49 @@ def test_slot_mean_estimate_same_on_both_paths(catalog, params) -> None:
         with mock.patch.object(_kernel, "lib", lib):
             estimates.append(estimate_slot_means(catalog, 50, params, range(3, 67), samples=3000, seed=5))
     assert estimates[0] == estimates[-1]
+
+
+def test_slot_mean_standard_errors_are_numpys_std(catalog, params) -> None:
+    # The standard errors equal std(ddof=1) / sqrt(samples) bit for bit, on
+    # counts drawn as the estimate defines them: spread ones, all equal
+    # ones, and ones that mix single slots with the 2**62 cap.
+    ks = range(3, 67)
+    slow = SystemParams(slot_seconds=0.2, cycles_per_bit=1.0, f_local_hz=1e9, f_mec_hz=1e10, rate_bps=1e-12)
+    for capacity, point in ((50, params), (0, params), (1000, slow), (990, slow)):
+        rng = np.random.default_rng(7)
+        cdf = np.cumsum(np.full(len(ks), 1.0 / len(ks)))
+        cdf /= cdf[-1]
+        drawn = draw_ranks(rng, cdf, 3001) + ks.start
+        with mock.patch.object(_kernel, "lib", None):
+            local_bits, mec_bits = task_bits(catalog, drawn, draw_contents(rng, catalog, drawn, capacity))
+        expected = [
+            float(counts.std(ddof=1) / math.sqrt(counts.size))
+            for counts in (slots_local(mec_bits, local_bits, point).astype(np.float64),
+                           slots_mec(mec_bits, point).astype(np.float64))
+        ]
+        for lib in dict.fromkeys((_kernel.lib, None)):
+            with mock.patch.object(_kernel, "lib", lib):
+                est = estimate_slot_means(catalog, capacity, point, ks, samples=3001, seed=7)
+            assert [est.local_se, est.mec_se] == expected, (capacity, lib)
+
+
+@pytest.mark.parametrize("loop", ["c", "python"])
+def test_slot_mean_estimate_holds_24_bytes_per_sample(catalog, params, loop) -> None:
+    # The k values and the two count arrays; the standard errors take no
+    # samples-long temporary.
+    if loop == "c" and _kernel.lib is None:
+        pytest.skip("no C compiler: the compiled estimate is not built")
+    lib = _kernel.lib if loop == "c" else None
+    peaks = []
+    with mock.patch.object(_kernel, "lib", lib):
+        for samples in (20_000, 40_000):
+            tracemalloc.start()
+            try:
+                estimate_slot_means(catalog, 50, params, range(40, 61), samples=samples, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 24 * 20_000 + 32_768
 
 
 def test_slot_means_near_simulated_defaults(catalog, params) -> None:

@@ -1,13 +1,16 @@
 """Smoke tests of ``tools/bench_layers.py``: one small point, the estimate
-point and the cold commands, end to end."""
+point and the cold commands, end to end, and the pairing of two checkouts'
+cold commands."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
 import runpy
+import subprocess
 from pathlib import Path
 
+from mecsched import _kernel
 from mecsched.config import ExperimentConfig, build_system
 from mecsched.engine import draw_tasks
 
@@ -67,22 +70,58 @@ def test_measure_commands_times_the_benchmark_commands_cold(monkeypatch) -> None
     monkeypatch.setattr(tool, "COMMAND_RUNS", 2)
     root = _TOOL.parent.parent
     workloads = runpy.run_path(str(root / "perfbench" / "workloads.py"))
-    times = iter((0.2, 0.4, 0.1, 0.2))
+    times = iter((0.2, 0.4, 0.1, 0.2, 0.4, 0.4))
     reference = {"time_reference": lambda: next(times), "REFERENCE_S": 0.1}
     commands = tool.measure_commands(root, workloads, reference)
 
-    assert list(commands) == ["simulate_mixed", "sweep_overload"]
+    assert list(commands) == ["simulate_mixed", "sweep_overload", "analyze_mc"]
     digests = json.loads((root / "perfbench" / "digests.json").read_text())
     for name, entry in commands.items():
         assert set(entry) == {
             "command_ms", "command_ms_range", "import_numpy_random_ms", "import_numpy_random_ms_range",
-            "runs", "csv_sha256", "reference_s", "host_speed",
+            "runs", "csv_sha256", "slot_loop", "reference_s", "host_speed",
         }
         assert entry["runs"] == 2
-        # The benchmark's command at its default seed: its stored CSV digest.
+        # The benchmark's command at its default seed (analyze_mc with its
+        # samples): its stored CSV digest.
         assert entry["csv_sha256"] == [digests[name]]
+        assert entry["slot_loop"] == ["python" if _kernel.lib is None else "c"]
         for key in ("command_ms", "import_numpy_random_ms"):
             low, high = entry[f"{key}_range"]
             assert 0 < low <= entry[key] <= high
     assert commands["simulate_mixed"]["reference_s"] == [0.2, 0.4]
     assert commands["sweep_overload"]["host_speed"] == [0.5, 1.0]
+    assert commands["analyze_mc"]["host_speed"] == [0.25, 0.25]
+
+
+def test_against_alternates_the_two_checkouts_in_pairs(monkeypatch, tmp_path) -> None:
+    # Stand-in children: each records its command and checkout and reports
+    # 20 ms on "mine" and 40 ms on "theirs", so every pair's ratio is 0.5.
+    tool = _load_tool()
+    monkeypatch.setattr(tool, "COMMAND_RUNS", 3)
+    mine, theirs = tmp_path / "mine", tmp_path / "theirs"
+    started = []
+
+    def child(argv, **kwargs):
+        src, command = argv[4], argv[5]
+        started.append((command, Path(src).parent.name))
+        report = {
+            "import_numpy_random_s": 0.01, "command_s": 0.02 if Path(src).parent == mine else 0.04,
+            "csv_sha256": "same", "slot_loop": "c",
+        }
+        return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(report) + "\n", stderr="")
+
+    monkeypatch.setattr(tool.subprocess, "run", child)
+    workloads = runpy.run_path(str(_TOOL.parent.parent / "perfbench" / "workloads.py"))
+    reference = {"time_reference": lambda: 0.1, "REFERENCE_S": 0.1}
+    commands = tool.measure_commands(mine, workloads, reference, against=theirs)
+
+    turns = ["mine", "theirs", "theirs", "mine", "mine", "theirs"]
+    assert started == [(workloads["WORKLOADS"][name].command, turn) for name in tool.COMMANDS for turn in turns]
+    for entry in commands.values():
+        assert entry["ratios"] == [0.5, 0.5, 0.5]
+        assert (entry["ratio_median"], entry["pairs_won"], entry["runs"]) == (0.5, 3, 3)
+        assert (entry["command_ms"], entry["against"]["command_ms"]) == (20.0, 40.0)
+        assert entry["against"]["runs"] == 3
+        assert entry["csv_sha256"] == entry["against"]["csv_sha256"] == ["same"]
+        assert entry["host_speed"] == [1.0, 1.0]

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from mecsched import cli
+from mecsched import _kernel, cli
 from mecsched.catalog import ContentCatalog
 from mecsched.cli import (
     FRONTIER_COLUMNS,
@@ -588,6 +588,34 @@ def test_unfinishable_tasks_leave_stderr_to_the_summary(argv, summary, capsys) -
     assert capsys.readouterr().err.startswith(summary)
 
 
+# Rate and slot length of 1e-200: the rate times the slot length underflows
+# to 0, so each fetch divides by 0, and a fully cached task's 0 bits make
+# 0/0.  Both give durations past every horizon.
+_UNDERFLOWING = ["--seeds", "0", "--set", "rate_bps=1e-200", "--set", "slot_seconds=1e-200"]
+
+
+@pytest.mark.parametrize("loop", ["c", "python"])
+@pytest.mark.parametrize(
+    "argv, summary",
+    [
+        (["simulate", "--set", "horizon_slots=200"], "simulate: 1 runs at policy=lyapunov\n"),
+        (["analyze", "--samples", "100"], "arrival rate 0.4, cache 50 contents\n"),
+    ],
+    ids=["simulate", "analyze"],
+)
+def test_underflowing_divisors_are_capped_without_warnings(loop, argv, summary, monkeypatch, capsys) -> None:
+    if loop == "c" and _kernel.lib is None:
+        pytest.skip("no C compiler: the compiled kernel is not built")
+    if loop == "python":
+        monkeypatch.setattr(_kernel, "lib", None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, *_UNDERFLOWING, "--out", os.devnull]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith(summary)
+    assert "Warning" not in err
+
+
 def test_main_config_error_exit_code(capsys) -> None:
     code = main(["simulate", "--set", "lambda=bogus"])
     assert code == 1
@@ -680,7 +708,7 @@ calls += [
 frontier = ["frontier", "--seeds", "0", "--set", "horizon_slots=200", "--max-iter", "3", "--target-delay-s", "1"]
 flags = ["--target-delay-s", "--tolerance-s", "--f-values", "--m-values", "--r-bracket", "--max-iter"]
 calls += [[*frontier, f"{flag}={value}"] for flag in flags for value in values]
-calls += [[*commands[1], "--set", f"k_max={value}"] for value in ("1e8", "4000000000")]
+calls += [[*commands[1], "--set", f"k_max={value}"] for value in ("1e6", "1e7", "1e8", "4000000000")]
 results = []
 for argv in calls:
     err = io.StringIO()
@@ -700,7 +728,8 @@ def test_every_key_survives_edge_values_in_a_capped_child() -> None:
     # each frontier flag takes them too.  Every call exits 0 or 1, never
     # runs out of memory, and a refusal is one error line (argparse's usage
     # message for a number flag it cannot parse spans two).  A k span the
-    # workload accepts but no analysis fits in memory fails fast, in one line.
+    # workload accepts but whose exact local bits would take more than about
+    # a second, or no memory could hold, fails fast, in one line.
     values = ["0", "-1", "0.5", "1e300", "-1e300", "nan", "inf", "-inf", "x", ""]
     src = Path(cli.__file__).resolve().parent.parent
     threads = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -711,7 +740,7 @@ def test_every_key_survives_edge_values_in_a_capped_child() -> None:
     )
     assert child.returncode == 0, child.stderr
     results = json.loads(child.stdout)
-    sweeps, frontiers, analyses = len(SWEEP_AXES), 6, 2
+    sweeps, frontiers, analyses = len(SWEEP_AXES), 6, 4
     assert len(results) == (2 * len(KEY_VALUES) + 1 + sweeps + frontiers) * len(values) + analyses
     argparse_flags = ("--warmup-frac=", "--target-delay-s=", "--tolerance-s=", "--max-iter=")
     for argv, code, err in results:

@@ -161,6 +161,26 @@ def test_run_without_series_allocates_nothing_per_slot() -> None:
     assert peaks[1] - peaks[0] <= 2 * 50_000 + 128 * (n_tasks[1] - n_tasks[0])
 
 
+def test_compiled_run_allocates_24_bytes_per_task() -> None:
+    # Given its table, a compiled run without a series allocates the arrival
+    # copy and the two delay arrays, 24 bytes per task; the busy-slot counts
+    # are computed when each task starts, with no per-task array.
+    if _kernel.lib is None:
+        pytest.skip("no C compiler: the compiled slot loop is not built")
+    (catalog, capacity, params, workload_cfg, policy), _ = _system(arrival_prob=0.5)
+    peaks, n_tasks = [], []
+    for horizon in (50_000, 150_000):
+        table = draw_tasks(catalog, capacity, workload_cfg, horizon, seed=0)
+        tracemalloc.start()
+        try:
+            run_simulation(table, params, policy)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        n_tasks.append(table.arrival_slot.size)
+    assert peaks[1] - peaks[0] <= 24 * (n_tasks[1] - n_tasks[0]) + 4096
+
+
 def test_table_keeps_nothing_per_slot() -> None:
     # 400,000 more slots bring about 400 more tasks: what the draw keeps
     # and what it peaks at grow by those tasks' arrays alone.  One byte per

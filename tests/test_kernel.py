@@ -52,6 +52,21 @@ def test_kernel_is_built_when_a_compiler_exists() -> None:
 
 
 @needs_cc
+def test_kernel_calls_no_math_library_function() -> None:
+    # The library is not linked against libm, so a ceil or fmin left to it
+    # would be a call through the PLT inside the slot loop, resolved from
+    # whatever the process loaded.  The kernel makes its own.  Runtime
+    # helpers a toolchain may add (names starting "__") are not counted.
+    nm = shutil.which("nm")
+    if _kernel.lib is None or nm is None:
+        pytest.skip("no kernel loaded, or no nm to list its symbols")
+    listing = subprocess.run([nm, "-D", "--undefined-only", _kernel.lib._name], capture_output=True, text=True)
+    assert listing.returncode == 0, listing.stderr
+    undefined = [fields[-1] for fields in map(str.split, listing.stdout.splitlines()) if fields[0] == "U"]
+    assert [name for name in undefined if not name.startswith("__")] == []
+
+
+@needs_cc
 def test_second_load_reuses_the_cached_library(cache, monkeypatch) -> None:
     assert _kernel.load() is not None
     (built,) = cache.glob("slot_loop-*.so")

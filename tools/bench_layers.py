@@ -2,12 +2,19 @@
 
 Usage (from the repository root)::
 
-    python3 tools/bench_layers.py [--repo DIR] [--out FILE]
+    python3 tools/bench_layers.py [--repo DIR] [--out FILE] [--against OTHER]
 
 Measures the ``mecsched`` package under ``DIR/src`` (default: the checkout
 holding this script) and appends one entry to ``FILE`` (default
 ``BENCH_layers.json`` next to this script's ``tools/`` directory), so one
 results file can collect entries measured on several checkouts.
+
+With ``--against OTHER`` (another checkout, say the parent commit's), the
+entry holds the cold commands alone, paired: each of the ``COMMAND_RUNS``
+pairs runs one child on ``DIR`` and one on ``OTHER``, alternating which
+goes first, so a host whose speed drifts slows both sides of a pair
+alike.  Each command records both sides' figures, the per-pair ratios
+(``DIR`` over ``OTHER``) and how many pairs ``DIR`` won.
 
 At each point, for every seed, it times
 
@@ -24,13 +31,14 @@ per sample.
 
 The entry's ``commands`` time whole commands cold, each in
 ``COMMAND_RUNS`` fresh ``python -I`` children: the benchmark workloads
-named in ``COMMANDS``, with the config fields and seeds that
-``perfbench/workloads.py`` (loaded read-only) gives its default seed.  A
-child builds the config, then times ``import numpy.random`` and, after
-it, the command and its CSV rendering, as ``perfbench/child.py`` does
-in one window.  The import is reported apart, since no change to the
-package can shrink it.  Each command records the medians and ranges of
-both times, its CSV's SHA-256 and the host's speed around its children.
+named in ``COMMANDS``, with the config fields, seeds and Monte Carlo
+samples that ``perfbench/workloads.py`` (loaded read-only) gives its
+default seed.  A child builds the config, then times ``import
+numpy.random`` and, after it, the command and its CSV rendering, as
+``perfbench/child.py`` does in one window.  The import is reported apart,
+since no change to the package can shrink it.  Each command records the
+medians and ranges of both times, its CSV's SHA-256, the slot loop its
+children ran and the host's speed around its children.
 
 The entry's environment records which slot loop (and, where the kernel
 holds it, which task draw) the runs used: ``"slot_loop": "c"`` when the
@@ -87,10 +95,11 @@ POINTS = (
 )
 
 # Benchmark workloads timed as whole commands, each in COMMAND_RUNS fresh
-# children.
-COMMANDS = ("simulate_mixed", "sweep_overload")
+# children (or pairs of children, with --against).
+COMMANDS = ("simulate_mixed", "sweep_overload", "analyze_mc")
 COMMAND_RUNS = 12
-# One cold command: argv is (src, command, config fields as JSON).
+# One cold command: argv is (src, command, config fields as JSON, samples);
+# analyze takes the samples and returns its rows with its summary lines.
 _COMMAND_CHILD = """
 import hashlib, json, sys, time
 sys.path.insert(0, sys.argv[1])
@@ -102,12 +111,18 @@ columns = getattr(cli, sys.argv[2].upper() + "_COLUMNS")
 start = time.perf_counter()
 import numpy.random
 imported = time.perf_counter()
-csv_text = cli.rows_to_csv(command(cfg), columns)
+if sys.argv[2] == "analyze":
+    rows, _ = command(cfg, samples=int(sys.argv[4]))
+else:
+    rows = command(cfg)
+csv_text = cli.rows_to_csv(rows, columns)
 done = time.perf_counter()
+kernel = sys.modules.get("mecsched._kernel")
 print(json.dumps({
     "import_numpy_random_s": imported - start,
     "command_s": done - imported,
     "csv_sha256": hashlib.sha256(csv_text.encode()).hexdigest(),
+    "slot_loop": "python" if getattr(kernel, "lib", None) is None else "c",
 }))
 """
 
@@ -171,32 +186,61 @@ def measure_estimate(reference: dict) -> dict:
     }
 
 
-def measure_commands(repo: Path, workloads: dict, reference: dict) -> dict:
+def measure_commands(repo: Path, workloads: dict, reference: dict, against: Path | None = None) -> dict:
     """Cold wall times of the ``COMMANDS`` workloads, from ``workloads``
-    (the namespace of ``perfbench/workloads.py``)."""
+    (the namespace of ``perfbench/workloads.py``), on ``repo``; with
+    ``against``, in pairs of children on ``repo`` and on ``against``."""
     env = {**os.environ, **{name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}}
     out = {}
     for name in COMMANDS:
         workload = workloads["WORKLOADS"][name]
-        fields = workloads["config_fields"](workload, workloads["DEFAULT_SEED"])
-        argv = [sys.executable, "-I", "-c", _COMMAND_CHILD, str(repo / "src"), workload.command, json.dumps(fields)]
-        reference_s = [reference["time_reference"]()]
-        runs = []
-        for _ in range(COMMAND_RUNS):
+        fields = json.dumps(workloads["config_fields"](workload, workloads["DEFAULT_SEED"]))
+
+        def run(root: Path) -> dict:
+            argv = [
+                sys.executable, "-I", "-c", _COMMAND_CHILD, str(root / "src"), workload.command, fields,
+                str(workload.samples),
+            ]
             child = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
-            runs.append(json.loads(child.stdout.splitlines()[-1]))
-        command_ms = [1e3 * run["command_s"] for run in runs]
-        import_ms = [1e3 * run["import_numpy_random_s"] for run in runs]
-        out[name] = {
-            "command_ms": statistics.median(command_ms),
-            "command_ms_range": [min(command_ms), max(command_ms)],
-            "import_numpy_random_ms": statistics.median(import_ms),
-            "import_numpy_random_ms_range": [min(import_ms), max(import_ms)],
-            "runs": COMMAND_RUNS,
-            "csv_sha256": sorted({run["csv_sha256"] for run in runs}),
-            **host_speed(reference, reference_s),
-        }
+            return json.loads(child.stdout.splitlines()[-1])
+
+        reference_s = [reference["time_reference"]()]
+        if against is None:
+            out[name] = summarize([run(repo) for _ in range(COMMAND_RUNS)])
+        else:
+            runs, other_runs = [], []
+            for pair in range(COMMAND_RUNS):
+                # The first child of a pair may find the host in another
+                # state than the second, so the sides take turns.
+                first, second = (runs, repo), (other_runs, against)
+                for side, root in (first, second) if pair % 2 == 0 else (second, first):
+                    side.append(run(root))
+            ratios = [mine["command_s"] / other["command_s"] for mine, other in zip(runs, other_runs)]
+            out[name] = {
+                **summarize(runs),
+                "against": summarize(other_runs),
+                "ratios": ratios,
+                "ratio_median": statistics.median(ratios),
+                "pairs_won": sum(ratio < 1 for ratio in ratios),
+            }
+        out[name].update(host_speed(reference, reference_s))
     return out
+
+
+def summarize(runs: list) -> dict:
+    """Medians and ranges of the children's command and import times, and
+    the CSV digests and slot loops they reported."""
+    command_ms = [1e3 * run["command_s"] for run in runs]
+    import_ms = [1e3 * run["import_numpy_random_s"] for run in runs]
+    return {
+        "command_ms": statistics.median(command_ms),
+        "command_ms_range": [min(command_ms), max(command_ms)],
+        "import_numpy_random_ms": statistics.median(import_ms),
+        "import_numpy_random_ms_range": [min(import_ms), max(import_ms)],
+        "runs": len(runs),
+        "csv_sha256": sorted({run["csv_sha256"] for run in runs}),
+        "slot_loop": sorted({run["slot_loop"] for run in runs}),
+    }
 
 
 def host_speed(reference: dict, reference_s: list) -> dict:
@@ -219,13 +263,9 @@ def tier1(repo: Path) -> dict:
     return {"wall_s": wall, "exit_code": proc.returncode, "summary": lines[-1] if lines else ""}
 
 
-def environment(repo: Path) -> dict:
-    import numpy
-
-    from mecsched import engine
-
-    kernel = sys.modules.get("mecsched._kernel")
-    lib = getattr(kernel, "lib", getattr(engine, "_kernel", None))
+def checkout(repo: Path) -> dict:
+    """The commit of ``repo``, whether its ``src`` differs from it, and a
+    hash of its ``src`` sources."""
     git = subprocess.run(["git", "-C", str(repo), "rev-parse", "HEAD"], capture_output=True, text=True)
     dirty = subprocess.run(
         ["git", "-C", str(repo), "status", "--porcelain", "--", "src"], capture_output=True, text=True
@@ -237,6 +277,18 @@ def environment(repo: Path) -> dict:
         "git_commit": git.stdout.strip() or "unknown",
         "src_modified": bool(dirty.stdout.strip()),
         "source_sha256": source.hexdigest(),
+    }
+
+
+def environment(repo: Path) -> dict:
+    import numpy
+
+    from mecsched import engine
+
+    kernel = sys.modules.get("mecsched._kernel")
+    lib = getattr(kernel, "lib", getattr(engine, "_kernel", None))
+    return {
+        **checkout(repo),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "nproc": len(os.sched_getaffinity(0)),
@@ -250,24 +302,35 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repo", type=Path, default=here, help="checkout whose src/ is measured")
     parser.add_argument("--out", type=Path, default=here / "BENCH_layers.json")
+    parser.add_argument(
+        "--against", type=Path, help="another checkout: time the cold commands only, alternating the two"
+    )
     args = parser.parse_args(argv)
     repo = args.repo.resolve()
     sys.path.insert(0, str(repo / "src"))
     reference = runpy.run_path(str(here / "perfbench" / "reference.py"))
     workloads = runpy.run_path(str(here / "perfbench" / "workloads.py"))
 
-    entry = {
-        "environment": environment(repo),
-        "horizon_slots": HORIZON,
-        "seeds": list(SEEDS),
-        "repeats": REPEATS,
-        "points": {
-            **{name: measure_point(overrides, reference) for name, overrides in POINTS},
-            "analyze_estimate": measure_estimate(reference),
-        },
-        "commands": measure_commands(repo, workloads, reference),
-        "tier1": tier1(repo),
-    }
+    if args.against is not None:
+        against = args.against.resolve()
+        entry = {
+            "environment": environment(repo),
+            "against": checkout(against),
+            "commands": measure_commands(repo, workloads, reference, against),
+        }
+    else:
+        entry = {
+            "environment": environment(repo),
+            "horizon_slots": HORIZON,
+            "seeds": list(SEEDS),
+            "repeats": REPEATS,
+            "points": {
+                **{name: measure_point(overrides, reference) for name, overrides in POINTS},
+                "analyze_estimate": measure_estimate(reference),
+            },
+            "commands": measure_commands(repo, workloads, reference),
+            "tier1": tier1(repo),
+        }
     entries = json.loads(args.out.read_text()) if args.out.exists() else []
     entries.append(entry)
     args.out.write_text(json.dumps(entries, indent=2) + "\n")
