@@ -191,8 +191,7 @@ def test_slot_mean_standard_errors_are_numpys_std(catalog, params) -> None:
         cdf = np.cumsum(np.full(len(ks), 1.0 / len(ks)))
         cdf /= cdf[-1]
         drawn = draw_ranks(rng, cdf, 3001) + ks.start
-        with mock.patch.object(_kernel, "lib", None):
-            local_bits, mec_bits = task_bits(catalog, drawn, draw_contents(rng, catalog, drawn, capacity))
+        local_bits, mec_bits = task_bits(catalog, drawn, draw_contents(rng, catalog, drawn, capacity))
         expected = [
             float(counts.std(ddof=1) / math.sqrt(counts.size))
             for counts in (slots_local(mec_bits, local_bits, point).astype(np.float64),
