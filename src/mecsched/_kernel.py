@@ -5,8 +5,14 @@ which step numpy's PCG64 themselves from the state the caller passes, the
 slot loop (:mod:`mecsched.engine`) and the Monte Carlo estimate's slot
 counts (:mod:`mecsched.analysis`), both of which compute each task's
 busy-slot count where they use it; ``mecsched_count_words`` runs the task
-draw's count on given 64-bit words, for tests.  :func:`load` compiles the C
-source with the system C compiler into a per-user cache (``$XDG_CACHE_HOME/mecsched``, else ``~/.cache/mecsched``)
+draw's count on given 64-bit words, for tests.  The draws take their PCG64
+words from one of two sources, which the library chooses once, when it
+loads: sixteen AVX-512 lanes on an x86-64 processor that has AVX-512F,
+else the scalar step, one word at a time.  Both give the same words, ranks
+and end state; :func:`word_source` tells which one a loaded kernel uses,
+and ``mecsched_select_word_source`` lets the tests run both.
+
+:func:`load` compiles the C source with the system C compiler into a per-user cache (``$XDG_CACHE_HOME/mecsched``, else ``~/.cache/mecsched``)
 and loads it through :mod:`ctypes`.  The library's file name is the
 SHA-256 of the source, the compiler flags and the compiler's identity
 (its resolved path, size and modification time), so a changed source or
@@ -44,6 +50,8 @@ SOURCE = Path(__file__).with_name("_slot_loop.c")
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 # Policy kind -> the C enum (lyapunov 0, mec_only 1, local_only 2).
 KIND_CODES = {kind: code for code, kind in enumerate(POLICY_KINDS)}
+# mecsched_word_source's codes, by value.
+WORD_SOURCES = ("scalar", "avx512")
 # A build not modified for this long (30 days) is taken to be unused.
 _STALE_S = 30 * 24 * 3600
 
@@ -94,9 +102,19 @@ def load() -> Optional[ctypes.CDLL]:
             _array(np.int64), f64, f64, f64, f64, f64, _array(np.float64), _array(np.float64),
         ]
         lib.mecsched_estimate_slots.restype = None
+        lib.mecsched_word_source.argtypes = []
+        lib.mecsched_word_source.restype = ctypes.c_int
+        lib.mecsched_select_word_source.argtypes = [ctypes.c_int]
+        lib.mecsched_select_word_source.restype = ctypes.c_int
     except (OSError, RuntimeError, AttributeError):
         return None
     return lib
+
+
+def word_source(kernel: ctypes.CDLL) -> str:
+    """Where ``kernel``'s draws take their PCG64 words from: ``"avx512"``,
+    sixteen lanes at a time, or ``"scalar"``, one step at a time."""
+    return WORD_SOURCES[kernel.mecsched_word_source()]
 
 
 def _array(dtype):

@@ -11,6 +11,21 @@
  * follow Generator.random and Generator.integers bit for bit.  Each word is
  * ranked in integers (see rank).
  *
+ * The draws take their words from one of two sources, chosen once, when
+ * the library loads: on an x86-64 processor with AVX-512F (and a GNU C
+ * compiler), sixteen lanes; everywhere else, the fused scalar loops, one
+ * pcg64_next64 step per word.  The lanes hold the states 1..16 steps past
+ * the generator's, two vectors of eight, and step each 16 steps at a
+ * time; they fill a block of 64 words and their ranks (vrank, through
+ * gathers), which the draws read in order: the k draw the words, with
+ * next32's buffered half, the count the ranks, and mecsched_draw_ranks
+ * writes its ranks straight out.  At the end a draw moves the generator
+ * past the words it took by PCG64's jump (Brown 1994), the O(log n) map
+ * PCG64.advance uses, so the words the lanes made ahead are dropped and
+ * the end state is the scalar loops' own.  Both sources give the same
+ * words, ranks and end state; mecsched_select_word_source lets the tests
+ * run both.
+ *
  * A task's busy-slot count in either mode is busy_slots, the formula of
  * dynamics._busy_slots with its operations in the same order; the slot
  * loop computes it when a task starts, the estimate for every sample.
@@ -100,14 +115,12 @@ static inline int64_t rank(uint64_t word, const int32_t *guide, int shift, const
     return below;
 }
 
-/* Ranks one content's word for the task tagged tag; returns 1 if its rank
- * lies above capacity and the task has not drawn it before, else 0.
- * stamp holds one zero per content; stamp[rank - 1] is the tag of the last
- * task that drew rank. */
-static inline int64_t count(uint64_t word, int64_t tag, const int32_t *guide, int shift, const uint64_t *edge,
-                            int64_t capacity, int64_t *stamp)
+/* Counts one content of rank below + 1 for the task tagged tag; returns 1
+ * if the rank lies above capacity and the task has not drawn it before,
+ * else 0.  stamp holds one zero per content; stamp[rank - 1] is the tag of
+ * the last task that drew rank. */
+static inline int64_t tally(int64_t below, int64_t tag, int64_t capacity, int64_t *stamp)
 {
-    const int64_t below = rank(word, guide, shift, edge);
     /* Must stay branch-free.  At the defaults (Zipf 0.8, 1000 contents,
      * cache 50) 42% of draws are cached, so a conditional jump on the
      * cache test, as gcc 12 -O2 makes of "below >= capacity ? below + 1 :
@@ -115,6 +128,13 @@ static inline int64_t count(uint64_t word, int64_t tag, const int32_t *guide, in
     const int64_t fresh = (stamp[below] != tag) & (below >= capacity);
     stamp[below] = tag;
     return fresh;
+}
+
+/* tally of one content's word. */
+static inline int64_t count(uint64_t word, int64_t tag, const int32_t *guide, int shift, const uint64_t *edge,
+                            int64_t capacity, int64_t *stamp)
+{
+    return tally(rank(word, guide, shift, edge), tag, capacity, stamp);
 }
 
 /* Whole slots a processor of f_dt cycles per slot and a link of rate_dt
@@ -140,11 +160,343 @@ static inline int64_t busy_slots(double total, double shipped, double cycles_per
     return (int64_t)s;
 }
 
+#if defined(__x86_64__) && defined(__GNUC__)
+#define MECSCHED_AVX512 1
+#include <immintrin.h>
+#define AVX512 __attribute__((target("avx512f")))
+
+/* PCG64's jump (Brown 1994): n steps take a state s to s * mult + plus,
+ * found in O(log n) squarings, as numpy's PCG64.advance finds them. */
+static void pcg64_jump(u128 inc, uint64_t n, u128 *mult, u128 *plus)
+{
+    u128 acc_mult = 1, acc_plus = 0, cur_mult = PCG64_MULTIPLIER, cur_plus = inc;
+    for (; n; n >>= 1) {
+        if (n & 1) {
+            acc_mult *= cur_mult;
+            acc_plus = acc_plus * cur_mult + cur_plus;
+        }
+        cur_plus = (cur_mult + 1) * cur_plus;
+        cur_mult *= cur_mult;
+    }
+    *mult = acc_mult;
+    *plus = acc_plus;
+}
+
+/* Moves rng n steps on. */
+static void pcg64_advance(pcg64_t *rng, uint64_t n)
+{
+    u128 mult, plus;
+    pcg64_jump(rng->inc, n, &mult, &plus);
+    rng->state = rng->state * mult + plus;
+}
+
+/* Whether the draws take their words from the AVX-512 lanes below: chosen
+ * once, when the library loads, from the processor's features. */
+static int avx512_words;
+
+__attribute__((constructor)) static void choose_word_source(void)
+{
+    __builtin_cpu_init();
+    avx512_words = __builtin_cpu_supports("avx512f") != 0;
+}
+
+/* Sixteen PCG64 streams in lanes: two vectors of eight states each, kept as
+ * their high and low words.  Lane j (vector j / 8, element j % 8) starts
+ * j + 1 steps past the generator's state, so the lanes' outputs, vector 0
+ * then vector 1, are its next 16 words; each step moves every lane 16
+ * steps on, by the 16-step map s * mult + plus.  mult_top and the other
+ * *_top words are the high 32 bits, which _mm512_mul_epu32's 32-bit
+ * partial products take. */
+typedef struct {
+    __m512i hi[2], lo[2];
+    __m512i mult_hi, mult_hi_top, mult_lo, mult_lo_top, plus_hi, plus_lo;
+} lanes_t;
+
+AVX512 static inline lanes_t lanes_load(const pcg64_t *rng)
+{
+    uint64_t hi[16], lo[16];
+    u128 state = rng->state, mult, plus;
+    for (int j = 0; j < 16; j++) {
+        state = state * PCG64_MULTIPLIER + rng->inc;
+        hi[j] = (uint64_t)(state >> 64);
+        lo[j] = (uint64_t)state;
+    }
+    pcg64_jump(rng->inc, 16, &mult, &plus);
+    const uint64_t mult_hi = (uint64_t)(mult >> 64), mult_lo = (uint64_t)mult;
+    lanes_t lanes = {
+        {_mm512_loadu_si512(hi), _mm512_loadu_si512(hi + 8)},
+        {_mm512_loadu_si512(lo), _mm512_loadu_si512(lo + 8)},
+        _mm512_set1_epi64((int64_t)mult_hi), _mm512_set1_epi64((int64_t)(mult_hi >> 32)),
+        _mm512_set1_epi64((int64_t)mult_lo), _mm512_set1_epi64((int64_t)(mult_lo >> 32)),
+        _mm512_set1_epi64((int64_t)(uint64_t)(plus >> 64)), _mm512_set1_epi64((int64_t)(uint64_t)plus),
+    };
+    return lanes;
+}
+
+/* The low 64 bits of a * b; a_top and b_top are their high 32 bits. */
+AVX512 static inline __m512i mullo64(__m512i a, __m512i a_top, __m512i b, __m512i b_top)
+{
+    const __m512i cross = _mm512_add_epi64(_mm512_mul_epu32(a, b_top), _mm512_mul_epu32(a_top, b));
+    return _mm512_add_epi64(_mm512_mul_epu32(a, b), _mm512_slli_epi64(cross, 32));
+}
+
+/* Vector v's word, XSL-RR as pcg64_next64 makes it. */
+AVX512 static inline __m512i lanes_output(const lanes_t *lanes, int v)
+{
+    return _mm512_rorv_epi64(_mm512_xor_si512(lanes->hi[v], lanes->lo[v]), _mm512_srli_epi64(lanes->hi[v], 58));
+}
+
+/* Steps vector v's eight states 16 steps on: s * mult + plus mod 2**128.
+ * Only the low word's product with mult's low word is needed in full; its
+ * high word gathers the four 32-bit partial products and the carry of
+ * their middle sum, and the two cross products add their low 64 bits. */
+AVX512 static inline void lanes_step(lanes_t *lanes, int v)
+{
+    const __m512i hi = lanes->hi[v], lo = lanes->lo[v], lo_top = _mm512_srli_epi64(lo, 32);
+    const __m512i low32 = _mm512_set1_epi64(0xffffffff);
+    const __m512i p00 = _mm512_mul_epu32(lo, lanes->mult_lo), p01 = _mm512_mul_epu32(lo, lanes->mult_lo_top);
+    const __m512i p10 = _mm512_mul_epu32(lo_top, lanes->mult_lo), p11 = _mm512_mul_epu32(lo_top, lanes->mult_lo_top);
+    const __m512i mid = _mm512_add_epi64(_mm512_srli_epi64(p00, 32),
+                                         _mm512_add_epi64(_mm512_and_si512(p01, low32), _mm512_and_si512(p10, low32)));
+    const __m512i prod_lo = _mm512_or_si512(_mm512_slli_epi64(mid, 32), _mm512_and_si512(p00, low32));
+    __m512i prod_hi = _mm512_add_epi64(_mm512_add_epi64(p11, _mm512_srli_epi64(mid, 32)),
+                                       _mm512_add_epi64(_mm512_srli_epi64(p01, 32), _mm512_srli_epi64(p10, 32)));
+    prod_hi = _mm512_add_epi64(prod_hi, mullo64(lo, lo_top, lanes->mult_hi, lanes->mult_hi_top));
+    prod_hi = _mm512_add_epi64(prod_hi, mullo64(hi, _mm512_srli_epi64(hi, 32), lanes->mult_lo, lanes->mult_lo_top));
+    const __m512i next_lo = _mm512_add_epi64(prod_lo, lanes->plus_lo);
+    const __mmask8 carry = _mm512_cmplt_epu64_mask(next_lo, lanes->plus_lo);
+    const __m512i next_hi = _mm512_add_epi64(prod_hi, lanes->plus_hi);
+    lanes->hi[v] = _mm512_mask_sub_epi64(next_hi, carry, next_hi, _mm512_set1_epi64(-1));
+    lanes->lo[v] = next_lo;
+}
+
+/* rank of eight words at once, through gathers, for the lanes whose bucket
+ * holds at most one cdf entry; *wide marks the others, which rank8 hands
+ * to rank.  ASan does not instrument gathers, so their bounds are kept
+ * here: a bucket is at most B - 1, so the 8-byte read of guide[bucket] and
+ * guide[bucket + 1] ends within guide's B + 1 entries; and below =
+ * guide[bucket] counts the cdf entries <= bucket / B < 1, which the last
+ * entry, exactly 1, is not among, so below <= n - 1 and edge[below] lies
+ * within edge's n entries. */
+AVX512 static inline __m512i vrank(__m512i word, const int32_t *guide, int shift, const uint64_t *edge, __mmask8 *wide)
+{
+    const __m512i bucket = _mm512_srl_epi64(word, _mm_cvtsi32_si128(shift));
+    /* guide[bucket] in the low half, guide[bucket + 1] in the high half. */
+    const __m512i pair = _mm512_i64gather_epi64(bucket, guide, 4);
+    const __m512i below = _mm512_and_si512(pair, _mm512_set1_epi64(0xffffffff));
+    *wide = _mm512_cmpgt_epi64_mask(_mm512_sub_epi64(_mm512_srli_epi64(pair, 32), below), _mm512_set1_epi64(1));
+    const __m512i edge_below = _mm512_i64gather_epi64(below, edge, 8);
+    const __mmask8 up = _mm512_cmple_epu64_mask(edge_below, _mm512_srli_epi64(word, 11));
+    return _mm512_mask_sub_epi64(below, up, below, _mm512_set1_epi64(-1));
+}
+
+/* Stores the ranks of eight words in out[0..8). */
+AVX512 static inline void rank8(__m512i word, const int32_t *guide, int shift, const uint64_t *edge, int64_t *out)
+{
+    __mmask8 wide;
+    _mm512_storeu_si512(out, vrank(word, guide, shift, edge, &wide));
+    if (wide) {
+        uint64_t words[8];
+        _mm512_storeu_si512(words, word);
+        for (int j = 0; j < 8; j++)
+            if (wide >> j & 1) out[j] = rank(words[j], guide, shift, edge);
+    }
+}
+
+/* The stream's words a block at a time, with their ranks: word[pos] is the
+ * next one, and generated counts the words the lanes have made.  The
+ * lanes run up to 63 words ahead of the draw; block_end drops those. */
+enum { BLOCK = 64 };
+typedef struct {
+    uint64_t word[BLOCK];
+    int64_t rank[BLOCK];
+    lanes_t lanes;
+    uint64_t generated;
+    int pos;
+} block_t;
+
+AVX512 static inline void block_start(block_t *block, const pcg64_t *rng)
+{
+    block->lanes = lanes_load(rng);
+    block->generated = 0;
+    block->pos = BLOCK;
+}
+
+AVX512 static void block_fill(block_t *block, const int32_t *guide, int shift, const uint64_t *edge)
+{
+#pragma GCC unroll 8
+    for (int i = 0; i < BLOCK; i += 8) {
+        const int v = i / 8 % 2;
+        const __m512i word = lanes_output(&block->lanes, v);
+        _mm512_storeu_si512(block->word + i, word);
+        rank8(word, guide, shift, edge, block->rank + i);
+        lanes_step(&block->lanes, v);
+    }
+    block->generated += BLOCK;
+    block->pos = 0;
+}
+
+/* Moves rng, still at the state the block started from, past the words
+ * the draw took: those generated, less the block's unread ones. */
+AVX512 static inline void block_end(const block_t *block, pcg64_t *rng)
+{
+    pcg64_advance(rng, block->generated - (uint64_t)(BLOCK - block->pos));
+}
+
+/* pcg64_next32 on the block's words. */
+AVX512 static inline uint32_t block_next32(block_t *block, pcg64_t *rng, const int32_t *guide, int shift,
+                                           const uint64_t *edge)
+{
+    if (rng->has_uint32) {
+        rng->has_uint32 = 0;
+        return (uint32_t)rng->uinteger;
+    }
+    if (block->pos == BLOCK) block_fill(block, guide, shift, edge);
+    const uint64_t word = block->word[block->pos++];
+    rng->has_uint32 = 1;
+    rng->uinteger = word >> 32;
+    return (uint32_t)word;
+}
+
+/* The tally of the block's next k ranks for the task tagged tag. */
+AVX512 static inline int64_t block_count(block_t *block, int64_t k, int64_t tag, const int32_t *guide, int shift,
+                                         const uint64_t *edge, int64_t capacity, int64_t *stamp)
+{
+    int64_t n_distinct = 0;
+    while (k > 0) {
+        if (block->pos == BLOCK) block_fill(block, guide, shift, edge);
+        const int64_t left = BLOCK - block->pos, stop = block->pos + (k < left ? k : left);
+        k -= stop - block->pos;
+        for (int64_t j = block->pos; j < stop; j++) n_distinct += tally(block->rank[j], tag, capacity, stamp);
+        block->pos = (int)stop;
+    }
+    return n_distinct;
+}
+
+AVX512 static void draw_ranks_avx512(uint64_t *pcg64, int64_t n, const int32_t *guide, int shift,
+                                     const uint64_t *edge, int64_t *out)
+{
+    pcg64_t rng = pcg64_load(pcg64);
+    int64_t i = 0;
+    if (n >= 16) {
+        lanes_t lanes = lanes_load(&rng);
+        for (; n - i >= 16; i += 16) {
+#pragma GCC unroll 2
+            for (int v = 0; v < 2; v++) {
+                rank8(lanes_output(&lanes, v), guide, shift, edge, out + i + 8 * v);
+                lanes_step(&lanes, v);
+            }
+        }
+        pcg64_advance(&rng, (uint64_t)i);
+    }
+    for (; i < n; i++) out[i] = rank(pcg64_next64(&rng), guide, shift, edge);
+    pcg64_store(&rng, pcg64);
+}
+
+AVX512 static void draw_tasks_avx512(uint64_t *pcg64, int64_t n_tasks, int draw_k, int64_t k_lo, uint32_t span,
+                                     int64_t *ks, const int32_t *guide, int shift, const uint64_t *edge,
+                                     int64_t capacity, int64_t *stamp, int64_t *distinct)
+{
+    pcg64_t rng = pcg64_load(pcg64);
+    block_t block;
+    block_start(&block, &rng);
+    const uint64_t k_range = (uint64_t)span + 1;
+    const uint32_t threshold = (UINT32_MAX - span) % k_range;
+    for (int64_t i = 0; i < n_tasks; i++) {
+        int64_t k = ks[i];
+        if (draw_k) {
+            k = k_lo;
+            if (span) {
+                uint64_t m = (uint64_t)block_next32(&block, &rng, guide, shift, edge) * k_range;
+                while ((uint32_t)m < threshold) m = (uint64_t)block_next32(&block, &rng, guide, shift, edge) * k_range;
+                k += (int64_t)(m >> 32);
+            }
+            ks[i] = k;
+        }
+        distinct[i] = block_count(&block, k, i + 1, guide, shift, edge, capacity, stamp);
+    }
+    block_end(&block, &rng);
+    pcg64_store(&rng, pcg64);
+}
+
+AVX512 static void estimate_slots_avx512(uint64_t *pcg64, int64_t n_tasks, const int64_t *ks, const int32_t *guide,
+                                         int shift, const uint64_t *edge, int64_t capacity, int64_t *stamp,
+                                         double size_bits, double cycles_per_bit, double f_local_dt, double f_mec_dt,
+                                         double rate_dt, double *local_counts, double *mec_counts)
+{
+    pcg64_t rng = pcg64_load(pcg64);
+    block_t block;
+    block_start(&block, &rng);
+    for (int64_t i = 0; i < n_tasks; i++) {
+        const int64_t n_distinct = block_count(&block, ks[i], i + 1, guide, shift, edge, capacity, stamp);
+        const double local_bits = size_bits * (double)n_distinct, mec_bits = size_bits * (double)ks[i];
+        local_counts[i] = (double)busy_slots(mec_bits, local_bits, cycles_per_bit, f_local_dt, rate_dt);
+        mec_counts[i] = (double)busy_slots(mec_bits, mec_bits, cycles_per_bit, f_mec_dt, rate_dt);
+    }
+    block_end(&block, &rng);
+    pcg64_store(&rng, pcg64);
+}
+
+/* mecsched_count_words with rank8's ranks: the given words, eight at a
+ * time, the last eight padded with zero words. */
+AVX512 static void count_words_avx512(int64_t n_tasks, const int64_t *ks, const uint64_t *words, const int32_t *guide,
+                                      int shift, const uint64_t *edge, int64_t capacity, int64_t *stamp,
+                                      int64_t *distinct)
+{
+    int64_t ranks[8], left = 0;
+    for (int64_t i = 0; i < n_tasks; i++) left += ks[i] > 0 ? ks[i] : 0;
+    int pos = 8;
+    for (int64_t i = 0; i < n_tasks; i++) {
+        int64_t n_distinct = 0;
+        for (int64_t j = 0; j < ks[i]; j++) {
+            if (pos == 8) {
+                const __mmask8 given = left >= 8 ? 0xff : (__mmask8)((1u << left) - 1);
+                rank8(_mm512_maskz_loadu_epi64(given, words), guide, shift, edge, ranks);
+                words += 8;
+                left -= 8;
+                pos = 0;
+            }
+            n_distinct += tally(ranks[pos++], i + 1, capacity, stamp);
+        }
+        distinct[i] = n_distinct;
+    }
+}
+#endif
+
+/* The draws' word source: 1 for the AVX-512 lanes, 0 for pcg64_next64. */
+int mecsched_word_source(void)
+{
+#ifdef MECSCHED_AVX512
+    return avx512_words;
+#else
+    return 0;
+#endif
+}
+
+/* Selects the AVX-512 lanes (avx512 = 1) when the processor has them, or
+ * pcg64_next64 (avx512 = 0), so that tests can run both; returns the
+ * source now in use. */
+int mecsched_select_word_source(int avx512)
+{
+#ifdef MECSCHED_AVX512
+    avx512_words = avx512 && __builtin_cpu_supports("avx512f") != 0;
+#else
+    (void)avx512;
+#endif
+    return mecsched_word_source();
+}
+
 /* Draws n uniforms, Generator.random(n), and stores each one's rank in
  * out, as searchsorted(cdf, u, side="right") ranks it. */
 void mecsched_draw_ranks(uint64_t *pcg64, int64_t n, const int32_t *guide, int shift, const uint64_t *edge,
                          int64_t *out)
 {
+#ifdef MECSCHED_AVX512
+    if (avx512_words) {
+        draw_ranks_avx512(pcg64, n, guide, shift, edge, out);
+        return;
+    }
+#endif
     pcg64_t rng = pcg64_load(pcg64);
     for (int64_t i = 0; i < n; i++) out[i] = rank(pcg64_next64(&rng), guide, shift, edge);
     pcg64_store(&rng, pcg64);
@@ -159,6 +511,12 @@ void mecsched_draw_tasks(uint64_t *pcg64, int64_t n_tasks, int draw_k, int64_t k
                          int64_t *ks, const int32_t *guide, int shift, const uint64_t *edge,
                          int64_t capacity, int64_t *stamp, int64_t *distinct)
 {
+#ifdef MECSCHED_AVX512
+    if (avx512_words) {
+        draw_tasks_avx512(pcg64, n_tasks, draw_k, k_lo, span, ks, guide, shift, edge, capacity, stamp, distinct);
+        return;
+    }
+#endif
     pcg64_t rng = pcg64_load(pcg64);
     const uint64_t k_range = (uint64_t)span + 1;
     const uint32_t threshold = (UINT32_MAX - span) % k_range;
@@ -186,6 +544,12 @@ void mecsched_draw_tasks(uint64_t *pcg64, int64_t n_tasks, int draw_k, int64_t k
 void mecsched_count_words(int64_t n_tasks, const int64_t *ks, const uint64_t *words, const int32_t *guide,
                           int shift, const uint64_t *edge, int64_t capacity, int64_t *stamp, int64_t *distinct)
 {
+#ifdef MECSCHED_AVX512
+    if (avx512_words) {
+        count_words_avx512(n_tasks, ks, words, guide, shift, edge, capacity, stamp, distinct);
+        return;
+    }
+#endif
     for (int64_t i = 0; i < n_tasks; i++) {
         int64_t n_distinct = 0;
         for (int64_t j = 0; j < ks[i]; j++)
@@ -205,6 +569,13 @@ void mecsched_estimate_slots(uint64_t *pcg64, int64_t n_tasks, const int64_t *ks
                              double cycles_per_bit, double f_local_dt, double f_mec_dt, double rate_dt,
                              double *local_counts, double *mec_counts)
 {
+#ifdef MECSCHED_AVX512
+    if (avx512_words) {
+        estimate_slots_avx512(pcg64, n_tasks, ks, guide, shift, edge, capacity, stamp, size_bits, cycles_per_bit,
+                              f_local_dt, f_mec_dt, rate_dt, local_counts, mec_counts);
+        return;
+    }
+#endif
     pcg64_t rng = pcg64_load(pcg64);
     for (int64_t i = 0; i < n_tasks; i++) {
         int64_t n_distinct = 0;

@@ -63,6 +63,7 @@ __all__ = [
     "cmd_frontier",
     "cmd_analyze",
     "LOCAL_BITS_ENTRY_LIMIT",
+    "K_VALUES_LIMIT",
     "rows_to_csv",
     "main",
 ]
@@ -349,6 +350,11 @@ def cmd_frontier(
 # asked to sum.  Its time grows with the product, at 10-13 ns per entry on
 # a 2-vCPU x86-64 VM: about 1-1.3 s at this bound.
 LOCAL_BITS_ENTRY_LIMIT = 10**8
+# The most k values analyze takes.  Its k-span-long tables (the mean's
+# terms, the k draw's cdf, guide table and rank edges) cost about 113 bytes
+# and 0.5-0.9 us per value on the same VM: 113 MB at this bound, however
+# much of the catalog is cached.
+K_VALUES_LIMIT = 10**6
 
 
 def cmd_analyze(config: ExperimentConfig, samples: int = 20000) -> tuple[list[dict], list[str]]:
@@ -356,13 +362,19 @@ def cmd_analyze(config: ExperimentConfig, samples: int = 20000) -> tuple[list[di
 
     Returns CSV rows (one per control weight) and human-readable lines.
     An input whose exact local bits would sum more than
-    :data:`LOCAL_BITS_ENTRY_LIMIT` entries is refused before any work.
+    :data:`LOCAL_BITS_ENTRY_LIMIT` entries, or whose k range holds more than
+    :data:`K_VALUES_LIMIT` values, is refused before any work.
     """
     if samples < 2:
         raise ConfigError(f"--samples: need at least 2 sampled tasks for a standard error, got {samples}")
     if not config.arrival_prob > 0:
         raise ConfigError("analyze: lambda must be positive; a zero arrival rate has no feasibility regime")
-    entries = (config.n_contents - config.cache_m) * (config.k_max - config.k_min + 1)
+    k_values = config.k_max - config.k_min + 1
+    if k_values > K_VALUES_LIMIT:
+        raise ConfigError(
+            f"analyze: the k range holds {k_values:,} values, above the bound K_VALUES_LIMIT = {K_VALUES_LIMIT:,}"
+        )
+    entries = (config.n_contents - config.cache_m) * k_values
     if entries > LOCAL_BITS_ENTRY_LIMIT:
         raise ConfigError(
             f"analyze: the exact local bits would sum {entries:,} entries (uncached contents x k span), "

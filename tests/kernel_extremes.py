@@ -16,6 +16,7 @@ from mecsched.dynamics import SystemParams
 from mecsched.engine import RunMetrics, TaskTable, draw_tasks, run_simulation
 from mecsched.policy import POLICY_KINDS, PolicySpec
 from mecsched.workload import K_SPAN_LIMIT, WorkloadConfig, draw_contents, draw_ranks, sample_tasks
+from draw_paths import drawing_on, word_sources
 from fixed_uniforms import pcg64_with_next
 
 
@@ -74,6 +75,14 @@ def assert_same_metrics(a: RunMetrics, b: RunMetrics) -> None:
 
 
 def compare_at_the_extremes(sanitized) -> None:
+    """Assert, once for each word source of the kernel ``sanitized``, that it
+    and the Python paths agree at the extremes (see :func:`_compare`)."""
+    for source in word_sources(sanitized):
+        with drawing_on(sanitized, source):
+            _compare(sanitized)
+
+
+def _compare(sanitized) -> None:
     """Assert that the kernel ``sanitized`` and the Python paths agree at the
     extremes: a one-content catalog, a cache of the whole catalog, wide guide
     buckets, k spans 0 and K_SPAN_LIMIT - 1, rank draws from a one-entry

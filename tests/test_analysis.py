@@ -22,6 +22,7 @@ from mecsched.analysis import (
 from mecsched.catalog import ContentCatalog
 from mecsched.dynamics import SystemParams, slots_local, slots_mec, task_bits
 from mecsched.workload import draw_contents, draw_ranks
+from draw_paths import drawing_on, paths
 
 
 @pytest.fixture(scope="module")
@@ -163,10 +164,10 @@ def test_k_draw_equals_generator_choice(k_min, k_max) -> None:
     p = np.full(ks.size, 1.0 / ks.size)
     cdf = np.cumsum(p)
     cdf /= cdf[-1]
-    for lib in dict.fromkeys((_kernel.lib, None)):
+    for path in paths():
         for seed in (0, 1, 11, 2024):
             fast, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-            with mock.patch.object(_kernel, "lib", lib):
+            with drawing_on(*path):
                 drawn = k_min + draw_ranks(fast, cdf, 5000)
             assert drawn.tolist() == reference.choice(ks, size=5000, p=p).tolist()
             assert fast.bit_generator.state == reference.bit_generator.state
@@ -174,10 +175,10 @@ def test_k_draw_equals_generator_choice(k_min, k_max) -> None:
 
 def test_slot_mean_estimate_same_on_both_paths(catalog, params) -> None:
     estimates = []
-    for lib in dict.fromkeys((_kernel.lib, None)):
-        with mock.patch.object(_kernel, "lib", lib):
+    for path in paths():
+        with drawing_on(*path):
             estimates.append(estimate_slot_means(catalog, 50, params, range(3, 67), samples=3000, seed=5))
-    assert estimates[0] == estimates[-1]
+    assert estimates == [estimates[-1]] * len(estimates)
 
 
 def test_slot_mean_standard_errors_are_numpys_std(catalog, params) -> None:
@@ -197,10 +198,10 @@ def test_slot_mean_standard_errors_are_numpys_std(catalog, params) -> None:
             for counts in (slots_local(mec_bits, local_bits, point).astype(np.float64),
                            slots_mec(mec_bits, point).astype(np.float64))
         ]
-        for lib in dict.fromkeys((_kernel.lib, None)):
-            with mock.patch.object(_kernel, "lib", lib):
+        for path in paths():
+            with drawing_on(*path):
                 est = estimate_slot_means(catalog, capacity, point, ks, samples=3001, seed=7)
-            assert [est.local_se, est.mec_se] == expected, (capacity, lib)
+            assert [est.local_se, est.mec_se] == expected, (capacity, path)
 
 
 @pytest.mark.parametrize("loop", ["c", "python"])

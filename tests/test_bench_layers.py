@@ -79,13 +79,14 @@ def test_measure_commands_times_the_benchmark_commands_cold(monkeypatch) -> None
     for name, entry in commands.items():
         assert set(entry) == {
             "command_ms", "command_ms_range", "import_numpy_random_ms", "import_numpy_random_ms_range",
-            "runs", "csv_sha256", "slot_loop", "reference_s", "host_speed",
+            "runs", "csv_sha256", "slot_loop", "word_source", "reference_s", "host_speed",
         }
         assert entry["runs"] == 2
         # The benchmark's command at its default seed (analyze_mc with its
         # samples): its stored CSV digest.
         assert entry["csv_sha256"] == [digests[name]]
         assert entry["slot_loop"] == ["python" if _kernel.lib is None else "c"]
+        assert entry["word_source"] == ["python" if _kernel.lib is None else _kernel.word_source(_kernel.lib)]
         for key in ("command_ms", "import_numpy_random_ms"):
             low, high = entry[f"{key}_range"]
             assert 0 < low <= entry[key] <= high
@@ -107,7 +108,7 @@ def test_against_alternates_the_two_checkouts_in_pairs(monkeypatch, tmp_path) ->
         started.append((command, Path(src).parent.name))
         report = {
             "import_numpy_random_s": 0.01, "command_s": 0.02 if Path(src).parent == mine else 0.04,
-            "csv_sha256": "same", "slot_loop": "c",
+            "csv_sha256": "same", "slot_loop": "c", "word_source": "avx512",
         }
         return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(report) + "\n", stderr="")
 
@@ -125,3 +126,14 @@ def test_against_alternates_the_two_checkouts_in_pairs(monkeypatch, tmp_path) ->
         assert entry["against"]["runs"] == 3
         assert entry["csv_sha256"] == entry["against"]["csv_sha256"] == ["same"]
         assert entry["host_speed"] == [1.0, 1.0]
+
+
+def test_environment_records_the_slot_loop_and_the_word_source() -> None:
+    # Entries from hosts or paths that draw their words differently must be
+    # told apart.
+    environment = _load_tool().environment(_TOOL.parent.parent)
+    if _kernel.lib is None:
+        assert (environment["slot_loop"], environment["word_source"]) == ("python", "python")
+    else:
+        assert environment["slot_loop"] == "c"
+        assert environment["word_source"] == _kernel.word_source(_kernel.lib) in _kernel.WORD_SOURCES

@@ -709,6 +709,9 @@ frontier = ["frontier", "--seeds", "0", "--set", "horizon_slots=200", "--max-ite
 flags = ["--target-delay-s", "--tolerance-s", "--f-values", "--m-values", "--r-bracket", "--max-iter"]
 calls += [[*frontier, f"{flag}={value}"] for flag in flags for value in values]
 calls += [[*commands[1], "--set", f"k_max={value}"] for value in ("1e6", "1e7", "1e8", "4000000000")]
+# Spans whose exact local bits are cheap, a cached catalog's, but whose
+# k-span-long tables are not.
+calls += [[*commands[1], "--set", f"cache_m={m}", "--set", f"k_max={k}"] for m, k in ((1000, "1e7"), (999, "3e7"))]
 results = []
 for argv in calls:
     err = io.StringIO()
@@ -728,8 +731,9 @@ def test_every_key_survives_edge_values_in_a_capped_child() -> None:
     # each frontier flag takes them too.  Every call exits 0 or 1, never
     # runs out of memory, and a refusal is one error line (argparse's usage
     # message for a number flag it cannot parse spans two).  A k span the
-    # workload accepts but whose exact local bits would take more than about
-    # a second, or no memory could hold, fails fast, in one line.
+    # workload accepts but whose exact local bits or k-span-long tables
+    # would take more than about a second, or no memory could hold, fails
+    # fast, in one line.
     values = ["0", "-1", "0.5", "1e300", "-1e300", "nan", "inf", "-inf", "x", ""]
     src = Path(cli.__file__).resolve().parent.parent
     threads = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -740,7 +744,7 @@ def test_every_key_survives_edge_values_in_a_capped_child() -> None:
     )
     assert child.returncode == 0, child.stderr
     results = json.loads(child.stdout)
-    sweeps, frontiers, analyses = len(SWEEP_AXES), 6, 4
+    sweeps, frontiers, analyses = len(SWEEP_AXES), 6, 6
     assert len(results) == (2 * len(KEY_VALUES) + 1 + sweeps + frontiers) * len(values) + analyses
     argparse_flags = ("--warmup-frac=", "--target-delay-s=", "--tolerance-s=", "--max-iter=")
     for argv, code, err in results:

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +12,7 @@ from mecsched.config import ExperimentConfig, build_system
 from mecsched.dynamics import SystemParams
 from mecsched.engine import draw_tasks
 from mecsched.workload import K_SPAN_LIMIT, WorkloadConfig, draw_contents, draw_ranks, sample_tasks, task_streams
+from draw_paths import drawing_on, paths
 from fixed_uniforms import count_words, distinct_uncached, pcg64_with_next
 
 
@@ -124,11 +123,6 @@ def _ranks(catalog: ContentCatalog, u: np.ndarray) -> np.ndarray:
     return np.searchsorted(catalog.cdf, u, side="right") + 1
 
 
-def _paths() -> list:
-    """The compiled draw when it is loaded, then the Python one."""
-    return list(dict.fromkeys((_kernel.lib, None)))
-
-
 def _one_task_at_a_time(rng, catalog, cfg, n_tasks, capacity) -> tuple[list[int], list[int]]:
     """The stream's definition: each task's k draw, then its k uniforms."""
     ks, distinct = [], []
@@ -144,8 +138,8 @@ def test_sample_tasks_match_one_task_at_a_time(catalog: ContentCatalog) -> None:
     # Drawing many tasks at once consumes the stream exactly as drawing
     # each task's k, then its contents, one task at a time.
     cfg = _cfg(k_min=1, k_max=30)
-    for lib in _paths():
-        with mock.patch.object(_kernel, "lib", lib):
+    for path in paths():
+        with drawing_on(*path):
             for capacity in (0, 50, 1000):
                 ks, distinct = sample_tasks(task_streams(9)[1], catalog, cfg, 515, capacity)
                 expected = _one_task_at_a_time(task_streams(9)[1], catalog, cfg, 515, capacity)
@@ -191,7 +185,7 @@ def test_sample_tasks_equal_per_task_draws_and_leave_the_same_state(case) -> Non
     # wide guide buckets.
     cfg, n_tasks, (n, alpha), capacity, half, seed = case
     catalog = ContentCatalog.zipf(n, alpha, 1.0)
-    for lib in _paths():
+    for path in paths():
         rngs = np.random.default_rng(seed), np.random.default_rng(seed)
         if half is not None:
             for rng in rngs:
@@ -199,7 +193,7 @@ def test_sample_tasks_equal_per_task_draws_and_leave_the_same_state(case) -> Non
                 state["has_uint32"], state["uinteger"] = 1, half
                 rng.bit_generator.state = state
         fast, reference = rngs
-        with mock.patch.object(_kernel, "lib", lib):
+        with drawing_on(*path):
             ks, distinct = sample_tasks(fast, catalog, cfg, n_tasks, capacity)
         expected = _one_task_at_a_time(reference, catalog, cfg, n_tasks, capacity)
         assert (ks.tolist(), distinct.tolist()) == expected
@@ -215,9 +209,9 @@ def test_k_draw_rejects_values_in_a_row(catalog: ContentCatalog) -> None:
     cfg = _cfg(k_min=1, k_max=1000)
     rejected = _rejected_halves(999)
     assert rejected[0] == 0
-    for lib in _paths():
+    for path in paths():
         fast, reference = pcg64_with_next(rejected[-1], 0), pcg64_with_next(rejected[-1], 0)
-        with mock.patch.object(_kernel, "lib", lib):
+        with drawing_on(*path):
             ks, distinct = sample_tasks(fast, catalog, cfg, 5, 0)
         assert (ks.tolist(), distinct.tolist()) == _one_task_at_a_time(reference, catalog, cfg, 5, 0)
         assert fast.bit_generator.state == reference.bit_generator.state
@@ -229,9 +223,9 @@ def test_sample_tasks_follow_any_bit_generator(catalog: ContentCatalog) -> None:
     # kernel or not, and are followed too.
     cfg = _cfg(k_min=1, k_max=30)
     for bit_generator in (np.random.MT19937, np.random.Philox, np.random.SFC64):
-        for lib in _paths():
+        for path in paths():
             fast, reference = np.random.Generator(bit_generator(5)), np.random.Generator(bit_generator(5))
-            with mock.patch.object(_kernel, "lib", lib):
+            with drawing_on(*path):
                 ks, distinct = sample_tasks(fast, catalog, cfg, 300, 50)
             assert (ks.tolist(), distinct.tolist()) == _one_task_at_a_time(reference, catalog, cfg, 300, 50)
             assert fast.integers(0, 1000, 3).tolist() == reference.integers(0, 1000, 3).tolist()
@@ -252,7 +246,7 @@ class _NoReferenceDraw(np.random.Generator):
 def test_package_generators_take_the_compiled_draw(catalog: ContentCatalog, monkeypatch) -> None:
     # The kernel draws only a PCG64 stream.  Should the package's
     # generators ever stop being PCG64, every draw would fall back to the
-    # Python reference, 20 us per task against 0.3, with the same results;
+    # Python reference, 20 us per task against 0.2, with the same results;
     # only the benchmark would show it.  Here the reference path raises.
     default_rng = np.random.default_rng
 
@@ -281,9 +275,9 @@ def test_draw_contents_equal_per_task_random_calls(catalog: ContentCatalog) -> N
     # short or run one long is among them.
     ks = np.concatenate([np.arange(131), np.random.default_rng(1).integers(0, 70, 600)])
     for capacity in (0, 50, 1000):
-        for lib in _paths():
+        for path in paths():
             fast, reference = np.random.default_rng(4), np.random.default_rng(4)
-            with mock.patch.object(_kernel, "lib", lib):
+            with drawing_on(*path):
                 counts = draw_contents(fast, catalog, ks, capacity)
             expected = []
             for k in ks:
@@ -312,8 +306,8 @@ def test_every_draw_refuses_a_capacity_outside_the_catalog(catalog: ContentCatal
         lambda capacity: draw_tasks(catalog, capacity, cfg, 10, seed=0),
         lambda capacity: estimate_slot_means(catalog, capacity, params, range(1, 4), samples=2),
     ]
-    for lib in _paths():
-        with mock.patch.object(_kernel, "lib", lib):
+    for path in paths():
+        with drawing_on(*path):
             for draw in draws:
                 for capacity in (0, n):
                     draw(capacity)
@@ -326,8 +320,8 @@ def test_distinct_uncached_counts_by_hand(catalog: ContentCatalog) -> None:
     # Repeated ranks count once, cached ranks not at all, and a task with
     # no contents or only cached ones counts 0.
     tasks = [[1, 51, 51, 52], [], [7, 50], [1000, 1000, 999]]
-    for lib in _paths():
-        with mock.patch.object(_kernel, "lib", lib):
+    for path in paths():
+        with drawing_on(*path):
             assert distinct_uncached(catalog, 50, tasks) == [2, 0, 0, 2]
 
 
@@ -341,7 +335,8 @@ def test_content_ranks_equal_binary_search(n: int, alpha: float) -> None:
     # first word, each bucket's first word and the word before it, and the
     # first and the last word.  A one-content task counts 1 exactly when
     # its rank lies above the cache, so the capacities r - 1 (count 1) and
-    # r (count 0) pin a rank r.
+    # r (count 0) pin a rank r.  Each word source ranks the words its own
+    # way: the AVX-512 lanes through gathers, eight words at a time.
     cat = ContentCatalog.zipf(n, alpha, 1.0)
     shift = 65 - (cat.guide.size - 1).bit_length()
     edge_words = [int(edge) << 11 for edge in cat.edge if edge < 2**53]
@@ -353,10 +348,12 @@ def test_content_ranks_equal_binary_search(n: int, alpha: float) -> None:
     expected = _ranks(cat, (words >> np.uint64(11)) * 2.0**-53)
     # The words of rank r are words[first[r - 1]:first[r]].
     first = np.searchsorted(expected, np.arange(1, n + 2))
-    for capacity in range(n + 1):
-        near = slice(first[max(capacity - 1, 0)], first[min(capacity + 1, n)])
-        counts = count_words(cat, capacity, np.ones(near.stop - near.start), words[near])
-        assert counts == (expected[near] > capacity).tolist()
+    for path in paths():
+        with drawing_on(*path):
+            for capacity in range(n + 1):
+                near = slice(first[max(capacity - 1, 0)], first[min(capacity + 1, n)])
+                counts = count_words(cat, capacity, np.ones(near.stop - near.start), words[near])
+                assert counts == (expected[near] > capacity).tolist(), path
 
 
 @st.composite
@@ -375,6 +372,6 @@ def test_distinct_uncached_counts_match_per_task_unique(tasks) -> None:
     n, contents, capacity = tasks
     catalog = ContentCatalog.zipf(n, 0.0, 1.0)
     expected = [len({rank for rank in task if rank > capacity}) for task in contents]
-    for lib in _paths():
-        with mock.patch.object(_kernel, "lib", lib):
+    for path in paths():
+        with drawing_on(*path):
             assert distinct_uncached(catalog, capacity, contents) == expected

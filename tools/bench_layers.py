@@ -44,7 +44,11 @@ The entry's environment records which slot loop (and, where the kernel
 holds it, which task draw) the runs used: ``"slot_loop": "c"`` when the
 compiled kernel loaded (``mecsched._kernel.lib``, or ``engine._kernel``
 in checkouts that predate that handle), ``"python"`` otherwise (always
-so for checkouts that predate the kernel).
+so for checkouts that predate the kernel).  Beside it, ``"word_source"``
+is where the kernel's draws took their PCG64 words from
+(``mecsched._kernel.word_source``): ``"avx512"`` or ``"scalar"``, the
+latter for kernels that predate the choice, and ``"python"`` with no
+kernel.  Each command records the same two fields for its children.
 
 Each time is the minimum of ``REPEATS`` calls; a point's figure is the
 sum of its seeds' minima over their summed tasks or slots, with the
@@ -118,11 +122,13 @@ else:
 csv_text = cli.rows_to_csv(rows, columns)
 done = time.perf_counter()
 kernel = sys.modules.get("mecsched._kernel")
+lib = getattr(kernel, "lib", None)
 print(json.dumps({
     "import_numpy_random_s": imported - start,
     "command_s": done - imported,
     "csv_sha256": hashlib.sha256(csv_text.encode()).hexdigest(),
-    "slot_loop": "python" if getattr(kernel, "lib", None) is None else "c",
+    "slot_loop": "python" if lib is None else "c",
+    "word_source": "python" if lib is None else getattr(kernel, "word_source", lambda lib: "scalar")(lib),
 }))
 """
 
@@ -229,7 +235,7 @@ def measure_commands(repo: Path, workloads: dict, reference: dict, against: Path
 
 def summarize(runs: list) -> dict:
     """Medians and ranges of the children's command and import times, and
-    the CSV digests and slot loops they reported."""
+    the CSV digests, slot loops and word sources they reported."""
     command_ms = [1e3 * run["command_s"] for run in runs]
     import_ms = [1e3 * run["import_numpy_random_s"] for run in runs]
     return {
@@ -240,6 +246,7 @@ def summarize(runs: list) -> dict:
         "runs": len(runs),
         "csv_sha256": sorted({run["csv_sha256"] for run in runs}),
         "slot_loop": sorted({run["slot_loop"] for run in runs}),
+        "word_source": sorted({run["word_source"] for run in runs}),
     }
 
 
@@ -293,6 +300,7 @@ def environment(repo: Path) -> dict:
         "numpy": numpy.__version__,
         "nproc": len(os.sched_getaffinity(0)),
         "slot_loop": "python" if lib is None else "c",
+        "word_source": "python" if lib is None else getattr(kernel, "word_source", lambda lib: "scalar")(lib),
         "when": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
 
