@@ -204,9 +204,9 @@ __attribute__((constructor)) static void choose_word_source(void)
  * their high and low words.  Lane j (vector j / 8, element j % 8) starts
  * j + 1 steps past the generator's state, so the lanes' outputs, vector 0
  * then vector 1, are its next 16 words; each step moves every lane 16
- * steps on, by the 16-step map s * mult + plus.  mult_top and the other
- * *_top words are the high 32 bits, which _mm512_mul_epu32's 32-bit
- * partial products take. */
+ * steps on, by the 16-step map s * mult + plus.  mult_hi_top and
+ * mult_lo_top are mult's two words shifted right by 32: the high halves
+ * that _mm512_mul_epu32's 32-bit partial products take. */
 typedef struct {
     __m512i hi[2], lo[2];
     __m512i mult_hi, mult_hi_top, mult_lo, mult_lo_top, plus_hi, plus_lo;
