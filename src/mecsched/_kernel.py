@@ -1,16 +1,16 @@
 """Build and load the compiled kernel (``_slot_loop.c``) on first use.
 
-The kernel holds the task and rank draws (:mod:`mecsched.workload`),
-which step numpy's PCG64 themselves from the state the caller passes, the
-slot loop (:mod:`mecsched.engine`) and the Monte Carlo estimate's slot
-counts (:mod:`mecsched.analysis`), both of which compute each task's
-busy-slot count where they use it; ``mecsched_count_words`` runs the task
-draw's count on given 64-bit words, for tests.  The draws take their PCG64
-words from one of two sources, which the library chooses once, when it
-loads: sixteen AVX-512 lanes on an x86-64 processor that has AVX-512F,
-else the scalar step, one word at a time.  Both give the same words, ranks
-and end state; :func:`word_source` tells which one a loaded kernel uses,
-and ``mecsched_select_word_source`` lets the tests run both.
+The kernel holds the draws of :mod:`mecsched.workload` (the tasks, the
+ranks and the Monte Carlo estimate's samples), which step numpy's PCG64
+themselves from the state the caller passes, and the slot loop of
+:mod:`mecsched.engine`.  The estimate's draw and the slot loop compute
+each task's busy-slot count where they use it; ``mecsched_count_words``
+runs the task draw's count on given 64-bit words, for tests.  The draws
+take their PCG64 words from one of two sources, which the library chooses
+once, when it loads: sixteen AVX-512 lanes on an x86-64 processor that has
+AVX-512F, else the scalar step, one word at a time.  Both give the same
+words, ranks and end state; :func:`word_source` tells which one a loaded
+kernel uses, and ``mecsched_select_word_source`` lets the tests run both.
 
 :func:`load` compiles the C source with the system C compiler into a per-user cache (``$XDG_CACHE_HOME/mecsched``, else ``~/.cache/mecsched``)
 and loads it through :mod:`ctypes`.  The library's file name is the

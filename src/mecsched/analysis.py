@@ -4,8 +4,8 @@ This module carries the quantities the simulator is checked against:
 
 - exact expected uplink bits per task for both execution modes under
   i.i.d. content draws,
-- seeded Monte Carlo estimates of the mean busy-slot counts, which the
-  compiled kernel counts in one call when it is loaded,
+- seeded Monte Carlo estimates of the mean busy-slot counts, over tasks
+  that :mod:`mecsched.workload` samples,
 - the minimum achievable long-run data average and its feasibility
   regime as a function of the arrival rate,
 - the additive optimality-gap bound of the drift-plus-penalty rule.
@@ -20,8 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .catalog import ContentCatalog
-from .dynamics import SystemParams, busy_slot_terms, slots_local, slots_mec, task_bits
-from .workload import _bucket_shift, _check_capacity, _compiled, _pcg64_words, draw_contents, draw_ranks
+from .dynamics import SystemParams
+from .workload import check_capacity, sample_slot_counts
 
 __all__ = [
     "uniform_k_dist",
@@ -37,11 +37,6 @@ __all__ = [
     "optimality_gap_bound",
 ]
 
-# Tasks sampled and counted per step of the Monte Carlo estimate's Python
-# path.  Each step pays fixed costs (numpy dispatch, the slot counts'
-# error-state switch), and its temporaries span the step, so a single step
-# would raise the peak memory.  The stream is the same for any step size.
-_STEP_TASKS = 4096
 # Entries of the (uncached contents x k) power table that
 # expected_local_bits builds at a time: 2 MB of float64, however large the
 # catalog or the k span.
@@ -115,8 +110,7 @@ def expected_local_bits(
     """
     p = _check_ks(ks)
     pop = np.asarray(popularity, dtype=np.float64)
-    if not 0 <= capacity <= len(pop):
-        raise ValueError(f"capacity {capacity} outside 0..{len(pop)}")
+    check_capacity(len(pop), capacity)
     miss = 1.0 - pop[capacity:]
     if miss.size == 0:
         return 0.0
@@ -163,56 +157,18 @@ def estimate_slot_means(
 ) -> SlotMeanEstimate:
     """Estimate the mean busy-slot counts by sampling tasks.
 
-    Tasks are drawn as the workload generator draws them (``k`` from
-    ``ks``, each value equally likely; contents i.i.d. from the catalog
-    popularity) and pushed through the same slot-count formulas the
-    simulator uses, so the estimate is the canonical evaluator for
-    quantities that have no closed form.  Deterministic given ``seed``.
-
-    The stream is defined here: from ``default_rng(seed)``, first
-    ``random(samples)``, each uniform ranked through ``cdf = cumsum(p) /
-    cdf[-1]`` (``p`` the equal probabilities of ``ks``) as
-    ``searchsorted(cdf, u, side="right")``, which picks the ``k`` values
-    in order (see :func:`~mecsched.workload.draw_ranks`); then each task's
-    contents are the next ``k`` uniforms.
-
-    With the compiled kernel, one call draws every task's contents and
-    writes its two slot counts (``mecsched_estimate_slots``, the
-    formula of :mod:`mecsched.dynamics` in C); without it, the tasks are
-    drawn and counted in steps of ``_STEP_TASKS`` through
-    :func:`~mecsched.workload.draw_contents` and the ``dynamics``
-    functions, the reference.  Both give the same counts.  The standard
-    errors are taken in the count arrays' own memory, so the estimate
-    holds 24 bytes per sample: the ``k`` values and the two counts.
+    :func:`~mecsched.workload.sample_slot_counts` draws the tasks (``k``
+    from ``ks``, each value equally likely; contents i.i.d. from the catalog
+    popularity) and counts them with the slot-count formulas the simulator
+    uses, so the estimate is the canonical evaluator for quantities that
+    have no closed form.  Deterministic given ``seed``.
+    The standard errors are taken in the count arrays' own memory, so the
+    estimate holds 24 bytes per sample: the ``k`` values and the two counts.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples for a standard error, got {samples}")
-    _check_capacity(catalog, capacity)
-    cdf = np.cumsum(np.full(len(ks), _check_ks(ks)))
-    cdf /= cdf[-1]
-    rng = np.random.default_rng(seed)
-    # Ranking uniforms, rather than calling integers, keeps every analyze
-    # CSV's stream; adding in place keeps a second samples-long array out
-    # of the peak memory.
-    drawn_ks = draw_ranks(rng, cdf, samples)
-    drawn_ks += ks.start
-    local_counts = np.empty(samples, dtype=np.float64)
-    mec_counts = np.empty(samples, dtype=np.float64)
-    lib = _compiled(rng)
-    if lib is None:
-        for first in range(0, samples, _STEP_TASKS):
-            chunk = drawn_ks[first:first + _STEP_TASKS]
-            distinct = draw_contents(rng, catalog, chunk, capacity)
-            local_bits, mec_bits = task_bits(catalog, chunk, distinct)
-            local_counts[first:first + chunk.size] = slots_local(mec_bits, local_bits, params)
-            mec_counts[first:first + chunk.size] = slots_mec(mec_bits, params)
-    else:
-        stamp = np.zeros(catalog.n_contents, dtype=np.int64)
-        with _pcg64_words(rng.bit_generator) as words:
-            lib.mecsched_estimate_slots(
-                words, samples, drawn_ks, catalog.guide, _bucket_shift(catalog.guide), catalog.edge, capacity,
-                stamp, float(catalog.size_bits), *busy_slot_terms(params), local_counts, mec_counts,
-            )
+    _check_ks(ks)
+    local_counts, mec_counts = sample_slot_counts(catalog, capacity, params, ks, samples, seed)
     local_mean, mec_mean = float(local_counts.mean()), float(mec_counts.mean())
     return SlotMeanEstimate(
         local_mean=local_mean,

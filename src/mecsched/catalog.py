@@ -54,8 +54,8 @@ def zipf_popularity(n: int, alpha: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def guide_table(cdf: np.ndarray) -> np.ndarray:
-    """Guide table for ranking uniforms against ``cdf`` (Chen & Asau, 1974).
+def guide_table(cdf: np.ndarray) -> tuple[np.ndarray, int]:
+    """Guide table and bucket shift for ranking uniforms against ``cdf`` (Chen & Asau, 1974).
 
     ``cdf`` is non-decreasing, with 1 to 2**31 - 1 entries (so that the
     table's entries fit int32) and last entry exactly 1, which keeps every
@@ -66,15 +66,17 @@ def guide_table(cdf: np.ndarray) -> np.ndarray:
     entries ``<= u`` therefore lies between entries ``j`` and ``j + 1``; in
     a bucket where the two differ by at most one, one comparison with
     ``cdf[table[j]]`` finishes the count, and a wider one needs a binary
-    search between them.  The table costs 4 bytes per bucket.
+    search between them.  The table costs 4 bytes per bucket.  A raw 64-bit
+    word's bucket is the word shifted right by the shift, ``64 - log2(B)``.
     """
     if not (0 < cdf.size < 2**31 and cdf[-1] == 1.0):
         raise ValueError(f"a guide table needs 1 to 2**31 - 1 cdf entries, the last exactly 1, got {cdf[-1:]!r}")
     # An entry c is <= j / B exactly when ceil(c * B) <= j; scaling by a
     # power of two is exact, so the bucket counts have no rounding error.
-    buckets = 1 << (4 * cdf.size - 1).bit_length()
+    log2_buckets = (4 * cdf.size - 1).bit_length()
+    buckets = 1 << log2_buckets
     per_bucket = np.bincount(np.ceil(cdf * buckets).astype(np.intp), minlength=buckets + 1)
-    return np.cumsum(per_bucket, dtype=np.int32)
+    return np.cumsum(per_bucket, dtype=np.int32), 64 - log2_buckets
 
 
 def rank_edges(cdf: np.ndarray) -> np.ndarray:
@@ -101,8 +103,8 @@ class ContentCatalog:
 
     Derived fields: ``n_contents`` is the universe size, the length of
     ``popularity``.  ``cdf`` is the cumulative popularity (last entry
-    exactly 1), ``guide`` is its :func:`guide_table` and ``edge`` its
-    :func:`rank_edges`, the two tables the compiled draw ranks through.
+    exactly 1), ``guide`` and ``guide_shift`` its :func:`guide_table`, and
+    ``edge`` its :func:`rank_edges`: what the compiled draw ranks through.
     """
 
     size_bits: float
@@ -110,6 +112,7 @@ class ContentCatalog:
     n_contents: int = field(init=False)
     cdf: np.ndarray = field(init=False, repr=False)
     guide: np.ndarray = field(init=False, repr=False)
+    guide_shift: int = field(init=False, repr=False)
     edge: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -129,7 +132,9 @@ class ContentCatalog:
         cdf = np.cumsum(pop)
         cdf[-1] = 1.0  # every u < 1 then ranks at most n_contents, despite rounding
         object.__setattr__(self, "cdf", cdf)
-        object.__setattr__(self, "guide", guide_table(cdf))
+        guide, guide_shift = guide_table(cdf)
+        object.__setattr__(self, "guide", guide)
+        object.__setattr__(self, "guide_shift", guide_shift)
         object.__setattr__(self, "edge", rank_edges(cdf))
 
     @classmethod

@@ -1,16 +1,16 @@
 """The simulation loop and per-run metrics.
 
-A run has two stages.  The draw stage (:func:`draw_tasks`) samples the
-run's arrivals and the composition of every arriving task into a
-:class:`TaskTable`: the horizon, and per task its arrival slot and its
-two bit counts, the distinct uncached bits a local run fetches and the
-full task an offload ships.  The table depends only on the seed, the
-horizon, the arrival probability, the ``k`` range, the catalog
-(popularity and content size) and the cache capacity; the weight
-``v``, the radio rate, the processor speeds and the slot length never
-enter a draw.  Runs that differ only in those controls can therefore
-share one table.  Its arrays are read-only, so no run can alter what
-another run sees.
+A run has two stages.  The draw stage (:func:`draw_tasks`) takes the
+run's arrivals and the composition of every arriving task from
+:func:`mecsched.workload.sample_run` into a :class:`TaskTable`: the
+horizon, and per task its arrival slot and its two bit counts, the
+distinct uncached bits a local run fetches and the full task an offload
+ships.  The table depends only on the seed, the horizon, the arrival
+probability, the ``k`` range, the catalog (popularity and content size)
+and the cache capacity; the weight ``v``, the radio rate, the processor
+speeds and the slot length never enter a draw.  Runs that differ only in
+those controls can therefore share one table.  Its arrays are read-only,
+so no run can alter what another run sees.
 
 The loop stage (:func:`run_simulation`) takes a table and the run's own
 parameters and simulates the table's horizon slot by slot, in one pass.
@@ -91,7 +91,7 @@ from .catalog import ContentCatalog
 from .dynamics import SystemParams, busy_slot_terms, slots_local, slots_mec, task_bits
 from .errors import ConfigError, ContractViolation, MetricUndefined
 from .policy import PolicySpec, decide
-from .workload import WorkloadConfig, sample_tasks, task_streams
+from .workload import WorkloadConfig, check_capacity, sample_run
 
 __all__ = [
     "RunMetrics",
@@ -109,8 +109,6 @@ __all__ = [
 _EXACT_FLOAT_LIMIT = 2.0**53
 # The longest horizon whose square fits an int64.
 _QUEUE_SUM_HORIZON_LIMIT = math.isqrt(2**63 - 1)
-# Slots whose arrival uniforms are drawn at a time.
-_ARRIVAL_CHUNK = 1 << 16
 
 
 @dataclass
@@ -172,11 +170,11 @@ def draw_tasks(
 ) -> TaskTable:
     """Draw the arrivals and tasks of a ``horizon``-slot run from ``seed``.
 
-    Two independent streams derived from ``seed`` drive arrivals and task
-    composition, so repeated calls with the same inputs return equal
-    tables.  Each task's bits follow from its composition and the
-    catalog's content size.  Every guard that protects an allocation fires
-    here, before anything is allocated.
+    The arrivals and tasks are :func:`~mecsched.workload.sample_run`'s, so
+    repeated calls with the same inputs return equal tables.  Each task's
+    bits follow from its composition and the catalog's content size.  Every
+    guard that protects an allocation fires here, before anything is
+    allocated.
     """
     if horizon < 1:
         raise ConfigError(f"horizon must be at least 1 slot, got {horizon}")
@@ -192,18 +190,9 @@ def draw_tasks(
         )
     if not float(catalog.size_bits).is_integer():
         raise ConfigError(f"content size must be a whole number of bits, got {catalog.size_bits}")
-    if not 0 <= capacity <= catalog.n_contents:
-        raise ConfigError(f"cache capacity must lie in 0..{catalog.n_contents}, got {capacity}")
+    check_capacity(catalog.n_contents, capacity)
 
-    arrival_rng, composition_rng = task_streams(seed)
-    # Chunked draws continue one stream, so the arrivals equal those of a
-    # single random(horizon) call without its 8-byte-per-slot temporary.
-    blocks = []
-    for first in range(0, horizon, _ARRIVAL_CHUNK):
-        uniforms = arrival_rng.random(min(_ARRIVAL_CHUNK, horizon - first))
-        blocks.append(first + np.flatnonzero(uniforms < workload_cfg.arrival_prob))
-    arrival_slot = np.concatenate(blocks)
-    ks, distinct = sample_tasks(composition_rng, catalog, workload_cfg, arrival_slot.size, capacity)
+    arrival_slot, ks, distinct = sample_run(catalog, capacity, workload_cfg, horizon, seed)
     local_bits, mec_bits = task_bits(catalog, ks, distinct)
     for array in (arrival_slot, local_bits, mec_bits):
         array.flags.writeable = False

@@ -5,12 +5,13 @@ requests ``k`` contents, ``k`` uniform on ``{k_min..k_max}``, each content
 drawn independently from the catalog popularity; repeats are allowed and
 the task size in bits is ``k * size_bits`` regardless of repeats.
 
-A run's tasks are drawn up front, in arrival order, into a task table of
-per-task scalars: ``k`` and the number of distinct uncached contents, which
-is all the scheduler ever needs to know of a task (see :func:`sample_tasks`).
-Arrivals and composition are sampled from two separately seeded streams
-(see :func:`task_streams`) so that changing the arrival probability in a
-sweep does not perturb the content sequence of the sampled tasks.
+This module is the package's only source of randomness: a run's arrivals
+and tasks (:func:`sample_run`), drawn up front in arrival order as the two
+per-task scalars the scheduler needs, ``k`` and the number of distinct
+uncached contents, and the Monte Carlo estimate's samples
+(:func:`sample_slot_counts`).  Arrivals and composition come from two
+separately seeded streams (:func:`task_streams`), so changing the arrival
+probability in a sweep does not perturb the content sequence of the tasks.
 
 The composition stream is defined as, per task, ``k = integers(k_min,
 k_max + 1)`` and then ``random(k)`` for its contents, each ranked
@@ -20,24 +21,13 @@ generator is numpy's ``PCG64``, as every generator the package makes is:
 it reads the generator's state from ``PCG64.state``, steps PCG64 itself,
 makes each double and 32-bit value as numpy's ``next_double`` and
 ``next_uint32`` do, and writes the end state back, so it leaves the
-generator as those calls would.  It ranks each raw 64-bit word in integers
+generator as those calls would, whichever of its word sources (see
+:mod:`mecsched._kernel`) runs.  It ranks each raw 64-bit word in integers
 through the catalog's guide table and rank edges, which give the binary
-search's rank for every uniform.  On a processor with AVX-512 it makes
-the words sixteen at a time, in lanes jumped ahead of one another, and
-ranks them eight at a time; elsewhere it steps PCG64 one word at a time.
-Both give the same words and ranks, and the same end state.  Any other bit
-generator, and every generator while the kernel is ``None``, takes the
-stream's definition, one task at a time: about 20 us per task against
-about 0.2 us in C (0.25 us with the scalar step; a default task has about
-50 contents).
-
-The Monte Carlo estimate (:mod:`mecsched.analysis`) takes its ``k``
-values from :func:`draw_ranks`: ``random(n)``, each uniform ranked as
-``searchsorted(cdf, u, side="right")``, which the kernel answers, for a
-``PCG64`` generator, through a guide table and rank edges built for that
-cdf.  With ``cdf = cumsum(p) / cdf[-1]`` this is the stream
-``Generator.choice(a, p=p)`` makes, but it is defined here, so it does
-not depend on ``choice``'s internals.
+search's rank for every uniform.  Any other bit generator, and every
+generator while the kernel is ``None``, takes the stream's definition, one
+task at a time: about 20 us per task against about 0.2 us in C (0.25 us
+with the scalar step; a default task has about 50 contents).
 """
 
 from __future__ import annotations
@@ -49,13 +39,18 @@ import numpy as np
 
 from . import _kernel
 from .catalog import ContentCatalog, guide_table, rank_edges
+from .dynamics import SystemParams, busy_slot_terms, slots_local, slots_mec, task_bits
+from .errors import ConfigError
 
 __all__ = [
     "WorkloadConfig",
+    "check_capacity",
     "task_streams",
+    "sample_run",
     "sample_tasks",
     "draw_contents",
     "draw_ranks",
+    "sample_slot_counts",
     "K_SPAN_LIMIT",
 ]
 
@@ -63,6 +58,13 @@ __all__ = [
 # draw the kernel makes.
 K_SPAN_LIMIT = 2**32 - 1
 _WORD_MASK = 2**64 - 1
+# Slots whose arrival uniforms are drawn at a time.
+_ARRIVAL_CHUNK = 1 << 16
+# Tasks sampled and counted per step of the Monte Carlo estimate's Python
+# path.  Each step pays fixed costs (numpy dispatch, the slot counts'
+# error-state switch), and its temporaries span the step, so a single step
+# would raise the peak memory.  The stream is the same for any step size.
+_STEP_TASKS = 4096
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,12 @@ class WorkloadConfig:
             raise ValueError(f"k_max - k_min must stay below 2**32 - 1, got {self.k_max - self.k_min}")
 
 
+def check_capacity(n_contents: int, capacity: int) -> None:
+    """Refuse, with a :class:`ConfigError`, a cache capacity outside ``0..n_contents``."""
+    if not 0 <= capacity <= n_contents:
+        raise ConfigError(f"cache capacity must lie in 0..{n_contents}, got {capacity}")
+
+
 def task_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     """Two independent generators derived from one seed.
 
@@ -95,6 +103,25 @@ def task_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     """
     arrival_ss, composition_ss = np.random.SeedSequence(seed).spawn(2)
     return np.random.default_rng(arrival_ss), np.random.default_rng(composition_ss)
+
+
+def sample_run(
+    catalog: ContentCatalog, capacity: int, cfg: WorkloadConfig, horizon: int, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A ``horizon``-slot run's ``(arrival_slot, k, distinct_uncached)``
+    from ``seed``, per task in arrival order: slot ``t`` has an arrival when
+    the ``t``-th uniform of ``random(horizon)`` on :func:`task_streams`'
+    arrival stream lies below ``cfg.arrival_prob``, and the tasks are
+    :func:`sample_tasks` on its composition stream."""
+    arrival_rng, composition_rng = task_streams(seed)
+    # Chunked draws continue one stream, so the arrivals equal those of a
+    # single random(horizon) call without its 8-byte-per-slot temporary.
+    blocks = []
+    for first in range(0, horizon, _ARRIVAL_CHUNK):
+        uniforms = arrival_rng.random(min(_ARRIVAL_CHUNK, horizon - first))
+        blocks.append(first + np.flatnonzero(uniforms < cfg.arrival_prob))
+    arrival_slot = np.concatenate(blocks)
+    return (arrival_slot, *sample_tasks(composition_rng, catalog, cfg, arrival_slot.size, capacity))
 
 
 def sample_tasks(
@@ -108,9 +135,7 @@ def sample_tasks(
 
     The result, and the state ``rng`` is left in, are exactly those of
     drawing each task in turn as ``k = rng.integers(k_min, k_max + 1)``
-    followed by ``rng.random(k)``.  The cache holds ranks
-    ``1..capacity``; a ``capacity`` outside ``0..catalog.n_contents``
-    raises :class:`ValueError`, here and in :func:`draw_contents`.
+    followed by ``rng.random(k)``.  The cache holds ranks ``1..capacity``.
     """
     ks = np.empty(n_tasks, dtype=np.int64)
     return ks, _draw(rng, catalog, capacity, ks, cfg)
@@ -130,17 +155,55 @@ def draw_ranks(rng: np.random.Generator, cdf: np.ndarray, n: int) -> np.ndarray:
 
     The result, and the state ``rng`` is left in, are exactly those of
     ``np.searchsorted(cdf, rng.random(n), side="right")``; the kernel
-    draws them for a ``PCG64`` generator, and any other one takes that
-    definition.
+    draws them for a ``PCG64`` generator, through a guide table and rank
+    edges built for ``cdf``, and any other one takes that definition.
     """
     lib = _compiled(rng)
     if lib is None:
         return np.searchsorted(cdf, rng.random(n), side="right")
-    guide = guide_table(cdf)
     ranks = np.empty(n, dtype=np.int64)
     with _pcg64_words(rng.bit_generator) as words:
-        lib.mecsched_draw_ranks(words, n, guide, _bucket_shift(guide), rank_edges(cdf), ranks)
+        lib.mecsched_draw_ranks(words, n, *guide_table(cdf), rank_edges(cdf), ranks)
     return ranks
+
+
+def sample_slot_counts(
+    catalog: ContentCatalog, capacity: int, params: SystemParams, ks: range, samples: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Monte Carlo estimate's samples: ``samples`` tasks' local and
+    offload busy-slot counts, as two float64 arrays.
+
+    The stream: ``random(samples)`` from ``default_rng(seed)``, ranked by
+    :func:`draw_ranks` through ``cdf = cumsum(p) / cdf[-1]`` (``p`` the
+    equal probabilities of ``ks``) to pick the ``k`` values in order, as
+    ``Generator.choice(ks, p=p)`` does; then each task's contents are the
+    next ``k`` uniforms.  The kernel draws and counts them in one call
+    (``mecsched_estimate_slots``); the reference, without it, goes in steps
+    of ``_STEP_TASKS`` through :func:`draw_contents` and ``dynamics``.
+    """
+    check_capacity(catalog.n_contents, capacity)
+    cdf = np.cumsum(np.full(len(ks), 1.0 / len(ks)))
+    cdf /= cdf[-1]
+    rng = np.random.default_rng(seed)
+    drawn_ks = draw_ranks(rng, cdf, samples)
+    drawn_ks += ks.start  # in place: a second samples-long array would raise the peak memory
+    local_counts, mec_counts = np.empty((2, samples))
+    lib = _compiled(rng)
+    if lib is None:
+        for first in range(0, samples, _STEP_TASKS):
+            chunk = drawn_ks[first:first + _STEP_TASKS]
+            distinct = draw_contents(rng, catalog, chunk, capacity)
+            local_bits, mec_bits = task_bits(catalog, chunk, distinct)
+            local_counts[first:first + chunk.size] = slots_local(mec_bits, local_bits, params)
+            mec_counts[first:first + chunk.size] = slots_mec(mec_bits, params)
+    else:
+        stamp = np.zeros(catalog.n_contents, dtype=np.int64)
+        with _pcg64_words(rng.bit_generator) as words:
+            lib.mecsched_estimate_slots(
+                words, samples, drawn_ks, catalog.guide, catalog.guide_shift, catalog.edge, capacity,
+                stamp, float(catalog.size_bits), *busy_slot_terms(params), local_counts, mec_counts,
+            )
+    return local_counts, mec_counts
 
 
 def _compiled(rng):
@@ -148,12 +211,6 @@ def _compiled(rng):
     numpy's ``PCG64``), else None."""
     lib = _kernel.lib
     return lib if lib is not None and type(rng.bit_generator) is np.random.PCG64 else None
-
-
-def _bucket_shift(guide: np.ndarray) -> int:
-    """64 - log2 of the guide table's bucket count: a word's bucket is the
-    word shifted right by this much."""
-    return 65 - (guide.size - 1).bit_length()
 
 
 @contextmanager
@@ -176,17 +233,10 @@ def _pcg64_words(bitgen: np.random.PCG64):
         bitgen.state = state
 
 
-def _check_capacity(catalog: ContentCatalog, capacity: int) -> None:
-    """Refuse a cache capacity outside ``0..catalog.n_contents``, the
-    numbers of top-ranked contents a cache can hold."""
-    if not 0 <= capacity <= catalog.n_contents:
-        raise ValueError(f"cache capacity must lie in 0..{catalog.n_contents}, got {capacity}")
-
-
 def _draw(rng, catalog: ContentCatalog, capacity: int, ks: np.ndarray, cfg) -> np.ndarray:
     """Draw each task's ``k`` (into ``ks``, unless ``cfg`` is None) and its
     contents; returns the distinct uncached counts."""
-    _check_capacity(catalog, capacity)
+    check_capacity(catalog.n_contents, capacity)
     distinct = np.empty(ks.size, dtype=np.int64)
     lib = _compiled(rng)
     if lib is None:
@@ -200,7 +250,7 @@ def _draw(rng, catalog: ContentCatalog, capacity: int, ks: np.ndarray, cfg) -> n
     stamp = np.zeros(catalog.n_contents, dtype=np.int64)
     with _pcg64_words(rng.bit_generator) as words:
         lib.mecsched_draw_tasks(
-            words, ks.size, cfg is not None, k_min, span, ks, catalog.guide, _bucket_shift(catalog.guide),
+            words, ks.size, cfg is not None, k_min, span, ks, catalog.guide, catalog.guide_shift,
             catalog.edge, capacity, stamp, distinct,
         )
     return distinct

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from mecsched import _kernel
-from mecsched.workload import _bucket_shift, draw_contents
+from mecsched.workload import draw_contents
 
 
 class FixedWords:
@@ -45,9 +45,8 @@ def count_words(catalog, capacity, ks, words) -> list[int]:
         return draw_contents(FixedWords(words), catalog, ks, capacity).tolist()
     stamp = np.zeros(catalog.n_contents, dtype=np.int64)
     distinct = np.empty(ks.size, dtype=np.int64)
-    guide = catalog.guide
     lib.mecsched_count_words(
-        ks.size, ks, words, guide, _bucket_shift(guide), catalog.edge, capacity, stamp, distinct,
+        ks.size, ks, words, catalog.guide, catalog.guide_shift, catalog.edge, capacity, stamp, distinct,
     )
     return distinct.tolist()
 

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from mecsched import _kernel, analysis
+from mecsched import _kernel, analysis, workload
 from mecsched.analysis import (
     REGIME_INFEASIBLE,
     REGIME_LOCAL_ONLY,
@@ -21,6 +21,7 @@ from mecsched.analysis import (
 )
 from mecsched.catalog import ContentCatalog
 from mecsched.dynamics import SystemParams, slots_local, slots_mec, task_bits
+from mecsched.errors import ConfigError
 from mecsched.workload import draw_contents, draw_ranks
 from draw_paths import drawing_on, paths
 
@@ -129,10 +130,23 @@ def test_local_bits_memory_stays_bounded(catalog) -> None:
 
 
 def test_local_bits_capacity_bounds(catalog) -> None:
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="cache capacity must lie in 0..1000, got -1"):
         expected_local_bits(5e6, catalog.popularity, -1, range(3, 4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="cache capacity must lie in 0..1000, got 1001"):
         expected_local_bits(5e6, catalog.popularity, 1001, range(3, 4))
+
+
+def test_estimate_refuses_a_capacity_before_drawing(catalog, params, monkeypatch) -> None:
+    # The capacity is refused before the k draw, on every path.
+    def no_draw(*args):
+        raise AssertionError("the k draw started")
+
+    monkeypatch.setattr(workload, "draw_ranks", no_draw)
+    n = catalog.n_contents
+    for path in paths():
+        with drawing_on(*path):
+            with pytest.raises(ConfigError, match=f"cache capacity must lie in 0..{n}, got {n + 1}"):
+                estimate_slot_means(catalog, n + 1, params, range(40, 61), samples=100)
 
 
 def test_slot_mean_estimate_frozen(catalog, params) -> None:

@@ -70,7 +70,9 @@ def test_catalog_cdf_ends_at_one() -> None:
 
 def test_guide_table_refuses_a_cdf_a_lookup_could_run_past() -> None:
     # A lookup stays in bounds only when the last entry is exactly 1.
-    assert guide_table(np.ones(1)).tolist() == [0, 0, 0, 0, 1]
+    # Four buckets: a word's top two bits pick its bucket.
+    table, shift = guide_table(np.ones(1))
+    assert (table.tolist(), shift) == ([0, 0, 0, 0, 1], 62)
     for cdf in (np.empty(0), np.array([0.5, 1.0 - 2**-53])):
         with pytest.raises(ValueError, match="the last exactly 1"):
             guide_table(cdf)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mecsched import _kernel, engine
+from mecsched import _kernel, engine, workload
 from mecsched.config import ExperimentConfig, build_system
 from mecsched.engine import (
     avg_data_per_task,
@@ -382,7 +382,7 @@ def test_draw_guards_fire_before_allocating(monkeypatch) -> None:
     def no_draw(seed):
         raise AssertionError("the draw started")
 
-    monkeypatch.setattr(engine, "task_streams", no_draw)
+    monkeypatch.setattr(workload, "task_streams", no_draw)
     (catalog, _, _, workload_cfg, _), _ = _system()
     n = catalog.n_contents
     with pytest.raises(ConfigError, match=f"capacity must lie in 0..{n}, got {n + 1}"):

@@ -6,6 +6,12 @@ listed in the module's ``__all__``.  ``perfbench/`` is left out.  In the
 package, every name in a module's ``__all__`` must be bound at the
 module's top level; the import scan counts ``__all__`` names as used, so
 a stale entry would otherwise keep a stale import alive unnoticed.
+
+Two more scans guard the package's boundaries: no package module imports
+an underscore name from another one, and only ``workload`` draws, that is,
+refers to ``np.random``, the task streams or the kernel's draw entries
+(declaring their ``argtypes`` and ``restype`` in ``_kernel`` draws
+nothing).
 """
 
 from __future__ import annotations
@@ -19,6 +25,9 @@ FILES = sorted(
     for folder in ("src", "tests", "demos", "tools")
     for path in (ROOT / folder).rglob("*.py")
 )
+PACKAGE = [path for path in FILES if path.startswith("src/mecsched/")]
+DRAWS = {"np.random", "numpy.random", "task_streams", "mecsched_draw_tasks", "mecsched_draw_ranks",
+         "mecsched_estimate_slots"}
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -72,10 +81,47 @@ def test_scan_flags_an_unused_import() -> None:
     assert _unused_imports(source) == ["line 1: np", "line 2: path"]
 
 
+def _private_imports(source: str) -> list[str]:
+    """Underscore names imported from a package module, as ``from .x
+    import _name`` or ``from mecsched.x import _name``."""
+    return [
+        f"line {node.lineno}: {alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module and (node.level or node.module.startswith("mecsched."))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def _draws(source: str) -> list[str]:
+    """References to a name in ``DRAWS``: a name, an attribute or an
+    import.  An attribute whose ``argtypes`` or ``restype`` is taken
+    declares a kernel function's signature and is not counted."""
+    tree = ast.parse(source)
+    declared = {
+        id(node.value) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("argtypes", "restype")
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute) and id(node) not in declared:
+            prefix = f"{node.value.id}." if isinstance(node.value, ast.Name) else ""
+            names = [node.attr, prefix + node.attr]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [name for alias in node.names for name in (alias.name, f"{node.module}.{alias.name}")]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name in DRAWS]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
 def test_package_exports_only_bound_names() -> None:
-    package = [path for path in FILES if path.startswith("src/mecsched/")]
-    assert "src/mecsched/catalog.py" in package
-    found = {path: _unbound_exports((ROOT / path).read_text(encoding="utf-8")) for path in package}
+    assert "src/mecsched/catalog.py" in PACKAGE
+    found = {path: _unbound_exports((ROOT / path).read_text(encoding="utf-8")) for path in PACKAGE}
     assert {path: unbound for path, unbound in found.items() if unbound} == {}
 
 
@@ -86,3 +132,34 @@ def test_scan_flags_an_unbound_export() -> None:
         "__all__ = ['sep', 'LIMIT', 'a', 'c', 'Kept', 'run', 'gone', 'Removed']\n"
     )
     assert _unbound_exports(source) == ["gone", "Removed"]
+
+
+def test_package_imports_no_private_name_of_another_module() -> None:
+    found = {path: _private_imports((ROOT / path).read_text(encoding="utf-8")) for path in PACKAGE}
+    assert {path: private for path, private in found.items() if private} == {}
+
+
+def test_scan_flags_a_private_import() -> None:
+    source = (
+        "from . import _kernel\nfrom .workload import _check, draw\nfrom mecsched.catalog import _edges\n"
+        "from ._kernel import lib\nfrom os import _exit\nfrom mecsched import _kernel\n"
+    )
+    assert _private_imports(source) == ["line 2: _check", "line 3: _edges"]
+
+
+def test_only_workload_draws() -> None:
+    assert _draws((ROOT / "src/mecsched/workload.py").read_text(encoding="utf-8"))
+    others = [path for path in PACKAGE if path != "src/mecsched/workload.py"]
+    found = {path: _draws((ROOT / path).read_text(encoding="utf-8")) for path in others}
+    assert {path: draws for path, draws in found.items() if draws} == {}
+
+
+def test_scan_flags_a_draw() -> None:
+    source = (
+        "import numpy as np\nrng = np.random.default_rng(0)\nfrom .workload import task_streams\n"
+        "lib.mecsched_draw_ranks(words)\nlib.mecsched_draw_tasks.argtypes = []\n"
+        "lib.mecsched_estimate_slots.restype = None\nrandom = rng.random()\nfrom numpy import random\n"
+    )
+    assert _draws(source) == [
+        "line 2: np.random", "line 3: task_streams", "line 4: mecsched_draw_ranks", "line 8: numpy.random",
+    ]

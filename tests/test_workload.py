@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mecsched import _kernel, engine
+from mecsched import _kernel, workload
 from mecsched.catalog import ContentCatalog
 from mecsched.analysis import estimate_slot_means
 from mecsched.config import ExperimentConfig, build_system
@@ -254,7 +254,7 @@ def test_package_generators_take_the_compiled_draw(catalog: ContentCatalog, monk
         arrival_rng, composition_rng = task_streams(seed)
         return arrival_rng, _NoReferenceDraw(composition_rng.bit_generator)
 
-    monkeypatch.setattr(engine, "task_streams", guarded_streams)
+    monkeypatch.setattr(workload, "task_streams", guarded_streams)
     draw_tasks(catalog, 50, _cfg(), 2000, seed=1)
     params = SystemParams(slot_seconds=0.1, cycles_per_bit=10, f_local_hz=1e9, f_mec_hz=1e10, rate_bps=1e8)
     monkeypatch.setattr(np.random, "default_rng", lambda seed: _NoReferenceDraw(default_rng(seed).bit_generator))
