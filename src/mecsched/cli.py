@@ -361,10 +361,12 @@ def cmd_analyze(config: ExperimentConfig, samples: int = 20000) -> tuple[list[di
     """Closed-form expectations, slot-count estimates, regime and bounds.
 
     Returns CSV rows (one per control weight) and human-readable lines.
-    An input whose exact local bits would sum more than
-    :data:`LOCAL_BITS_ENTRY_LIMIT` entries, or whose k range holds more than
-    :data:`K_VALUES_LIMIT` values, is refused before any work.
+    A sweep of any axis but ``v_param``, exact local bits summing more than
+    :data:`LOCAL_BITS_ENTRY_LIMIT` entries or a k range of more than
+    :data:`K_VALUES_LIMIT` values is refused before any work.
     """
+    if config.sweep_axis not in (None, "v_param"):
+        raise config.key_error("sweep_axis", f"analyze sweeps only 'v_param', got {config.sweep_axis!r}")
     if samples < 2:
         raise ConfigError(f"--samples: need at least 2 sampled tasks for a standard error, got {samples}")
     if not config.arrival_prob > 0:
@@ -388,10 +390,7 @@ def cmd_analyze(config: ExperimentConfig, samples: int = 20000) -> tuple[list[di
     report = optimal_average_data(
         estimate.local_mean, estimate.mec_mean, config.arrival_prob, mec_mean, local_mean
     )
-    if config.sweep_axis == "v_param" and config.sweep_values:
-        v_values = list(config.sweep_values)
-    else:
-        v_values = [config.v_param]
+    v_values = list(config.sweep_values) if config.sweep_axis else [config.v_param]
     rows = []
     for v in v_values:
         rows.append(

@@ -66,48 +66,50 @@ class ExperimentConfig:
     # or None, for a key left at its default or set in code.
     sources: dict[str, Optional[str]] = field(default_factory=dict, compare=False, repr=False)
 
-    def validate(self) -> "ExperimentConfig":
-        def bad(key, msg):
-            return _range_error(self, key, msg)
+    def key_error(self, key: str, msg: str) -> ConfigError:
+        """A ``ConfigError`` about config key ``key``, naming where it was set."""
+        where = self.sources.get(key)
+        return ConfigError(f"{where + ': ' if where else ''}config key {key!r}: {msg}")
 
+    def validate(self) -> "ExperimentConfig":
         for key, (name, parse, _) in _KEYS.items():
             value = getattr(self, name)
             if parse is float and not math.isfinite(value):
-                raise bad(key, f"must be a finite number, got {value}")
+                raise self.key_error(key, f"must be a finite number, got {value}")
         if self.n_contents < 1:
-            raise bad("n_contents", f"must be at least 1, got {self.n_contents}")
+            raise self.key_error("n_contents", f"must be at least 1, got {self.n_contents}")
         if not self.zipf_alpha >= 0:
-            raise bad("zipf_alpha", f"must be non-negative, got {self.zipf_alpha}")
+            raise self.key_error("zipf_alpha", f"must be non-negative, got {self.zipf_alpha}")
         if not self.tau_bits > 0:
-            raise bad("tau_bits", f"must be positive, got {self.tau_bits}")
+            raise self.key_error("tau_bits", f"must be positive, got {self.tau_bits}")
         if not 0 <= self.cache_m <= self.n_contents:
-            raise bad("cache_m", f"must lie in 0..n_contents, got {self.cache_m}")
+            raise self.key_error("cache_m", f"must lie in 0..n_contents, got {self.cache_m}")
         if not self.slot_seconds > 0:
-            raise bad("slot_seconds", f"must be positive, got {self.slot_seconds}")
+            raise self.key_error("slot_seconds", f"must be positive, got {self.slot_seconds}")
         if not 0 <= self.arrival_prob <= 1:
-            raise bad("lambda", f"must lie in [0, 1], got {self.arrival_prob}")
+            raise self.key_error("lambda", f"must lie in [0, 1], got {self.arrival_prob}")
         for key in ("w_cycles_per_bit", "f_local_hz", "f_mec_hz", "rate_bps"):
             if not getattr(self, key) > 0:
-                raise bad(key, f"must be positive, got {getattr(self, key)}")
+                raise self.key_error(key, f"must be positive, got {getattr(self, key)}")
         if not self.v_param >= 0:
-            raise bad("v_param", f"must be non-negative, got {self.v_param}")
+            raise self.key_error("v_param", f"must be non-negative, got {self.v_param}")
         if self.horizon_slots < 1:
-            raise bad("horizon_slots", f"must be at least 1, got {self.horizon_slots}")
+            raise self.key_error("horizon_slots", f"must be at least 1, got {self.horizon_slots}")
         if self.k_min < 1:
-            raise bad("k_min", f"must be at least 1, got {self.k_min}")
+            raise self.key_error("k_min", f"must be at least 1, got {self.k_min}")
         if self.k_max < self.k_min:
-            raise bad("k_max", f"must be >= k_min, got {self.k_max} < {self.k_min}")
+            raise self.key_error("k_max", f"must be >= k_min, got {self.k_max} < {self.k_min}")
         if self.policy not in POLICY_KINDS:
-            raise bad("policy", f"must be one of {POLICY_KINDS}, got {self.policy!r}")
+            raise self.key_error("policy", f"must be one of {POLICY_KINDS}, got {self.policy!r}")
         if self.sweep_axis is not None:
             if self.sweep_axis not in SWEEP_AXES:
-                raise bad("sweep_axis", f"must be one of {SWEEP_AXES}, got {self.sweep_axis!r}")
+                raise self.key_error("sweep_axis", f"must be one of {SWEEP_AXES}, got {self.sweep_axis!r}")
             if not self.sweep_values:
-                raise bad("sweep_values", "must be a non-empty list when sweep_axis is set")
+                raise self.key_error("sweep_values", "must be a non-empty list when sweep_axis is set")
             for _, point in sweep_configs(self):
                 point.validate()
         if not self.seeds or min(self.seeds) < 0:
-            raise bad("seeds", f"must be a non-empty list of non-negative integers, got {self.seeds}")
+            raise self.key_error("seeds", f"must be a non-empty list of non-negative integers, got {self.seeds}")
         if not 0 <= self.warmup_frac < 1:
             # No config key: its flag, when set, names it.
             where = self.sources.get("warmup_frac")
@@ -116,15 +118,10 @@ class ExperimentConfig:
         return self
 
 
-def _range_error(config: ExperimentConfig, key: str, msg: str) -> ConfigError:
-    where = config.sources.get(key)
-    return ConfigError(f"{where + ': ' if where else ''}config key {key!r}: {msg}")
-
-
 def _set_axis_value(config: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
     if axis == "cache_m":
         if not float(value).is_integer():
-            raise _range_error(config, "sweep_values", f"cache_m values must be integers, got {value}")
+            raise config.key_error("sweep_values", f"cache_m values must be integers, got {value}")
         return dataclasses.replace(config, cache_m=int(value))
     return dataclasses.replace(config, **{axis: value})
 
@@ -243,7 +240,7 @@ def build_system(config: ExperimentConfig, catalogs: Optional[dict] = None):
         try:
             catalog = ContentCatalog.zipf(*key)
         except ValueError as exc:
-            raise _range_error(config, "zipf_alpha", f"gives a popularity the catalog rejects: {exc}") from exc
+            raise config.key_error("zipf_alpha", f"gives a popularity the catalog rejects: {exc}") from exc
         if catalogs is not None:
             catalogs[key] = catalog
     try:

@@ -18,9 +18,9 @@ here compute them for whole arrays of tasks, and they are the reference.
 The compiled kernel (``_slot_loop.c``) applies the same busy-slot formula,
 with the same operations in the same order, where it uses a count: the
 slot loop when a task starts and the Monte Carlo estimate for each sample,
-so neither builds a per-task count array.  It takes the formula's factor
-and divisors from :func:`busy_slot_terms`.  The Python paths (no kernel)
-call :func:`slots_local` and :func:`slots_mec`.
+so neither builds a per-task count array.  It and the functions here take
+the factor and divisors from :func:`busy_slot_terms`.  The Python paths
+(no kernel) call :func:`slots_local` and :func:`slots_mec`.
 
 The engine's slot loop uses a count as follows: a task started in slot
 ``t`` with count ``n`` completes at the end of slot ``t + n - 1``, and its
@@ -73,31 +73,32 @@ def slots_local(total_bits, fetch_bits, params: SystemParams) -> np.ndarray:
     distinct uncached bits.  Always at least 1; a task that could not
     finish within any horizon gets ``2**62``.
     """
-    return _busy_slots(total_bits, fetch_bits, params.f_local_hz, params)
+    cycles_per_bit, f_local_dt, _, rate_dt = busy_slot_terms(params)
+    return _busy_slots(total_bits, fetch_bits, cycles_per_bit, f_local_dt, rate_dt)
 
 
 def slots_mec(total_bits, params: SystemParams) -> np.ndarray:
     """Whole slots to finish each task on the edge server (compute + uplink)."""
-    return _busy_slots(total_bits, total_bits, params.f_mec_hz, params)
+    cycles_per_bit, _, f_mec_dt, rate_dt = busy_slot_terms(params)
+    return _busy_slots(total_bits, total_bits, cycles_per_bit, f_mec_dt, rate_dt)
 
 
 def busy_slot_terms(params: SystemParams) -> tuple[float, float, float, float]:
     """``(cycles_per_bit, f_local_hz * dt, f_mec_hz * dt, rate_bps * dt)``:
-    the busy-slot formula's factor and its three divisors, the products
-    rounded as :func:`slots_local` and :func:`slots_mec` round them.  The
-    compiled kernel takes these four numbers and applies the formula
-    itself."""
+    the busy-slot formula's factor and its three divisors, rounded here
+    once.  :func:`slots_local`, :func:`slots_mec` and the compiled kernel
+    all take their divisors from these four numbers."""
     dt = params.slot_seconds
     return params.cycles_per_bit, params.f_local_hz * dt, params.f_mec_hz * dt, params.rate_bps * dt
 
 
-def _busy_slots(total_bits, shipped_bits, f_hz: float, params: SystemParams) -> np.ndarray:
+def _busy_slots(total_bits, shipped_bits, cycles_per_bit: float, f_dt: float, rate_dt: float) -> np.ndarray:
     # A division that overflows, by a divisor that underflowed to 0, or is
     # undefined as 0/0 is a duration past every horizon: the cap defines
     # the result, so numpy need not warn.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        compute = np.asarray(total_bits) * params.cycles_per_bit / (f_hz * params.slot_seconds)
-        ship = np.asarray(shipped_bits) / (params.rate_bps * params.slot_seconds)
+        compute = np.asarray(total_bits) * cycles_per_bit / f_dt
+        ship = np.asarray(shipped_bits) / rate_dt
     # A duration that underflows to zero still occupies its start slot.  One
     # too long for any horizon (infinite, or undefined as 0/0 when the rate
     # times the slot length underflows) is capped at _NEVER_DONE, so the

@@ -41,23 +41,24 @@ The same pass keeps every metric of the run, in registers:
 
 A run therefore holds per-task arrays only, and nothing per slot unless
 the series is asked for: the table's 24 bytes per task (arrival slot and
-two bit counts), and a compiled run's own 24, a copy of the arrival
-slots and each completion's delay and arrival slot.
+two bit counts), and a compiled run's own 16, each completion's delay and
+arrival slot.  Both loops read the table's arrays in place.
 
 The loop exists twice.  :func:`_python_slot_loop` is the reference: it
 calls :func:`mecsched.policy.decide` once per slot, and it takes every
 task's counts from :func:`~mecsched.dynamics.slots_local` and
-:func:`~mecsched.dynamics.slots_mec` before the first slot (16 more bytes
-per task).  ``_slot_loop.c``
-holds the same loop and the same rule in C, beside the task draw;
+:func:`~mecsched.dynamics.slots_mec` before the first slot, so a Python
+run peaks at 56 bytes per task: the two count arrays, the delays and the
+count formula's temporaries.  ``_slot_loop.c`` holds the same loop and the
+same rule in C, beside the task draw, as ``mecsched_slot_loop``;
 :mod:`mecsched._kernel` compiles it with the system C compiler on first
 use into a per-user cache and loads it once, as ``_kernel.lib``, which
 each run reads.  When no compiler is found or the build fails,
-``_kernel.lib`` is ``None`` and the Python loop runs.  Both give
-identical runs: the C rule makes the same floating-point comparisons as
-``decide`` and the C count the same operations as ``dynamics``, bit for
-bit, and every partial bit sum is an integer below 2**53, so the bits are
-exact in either.
+``_kernel.lib`` is ``None`` and the Python loop runs.  Both take the same
+output arrays and fill them alike, and both give identical runs: the C
+rule makes the same floating-point comparisons as ``decide`` and the C
+count the same operations as ``dynamics``, bit for bit, and every partial
+bit sum is an integer below 2**53, so the bits are exact in either.
 
 Two bookkeeping details worth knowing:
 
@@ -152,13 +153,28 @@ class TaskTable:
     The table covers ``horizon`` slots.  ``arrival_slot``, ``local_bits``
     and ``mec_bits`` hold per task, in arrival order, its arrival slot,
     the distinct uncached bits a local run fetches and the full task an
-    offload ships.  The arrays are read-only.
+    offload ships.  ``arrival`` holds the arrival slots followed by
+    ``horizon``, a slot no loop reaches, so the next task's arrival slot
+    is always in bounds; ``arrival_slot`` is a view of it.  Every array is
+    read-only, however the table was built.
     """
 
     horizon: int
     arrival_slot: np.ndarray
     local_bits: np.ndarray
     mec_bits: np.ndarray
+    arrival: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # The compiled loop indexes all three by task without a bound.
+        if not len(self.arrival_slot) == len(self.local_bits) == len(self.mec_bits):
+            raise ValueError("a task table needs one arrival slot and two bit counts per task")
+        arrival = np.append(self.arrival_slot, self.horizon)
+        for array in (arrival, self.local_bits, self.mec_bits):
+            array.flags.writeable = False
+        # A view made after the flag is cleared is read-only too.
+        object.__setattr__(self, "arrival", arrival)
+        object.__setattr__(self, "arrival_slot", arrival[:-1])
 
 
 def draw_tasks(
@@ -194,8 +210,8 @@ def draw_tasks(
 
     arrival_slot, ks, distinct = sample_run(catalog, capacity, workload_cfg, horizon, seed)
     local_bits, mec_bits = task_bits(catalog, ks, distinct)
-    for array in (arrival_slot, local_bits, mec_bits):
-        array.flags.writeable = False
+    # Freed first: with them, the table's arrival copy would raise the draw's peak.
+    del ks, distinct
     return TaskTable(horizon, arrival_slot, local_bits, mec_bits)
 
 
@@ -214,24 +230,27 @@ def run_simulation(
     """
     if not 0.0 <= warmup_frac < 1.0:
         raise ConfigError(f"warmup_frac must lie in [0, 1), got {warmup_frac}")
-    horizon, arrival_slot = tasks.horizon, tasks.arrival_slot
-    n_tasks = arrival_slot.size
+    horizon, n_tasks = tasks.horizon, tasks.arrival_slot.size
     warmup_slots = int(warmup_frac * horizon)
 
-    # The task behind the tail "arrives" in slot horizon, which no loop reaches.
-    arrival = np.append(arrival_slot, horizon)
     delays = np.empty(n_tasks, dtype=np.int64)
     delay_arrival = np.empty(n_tasks, dtype=np.int64)
     series = np.empty(horizon, dtype=np.int64) if collect_series else None
-
-    slot_loop = _python_slot_loop if _kernel.lib is None else _c_slot_loop
+    counts = np.empty(10, dtype=np.int64)
+    bits = np.empty(2, dtype=np.float64)
+    if _kernel.lib is None:
+        _python_slot_loop(tasks, params, policy, warmup_slots, delays, delay_arrival, series, counts, bits)
+    else:
+        _kernel.lib.mecsched_slot_loop(
+            _kernel.KIND_CODES[policy.kind], policy.v_param, horizon, warmup_slots, tasks.arrival,
+            tasks.local_bits, tasks.mec_bits, *busy_slot_terms(params), delays, delay_arrival,
+            None if series is None else series.ctypes.data, counts, bits,
+        )
     (
         head, arrived, completions, done_local, done_mec, queue_sum, drift_violations,
-        warm_queue_sum, warm_arrived, warm_head, tx_bits, warm_tx_bits,
-    ) = slot_loop(
-        policy, horizon, warmup_slots, arrival, tasks.local_bits, tasks.mec_bits, params,
-        delays, delay_arrival, series,
-    )
+        warm_queue_sum, warm_arrived, warm_head,
+    ) = counts.tolist()
+    tx_bits, warm_tx_bits = bits.tolist()
 
     in_service = (done_local >= horizon) + (done_mec >= horizon)
     if n_tasks != completions + (arrived - head) + in_service:
@@ -263,39 +282,35 @@ def run_simulation(
 
 
 def _python_slot_loop(
-    policy: PolicySpec,
-    horizon: int,
-    warmup_slots: int,
-    arrival: np.ndarray,
-    local_bits: np.ndarray,
-    mec_bits: np.ndarray,
+    tasks: TaskTable,
     params: SystemParams,
+    policy: PolicySpec,
+    warmup_slots: int,
     delays: np.ndarray,
     delay_arrival: np.ndarray,
     series: Optional[np.ndarray],
-) -> tuple:
-    """The slot loop in Python, the reference the compiled loop follows.
+    counts: np.ndarray,
+    bits: np.ndarray,
+) -> None:
+    """The slot loop in Python, the reference ``mecsched_slot_loop`` follows.
 
-    Runs slots ``0..horizon-1``.  ``arrival`` holds the tasks' arrival
-    slots followed by ``horizon``.  Each task's busy-slot counts come from
-    :func:`~mecsched.dynamics.slots_local` and
+    Runs slots ``0..tasks.horizon-1``.  Each task's busy-slot counts come
+    from :func:`~mecsched.dynamics.slots_local` and
     :func:`~mecsched.dynamics.slots_mec`, for all tasks before the first
     slot; the compiled loop computes each one when its task starts.  Each
-    completed task's delay and arrival
-    slot go into ``delays`` and ``delay_arrival``, in completion order, and
-    the queue before each slot into ``series`` unless it is ``None``.
-    Returns ``(head, arrived, completions, done_local, done_mec, queue_sum,
-    drift_violations, warm_queue_sum, warm_arrived, warm_head, tx_bits,
-    warm_tx_bits)``, the ``warm_*`` values as they stood before slot
-    ``warmup_slots``.
+    completed task's delay and arrival slot go into ``delays`` and
+    ``delay_arrival``, in completion order, and the queue before each slot
+    into ``series`` unless it is ``None``.  ``counts`` gets ``(head,
+    arrived, completions, done_local, done_mec, queue_sum,
+    drift_violations, warm_queue_sum, warm_arrived, warm_head)`` and
+    ``bits`` gets ``(tx_bits, warm_tx_bits)``, the ``warm_*`` values as they
+    stood before slot ``warmup_slots``.
     """
-    # Memoryviews give the slot loop plain Python numbers; two zero entries
-    # stand in for the bits of tasks behind the tail.
-    local_view = memoryview(np.append(local_bits, (0.0, 0.0)))
-    mec_view = memoryview(np.append(mec_bits, (0.0, 0.0)))
-    n_local_view = memoryview(slots_local(mec_bits, local_bits, params))
-    n_mec_view = memoryview(slots_mec(mec_bits, params))
-    arrival_view = memoryview(arrival)
+    # Memoryviews give the slot loop plain Python numbers.
+    local_view, mec_view = memoryview(tasks.local_bits), memoryview(tasks.mec_bits)
+    n_local_view = memoryview(slots_local(tasks.mec_bits, tasks.local_bits, params))
+    n_mec_view = memoryview(slots_mec(tasks.mec_bits, params))
+    arrival_view = memoryview(tasks.arrival)
     delay_view, delay_arrival_view = memoryview(delays), memoryview(delay_arrival)
     series_view = None if series is None else memoryview(series)
     head = arrived = completions = queue_sum = drift_violations = 0
@@ -305,7 +320,7 @@ def _python_slot_loop(
     warm_queue_sum = warm_arrived = warm_head = 0
     tx_bits = warm_tx_bits = 0.0
 
-    for t in range(horizon):
+    for t in range(tasks.horizon):
         q_len = arrived - head
         if t == warmup_slots:
             warm_queue_sum, warm_arrived, warm_head, warm_tx_bits = queue_sum, arrived, head, tx_bits
@@ -314,7 +329,8 @@ def _python_slot_loop(
         queue_sum += q_len
         local_first, local_second, mec_first, mec_second = decide(
             policy, done_local >= t, done_mec >= t, q_len,
-            local_view[head], mec_view[head], local_view[head + 1], mec_view[head + 1],
+            local_view[head] if q_len > 0 else 0.0, mec_view[head] if q_len > 0 else 0.0,
+            local_view[head + 1] if q_len > 1 else 0.0, mec_view[head + 1] if q_len > 1 else 0.0,
         )
         if local_first or local_second:
             task = head + local_second
@@ -340,33 +356,11 @@ def _python_slot_loop(
         drift_violations += started > q_len
         head += started
         arrived += arrival_view[arrived] == t
-    return (
+    counts[:] = (
         head, arrived, completions, done_local, done_mec, queue_sum, drift_violations,
-        warm_queue_sum, warm_arrived, warm_head, tx_bits, warm_tx_bits,
+        warm_queue_sum, warm_arrived, warm_head,
     )
-
-
-def _c_slot_loop(
-    policy: PolicySpec,
-    horizon: int,
-    warmup_slots: int,
-    arrival: np.ndarray,
-    local_bits: np.ndarray,
-    mec_bits: np.ndarray,
-    params: SystemParams,
-    delays: np.ndarray,
-    delay_arrival: np.ndarray,
-    series: Optional[np.ndarray],
-) -> tuple:
-    """:func:`_python_slot_loop`, run by the compiled kernel."""
-    counts = np.empty(10, dtype=np.int64)
-    bits = np.empty(2, dtype=np.float64)
-    _kernel.lib.mecsched_slot_loop(
-        _kernel.KIND_CODES[policy.kind], policy.v_param, horizon, warmup_slots, arrival,
-        local_bits, mec_bits, *busy_slot_terms(params), delays, delay_arrival,
-        None if series is None else series.ctypes.data, counts, bits,
-    )
-    return (*counts.tolist(), *bits.tolist())
+    bits[:] = (tx_bits, warm_tx_bits)
 
 
 def avg_data_per_task(metrics: RunMetrics) -> float:

@@ -37,10 +37,12 @@ def test_measure_point_reports_a_small_point(monkeypatch) -> None:
 
     assert set(point) == {
         "draw_us_per_task", "draw_us_per_task_range", "run_us_per_slot",
-        "run_us_per_slot_range", "tasks", "reference_s", "host_speed",
+        "run_us_per_slot_range", "run_bytes_per_task", "tasks", "reference_s", "host_speed",
     }
     catalog, capacity, _, workload_cfg, _ = build_system(ExperimentConfig(horizon_slots=2000, **overrides).validate())
     assert point["tasks"] == draw_tasks(catalog, capacity, workload_cfg, 2000, seed=0).arrival_slot.size
+    # At least the two delay arrays, 16 bytes per task.
+    assert point["run_bytes_per_task"] >= 16
     assert point["reference_s"] == [0.2, 0.4]
     assert point["host_speed"] == [0.25, 0.5]
     assert point["draw_us_per_task"] > 0 and point["run_us_per_slot"] > 0

@@ -423,6 +423,26 @@ def test_analyze_unfinishable_tasks_mean_overload(tmp_path) -> None:
     assert float(row["mec_slot_mean"]) == float(row["local_slot_mean"]) == 2.0**62
 
 
+@pytest.mark.parametrize("axis, values", [("cache_m", "0,50,200"), ("f_local_hz", "5e8,2e9"), ("rate_bps", "1e8,1e9")])
+def test_analyze_refuses_a_sweep_it_cannot_run(axis, values, tmp_path, capsys, monkeypatch) -> None:
+    # analyze's rows vary v alone; any other axis would be dropped silently.
+    def no_work(*args, **kwargs):
+        raise AssertionError("analyze started its work")
+
+    monkeypatch.setattr(cli, "build_system", no_work)
+    out = tmp_path / "analyze.csv"
+    argv = ["analyze", "--set", f"sweep_axis={axis}", "--set", f"sweep_values={values}", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: override 'sweep_axis={axis}': config key 'sweep_axis': analyze sweeps only 'v_param', got '{axis}'\n"
+    )
+    assert not out.exists()
+    monkeypatch.undo()
+    config = ExperimentConfig(sweep_axis="v_param", sweep_values=[1e-7, 1e-6]).validate()
+    rows, _ = cmd_analyze(config, samples=200)
+    assert [row["v_param"] for row in rows] == [1e-7, 1e-6]
+
+
 @pytest.fixture
 def count_draws(monkeypatch):
     """Record the seed of every task-table draw, and of every run by the

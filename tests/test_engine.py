@@ -9,6 +9,7 @@ import pytest
 from mecsched import _kernel, engine, workload
 from mecsched.config import ExperimentConfig, build_system
 from mecsched.engine import (
+    TaskTable,
     avg_data_per_task,
     avg_queue_length,
     decile_means,
@@ -161,12 +162,8 @@ def test_run_without_series_allocates_nothing_per_slot() -> None:
     assert peaks[1] - peaks[0] <= 2 * 50_000 + 128 * (n_tasks[1] - n_tasks[0])
 
 
-def test_compiled_run_allocates_24_bytes_per_task() -> None:
-    # Given its table, a compiled run without a series allocates the arrival
-    # copy and the two delay arrays, 24 bytes per task; the busy-slot counts
-    # are computed when each task starts, with no per-task array.
-    if _kernel.lib is None:
-        pytest.skip("no C compiler: the compiled slot loop is not built")
+def _assert_run_grows_by(bytes_per_task: int) -> None:
+    # A run without a series, between two horizons, given its table.
     (catalog, capacity, params, workload_cfg, policy), _ = _system(arrival_prob=0.5)
     peaks, n_tasks = [], []
     for horizon in (50_000, 150_000):
@@ -178,7 +175,23 @@ def test_compiled_run_allocates_24_bytes_per_task() -> None:
         finally:
             tracemalloc.stop()
         n_tasks.append(table.arrival_slot.size)
-    assert peaks[1] - peaks[0] <= 24 * (n_tasks[1] - n_tasks[0]) + 4096
+    assert peaks[1] - peaks[0] <= bytes_per_task * (n_tasks[1] - n_tasks[0]) + 4096
+
+
+def test_compiled_run_allocates_16_bytes_per_task() -> None:
+    # A compiled run reads the table in place and allocates the two delay
+    # arrays, 16 bytes per task; the busy-slot counts are computed when each
+    # task starts, with no per-task array.
+    if _kernel.lib is None:
+        pytest.skip("no C compiler: the compiled slot loop is not built")
+    _assert_run_grows_by(16)
+
+
+def test_python_run_allocates_56_bytes_per_task(monkeypatch) -> None:
+    # The Python loop adds the two busy-slot count arrays to the delays, and
+    # the count formula's temporaries peak beside them: 56 bytes per task.
+    monkeypatch.setattr(_kernel, "lib", None)
+    _assert_run_grows_by(56)
 
 
 def test_table_keeps_nothing_per_slot() -> None:
@@ -202,6 +215,24 @@ def test_table_keeps_nothing_per_slot() -> None:
     allowance = 32 * (n_tasks[1] - n_tasks[0]) + 4096
     assert kept[1] - kept[0] <= allowance
     assert peaks[1] - peaks[0] <= allowance
+
+
+def test_draw_peaks_below_40_bytes_per_task() -> None:
+    # The table keeps 24 bytes per task; the draw peaks at 37 while the bit
+    # counts are made from each task's k and distinct count.  Copying the
+    # arrival slots while those are still held would peak at 48.
+    (catalog, capacity, _, workload_cfg, _), _ = _system(arrival_prob=0.5)
+    draw_tasks(catalog, capacity, workload_cfg, 100, seed=0)
+    peaks, n_tasks = [], []
+    for horizon in (50_000, 150_000):
+        tracemalloc.start()
+        try:
+            table = draw_tasks(catalog, capacity, workload_cfg, horizon, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        n_tasks.append(table.arrival_slot.size)
+    assert peaks[1] - peaks[0] <= 40 * (n_tasks[1] - n_tasks[0])
 
 
 def test_warmup_window_bookkeeping() -> None:
@@ -355,9 +386,16 @@ def test_same_slot_completions_and_the_horizon_edge(loop, monkeypatch) -> None:
 def test_table_arrays_are_read_only() -> None:
     (catalog, capacity, params, workload_cfg, policy), _ = _system()
     table = draw_tasks(catalog, capacity, workload_cfg, 500, seed=0)
-    for array in (table.arrival_slot, table.local_bits, table.mec_bits):
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = array[1]
+    # A hand-built table gets the drawn one's invariants.
+    for tasks in (table, tie_table(9)):
+        assert tasks.arrival[-1] == tasks.horizon
+        assert np.shares_memory(tasks.arrival_slot, tasks.arrival)
+        assert np.array_equal(tasks.arrival[:-1], tasks.arrival_slot)
+        for array in (tasks.arrival, tasks.arrival_slot, tasks.local_bits, tasks.mec_bits):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[1]
+    with pytest.raises(ValueError, match="one arrival slot and two bit counts per task"):
+        TaskTable(9, np.arange(3), np.zeros(3), np.zeros(2))
     metrics = run_simulation(table, params, policy)
     # Run results are the run's own arrays, free to change.
     metrics.delay_arrival_slots[:1] = -1

@@ -24,6 +24,10 @@ At each point, for every seed, it times
   (as the command line runs it), reported in us per slot.  This is the
   slot loop plus everything computed before and after it.
 
+After the timed calls, one more run on the last seed's table is traced
+with ``tracemalloc``: its peak over that table's tasks is the point's
+``run_bytes_per_task``, what a run allocates beside its table.
+
 One more point, ``analyze_estimate``, times ``estimate_slot_means`` (the
 ``analyze`` command's Monte Carlo estimate) at the default configuration
 with ``ESTIMATE_SAMPLES`` samples, once per seed, and reports it in us
@@ -78,6 +82,7 @@ import runpy
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 HORIZON = 100_000
@@ -160,11 +165,18 @@ def measure_point(overrides: dict, reference: dict) -> dict:
         draw_s, run_s, n_tasks = draw_s + t_draw, run_s + t_run, n_tasks + tasks
         draw_us.append(1e6 * t_draw / tasks)
         run_us.append(1e6 * t_run / HORIZON)
+    tracemalloc.start()
+    try:
+        run_simulation(table, params, policy, warmup_frac=config.warmup_frac)
+        run_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     return {
         "draw_us_per_task": 1e6 * draw_s / n_tasks,
         "draw_us_per_task_range": [min(draw_us), max(draw_us)],
         "run_us_per_slot": 1e6 * run_s / (HORIZON * len(SEEDS)),
         "run_us_per_slot_range": [min(run_us), max(run_us)],
+        "run_bytes_per_task": run_peak / tasks,
         "tasks": n_tasks,
         **host_speed(reference, reference_s),
     }
