@@ -1,11 +1,12 @@
 """Build and load the compiled kernel (``_slot_loop.c``) on first use.
 
-The kernel holds the draws of :mod:`mecsched.workload` (the tasks, the
-ranks and the Monte Carlo estimate's samples), which step numpy's PCG64
-themselves from the state the caller passes, and the slot loop of
-:mod:`mecsched.engine`.  The estimate's draw and the slot loop compute
-each task's busy-slot count where they use it; ``mecsched_count_words``
-runs the task draw's count on given 64-bit words, for tests.  The draws
+The kernel holds one entry per hot call: the draws of
+:mod:`mecsched.workload` (the tasks, and the Monte Carlo estimate's
+samples: their ``k`` values, contents and slot counts), which step numpy's
+PCG64 themselves from the state the caller passes, and the slot loop of
+:mod:`mecsched.engine`.  The estimate and the slot loop compute each
+task's busy-slot count where they use it; ``mecsched_count_words`` runs
+the task draw's count on given 64-bit words, for tests.  The draws
 take their PCG64 words from one of two sources, which the library chooses
 once, when it loads: sixteen AVX-512 lanes on an x86-64 processor that has
 AVX-512F, else the scalar step, one word at a time.  Both give the same
@@ -84,22 +85,19 @@ def load() -> Optional[ctypes.CDLL]:
         lib.mecsched_slot_loop.restype = None
         # The draws read and write PCG64's state as six uint64 words.
         lib.mecsched_draw_tasks.argtypes = [
-            _array(np.uint64), i64, ctypes.c_int, i64, ctypes.c_uint32, _array(np.int64),
-            _array(np.int32), ctypes.c_int, _array(np.uint64), i64, _array(np.int64), _array(np.int64),
+            _array(np.uint64), i64, i64, ctypes.c_uint32, _array(np.int64), _array(np.int32), ctypes.c_int,
+            _array(np.uint64), i64, _array(np.int64), _array(np.int64),
         ]
         lib.mecsched_draw_tasks.restype = None
-        lib.mecsched_draw_ranks.argtypes = [
-            _array(np.uint64), i64, _array(np.int32), ctypes.c_int, _array(np.uint64), _array(np.int64),
-        ]
-        lib.mecsched_draw_ranks.restype = None
         lib.mecsched_count_words.argtypes = [
             i64, _array(np.int64), _array(np.uint64), _array(np.int32), ctypes.c_int, _array(np.uint64), i64,
             _array(np.int64), _array(np.int64),
         ]
         lib.mecsched_count_words.restype = None
         lib.mecsched_estimate_slots.argtypes = [
-            _array(np.uint64), i64, _array(np.int64), _array(np.int32), ctypes.c_int, _array(np.uint64), i64,
-            _array(np.int64), f64, f64, f64, f64, f64, _array(np.float64), _array(np.float64),
+            _array(np.uint64), i64, i64, _array(np.int32), ctypes.c_int, _array(np.uint64), _array(np.int64),
+            _array(np.int32), ctypes.c_int, _array(np.uint64), i64, _array(np.int64), f64, f64, f64, f64, f64,
+            _array(np.float64), _array(np.float64),
         ]
         lib.mecsched_estimate_slots.restype = None
         lib.mecsched_word_source.argtypes = []

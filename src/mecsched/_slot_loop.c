@@ -1,9 +1,10 @@
 /* The engine's two hot paths, compiled: the task draw and the slot loop,
  * which keeps the run's sums and completions as it goes; and the Monte
- * Carlo estimate's two draws, of its k values and of its slot counts.
+ * Carlo estimate, which draws its k values and contents and counts its
+ * tasks' busy slots.  One entry per hot call, and four for the tests.
  *
- * mecsched_draw_tasks and mecsched_draw_ranks step numpy's PCG64 (O'Neill's
- * XSL-RR 128/64 generator) themselves, on the PCG64.state that
+ * mecsched_draw_tasks and mecsched_estimate_slots step numpy's PCG64
+ * (O'Neill's XSL-RR 128/64 generator) themselves, on the PCG64.state that
  * workload._pcg64_words packs into six words and stores back after the
  * call.  A uniform is the word's top 53 bits times 2**-53, and a 32-bit
  * value is the low half of a word, whose high half is kept for the next
@@ -17,14 +18,15 @@
  * pcg64_next64 step per word.  The lanes hold the states 1..16 steps past
  * the generator's, two vectors of eight, and step each 16 steps at a
  * time; they fill a block of 64 words and their ranks (vrank, through
- * gathers), which the draws read in order: the k draw the words, with
- * next32's buffered half, the count the ranks, and mecsched_draw_ranks
- * writes its ranks straight out.  At the end a draw moves the generator
- * past the words it took by PCG64's jump (Brown 1994), the O(log n) map
- * PCG64.advance uses, so the words the lanes made ahead are dropped and
- * the end state is the scalar loops' own.  Both sources give the same
- * words, ranks and end state; mecsched_select_word_source lets the tests
- * run both.
+ * gathers), which the draws read in order: the task draw's k the words,
+ * with next32's buffered half, and the contents their ranks.  The
+ * estimate first fills the block with ranks through its k cdf's tables,
+ * then starts it afresh for the contents.  At the end a draw moves the
+ * generator past the words it took by PCG64's jump (Brown 1994), the
+ * O(log n) map PCG64.advance uses, so the words the lanes made ahead are
+ * dropped and the end state is the scalar loops' own.  Both sources give
+ * the same words, ranks and end state; mecsched_select_word_source lets
+ * the tests run both.
  *
  * A task's busy-slot count in either mode is busy_slots, the formula of
  * dynamics._busy_slots with its operations in the same order; the slot
@@ -373,29 +375,9 @@ AVX512 static inline int64_t block_count(block_t *block, int64_t k, int64_t tag,
     return n_distinct;
 }
 
-AVX512 static void draw_ranks_avx512(uint64_t *pcg64, int64_t n, const int32_t *guide, int shift,
-                                     const uint64_t *edge, int64_t *out)
-{
-    pcg64_t rng = pcg64_load(pcg64);
-    int64_t i = 0;
-    if (n >= 16) {
-        lanes_t lanes = lanes_load(&rng);
-        for (; n - i >= 16; i += 16) {
-#pragma GCC unroll 2
-            for (int v = 0; v < 2; v++) {
-                rank8(lanes_output(&lanes, v), guide, shift, edge, out + i + 8 * v);
-                lanes_step(&lanes, v);
-            }
-        }
-        pcg64_advance(&rng, (uint64_t)i);
-    }
-    for (; i < n; i++) out[i] = rank(pcg64_next64(&rng), guide, shift, edge);
-    pcg64_store(&rng, pcg64);
-}
-
-AVX512 static void draw_tasks_avx512(uint64_t *pcg64, int64_t n_tasks, int draw_k, int64_t k_lo, uint32_t span,
-                                     int64_t *ks, const int32_t *guide, int shift, const uint64_t *edge,
-                                     int64_t capacity, int64_t *stamp, int64_t *distinct)
+AVX512 static void draw_tasks_avx512(uint64_t *pcg64, int64_t n_tasks, int64_t k_lo, uint32_t span, int64_t *ks,
+                                     const int32_t *guide, int shift, const uint64_t *edge, int64_t capacity,
+                                     int64_t *stamp, int64_t *distinct)
 {
     pcg64_t rng = pcg64_load(pcg64);
     block_t block;
@@ -403,29 +385,35 @@ AVX512 static void draw_tasks_avx512(uint64_t *pcg64, int64_t n_tasks, int draw_
     const uint64_t k_range = (uint64_t)span + 1;
     const uint32_t threshold = (UINT32_MAX - span) % k_range;
     for (int64_t i = 0; i < n_tasks; i++) {
-        int64_t k = ks[i];
-        if (draw_k) {
-            k = k_lo;
-            if (span) {
-                uint64_t m = (uint64_t)block_next32(&block, &rng, guide, shift, edge) * k_range;
-                while ((uint32_t)m < threshold) m = (uint64_t)block_next32(&block, &rng, guide, shift, edge) * k_range;
-                k += (int64_t)(m >> 32);
-            }
-            ks[i] = k;
+        int64_t k = k_lo;
+        if (span) {
+            uint64_t m = (uint64_t)block_next32(&block, &rng, guide, shift, edge) * k_range;
+            while ((uint32_t)m < threshold) m = (uint64_t)block_next32(&block, &rng, guide, shift, edge) * k_range;
+            k += (int64_t)(m >> 32);
         }
+        ks[i] = k;
         distinct[i] = block_count(&block, k, i + 1, guide, shift, edge, capacity, stamp);
     }
     block_end(&block, &rng);
     pcg64_store(&rng, pcg64);
 }
 
-AVX512 static void estimate_slots_avx512(uint64_t *pcg64, int64_t n_tasks, const int64_t *ks, const int32_t *guide,
+AVX512 static void estimate_slots_avx512(uint64_t *pcg64, int64_t n_tasks, int64_t k_lo, const int32_t *k_guide,
+                                         int k_shift, const uint64_t *k_edge, int64_t *ks, const int32_t *guide,
                                          int shift, const uint64_t *edge, int64_t capacity, int64_t *stamp,
                                          double size_bits, double cycles_per_bit, double f_local_dt, double f_mec_dt,
                                          double rate_dt, double *local_counts, double *mec_counts)
 {
     pcg64_t rng = pcg64_load(pcg64);
     block_t block;
+    block_start(&block, &rng);
+    for (int64_t i = 0; i < n_tasks; i++) {
+        if (block.pos == BLOCK) block_fill(&block, k_guide, k_shift, k_edge);
+        ks[i] = k_lo + block.rank[block.pos++];
+    }
+    /* The unread words' ranks are k ranks: the contents take a block of
+     * their own. */
+    block_end(&block, &rng);
     block_start(&block, &rng);
     for (int64_t i = 0; i < n_tasks; i++) {
         const int64_t n_distinct = block_count(&block, ks[i], i + 1, guide, shift, edge, capacity, stamp);
@@ -486,34 +474,18 @@ int mecsched_select_word_source(int avx512)
     return mecsched_word_source();
 }
 
-/* Draws n uniforms, Generator.random(n), and stores each one's rank in
- * out, as searchsorted(cdf, u, side="right") ranks it. */
-void mecsched_draw_ranks(uint64_t *pcg64, int64_t n, const int32_t *guide, int shift, const uint64_t *edge,
-                         int64_t *out)
+/* Draws n_tasks tasks in turn.  Task i's k is Generator.integers(k_lo,
+ * k_lo + span + 1), numpy's 32-bit Lemire rejection (span < 2**32 - 1),
+ * and is stored in ks[i].  Its k contents are Generator.random(k), and
+ * distinct[i] gets the number of distinct ranks above capacity among
+ * them. */
+void mecsched_draw_tasks(uint64_t *pcg64, int64_t n_tasks, int64_t k_lo, uint32_t span, int64_t *ks,
+                         const int32_t *guide, int shift, const uint64_t *edge, int64_t capacity, int64_t *stamp,
+                         int64_t *distinct)
 {
 #ifdef MECSCHED_AVX512
     if (avx512_words) {
-        draw_ranks_avx512(pcg64, n, guide, shift, edge, out);
-        return;
-    }
-#endif
-    pcg64_t rng = pcg64_load(pcg64);
-    for (int64_t i = 0; i < n; i++) out[i] = rank(pcg64_next64(&rng), guide, shift, edge);
-    pcg64_store(&rng, pcg64);
-}
-
-/* Draws n_tasks tasks in turn.  With draw_k, task i's k is
- * Generator.integers(k_lo, k_lo + span + 1), numpy's 32-bit Lemire
- * rejection (span < 2**32 - 1), and is stored in ks[i]; otherwise k is
- * ks[i].  Its k contents are Generator.random(k), and distinct[i] gets the
- * number of distinct ranks above capacity among them. */
-void mecsched_draw_tasks(uint64_t *pcg64, int64_t n_tasks, int draw_k, int64_t k_lo, uint32_t span,
-                         int64_t *ks, const int32_t *guide, int shift, const uint64_t *edge,
-                         int64_t capacity, int64_t *stamp, int64_t *distinct)
-{
-#ifdef MECSCHED_AVX512
-    if (avx512_words) {
-        draw_tasks_avx512(pcg64, n_tasks, draw_k, k_lo, span, ks, guide, shift, edge, capacity, stamp, distinct);
+        draw_tasks_avx512(pcg64, n_tasks, k_lo, span, ks, guide, shift, edge, capacity, stamp, distinct);
         return;
     }
 #endif
@@ -521,16 +493,13 @@ void mecsched_draw_tasks(uint64_t *pcg64, int64_t n_tasks, int draw_k, int64_t k
     const uint64_t k_range = (uint64_t)span + 1;
     const uint32_t threshold = (UINT32_MAX - span) % k_range;
     for (int64_t i = 0; i < n_tasks; i++) {
-        int64_t k = ks[i];
-        if (draw_k) {
-            k = k_lo;
-            if (span) {
-                uint64_t m = (uint64_t)pcg64_next32(&rng) * k_range;
-                while ((uint32_t)m < threshold) m = (uint64_t)pcg64_next32(&rng) * k_range;
-                k += (int64_t)(m >> 32);
-            }
-            ks[i] = k;
+        int64_t k = k_lo;
+        if (span) {
+            uint64_t m = (uint64_t)pcg64_next32(&rng) * k_range;
+            while ((uint32_t)m < threshold) m = (uint64_t)pcg64_next32(&rng) * k_range;
+            k += (int64_t)(m >> 32);
         }
+        ks[i] = k;
         int64_t n_distinct = 0;
         for (int64_t j = 0; j < k; j++)
             n_distinct += count(pcg64_next64(&rng), i + 1, guide, shift, edge, capacity, stamp);
@@ -539,8 +508,9 @@ void mecsched_draw_tasks(uint64_t *pcg64, int64_t n_tasks, int draw_k, int64_t k
     pcg64_store(&rng, pcg64);
 }
 
-/* mecsched_draw_tasks for given k values, on the given words in place of
- * the generator's: task i's contents are the next ks[i] words. */
+/* mecsched_draw_tasks' content count for given k values, on the given
+ * words in place of the generator's: task i's contents are the next ks[i]
+ * words. */
 void mecsched_count_words(int64_t n_tasks, const int64_t *ks, const uint64_t *words, const int32_t *guide,
                           int shift, const uint64_t *edge, int64_t capacity, int64_t *stamp, int64_t *distinct)
 {
@@ -558,25 +528,30 @@ void mecsched_count_words(int64_t n_tasks, const int64_t *ks, const uint64_t *wo
     }
 }
 
-/* The Monte Carlo estimate's slot counts, on the stream of
- * mecsched_draw_tasks for given k values: task i's contents are the next
- * ks[i] words, and with its bits size_bits * distinct (a local run) and
- * size_bits * ks[i] (an offload), local_counts[i] and mec_counts[i] get
- * busy_slots of each, as dynamics.task_bits, slots_local and slots_mec
- * give them. */
-void mecsched_estimate_slots(uint64_t *pcg64, int64_t n_tasks, const int64_t *ks, const int32_t *guide, int shift,
+/* The Monte Carlo estimate's n_tasks samples.  Their k values come first:
+ * Generator.random(n_tasks), each ranked through k_guide, k_shift and
+ * k_edge, the tables of the k cdf, as searchsorted(cdf, u, side="right")
+ * ranks it; ks[i] gets k_lo plus the rank.  Then task i's contents are the
+ * next ks[i] words, and with its bits size_bits * distinct (a local run)
+ * and size_bits * ks[i] (an offload), local_counts[i] and mec_counts[i]
+ * get busy_slots of each, as dynamics.task_bits, slots_local and
+ * slots_mec give them. */
+void mecsched_estimate_slots(uint64_t *pcg64, int64_t n_tasks, int64_t k_lo, const int32_t *k_guide, int k_shift,
+                             const uint64_t *k_edge, int64_t *ks, const int32_t *guide, int shift,
                              const uint64_t *edge, int64_t capacity, int64_t *stamp, double size_bits,
                              double cycles_per_bit, double f_local_dt, double f_mec_dt, double rate_dt,
                              double *local_counts, double *mec_counts)
 {
 #ifdef MECSCHED_AVX512
     if (avx512_words) {
-        estimate_slots_avx512(pcg64, n_tasks, ks, guide, shift, edge, capacity, stamp, size_bits, cycles_per_bit,
-                              f_local_dt, f_mec_dt, rate_dt, local_counts, mec_counts);
+        estimate_slots_avx512(pcg64, n_tasks, k_lo, k_guide, k_shift, k_edge, ks, guide, shift, edge, capacity,
+                              stamp, size_bits, cycles_per_bit, f_local_dt, f_mec_dt, rate_dt, local_counts,
+                              mec_counts);
         return;
     }
 #endif
     pcg64_t rng = pcg64_load(pcg64);
+    for (int64_t i = 0; i < n_tasks; i++) ks[i] = k_lo + rank(pcg64_next64(&rng), k_guide, k_shift, k_edge);
     for (int64_t i = 0; i < n_tasks; i++) {
         int64_t n_distinct = 0;
         for (int64_t j = 0; j < ks[i]; j++)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -523,6 +524,8 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     try:
         config = _load(args)
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise ConfigError(f"--out {args.out}: no directory {os.path.dirname(args.out)}")
         if args.command == "simulate":
             rows = cmd_simulate(config)
             _emit(rows_to_csv(rows, SIMULATE_COLUMNS), args.out)

@@ -27,7 +27,8 @@ through the catalog's guide table and rank edges, which give the binary
 search's rank for every uniform.  Any other bit generator, and every
 generator while the kernel is ``None``, takes the stream's definition, one
 task at a time: about 20 us per task against about 0.2 us in C (0.25 us
-with the scalar step; a default task has about 50 contents).
+with the scalar step; a default task has about 50 contents).  The
+estimate's draw is one kernel call too, ``k`` values included.
 """
 
 from __future__ import annotations
@@ -137,34 +138,44 @@ def sample_tasks(
     drawing each task in turn as ``k = rng.integers(k_min, k_max + 1)``
     followed by ``rng.random(k)``.  The cache holds ranks ``1..capacity``.
     """
+    check_capacity(catalog.n_contents, capacity)
     ks = np.empty(n_tasks, dtype=np.int64)
-    return ks, _draw(rng, catalog, capacity, ks, cfg)
+    distinct = np.empty(n_tasks, dtype=np.int64)
+    lib = _compiled(rng)
+    if lib is None:
+        for i in range(n_tasks):
+            ks[i] = rng.integers(cfg.k_min, cfg.k_max + 1)
+            distinct[i] = draw_contents(rng, catalog, ks[i:i + 1], capacity)[0]
+        return ks, distinct
+    stamp = np.zeros(catalog.n_contents, dtype=np.int64)
+    with _pcg64_words(rng.bit_generator) as words:
+        lib.mecsched_draw_tasks(
+            words, n_tasks, cfg.k_min, cfg.k_max - cfg.k_min, ks, catalog.guide, catalog.guide_shift,
+            catalog.edge, capacity, stamp, distinct,
+        )
+    return ks, distinct
 
 
 def draw_contents(rng: np.random.Generator, catalog: ContentCatalog, ks, capacity: int) -> np.ndarray:
     """Per task, the distinct uncached contents among ``ks[i]`` drawn ones.
 
-    Task ``i``'s contents are ``rng.random(ks[i])``, drawn task by task.
+    Task ``i``'s contents are ``rng.random(ks[i])``, drawn task by task:
+    the estimate's reference, which its compiled draw follows.
     """
-    return _draw(rng, catalog, capacity, np.array(ks, dtype=np.int64), None)
+    check_capacity(catalog.n_contents, capacity)
+    distinct = np.empty(len(ks), dtype=np.int64)
+    for i, k in enumerate(ks):
+        ranks = np.searchsorted(catalog.cdf, rng.random(k), side="right") + 1
+        distinct[i] = len(set(ranks[ranks > capacity].tolist()))
+    return distinct
 
 
 def draw_ranks(rng: np.random.Generator, cdf: np.ndarray, n: int) -> np.ndarray:
     """``n`` uniforms ``rng.random(n)``, each ranked as the number of
-    entries of ``cdf`` (non-decreasing, last entry exactly 1) ``<= u``.
-
-    The result, and the state ``rng`` is left in, are exactly those of
-    ``np.searchsorted(cdf, rng.random(n), side="right")``; the kernel
-    draws them for a ``PCG64`` generator, through a guide table and rank
-    edges built for ``cdf``, and any other one takes that definition.
-    """
-    lib = _compiled(rng)
-    if lib is None:
-        return np.searchsorted(cdf, rng.random(n), side="right")
-    ranks = np.empty(n, dtype=np.int64)
-    with _pcg64_words(rng.bit_generator) as words:
-        lib.mecsched_draw_ranks(words, n, *guide_table(cdf), rank_edges(cdf), ranks)
-    return ranks
+    entries of ``cdf`` (non-decreasing, last entry exactly 1) ``<= u``:
+    the estimate's reference, which its compiled draw follows through a
+    guide table and rank edges built for ``cdf``."""
+    return np.searchsorted(cdf, rng.random(n), side="right")
 
 
 def sample_slot_counts(
@@ -177,7 +188,8 @@ def sample_slot_counts(
     :func:`draw_ranks` through ``cdf = cumsum(p) / cdf[-1]`` (``p`` the
     equal probabilities of ``ks``) to pick the ``k`` values in order, as
     ``Generator.choice(ks, p=p)`` does; then each task's contents are the
-    next ``k`` uniforms.  The kernel draws and counts them in one call
+    next ``k`` uniforms.  The kernel draws the ``k`` values and the
+    contents and counts them in one call
     (``mecsched_estimate_slots``); the reference, without it, goes in steps
     of ``_STEP_TASKS`` through :func:`draw_contents` and ``dynamics``.
     """
@@ -185,24 +197,28 @@ def sample_slot_counts(
     cdf = np.cumsum(np.full(len(ks), 1.0 / len(ks)))
     cdf /= cdf[-1]
     rng = np.random.default_rng(seed)
-    drawn_ks = draw_ranks(rng, cdf, samples)
-    drawn_ks += ks.start  # in place: a second samples-long array would raise the peak memory
-    local_counts, mec_counts = np.empty((2, samples))
     lib = _compiled(rng)
-    if lib is None:
-        for first in range(0, samples, _STEP_TASKS):
-            chunk = drawn_ks[first:first + _STEP_TASKS]
-            distinct = draw_contents(rng, catalog, chunk, capacity)
-            local_bits, mec_bits = task_bits(catalog, chunk, distinct)
-            local_counts[first:first + chunk.size] = slots_local(mec_bits, local_bits, params)
-            mec_counts[first:first + chunk.size] = slots_mec(mec_bits, params)
-    else:
+    if lib is not None:
+        drawn_ks = np.empty(samples, dtype=np.int64)
+        local_counts, mec_counts = np.empty((2, samples))
         stamp = np.zeros(catalog.n_contents, dtype=np.int64)
         with _pcg64_words(rng.bit_generator) as words:
             lib.mecsched_estimate_slots(
-                words, samples, drawn_ks, catalog.guide, catalog.guide_shift, catalog.edge, capacity,
-                stamp, float(catalog.size_bits), *busy_slot_terms(params), local_counts, mec_counts,
+                words, samples, ks.start, *guide_table(cdf), rank_edges(cdf), drawn_ks, catalog.guide,
+                catalog.guide_shift, catalog.edge, capacity, stamp, float(catalog.size_bits),
+                *busy_slot_terms(params), local_counts, mec_counts,
             )
+        return local_counts, mec_counts
+    drawn_ks = draw_ranks(rng, cdf, samples)
+    drawn_ks += ks.start  # in place: a second samples-long array would raise the peak memory
+    # Allocated after the k draw, whose uniforms are freed by now.
+    local_counts, mec_counts = np.empty((2, samples))
+    for first in range(0, samples, _STEP_TASKS):
+        chunk = drawn_ks[first:first + _STEP_TASKS]
+        distinct = draw_contents(rng, catalog, chunk, capacity)
+        local_bits, mec_bits = task_bits(catalog, chunk, distinct)
+        local_counts[first:first + chunk.size] = slots_local(mec_bits, local_bits, params)
+        mec_counts[first:first + chunk.size] = slots_mec(mec_bits, params)
     return local_counts, mec_counts
 
 
@@ -231,26 +247,3 @@ def _pcg64_words(bitgen: np.random.PCG64):
         state["state"]["state"] = int(words[0]) << 64 | int(words[1])
         state["has_uint32"], state["uinteger"] = int(words[4]), int(words[5])
         bitgen.state = state
-
-
-def _draw(rng, catalog: ContentCatalog, capacity: int, ks: np.ndarray, cfg) -> np.ndarray:
-    """Draw each task's ``k`` (into ``ks``, unless ``cfg`` is None) and its
-    contents; returns the distinct uncached counts."""
-    check_capacity(catalog.n_contents, capacity)
-    distinct = np.empty(ks.size, dtype=np.int64)
-    lib = _compiled(rng)
-    if lib is None:
-        for i in range(ks.size):
-            if cfg is not None:
-                ks[i] = rng.integers(cfg.k_min, cfg.k_max + 1)
-            ranks = np.searchsorted(catalog.cdf, rng.random(ks[i]), side="right") + 1
-            distinct[i] = len(set(ranks[ranks > capacity].tolist()))
-        return distinct
-    k_min, span = (0, 0) if cfg is None else (cfg.k_min, cfg.k_max - cfg.k_min)
-    stamp = np.zeros(catalog.n_contents, dtype=np.int64)
-    with _pcg64_words(rng.bit_generator) as words:
-        lib.mecsched_draw_tasks(
-            words, ks.size, cfg is not None, k_min, span, ks, catalog.guide, catalog.guide_shift,
-            catalog.edge, capacity, stamp, distinct,
-        )
-    return distinct

@@ -15,7 +15,7 @@ from mecsched.config import ExperimentConfig, build_system
 from mecsched.dynamics import SystemParams
 from mecsched.engine import RunMetrics, TaskTable, draw_tasks, run_simulation
 from mecsched.policy import POLICY_KINDS, PolicySpec
-from mecsched.workload import K_SPAN_LIMIT, WorkloadConfig, draw_contents, draw_ranks, sample_tasks
+from mecsched.workload import K_SPAN_LIMIT, WorkloadConfig, sample_slot_counts, sample_tasks
 from draw_paths import drawing_on, word_sources
 from fixed_uniforms import pcg64_with_next
 
@@ -85,9 +85,9 @@ def compare_at_the_extremes(sanitized) -> None:
 def _compare(sanitized) -> None:
     """Assert that the kernel ``sanitized`` and the Python paths agree at the
     extremes: a one-content catalog, a cache of the whole catalog, wide guide
-    buckets, k spans 0 and K_SPAN_LIMIT - 1, rank draws from a one-entry
-    cdf, from a steep one and of no values, first words 0, 2**64 - 1 and a
-    rank edge's first word in every draw, with a 32-bit half buffered at
+    buckets, k spans 0 and K_SPAN_LIMIT - 1, the estimate's k draw from a
+    one-entry cdf and from wider ones, first words 0, 2**64 - 1 and a
+    rank edge's first word in the task draw, with a 32-bit half buffered at
     the start (the generator's end state included), and runs with tasks
     that never end (2**62 slots), of one slot, with warm-up from the first
     or the last slot, with and without a series, and with two tasks ending
@@ -108,8 +108,9 @@ def _compare(sanitized) -> None:
         cfg = WorkloadConfig(0.4, k_min, k_max)
         compiled, python = both(lambda: sample_tasks(np.random.default_rng(1), catalog, cfg, 300, capacity))
         assert [a.tolist() for a in compiled] == [a.tolist() for a in python]
-        compiled, python = both(lambda: draw_contents(np.random.default_rng(1), catalog, [0, 1, 3, 40], capacity))
-        assert compiled.tolist() == python.tolist()
+        ks = range(k_min, k_max + 1)
+        compiled, python = both(lambda: sample_slot_counts(catalog, capacity, TIE_PARAMS, ks, 300, 1))
+        assert [a.tolist() for a in compiled] == [a.tolist() for a in python]
     # The widest span: a rejected 0, then k = 2 from the word's low half and
     # k = 1 from its high half.
     widest = WorkloadConfig(0.4, 1, K_SPAN_LIMIT)
@@ -119,8 +120,7 @@ def _compare(sanitized) -> None:
 
     def with_state(draw, word) -> tuple[list, dict]:
         rng = pcg64_with_next(word, 7)
-        drawn = draw(rng)
-        return [a.tolist() for a in (drawn if isinstance(drawn, tuple) else (drawn,))], rng.bit_generator.state
+        return [a.tolist() for a in draw(rng)], rng.bit_generator.state
 
     # The lowest and the highest word (uniform, bucket and rank) and the
     # first word of the steep catalog's first rank edge, through the
@@ -131,19 +131,6 @@ def _compare(sanitized) -> None:
             for cfg in (WorkloadConfig(0.4, 3, 3), WorkloadConfig(0.4, 3, 66)):
                 compiled, python = both(lambda: with_state(lambda rng: sample_tasks(rng, catalog, cfg, 40, 0), word))
                 assert compiled == python
-            compiled, python = both(lambda: with_state(lambda rng: draw_contents(rng, catalog, [2, 0, 5], 1), word))
-            assert compiled == python
-            compiled, python = both(lambda: with_state(lambda rng: draw_ranks(rng, catalog.cdf, 50), word))
-            assert compiled == python
-
-    def ranks_and_next(cdf, n) -> tuple[list, float]:
-        rng = np.random.default_rng(2)
-        return draw_ranks(rng, cdf, n).tolist(), rng.random()
-
-    for cdf in (np.ones(1), steep.cdf):
-        for n in (0, 1000):
-            compiled, python = both(lambda: ranks_and_next(cdf, n))
-            assert compiled == python
 
     def runs(table, params, spec) -> None:
         horizon = table.horizon

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from mecsched import _kernel, analysis, workload
+from mecsched import _kernel, analysis
 from mecsched.analysis import (
     REGIME_INFEASIBLE,
     REGIME_LOCAL_ONLY,
@@ -22,7 +22,7 @@ from mecsched.analysis import (
 from mecsched.catalog import ContentCatalog
 from mecsched.dynamics import SystemParams, slots_local, slots_mec, task_bits
 from mecsched.errors import ConfigError
-from mecsched.workload import draw_contents, draw_ranks
+from mecsched.workload import draw_contents, draw_ranks, sample_slot_counts
 from draw_paths import drawing_on, paths
 
 
@@ -137,11 +137,12 @@ def test_local_bits_capacity_bounds(catalog) -> None:
 
 
 def test_estimate_refuses_a_capacity_before_drawing(catalog, params, monkeypatch) -> None:
-    # The capacity is refused before the k draw, on every path.
+    # The capacity is refused before the estimate makes its generator, on
+    # every path.
     def no_draw(*args):
-        raise AssertionError("the k draw started")
+        raise AssertionError("the draw started")
 
-    monkeypatch.setattr(workload, "draw_ranks", no_draw)
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
     n = catalog.n_contents
     for path in paths():
         with drawing_on(*path):
@@ -169,22 +170,45 @@ def test_slot_mean_estimate_deterministic(catalog, params) -> None:
         estimate_slot_means(catalog, 50, params, dist, samples=1)
 
 
-@pytest.mark.parametrize("k_min, k_max", [(1, 1), (1, 2), (40, 60), (3, 66), (1, 1000), (7, 7919)])
+K_SPANS = [(1, 1), (1, 2), (40, 60), (3, 66), (1, 1000), (7, 7919)]
+
+
+@pytest.mark.parametrize("k_min, k_max", K_SPANS)
 def test_k_draw_equals_generator_choice(k_min, k_max) -> None:
     # The estimate ranks its k uniforms as Generator.choice(ks, p=equal
     # probabilities) does: random(n) against cumsum(p) / its last entry.
-    # Both paths give choice's values and leave the generator as it does.
+    # draw_ranks gives choice's values and leaves the generator as it does.
     ks = np.arange(k_min, k_max + 1, dtype=np.int64)
     p = np.full(ks.size, 1.0 / ks.size)
     cdf = np.cumsum(p)
     cdf /= cdf[-1]
-    for path in paths():
-        for seed in (0, 1, 11, 2024):
-            fast, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-            with drawing_on(*path):
-                drawn = k_min + draw_ranks(fast, cdf, 5000)
-            assert drawn.tolist() == reference.choice(ks, size=5000, p=p).tolist()
-            assert fast.bit_generator.state == reference.bit_generator.state
+    for seed in (0, 1, 11, 2024):
+        fast, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = k_min + draw_ranks(fast, cdf, 5000)
+        assert drawn.tolist() == reference.choice(ks, size=5000, p=p).tolist()
+        assert fast.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("k_min, k_max", K_SPANS)
+def test_slot_counts_equal_on_every_path(k_min, k_max) -> None:
+    # The compiled estimate draws its k values itself, through the k cdf's
+    # tables, then the contents; every word source gives the counts of the
+    # Python definition, draw_ranks followed by draw_contents.  One-bit
+    # contents on a one-bit-per-slot link with free compute make each
+    # task's offload count its k and its local count its distinct uncached
+    # contents (at least 1).  301 samples leave a partial block between the
+    # two phases.
+    point = SystemParams(slot_seconds=1.0, cycles_per_bit=1.0, f_local_hz=1e300, f_mec_hz=1e300, rate_bps=1.0)
+    for n, alpha in ((1000, 0.8), (50, 3.0), (1, 0.0)):
+        catalog = ContentCatalog.zipf(n, alpha, 1.0)
+        for capacity in sorted({0, min(5, n), n}):
+            counts = []
+            for path in paths():
+                with drawing_on(*path):
+                    drawn = sample_slot_counts(catalog, capacity, point, range(k_min, k_max + 1), 301, seed=3)
+                counts.append([a.tolist() for a in drawn])
+            assert counts == [counts[-1]] * len(counts), (n, capacity)
+            assert {int(k) for k in counts[-1][1]} <= set(range(k_min, k_max + 1))
 
 
 def test_slot_mean_estimate_same_on_both_paths(catalog, params) -> None:

@@ -576,6 +576,20 @@ def test_main_writes_csv(tmp_path, capsys) -> None:
     assert len(text.splitlines()) == 2
 
 
+def test_out_into_a_missing_directory_is_refused_before_any_work(tmp_path, capsys, monkeypatch) -> None:
+    # As with an unreadable --config: one error line and exit 1, before a
+    # command runs, not a raw OSError after it.
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command started its work")
+
+    monkeypatch.setattr(cli, "build_system", no_work)
+    out = tmp_path / "missing" / "x.csv"
+    for command in (["simulate"], ["sweep"], ["frontier", "--target-delay-s", "0.6"], ["analyze"]):
+        assert main([*command, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: --out {out}: no directory {out.parent}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_main_stdout_when_no_out(capsys) -> None:
     code = main(["simulate", "--seeds", "0", "--set", "horizon_slots=600", "--set", "v_param=0.0"])
     assert code == 0

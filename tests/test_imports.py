@@ -26,8 +26,7 @@ FILES = sorted(
     for path in (ROOT / folder).rglob("*.py")
 )
 PACKAGE = [path for path in FILES if path.startswith("src/mecsched/")]
-DRAWS = {"np.random", "numpy.random", "task_streams", "mecsched_draw_tasks", "mecsched_draw_ranks",
-         "mecsched_estimate_slots"}
+DRAWS = {"np.random", "numpy.random", "task_streams", "mecsched_draw_tasks", "mecsched_estimate_slots"}
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -157,9 +156,9 @@ def test_only_workload_draws() -> None:
 def test_scan_flags_a_draw() -> None:
     source = (
         "import numpy as np\nrng = np.random.default_rng(0)\nfrom .workload import task_streams\n"
-        "lib.mecsched_draw_ranks(words)\nlib.mecsched_draw_tasks.argtypes = []\n"
+        "lib.mecsched_estimate_slots(words)\nlib.mecsched_draw_tasks.argtypes = []\n"
         "lib.mecsched_estimate_slots.restype = None\nrandom = rng.random()\nfrom numpy import random\n"
     )
     assert _draws(source) == [
-        "line 2: np.random", "line 3: task_streams", "line 4: mecsched_draw_ranks", "line 8: numpy.random",
+        "line 2: np.random", "line 3: task_streams", "line 4: mecsched_estimate_slots", "line 8: numpy.random",
     ]

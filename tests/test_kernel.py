@@ -67,6 +67,23 @@ def test_kernel_calls_no_math_library_function() -> None:
 
 
 @needs_cc
+def test_kernel_exports_one_entry_per_hot_call_and_the_test_hooks() -> None:
+    # The draw, the estimate and the slot loop, one entry each, and the
+    # four hooks the tests and tools call: a second entry for a hot call
+    # would be a second compiled form to keep equal to the first.
+    nm = shutil.which("nm")
+    if _kernel.lib is None or nm is None:
+        pytest.skip("no kernel loaded, or no nm to list its symbols")
+    listing = subprocess.run([nm, "-D", "--defined-only", _kernel.lib._name], capture_output=True, text=True)
+    assert listing.returncode == 0, listing.stderr
+    defined = {fields[-1] for fields in map(str.split, listing.stdout.splitlines()) if fields}
+    assert sorted(name for name in defined if name.startswith("mecsched_")) == [
+        "mecsched_count_words", "mecsched_decide", "mecsched_draw_tasks", "mecsched_estimate_slots",
+        "mecsched_select_word_source", "mecsched_slot_loop", "mecsched_word_source",
+    ]
+
+
+@needs_cc
 def test_second_load_reuses_the_cached_library(cache, monkeypatch) -> None:
     assert _kernel.load() is not None
     (built,) = cache.glob("slot_loop-*.so")

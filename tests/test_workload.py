@@ -11,7 +11,7 @@ from mecsched.analysis import estimate_slot_means
 from mecsched.config import ExperimentConfig, build_system
 from mecsched.dynamics import SystemParams
 from mecsched.engine import draw_tasks
-from mecsched.workload import K_SPAN_LIMIT, WorkloadConfig, draw_contents, draw_ranks, sample_tasks, task_streams
+from mecsched.workload import K_SPAN_LIMIT, WorkloadConfig, draw_contents, sample_tasks, task_streams
 from draw_paths import drawing_on, paths
 from fixed_uniforms import count_words, distinct_uncached, pcg64_with_next
 
@@ -78,9 +78,9 @@ def test_sample_arrival_degenerate_rates() -> None:
 def test_content_indices_in_range(catalog: ContentCatalog) -> None:
     # Single-content tasks: a whole-catalog cache holds every drawn rank,
     # an empty cache none of them.
-    ks = np.ones(10000, dtype=np.int64)
-    full = draw_contents(np.random.default_rng(5), catalog, ks, 1000)
-    empty = draw_contents(np.random.default_rng(5), catalog, ks, 0)
+    cfg = _cfg(k_min=1, k_max=1)
+    _, full = sample_tasks(np.random.default_rng(5), catalog, cfg, 10000, 1000)
+    _, empty = sample_tasks(np.random.default_rng(5), catalog, cfg, 10000, 0)
     assert full.dtype == empty.dtype == np.int64
     assert full.tolist() == [0] * 10000
     assert empty.tolist() == [1] * 10000
@@ -89,7 +89,7 @@ def test_content_indices_in_range(catalog: ContentCatalog) -> None:
 def test_content_indices_follow_popularity(catalog: ContentCatalog) -> None:
     # A one-content cache holds rank 1 only, so single-content tasks miss
     # it with probability 1 - p[0].
-    counts = draw_contents(np.random.default_rng(11), catalog, np.ones(200000, dtype=np.int64), 1)
+    _, counts = sample_tasks(np.random.default_rng(11), catalog, _cfg(k_min=1, k_max=1), 200000, 1)
     freq1 = np.mean(counts == 0)
     assert freq1 == pytest.approx(catalog.popularity[0], rel=0.03)
 
@@ -261,8 +261,6 @@ def test_package_generators_take_the_compiled_draw(catalog: ContentCatalog, monk
     estimate_slot_means(catalog, 50, params, range(40, 61), samples=200)
     guarded = np.random.default_rng(2)
     sample_tasks(guarded, catalog, _cfg(), 20, 50)
-    draw_contents(guarded, catalog, [3, 0, 5], 50)
-    draw_ranks(guarded, catalog.cdf, 10)
     # Any other bit generator takes the reference path, and is caught.
     with pytest.raises(AssertionError, match="reference path"):
         sample_tasks(_NoReferenceDraw(np.random.MT19937(2)), catalog, _cfg(), 1, 50)
@@ -275,16 +273,14 @@ def test_draw_contents_equal_per_task_random_calls(catalog: ContentCatalog) -> N
     # short or run one long is among them.
     ks = np.concatenate([np.arange(131), np.random.default_rng(1).integers(0, 70, 600)])
     for capacity in (0, 50, 1000):
-        for path in paths():
-            fast, reference = np.random.default_rng(4), np.random.default_rng(4)
-            with drawing_on(*path):
-                counts = draw_contents(fast, catalog, ks, capacity)
-            expected = []
-            for k in ks:
-                contents = _ranks(catalog, reference.random(k))
-                expected.append(np.unique(contents[contents > capacity]).size)
-            assert counts.tolist() == expected
-            assert fast.bit_generator.state == reference.bit_generator.state
+        fast, reference = np.random.default_rng(4), np.random.default_rng(4)
+        counts = draw_contents(fast, catalog, ks, capacity)
+        expected = []
+        for k in ks:
+            contents = _ranks(catalog, reference.random(k))
+            expected.append(np.unique(contents[contents > capacity]).size)
+        assert counts.dtype == np.int64 and counts.tolist() == expected
+        assert fast.bit_generator.state == reference.bit_generator.state
 
 
 def test_workload_config_refuses_a_k_span_no_draw_can_follow() -> None:
