@@ -194,11 +194,11 @@ def test_slot_counts_equal_on_every_path(k_min, k_max) -> None:
     # The compiled estimate draws its k values itself, through the k cdf's
     # tables, then the contents; every word source gives the counts of the
     # Python definition, draw_ranks followed by draw_contents.  One-bit
-    # contents on a one-bit-per-slot link with free compute make each
-    # task's offload count its k and its local count its distinct uncached
-    # contents (at least 1).  301 samples leave a partial block between the
-    # two phases.
-    point = SystemParams(slot_seconds=1.0, cycles_per_bit=1.0, f_local_hz=1e300, f_mec_hz=1e300, rate_bps=1.0)
+    # contents on a half-bit-per-slot link with free compute make each
+    # task's offload count 2k and its local count twice its distinct
+    # uncached contents (at least 1), so a k of 0 shows too.  301 samples
+    # leave a partial block between the two phases.
+    point = SystemParams(slot_seconds=1.0, cycles_per_bit=1.0, f_local_hz=1e300, f_mec_hz=1e300, rate_bps=0.5)
     for n, alpha in ((1000, 0.8), (50, 3.0), (1, 0.0)):
         catalog = ContentCatalog.zipf(n, alpha, 1.0)
         for capacity in sorted({0, min(5, n), n}):
@@ -208,7 +208,7 @@ def test_slot_counts_equal_on_every_path(k_min, k_max) -> None:
                     drawn = sample_slot_counts(catalog, capacity, point, range(k_min, k_max + 1), 301, seed=3)
                 counts.append([a.tolist() for a in drawn])
             assert counts == [counts[-1]] * len(counts), (n, capacity)
-            assert {int(k) for k in counts[-1][1]} <= set(range(k_min, k_max + 1))
+            assert set(counts[-1][1]) <= {2.0 * k for k in range(k_min, k_max + 1)}
 
 
 def test_slot_mean_estimate_same_on_both_paths(catalog, params) -> None:
