@@ -425,29 +425,12 @@ AVX512 static void estimate_slots_avx512(uint64_t *pcg64, int64_t n_tasks, int64
     pcg64_store(&rng, pcg64);
 }
 
-/* mecsched_count_words with rank8's ranks: the given words, eight at a
- * time, the last eight padded with zero words. */
-AVX512 static void count_words_avx512(int64_t n_tasks, const int64_t *ks, const uint64_t *words, const int32_t *guide,
-                                      int shift, const uint64_t *edge, int64_t capacity, int64_t *stamp,
-                                      int64_t *distinct)
+/* rank8 of the first n <= 8 given words, read through a masked load, so
+ * that no word past them is touched. */
+AVX512 static void rank8_given(const uint64_t *words, int64_t n, const int32_t *guide, int shift,
+                               const uint64_t *edge, int64_t *out)
 {
-    int64_t ranks[8], left = 0;
-    for (int64_t i = 0; i < n_tasks; i++) left += ks[i] > 0 ? ks[i] : 0;
-    int pos = 8;
-    for (int64_t i = 0; i < n_tasks; i++) {
-        int64_t n_distinct = 0;
-        for (int64_t j = 0; j < ks[i]; j++) {
-            if (pos == 8) {
-                const __mmask8 given = left >= 8 ? 0xff : (__mmask8)((1u << left) - 1);
-                rank8(_mm512_maskz_loadu_epi64(given, words), guide, shift, edge, ranks);
-                words += 8;
-                left -= 8;
-                pos = 0;
-            }
-            n_distinct += tally(ranks[pos++], i + 1, capacity, stamp);
-        }
-        distinct[i] = n_distinct;
-    }
+    rank8(_mm512_maskz_loadu_epi64((__mmask8)((1u << n) - 1), words), guide, shift, edge, out);
 }
 #endif
 
@@ -510,20 +493,31 @@ void mecsched_draw_tasks(uint64_t *pcg64, int64_t n_tasks, int64_t k_lo, uint32_
 
 /* mecsched_draw_tasks' content count for given k values, on the given
  * words in place of the generator's: task i's contents are the next ks[i]
- * words. */
+ * words.  Each eight words are ranked as the selected word source ranks
+ * them, by rank8 on the AVX-512 lanes and by rank otherwise, and the last
+ * eight only as far as they are given. */
 void mecsched_count_words(int64_t n_tasks, const int64_t *ks, const uint64_t *words, const int32_t *guide,
                           int shift, const uint64_t *edge, int64_t capacity, int64_t *stamp, int64_t *distinct)
 {
-#ifdef MECSCHED_AVX512
-    if (avx512_words) {
-        count_words_avx512(n_tasks, ks, words, guide, shift, edge, capacity, stamp, distinct);
-        return;
-    }
-#endif
+    int64_t ranks[8], left = 0;
+    for (int64_t i = 0; i < n_tasks; i++) left += ks[i] > 0 ? ks[i] : 0;
+    int pos = 8;
     for (int64_t i = 0; i < n_tasks; i++) {
         int64_t n_distinct = 0;
-        for (int64_t j = 0; j < ks[i]; j++)
-            n_distinct += count(*words++, i + 1, guide, shift, edge, capacity, stamp);
+        for (int64_t j = 0; j < ks[i]; j++) {
+            if (pos == 8) {
+                const int64_t given = left < 8 ? left : 8;
+#ifdef MECSCHED_AVX512
+                if (avx512_words) rank8_given(words, given, guide, shift, edge, ranks);
+                else
+#endif
+                    for (int64_t g = 0; g < given; g++) ranks[g] = rank(words[g], guide, shift, edge);
+                words += given;
+                left -= given;
+                pos = 0;
+            }
+            n_distinct += tally(ranks[pos++], i + 1, capacity, stamp);
+        }
         distinct[i] = n_distinct;
     }
 }

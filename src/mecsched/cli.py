@@ -9,20 +9,23 @@ Four subcommands drive the library end to end:
 - ``analyze``   closed-form expectations, regime and gap bounds
 
 All tabular output is CSV with a fixed column order; summaries go to
-stderr so stdout stays machine readable when no --out file is given.
-Exit codes: 0 success, 1 configuration error (an input too large to fit in
-memory included), 2 runtime or metric error.
+stderr so stdout stays machine readable when no --out file is given.  An
+--out file is written whole, when the command succeeds, or not at all.
+Exit codes: 0 success; 1 a configuration error, an input too large to fit
+in memory or an --out file that cannot be written; 2 a runtime error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import os
+import stat
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -40,6 +43,7 @@ from .config import (
     build_system,
     load_config,
     parse_int,
+    parse_list,
     set_key,
     sweep_configs,
 )
@@ -483,21 +487,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_list(raw: str, what: str, parse: Callable = float) -> list:
-    try:
-        values = [parse(part) for part in raw.split(",") if part.strip()]
-    except ValueError:
-        kind = "integers" if parse is parse_int else "numbers"
-        raise ConfigError(f"{what}: expected comma-separated {kind}, got {raw!r}") from None
-    if not values:
-        raise ConfigError(f"{what}: empty list")
-    return values
-
-
 def _load(args: argparse.Namespace) -> ExperimentConfig:
     config = load_config(args.config) if args.config else ExperimentConfig()
     config = apply_overrides(config, args.overrides)
-    if args.seeds:
+    if args.seeds is not None:
         set_key(config, "seeds", args.seeds, "--seeds")
     if args.warmup_frac is not None:
         config.warmup_frac = args.warmup_frac
@@ -505,12 +498,85 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
     return config.validate()
 
 
-def _emit(csv_text: str, out_path: Optional[str]) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+def _result(args: argparse.Namespace, config: ExperimentConfig) -> tuple[list[dict], list[str], list[str]]:
+    """The command's rows, their CSV columns and its summary lines."""
+    if args.command == "simulate":
+        rows = cmd_simulate(config)
+        return rows, SIMULATE_COLUMNS, [f"simulate: {len(rows)} runs at policy={config.policy}"]
+    if args.command == "sweep":
+        rows = cmd_sweep(config)
+        values = len(config.sweep_values or [])
+        return rows, SWEEP_COLUMNS, [f"sweep: {config.sweep_axis} over {values} values, {len(rows)} runs"]
+    if args.command == "frontier":
+        bracket = parse_list(args.r_bracket, float, "--r-bracket")
+        if len(bracket) != 2:
+            raise ConfigError(f"--r-bracket: expected LO,HI, got {args.r_bracket!r}")
+        f_values = parse_list(args.f_values, float, "--f-values")
+        m_values = parse_list(args.m_values, parse_int, "--m-values")
+        rows = cmd_frontier(config, args.target_delay_s, args.tolerance_s, f_values, m_values, *bracket, args.max_iter)
+        reached = sum(1 for r in rows if r["status"] == "ok")
+        return rows, FRONTIER_COLUMNS, [f"frontier: {reached}/{len(rows)} grid points hit the target"]
+    rows, lines = cmd_analyze(config, samples=args.samples)
+    return rows, ANALYZE_COLUMNS, lines
+
+
+@contextlib.contextmanager
+def _output(path: Optional[str]):
+    """A function that writes the command's CSV to ``path``, or to stdout
+    when there is none.
+
+    ``path`` is opened before the command's work, so that a target that
+    cannot be written fails first.  A target that exists and is not a
+    regular file (``/dev/null``, a pipe) is opened in place, and a
+    directory fails there.  Any other gets a temporary file beside it,
+    which the function fills, closes and renames onto the target: an
+    existing target keeps its bytes until then, and a failed command
+    leaves no temporary file.  Through a symbolic link the file it names
+    is the target, as open(path, "w") would write it, not the link.  An
+    ``OSError`` becomes one ConfigError that names ``--out``.
+    """
+    if not path:
+        yield sys.stdout.write
+        return
+    directory = os.path.dirname(path)
+    if not os.path.isdir(directory or "."):
+        raise ConfigError(f"--out {path}: no directory {directory}")
+    target = os.path.realpath(path)
+    head, tail = os.path.split(target)
+    partial = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+
+    def refused(exc: OSError) -> ConfigError:
+        return ConfigError(f"--out {path}: {exc.strerror or exc}")
+
+    try:
+        mode = os.stat(target).st_mode if os.path.exists(target) else None
+        in_place = mode is not None and not stat.S_ISREG(mode)
+        if mode is not None and not in_place:
+            open(target, "a").close()  # refuses a file open(path, "w") could not write; changes no byte
+        fh = open(target if in_place else partial, "w" if in_place else "x", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise refused(exc) from None
+
+    def write(text: str) -> None:
+        try:
+            with fh:
+                fh.write(text)
+            if not in_place:
+                # The temporary file was made with the mode open(path, "w")
+                # gives a new file; it keeps an existing one's.
+                if mode is not None:
+                    os.chmod(partial, stat.S_IMODE(mode))
+                os.replace(partial, target)
+        except OSError as exc:
+            raise refused(exc) from None
+
+    try:
+        with fh:
+            yield write
+    finally:
+        if not in_place:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(partial)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -524,50 +590,17 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     try:
         config = _load(args)
-        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
-            raise ConfigError(f"--out {args.out}: no directory {os.path.dirname(args.out)}")
-        if args.command == "simulate":
-            rows = cmd_simulate(config)
-            _emit(rows_to_csv(rows, SIMULATE_COLUMNS), args.out)
-            print(f"simulate: {len(rows)} runs at policy={config.policy}", file=sys.stderr)
-        elif args.command == "sweep":
-            rows = cmd_sweep(config)
-            _emit(rows_to_csv(rows, SWEEP_COLUMNS), args.out)
-            print(
-                f"sweep: {config.sweep_axis} over {len(config.sweep_values or [])} values, "
-                f"{len(rows)} runs",
-                file=sys.stderr,
-            )
-        elif args.command == "frontier":
-            bracket = _parse_list(args.r_bracket, "--r-bracket")
-            if len(bracket) != 2:
-                raise ConfigError(f"--r-bracket: expected LO,HI, got {args.r_bracket!r}")
-            f_values = _parse_list(args.f_values, "--f-values")
-            m_values = _parse_list(args.m_values, "--m-values", parse_int)
-            rows = cmd_frontier(
-                config,
-                target_delay_s=args.target_delay_s,
-                delay_tolerance_s=args.tolerance_s,
-                f_values=f_values,
-                m_values=m_values,
-                rate_lo=bracket[0],
-                rate_hi=bracket[1],
-                max_iter=args.max_iter,
-            )
-            _emit(rows_to_csv(rows, FRONTIER_COLUMNS), args.out)
-            reached = sum(1 for r in rows if r["status"] == "ok")
-            print(f"frontier: {reached}/{len(rows)} grid points hit the target", file=sys.stderr)
-        elif args.command == "analyze":
-            rows, lines = cmd_analyze(config, samples=args.samples)
-            _emit(rows_to_csv(rows, ANALYZE_COLUMNS), args.out)
-            for line in lines:
-                print(line, file=sys.stderr)
+        with _output(args.out) as write:
+            rows, columns, lines = _result(args, config)
+            write(rows_to_csv(rows, columns))
+        for line in lines:
+            print(line, file=sys.stderr)
     except (ConfigError, MemoryError) as exc:
         # A MemoryError means the input asks for more than the machine holds
         # (say a huge catalog with no cache); numpy's says how much.
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
-    except (ContractViolation, MetricUndefined, ValueError, OSError) as exc:
+    except (ContractViolation, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

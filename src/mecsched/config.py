@@ -30,6 +30,7 @@ __all__ = [
     "load_config",
     "parse_config_text",
     "parse_int",
+    "parse_list",
     "apply_overrides",
     "set_key",
     "build_system",
@@ -72,9 +73,9 @@ class ExperimentConfig:
         return ConfigError(f"{where + ': ' if where else ''}config key {key!r}: {msg}")
 
     def validate(self) -> "ExperimentConfig":
-        for key, (name, parse, _) in _KEYS.items():
+        for key, (name, parse, expected) in _KEYS.items():
             value = getattr(self, name)
-            if parse is float and not math.isfinite(value):
+            if parse is float and expected and not math.isfinite(value):  # not a list
                 raise self.key_error(key, f"must be a finite number, got {value}")
         if self.n_contents < 1:
             raise self.key_error("n_contents", f"must be at least 1, got {self.n_contents}")
@@ -146,20 +147,27 @@ def parse_int(raw: str) -> int:
     return int(as_float)
 
 
-def _list_of(parse):
-    return lambda raw: [parse(part) for part in raw.split(",") if part.strip()]
+def parse_list(raw: str, parse, where: str) -> list:
+    """The comma-separated items of ``raw`` read by ``parse`` (parse_int or
+    float), blank ones skipped; bad text raises a ConfigError naming ``where``."""
+    try:
+        return [parse(part) for part in raw.split(",") if part.strip()]
+    except ValueError:
+        kind = "integers" if parse is parse_int else "numbers"
+        raise ConfigError(f"{where}: expected comma-separated {kind}, got {raw!r}") from None
 
 
 # field type -> (parser of a value's text, what a parse error says was
-# expected).  The types are annotation text, as this module defers
-# annotations; a field of a type not listed here fails at import.
+# expected; a list's item parser and None, for parse_list).  The types are
+# annotation text, as this module defers annotations; a field of a type
+# not listed here fails at import.
 _PARSERS = {
     "int": (parse_int, "an integer"),
     "float": (float, "a number"),
-    "str": (str, None),
-    "Optional[str]": (str, None),
-    "list[int]": (_list_of(parse_int), "comma-separated integers"),
-    "Optional[list[float]]": (_list_of(float), "comma-separated numbers"),
+    "str": (str, "text"),
+    "Optional[str]": (str, "text"),
+    "list[int]": (parse_int, None),
+    "Optional[list[float]]": (float, None),
 }
 
 # config key -> (field, parser, expected text): every field is its own key,
@@ -179,10 +187,13 @@ def set_key(config: ExperimentConfig, key: str, raw: str, where: str) -> None:
     if key not in _KEYS:
         raise ConfigError(f"{where}: unknown config key {key!r}")
     name, parse, expected = _KEYS[key]
-    try:
-        value = parse(raw)
-    except ValueError:
-        raise ConfigError(f"{where}: config key {key!r}: expected {expected}, got {raw!r}") from None
+    if expected is None:
+        value = parse_list(raw, parse, f"{where}: config key {key!r}")
+    else:
+        try:
+            value = parse(raw)
+        except ValueError:
+            raise ConfigError(f"{where}: config key {key!r}: expected {expected}, got {raw!r}") from None
     setattr(config, name, value)
     config.sources[key] = where
 

@@ -251,14 +251,14 @@ def test_slot_mean_estimate_holds_24_bytes_per_sample(catalog, params, loop) -> 
     lib = _kernel.lib if loop == "c" else None
     peaks = []
     with mock.patch.object(_kernel, "lib", lib):
-        for samples in (20_000, 40_000):
+        for samples in (5_000, 10_000):
             tracemalloc.start()
             try:
                 estimate_slot_means(catalog, 50, params, range(40, 61), samples=samples, seed=0)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-    assert peaks[1] - peaks[0] <= 24 * 20_000 + 32_768
+    assert peaks[1] - peaks[0] <= 24 * 5_000 + 32_768
 
 
 def test_slot_means_near_simulated_defaults(catalog, params) -> None:

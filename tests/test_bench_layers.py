@@ -139,3 +139,32 @@ def test_environment_records_the_slot_loop_and_the_word_source() -> None:
     else:
         assert environment["slot_loop"] == "c"
         assert environment["word_source"] == _kernel.word_source(_kernel.lib) in _kernel.WORD_SOURCES
+
+
+def test_against_runs_tier1_in_both_checkouts_taking_turns(monkeypatch, tmp_path) -> None:
+    # Two --against entries with stand-in measurements: each runs Tier-1
+    # once per checkout, the first with this checkout first, the second
+    # with the other first, and records both sides.
+    tool = _load_tool()
+    mine, theirs, out = tmp_path / "mine", tmp_path / "theirs", tmp_path / "bench.json"
+    started = []
+
+    def tier1(repo):
+        started.append(repo.name)
+        return {"wall_s": len(started), "exit_code": 0, "summary": f"{repo.name} passed"}
+
+    monkeypatch.setattr(tool, "tier1", tier1)
+    monkeypatch.setattr(tool, "measure_commands", lambda *args: {})
+    monkeypatch.setattr(tool, "environment", lambda repo: {"checkout": repo.name})
+    monkeypatch.setattr(tool, "checkout", lambda repo: {"checkout": repo.name})
+    for _ in range(2):
+        tool.main(["--repo", str(mine), "--against", str(theirs), "--out", str(out)])
+
+    assert started == ["mine", "theirs", "theirs", "mine"]
+    entries = json.loads(out.read_text())
+    assert [entry["tier1"] for entry in entries] == [
+        {"wall_s": 1, "exit_code": 0, "summary": "mine passed", "first": "repo",
+         "against": {"wall_s": 2, "exit_code": 0, "summary": "theirs passed"}},
+        {"wall_s": 4, "exit_code": 0, "summary": "mine passed", "first": "against",
+         "against": {"wall_s": 3, "exit_code": 0, "summary": "theirs passed"}},
+    ]

@@ -590,6 +590,73 @@ def test_out_into_a_missing_directory_is_refused_before_any_work(tmp_path, capsy
     assert list(tmp_path.iterdir()) == []
 
 
+def test_out_onto_a_directory_is_refused_before_any_work(tmp_path, capsys, monkeypatch) -> None:
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command started its work")
+
+    monkeypatch.setattr(cli, "build_system", no_work)
+    for command in (["simulate"], ["sweep"], ["frontier", "--target-delay-s", "0.6"], ["analyze"]):
+        assert main([*command, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: --out {tmp_path}: Is a directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_out_onto_a_full_device_is_one_error_line(capsys) -> None:
+    argv = ["simulate", "--seeds", "0", "--set", "horizon_slots=200", "--out", "/dev/full"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: --out /dev/full: No space left on device\n"
+
+
+def test_empty_seeds_flag_is_refused(capsys) -> None:
+    assert main(["simulate", "--seeds", ""]) == 1
+    assert capsys.readouterr().err.startswith("error: --seeds: config key 'seeds': must be a non-empty list ")
+
+
+def test_a_failed_command_leaves_an_existing_out_intact(tmp_path, capsys, monkeypatch) -> None:
+    # The output opens before the work, through a temporary file beside the
+    # target; build_system then refuses the Zipf exponent.
+    out = tmp_path / "existing.csv"
+    out.write_bytes(b"kept\r\n")
+    opened, original = [], cli.build_system
+
+    def build_system(*args, **kwargs):
+        opened.append(sorted(path.name for path in tmp_path.iterdir()))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_system", build_system)
+    assert main(["simulate", "--seeds", "0", "--set", "zipf_alpha=5000", "--out", str(out)]) == 1
+    assert "'zipf_alpha'" in capsys.readouterr().err
+    assert len(opened) == 1 and len(opened[0]) == 2 and "existing.csv" in opened[0]
+    assert out.read_bytes() == b"kept\r\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
+def test_a_read_only_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch) -> None:
+    # open(path, "w") refuses it, so the rename must not replace it.
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command started its work")
+
+    monkeypatch.setattr(cli, "build_system", no_work)
+    out = tmp_path / "read_only.csv"
+    out.write_bytes(b"kept\n")
+    out.chmod(0o444)
+    assert main(["simulate", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --out {out}: Permission denied\n"
+    assert out.read_bytes() == b"kept\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_a_run_replaces_an_existing_out_whole(tmp_path) -> None:
+    out = tmp_path / "existing.csv"
+    out.write_text("old\n" * 1000)
+    assert main(["simulate", "--seeds", "0", "--set", "horizon_slots=200", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == ",".join(SIMULATE_COLUMNS) and len(lines) == 2
+    assert list(tmp_path.iterdir()) == [out]
+
+
 def test_main_stdout_when_no_out(capsys) -> None:
     code = main(["simulate", "--seeds", "0", "--set", "horizon_slots=600", "--set", "v_param=0.0"])
     assert code == 0

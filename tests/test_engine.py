@@ -166,7 +166,7 @@ def _assert_run_grows_by(bytes_per_task: int) -> None:
     # A run without a series, between two horizons, given its table.
     (catalog, capacity, params, workload_cfg, policy), _ = _system(arrival_prob=0.5)
     peaks, n_tasks = [], []
-    for horizon in (50_000, 150_000):
+    for horizon in (5_000, 15_000):
         table = draw_tasks(catalog, capacity, workload_cfg, horizon, seed=0)
         tracemalloc.start()
         try:

@@ -10,11 +10,14 @@ holding this script) and appends one entry to ``FILE`` (default
 results file can collect entries measured on several checkouts.
 
 With ``--against OTHER`` (another checkout, say the parent commit's), the
-entry holds the cold commands alone, paired: each of the ``COMMAND_RUNS``
-pairs runs one child on ``DIR`` and one on ``OTHER``, alternating which
-goes first, so a host whose speed drifts slows both sides of a pair
-alike.  Each command records both sides' figures, the per-pair ratios
-(``DIR`` over ``OTHER``) and how many pairs ``DIR`` won.
+entry holds the cold commands and Tier-1 alone, paired.  Each of the
+``COMMAND_RUNS`` pairs runs one child on ``DIR`` and one on ``OTHER``,
+alternating which goes first, so a host whose speed drifts slows both
+sides of a pair alike.  Each command records both sides' figures, the
+per-pair ratios (``DIR`` over ``OTHER``) and how many pairs ``DIR`` won.
+The Tier-1 suite then runs once in each checkout, ``DIR`` first in every
+other paired entry of ``FILE``, and the entry records both sides' wall
+times and summary lines and which went first.
 
 At each point, for every seed, it times
 
@@ -282,6 +285,15 @@ def tier1(repo: Path) -> dict:
     return {"wall_s": wall, "exit_code": proc.returncode, "summary": lines[-1] if lines else ""}
 
 
+def tier1_pair(repo: Path, against: Path, repo_first: bool) -> dict:
+    """``tier1`` once in each checkout, ``repo`` first when ``repo_first``:
+    ``repo``'s figures, with ``against``'s beside them."""
+    first, second = (repo, against) if repo_first else (against, repo)
+    ran = [tier1(first), tier1(second)]
+    mine, theirs = ran if repo_first else ran[::-1]
+    return {**mine, "against": theirs, "first": "repo" if repo_first else "against"}
+
+
 def checkout(repo: Path) -> dict:
     """The commit of ``repo``, whether its ``src`` differs from it, and a
     hash of its ``src`` sources."""
@@ -323,7 +335,7 @@ def main(argv=None) -> None:
     parser.add_argument("--repo", type=Path, default=here, help="checkout whose src/ is measured")
     parser.add_argument("--out", type=Path, default=here / "BENCH_layers.json")
     parser.add_argument(
-        "--against", type=Path, help="another checkout: time the cold commands only, alternating the two"
+        "--against", type=Path, help="another checkout: time the cold commands and Tier-1 only, alternating the two"
     )
     args = parser.parse_args(argv)
     repo = args.repo.resolve()
@@ -331,12 +343,15 @@ def main(argv=None) -> None:
     reference = runpy.run_path(str(here / "perfbench" / "reference.py"))
     workloads = runpy.run_path(str(here / "perfbench" / "workloads.py"))
 
+    entries = json.loads(args.out.read_text()) if args.out.exists() else []
     if args.against is not None:
         against = args.against.resolve()
+        paired = sum(1 for entry in entries if "tier1" in entry and "against" in entry)
         entry = {
             "environment": environment(repo),
             "against": checkout(against),
             "commands": measure_commands(repo, workloads, reference, against),
+            "tier1": tier1_pair(repo, against, repo_first=paired % 2 == 0),
         }
     else:
         entry = {
@@ -351,7 +366,6 @@ def main(argv=None) -> None:
             "commands": measure_commands(repo, workloads, reference),
             "tier1": tier1(repo),
         }
-    entries = json.loads(args.out.read_text()) if args.out.exists() else []
     entries.append(entry)
     args.out.write_text(json.dumps(entries, indent=2) + "\n")
     print(json.dumps(entry, indent=2))
