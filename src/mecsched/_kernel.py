@@ -83,20 +83,24 @@ def load() -> Optional[ctypes.CDLL]:
             _array(np.int64), _array(np.float64),
         ]
         lib.mecsched_slot_loop.restype = None
-        # The draws read and write PCG64's state as six uint64 words.
+        # The draws read and write PCG64's state as six uint64 words, and
+        # rank through a cdf's packed guide table (uint64), its bucket shift
+        # and its rank edges (catalog.packed_guide, rank_edges).  The
+        # estimate takes two such triples, the k cdf's and the catalog's,
+        # and stores no k value.
         lib.mecsched_draw_tasks.argtypes = [
-            _array(np.uint64), i64, i64, ctypes.c_uint32, _array(np.int64), _array(np.int32), ctypes.c_int,
+            _array(np.uint64), i64, i64, ctypes.c_uint32, _array(np.int64), _array(np.uint64), ctypes.c_int,
             _array(np.uint64), i64, _array(np.int64), _array(np.int64),
         ]
         lib.mecsched_draw_tasks.restype = None
         lib.mecsched_count_words.argtypes = [
-            i64, _array(np.int64), _array(np.uint64), _array(np.int32), ctypes.c_int, _array(np.uint64), i64,
+            i64, _array(np.int64), _array(np.uint64), _array(np.uint64), ctypes.c_int, _array(np.uint64), i64,
             _array(np.int64), _array(np.int64),
         ]
         lib.mecsched_count_words.restype = None
         lib.mecsched_estimate_slots.argtypes = [
-            _array(np.uint64), i64, i64, _array(np.int32), ctypes.c_int, _array(np.uint64), _array(np.int64),
-            _array(np.int32), ctypes.c_int, _array(np.uint64), i64, _array(np.int64), f64, f64, f64, f64, f64,
+            _array(np.uint64), i64, i64, _array(np.uint64), ctypes.c_int, _array(np.uint64),
+            _array(np.uint64), ctypes.c_int, _array(np.uint64), i64, _array(np.int64), f64, f64, f64, f64, f64,
             _array(np.float64), _array(np.float64),
         ]
         lib.mecsched_estimate_slots.restype = None

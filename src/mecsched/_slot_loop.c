@@ -10,23 +10,27 @@
  * value is the low half of a word, whose high half is kept for the next
  * one, as numpy's next_double and next_uint32 make them; so the draws
  * follow Generator.random and Generator.integers bit for bit.  Each word is
- * ranked in integers (see rank).
+ * ranked in integers through one packed guide table read (see rank).
  *
  * The draws take their words from one of two sources, chosen once, when
  * the library loads: on an x86-64 processor with AVX-512F (and a GNU C
  * compiler), sixteen lanes; everywhere else, the fused scalar loops, one
  * pcg64_next64 step per word.  The lanes hold the states 1..16 steps past
  * the generator's, two vectors of eight, and step each 16 steps at a
- * time; they fill a block of 64 words and their ranks (vrank, through
- * gathers), which the draws read in order: the task draw's k the words,
- * with next32's buffered half, and the contents their ranks.  The
- * estimate first fills the block with ranks through its k cdf's tables,
- * then starts it afresh for the contents.  At the end a draw moves the
+ * time; they fill a block of 256 words, rank each eight through one gather
+ * (vrank) and keep, compressed, only the ranks above the cache capacity
+ * (block_group), so the stamp test runs on uncached contents only.  The
+ * draws read the block in order: the task draw's k the words, with
+ * next32's buffered half, and the contents their kept ranks.  The estimate
+ * reads two blocks side by side: one at the generator's state for its k
+ * values, through the k cdf's tables with every rank kept, and one started
+ * n_tasks words on for the contents.  At the end a draw moves the
  * generator past the words it took by PCG64's jump (Brown 1994), the
  * O(log n) map PCG64.advance uses, so the words the lanes made ahead are
- * dropped and the end state is the scalar loops' own.  Both sources give
- * the same words, ranks and end state; mecsched_select_word_source lets
- * the tests run both.
+ * dropped and the end state is the scalar loops' own.  The scalar estimate
+ * reads its two streams the same way, from two generators.  Both sources
+ * give the same words, ranks and end state; mecsched_select_word_source
+ * lets the tests run both.
  *
  * A task's busy-slot count in either mode is busy_slots, the formula of
  * dynamics._busy_slots with its operations in the same order; the slot
@@ -91,49 +95,88 @@ static inline uint32_t pcg64_next32(pcg64_t *rng)
     return (uint32_t)word;
 }
 
-/* The number of cdf entries <= u for the uniform u = (word >> 11) * 2**-53,
- * through the guide table of B + 1 entries built by catalog.guide_table,
- * B = 2**(64 - shift): one comparison in buckets holding at most one cdf
- * entry, a binary search between the bucket's bounds in wider ones.  It
- * runs in integers: u's bucket floor(u * B) is word >> shift, and
- * cdf[i] <= u exactly when edge[i] <= word >> 11, edge being
- * catalog.rank_edges(cdf).  The last edge is 2**53, above every word, so
- * each lookup stays in bounds. */
-static inline int64_t rank(uint64_t word, const int32_t *guide, int shift, const uint64_t *edge)
+/* PCG64's jump (Brown 1994): n steps take a state s to s * mult + plus,
+ * found in O(log n) squarings, as numpy's PCG64.advance finds them. */
+static void pcg64_jump(u128 inc, uint64_t n, u128 *mult, u128 *plus)
 {
-    const uint64_t m = word >> 11;
-    const int64_t bucket = (int64_t)(word >> shift);
-    int64_t below = guide[bucket];  /* cdf entries <= u */
-    int64_t hi = guide[bucket + 1];  /* and at most this many */
-    if (hi - below > 1) {
+    u128 acc_mult = 1, acc_plus = 0, cur_mult = PCG64_MULTIPLIER, cur_plus = inc;
+    for (; n; n >>= 1) {
+        if (n & 1) {
+            acc_mult *= cur_mult;
+            acc_plus = acc_plus * cur_mult + cur_plus;
+        }
+        cur_plus = (cur_mult + 1) * cur_plus;
+        cur_mult *= cur_mult;
+    }
+    *mult = acc_mult;
+    *plus = acc_plus;
+}
+
+/* Moves rng n steps on. */
+static void pcg64_advance(pcg64_t *rng, uint64_t n)
+{
+    u128 mult, plus;
+    pcg64_jump(rng->inc, n, &mult, &plus);
+    rng->state = rng->state * mult + plus;
+}
+
+/* The number of cdf entries <= u for the uniform u = (word >> 11) * 2**-53,
+ * through the packed guide table of B + 1 entries built by
+ * catalog.packed_guide, B = 2**(64 - shift).  It runs in integers: u's
+ * bucket j = floor(u * B) is word >> shift, and cdf[i] <= u exactly when
+ * edge[i] <= m = word >> 11, edge being catalog.rank_edges(cdf).  Bucket
+ * j's entry packs three fields: from bit shift up, below, the number of
+ * cdf entries <= j / B; at bit shift - 11, a flag set when the bucket
+ * holds more than one of them (a wide bucket); and in the bits under it,
+ * edge[below]'s offset from the bucket's first m, j * 2**(shift - 11),
+ * less 1 and capped at the bucket's width less 1.  In a narrow bucket the
+ * count is below, plus 1 when that field is below m's own offset, m's low
+ * shift - 11 bits: one load.  A wide bucket binary-searches edge between
+ * its below and the next entry's. */
+static inline int64_t rank(uint64_t word, const uint64_t *guide, int shift, const uint64_t *edge)
+{
+    const uint64_t bucket = word >> shift, entry = guide[bucket], low_bits = ((uint64_t)1 << (shift - 11)) - 1;
+    int64_t below = (int64_t)(entry >> shift);
+    /* Wide buckets are rare: without this hint the scalar draw and
+     * estimate measured 3-13% slower. */
+    if (__builtin_expect(entry >> (shift - 11) & 1, 0)) {
+        const uint64_t m = word >> 11;
+        int64_t hi = (int64_t)(guide[bucket + 1] >> shift);  /* at most this many */
         while (below < hi) {
             int64_t mid = below + (hi - below) / 2;
             if (edge[mid] <= m) below = mid + 1;
             else hi = mid;
         }
     } else {
-        below += edge[below] <= m;
+        below += (entry & low_bits) < ((word >> 11) & low_bits);
     }
     return below;
 }
 
-/* Counts one content of rank below + 1 for the task tagged tag; returns 1
- * if the rank lies above capacity and the task has not drawn it before,
- * else 0.  stamp holds one zero per content; stamp[rank - 1] is the tag of
- * the last task that drew rank. */
+/* Stamps rank below + 1 for the task tagged tag: returns 1 if the task has
+ * not drawn it before, else 0.  stamp holds one zero per content;
+ * stamp[rank - 1] is the tag of the last task that drew rank. */
+static inline int64_t stamp_fresh(int64_t below, int64_t tag, int64_t *stamp)
+{
+    const int64_t fresh = stamp[below] != tag;
+    stamp[below] = tag;
+    return fresh;
+}
+
+/* Counts one content of rank below + 1 for the task tagged tag: 1 if the
+ * rank lies above capacity and the task has not drawn it before, else 0.
+ * The AVX-512 draws drop the cached ranks first and stamp only the rest. */
 static inline int64_t tally(int64_t below, int64_t tag, int64_t capacity, int64_t *stamp)
 {
     /* Must stay branch-free.  At the defaults (Zipf 0.8, 1000 contents,
      * cache 50) 42% of draws are cached, so a conditional jump on the
      * cache test, as gcc 12 -O2 makes of "below >= capacity ? below + 1 :
      * 0", is a coin flip: 0.9 us per task against 0.3 us without it. */
-    const int64_t fresh = (stamp[below] != tag) & (below >= capacity);
-    stamp[below] = tag;
-    return fresh;
+    return stamp_fresh(below, tag, stamp) & (below >= capacity);
 }
 
 /* tally of one content's word. */
-static inline int64_t count(uint64_t word, int64_t tag, const int32_t *guide, int shift, const uint64_t *edge,
+static inline int64_t count(uint64_t word, int64_t tag, const uint64_t *guide, int shift, const uint64_t *edge,
                             int64_t capacity, int64_t *stamp)
 {
     return tally(rank(word, guide, shift, edge), tag, capacity, stamp);
@@ -166,31 +209,6 @@ static inline int64_t busy_slots(double total, double shipped, double cycles_per
 #define MECSCHED_AVX512 1
 #include <immintrin.h>
 #define AVX512 __attribute__((target("avx512f")))
-
-/* PCG64's jump (Brown 1994): n steps take a state s to s * mult + plus,
- * found in O(log n) squarings, as numpy's PCG64.advance finds them. */
-static void pcg64_jump(u128 inc, uint64_t n, u128 *mult, u128 *plus)
-{
-    u128 acc_mult = 1, acc_plus = 0, cur_mult = PCG64_MULTIPLIER, cur_plus = inc;
-    for (; n; n >>= 1) {
-        if (n & 1) {
-            acc_mult *= cur_mult;
-            acc_plus = acc_plus * cur_mult + cur_plus;
-        }
-        cur_plus = (cur_mult + 1) * cur_plus;
-        cur_mult *= cur_mult;
-    }
-    *mult = acc_mult;
-    *plus = acc_plus;
-}
-
-/* Moves rng n steps on. */
-static void pcg64_advance(pcg64_t *rng, uint64_t n)
-{
-    u128 mult, plus;
-    pcg64_jump(rng->inc, n, &mult, &plus);
-    rng->state = rng->state * mult + plus;
-}
 
 /* Whether the draws take their words from the AVX-512 lanes below: chosen
  * once, when the library loads, from the processor's features. */
@@ -272,70 +290,129 @@ AVX512 static inline void lanes_step(lanes_t *lanes, int v)
     lanes->lo[v] = next_lo;
 }
 
-/* rank of eight words at once, through gathers, for the lanes whose bucket
- * holds at most one cdf entry; *wide marks the others, which rank8 hands
- * to rank.  ASan does not instrument gathers, so their bounds are kept
- * here: a bucket is at most B - 1, so the 8-byte read of guide[bucket] and
- * guide[bucket + 1] ends within guide's B + 1 entries; and below =
- * guide[bucket] counts the cdf entries <= bucket / B < 1, which the last
- * entry, exactly 1, is not among, so below <= n - 1 and edge[below] lies
- * within edge's n entries. */
-AVX512 static inline __m512i vrank(__m512i word, const int32_t *guide, int shift, const uint64_t *edge, __mmask8 *wide)
+/* rank of eight words at once, for the lanes whose bucket is narrow: one
+ * gather of their packed entries, then the same shift, masks and compare
+ * as rank's; *wide marks the other lanes, which rank8 hands to rank.  ASan
+ * does not instrument gathers, so their bounds are kept here: a bucket is
+ * word >> shift <= B - 1, so the 8-byte read of guide[bucket] lies within
+ * guide's B + 1 entries. */
+AVX512 static inline __m512i vrank(__m512i word, const uint64_t *guide, int shift, __mmask8 *wide)
 {
-    const __m512i bucket = _mm512_srl_epi64(word, _mm_cvtsi32_si128(shift));
-    /* guide[bucket] in the low half, guide[bucket + 1] in the high half. */
-    const __m512i pair = _mm512_i64gather_epi64(bucket, guide, 4);
-    const __m512i below = _mm512_and_si512(pair, _mm512_set1_epi64(0xffffffff));
-    *wide = _mm512_cmpgt_epi64_mask(_mm512_sub_epi64(_mm512_srli_epi64(pair, 32), below), _mm512_set1_epi64(1));
-    const __m512i edge_below = _mm512_i64gather_epi64(below, edge, 8);
-    const __mmask8 up = _mm512_cmple_epu64_mask(edge_below, _mm512_srli_epi64(word, 11));
+    const __m128i count = _mm_cvtsi32_si128(shift);
+    const __m512i entry = _mm512_i64gather_epi64(_mm512_srl_epi64(word, count), guide, 8);
+    const __m512i below = _mm512_srl_epi64(entry, count);
+    const __m512i low_bits = _mm512_set1_epi64(((int64_t)1 << (shift - 11)) - 1);
+    *wide = _mm512_test_epi64_mask(entry, _mm512_set1_epi64((int64_t)1 << (shift - 11)));
+    const __mmask8 up = _mm512_cmplt_epu64_mask(_mm512_and_si512(entry, low_bits),
+                                                _mm512_and_si512(_mm512_srli_epi64(word, 11), low_bits));
     return _mm512_mask_sub_epi64(below, up, below, _mm512_set1_epi64(-1));
 }
 
-/* Stores the ranks of eight words in out[0..8). */
-AVX512 static inline void rank8(__m512i word, const int32_t *guide, int shift, const uint64_t *edge, int64_t *out)
+/* The ranks of eight words: vrank's, and rank's in wide buckets. */
+AVX512 static inline __m512i rank8(__m512i word, const uint64_t *guide, int shift, const uint64_t *edge)
 {
     __mmask8 wide;
-    _mm512_storeu_si512(out, vrank(word, guide, shift, edge, &wide));
+    __m512i ranks = vrank(word, guide, shift, &wide);
     if (wide) {
         uint64_t words[8];
+        int64_t out[8];
         _mm512_storeu_si512(words, word);
+        _mm512_storeu_si512(out, ranks);
         for (int j = 0; j < 8; j++)
             if (wide >> j & 1) out[j] = rank(words[j], guide, shift, edge);
+        ranks = _mm512_loadu_si512(out);
     }
+    return ranks;
 }
 
-/* The stream's words a block at a time, with their ranks: word[pos] is the
- * next one, and generated counts the words the lanes have made.  The
- * lanes run up to 63 words ahead of the draw; block_end drops those. */
-enum { BLOCK = 64 };
+/* The stream's words a block at a time, with the ranks of its uncached
+ * contents: word[pos] is the next word, and generated counts the words
+ * the lanes have made.  The lanes run up to BLOCK - 1 words ahead of the
+ * draw; block_end drops those.  The ranks are taken through the block's
+ * tables (guide, shift, edge) and only those >= capacity are kept, in
+ * order: the kept ranks of group g, words [8g, 8g + 8), are
+ * rank[first[g]..first[g + 1]), kept[g] marking which of its words they
+ * belong to.  At capacity 0 every rank is kept, rank[j] being word[j]'s.
+ * A block made for given words (the test hook) takes them from given,
+ * left of them remaining, in place of the lanes.  A block of 256 splits
+ * fewer tasks across refills than one of 64, whose draws and estimates
+ * took 4-7% longer; 128 and 512 were no faster. */
+enum { BLOCK = 256, GROUPS = BLOCK / 8 };
 typedef struct {
     uint64_t word[BLOCK];
     int64_t rank[BLOCK];
+    int32_t first[GROUPS + 1];
+    uint8_t kept[GROUPS + 1];
     lanes_t lanes;
+    const uint64_t *guide, *edge, *given;
+    int shift;
+    int64_t capacity, left;
     uint64_t generated;
     int pos;
 } block_t;
 
-AVX512 static inline void block_start(block_t *block, const pcg64_t *rng)
+AVX512 static inline void block_start(block_t *block, const pcg64_t *rng, const uint64_t *guide, int shift,
+                                      const uint64_t *edge, int64_t capacity)
 {
     block->lanes = lanes_load(rng);
+    block->guide = guide;
+    block->edge = edge;
+    block->given = 0;
+    block->shift = shift;
+    block->capacity = capacity;
     block->generated = 0;
     block->pos = BLOCK;
 }
 
-AVX512 static void block_fill(block_t *block, const int32_t *guide, int shift, const uint64_t *edge)
+/* Ranks group g's words and keeps the ranks >= capacity from rank[n] on;
+ * returns n plus their number.  The compressed vector is stored whole: its
+ * eight lanes end at rank[n + 8], and n <= 8 * g, so within rank's BLOCK
+ * entries; the lanes past the kept ones are overwritten by the next group
+ * or never read. */
+AVX512 static inline int block_group(block_t *block, int g, __m512i word, int n, const uint64_t *guide, int shift,
+                                     const uint64_t *edge, __m512i capacity)
 {
+    const __m512i ranks = rank8(word, guide, shift, edge);
+    const __mmask8 kept = _mm512_cmpge_epi64_mask(ranks, capacity);
+    _mm512_storeu_si512(block->rank + n, _mm512_maskz_compress_epi64(kept, ranks));
+    block->first[g] = n;
+    block->kept[g] = kept;
+    return n + __builtin_popcount(kept);
+}
+
+AVX512 static void block_fill(block_t *block)
+{
+    const uint64_t *guide = block->guide, *edge = block->edge;
+    const int shift = block->shift;
+    const __m512i capacity = _mm512_set1_epi64(block->capacity);
+    int n = 0;
+    if (block->given) {
+        const int64_t given = block->left < BLOCK ? block->left : BLOCK;
+        for (int j = 0; j < BLOCK; j++) block->word[j] = j < given ? block->given[j] : 0;
+        block->given += given;
+        block->left -= given;
+        for (int g = 0; g < GROUPS; g++)
+            n = block_group(block, g, _mm512_loadu_si512(block->word + 8 * g), n, guide, shift, edge, capacity);
+    } else {
 #pragma GCC unroll 8
-    for (int i = 0; i < BLOCK; i += 8) {
-        const int v = i / 8 % 2;
-        const __m512i word = lanes_output(&block->lanes, v);
-        _mm512_storeu_si512(block->word + i, word);
-        rank8(word, guide, shift, edge, block->rank + i);
-        lanes_step(&block->lanes, v);
+        for (int g = 0; g < GROUPS; g++) {
+            const int v = g % 2;
+            const __m512i word = lanes_output(&block->lanes, v);
+            _mm512_storeu_si512(block->word + 8 * g, word);
+            n = block_group(block, g, word, n, guide, shift, edge, capacity);
+            lanes_step(&block->lanes, v);
+        }
+        block->generated += BLOCK;
     }
-    block->generated += BLOCK;
+    block->first[GROUPS] = n;
+    block->kept[GROUPS] = 0;
     block->pos = 0;
+}
+
+/* The number of kept ranks among the block's first p words. */
+AVX512 static inline int block_kept(const block_t *block, int p)
+{
+    return block->first[p / 8] + __builtin_popcount(block->kept[p / 8] & ((1u << (p % 8)) - 1));
 }
 
 /* Moves rng, still at the state the block started from, past the words
@@ -346,78 +423,77 @@ AVX512 static inline void block_end(const block_t *block, pcg64_t *rng)
 }
 
 /* pcg64_next32 on the block's words. */
-AVX512 static inline uint32_t block_next32(block_t *block, pcg64_t *rng, const int32_t *guide, int shift,
-                                           const uint64_t *edge)
+AVX512 static inline uint32_t block_next32(block_t *block, pcg64_t *rng)
 {
     if (rng->has_uint32) {
         rng->has_uint32 = 0;
         return (uint32_t)rng->uinteger;
     }
-    if (block->pos == BLOCK) block_fill(block, guide, shift, edge);
+    if (block->pos == BLOCK) block_fill(block);
     const uint64_t word = block->word[block->pos++];
     rng->has_uint32 = 1;
     rng->uinteger = word >> 32;
     return (uint32_t)word;
 }
 
-/* The tally of the block's next k ranks for the task tagged tag. */
-AVX512 static inline int64_t block_count(block_t *block, int64_t k, int64_t tag, const int32_t *guide, int shift,
-                                         const uint64_t *edge, int64_t capacity, int64_t *stamp)
+/* The tally of the block's next k words for the task tagged tag: the
+ * stamp test runs on their kept ranks only. */
+AVX512 static inline int64_t block_count(block_t *block, int64_t k, int64_t tag, int64_t *stamp)
 {
     int64_t n_distinct = 0;
     while (k > 0) {
-        if (block->pos == BLOCK) block_fill(block, guide, shift, edge);
-        const int64_t left = BLOCK - block->pos, stop = block->pos + (k < left ? k : left);
+        if (block->pos == BLOCK) block_fill(block);
+        const int left = BLOCK - block->pos, stop = block->pos + (k < left ? (int)k : left);
         k -= stop - block->pos;
-        for (int64_t j = block->pos; j < stop; j++) n_distinct += tally(block->rank[j], tag, capacity, stamp);
-        block->pos = (int)stop;
+        const int end = block_kept(block, stop);
+        for (int j = block_kept(block, block->pos); j < end; j++) n_distinct += stamp_fresh(block->rank[j], tag, stamp);
+        block->pos = stop;
     }
     return n_distinct;
 }
 
 AVX512 static void draw_tasks_avx512(uint64_t *pcg64, int64_t n_tasks, int64_t k_lo, uint32_t span, int64_t *ks,
-                                     const int32_t *guide, int shift, const uint64_t *edge, int64_t capacity,
+                                     const uint64_t *guide, int shift, const uint64_t *edge, int64_t capacity,
                                      int64_t *stamp, int64_t *distinct)
 {
     pcg64_t rng = pcg64_load(pcg64);
     block_t block;
-    block_start(&block, &rng);
+    block_start(&block, &rng, guide, shift, edge, capacity);
     const uint64_t k_range = (uint64_t)span + 1;
     const uint32_t threshold = (UINT32_MAX - span) % k_range;
     for (int64_t i = 0; i < n_tasks; i++) {
         int64_t k = k_lo;
         if (span) {
-            uint64_t m = (uint64_t)block_next32(&block, &rng, guide, shift, edge) * k_range;
-            while ((uint32_t)m < threshold) m = (uint64_t)block_next32(&block, &rng, guide, shift, edge) * k_range;
+            uint64_t m = (uint64_t)block_next32(&block, &rng) * k_range;
+            while ((uint32_t)m < threshold) m = (uint64_t)block_next32(&block, &rng) * k_range;
             k += (int64_t)(m >> 32);
         }
         ks[i] = k;
-        distinct[i] = block_count(&block, k, i + 1, guide, shift, edge, capacity, stamp);
+        distinct[i] = block_count(&block, k, i + 1, stamp);
     }
     block_end(&block, &rng);
     pcg64_store(&rng, pcg64);
 }
 
-AVX512 static void estimate_slots_avx512(uint64_t *pcg64, int64_t n_tasks, int64_t k_lo, const int32_t *k_guide,
-                                         int k_shift, const uint64_t *k_edge, int64_t *ks, const int32_t *guide,
-                                         int shift, const uint64_t *edge, int64_t capacity, int64_t *stamp,
-                                         double size_bits, double cycles_per_bit, double f_local_dt, double f_mec_dt,
-                                         double rate_dt, double *local_counts, double *mec_counts)
+/* The k values come from a block started at the generator's state, ranked
+ * through the k tables at capacity 0, so that each word's rank is kept in
+ * place; the contents from a second block, started n_tasks words on. */
+AVX512 static void estimate_slots_avx512(uint64_t *pcg64, int64_t n_tasks, int64_t k_lo, const uint64_t *k_guide,
+                                         int k_shift, const uint64_t *k_edge, const uint64_t *guide, int shift,
+                                         const uint64_t *edge, int64_t capacity, int64_t *stamp, double size_bits,
+                                         double cycles_per_bit, double f_local_dt, double f_mec_dt, double rate_dt,
+                                         double *local_counts, double *mec_counts)
 {
     pcg64_t rng = pcg64_load(pcg64);
-    block_t block;
-    block_start(&block, &rng);
+    block_t k_block, block;
+    block_start(&k_block, &rng, k_guide, k_shift, k_edge, 0);
+    pcg64_advance(&rng, (uint64_t)n_tasks);
+    block_start(&block, &rng, guide, shift, edge, capacity);
     for (int64_t i = 0; i < n_tasks; i++) {
-        if (block.pos == BLOCK) block_fill(&block, k_guide, k_shift, k_edge);
-        ks[i] = k_lo + block.rank[block.pos++];
-    }
-    /* The unread words' ranks are k ranks: the contents take a block of
-     * their own. */
-    block_end(&block, &rng);
-    block_start(&block, &rng);
-    for (int64_t i = 0; i < n_tasks; i++) {
-        const int64_t n_distinct = block_count(&block, ks[i], i + 1, guide, shift, edge, capacity, stamp);
-        const double local_bits = size_bits * (double)n_distinct, mec_bits = size_bits * (double)ks[i];
+        if (k_block.pos == BLOCK) block_fill(&k_block);
+        const int64_t k = k_lo + k_block.rank[k_block.pos++];
+        const int64_t n_distinct = block_count(&block, k, i + 1, stamp);
+        const double local_bits = size_bits * (double)n_distinct, mec_bits = size_bits * (double)k;
         local_counts[i] = (double)busy_slots(mec_bits, local_bits, cycles_per_bit, f_local_dt, rate_dt);
         mec_counts[i] = (double)busy_slots(mec_bits, mec_bits, cycles_per_bit, f_mec_dt, rate_dt);
     }
@@ -425,12 +501,15 @@ AVX512 static void estimate_slots_avx512(uint64_t *pcg64, int64_t n_tasks, int64
     pcg64_store(&rng, pcg64);
 }
 
-/* rank8 of the first n <= 8 given words, read through a masked load, so
- * that no word past them is touched. */
-AVX512 static void rank8_given(const uint64_t *words, int64_t n, const int32_t *guide, int shift,
-                               const uint64_t *edge, int64_t *out)
+/* mecsched_count_words on the AVX-512 source: the task draw's block_count,
+ * on a block that takes the given words. */
+AVX512 static void count_words_avx512(int64_t n_tasks, const int64_t *ks, const uint64_t *words,
+                                      const uint64_t *guide, int shift, const uint64_t *edge, int64_t capacity,
+                                      int64_t *stamp, int64_t *distinct)
 {
-    rank8(_mm512_maskz_loadu_epi64((__mmask8)((1u << n) - 1), words), guide, shift, edge, out);
+    block_t block = {.guide = guide, .edge = edge, .given = words, .shift = shift, .capacity = capacity, .pos = BLOCK};
+    for (int64_t i = 0; i < n_tasks; i++) block.left += ks[i] > 0 ? ks[i] : 0;
+    for (int64_t i = 0; i < n_tasks; i++) distinct[i] = block_count(&block, ks[i], i + 1, stamp);
 }
 #endif
 
@@ -463,7 +542,7 @@ int mecsched_select_word_source(int avx512)
  * distinct[i] gets the number of distinct ranks above capacity among
  * them. */
 void mecsched_draw_tasks(uint64_t *pcg64, int64_t n_tasks, int64_t k_lo, uint32_t span, int64_t *ks,
-                         const int32_t *guide, int shift, const uint64_t *edge, int64_t capacity, int64_t *stamp,
+                         const uint64_t *guide, int shift, const uint64_t *edge, int64_t capacity, int64_t *stamp,
                          int64_t *distinct)
 {
 #ifdef MECSCHED_AVX512
@@ -493,64 +572,56 @@ void mecsched_draw_tasks(uint64_t *pcg64, int64_t n_tasks, int64_t k_lo, uint32_
 
 /* mecsched_draw_tasks' content count for given k values, on the given
  * words in place of the generator's: task i's contents are the next ks[i]
- * words.  Each eight words are ranked as the selected word source ranks
- * them, by rank8 on the AVX-512 lanes and by rank otherwise, and the last
- * eight only as far as they are given. */
-void mecsched_count_words(int64_t n_tasks, const int64_t *ks, const uint64_t *words, const int32_t *guide,
+ * words.  The selected word source counts them as its draw does: on the
+ * AVX-512 lanes a block at a time, with rank8, the kept ranks and
+ * block_count, and otherwise one count per word. */
+void mecsched_count_words(int64_t n_tasks, const int64_t *ks, const uint64_t *words, const uint64_t *guide,
                           int shift, const uint64_t *edge, int64_t capacity, int64_t *stamp, int64_t *distinct)
 {
-    int64_t ranks[8], left = 0;
-    for (int64_t i = 0; i < n_tasks; i++) left += ks[i] > 0 ? ks[i] : 0;
-    int pos = 8;
+#ifdef MECSCHED_AVX512
+    if (avx512_words) {
+        count_words_avx512(n_tasks, ks, words, guide, shift, edge, capacity, stamp, distinct);
+        return;
+    }
+#endif
     for (int64_t i = 0; i < n_tasks; i++) {
         int64_t n_distinct = 0;
-        for (int64_t j = 0; j < ks[i]; j++) {
-            if (pos == 8) {
-                const int64_t given = left < 8 ? left : 8;
-#ifdef MECSCHED_AVX512
-                if (avx512_words) rank8_given(words, given, guide, shift, edge, ranks);
-                else
-#endif
-                    for (int64_t g = 0; g < given; g++) ranks[g] = rank(words[g], guide, shift, edge);
-                words += given;
-                left -= given;
-                pos = 0;
-            }
-            n_distinct += tally(ranks[pos++], i + 1, capacity, stamp);
-        }
+        for (int64_t j = 0; j < ks[i]; j++) n_distinct += count(*words++, i + 1, guide, shift, edge, capacity, stamp);
         distinct[i] = n_distinct;
     }
 }
 
-/* The Monte Carlo estimate's n_tasks samples.  Their k values come first:
+/* The Monte Carlo estimate's n_tasks samples.  Their k values are
  * Generator.random(n_tasks), each ranked through k_guide, k_shift and
  * k_edge, the tables of the k cdf, as searchsorted(cdf, u, side="right")
- * ranks it; ks[i] gets k_lo plus the rank.  Then task i's contents are the
- * next ks[i] words, and with its bits size_bits * distinct (a local run)
- * and size_bits * ks[i] (an offload), local_counts[i] and mec_counts[i]
- * get busy_slots of each, as dynamics.task_bits, slots_local and
- * slots_mec give them. */
-void mecsched_estimate_slots(uint64_t *pcg64, int64_t n_tasks, int64_t k_lo, const int32_t *k_guide, int k_shift,
-                             const uint64_t *k_edge, int64_t *ks, const int32_t *guide, int shift,
-                             const uint64_t *edge, int64_t capacity, int64_t *stamp, double size_bits,
-                             double cycles_per_bit, double f_local_dt, double f_mec_dt, double rate_dt,
-                             double *local_counts, double *mec_counts)
+ * ranks it, plus k_lo; the contents follow them: sample i's k contents are
+ * the next k words.  So the k values and the contents are two streams, the
+ * second started n_tasks words on, and sample i takes its k from the first
+ * and its contents from the second; no k is stored.  With its bits
+ * size_bits * distinct (a local run) and size_bits * k (an offload),
+ * local_counts[i] and mec_counts[i] get busy_slots of each, as
+ * dynamics.task_bits, slots_local and slots_mec give them. */
+void mecsched_estimate_slots(uint64_t *pcg64, int64_t n_tasks, int64_t k_lo, const uint64_t *k_guide, int k_shift,
+                             const uint64_t *k_edge, const uint64_t *guide, int shift, const uint64_t *edge,
+                             int64_t capacity, int64_t *stamp, double size_bits, double cycles_per_bit,
+                             double f_local_dt, double f_mec_dt, double rate_dt, double *local_counts,
+                             double *mec_counts)
 {
 #ifdef MECSCHED_AVX512
     if (avx512_words) {
-        estimate_slots_avx512(pcg64, n_tasks, k_lo, k_guide, k_shift, k_edge, ks, guide, shift, edge, capacity,
-                              stamp, size_bits, cycles_per_bit, f_local_dt, f_mec_dt, rate_dt, local_counts,
-                              mec_counts);
+        estimate_slots_avx512(pcg64, n_tasks, k_lo, k_guide, k_shift, k_edge, guide, shift, edge, capacity, stamp,
+                              size_bits, cycles_per_bit, f_local_dt, f_mec_dt, rate_dt, local_counts, mec_counts);
         return;
     }
 #endif
-    pcg64_t rng = pcg64_load(pcg64);
-    for (int64_t i = 0; i < n_tasks; i++) ks[i] = k_lo + rank(pcg64_next64(&rng), k_guide, k_shift, k_edge);
+    pcg64_t rng = pcg64_load(pcg64), k_rng = rng;
+    pcg64_advance(&rng, (uint64_t)n_tasks);
     for (int64_t i = 0; i < n_tasks; i++) {
+        const int64_t k = k_lo + rank(pcg64_next64(&k_rng), k_guide, k_shift, k_edge);
         int64_t n_distinct = 0;
-        for (int64_t j = 0; j < ks[i]; j++)
+        for (int64_t j = 0; j < k; j++)
             n_distinct += count(pcg64_next64(&rng), i + 1, guide, shift, edge, capacity, stamp);
-        const double local_bits = size_bits * (double)n_distinct, mec_bits = size_bits * (double)ks[i];
+        const double local_bits = size_bits * (double)n_distinct, mec_bits = size_bits * (double)k;
         local_counts[i] = (double)busy_slots(mec_bits, local_bits, cycles_per_bit, f_local_dt, rate_dt);
         mec_counts[i] = (double)busy_slots(mec_bits, mec_bits, cycles_per_bit, f_mec_dt, rate_dt);
     }

@@ -163,7 +163,9 @@ def estimate_slot_means(
     uses, so the estimate is the canonical evaluator for quantities that
     have no closed form.  Deterministic given ``seed``.
     The standard errors are taken in the count arrays' own memory, so the
-    estimate holds 24 bytes per sample: the ``k`` values and the two counts.
+    compiled estimate holds 16 bytes per sample, the two counts (the kernel
+    reads each sample's ``k`` from the stream and stores none), and the
+    Python reference 24, the ``k`` values too.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples for a standard error, got {samples}")

@@ -9,11 +9,12 @@ comparison.
 
 Ranks are drawn by inversion: a uniform ``u`` in [0, 1) maps to one plus
 the number of cumulative-popularity entries ``<= u``.  Beside the ``cdf``
-the catalog keeps a guide table (Chen & Asau, 1974, see
-:func:`guide_table`) that answers this in O(1) for almost every ``u`` with
-the very same result as a binary search, and the ``cdf``'s
-:func:`rank_edges`, which let the compiled draw compare numpy's raw
-64-bit words in place of the uniforms made of them.
+the catalog keeps the ``cdf``'s :func:`rank_edges`, which let the
+compiled draw compare numpy's raw 64-bit words in place of the uniforms
+made of them, and a guide table (Chen & Asau, 1974, see
+:func:`guide_table`) packed with them (:func:`packed_guide`), which
+answers this with one table read for almost every ``u``, with the very
+same result as a binary search.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["ContentCatalog", "guide_table", "rank_edges", "zipf_popularity"]
+__all__ = ["ContentCatalog", "guide_table", "packed_guide", "rank_edges", "zipf_popularity"]
 
 # Popularity vectors must be normalised at least this well.
 POPULARITY_SUM_TOL = 1e-12
@@ -90,6 +91,43 @@ def rank_edges(cdf: np.ndarray) -> np.ndarray:
     return np.ceil(cdf * 2.0**53).astype(np.uint64)
 
 
+def packed_guide(cdf: np.ndarray) -> tuple[np.ndarray, int]:
+    """:func:`guide_table` for ``cdf``, each entry packed with what its
+    bucket's lookup compares into one uint64; and the bucket shift.
+
+    With ``B = 2**(64 - shift)`` buckets, bucket ``j`` of a word ``w`` is
+    ``w >> shift`` and holds the ``m = w >> 11`` from ``j * W`` to ``(j +
+    1) * W - 1``, ``W = 2**(shift - 11)``.  Its entry holds, from bit
+    ``shift`` up, ``below = table[j]``, the number of ``cdf`` entries ``<= j
+    / B``; at bit ``shift - 11``, a flag set when ``table[j + 1] - below >
+    1`` (a wide bucket); and in the bits under it, ``edge[below] - j * W -
+    1`` capped at ``W - 1``, ``edge`` being :func:`rank_edges`.  In a narrow
+    bucket, ``w``'s rank is ``below``, plus 1 when that offset is below
+    ``m``'s own, ``m & (W - 1)``; a wide one binary-searches ``edge``
+    between ``below`` and the next entry's.  Entry ``B`` holds only
+    ``below``, the ``cdf``'s size.  So the bucket and ``below`` are the same
+    shift of the word and the entry.  The fields fit: ``below <= cdf.size
+    <= B / 4``, and ``edge[below] > j * W``.  The table costs 8 bytes per
+    bucket.
+    """
+    table, shift = guide_table(cdf)
+    width = np.uint64(1 << (shift - 11))
+    in_bucket = np.diff(table)
+    # below <= cdf.size - 1 in buckets j < B: the last entry, exactly 1, is
+    # above j / B.  Bucket j holds edge[below] when in_bucket[j] > 0, and
+    # then edge[below] - 1 - j * W is its low bits.
+    offset = rank_edges(cdf)[table[:-1]]
+    offset -= np.uint64(1)
+    offset &= width - np.uint64(1)
+    offset[in_bucket == 0] = width - np.uint64(1)
+    offset[in_bucket > 1] |= width
+    del in_bucket
+    packed = table.astype(np.uint64)
+    packed <<= np.uint64(shift)
+    packed[:-1] |= offset
+    return packed, shift
+
+
 @dataclass(frozen=True, eq=False)
 class ContentCatalog:
     """Immutable description of the content universe.
@@ -103,7 +141,7 @@ class ContentCatalog:
 
     Derived fields: ``n_contents`` is the universe size, the length of
     ``popularity``.  ``cdf`` is the cumulative popularity (last entry
-    exactly 1), ``guide`` and ``guide_shift`` its :func:`guide_table`, and
+    exactly 1), ``guide`` and ``guide_shift`` its :func:`packed_guide`, and
     ``edge`` its :func:`rank_edges`: what the compiled draw ranks through.
     """
 
@@ -132,7 +170,7 @@ class ContentCatalog:
         cdf = np.cumsum(pop)
         cdf[-1] = 1.0  # every u < 1 then ranks at most n_contents, despite rounding
         object.__setattr__(self, "cdf", cdf)
-        guide, guide_shift = guide_table(cdf)
+        guide, guide_shift = packed_guide(cdf)
         object.__setattr__(self, "guide", guide)
         object.__setattr__(self, "guide_shift", guide_shift)
         object.__setattr__(self, "edge", rank_edges(cdf))

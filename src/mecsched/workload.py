@@ -23,12 +23,14 @@ makes each double and 32-bit value as numpy's ``next_double`` and
 ``next_uint32`` do, and writes the end state back, so it leaves the
 generator as those calls would, whichever of its word sources (see
 :mod:`mecsched._kernel`) runs.  It ranks each raw 64-bit word in integers
-through the catalog's guide table and rank edges, which give the binary
-search's rank for every uniform.  Any other bit generator, and every
-generator while the kernel is ``None``, takes the stream's definition, one
-task at a time: about 20 us per task against about 0.2 us in C (0.25 us
-with the scalar step; a default task has about 50 contents).  The
-estimate's draw is one kernel call too, ``k`` values included.
+through the catalog's packed guide table (one table read per word outside
+wide buckets, see :func:`~mecsched.catalog.packed_guide`) and rank edges,
+which give the binary search's rank for every uniform.  Any other bit
+generator, and every generator while the kernel is ``None``, takes the
+stream's definition, one task at a time: about 20 us per task against
+about 0.15 us in C (0.2 us with the scalar step; a default task has about
+50 contents).  The estimate's draw is one kernel call too, ``k`` values
+included.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel
-from .catalog import ContentCatalog, guide_table, rank_edges
+from .catalog import ContentCatalog, packed_guide, rank_edges
 from .dynamics import SystemParams, busy_slot_terms, slots_local, slots_mec, task_bits
 from .errors import ConfigError
 
@@ -174,7 +176,7 @@ def draw_ranks(rng: np.random.Generator, cdf: np.ndarray, n: int) -> np.ndarray:
     """``n`` uniforms ``rng.random(n)``, each ranked as the number of
     entries of ``cdf`` (non-decreasing, last entry exactly 1) ``<= u``:
     the estimate's reference, which its compiled draw follows through a
-    guide table and rank edges built for ``cdf``."""
+    packed guide table and rank edges built for ``cdf``."""
     return np.searchsorted(cdf, rng.random(n), side="right")
 
 
@@ -189,9 +191,13 @@ def sample_slot_counts(
     equal probabilities of ``ks``) to pick the ``k`` values in order, as
     ``Generator.choice(ks, p=p)`` does; then each task's contents are the
     next ``k`` uniforms.  The kernel draws the ``k`` values and the
-    contents and counts them in one call
-    (``mecsched_estimate_slots``); the reference, without it, goes in steps
-    of ``_STEP_TASKS`` through :func:`draw_contents` and ``dynamics``.
+    contents and counts them in one call (``mecsched_estimate_slots``),
+    which reads the two as two streams, the contents' started ``samples``
+    words after the ``k`` values', through :func:`packed_guide` tables for
+    the ``k`` cdf; it stores no ``k`` value, so the compiled estimate
+    holds 16 bytes per sample, its two counts.  The reference, without
+    the kernel, goes in steps of ``_STEP_TASKS`` through
+    :func:`draw_contents` and ``dynamics`` and holds the ``k`` values too.
     """
     check_capacity(catalog.n_contents, capacity)
     cdf = np.cumsum(np.full(len(ks), 1.0 / len(ks)))
@@ -199,14 +205,13 @@ def sample_slot_counts(
     rng = np.random.default_rng(seed)
     lib = _compiled(rng)
     if lib is not None:
-        drawn_ks = np.empty(samples, dtype=np.int64)
         local_counts, mec_counts = np.empty((2, samples))
         stamp = np.zeros(catalog.n_contents, dtype=np.int64)
         with _pcg64_words(rng.bit_generator) as words:
             lib.mecsched_estimate_slots(
-                words, samples, ks.start, *guide_table(cdf), rank_edges(cdf), drawn_ks, catalog.guide,
-                catalog.guide_shift, catalog.edge, capacity, stamp, float(catalog.size_bits),
-                *busy_slot_terms(params), local_counts, mec_counts,
+                words, samples, ks.start, *packed_guide(cdf), rank_edges(cdf), catalog.guide, catalog.guide_shift,
+                catalog.edge, capacity, stamp, float(catalog.size_bits), *busy_slot_terms(params), local_counts,
+                mec_counts,
             )
         return local_counts, mec_counts
     drawn_ks = draw_ranks(rng, cdf, samples)

@@ -4,11 +4,11 @@ numpy's ``PCG64`` makes each uniform of a 64-bit word ``w`` as ``(w >> 11)
 * 2**-53``, and the compiled draw ranks the words themselves.
 :func:`count_words` therefore feeds chosen words to either content draw:
 to the compiled one through the kernel's ``mecsched_count_words``, which
-shares the draw's count, and to the Python one as the uniforms
-``FixedWords(words).random(k)`` makes of them.  :func:`distinct_uncached`
-builds the words from the content ranks wanted.  ``pcg64_with_next(word,
-half)`` is a PCG64 generator whose next 32-bit and 64-bit values are
-chosen.
+ranks and counts them as the selected word source's draw does, and to the
+Python one as the uniforms ``FixedWords(words).random(k)`` makes of them.
+:func:`distinct_uncached` builds the words from the content ranks wanted.
+``pcg64_with_next(word, half)`` is a PCG64 generator whose next 32-bit and
+64-bit values are chosen.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from mecsched.engine import RunMetrics, TaskTable, draw_tasks, run_simulation
 from mecsched.policy import POLICY_KINDS, PolicySpec
 from mecsched.workload import K_SPAN_LIMIT, WorkloadConfig, sample_slot_counts, sample_tasks
 from draw_paths import drawing_on, word_sources
-from fixed_uniforms import pcg64_with_next
+from fixed_uniforms import count_words, pcg64_with_next
 
 
 # A hand-built run under the delay-only rule (lyapunov, v = 0).  Compute
@@ -85,7 +85,9 @@ def compare_at_the_extremes(sanitized) -> None:
 def _compare(sanitized) -> None:
     """Assert that the kernel ``sanitized`` and the Python paths agree at the
     extremes: a one-content catalog, a cache of the whole catalog, wide guide
-    buckets, k spans 0 and K_SPAN_LIMIT - 1, the estimate's k draw from a
+    buckets, draws, estimates and the count on given words at capacities 0
+    and n (every rank kept, or none, by the AVX-512 draw's compressed
+    stores), k spans 0 and K_SPAN_LIMIT - 1, the estimate's k draw from a
     one-entry cdf and from wider ones, first words 0, 2**64 - 1 and a
     rank edge's first word in the task draw, with a 32-bit half buffered at
     the start (the generator's end state included), and runs with tasks
@@ -102,8 +104,11 @@ def _compare(sanitized) -> None:
         return results
 
     one, steep = ContentCatalog.zipf(1, 0.0, 1.0), ContentCatalog.zipf(50, 3.0, 1.0)
+    large = ContentCatalog.zipf(1000, 0.8, 1.0)
+    # The last two: tasks longer than the AVX-512 draw's 256-word block.
     for catalog, capacity, k_min, k_max in (
         (one, 0, 1, 5), (one, 1, 1, 5), (steep, 0, 3, 66), (steep, 50, 3, 66), (steep, 5, 7, 7),
+        (large, 0, 1, 300), (large, 1000, 1, 300),
     ):
         cfg = WorkloadConfig(0.4, k_min, k_max)
         compiled, python = both(lambda: sample_tasks(np.random.default_rng(1), catalog, cfg, 300, capacity))
@@ -111,6 +116,13 @@ def _compare(sanitized) -> None:
         ks = range(k_min, k_max + 1)
         compiled, python = both(lambda: sample_slot_counts(catalog, capacity, TIE_PARAMS, ks, 300, 1))
         assert [a.tolist() for a in compiled] == [a.tolist() for a in python]
+    # The count on given words: 300 of them, a whole block and a part of
+    # one, which ends inside an eight-word group.
+    words = np.random.default_rng(2).integers(0, 2**64, 300, dtype=np.uint64)
+    for catalog in (one, steep, large):
+        for capacity in (0, catalog.n_contents):
+            compiled, python = both(lambda: count_words(catalog, capacity, [1, 7, 0, 250, 42], words))
+            assert compiled == python
     # The widest span: a rejected 0, then k = 2 from the word's low half and
     # k = 1 from its high half.
     widest = WorkloadConfig(0.4, 1, K_SPAN_LIMIT)

@@ -261,6 +261,22 @@ def test_slot_mean_estimate_holds_24_bytes_per_sample(catalog, params, loop) -> 
     assert peaks[1] - peaks[0] <= 24 * 5_000 + 32_768
 
 
+def test_compiled_estimate_holds_16_bytes_per_sample(catalog, params) -> None:
+    # Only the two count arrays: the kernel reads each sample's k from the
+    # stream as it counts the sample's contents, and stores no k value.
+    if _kernel.lib is None:
+        pytest.skip("no C compiler: the compiled estimate is not built")
+    peaks = []
+    for samples in (5_000, 10_000):
+        tracemalloc.start()
+        try:
+            estimate_slot_means(catalog, 50, params, range(40, 61), samples=samples, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 16 * 5_000 + 32_768
+
+
 def test_slot_means_near_simulated_defaults(catalog, params) -> None:
     est = estimate_slot_means(catalog, 50, params, uniform_k_dist(40, 60), samples=4000, seed=1)
     assert est.local_mean == pytest.approx(3.17, abs=0.05)

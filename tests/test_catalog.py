@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mecsched.catalog import ContentCatalog, guide_table, zipf_popularity
+from mecsched.catalog import ContentCatalog, guide_table, packed_guide, zipf_popularity
 from fixed_uniforms import distinct_uncached
 
 
@@ -76,6 +76,25 @@ def test_guide_table_refuses_a_cdf_a_lookup_could_run_past() -> None:
     for cdf in (np.empty(0), np.array([0.5, 1.0 - 2**-53])):
         with pytest.raises(ValueError, match="the last exactly 1"):
             guide_table(cdf)
+
+
+def test_packed_guide_holds_the_guide_table() -> None:
+    # One content: four buckets of width W = 2**51 in m, each with 0
+    # entries below it and the edge 2**53 past it, so the offset field
+    # holds its cap, W - 1; entry B holds the count 1 from bit 62.
+    table, shift = packed_guide(np.ones(1))
+    assert (table.tolist(), shift) == ([2**51 - 1] * 4 + [1 << 62], 62)
+    # The catalog's table: below from bit shift up equals guide_table's
+    # counts, and the flag at bit shift - 11 marks the wide buckets, which
+    # the steep catalog has.
+    for n, alpha in ((50, 3.0), (1000, 0.8)):
+        cat = ContentCatalog.zipf(n, alpha, 1.0)
+        counts, count_shift = guide_table(cat.cdf)
+        assert cat.guide_shift == count_shift and cat.guide.dtype == np.uint64
+        assert np.array_equal(cat.guide >> np.uint64(cat.guide_shift), counts)
+        wide = cat.guide[:-1] >> np.uint64(cat.guide_shift - 11) & np.uint64(1)
+        assert np.array_equal(wide == 1, np.diff(counts) > 1)
+        assert wide.any() == (alpha == 3.0)
 
 
 def _missed(catalog: ContentCatalog, ranks, capacity: int) -> list[int]:

@@ -11,7 +11,9 @@ from mecsched.analysis import estimate_slot_means
 from mecsched.config import ExperimentConfig, build_system
 from mecsched.dynamics import SystemParams
 from mecsched.engine import draw_tasks
-from mecsched.workload import K_SPAN_LIMIT, WorkloadConfig, draw_contents, sample_tasks, task_streams
+from mecsched.workload import (
+    K_SPAN_LIMIT, WorkloadConfig, draw_contents, sample_slot_counts, sample_tasks, task_streams,
+)
 from draw_paths import drawing_on, paths
 from fixed_uniforms import count_words, distinct_uncached, pcg64_with_next
 
@@ -144,6 +146,44 @@ def test_sample_tasks_match_one_task_at_a_time(catalog: ContentCatalog) -> None:
                 ks, distinct = sample_tasks(task_streams(9)[1], catalog, cfg, 515, capacity)
                 expected = _one_task_at_a_time(task_streams(9)[1], catalog, cfg, 515, capacity)
                 assert (ks.tolist(), distinct.tolist()) == expected
+
+
+# Contents per task: fixed k coprime to 8 ends tasks at every offset
+# within an eight-word group, 8 only at a group's end, and 300 spans a
+# whole block of the AVX-512 draw (256 words); the spans draw k from the
+# same words as the contents.  Each case runs over about 1100 words, so
+# that tasks and k values cross several block edges.
+_BOUNDARY_CFGS = [WorkloadConfig(0.4, k, k) for k in (1, 3, 8, 13, 300)] + [
+    WorkloadConfig(0.4, 1, k_max) for k_max in (21, 64, 200)
+]
+
+
+@pytest.mark.parametrize("n, alpha", [(1, 0.0), (50, 3.0), (1000, 0.8)])
+def test_draws_equal_the_reference_at_every_task_boundary(n: int, alpha: float) -> None:
+    # On every path, the task draw's k values, distinct counts and end
+    # state equal the per-task draws, and the estimate's counts equal its
+    # Python definition, at capacities 0, 1, n - 1 and n.  The steep
+    # catalog has wide guide buckets; the one-content one a single bucket
+    # edge.  One-bit contents on a half-bit-per-slot link with free compute
+    # make a sample's local count twice its distinct uncached contents (at
+    # least 1) and its offload count 2k.
+    catalog = ContentCatalog.zipf(n, alpha, 1.0)
+    point = SystemParams(slot_seconds=1.0, cycles_per_bit=1.0, f_local_hz=1e300, f_mec_hz=1e300, rate_bps=0.5)
+    for capacity in sorted({0, 1, n - 1, n}):
+        for cfg in _BOUNDARY_CFGS:
+            n_tasks = 1 + 2200 // (cfg.k_min + cfg.k_max)
+            reference = np.random.default_rng(n_tasks)
+            expected = _one_task_at_a_time(reference, catalog, cfg, n_tasks, capacity)
+            ks = range(cfg.k_min, cfg.k_max + 1)
+            counts = []
+            for path in paths():
+                rng = np.random.default_rng(n_tasks)
+                with drawing_on(*path):
+                    drawn = sample_tasks(rng, catalog, cfg, n_tasks, capacity)
+                    counts.append([a.tolist() for a in sample_slot_counts(catalog, capacity, point, ks, n_tasks, 5)])
+                assert [a.tolist() for a in drawn] == list(expected), (capacity, cfg, path)
+                assert rng.bit_generator.state == reference.bit_generator.state, (capacity, cfg, path)
+            assert counts == [counts[-1]] * len(counts), (capacity, cfg)
 
 
 def _rejected_halves(span: int) -> list[int]:
