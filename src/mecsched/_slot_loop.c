@@ -28,9 +28,9 @@
  * generator past the words it took by PCG64's jump (Brown 1994), the
  * O(log n) map PCG64.advance uses, so the words the lanes made ahead are
  * dropped and the end state is the scalar loops' own.  The scalar estimate
- * reads its two streams the same way, from two generators.  Both sources
- * give the same words, ranks and end state; mecsched_select_word_source
- * lets the tests run both.
+ * reads its two streams the same way, from two generators, 256 k values
+ * at a time.  Both sources give the same words, ranks and end state;
+ * mecsched_select_word_source lets the tests run both.
  *
  * A task's busy-slot count in either mode is busy_slots, the formula of
  * dynamics._busy_slots with its operations in the same order; the slot
@@ -122,33 +122,36 @@ static void pcg64_advance(pcg64_t *rng, uint64_t n)
 
 /* The number of cdf entries <= u for the uniform u = (word >> 11) * 2**-53,
  * through the packed guide table of B + 1 entries built by
- * catalog.packed_guide, B = 2**(64 - shift).  It runs in integers: u's
- * bucket j = floor(u * B) is word >> shift, and cdf[i] <= u exactly when
- * edge[i] <= m = word >> 11, edge being catalog.rank_edges(cdf).  Bucket
- * j's entry packs three fields: from bit shift up, below, the number of
- * cdf entries <= j / B; at bit shift - 11, a flag set when the bucket
- * holds more than one of them (a wide bucket); and in the bits under it,
- * edge[below]'s offset from the bucket's first m, j * 2**(shift - 11),
- * less 1 and capped at the bucket's width less 1.  In a narrow bucket the
- * count is below, plus 1 when that field is below m's own offset, m's low
- * shift - 11 bits: one load.  A wide bucket binary-searches edge between
- * its below and the next entry's. */
+ * catalog.packed_guide, B = 2**L, L = 64 - shift.  It runs in integers:
+ * u's bucket j = floor(u * B) is word >> shift, and cdf[i] <= u exactly
+ * when edge[i] <= m = word >> 11, edge being catalog.rank_edges(cdf).
+ * Bucket j's entry packs three fields: in its low L + 10 bits, below, the
+ * number of cdf entries <= j / B; at bit L + 10, a flag set when the
+ * bucket holds more than one of them (a wide bucket); and in its top
+ * shift - 11 bits, edge[below]'s offset from the bucket's first m,
+ * j * 2**(shift - 11), less 1 and capped at the bucket's width less 1.
+ * word << L holds m's own offset in the same top bits, over word's low
+ * 11 bits, so in a narrow bucket the count is below, plus 1 when the entry
+ * with its low L + 11 bits all set lies below word << L, that is when its
+ * offset is below m's: one load.  A wide bucket binary-searches edge
+ * between its below and the next entry's. */
 static inline int64_t rank(uint64_t word, const uint64_t *guide, int shift, const uint64_t *edge)
 {
-    const uint64_t bucket = word >> shift, entry = guide[bucket], low_bits = ((uint64_t)1 << (shift - 11)) - 1;
-    int64_t below = (int64_t)(entry >> shift);
+    const uint64_t bucket = word >> shift, entry = guide[bucket];
+    const uint64_t wide = (uint64_t)1 << (74 - shift), below_bits = wide - 1;
+    int64_t below = (int64_t)(entry & below_bits);
     /* Wide buckets are rare: without this hint the scalar draw and
      * estimate measured 3-13% slower. */
-    if (__builtin_expect(entry >> (shift - 11) & 1, 0)) {
+    if (__builtin_expect((entry & wide) != 0, 0)) {
         const uint64_t m = word >> 11;
-        int64_t hi = (int64_t)(guide[bucket + 1] >> shift);  /* at most this many */
+        int64_t hi = (int64_t)(guide[bucket + 1] & below_bits);  /* at most this many */
         while (below < hi) {
             int64_t mid = below + (hi - below) / 2;
             if (edge[mid] <= m) below = mid + 1;
             else hi = mid;
         }
     } else {
-        below += (entry & low_bits) < ((word >> 11) & low_bits);
+        below += (entry | (2 * wide - 1)) < word << (64 - shift);
     }
     return below;
 }
@@ -291,20 +294,19 @@ AVX512 static inline void lanes_step(lanes_t *lanes, int v)
 }
 
 /* rank of eight words at once, for the lanes whose bucket is narrow: one
- * gather of their packed entries, then the same shift, masks and compare
+ * gather of their packed entries, then the same masks, shift and compare
  * as rank's; *wide marks the other lanes, which rank8 hands to rank.  ASan
  * does not instrument gathers, so their bounds are kept here: a bucket is
  * word >> shift <= B - 1, so the 8-byte read of guide[bucket] lies within
  * guide's B + 1 entries. */
 AVX512 static inline __m512i vrank(__m512i word, const uint64_t *guide, int shift, __mmask8 *wide)
 {
-    const __m128i count = _mm_cvtsi32_si128(shift);
-    const __m512i entry = _mm512_i64gather_epi64(_mm512_srl_epi64(word, count), guide, 8);
-    const __m512i below = _mm512_srl_epi64(entry, count);
-    const __m512i low_bits = _mm512_set1_epi64(((int64_t)1 << (shift - 11)) - 1);
-    *wide = _mm512_test_epi64_mask(entry, _mm512_set1_epi64((int64_t)1 << (shift - 11)));
-    const __mmask8 up = _mm512_cmplt_epu64_mask(_mm512_and_si512(entry, low_bits),
-                                                _mm512_and_si512(_mm512_srli_epi64(word, 11), low_bits));
+    const int64_t flag = (int64_t)1 << (74 - shift);
+    const __m512i entry = _mm512_i64gather_epi64(_mm512_srl_epi64(word, _mm_cvtsi32_si128(shift)), guide, 8);
+    const __m512i below = _mm512_and_si512(entry, _mm512_set1_epi64(flag - 1));
+    *wide = _mm512_test_epi64_mask(entry, _mm512_set1_epi64(flag));
+    const __mmask8 up = _mm512_cmplt_epu64_mask(_mm512_or_si512(entry, _mm512_set1_epi64(2 * flag - 1)),
+                                                _mm512_sll_epi64(word, _mm_cvtsi32_si128(64 - shift)));
     return _mm512_mask_sub_epi64(below, up, below, _mm512_set1_epi64(-1));
 }
 
@@ -614,16 +616,24 @@ void mecsched_estimate_slots(uint64_t *pcg64, int64_t n_tasks, int64_t k_lo, con
         return;
     }
 #endif
+    /* The k values K_CHUNK at a time, then those samples' contents: with
+     * each k drawn just before its sample's contents the estimate measured
+     * about 4% slower. */
+    enum { K_CHUNK = 256 };
+    int64_t ks[K_CHUNK];
     pcg64_t rng = pcg64_load(pcg64), k_rng = rng;
     pcg64_advance(&rng, (uint64_t)n_tasks);
-    for (int64_t i = 0; i < n_tasks; i++) {
-        const int64_t k = k_lo + rank(pcg64_next64(&k_rng), k_guide, k_shift, k_edge);
-        int64_t n_distinct = 0;
-        for (int64_t j = 0; j < k; j++)
-            n_distinct += count(pcg64_next64(&rng), i + 1, guide, shift, edge, capacity, stamp);
-        const double local_bits = size_bits * (double)n_distinct, mec_bits = size_bits * (double)k;
-        local_counts[i] = (double)busy_slots(mec_bits, local_bits, cycles_per_bit, f_local_dt, rate_dt);
-        mec_counts[i] = (double)busy_slots(mec_bits, mec_bits, cycles_per_bit, f_mec_dt, rate_dt);
+    for (int64_t first = 0; first < n_tasks; first += K_CHUNK) {
+        const int64_t n = n_tasks - first < K_CHUNK ? n_tasks - first : K_CHUNK;
+        for (int64_t j = 0; j < n; j++) ks[j] = k_lo + rank(pcg64_next64(&k_rng), k_guide, k_shift, k_edge);
+        for (int64_t j = 0; j < n; j++) {
+            int64_t n_distinct = 0;
+            for (int64_t c = 0; c < ks[j]; c++)
+                n_distinct += count(pcg64_next64(&rng), first + j + 1, guide, shift, edge, capacity, stamp);
+            const double local_bits = size_bits * (double)n_distinct, mec_bits = size_bits * (double)ks[j];
+            local_counts[first + j] = (double)busy_slots(mec_bits, local_bits, cycles_per_bit, f_local_dt, rate_dt);
+            mec_counts[first + j] = (double)busy_slots(mec_bits, mec_bits, cycles_per_bit, f_mec_dt, rate_dt);
+        }
     }
     pcg64_store(&rng, pcg64);
 }

@@ -95,20 +95,20 @@ def packed_guide(cdf: np.ndarray) -> tuple[np.ndarray, int]:
     """:func:`guide_table` for ``cdf``, each entry packed with what its
     bucket's lookup compares into one uint64; and the bucket shift.
 
-    With ``B = 2**(64 - shift)`` buckets, bucket ``j`` of a word ``w`` is
-    ``w >> shift`` and holds the ``m = w >> 11`` from ``j * W`` to ``(j +
-    1) * W - 1``, ``W = 2**(shift - 11)``.  Its entry holds, from bit
-    ``shift`` up, ``below = table[j]``, the number of ``cdf`` entries ``<= j
-    / B``; at bit ``shift - 11``, a flag set when ``table[j + 1] - below >
-    1`` (a wide bucket); and in the bits under it, ``edge[below] - j * W -
-    1`` capped at ``W - 1``, ``edge`` being :func:`rank_edges`.  In a narrow
-    bucket, ``w``'s rank is ``below``, plus 1 when that offset is below
-    ``m``'s own, ``m & (W - 1)``; a wide one binary-searches ``edge``
-    between ``below`` and the next entry's.  Entry ``B`` holds only
-    ``below``, the ``cdf``'s size.  So the bucket and ``below`` are the same
-    shift of the word and the entry.  The fields fit: ``below <= cdf.size
-    <= B / 4``, and ``edge[below] > j * W``.  The table costs 8 bytes per
-    bucket.
+    With ``B = 2**L`` buckets, ``L = 64 - shift``, bucket ``j`` of a word
+    ``w`` is ``w >> shift`` and holds the ``m = w >> 11`` from ``j * W`` to
+    ``(j + 1) * W - 1``, ``W = 2**(shift - 11)``.  Its entry holds, in its
+    low ``L + 10`` bits, ``below = table[j]``, the number of ``cdf`` entries
+    ``<= j / B``; at bit ``L + 10``, a flag set when ``table[j + 1] - below
+    > 1`` (a wide bucket); and in its top ``shift - 11`` bits, ``edge[below]
+    - j * W - 1`` capped at ``W - 1``, ``edge`` being :func:`rank_edges`.
+    ``w << L`` holds ``m``'s own offset ``m - j * W`` in those top bits, so
+    in a narrow bucket ``w``'s rank is ``below``, plus 1 when the entry with
+    its low ``L + 11`` bits set is below ``w << L``; a wide one
+    binary-searches ``edge`` between ``below`` and the next entry's.  Entry
+    ``B`` holds only ``below``, the ``cdf``'s size.  The fields fit: ``below
+    <= cdf.size <= B / 4``, and ``edge[below] > j * W``.  The table costs 8
+    bytes per bucket.
     """
     table, shift = guide_table(cdf)
     width = np.uint64(1 << (shift - 11))
@@ -120,11 +120,9 @@ def packed_guide(cdf: np.ndarray) -> tuple[np.ndarray, int]:
     offset -= np.uint64(1)
     offset &= width - np.uint64(1)
     offset[in_bucket == 0] = width - np.uint64(1)
-    offset[in_bucket > 1] |= width
-    del in_bucket
     packed = table.astype(np.uint64)
-    packed <<= np.uint64(shift)
-    packed[:-1] |= offset
+    packed[:-1][in_bucket > 1] |= np.uint64(1 << (74 - shift))
+    packed[:-1] |= offset << np.uint64(75 - shift)
     return packed, shift
 
 

@@ -79,21 +79,22 @@ def test_guide_table_refuses_a_cdf_a_lookup_could_run_past() -> None:
 
 
 def test_packed_guide_holds_the_guide_table() -> None:
-    # One content: four buckets of width W = 2**51 in m, each with 0
-    # entries below it and the edge 2**53 past it, so the offset field
-    # holds its cap, W - 1; entry B holds the count 1 from bit 62.
+    # One content: four buckets (L = 2) of width W = 2**51 in m, each with
+    # 0 entries below it and the edge 2**53 past it, so the offset field,
+    # the top 51 bits, holds its cap W - 1; entry B holds the count 1.
     table, shift = packed_guide(np.ones(1))
-    assert (table.tolist(), shift) == ([2**51 - 1] * 4 + [1 << 62], 62)
-    # The catalog's table: below from bit shift up equals guide_table's
-    # counts, and the flag at bit shift - 11 marks the wide buckets, which
-    # the steep catalog has.
+    assert (table.tolist(), shift) == ([(2**51 - 1) << 13] * 4 + [1], 62)
+    # The catalog's table: below in the low L + 10 bits equals guide_table's
+    # counts, and the flag at bit L + 10 marks the wide buckets, which the
+    # steep catalog has.
     for n, alpha in ((50, 3.0), (1000, 0.8)):
         cat = ContentCatalog.zipf(n, alpha, 1.0)
         counts, count_shift = guide_table(cat.cdf)
         assert cat.guide_shift == count_shift and cat.guide.dtype == np.uint64
-        assert np.array_equal(cat.guide >> np.uint64(cat.guide_shift), counts)
-        wide = cat.guide[:-1] >> np.uint64(cat.guide_shift - 11) & np.uint64(1)
-        assert np.array_equal(wide == 1, np.diff(counts) > 1)
+        flag = np.uint64(1 << (74 - cat.guide_shift))
+        assert np.array_equal(cat.guide & (flag - np.uint64(1)), counts)
+        wide = (cat.guide[:-1] & flag) != 0
+        assert np.array_equal(wide, np.diff(counts) > 1)
         assert wide.any() == (alpha == 3.0)
 
 
