@@ -5,8 +5,12 @@ The kernel holds one entry per hot call: the draws of
 samples: their ``k`` values, contents and slot counts), which step numpy's
 PCG64 themselves from the state the caller passes, and the slot loop of
 :mod:`mecsched.engine`.  The estimate and the slot loop compute each
-task's busy-slot count where they use it; ``mecsched_count_words`` runs
-the task draw's count on given 64-bit words, for tests.  The draws
+task's busy-slot count where they use it; the estimate's entry takes a
+range of the samples, which it reaches in the stream by PCG64's jump, so
+:func:`mecsched.workload.sample_slot_counts` runs its parts on threads at
+once (``ctypes`` releases the GIL for each call; the library starts no
+thread of its own).  ``mecsched_count_words`` runs the task draw's count
+on given 64-bit words, for tests.  The draws
 take their PCG64 words from one of two sources, which the library chooses
 once, when it loads: sixteen AVX-512 lanes on an x86-64 processor that has
 AVX-512F, else the scalar step, one word at a time.  Both give the same
@@ -86,8 +90,9 @@ def load() -> Optional[ctypes.CDLL]:
         # The draws read and write PCG64's state as six uint64 words, and
         # rank through a cdf's packed guide table (uint64), its bucket shift
         # and its rank edges (catalog.packed_guide, rank_edges).  The
-        # estimate takes two such triples, the k cdf's and the catalog's,
-        # and stores no k value.
+        # estimate takes its total samples, its range (first, size), and
+        # two such triples, the k cdf's and the catalog's, and stores no k
+        # value.
         lib.mecsched_draw_tasks.argtypes = [
             _array(np.uint64), i64, i64, ctypes.c_uint32, _array(np.int64), _array(np.uint64), ctypes.c_int,
             _array(np.uint64), i64, _array(np.int64), _array(np.int64),
@@ -99,7 +104,7 @@ def load() -> Optional[ctypes.CDLL]:
         ]
         lib.mecsched_count_words.restype = None
         lib.mecsched_estimate_slots.argtypes = [
-            _array(np.uint64), i64, i64, _array(np.uint64), ctypes.c_int, _array(np.uint64),
+            _array(np.uint64), i64, i64, i64, i64, _array(np.uint64), ctypes.c_int, _array(np.uint64),
             _array(np.uint64), ctypes.c_int, _array(np.uint64), i64, _array(np.int64), f64, f64, f64, f64, f64,
             _array(np.float64), _array(np.float64),
         ]

@@ -24,13 +24,16 @@
  * next32's buffered half, and the contents their kept ranks.  The estimate
  * reads two blocks side by side: one at the generator's state for its k
  * values, through the k cdf's tables with every rank kept, and one started
- * n_tasks words on for the contents.  At the end a draw moves the
+ * n_tasks words on for the contents, further on by the contents of the
+ * samples before its range when it runs a part.  At the end a draw moves the
  * generator past the words it took by PCG64's jump (Brown 1994), the
  * O(log n) map PCG64.advance uses, so the words the lanes made ahead are
  * dropped and the end state is the scalar loops' own.  The scalar estimate
  * reads its two streams the same way, from two generators, 256 k values
  * at a time.  Both sources give the same words, ranks and end state;
- * mecsched_select_word_source lets the tests run both.
+ * mecsched_select_word_source lets the tests run both.  The library
+ * starts no thread: the estimate's parts run on the caller's threads,
+ * each on its own copy of the state words and its own stamp.
  *
  * A task's busy-slot count in either mode is busy_slots, the formula of
  * dynamics._busy_slots with its operations in the same order; the slot
@@ -479,19 +482,26 @@ AVX512 static void draw_tasks_avx512(uint64_t *pcg64, int64_t n_tasks, int64_t k
 
 /* The k values come from a block started at the generator's state, ranked
  * through the k tables at capacity 0, so that each word's rank is kept in
- * place; the contents from a second block, started n_tasks words on. */
-AVX512 static void estimate_slots_avx512(uint64_t *pcg64, int64_t n_tasks, int64_t k_lo, const uint64_t *k_guide,
-                                         int k_shift, const uint64_t *k_edge, const uint64_t *guide, int shift,
-                                         const uint64_t *edge, int64_t capacity, int64_t *stamp, double size_bits,
-                                         double cycles_per_bit, double f_local_dt, double f_mec_dt, double rate_dt,
-                                         double *local_counts, double *mec_counts)
+ * place; the first samples' k values are read and summed, so the block
+ * stands at sample first's and the sum places the contents: their block
+ * starts that many words past the n_tasks k words. */
+AVX512 static void estimate_slots_avx512(uint64_t *pcg64, int64_t n_tasks, int64_t first, int64_t size, int64_t k_lo,
+                                         const uint64_t *k_guide, int k_shift, const uint64_t *k_edge,
+                                         const uint64_t *guide, int shift, const uint64_t *edge, int64_t capacity,
+                                         int64_t *stamp, double size_bits, double cycles_per_bit, double f_local_dt,
+                                         double f_mec_dt, double rate_dt, double *local_counts, double *mec_counts)
 {
     pcg64_t rng = pcg64_load(pcg64);
     block_t k_block, block;
     block_start(&k_block, &rng, k_guide, k_shift, k_edge, 0);
-    pcg64_advance(&rng, (uint64_t)n_tasks);
+    uint64_t skipped = (uint64_t)n_tasks;
+    for (int64_t i = 0; i < first; i++) {
+        if (k_block.pos == BLOCK) block_fill(&k_block);
+        skipped += (uint64_t)(k_lo + k_block.rank[k_block.pos++]);
+    }
+    pcg64_advance(&rng, skipped);
     block_start(&block, &rng, guide, shift, edge, capacity);
-    for (int64_t i = 0; i < n_tasks; i++) {
+    for (int64_t i = first; i < first + size; i++) {
         if (k_block.pos == BLOCK) block_fill(&k_block);
         const int64_t k = k_lo + k_block.rank[k_block.pos++];
         const int64_t n_distinct = block_count(&block, k, i + 1, stamp);
@@ -593,26 +603,33 @@ void mecsched_count_words(int64_t n_tasks, const int64_t *ks, const uint64_t *wo
     }
 }
 
-/* The Monte Carlo estimate's n_tasks samples.  Their k values are
- * Generator.random(n_tasks), each ranked through k_guide, k_shift and
- * k_edge, the tables of the k cdf, as searchsorted(cdf, u, side="right")
- * ranks it, plus k_lo; the contents follow them: sample i's k contents are
- * the next k words.  So the k values and the contents are two streams, the
- * second started n_tasks words on, and sample i takes its k from the first
- * and its contents from the second; no k is stored.  With its bits
- * size_bits * distinct (a local run) and size_bits * k (an offload),
- * local_counts[i] and mec_counts[i] get busy_slots of each, as
- * dynamics.task_bits, slots_local and slots_mec give them. */
-void mecsched_estimate_slots(uint64_t *pcg64, int64_t n_tasks, int64_t k_lo, const uint64_t *k_guide, int k_shift,
-                             const uint64_t *k_edge, const uint64_t *guide, int shift, const uint64_t *edge,
-                             int64_t capacity, int64_t *stamp, double size_bits, double cycles_per_bit,
-                             double f_local_dt, double f_mec_dt, double rate_dt, double *local_counts,
-                             double *mec_counts)
+/* Samples [first, first + size) of the Monte Carlo estimate's n_tasks.
+ * Their k values are Generator.random(n_tasks), each ranked through
+ * k_guide, k_shift and k_edge, the tables of the k cdf, as
+ * searchsorted(cdf, u, side="right") ranks it, plus k_lo; the contents
+ * follow them: sample i's k contents are the next k words.  So the k
+ * values and the contents are two streams, the second started n_tasks
+ * words on, and sample i takes its k from the first and its contents from
+ * the second; no k is stored.  A range that starts past sample 0 ranks
+ * the first k values to sum them, then jumps the contents' stream past
+ * those samples' contents, so any range reads the words the whole call
+ * would.  With its bits size_bits * distinct (a local run) and
+ * size_bits * k (an offload), local_counts[i] and mec_counts[i] get
+ * busy_slots of each, as dynamics.task_bits, slots_local and slots_mec
+ * give them.  The range's tags are its samples' indices plus 1, so
+ * ranges run at once each need a stamp of their own; pcg64 is left at
+ * the state after the range's last content. */
+void mecsched_estimate_slots(uint64_t *pcg64, int64_t n_tasks, int64_t first, int64_t size, int64_t k_lo,
+                             const uint64_t *k_guide, int k_shift, const uint64_t *k_edge, const uint64_t *guide,
+                             int shift, const uint64_t *edge, int64_t capacity, int64_t *stamp, double size_bits,
+                             double cycles_per_bit, double f_local_dt, double f_mec_dt, double rate_dt,
+                             double *local_counts, double *mec_counts)
 {
 #ifdef MECSCHED_AVX512
     if (avx512_words) {
-        estimate_slots_avx512(pcg64, n_tasks, k_lo, k_guide, k_shift, k_edge, guide, shift, edge, capacity, stamp,
-                              size_bits, cycles_per_bit, f_local_dt, f_mec_dt, rate_dt, local_counts, mec_counts);
+        estimate_slots_avx512(pcg64, n_tasks, first, size, k_lo, k_guide, k_shift, k_edge, guide, shift, edge,
+                              capacity, stamp, size_bits, cycles_per_bit, f_local_dt, f_mec_dt, rate_dt,
+                              local_counts, mec_counts);
         return;
     }
 #endif
@@ -622,17 +639,20 @@ void mecsched_estimate_slots(uint64_t *pcg64, int64_t n_tasks, int64_t k_lo, con
     enum { K_CHUNK = 256 };
     int64_t ks[K_CHUNK];
     pcg64_t rng = pcg64_load(pcg64), k_rng = rng;
-    pcg64_advance(&rng, (uint64_t)n_tasks);
-    for (int64_t first = 0; first < n_tasks; first += K_CHUNK) {
-        const int64_t n = n_tasks - first < K_CHUNK ? n_tasks - first : K_CHUNK;
+    uint64_t skipped = (uint64_t)n_tasks;
+    for (int64_t i = 0; i < first; i++)
+        skipped += (uint64_t)(k_lo + rank(pcg64_next64(&k_rng), k_guide, k_shift, k_edge));
+    pcg64_advance(&rng, skipped);
+    for (int64_t start = first; start < first + size; start += K_CHUNK) {
+        const int64_t n = first + size - start < K_CHUNK ? first + size - start : K_CHUNK;
         for (int64_t j = 0; j < n; j++) ks[j] = k_lo + rank(pcg64_next64(&k_rng), k_guide, k_shift, k_edge);
         for (int64_t j = 0; j < n; j++) {
             int64_t n_distinct = 0;
             for (int64_t c = 0; c < ks[j]; c++)
-                n_distinct += count(pcg64_next64(&rng), first + j + 1, guide, shift, edge, capacity, stamp);
+                n_distinct += count(pcg64_next64(&rng), start + j + 1, guide, shift, edge, capacity, stamp);
             const double local_bits = size_bits * (double)n_distinct, mec_bits = size_bits * (double)ks[j];
-            local_counts[first + j] = (double)busy_slots(mec_bits, local_bits, cycles_per_bit, f_local_dt, rate_dt);
-            mec_counts[first + j] = (double)busy_slots(mec_bits, mec_bits, cycles_per_bit, f_mec_dt, rate_dt);
+            local_counts[start + j] = (double)busy_slots(mec_bits, local_bits, cycles_per_bit, f_local_dt, rate_dt);
+            mec_counts[start + j] = (double)busy_slots(mec_bits, mec_bits, cycles_per_bit, f_mec_dt, rate_dt);
         }
     }
     pcg64_store(&rng, pcg64);

@@ -29,12 +29,15 @@ which give the binary search's rank for every uniform.  Any other bit
 generator, and every generator while the kernel is ``None``, takes the
 stream's definition, one task at a time: about 20 us per task against
 about 0.15 us in C (0.2 us with the scalar step; a default task has about
-50 contents).  The estimate's draw is one kernel call too, ``k`` values
-included.
+50 contents).  The estimate's draw is the kernel's too, ``k`` values
+included, split into one part per CPU the process may run on
+(:func:`sample_slot_counts`).
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -68,6 +71,11 @@ _ARRIVAL_CHUNK = 1 << 16
 # error-state switch), and its temporaries span the step, so a single step
 # would raise the peak memory.  The stream is the same for any step size.
 _STEP_TASKS = 4096
+# The fewest samples a part of the compiled estimate holds.  A thread's
+# start and join cost a few hundred us, so two parts first ran faster than
+# one at 5500 samples (defaults, 2-vCPU Xeon with AVX-512F: median time
+# ratio 0.90, 235 of 301 interleaved rounds; at 5000 samples 1.13).
+_PART_FLOOR = 2750
 
 
 @dataclass(frozen=True)
@@ -191,13 +199,24 @@ def sample_slot_counts(
     equal probabilities of ``ks``) to pick the ``k`` values in order, as
     ``Generator.choice(ks, p=p)`` does; then each task's contents are the
     next ``k`` uniforms.  The kernel draws the ``k`` values and the
-    contents and counts them in one call (``mecsched_estimate_slots``),
-    which reads the two as two streams, the contents' started ``samples``
-    words after the ``k`` values', through :func:`packed_guide` tables for
-    the ``k`` cdf; it stores no ``k`` value, so the compiled estimate
-    holds 16 bytes per sample, its two counts.  The reference, without
-    the kernel, goes in steps of ``_STEP_TASKS`` through
-    :func:`draw_contents` and ``dynamics`` and holds the ``k`` values too.
+    contents and counts them (``mecsched_estimate_slots``), reading the
+    two as two streams, the contents' started ``samples`` words after the
+    ``k`` values', through :func:`packed_guide` tables for the ``k`` cdf;
+    it stores no ``k`` value, so the compiled estimate holds 16 bytes per
+    sample, its two counts, and a stamp row per part.
+
+    The compiled estimate runs in ``P`` contiguous parts (:func:`_split`):
+    ``P`` is the number of CPUs in ``os.sched_getaffinity(0)``, capped at
+    ``samples // _PART_FLOOR``.  Parts ``1..P - 1`` run on threads, part
+    0 in the caller.  Each part's call ranks the ``k`` values before its
+    first sample to sum them, jumps the contents' stream past those
+    samples' contents, and writes its own range of the counts, so every
+    split gives the counts and the end state of one whole call; the
+    generator takes the last part's end state once every part has ended,
+    and keeps its own if any part raised.  ``P = 1`` is that one call,
+    with no thread.  The reference, without the kernel, goes in steps of
+    ``_STEP_TASKS`` through :func:`draw_contents` and ``dynamics`` and
+    holds the ``k`` values too.
     """
     check_capacity(catalog.n_contents, capacity)
     cdf = np.cumsum(np.full(len(ks), 1.0 / len(ks)))
@@ -206,13 +225,24 @@ def sample_slot_counts(
     lib = _compiled(rng)
     if lib is not None:
         local_counts, mec_counts = np.empty((2, samples))
-        stamp = np.zeros(catalog.n_contents, dtype=np.int64)
+        bounds = _split(samples)
+        parts = len(bounds) - 1
+        stamps = np.zeros((parts, catalog.n_contents), dtype=np.int64)
+        tables = (*packed_guide(cdf), rank_edges(cdf), catalog.guide, catalog.guide_shift, catalog.edge, capacity)
+        terms = (float(catalog.size_bits), *busy_slot_terms(params))
         with _pcg64_words(rng.bit_generator) as words:
-            lib.mecsched_estimate_slots(
-                words, samples, ks.start, *packed_guide(cdf), rank_edges(cdf), catalog.guide, catalog.guide_shift,
-                catalog.edge, capacity, stamp, float(catalog.size_bits), *busy_slot_terms(params), local_counts,
-                mec_counts,
-            )
+            # Every part starts from the generator's state; the last one
+            # ends where the whole stream does.
+            part_words = [words, *(words.copy() for _ in range(1, parts))]
+
+            def run(i):
+                lib.mecsched_estimate_slots(
+                    part_words[i], samples, bounds[i], bounds[i + 1] - bounds[i], ks.start, *tables, stamps[i],
+                    *terms, local_counts, mec_counts,
+                )
+
+            _run_parts(run, parts)
+            words[:] = part_words[-1]
         return local_counts, mec_counts
     drawn_ks = draw_ranks(rng, cdf, samples)
     drawn_ks += ks.start  # in place: a second samples-long array would raise the peak memory
@@ -225,6 +255,43 @@ def sample_slot_counts(
         local_counts[first:first + chunk.size] = slots_local(mec_bits, local_bits, params)
         mec_counts[first:first + chunk.size] = slots_mec(mec_bits, params)
     return local_counts, mec_counts
+
+
+def _split(samples: int) -> list[int]:
+    """The compiled estimate's parts, as their ``P + 1`` bounds from 0 to
+    ``samples``: ``P`` is the number of CPUs this process may run on,
+    capped so that each part holds at least ``_PART_FLOOR`` samples."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    parts = max(1, min(cpus, samples // _PART_FLOOR))
+    return [samples * i // parts for i in range(parts + 1)]
+
+
+def _run_parts(run, parts: int) -> None:
+    """``run(i)`` for each part ``i``: parts ``1..parts - 1`` on threads of
+    their own (a ctypes call releases the GIL), part 0 in the caller, which
+    joins them all and then raises the first exception any part raised.
+    One part starts no thread."""
+    errors = [None] * parts
+
+    def guarded(i):
+        try:
+            run(i)
+        except BaseException as exc:  # re-raised in the caller
+            errors[i] = exc
+
+    threads = []
+    try:
+        for i in range(1, parts):
+            thread = threading.Thread(target=guarded, args=(i,))
+            thread.start()
+            threads.append(thread)
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
 
 
 def _compiled(rng):

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 
-from mecsched import _kernel
+from mecsched import _kernel, workload
 from mecsched.analysis import estimate_slot_means
 from mecsched.catalog import ContentCatalog
 from mecsched.config import ExperimentConfig, build_system
@@ -74,6 +74,21 @@ def assert_same_metrics(a: RunMetrics, b: RunMetrics) -> None:
             assert type(x) is type(y) and x == y, f.name
 
 
+def estimate_in_parts(catalog, capacity, params, ks, samples, seed, bounds=None) -> tuple[list, dict]:
+    """``sample_slot_counts``' two count lists, drawn from
+    ``default_rng(seed)``, and the generator's state after the draw.  With
+    ``bounds`` (``P + 1`` sample indices from 0 to ``samples``) the compiled
+    estimate runs in those parts; the Python path ignores them."""
+    rng = np.random.default_rng(seed)
+    with mock.patch.object(np.random, "default_rng", lambda seed: rng):
+        if bounds is None:
+            counts = sample_slot_counts(catalog, capacity, params, ks, samples, seed)
+        else:
+            with mock.patch.object(workload, "_split", lambda samples: list(bounds)):
+                counts = sample_slot_counts(catalog, capacity, params, ks, samples, seed)
+    return [a.tolist() for a in counts], rng.bit_generator.state
+
+
 def compare_at_the_extremes(sanitized) -> None:
     """Assert, once for each word source of the kernel ``sanitized``, that it
     and the Python paths agree at the extremes (see :func:`_compare`)."""
@@ -88,7 +103,9 @@ def _compare(sanitized) -> None:
     buckets, draws, estimates and the count on given words at capacities 0
     and n (every rank kept, or none, by the AVX-512 draw's compressed
     stores), k spans 0 and K_SPAN_LIMIT - 1, the estimate's k draw from a
-    one-entry cdf and from wider ones, first words 0, 2**64 - 1 and a
+    one-entry cdf and from wider ones, estimates in parts (the last sample
+    alone, a part from the k block's edge, at k spans 0 and 299, with the
+    generator's end state), first words 0, 2**64 - 1 and a
     rank edge's first word in the task draw, with a 32-bit half buffered at
     the start (the generator's end state included), and runs with tasks
     that never end (2**62 slots), of one slot, with warm-up from the first
@@ -116,6 +133,15 @@ def _compare(sanitized) -> None:
         ks = range(k_min, k_max + 1)
         compiled, python = both(lambda: sample_slot_counts(catalog, capacity, TIE_PARAMS, ks, 300, 1))
         assert [a.tolist() for a in compiled] == [a.tolist() for a in python]
+    # Estimates in parts, each ranking the k values before its first sample
+    # and jumping the contents' stream past theirs: the last sample alone, a
+    # part from the k block's edge and one from a sample past it, at k span
+    # 0 and a wide span; the counts and the generator's end state.
+    for catalog, capacity, k_min, k_max in ((steep, 5, 7, 7), (large, 0, 1, 300), (large, 50, 1, 300)):
+        ks = range(k_min, k_max + 1)
+        for bounds in ([0, 299, 300], [0, 256, 300], [0, 1, 257, 299, 300]):
+            compiled, python = both(lambda: estimate_in_parts(catalog, capacity, TIE_PARAMS, ks, 300, 1, bounds))
+            assert compiled == python, (catalog.n_contents, capacity, bounds)
     # The count on given words: 300 of them, a whole block and a part of
     # one, which ends inside an eight-word group.
     words = np.random.default_rng(2).integers(0, 2**64, 300, dtype=np.uint64)

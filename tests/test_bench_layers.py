@@ -1,16 +1,20 @@
 """Smoke tests of ``tools/bench_layers.py``: one small point, the estimate
-point and the cold commands, end to end, and the pairing of two checkouts'
-cold commands."""
+point with its part count and one-part time, and the cold commands, end to
+end, and the pairing of two checkouts' cold commands."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import os
 import runpy
 import subprocess
+import threading
 from pathlib import Path
 
-from mecsched import _kernel
+import pytest
+
+from mecsched import _kernel, workload
 from mecsched.config import ExperimentConfig, build_system
 from mecsched.engine import draw_tasks
 
@@ -58,13 +62,40 @@ def test_measure_estimate_reports_the_analyze_point(monkeypatch) -> None:
     point = tool.measure_estimate(reference)
 
     assert set(point) == {
-        "estimate_us_per_sample", "estimate_us_per_sample_range", "samples", "reference_s", "host_speed",
+        "estimate_us_per_sample", "estimate_us_per_sample_range", "parts", "one_part_us_per_sample",
+        "one_part_us_per_sample_range", "samples", "reference_s", "host_speed",
     }
     assert point["samples"] == 200
+    assert point["parts"] == 1
     assert point["reference_s"] == [0.2, 0.4, 0.1]
     assert point["host_speed"] == [0.25, 1.0]
-    low, high = point["estimate_us_per_sample_range"]
-    assert 0 < low <= point["estimate_us_per_sample"] <= high
+    for key in ("estimate_us_per_sample", "one_part_us_per_sample"):
+        low, high = point[f"{key}_range"]
+        assert 0 < low <= point[key] <= high
+
+
+def test_measure_estimate_records_its_parts_and_times_one_part(monkeypatch) -> None:
+    # On two CPUs, an estimate of two floors' samples runs in two parts:
+    # each repeat starts one thread for it and none for the one-part time.
+    if _kernel.lib is None:
+        pytest.skip("no C compiler: the compiled estimate is not built")
+    tool = _load_tool()
+    monkeypatch.setattr(tool, "ESTIMATE_SAMPLES", 2 * workload._PART_FLOOR)
+    monkeypatch.setattr(tool, "SEEDS", (0,))
+    monkeypatch.setattr(tool, "REPEATS", 3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    started, real_thread = [], threading.Thread
+
+    def thread(*args, **kwargs):
+        started.append(real_thread(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(threading, "Thread", thread)
+    point = tool.measure_estimate({"time_reference": lambda: 0.1, "REFERENCE_S": 0.1})
+
+    assert point["parts"] == 2
+    assert len(started) == 3
+    assert point["one_part_us_per_sample"] > 0 and point["estimate_us_per_sample"] > 0
 
 
 def test_measure_commands_times_the_benchmark_commands_cold(monkeypatch) -> None:

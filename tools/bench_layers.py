@@ -34,7 +34,12 @@ with ``tracemalloc``: its peak over that table's tasks is the point's
 One more point, ``analyze_estimate``, times ``estimate_slot_means`` (the
 ``analyze`` command's Monte Carlo estimate) at the default configuration
 with ``ESTIMATE_SAMPLES`` samples, once per seed, and reports it in us
-per sample.
+per sample.  The compiled estimate splits its samples into parts, one per
+CPU the process may run on, and the point records how many it ran
+(``parts``; 1 in checkouts that predate the split).  Each repeat then
+also times the estimate in one part, as on a one-CPU process
+(``one_part_us_per_sample``), so the two alternate: their ratio shows
+whether the other CPUs delivered while the point ran.
 
 The entry's ``commands`` time whole commands cold, each in
 ``COMMAND_RUNS`` fresh ``python -I`` children: the benchmark workloads
@@ -186,22 +191,42 @@ def measure_point(overrides: dict, reference: dict) -> dict:
 
 
 def measure_estimate(reference: dict) -> dict:
+    from unittest import mock
+
+    from mecsched import workload
     from mecsched.analysis import estimate_slot_means, uniform_k_dist
     from mecsched.config import ExperimentConfig, build_system
 
     config = ExperimentConfig().validate()
     catalog, capacity, params, _, _ = build_system(config)
     k_dist = uniform_k_dist(config.k_min, config.k_max)
-    estimate_us, reference_s = [], []
+    split = getattr(workload, "_split", None)
+    parts = 1 if split is None else len(split(ESTIMATE_SAMPLES)) - 1
+
+    def estimate(seed):
+        estimate_slot_means(catalog, capacity, params, k_dist, samples=ESTIMATE_SAMPLES, seed=seed)
+
+    def one_part(seed):
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
+            estimate(seed)
+
+    estimate_us, one_part_us, reference_s = [], [], []
     for seed in SEEDS:
         reference_s.append(reference["time_reference"]())
-        t_estimate, _ = min_time(
-            lambda: estimate_slot_means(catalog, capacity, params, k_dist, samples=ESTIMATE_SAMPLES, seed=seed)
-        )
-        estimate_us.append(1e6 * t_estimate / ESTIMATE_SAMPLES)
+        best = {estimate: float("inf"), one_part: float("inf")}
+        for _ in range(REPEATS):
+            for fn in best:
+                start = time.perf_counter()
+                fn(seed)
+                best[fn] = min(best[fn], time.perf_counter() - start)
+        estimate_us.append(1e6 * best[estimate] / ESTIMATE_SAMPLES)
+        one_part_us.append(1e6 * best[one_part] / ESTIMATE_SAMPLES)
     return {
         "estimate_us_per_sample": sum(estimate_us) / len(estimate_us),
         "estimate_us_per_sample_range": [min(estimate_us), max(estimate_us)],
+        "parts": parts,
+        "one_part_us_per_sample": sum(one_part_us) / len(one_part_us),
+        "one_part_us_per_sample_range": [min(one_part_us), max(one_part_us)],
         "samples": ESTIMATE_SAMPLES,
         **host_speed(reference, reference_s),
     }
