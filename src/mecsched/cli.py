@@ -24,7 +24,6 @@ import math
 import os
 import stat
 import sys
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -136,42 +135,8 @@ def rows_to_csv(rows: list[dict], columns: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class _Memo:
-    """What the runs of one command share.
-
-    ``catalogs`` holds the catalogs built so far (see ``build_system``).
-    ``tables``, unless None, holds task tables by the arguments
-    :func:`draw_tasks` drew them with: one per seed for one set of the
-    other inputs.  Catalogs key by identity, which holds because
-    ``catalogs`` hands out one catalog per set of its inputs.
-    """
-
-    catalogs: dict = field(default_factory=dict)
-    tables: Optional[dict] = field(default_factory=dict)
-
-
-def _simulate(config: ExperimentConfig, seed: int, memo: _Memo) -> RunMetrics:
-    """Build the config's system and simulate it once with ``seed``.
-
-    The run takes its catalog from the command's ``memo``, and its task
-    table too when the memo keeps tables, building or drawing and storing
-    each on first use.  A run whose other draw inputs differ from the held
-    tables' empties them first.
-    """
-    catalog, capacity, params, workload_cfg, policy = build_system(config, memo.catalogs)
-    key = (catalog, capacity, workload_cfg, config.horizon_slots, seed)
-    tables = {} if memo.tables is None else memo.tables
-    tasks = tables.get(key)
-    if tasks is None:
-        if any(held[:-1] != key[:-1] for held in tables):
-            tables.clear()
-        tasks = tables[key] = draw_tasks(*key)
-    return run_simulation(tasks, params, policy, warmup_frac=config.warmup_frac)
-
-
-def _run_one(config: ExperimentConfig, seed: int, memo: _Memo) -> dict:
-    metrics = _simulate(config, seed, memo)
+def _row(config: ExperimentConfig, seed: int, metrics: RunMetrics) -> dict:
+    """The simulate CSV row of one run of ``config`` with ``seed``."""
     row = {
         "seed": seed,
         "policy": config.policy,
@@ -200,22 +165,39 @@ def _run_one(config: ExperimentConfig, seed: int, memo: _Memo) -> dict:
 
 
 def cmd_simulate(config: ExperimentConfig) -> list[dict]:
-    """One row per configured seed at the config's operating point.  The
-    runs share one catalog but draw their own task tables."""
-    memo = _Memo(tables=None)
-    return [_run_one(config, seed, memo) for seed in config.seeds]
+    """One row per configured seed at the config's operating point.  Each
+    seed's task table is drawn, run and dropped before the next seed's."""
+    catalog, capacity, params, workload_cfg, policy = build_system(config)
+    return [
+        _row(config, seed, run_simulation(
+            draw_tasks(catalog, capacity, workload_cfg, config.horizon_slots, seed),
+            params, policy, warmup_frac=config.warmup_frac,
+        ))
+        for seed in config.seeds
+    ]
 
 
 def cmd_sweep(config: ExperimentConfig) -> list[dict]:
     """Rows for every (axis value, seed) pair, sorted by value then seed,
     each carrying its value's across-seed mean and standard deviation of
-    the per-task data average.  The runs share one catalog, and values that
-    leave the task draws unchanged (every axis but ``cache_m``) reuse each
-    seed's task table."""
+    the per-task data average.  The runs share one catalog, and each seed's
+    task table, drawn at its first run, until a value changes what the draw
+    reads (of the axes, only ``cache_m`` does): the held tables are dropped
+    before that value's draws."""
     rows: list[dict] = []
-    memo = _Memo()
+    catalogs: dict = {}
+    drawn_for = None
     for value, point in sweep_configs(config):
-        point_rows = [_run_one(point, seed, memo) for seed in config.seeds]
+        catalog, capacity, params, workload_cfg, policy = build_system(point, catalogs)
+        inputs = (catalog, capacity, workload_cfg, point.horizon_slots)
+        if inputs != drawn_for:
+            tables, drawn_for = {}, inputs
+        point_rows = []
+        for seed in config.seeds:
+            if seed not in tables:
+                tables[seed] = draw_tasks(*inputs, seed)
+            metrics = run_simulation(tables[seed], params, policy, warmup_frac=point.warmup_frac)
+            point_rows.append(_row(point, seed, metrics))
         data = [r["avg_data_per_task_bits"] for r in point_rows]
         finite = [d for d in data if not math.isnan(d)]
         mean = float(np.mean(finite)) if finite else math.nan
@@ -229,13 +211,17 @@ def cmd_sweep(config: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def _mean_delay_seconds(config: ExperimentConfig, memo: _Memo) -> float:
+def _mean_delay_seconds(config: ExperimentConfig, tables: dict, catalogs: dict) -> float:
     """Across-seed mean measured delay; infinite when any seed never
-    completes a post-warmup task (the overloaded end of a bracket).
-    ``memo`` is the command's :class:`_Memo`."""
+    completes a post-warmup task (the overloaded end of a bracket).  Each
+    seed runs on its table in ``tables``, which holds tables of
+    ``config``'s cache value by seed, drawn there at its first run."""
+    catalog, capacity, params, workload_cfg, policy = build_system(config, catalogs)
     delays = []
     for seed in config.seeds:
-        metrics = _simulate(config, seed, memo)
+        if seed not in tables:
+            tables[seed] = draw_tasks(catalog, capacity, workload_cfg, config.horizon_slots, seed)
+        metrics = run_simulation(tables[seed], params, policy, warmup_frac=config.warmup_frac)
         try:
             delays.append(mean_delay_slots(metrics) * config.slot_seconds)
         except MetricUndefined:
@@ -250,15 +236,15 @@ def _frontier_point(
     rate_lo: float,
     rate_hi: float,
     max_iter: int,
-    memo: _Memo,
+    tables: dict,
+    catalogs: dict,
 ) -> dict:
     # Bisect to half the tolerance so an independent re-run at the found
     # rate still lands inside the full tolerance.
     inner = tolerance_s / 2.0
 
     def evaluate(rate: float) -> float:
-        # Every probe at this point draws the same tasks.
-        return _mean_delay_seconds(dataclasses.replace(point, rate_bps=rate), memo)
+        return _mean_delay_seconds(dataclasses.replace(point, rate_bps=rate), tables, catalogs)
 
     d_lo = evaluate(rate_lo)
     d_hi = evaluate(rate_hi)
@@ -321,8 +307,12 @@ def cmd_frontier(
 
     A point whose delay is lower at the bracket's slow end than at its fast
     end gets status ``non_monotone`` and no rate; the grid carries on.  Rows
-    come ``f``-major; the points run cache value by cache value, so the
-    points of one cache share each seed's task table.
+    come ``f``-major, and a grid value out of range is refused, naming
+    ``--f-values`` or ``--m-values``, before any run.  The points run cache
+    value by cache value: each seed's task table is drawn once per cache
+    value (a value repeated next in ``m_values`` keeps it), at its first
+    run, and every ``f_local`` point is bisected on it; the tables are
+    dropped before the next cache value's draws.
     """
     if not 0 < target_delay_s < math.inf:
         raise ConfigError(f"target delay must be positive and finite, got {target_delay_s}")
@@ -334,20 +324,23 @@ def cmd_frontier(
         raise ConfigError(f"need 0 < rate_lo < rate_hi < inf, got ({rate_lo}, {rate_hi})")
     if max_iter < 0:
         raise ConfigError(f"bisection rounds must be non-negative, got {max_iter}")
-    # The grid's values come from f_values and m_values, not from where the
-    # config set those keys.
-    sources = {**config.sources, "f_local_hz": None, "cache_m": None}
+    sources = {**config.sources, "f_local_hz": "--f-values", "cache_m": "--m-values"}
     points = [
         dataclasses.replace(config, f_local_hz=f_local, cache_m=cache_m, sources=sources).validate()
         for f_local in f_values
         for cache_m in m_values
     ]
-    memo = _Memo()
     rows = [None] * len(points)
-    for index in sorted(range(len(points)), key=lambda index: index % len(m_values)):
-        rows[index] = _frontier_point(
-            points[index], target_delay_s, delay_tolerance_s, rate_lo, rate_hi, max_iter, memo
-        )
+    catalogs: dict = {}
+    drawn_for = None
+    for first, cache_m in enumerate(m_values):
+        if cache_m != drawn_for:
+            tables, drawn_for = {}, cache_m
+        # This cache value's points, in f-major order.
+        for index in range(first, len(points), len(m_values)):
+            rows[index] = _frontier_point(
+                points[index], target_delay_s, delay_tolerance_s, rate_lo, rate_hi, max_iter, tables, catalogs
+            )
     return rows
 
 
@@ -488,7 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args: argparse.Namespace) -> ExperimentConfig:
-    config = load_config(args.config) if args.config else ExperimentConfig()
+    if args.config == "":
+        raise ConfigError("--config: expected a path, got ''")
+    config = ExperimentConfig() if args.config is None else load_config(args.config)
     config = apply_overrides(config, args.overrides)
     if args.seeds is not None:
         set_key(config, "seeds", args.seeds, "--seeds")
@@ -535,9 +530,11 @@ def _output(path: Optional[str]):
     is the target, as open(path, "w") would write it, not the link.  An
     ``OSError`` becomes one ConfigError that names ``--out``.
     """
-    if not path:
+    if path is None:
         yield sys.stdout.write
         return
+    if not path:
+        raise ConfigError("--out: expected a path, got ''")
     directory = os.path.dirname(path)
     if not os.path.isdir(directory or "."):
         raise ConfigError(f"--out {path}: no directory {directory}")

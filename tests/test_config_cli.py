@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import pytest
@@ -195,7 +196,7 @@ def test_range_errors_name_where_the_key_was_set(tmp_path, capsys) -> None:
     assert str(found.value) == f"{path}:3: {message}"
     # A frontier point's cache comes from --m-values, not from --set.
     assert main(["frontier", "--target-delay-s", "0.6", "--set", "cache_m=10", "--m-values", "2000"]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: --m-values: {message}\n"
     # A default value, or one set in code, has no source.
     with pytest.raises(ConfigError) as found:
         ExperimentConfig(cache_m=2000).validate()
@@ -324,7 +325,7 @@ def test_frontier_single_cell() -> None:
 def test_frontier_non_monotone_point_does_not_abort_grid(monkeypatch) -> None:
     # At cache_m=0 the faster radio measures slower (seed noise); that
     # point is reported and the next grid point still runs.
-    def fake_delay(point, tables) -> float:
+    def fake_delay(point, tables, catalogs) -> float:
         if point.cache_m == 0:
             return 0.5 if point.rate_bps < 1e9 else 0.7
         return 6e8 / point.rate_bps
@@ -346,7 +347,7 @@ def test_frontier_non_monotone_point_does_not_abort_grid(monkeypatch) -> None:
 def _curve(lo: float, hi: float, mid_at_or_below_1e9: float = math.nan, mid_above_1e9: float = math.nan):
     """Fake across-seed delay by radio rate: the bracket ends 1e8 and 1e10
     give ``lo`` and ``hi``, bisection probes give one of two values."""
-    def fake_delay(point, memo) -> float:
+    def fake_delay(point, tables, catalogs) -> float:
         rate = point.rate_bps
         if rate == 1e8:
             return lo
@@ -399,6 +400,22 @@ def test_frontier_rejects_bad_grid() -> None:
     with pytest.raises(ConfigError):
         cmd_frontier(config, target_delay_s=0.6, delay_tolerance_s=0.1,
                      f_values=[1e9], m_values=[50], rate_lo=1e10, rate_hi=1e8)
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--f-values", "0,1e9", "config key 'f_local_hz': must be positive, got 0.0"),
+        ("--m-values", "5000", "config key 'cache_m': must lie in 0..n_contents, got 5000"),
+    ],
+)
+def test_frontier_grid_errors_name_their_flag(flag, value, message, capsys, monkeypatch) -> None:
+    def no_work(*args, **kwargs):
+        raise AssertionError("frontier started its work")
+
+    monkeypatch.setattr(cli, "build_system", no_work)
+    assert main(["frontier", "--target-delay-s", "0.6", flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {flag}: {message}\n"
 
 
 def test_analyze_reports_regime() -> None:
@@ -512,10 +529,76 @@ def test_frontier_draws_each_table_once(count_draws) -> None:
     assert draws == [0, 1, 0, 1]
 
 
+def test_frontier_draws_a_repeated_cache_value_once(count_draws) -> None:
+    # Back-to-back points of one cache value share its tables, even when
+    # the value is repeated in the grid.
+    draws, runs = count_draws
+    config = ExperimentConfig(horizon_slots=3000, seeds=[0, 1], arrival_prob=0.2, v_param=0.0).validate()
+    rows = cmd_frontier(
+        config, target_delay_s=0.6, delay_tolerance_s=0.04,
+        f_values=[1e9], m_values=[0, 0, 200, 0], rate_lo=1e8, rate_hi=1e10, max_iter=1,
+    )
+    assert rows[0] == rows[1] == rows[3]
+    assert len(runs) == 2 * sum(row["probe_runs"] for row in rows)
+    assert draws == [0, 1] * 3
+
+
 def test_simulate_keeps_no_tables(count_draws) -> None:
     draws, runs = count_draws
     cmd_simulate(ExperimentConfig(horizon_slots=500, seeds=[3, 3, 4]).validate())
     assert runs == draws == [3, 3, 4]
+
+
+@pytest.mark.parametrize("axis", SWEEP_AXES)
+def test_sweep_rows_equal_simulate_rows(axis) -> None:
+    # However a sweep shares task tables between its values, each of its
+    # rows is, column for column and bit for bit, the simulate row of its
+    # point and seed.
+    default = getattr(ExperimentConfig(), axis)
+    config = ExperimentConfig(
+        horizon_slots=1500, seeds=[0, 1], sweep_axis=axis, sweep_values=[default, default / 2, default * 2],
+    ).validate()
+    expected = [row for _, point in sweep_configs(config) for row in cmd_simulate(point)]
+    assert [rows_to_csv([row], SIMULATE_COLUMNS) for row in cmd_sweep(config)] == [
+        rows_to_csv([row], SIMULATE_COLUMNS) for row in expected
+    ]
+
+
+@pytest.fixture
+def capacities_alive_at_draws(monkeypatch):
+    """At every task-table draw, record the capacities other than the one
+    being drawn of the tables drawn before it that are still alive."""
+    drawn: list[tuple[int, weakref.ref]] = []
+    alive_at_draws: list[set] = []
+    original = cli.draw_tasks
+
+    def tracking(catalog, capacity, *args, **kwargs):
+        alive_at_draws.append({held for held, table in drawn if table() is not None} - {capacity})
+        table = original(catalog, capacity, *args, **kwargs)
+        drawn.append((capacity, weakref.ref(table)))
+        return table
+
+    monkeypatch.setattr(cli, "draw_tasks", tracking)
+    return alive_at_draws
+
+
+@pytest.mark.parametrize(
+    "command, n_draws",
+    [
+        (lambda config: cmd_sweep(
+            dataclasses.replace(config, sweep_axis="cache_m", sweep_values=[0.0, 50.0, 100.0]).validate()
+        ), 6),
+        (lambda config: cmd_frontier(
+            config, target_delay_s=0.6, delay_tolerance_s=0.04, f_values=[1e9, 4e9],
+            m_values=[0, 200], rate_lo=1e8, rate_hi=1e10, max_iter=2,
+        ), 4),
+    ],
+    ids=["sweep_cache_m", "frontier"],
+)
+def test_no_two_capacities_tables_are_alive_at_once(capacities_alive_at_draws, command, n_draws) -> None:
+    # A command drops one capacity's tables before it draws the next's.
+    command(ExperimentConfig(horizon_slots=3000, seeds=[0, 1], arrival_prob=0.2, v_param=0.0).validate())
+    assert capacities_alive_at_draws == [set()] * n_draws
 
 
 @pytest.fixture
@@ -613,6 +696,16 @@ def test_empty_seeds_flag_is_refused(capsys) -> None:
     assert capsys.readouterr().err.startswith("error: --seeds: config key 'seeds': must be a non-empty list ")
 
 
+@pytest.mark.parametrize("flag", ["--config", "--out"])
+def test_empty_path_flags_are_refused_before_any_work(flag, capsys, monkeypatch) -> None:
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command started its work")
+
+    monkeypatch.setattr(cli, "build_system", no_work)
+    assert main(["simulate", flag, ""]) == 1
+    assert capsys.readouterr() == ("", f"error: {flag}: expected a path, got ''\n")
+
+
 def test_a_failed_command_leaves_an_existing_out_intact(tmp_path, capsys, monkeypatch) -> None:
     # The output opens before the work, through a temporary file beside the
     # target; build_system then refuses the Zipf exponent.
@@ -664,9 +757,21 @@ def test_main_stdout_when_no_out(capsys) -> None:
     assert captured.out.splitlines()[0] == ",".join(SIMULATE_COLUMNS)
 
 
-def test_cli_runs_keep_no_series() -> None:
+def test_cli_runs_keep_no_series(monkeypatch) -> None:
+    runs, original = [], cli.run_simulation
+
+    def recording(*args, **kwargs):
+        runs.append(original(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "run_simulation", recording)
     config = ExperimentConfig(horizon_slots=500, seeds=[0]).validate()
-    assert cli._simulate(config, 0, cli._Memo()).queue_len_series is None
+    cmd_simulate(config)
+    cmd_sweep(dataclasses.replace(config, sweep_axis="cache_m", sweep_values=[0.0, 50.0]).validate())
+    cmd_frontier(config, target_delay_s=0.6, delay_tolerance_s=0.1, f_values=[1e9], m_values=[50],
+                 rate_lo=1e8, rate_hi=1e10, max_iter=1)
+    assert len(runs) >= 5
+    assert all(metrics.queue_len_series is None for metrics in runs)
 
 
 @pytest.mark.parametrize(
