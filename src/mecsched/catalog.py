@@ -91,9 +91,10 @@ def rank_edges(cdf: np.ndarray) -> np.ndarray:
     return np.ceil(cdf * 2.0**53).astype(np.uint64)
 
 
-def packed_guide(cdf: np.ndarray) -> tuple[np.ndarray, int]:
+def packed_guide(cdf: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
     """:func:`guide_table` for ``cdf``, each entry packed with what its
-    bucket's lookup compares into one uint64; and the bucket shift.
+    bucket's lookup compares into one uint64; the bucket shift; and the
+    :func:`rank_edges` of ``cdf``, which the lookup reads beside the table.
 
     With ``B = 2**L`` buckets, ``L = 64 - shift``, bucket ``j`` of a word
     ``w`` is ``w >> shift`` and holds the ``m = w >> 11`` from ``j * W`` to
@@ -116,14 +117,15 @@ def packed_guide(cdf: np.ndarray) -> tuple[np.ndarray, int]:
     # below <= cdf.size - 1 in buckets j < B: the last entry, exactly 1, is
     # above j / B.  Bucket j holds edge[below] when in_bucket[j] > 0, and
     # then edge[below] - 1 - j * W is its low bits.
-    offset = rank_edges(cdf)[table[:-1]]
+    edge = rank_edges(cdf)
+    offset = edge[table[:-1]]
     offset -= np.uint64(1)
     offset &= width - np.uint64(1)
     offset[in_bucket == 0] = width - np.uint64(1)
     packed = table.astype(np.uint64)
     packed[:-1][in_bucket > 1] |= np.uint64(1 << (74 - shift))
     packed[:-1] |= offset << np.uint64(75 - shift)
-    return packed, shift
+    return packed, shift, edge
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,10 +170,10 @@ class ContentCatalog:
         cdf = np.cumsum(pop)
         cdf[-1] = 1.0  # every u < 1 then ranks at most n_contents, despite rounding
         object.__setattr__(self, "cdf", cdf)
-        guide, guide_shift = packed_guide(cdf)
+        guide, guide_shift, edge = packed_guide(cdf)
         object.__setattr__(self, "guide", guide)
         object.__setattr__(self, "guide_shift", guide_shift)
-        object.__setattr__(self, "edge", rank_edges(cdf))
+        object.__setattr__(self, "edge", edge)
 
     @classmethod
     def zipf(cls, n_contents: int, alpha: float, size_bits: float) -> "ContentCatalog":

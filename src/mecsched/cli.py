@@ -308,11 +308,12 @@ def cmd_frontier(
     A point whose delay is lower at the bracket's slow end than at its fast
     end gets status ``non_monotone`` and no rate; the grid carries on.  Rows
     come ``f``-major, and a grid value out of range is refused, naming
-    ``--f-values`` or ``--m-values``, before any run.  The points run cache
-    value by cache value: each seed's task table is drawn once per cache
-    value (a value repeated next in ``m_values`` keeps it), at its first
-    run, and every ``f_local`` point is bisected on it; the tables are
-    dropped before the next cache value's draws.
+    ``--f-values`` or ``--m-values``, before any run.  Each distinct point
+    is bisected once, and a value repeated in either list repeats its row.
+    The points run cache value by cache value, in first-seen order: each
+    seed's task table is drawn once per distinct cache value, at its first
+    run, and every distinct ``f_local`` point is bisected on it; the tables
+    are dropped before the next cache value's draws.
     """
     if not 0 < target_delay_s < math.inf:
         raise ConfigError(f"target delay must be positive and finite, got {target_delay_s}")
@@ -325,23 +326,20 @@ def cmd_frontier(
     if max_iter < 0:
         raise ConfigError(f"bisection rounds must be non-negative, got {max_iter}")
     sources = {**config.sources, "f_local_hz": "--f-values", "cache_m": "--m-values"}
-    points = [
-        dataclasses.replace(config, f_local_hz=f_local, cache_m=cache_m, sources=sources).validate()
+    points = {
+        (f_local, cache_m): dataclasses.replace(config, f_local_hz=f_local, cache_m=cache_m, sources=sources).validate()
         for f_local in f_values
         for cache_m in m_values
-    ]
-    rows = [None] * len(points)
+    }
+    found = {}
     catalogs: dict = {}
-    drawn_for = None
-    for first, cache_m in enumerate(m_values):
-        if cache_m != drawn_for:
-            tables, drawn_for = {}, cache_m
-        # This cache value's points, in f-major order.
-        for index in range(first, len(points), len(m_values)):
-            rows[index] = _frontier_point(
-                points[index], target_delay_s, delay_tolerance_s, rate_lo, rate_hi, max_iter, tables, catalogs
+    for cache_m in dict.fromkeys(m_values):
+        tables = {}
+        for f_local in dict.fromkeys(f_values):
+            found[f_local, cache_m] = _frontier_point(
+                points[f_local, cache_m], target_delay_s, delay_tolerance_s, rate_lo, rate_hi, max_iter, tables, catalogs
             )
-    return rows
+    return [found[f_local, cache_m] for f_local in f_values for cache_m in m_values]
 
 
 # The largest (uncached contents x k span) table expected_local_bits is

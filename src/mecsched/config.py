@@ -240,7 +240,8 @@ def build_system(config: ExperimentConfig, catalogs: Optional[dict] = None):
     the device cache holds.  A value the objects reject raises
     :class:`ConfigError`; a catalog rejected after validation (a Zipf
     exponent so large that the tail popularity underflows to zero) names
-    ``zipf_alpha`` and where it was set.
+    ``zipf_alpha`` and where it was set, and a ``k`` span too wide for the
+    workload names ``k_max`` and where it was set.
     ``catalogs``, when given, is a memo of catalogs by ``(n_contents,
     zipf_alpha, tau_bits)``: the catalog comes from there, and is built and
     stored there on first use.
@@ -262,12 +263,16 @@ def build_system(config: ExperimentConfig, catalogs: Optional[dict] = None):
             f_mec_hz=config.f_mec_hz,
             rate_bps=config.rate_bps,
         )
+        policy = PolicySpec(kind=config.policy, v_param=config.v_param)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    try:
         workload_cfg = WorkloadConfig(
             arrival_prob=config.arrival_prob,
             k_min=config.k_min,
             k_max=config.k_max,
         )
-        policy = PolicySpec(kind=config.policy, v_param=config.v_param)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        # Validation has checked all but the k span, which only WorkloadConfig bounds.
+        raise config.key_error("k_max", str(exc)) from exc
     return catalog, config.cache_m, params, workload_cfg, policy

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel
-from .catalog import ContentCatalog, packed_guide, rank_edges
+from .catalog import ContentCatalog, packed_guide
 from .dynamics import SystemParams, busy_slot_terms, slots_local, slots_mec, task_bits
 from .errors import ConfigError
 
@@ -228,7 +228,7 @@ def sample_slot_counts(
         bounds = _split(samples)
         parts = len(bounds) - 1
         stamps = np.zeros((parts, catalog.n_contents), dtype=np.int64)
-        tables = (*packed_guide(cdf), rank_edges(cdf), catalog.guide, catalog.guide_shift, catalog.edge, capacity)
+        tables = (*packed_guide(cdf), catalog.guide, catalog.guide_shift, catalog.edge, capacity)
         terms = (float(catalog.size_bits), *busy_slot_terms(params))
         with _pcg64_words(rng.bit_generator) as words:
             # Every part starts from the generator's state; the last one

@@ -82,8 +82,9 @@ def test_packed_guide_holds_the_guide_table() -> None:
     # One content: four buckets (L = 2) of width W = 2**51 in m, each with
     # 0 entries below it and the edge 2**53 past it, so the offset field,
     # the top 51 bits, holds its cap W - 1; entry B holds the count 1.
-    table, shift = packed_guide(np.ones(1))
-    assert (table.tolist(), shift) == ([(2**51 - 1) << 13] * 4 + [1], 62)
+    # The rank edges it was packed from come back with it.
+    table, shift, edge = packed_guide(np.ones(1))
+    assert (table.tolist(), shift, edge.tolist()) == ([(2**51 - 1) << 13] * 4 + [1], 62, [2**53])
     # The catalog's table: below in the low L + 10 bits equals guide_table's
     # counts, and the flag at bit L + 10 marks the wide buckets, which the
     # steep catalog has.

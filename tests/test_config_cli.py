@@ -213,6 +213,13 @@ def test_range_errors_name_where_the_key_was_set(tmp_path, capsys) -> None:
     path.write_text("lambda = 0.3\nzipf_alpha = 400\n")
     assert main(["simulate", "--config", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {path}:2: {underflow}\n"
+    # So does a k span too wide for the workload, which only it bounds.
+    span = "config key 'k_max': k_max - k_min must stay below 2**32 - 1, got"
+    assert main(["simulate", "--set", "k_max=5000000000"]) == 1
+    assert capsys.readouterr().err == f"error: override 'k_max=5000000000': {span} 4999999960\n"
+    path.write_text("k_min = 3\nk_max = 4294967300\n")
+    assert main(["simulate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}:2: {span} 4294967297\n"
 
 
 @pytest.mark.parametrize(
@@ -529,18 +536,27 @@ def test_frontier_draws_each_table_once(count_draws) -> None:
     assert draws == [0, 1, 0, 1]
 
 
-def test_frontier_draws_a_repeated_cache_value_once(count_draws) -> None:
-    # Back-to-back points of one cache value share its tables, even when
-    # the value is repeated in the grid.
+def test_frontier_bisects_each_distinct_point_once(count_draws) -> None:
+    # A value repeated in either list, next to its first use or not, takes
+    # the row of its point's one bisection: the repeated grid's CSV is the
+    # distinct grid's rows, expanded, with no run or draw beyond them.
     draws, runs = count_draws
     config = ExperimentConfig(horizon_slots=3000, seeds=[0, 1], arrival_prob=0.2, v_param=0.0).validate()
-    rows = cmd_frontier(
-        config, target_delay_s=0.6, delay_tolerance_s=0.04,
-        f_values=[1e9], m_values=[0, 0, 200, 0], rate_lo=1e8, rate_hi=1e10, max_iter=1,
-    )
-    assert rows[0] == rows[1] == rows[3]
-    assert len(runs) == 2 * sum(row["probe_runs"] for row in rows)
-    assert draws == [0, 1] * 3
+
+    def frontier(f_values, m_values):
+        return cmd_frontier(
+            config, target_delay_s=0.6, delay_tolerance_s=0.04,
+            f_values=f_values, m_values=m_values, rate_lo=1e8, rate_hi=1e10, max_iter=2,
+        )
+
+    distinct = {(row["f_local_hz"], row["cache_m"]): row for row in frontier([1e9, 2e9], [0, 200])}
+    draws.clear()
+    runs.clear()
+    rows = frontier([1e9, 2e9, 1e9], [0, 200, 0])
+    expected = [distinct[f, m] for f in (1e9, 2e9, 1e9) for m in (0, 200, 0)]
+    assert rows_to_csv(rows, FRONTIER_COLUMNS) == rows_to_csv(expected, FRONTIER_COLUMNS)
+    assert len(runs) == 2 * sum(row["probe_runs"] for row in distinct.values())
+    assert draws == [0, 1] * 2
 
 
 def test_simulate_keeps_no_tables(count_draws) -> None:
