@@ -21,7 +21,7 @@ import numpy as np
 
 from .catalog import ContentCatalog
 from .dynamics import SystemParams
-from .workload import check_capacity, sample_slot_counts
+from .workload import check_capacity, check_ks, sample_slot_counts
 
 __all__ = [
     "uniform_k_dist",
@@ -50,16 +50,12 @@ REGIME_INFEASIBLE = "infeasible"
 def uniform_k_dist(k_min: int, k_max: int) -> range:
     """The contents-per-task counts ``k_min..k_max``, as the ``ks`` the
     functions below take: each value equally likely."""
-    if k_min < 1 or k_max < k_min:
-        raise ValueError(f"need 1 <= k_min <= k_max, got ({k_min}, {k_max})")
-    return range(k_min, k_max + 1)
+    return check_ks(range(k_min, k_max + 1))
 
 
 def _check_ks(ks: range) -> float:
     """The probability of each of the equally likely counts ``ks``."""
-    if not (isinstance(ks, range) and ks and ks.step == 1 and ks.start >= 1):
-        raise ValueError(f"contents-per-task counts must be a non-empty step-1 range from 1, got {ks!r}")
-    return 1.0 / len(ks)
+    return 1.0 / len(check_ks(ks))
 
 
 def expected_mec_bits(size_bits: float, ks: range) -> float:
@@ -169,7 +165,6 @@ def estimate_slot_means(
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples for a standard error, got {samples}")
-    _check_ks(ks)
     local_counts, mec_counts = sample_slot_counts(catalog, capacity, params, ks, samples, seed)
     local_mean, mec_mean = float(local_counts.mean()), float(mec_counts.mean())
     return SlotMeanEstimate(

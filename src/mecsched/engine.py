@@ -238,10 +238,10 @@ def run_simulation(
     series = np.empty(horizon, dtype=np.int64) if collect_series else None
     counts = np.empty(10, dtype=np.int64)
     bits = np.empty(2, dtype=np.float64)
-    if _kernel.lib is None:
+    if (lib := _kernel.lib) is None:
         _python_slot_loop(tasks, params, policy, warmup_slots, delays, delay_arrival, series, counts, bits)
     else:
-        _kernel.lib.mecsched_slot_loop(
+        lib.mecsched_slot_loop(
             _kernel.KIND_CODES[policy.kind], policy.v_param, horizon, warmup_slots, tasks.arrival,
             tasks.local_bits, tasks.mec_bits, *busy_slot_terms(params), delays, delay_arrival,
             None if series is None else series.ctypes.data, counts, bits,

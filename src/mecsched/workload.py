@@ -15,23 +15,22 @@ probability in a sweep does not perturb the content sequence of the tasks.
 
 The composition stream is defined as, per task, ``k = integers(k_min,
 k_max + 1)`` and then ``random(k)`` for its contents, each ranked
-``searchsorted(cdf, u, side="right") + 1``.  The compiled kernel
-(``mecsched._kernel.lib``) draws it in C for a generator whose bit
-generator is numpy's ``PCG64``, as every generator the package makes is:
-it reads the generator's state from ``PCG64.state``, steps PCG64 itself,
-makes each double and 32-bit value as numpy's ``next_double`` and
-``next_uint32`` do, and writes the end state back, so it leaves the
-generator as those calls would, whichever of its word sources (see
-:mod:`mecsched._kernel`) runs.  It ranks each raw 64-bit word in integers
-through the catalog's packed guide table (one table read per word outside
-wide buckets, see :func:`~mecsched.catalog.packed_guide`) and rank edges,
-which give the binary search's rank for every uniform.  Any other bit
-generator, and every generator while the kernel is ``None``, takes the
-stream's definition, one task at a time: about 20 us per task against
-about 0.15 us in C (0.2 us with the scalar step; a default task has about
-50 contents).  The estimate's draw is the kernel's too, ``k`` values
-included, split into one part per CPU the process may run on
-(:func:`sample_slot_counts`).
+``searchsorted(cdf, u, side="right") + 1``.  The draws take numpy's
+``PCG64`` only, the bit generator of every generator the package makes:
+:func:`sample_tasks` refuses any other with a ``TypeError`` before it
+draws.  The compiled kernel (``mecsched._kernel.lib``) steps PCG64 from
+``PCG64.state`` itself, makes each double and 32-bit value as numpy's
+``next_double`` and ``next_uint32`` do, and writes the end state back, so
+it leaves the generator as those calls would, whichever of its word
+sources (see :mod:`mecsched._kernel`) runs.  It ranks each raw 64-bit word
+in integers through the catalog's packed guide table (one table read per
+word outside wide buckets, see :func:`~mecsched.catalog.packed_guide`) and
+rank edges, which give the binary search's rank for every uniform.  While
+the kernel is ``None``, the draws take the stream's definition, one task
+at a time: about 20 us per task against about 0.15 us in C (0.2 us with
+the scalar step; a default task has about 50 contents).  The estimate's
+draw is the kernel's too, ``k`` values included, split into one part per
+CPU the process may run on (:func:`sample_slot_counts`).
 """
 
 from __future__ import annotations
@@ -51,6 +50,7 @@ from .errors import ConfigError
 __all__ = [
     "WorkloadConfig",
     "check_capacity",
+    "check_ks",
     "task_streams",
     "sample_run",
     "sample_tasks",
@@ -105,6 +105,14 @@ def check_capacity(n_contents: int, capacity: int) -> None:
         raise ConfigError(f"cache capacity must lie in 0..{n_contents}, got {capacity}")
 
 
+def check_ks(ks: range) -> range:
+    """``ks``, the contents-per-task counts, once checked: a ``ValueError``
+    refuses all but a non-empty step-1 range from 1."""
+    if not (isinstance(ks, range) and ks and ks.step == 1 and ks.start >= 1):
+        raise ValueError(f"contents-per-task counts must be a non-empty step-1 range from 1, got {ks!r}")
+    return ks
+
+
 def task_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     """Two independent generators derived from one seed.
 
@@ -147,11 +155,14 @@ def sample_tasks(
     The result, and the state ``rng`` is left in, are exactly those of
     drawing each task in turn as ``k = rng.integers(k_min, k_max + 1)``
     followed by ``rng.random(k)``.  The cache holds ranks ``1..capacity``.
+    Any bit generator but ``PCG64`` raises a ``TypeError`` before a draw.
     """
+    if type(rng.bit_generator) is not np.random.PCG64:
+        raise TypeError(f"the draws step numpy's PCG64 only, got {type(rng.bit_generator).__name__}")
     check_capacity(catalog.n_contents, capacity)
     ks = np.empty(n_tasks, dtype=np.int64)
     distinct = np.empty(n_tasks, dtype=np.int64)
-    lib = _compiled(rng)
+    lib = _kernel.lib
     if lib is None:
         for i in range(n_tasks):
             ks[i] = rng.integers(cfg.k_min, cfg.k_max + 1)
@@ -218,11 +229,12 @@ def sample_slot_counts(
     ``_STEP_TASKS`` through :func:`draw_contents` and ``dynamics`` and
     holds the ``k`` values too.
     """
+    check_ks(ks)
     check_capacity(catalog.n_contents, capacity)
     cdf = np.cumsum(np.full(len(ks), 1.0 / len(ks)))
     cdf /= cdf[-1]
     rng = np.random.default_rng(seed)
-    lib = _compiled(rng)
+    lib = _kernel.lib
     if lib is not None:
         local_counts, mec_counts = np.empty((2, samples))
         bounds = _split(samples)
@@ -292,13 +304,6 @@ def _run_parts(run, parts: int) -> None:
     for error in errors:
         if error is not None:
             raise error
-
-
-def _compiled(rng):
-    """The kernel when it can draw ``rng``'s stream (its bit generator is
-    numpy's ``PCG64``), else None."""
-    lib = _kernel.lib
-    return lib if lib is not None and type(rng.bit_generator) is np.random.PCG64 else None
 
 
 @contextmanager

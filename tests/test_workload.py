@@ -257,19 +257,27 @@ def test_k_draw_rejects_values_in_a_row(catalog: ContentCatalog) -> None:
         assert fast.bit_generator.state == reference.bit_generator.state
 
 
-def test_sample_tasks_follow_any_bit_generator(catalog: ContentCatalog) -> None:
-    # The kernel steps PCG64 only; generators that build their doubles and
-    # 32-bit values differently take the Python reference path, loaded
-    # kernel or not, and are followed too.
+def test_sample_tasks_refuse_any_other_bit_generator(catalog: ContentCatalog) -> None:
+    # The draws step PCG64 only.  Any other bit generator gets the same
+    # TypeError on every path, before anything is drawn, and keeps its state.
     cfg = _cfg(k_min=1, k_max=30)
     for bit_generator in (np.random.MT19937, np.random.Philox, np.random.SFC64):
         for path in paths():
-            fast, reference = np.random.Generator(bit_generator(5)), np.random.Generator(bit_generator(5))
-            with drawing_on(*path):
-                ks, distinct = sample_tasks(fast, catalog, cfg, 300, 50)
-            assert (ks.tolist(), distinct.tolist()) == _one_task_at_a_time(reference, catalog, cfg, 300, 50)
-            assert fast.integers(0, 1000, 3).tolist() == reference.integers(0, 1000, 3).tolist()
-            assert fast.random() == reference.random()
+            rng = np.random.Generator(bit_generator(5))
+            before = rng.bit_generator.state
+            with drawing_on(*path), pytest.raises(TypeError, match=f"PCG64 only, got {bit_generator.__name__}$"):
+                sample_tasks(rng, catalog, cfg, 300, 50)
+            np.testing.assert_equal(rng.bit_generator.state, before)  # MT19937's state holds an array
+
+
+@pytest.mark.parametrize("ks", [range(40, 61, 2), range(60, 39, -1), range(0, 5)])
+def test_slot_counts_refuse_k_ranges_they_cannot_draw(catalog: ContentCatalog, ks: range) -> None:
+    # A stepped range, a descending one and one from 0 would each be drawn
+    # as some other k range (40..50, 60..80, and k = 0 tasks).
+    params = SystemParams(slot_seconds=0.1, cycles_per_bit=10, f_local_hz=1e9, f_mec_hz=1e10, rate_bps=1e8)
+    for path in paths():
+        with drawing_on(*path), pytest.raises(ValueError, match="non-empty step-1 range from 1"):
+            sample_slot_counts(catalog, 50, params, ks, 300, 2)
 
 
 class _NoReferenceDraw(np.random.Generator):
@@ -284,10 +292,10 @@ class _NoReferenceDraw(np.random.Generator):
 
 @pytest.mark.skipif(_kernel.lib is None, reason="the kernel is not loaded")
 def test_package_generators_take_the_compiled_draw(catalog: ContentCatalog, monkeypatch) -> None:
-    # The kernel draws only a PCG64 stream.  Should the package's
-    # generators ever stop being PCG64, every draw would fall back to the
-    # Python reference, 20 us per task against 0.2, with the same results;
-    # only the benchmark would show it.  Here the reference path raises.
+    # With the kernel loaded, every draw of the package's generators (all
+    # PCG64) is the kernel's.  A draw that took the Python reference, 20 us
+    # per task against 0.2, would give the same results, and only the
+    # benchmark would show it.  Here the reference path raises.
     default_rng = np.random.default_rng
 
     def guarded_streams(seed):
@@ -301,9 +309,6 @@ def test_package_generators_take_the_compiled_draw(catalog: ContentCatalog, monk
     estimate_slot_means(catalog, 50, params, range(40, 61), samples=200)
     guarded = np.random.default_rng(2)
     sample_tasks(guarded, catalog, _cfg(), 20, 50)
-    # Any other bit generator takes the reference path, and is caught.
-    with pytest.raises(AssertionError, match="reference path"):
-        sample_tasks(_NoReferenceDraw(np.random.MT19937(2)), catalog, _cfg(), 1, 50)
 
 
 def test_draw_contents_equal_per_task_random_calls(catalog: ContentCatalog) -> None:

@@ -36,10 +36,9 @@ One more point, ``analyze_estimate``, times ``estimate_slot_means`` (the
 with ``ESTIMATE_SAMPLES`` samples, once per seed, and reports it in us
 per sample.  The compiled estimate splits its samples into parts, one per
 CPU the process may run on, and the point records how many it ran
-(``parts``; 1 in checkouts that predate the split).  Each repeat then
-also times the estimate in one part, as on a one-CPU process
-(``one_part_us_per_sample``), so the two alternate: their ratio shows
-whether the other CPUs delivered while the point ran.
+(``parts``).  Each repeat then also times the estimate in one part, as on
+a one-CPU process (``one_part_us_per_sample``), so the two alternate:
+their ratio shows whether the other CPUs delivered while the point ran.
 
 The entry's ``commands`` time whole commands cold, each in
 ``COMMAND_RUNS`` fresh ``python -I`` children: the benchmark workloads
@@ -52,15 +51,13 @@ since no change to the package can shrink it.  Each command records the
 medians and ranges of both times, its CSV's SHA-256, the slot loop its
 children ran and the host's speed around its children.
 
-The entry's environment records which slot loop (and, where the kernel
-holds it, which task draw) the runs used: ``"slot_loop": "c"`` when the
-compiled kernel loaded (``mecsched._kernel.lib``, or ``engine._kernel``
-in checkouts that predate that handle), ``"python"`` otherwise (always
-so for checkouts that predate the kernel).  Beside it, ``"word_source"``
-is where the kernel's draws took their PCG64 words from
-(``mecsched._kernel.word_source``): ``"avx512"`` or ``"scalar"``, the
-latter for kernels that predate the choice, and ``"python"`` with no
-kernel.  Each command records the same two fields for its children.
+The entry's environment records which slot loop and task draw the runs
+used: ``"slot_loop": "c"`` when the compiled kernel loaded
+(``mecsched._kernel.lib``), ``"python"`` otherwise.  Beside it,
+``"word_source"`` is where the kernel's draws took their PCG64 words from
+(``mecsched._kernel.word_source``): ``"avx512"`` or ``"scalar"``, and
+``"python"`` with no kernel.  Each command records the same two fields
+for its children.
 
 Each time is the minimum of ``REPEATS`` calls; a point's figure is the
 sum of its seeds' minima over their summed tasks or slots, with the
@@ -120,7 +117,7 @@ COMMAND_RUNS = 12
 _COMMAND_CHILD = """
 import hashlib, json, sys, time
 sys.path.insert(0, sys.argv[1])
-from mecsched import cli, config
+from mecsched import _kernel, cli, config
 cfg = config.ExperimentConfig(**json.loads(sys.argv[3])).validate()
 config.build_system(cfg)
 command = getattr(cli, "cmd_" + sys.argv[2])
@@ -134,14 +131,13 @@ else:
     rows = command(cfg)
 csv_text = cli.rows_to_csv(rows, columns)
 done = time.perf_counter()
-kernel = sys.modules.get("mecsched._kernel")
-lib = getattr(kernel, "lib", None)
+lib = _kernel.lib
 print(json.dumps({
     "import_numpy_random_s": imported - start,
     "command_s": done - imported,
     "csv_sha256": hashlib.sha256(csv_text.encode()).hexdigest(),
     "slot_loop": "python" if lib is None else "c",
-    "word_source": "python" if lib is None else getattr(kernel, "word_source", lambda lib: "scalar")(lib),
+    "word_source": "python" if lib is None else _kernel.word_source(lib),
 }))
 """
 
@@ -200,8 +196,7 @@ def measure_estimate(reference: dict) -> dict:
     config = ExperimentConfig().validate()
     catalog, capacity, params, _, _ = build_system(config)
     k_dist = uniform_k_dist(config.k_min, config.k_max)
-    split = getattr(workload, "_split", None)
-    parts = 1 if split is None else len(split(ESTIMATE_SAMPLES)) - 1
+    parts = len(workload._split(ESTIMATE_SAMPLES)) - 1
 
     def estimate(seed):
         estimate_slot_means(catalog, capacity, params, k_dist, samples=ESTIMATE_SAMPLES, seed=seed)
@@ -339,17 +334,16 @@ def checkout(repo: Path) -> dict:
 def environment(repo: Path) -> dict:
     import numpy
 
-    from mecsched import engine
+    from mecsched import _kernel
 
-    kernel = sys.modules.get("mecsched._kernel")
-    lib = getattr(kernel, "lib", getattr(engine, "_kernel", None))
+    lib = _kernel.lib
     return {
         **checkout(repo),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "nproc": len(os.sched_getaffinity(0)),
         "slot_loop": "python" if lib is None else "c",
-        "word_source": "python" if lib is None else getattr(kernel, "word_source", lambda lib: "scalar")(lib),
+        "word_source": "python" if lib is None else _kernel.word_source(lib),
         "when": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
 
