@@ -4,16 +4,19 @@ The kernel holds one entry per hot call: the draws of
 :mod:`mecsched.workload` (the tasks, and the Monte Carlo estimate's
 samples: their ``k`` values, contents and slot counts), which step numpy's
 PCG64 themselves from the state the caller passes, and the slot loop of
-:mod:`mecsched.engine`.  The estimate and the slot loop compute each
-task's busy-slot count where they use it; the estimate's entry takes a
-range of the samples, which it reaches in the stream by PCG64's jump, so
-:func:`mecsched.workload.sample_slot_counts` runs its parts on threads at
-once (``ctypes`` releases the GIL for each call; the library starts no
-thread of its own).  ``mecsched_count_words`` runs the task draw's count
-on given 64-bit words, for tests.  The draws
+:mod:`mecsched.engine`; and ``mecsched_pack_guide``, which builds the
+rank tables the draws read (:func:`mecsched.catalog.packed_guide`).  The
+estimate and the slot loop compute each task's busy-slot count where they
+use it.  The estimate's entry is the only one that starts threads: it
+takes the number of threads to run on, starts all but one as pthreads
+(the caller's thread is the other; ``ctypes`` releases the GIL for the
+call) and joins them before it returns.  They share the samples in
+fixed-size chunks, each reached in the stream by PCG64's jump, so the
+result is the same on any number of threads.  ``mecsched_count_words``
+runs the task draw's count on given 64-bit words, for tests.  The draws
 take their PCG64 words from one of two sources, which the library chooses
 once, when it loads: sixteen AVX-512 lanes on an x86-64 processor that has
-AVX-512F, else the scalar step, one word at a time.  Both give the same
+AVX-512F and AVX-512DQ, else the scalar step, one word at a time.  Both give the same
 words, ranks and end state; :func:`word_source` tells which one a loaded
 kernel uses, and ``mecsched_select_word_source`` lets the tests run both.
 
@@ -51,8 +54,8 @@ from .policy import POLICY_KINDS
 
 SOURCE = Path(__file__).with_name("_slot_loop.c")
 # No -ffast-math, and no fused multiply-add: each cost must round as
-# Python's does.
-FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# Python's does.  -pthread: the estimate starts threads.
+FLAGS = ("-O2", "-ffp-contract=off", "-pthread", "-shared", "-fPIC")
 # Policy kind -> the C enum (lyapunov 0, mec_only 1, local_only 2).
 KIND_CODES = {kind: code for code, kind in enumerate(POLICY_KINDS)}
 # mecsched_word_source's codes, by value.
@@ -90,9 +93,9 @@ def load() -> Optional[ctypes.CDLL]:
         # The draws read and write PCG64's state as six uint64 words, and
         # rank through a cdf's packed guide table (uint64), its bucket shift
         # and its rank edges (catalog.packed_guide, rank_edges).  The
-        # estimate takes its total samples, its range (first, size), and
-        # two such triples, the k cdf's and the catalog's, and stores no k
-        # value.
+        # estimate takes its samples, its chunk size and thread count, two
+        # such triples, the k cdf's and the catalog's, one stamp row per
+        # thread and room for the chunks' offsets, and stores no k value.
         lib.mecsched_draw_tasks.argtypes = [
             _array(np.uint64), i64, i64, ctypes.c_uint32, _array(np.int64), _array(np.uint64), ctypes.c_int,
             _array(np.uint64), i64, _array(np.int64), _array(np.int64),
@@ -104,11 +107,15 @@ def load() -> Optional[ctypes.CDLL]:
         ]
         lib.mecsched_count_words.restype = None
         lib.mecsched_estimate_slots.argtypes = [
-            _array(np.uint64), i64, i64, i64, i64, _array(np.uint64), ctypes.c_int, _array(np.uint64),
-            _array(np.uint64), ctypes.c_int, _array(np.uint64), i64, _array(np.int64), f64, f64, f64, f64, f64,
-            _array(np.float64), _array(np.float64),
+            _array(np.uint64), i64, i64, ctypes.c_int, i64, _array(np.uint64), ctypes.c_int, _array(np.uint64),
+            _array(np.uint64), ctypes.c_int, _array(np.uint64), i64, i64, _array(np.int64), _array(np.uint64),
+            f64, f64, f64, f64, f64, _array(np.float64), _array(np.float64),
         ]
         lib.mecsched_estimate_slots.restype = None
+        lib.mecsched_pack_guide.argtypes = [
+            _array(np.float64), i64, ctypes.c_int, _array(np.uint64), _array(np.uint64),
+        ]
+        lib.mecsched_pack_guide.restype = i64
         lib.mecsched_word_source.argtypes = []
         lib.mecsched_word_source.restype = ctypes.c_int
         lib.mecsched_select_word_source.argtypes = [ctypes.c_int]

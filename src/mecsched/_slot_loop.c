@@ -1,7 +1,8 @@
 /* The engine's two hot paths, compiled: the task draw and the slot loop,
  * which keeps the run's sums and completions as it goes; and the Monte
  * Carlo estimate, which draws its k values and contents and counts its
- * tasks' busy slots.  One entry per hot call, and four for the tests.
+ * tasks' busy slots.  One entry per hot call, one that builds the rank
+ * tables the draws read, and four for the tests.
  *
  * mecsched_draw_tasks and mecsched_estimate_slots step numpy's PCG64
  * (O'Neill's XSL-RR 128/64 generator) themselves, on the PCG64.state that
@@ -12,28 +13,37 @@
  * follow Generator.random and Generator.integers bit for bit.  Each word is
  * ranked in integers through one packed guide table read (see rank).
  *
- * The draws take their words from one of two sources, chosen once, when
- * the library loads: on an x86-64 processor with AVX-512F (and a GNU C
- * compiler), sixteen lanes; everywhere else, the fused scalar loops, one
- * pcg64_next64 step per word.  The lanes hold the states 1..16 steps past
- * the generator's, two vectors of eight, and step each 16 steps at a
+ * The draws take their words from one of two sources, chosen once, when the
+ * library loads: on an x86-64 processor with AVX-512F and AVX-512DQ (and a
+ * GNU C compiler), sixteen lanes; everywhere else, the fused scalar loops,
+ * one pcg64_next64 step per word.  The lanes hold the states 1..16 steps
+ * past the generator's, two vectors of eight, and step each 16 steps at a
  * time; they fill a block of 256 words, rank each eight through one gather
  * (vrank) and keep, compressed, only the ranks above the cache capacity
  * (block_group), so the stamp test runs on uncached contents only.  The
- * draws read the block in order: the task draw's k the words, with
- * next32's buffered half, and the contents their kept ranks.  The estimate
- * reads two blocks side by side: one at the generator's state for its k
- * values, through the k cdf's tables with every rank kept, and one started
- * n_tasks words on for the contents, further on by the contents of the
- * samples before its range when it runs a part.  At the end a draw moves the
- * generator past the words it took by PCG64's jump (Brown 1994), the
- * O(log n) map PCG64.advance uses, so the words the lanes made ahead are
- * dropped and the end state is the scalar loops' own.  The scalar estimate
- * reads its two streams the same way, from two generators, 256 k values
- * at a time.  Both sources give the same words, ranks and end state;
- * mecsched_select_word_source lets the tests run both.  The library
- * starts no thread: the estimate's parts run on the caller's threads,
- * each on its own copy of the state words and its own stamp.
+ * draws read the block in order: the task draw's k the words, with next32's
+ * buffered half, and the contents their kept ranks.  The estimate reads two
+ * blocks side by side: one at the generator's state for its k values,
+ * through the k cdf's tables with every rank kept, and one started n_tasks
+ * words on for the contents, further on by the contents of the samples
+ * before its chunk.  At the end a draw moves the generator past the words it
+ * took by PCG64's jump (Brown 1994), the O(log n) map PCG64.advance uses, so
+ * the words the lanes made ahead are dropped and the end state is the scalar
+ * loops' own.  The scalar estimate reads its two streams the same way, from
+ * two generators, 256 k values at a time.  Both sources give the same words,
+ * ranks and end state; mecsched_select_word_source lets the tests run both.
+ *
+ * The estimate is the one entry that starts threads: it splits its samples
+ * into fixed-size chunks, starts the threads it is asked for less one
+ * (pthreads, joined before it returns), and the caller and they take the
+ * chunks from one atomic counter, each tallying on a stamp row of its own.
+ * A chunk jumps both streams to its first sample by PCG64's jump, so the
+ * counts and the end state are the same for any chunk size and any number
+ * of threads.  No other entry starts a thread or keeps state between
+ * calls.
+ *
+ * mecsched_pack_guide builds catalog.packed_guide's tables in one pass
+ * over the cdf and one over the buckets.
  *
  * A task's busy-slot count in either mode is busy_slots, the formula of
  * dynamics._busy_slots with its operations in the same order; the slot
@@ -47,6 +57,7 @@
  * returned as a bit mask of its flags (local_first, local_second,
  * mec_first, mec_second) = bits 0..3.
  */
+#include <pthread.h>
 #include <stdint.h>
 
 typedef unsigned __int128 u128;
@@ -211,31 +222,63 @@ static inline int64_t busy_slots(double total, double shipped, double cycles_per
     return (int64_t)s;
 }
 
+/* One mecsched_estimate_slots call, shared by the threads that run it: its
+ * arguments, the generator's state at the call (rng), the number of chunks
+ * and each one's content-word offset (offset, see chunk_offsets), and the
+ * two counters the threads take their chunks and stamp rows from.  Only
+ * the counters change while the threads run. */
+typedef struct {
+    pcg64_t rng;
+    int64_t n_tasks, chunk, n_chunks, k_lo, capacity, n_contents;
+    const uint64_t *k_guide, *k_edge, *guide, *edge, *offset;
+    int k_shift, shift, avx512;
+    int64_t *stamps;
+    double size_bits, cycles_per_bit, f_local_dt, f_mec_dt, rate_dt;
+    double *local_counts, *mec_counts;
+    int64_t next_chunk, next_row;
+} estimate_t;
+
+/* Sample i's two counts: busy_slots of its bits size_bits * n_distinct (a
+ * local run) and size_bits * k (an offload), as dynamics.task_bits,
+ * slots_local and slots_mec give them. */
+static inline void estimate_sample(const estimate_t *e, int64_t i, int64_t k, int64_t n_distinct)
+{
+    const double local_bits = e->size_bits * (double)n_distinct, mec_bits = e->size_bits * (double)k;
+    e->local_counts[i] = (double)busy_slots(mec_bits, local_bits, e->cycles_per_bit, e->f_local_dt, e->rate_dt);
+    e->mec_counts[i] = (double)busy_slots(mec_bits, mec_bits, e->cycles_per_bit, e->f_mec_dt, e->rate_dt);
+}
+
 #if defined(__x86_64__) && defined(__GNUC__)
 #define MECSCHED_AVX512 1
 #include <immintrin.h>
-#define AVX512 __attribute__((target("avx512f")))
+#define AVX512 __attribute__((target("avx512f,avx512dq")))
 
 /* Whether the draws take their words from the AVX-512 lanes below: chosen
  * once, when the library loads, from the processor's features. */
 static int avx512_words;
 
+/* The lanes need AVX-512F, and AVX-512DQ for _mm512_mullo_epi64. */
+static int has_avx512(void)
+{
+    return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq");
+}
+
 __attribute__((constructor)) static void choose_word_source(void)
 {
     __builtin_cpu_init();
-    avx512_words = __builtin_cpu_supports("avx512f") != 0;
+    avx512_words = has_avx512();
 }
 
 /* Sixteen PCG64 streams in lanes: two vectors of eight states each, kept as
  * their high and low words.  Lane j (vector j / 8, element j % 8) starts
  * j + 1 steps past the generator's state, so the lanes' outputs, vector 0
  * then vector 1, are its next 16 words; each step moves every lane 16
- * steps on, by the 16-step map s * mult + plus.  mult_hi_top and
- * mult_lo_top are mult's two words shifted right by 32: the high halves
- * that _mm512_mul_epu32's 32-bit partial products take. */
+ * steps on, by the 16-step map s * mult + plus.  mult_lo_top is mult's
+ * low word shifted right by 32: the high half that _mm512_mul_epu32's
+ * 32-bit partial products take. */
 typedef struct {
     __m512i hi[2], lo[2];
-    __m512i mult_hi, mult_hi_top, mult_lo, mult_lo_top, plus_hi, plus_lo;
+    __m512i mult_hi, mult_lo, mult_lo_top, plus_hi, plus_lo;
 } lanes_t;
 
 AVX512 static inline lanes_t lanes_load(const pcg64_t *rng)
@@ -252,18 +295,11 @@ AVX512 static inline lanes_t lanes_load(const pcg64_t *rng)
     lanes_t lanes = {
         {_mm512_loadu_si512(hi), _mm512_loadu_si512(hi + 8)},
         {_mm512_loadu_si512(lo), _mm512_loadu_si512(lo + 8)},
-        _mm512_set1_epi64((int64_t)mult_hi), _mm512_set1_epi64((int64_t)(mult_hi >> 32)),
+        _mm512_set1_epi64((int64_t)mult_hi),
         _mm512_set1_epi64((int64_t)mult_lo), _mm512_set1_epi64((int64_t)(mult_lo >> 32)),
         _mm512_set1_epi64((int64_t)(uint64_t)(plus >> 64)), _mm512_set1_epi64((int64_t)(uint64_t)plus),
     };
     return lanes;
-}
-
-/* The low 64 bits of a * b; a_top and b_top are their high 32 bits. */
-AVX512 static inline __m512i mullo64(__m512i a, __m512i a_top, __m512i b, __m512i b_top)
-{
-    const __m512i cross = _mm512_add_epi64(_mm512_mul_epu32(a, b_top), _mm512_mul_epu32(a_top, b));
-    return _mm512_add_epi64(_mm512_mul_epu32(a, b), _mm512_slli_epi64(cross, 32));
 }
 
 /* Vector v's word, XSL-RR as pcg64_next64 makes it. */
@@ -275,7 +311,9 @@ AVX512 static inline __m512i lanes_output(const lanes_t *lanes, int v)
 /* Steps vector v's eight states 16 steps on: s * mult + plus mod 2**128.
  * Only the low word's product with mult's low word is needed in full; its
  * high word gathers the four 32-bit partial products and the carry of
- * their middle sum, and the two cross products add their low 64 bits. */
+ * their middle sum, and the two cross products add their low 64 bits
+ * (_mm512_mullo_epi64: 0.87 ns per word on a 2-vCPU Xeon, against
+ * 1.02-1.07 ns with each cross product made of three _mm512_mul_epu32). */
 AVX512 static inline void lanes_step(lanes_t *lanes, int v)
 {
     const __m512i hi = lanes->hi[v], lo = lanes->lo[v], lo_top = _mm512_srli_epi64(lo, 32);
@@ -287,8 +325,8 @@ AVX512 static inline void lanes_step(lanes_t *lanes, int v)
     const __m512i prod_lo = _mm512_or_si512(_mm512_slli_epi64(mid, 32), _mm512_and_si512(p00, low32));
     __m512i prod_hi = _mm512_add_epi64(_mm512_add_epi64(p11, _mm512_srli_epi64(mid, 32)),
                                        _mm512_add_epi64(_mm512_srli_epi64(p01, 32), _mm512_srli_epi64(p10, 32)));
-    prod_hi = _mm512_add_epi64(prod_hi, mullo64(lo, lo_top, lanes->mult_hi, lanes->mult_hi_top));
-    prod_hi = _mm512_add_epi64(prod_hi, mullo64(hi, _mm512_srli_epi64(hi, 32), lanes->mult_lo, lanes->mult_lo_top));
+    prod_hi = _mm512_add_epi64(prod_hi, _mm512_mullo_epi64(lo, lanes->mult_hi));
+    prod_hi = _mm512_add_epi64(prod_hi, _mm512_mullo_epi64(hi, lanes->mult_lo));
     const __m512i next_lo = _mm512_add_epi64(prod_lo, lanes->plus_lo);
     const __mmask8 carry = _mm512_cmplt_epu64_mask(next_lo, lanes->plus_lo);
     const __m512i next_hi = _mm512_add_epi64(prod_hi, lanes->plus_hi);
@@ -480,37 +518,42 @@ AVX512 static void draw_tasks_avx512(uint64_t *pcg64, int64_t n_tasks, int64_t k
     pcg64_store(&rng, pcg64);
 }
 
-/* The k values come from a block started at the generator's state, ranked
- * through the k tables at capacity 0, so that each word's rank is kept in
- * place; the first samples' k values are read and summed, so the block
- * stands at sample first's and the sum places the contents: their block
- * starts that many words past the n_tasks k words. */
-AVX512 static void estimate_slots_avx512(uint64_t *pcg64, int64_t n_tasks, int64_t first, int64_t size, int64_t k_lo,
-                                         const uint64_t *k_guide, int k_shift, const uint64_t *k_edge,
-                                         const uint64_t *guide, int shift, const uint64_t *edge, int64_t capacity,
-                                         int64_t *stamp, double size_bits, double cycles_per_bit, double f_local_dt,
-                                         double f_mec_dt, double rate_dt, double *local_counts, double *mec_counts)
+/* chunk_offsets on the AVX-512 source: the k values from a block started at
+ * the generator's state, ranked through the k tables at capacity 0, so
+ * that each word's rank is kept in place. */
+AVX512 static void chunk_offsets_avx512(const estimate_t *e, uint64_t *offset)
 {
-    pcg64_t rng = pcg64_load(pcg64);
-    block_t k_block, block;
-    block_start(&k_block, &rng, k_guide, k_shift, k_edge, 0);
-    uint64_t skipped = (uint64_t)n_tasks;
-    for (int64_t i = 0; i < first; i++) {
-        if (k_block.pos == BLOCK) block_fill(&k_block);
-        skipped += (uint64_t)(k_lo + k_block.rank[k_block.pos++]);
+    block_t k_block;
+    block_start(&k_block, &e->rng, e->k_guide, e->k_shift, e->k_edge, 0);
+    uint64_t words = (uint64_t)e->n_tasks;
+    for (int64_t c = 0, i = 0; c < e->n_chunks; c++) {
+        offset[c] = words;
+        for (const int64_t end = i + e->chunk < e->n_tasks ? i + e->chunk : e->n_tasks; i < end; i++) {
+            if (k_block.pos == BLOCK) block_fill(&k_block);
+            words += (uint64_t)(e->k_lo + k_block.rank[k_block.pos++]);
+        }
     }
-    pcg64_advance(&rng, skipped);
-    block_start(&block, &rng, guide, shift, edge, capacity);
+    offset[e->n_chunks] = words;
+}
+
+/* estimate_chunk on the AVX-512 source: the k values from a block started
+ * at sample first's word, as chunk_offsets_avx512 ranks them, and the
+ * contents from one started at the chunk's offset. */
+AVX512 static void estimate_chunk_avx512(const estimate_t *e, int64_t first, int64_t size, uint64_t offset,
+                                         int64_t *stamp)
+{
+    pcg64_t k_rng = e->rng, rng = e->rng;
+    pcg64_advance(&k_rng, (uint64_t)first);
+    pcg64_advance(&rng, offset);
+    block_t k_block, block;
+    block_start(&k_block, &k_rng, e->k_guide, e->k_shift, e->k_edge, 0);
+    block_start(&block, &rng, e->guide, e->shift, e->edge, e->capacity);
+    const int64_t k_lo = e->k_lo;
     for (int64_t i = first; i < first + size; i++) {
         if (k_block.pos == BLOCK) block_fill(&k_block);
         const int64_t k = k_lo + k_block.rank[k_block.pos++];
-        const int64_t n_distinct = block_count(&block, k, i + 1, stamp);
-        const double local_bits = size_bits * (double)n_distinct, mec_bits = size_bits * (double)k;
-        local_counts[i] = (double)busy_slots(mec_bits, local_bits, cycles_per_bit, f_local_dt, rate_dt);
-        mec_counts[i] = (double)busy_slots(mec_bits, mec_bits, cycles_per_bit, f_mec_dt, rate_dt);
+        estimate_sample(e, i, k, block_count(&block, k, i + 1, stamp));
     }
-    block_end(&block, &rng);
-    pcg64_store(&rng, pcg64);
 }
 
 /* mecsched_count_words on the AVX-512 source: the task draw's block_count,
@@ -541,7 +584,7 @@ int mecsched_word_source(void)
 int mecsched_select_word_source(int avx512)
 {
 #ifdef MECSCHED_AVX512
-    avx512_words = avx512 && __builtin_cpu_supports("avx512f") != 0;
+    avx512_words = avx512 && has_avx512();
 #else
     (void)avx512;
 #endif
@@ -603,33 +646,35 @@ void mecsched_count_words(int64_t n_tasks, const int64_t *ks, const uint64_t *wo
     }
 }
 
-/* Samples [first, first + size) of the Monte Carlo estimate's n_tasks.
- * Their k values are Generator.random(n_tasks), each ranked through
- * k_guide, k_shift and k_edge, the tables of the k cdf, as
- * searchsorted(cdf, u, side="right") ranks it, plus k_lo; the contents
- * follow them: sample i's k contents are the next k words.  So the k
- * values and the contents are two streams, the second started n_tasks
- * words on, and sample i takes its k from the first and its contents from
- * the second; no k is stored.  A range that starts past sample 0 ranks
- * the first k values to sum them, then jumps the contents' stream past
- * those samples' contents, so any range reads the words the whole call
- * would.  With its bits size_bits * distinct (a local run) and
- * size_bits * k (an offload), local_counts[i] and mec_counts[i] get
- * busy_slots of each, as dynamics.task_bits, slots_local and slots_mec
- * give them.  The range's tags are its samples' indices plus 1, so
- * ranges run at once each need a stamp of their own; pcg64 is left at
- * the state after the range's last content. */
-void mecsched_estimate_slots(uint64_t *pcg64, int64_t n_tasks, int64_t first, int64_t size, int64_t k_lo,
-                             const uint64_t *k_guide, int k_shift, const uint64_t *k_edge, const uint64_t *guide,
-                             int shift, const uint64_t *edge, int64_t capacity, int64_t *stamp, double size_bits,
-                             double cycles_per_bit, double f_local_dt, double f_mec_dt, double rate_dt,
-                             double *local_counts, double *mec_counts)
+/* Ranks the k stream once, to set offset[c], the number of words from the
+ * generator's state to chunk c's first content: n_tasks, the k words, then
+ * the contents of every sample before the chunk.  offset[n_chunks] is
+ * where the whole call's contents end. */
+static void chunk_offsets(const estimate_t *e, uint64_t *offset)
 {
 #ifdef MECSCHED_AVX512
-    if (avx512_words) {
-        estimate_slots_avx512(pcg64, n_tasks, first, size, k_lo, k_guide, k_shift, k_edge, guide, shift, edge,
-                              capacity, stamp, size_bits, cycles_per_bit, f_local_dt, f_mec_dt, rate_dt,
-                              local_counts, mec_counts);
+    if (e->avx512) {
+        chunk_offsets_avx512(e, offset);
+        return;
+    }
+#endif
+    pcg64_t k_rng = e->rng;
+    uint64_t words = (uint64_t)e->n_tasks;
+    for (int64_t c = 0, i = 0; c < e->n_chunks; c++) {
+        offset[c] = words;
+        for (const int64_t end = i + e->chunk < e->n_tasks ? i + e->chunk : e->n_tasks; i < end; i++)
+            words += (uint64_t)(e->k_lo + rank(pcg64_next64(&k_rng), e->k_guide, e->k_shift, e->k_edge));
+    }
+    offset[e->n_chunks] = words;
+}
+
+/* Samples [first, first + size), whose first content is offset words past
+ * the generator's state, tallied on stamp. */
+static void estimate_chunk(const estimate_t *e, int64_t first, int64_t size, uint64_t offset, int64_t *stamp)
+{
+#ifdef MECSCHED_AVX512
+    if (e->avx512) {
+        estimate_chunk_avx512(e, first, size, offset, stamp);
         return;
     }
 #endif
@@ -638,11 +683,12 @@ void mecsched_estimate_slots(uint64_t *pcg64, int64_t n_tasks, int64_t first, in
      * about 4% slower. */
     enum { K_CHUNK = 256 };
     int64_t ks[K_CHUNK];
-    pcg64_t rng = pcg64_load(pcg64), k_rng = rng;
-    uint64_t skipped = (uint64_t)n_tasks;
-    for (int64_t i = 0; i < first; i++)
-        skipped += (uint64_t)(k_lo + rank(pcg64_next64(&k_rng), k_guide, k_shift, k_edge));
-    pcg64_advance(&rng, skipped);
+    const uint64_t *k_guide = e->k_guide, *k_edge = e->k_edge, *guide = e->guide, *edge = e->edge;
+    const int k_shift = e->k_shift, shift = e->shift;
+    const int64_t k_lo = e->k_lo, capacity = e->capacity;
+    pcg64_t k_rng = e->rng, rng = e->rng;
+    pcg64_advance(&k_rng, (uint64_t)first);
+    pcg64_advance(&rng, offset);
     for (int64_t start = first; start < first + size; start += K_CHUNK) {
         const int64_t n = first + size - start < K_CHUNK ? first + size - start : K_CHUNK;
         for (int64_t j = 0; j < n; j++) ks[j] = k_lo + rank(pcg64_next64(&k_rng), k_guide, k_shift, k_edge);
@@ -650,12 +696,104 @@ void mecsched_estimate_slots(uint64_t *pcg64, int64_t n_tasks, int64_t first, in
             int64_t n_distinct = 0;
             for (int64_t c = 0; c < ks[j]; c++)
                 n_distinct += count(pcg64_next64(&rng), start + j + 1, guide, shift, edge, capacity, stamp);
-            const double local_bits = size_bits * (double)n_distinct, mec_bits = size_bits * (double)ks[j];
-            local_counts[start + j] = (double)busy_slots(mec_bits, local_bits, cycles_per_bit, f_local_dt, rate_dt);
-            mec_counts[start + j] = (double)busy_slots(mec_bits, mec_bits, cycles_per_bit, f_mec_dt, rate_dt);
+            estimate_sample(e, start + j, ks[j], n_distinct);
         }
     }
+}
+
+/* One thread's share of the estimate: it takes a stamp row, then chunks
+ * until none is left.  The counters need no order: offset and the
+ * arguments were written before the threads started, and each chunk
+ * writes its own samples' counts, which the caller reads after the joins. */
+static void *estimate_chunks(void *arg)
+{
+    estimate_t *e = arg;
+    int64_t *stamp = e->stamps + e->n_contents * __atomic_fetch_add(&e->next_row, 1, __ATOMIC_RELAXED);
+    for (int64_t c; (c = __atomic_fetch_add(&e->next_chunk, 1, __ATOMIC_RELAXED)) < e->n_chunks;) {
+        const int64_t first = c * e->chunk, size = e->n_tasks - first < e->chunk ? e->n_tasks - first : e->chunk;
+        estimate_chunk(e, first, size, e->offset[c], stamp);
+    }
+    return 0;
+}
+
+/* The Monte Carlo estimate's n_tasks samples.  Their k values are
+ * Generator.random(n_tasks), each ranked through k_guide, k_shift and
+ * k_edge, the tables of the k cdf, as searchsorted(cdf, u, side="right")
+ * ranks it, plus k_lo; the contents follow them: sample i's k contents
+ * are the next k words.  So the k values and the contents are two
+ * streams, the second started n_tasks words on, and sample i takes its k
+ * from the first and its contents from the second; no k is stored.
+ * local_counts[i] and mec_counts[i] get sample i's two counts
+ * (estimate_sample), and pcg64 is left at the state after the last
+ * content.
+ *
+ * The samples run in chunks of chunk samples (chunk >= 1), the last one
+ * shorter.  chunk_offsets first ranks the k stream to place each chunk's
+ * contents in offset (one word per chunk and one more); then the caller
+ * and up to threads - 1 pthreads it starts take chunks, each thread on its
+ * own row of stamps (threads rows of n_contents zeros), whose tags are the
+ * samples' indices plus 1.  If a thread cannot be started, the threads
+ * already running share the chunks. */
+void mecsched_estimate_slots(uint64_t *pcg64, int64_t n_tasks, int64_t chunk, int threads, int64_t k_lo,
+                             const uint64_t *k_guide, int k_shift, const uint64_t *k_edge, const uint64_t *guide,
+                             int shift, const uint64_t *edge, int64_t capacity, int64_t n_contents, int64_t *stamps,
+                             uint64_t *offset, double size_bits, double cycles_per_bit, double f_local_dt,
+                             double f_mec_dt, double rate_dt, double *local_counts, double *mec_counts)
+{
+    estimate_t e = {
+        .rng = pcg64_load(pcg64), .n_tasks = n_tasks, .chunk = chunk, .n_chunks = (n_tasks + chunk - 1) / chunk,
+        .k_lo = k_lo, .capacity = capacity, .n_contents = n_contents, .k_guide = k_guide, .k_edge = k_edge,
+        .guide = guide, .edge = edge, .offset = offset, .k_shift = k_shift, .shift = shift,
+        .avx512 = mecsched_word_source(), .stamps = stamps, .size_bits = size_bits,
+        .cycles_per_bit = cycles_per_bit, .f_local_dt = f_local_dt, .f_mec_dt = f_mec_dt, .rate_dt = rate_dt,
+        .local_counts = local_counts, .mec_counts = mec_counts,
+    };
+    chunk_offsets(&e, offset);
+    pthread_t workers[threads > 1 ? threads - 1 : 1];
+    int started = 0;
+    while (started < threads - 1 && pthread_create(&workers[started], 0, estimate_chunks, &e) == 0) started++;
+    estimate_chunks(&e);
+    for (int t = 0; t < started; t++) pthread_join(workers[t], 0);
+    pcg64_t rng = e.rng;
+    pcg64_advance(&rng, offset[e.n_chunks]);
     pcg64_store(&rng, pcg64);
+}
+
+/* catalog.packed_guide's tables for the n entries of cdf (n >= 1, the
+ * last exactly 1), with B = 2**(64 - shift) buckets: the rank edges
+ * ceil(cdf * 2**53) in edge, and the B + 1 packed entries in packed (see
+ * rank).  The edges come in one pass over the cdf: scaling by a power of
+ * two is exact, and so is the truncation of a double below 2**53 + 1.
+ * Then one pass over the buckets: entry j's below, the number of entries
+ * whose bucket ceil(cdf * B) = ceil(edge / 2**(53 - L)) is at most j,
+ * walks the non-decreasing edges with one index.  Returns -1, or, leaving
+ * the tables unfinished, the index of the first entry that is NaN, outside
+ * [0, 1] or below the one before it. */
+int64_t mecsched_pack_guide(const double *cdf, int64_t n, int shift, uint64_t *packed, uint64_t *edge)
+{
+    double before = 0.0;
+    for (int64_t i = 0; i < n; i++) {
+        const double c = cdf[i];
+        if (!(c >= before && c <= 1.0)) return i;
+        before = c;
+        const double scaled = c * 0x1p53;
+        const uint64_t whole = (uint64_t)scaled;
+        edge[i] = whole + ((double)whole < scaled);
+    }
+    const int drop = shift - 11;  /* 53 - L */
+    const uint64_t buckets = (uint64_t)1 << (64 - shift), width = (uint64_t)1 << drop;
+    const uint64_t wide = (uint64_t)1 << (74 - shift);
+    int64_t below = 0;
+    while (below < n && edge[below] == 0) below++;
+    for (uint64_t j = 0; j < buckets; j++) {
+        int64_t next = below;
+        while (next < n && (edge[next] + width - 1) >> drop <= j + 1) next++;
+        const uint64_t offset = next == below ? width - 1 : (edge[below] - 1) & (width - 1);
+        packed[j] = (uint64_t)below | (next - below > 1 ? wide : 0) | offset << (75 - shift);
+        below = next;
+    }
+    packed[buckets] = (uint64_t)below;
+    return -1;
 }
 
 enum { LYAPUNOV, MEC_ONLY, LOCAL_ONLY };

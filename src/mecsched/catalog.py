@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernel
+
 __all__ = ["ContentCatalog", "guide_table", "packed_guide", "rank_edges", "zipf_popularity"]
 
 # Popularity vectors must be normalised at least this well.
@@ -70,14 +72,20 @@ def guide_table(cdf: np.ndarray) -> tuple[np.ndarray, int]:
     search between them.  The table costs 4 bytes per bucket.  A raw 64-bit
     word's bucket is the word shifted right by the shift, ``64 - log2(B)``.
     """
-    if not (0 < cdf.size < 2**31 and cdf[-1] == 1.0):
-        raise ValueError(f"a guide table needs 1 to 2**31 - 1 cdf entries, the last exactly 1, got {cdf[-1:]!r}")
+    log2_buckets = _log2_buckets(cdf)
     # An entry c is <= j / B exactly when ceil(c * B) <= j; scaling by a
     # power of two is exact, so the bucket counts have no rounding error.
-    log2_buckets = (4 * cdf.size - 1).bit_length()
     buckets = 1 << log2_buckets
     per_bucket = np.bincount(np.ceil(cdf * buckets).astype(np.intp), minlength=buckets + 1)
     return np.cumsum(per_bucket, dtype=np.int32), 64 - log2_buckets
+
+
+def _log2_buckets(cdf: np.ndarray) -> int:
+    """``log2(B)`` for :func:`guide_table`'s buckets, once ``cdf``'s size
+    and last entry are checked."""
+    if not (0 < cdf.size < 2**31 and cdf[-1] == 1.0):
+        raise ValueError(f"a guide table needs 1 to 2**31 - 1 cdf entries, the last exactly 1, got {cdf[-1:]!r}")
+    return (4 * cdf.size - 1).bit_length()
 
 
 def rank_edges(cdf: np.ndarray) -> np.ndarray:
@@ -110,8 +118,28 @@ def packed_guide(cdf: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
     ``B`` holds only ``below``, the ``cdf``'s size.  The fields fit: ``below
     <= cdf.size <= B / 4``, and ``edge[below] > j * W``.  The table costs 8
     bytes per bucket.
+
+    ``cdf`` is refused with :func:`guide_table`'s ``ValueError``, and with
+    one naming the first entry that is NaN, outside [0, 1] or below the one
+    before it.  The kernel (``mecsched_pack_guide``) builds the same tables
+    in two passes, one over ``cdf`` and one over the buckets, in place of
+    the numpy operations below, which run without it: those fault in code
+    pages of numpy that nothing else a command runs touches, so they cost
+    resident memory as well as time.
     """
-    table, shift = guide_table(cdf)
+    shift = 64 - _log2_buckets(cdf)
+    lib = _kernel.lib
+    if lib is not None:
+        packed = np.empty((1 << (64 - shift)) + 1, dtype=np.uint64)
+        edge = np.empty(cdf.size, dtype=np.uint64)
+        refused = lib.mecsched_pack_guide(cdf, cdf.size, shift, packed, edge)
+        if refused >= 0:
+            raise _unordered(cdf, refused)
+        return packed, shift, edge
+    unordered = np.flatnonzero(~(np.diff(cdf, prepend=0.0) >= 0) | ~(cdf <= 1.0))
+    if unordered.size:
+        raise _unordered(cdf, int(unordered[0]))
+    table, _ = guide_table(cdf)
     width = np.uint64(1 << (shift - 11))
     in_bucket = np.diff(table)
     # below <= cdf.size - 1 in buckets j < B: the last entry, exactly 1, is
@@ -126,6 +154,12 @@ def packed_guide(cdf: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
     packed[:-1][in_bucket > 1] |= np.uint64(1 << (74 - shift))
     packed[:-1] |= offset << np.uint64(75 - shift)
     return packed, shift, edge
+
+
+def _unordered(cdf: np.ndarray, index: int) -> ValueError:
+    return ValueError(
+        f"a packed guide table needs a non-decreasing cdf in [0, 1], got {float(cdf[index])!r} at index {index}"
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,8 +201,11 @@ class ContentCatalog:
             raise ValueError("popularity must be non-increasing in rank")
         object.__setattr__(self, "popularity", pop)
         object.__setattr__(self, "n_contents", pop.size)
-        cdf = np.cumsum(pop)
-        cdf[-1] = 1.0  # every u < 1 then ranks at most n_contents, despite rounding
+        # The sum may round above 1 before its last entry (Zipf at n =
+        # 100000, alpha 3 has 51 such entries); clamped, the cdf stays
+        # non-decreasing and every u < 1 keeps its rank, at most n_contents.
+        cdf = np.minimum(np.cumsum(pop), 1.0)
+        cdf[-1] = 1.0
         object.__setattr__(self, "cdf", cdf)
         guide, guide_shift, edge = packed_guide(cdf)
         object.__setattr__(self, "guide", guide)

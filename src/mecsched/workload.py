@@ -29,14 +29,14 @@ rank edges, which give the binary search's rank for every uniform.  While
 the kernel is ``None``, the draws take the stream's definition, one task
 at a time: about 20 us per task against about 0.15 us in C (0.2 us with
 the scalar step; a default task has about 50 contents).  The estimate's
-draw is the kernel's too, ``k`` values included, split into one part per
-CPU the process may run on (:func:`sample_slot_counts`).
+draw is the kernel's too, ``k`` values included, in one call that shares
+its samples with threads it starts itself, one per CPU the process may
+run on (:func:`sample_slot_counts`).
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -71,11 +71,24 @@ _ARRIVAL_CHUNK = 1 << 16
 # error-state switch), and its temporaries span the step, so a single step
 # would raise the peak memory.  The stream is the same for any step size.
 _STEP_TASKS = 4096
-# The fewest samples a part of the compiled estimate holds.  A thread's
-# start and join cost a few hundred us, so two parts first ran faster than
-# one at 5500 samples (defaults, 2-vCPU Xeon with AVX-512F: median time
-# ratio 0.90, 235 of 301 interleaved rounds; at 5000 samples 1.13).
-_PART_FLOOR = 2750
+# The fewest samples per thread of the compiled estimate.  Two threads
+# against one at the defaults, timed as the first estimate of a fresh
+# process with numpy.random imported (2-vCPU Xeon with AVX-512F, chunks of
+# 1024, medians of 60 interleaved processes): 1.85 against 1.12 ms at 6000
+# samples, 3.39 against 3.14 ms at 20,000, 3.61 against 3.88 ms at 25,000
+# and 6.07 against 7.45 ms at 50,000.  A process's first thread start
+# costs 245-330 us, and the other vCPU here often took 1-2 ms to run it.
+# Back to back in one long process two threads already won at 1500
+# samples (median time ratio 0.89, 159 of 201 rounds), but a command
+# draws one estimate.
+_PART_FLOOR = 12000
+# Samples per chunk of the compiled estimate, which its threads take in
+# turn; each chunk sets up both streams anew (two jumps and the lanes'
+# start) and leaves the rest of its last content block unread.  Back to
+# back at 50,000 samples on two threads, 256 to 4096 timed within 1% of
+# each other (8192: +2%); as the first estimate of a fresh process, 1024
+# timed 0.964 of 2048 (median of 60 interleaved pairs) and 512 1.037.
+_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -214,18 +227,18 @@ def sample_slot_counts(
     two as two streams, the contents' started ``samples`` words after the
     ``k`` values', through :func:`packed_guide` tables for the ``k`` cdf;
     it stores no ``k`` value, so the compiled estimate holds 16 bytes per
-    sample, its two counts, and a stamp row per part.
+    sample, its two counts, and a stamp row per thread.
 
-    The compiled estimate runs in ``P`` contiguous parts (:func:`_split`):
-    ``P`` is the number of CPUs in ``os.sched_getaffinity(0)``, capped at
-    ``samples // _PART_FLOOR``.  Parts ``1..P - 1`` run on threads, part
-    0 in the caller.  Each part's call ranks the ``k`` values before its
-    first sample to sum them, jumps the contents' stream past those
-    samples' contents, and writes its own range of the counts, so every
-    split gives the counts and the end state of one whole call; the
-    generator takes the last part's end state once every part has ended,
-    and keeps its own if any part raised.  ``P = 1`` is that one call,
-    with no thread.  The reference, without the kernel, goes in steps of
+    The compiled estimate runs on ``P`` threads (:func:`_parts`): ``P`` is
+    the number of CPUs in ``os.sched_getaffinity(0)``, capped at ``samples
+    // _PART_FLOOR``.  The kernel's one call ranks the ``k`` values once to
+    place each chunk of ``_CHUNK`` samples in the contents' stream, starts
+    ``P - 1`` threads and runs in the caller's too, and each thread takes
+    chunks in turn, jumping both streams to the chunk's first sample and
+    writing its own range of the counts; so every ``P`` and chunk size
+    gives the counts and the end state of one pass over the samples.  The
+    generator keeps its state if the call raises.  ``P = 1`` starts no
+    thread.  The reference, without the kernel, goes in steps of
     ``_STEP_TASKS`` through :func:`draw_contents` and ``dynamics`` and
     holds the ``k`` values too.
     """
@@ -237,24 +250,15 @@ def sample_slot_counts(
     lib = _kernel.lib
     if lib is not None:
         local_counts, mec_counts = np.empty((2, samples))
-        bounds = _split(samples)
-        parts = len(bounds) - 1
+        parts = _parts(samples)
         stamps = np.zeros((parts, catalog.n_contents), dtype=np.int64)
-        tables = (*packed_guide(cdf), catalog.guide, catalog.guide_shift, catalog.edge, capacity)
-        terms = (float(catalog.size_bits), *busy_slot_terms(params))
+        offsets = np.empty(-(-samples // _CHUNK) + 1, dtype=np.uint64)
         with _pcg64_words(rng.bit_generator) as words:
-            # Every part starts from the generator's state; the last one
-            # ends where the whole stream does.
-            part_words = [words, *(words.copy() for _ in range(1, parts))]
-
-            def run(i):
-                lib.mecsched_estimate_slots(
-                    part_words[i], samples, bounds[i], bounds[i + 1] - bounds[i], ks.start, *tables, stamps[i],
-                    *terms, local_counts, mec_counts,
-                )
-
-            _run_parts(run, parts)
-            words[:] = part_words[-1]
+            lib.mecsched_estimate_slots(
+                words, samples, _CHUNK, parts, ks.start, *packed_guide(cdf), catalog.guide, catalog.guide_shift,
+                catalog.edge, capacity, catalog.n_contents, stamps, offsets, float(catalog.size_bits),
+                *busy_slot_terms(params), local_counts, mec_counts,
+            )
         return local_counts, mec_counts
     drawn_ks = draw_ranks(rng, cdf, samples)
     drawn_ks += ks.start  # in place: a second samples-long array would raise the peak memory
@@ -269,41 +273,12 @@ def sample_slot_counts(
     return local_counts, mec_counts
 
 
-def _split(samples: int) -> list[int]:
-    """The compiled estimate's parts, as their ``P + 1`` bounds from 0 to
-    ``samples``: ``P`` is the number of CPUs this process may run on,
-    capped so that each part holds at least ``_PART_FLOOR`` samples."""
+def _parts(samples: int) -> int:
+    """The compiled estimate's thread count: the number of CPUs this
+    process may run on, capped so that each thread's share holds at least
+    ``_PART_FLOOR`` samples."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    parts = max(1, min(cpus, samples // _PART_FLOOR))
-    return [samples * i // parts for i in range(parts + 1)]
-
-
-def _run_parts(run, parts: int) -> None:
-    """``run(i)`` for each part ``i``: parts ``1..parts - 1`` on threads of
-    their own (a ctypes call releases the GIL), part 0 in the caller, which
-    joins them all and then raises the first exception any part raised.
-    One part starts no thread."""
-    errors = [None] * parts
-
-    def guarded(i):
-        try:
-            run(i)
-        except BaseException as exc:  # re-raised in the caller
-            errors[i] = exc
-
-    threads = []
-    try:
-        for i in range(1, parts):
-            thread = threading.Thread(target=guarded, args=(i,))
-            thread.start()
-            threads.append(thread)
-        run(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    for error in errors:
-        if error is not None:
-            raise error
+    return max(1, min(cpus, samples // _PART_FLOOR))
 
 
 @contextmanager

@@ -3,6 +3,7 @@ a sanitized child process can run them without its start-up cost."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 from unittest import mock
 
@@ -74,18 +75,19 @@ def assert_same_metrics(a: RunMetrics, b: RunMetrics) -> None:
             assert type(x) is type(y) and x == y, f.name
 
 
-def estimate_in_parts(catalog, capacity, params, ks, samples, seed, bounds=None) -> tuple[list, dict]:
+def estimate_in_parts(catalog, capacity, params, ks, samples, seed, chunk=None, threads=None) -> tuple[list, dict]:
     """``sample_slot_counts``' two count lists, drawn from
-    ``default_rng(seed)``, and the generator's state after the draw.  With
-    ``bounds`` (``P + 1`` sample indices from 0 to ``samples``) the compiled
-    estimate runs in those parts; the Python path ignores them."""
+    ``default_rng(seed)``, and the generator's state after the draw.  The
+    compiled estimate takes its chunks of ``chunk`` samples on ``threads``
+    threads, where they are given; the Python path ignores both."""
     rng = np.random.default_rng(seed)
-    with mock.patch.object(np.random, "default_rng", lambda seed: rng):
-        if bounds is None:
-            counts = sample_slot_counts(catalog, capacity, params, ks, samples, seed)
-        else:
-            with mock.patch.object(workload, "_split", lambda samples: list(bounds)):
-                counts = sample_slot_counts(catalog, capacity, params, ks, samples, seed)
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(np.random, "default_rng", lambda seed: rng))
+        if chunk is not None:
+            stack.enter_context(mock.patch.object(workload, "_CHUNK", chunk))
+        if threads is not None:
+            stack.enter_context(mock.patch.object(workload, "_parts", lambda samples: threads))
+        counts = sample_slot_counts(catalog, capacity, params, ks, samples, seed)
     return [a.tolist() for a in counts], rng.bit_generator.state
 
 
@@ -103,9 +105,10 @@ def _compare(sanitized) -> None:
     buckets, draws, estimates and the count on given words at capacities 0
     and n (every rank kept, or none, by the AVX-512 draw's compressed
     stores), k spans 0 and K_SPAN_LIMIT - 1, the estimate's k draw from a
-    one-entry cdf and from wider ones, estimates in parts (the last sample
-    alone, a part from the k block's edge, at k spans 0 and 299, with the
-    generator's end state), first words 0, 2**64 - 1 and a
+    one-entry cdf and from wider ones, estimates on worker threads in
+    chunks (of one sample, of seven, from the k block's edge, and the last
+    sample alone, at k spans 0 and 299, with the generator's end state),
+    first words 0, 2**64 - 1 and a
     rank edge's first word in the task draw, with a 32-bit half buffered at
     the start (the generator's end state included), and runs with tasks
     that never end (2**62 slots), of one slot, with warm-up from the first
@@ -133,15 +136,18 @@ def _compare(sanitized) -> None:
         ks = range(k_min, k_max + 1)
         compiled, python = both(lambda: sample_slot_counts(catalog, capacity, TIE_PARAMS, ks, 300, 1))
         assert [a.tolist() for a in compiled] == [a.tolist() for a in python]
-    # Estimates in parts, each ranking the k values before its first sample
-    # and jumping the contents' stream past theirs: the last sample alone, a
-    # part from the k block's edge and one from a sample past it, at k span
-    # 0 and a wide span; the counts and the generator's end state.
+    # Estimates on worker threads, each chunk jumping the k stream to its
+    # first sample and the contents' stream past the earlier samples'
+    # contents: chunks of one sample and of seven, chunks from the k block's
+    # edge, and a last chunk of one sample, at k span 0 and a wide span;
+    # the counts and the generator's end state.
     for catalog, capacity, k_min, k_max in ((steep, 5, 7, 7), (large, 0, 1, 300), (large, 50, 1, 300)):
         ks = range(k_min, k_max + 1)
-        for bounds in ([0, 299, 300], [0, 256, 300], [0, 1, 257, 299, 300]):
-            compiled, python = both(lambda: estimate_in_parts(catalog, capacity, TIE_PARAMS, ks, 300, 1, bounds))
-            assert compiled == python, (catalog.n_contents, capacity, bounds)
+        for chunk, threads in ((1, 3), (7, 2), (256, 4), (299, 2)):
+            compiled, python = both(
+                lambda: estimate_in_parts(catalog, capacity, TIE_PARAMS, ks, 300, 1, chunk, threads)
+            )
+            assert compiled == python, (catalog.n_contents, capacity, chunk, threads)
     # The count on given words: 300 of them, a whole block and a part of
     # one, which ends inside an eight-word group.
     words = np.random.default_rng(2).integers(0, 2**64, 300, dtype=np.uint64)

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import threading
@@ -202,9 +201,8 @@ def test_slot_counts_equal_on_every_path(k_min, k_max) -> None:
     # contents on a half-bit-per-slot link with free compute make each
     # task's offload count 2k and its local count twice its distinct
     # uncached contents (at least 1), so a k of 0 shows too.  301 samples
-    # run as one part (the estimate splits only from twice the floor per
-    # part on; the split tests below take the parts) and end inside a
-    # 256-word block of the k stream.
+    # run on one thread in one chunk (the tests below take the threads and
+    # the chunks) and end inside a 256-word block of the k stream.
     point = SystemParams(slot_seconds=1.0, cycles_per_bit=1.0, f_local_hz=1e300, f_mec_hz=1e300, rate_bps=0.5)
     for n, alpha in ((1000, 0.8), (50, 3.0), (1, 0.0)):
         catalog = ContentCatalog.zipf(n, alpha, 1.0)
@@ -221,98 +219,100 @@ def test_slot_counts_equal_on_every_path(k_min, k_max) -> None:
 SPLIT_SAMPLES = (2, 3, 255, 256, 257, 301, 5000)
 
 
-def _splits(samples: int):
-    """Bounds of splits of ``samples`` into 1 to 4 parts: all of them up to
-    3 samples; beyond, those cut after the first sample and before the
-    last, at and around the 256-word blocks' first edge, and in the
-    middle."""
-    cuts = sorted({cut for cut in (1, 255, 256, 257, samples // 2, samples - 1) if 0 < cut < samples})
-    for n_cuts in range(4):
-        for chosen in itertools.combinations(cuts, n_cuts):
-            yield [0, *chosen, samples]
+def _chunks(samples: int) -> list[int]:
+    """Chunk sizes for ``samples``: one sample, around the 256-word blocks'
+    first edge, half, all but one, and all of them."""
+    return sorted({size for size in (1, 255, 256, 257, samples // 2, samples - 1, samples) if size > 0})
 
 
 class _Recording:
-    """A kernel whose estimate entry records the ``(first, size)`` of each
-    call and raises in the parts whose first sample is in ``fail_at``."""
+    """A kernel whose estimate entry records the ``(chunk, threads)`` of
+    each call; with ``fail`` ``"before"`` or ``"after"``, it raises before
+    or after running the real entry."""
 
-    def __init__(self, kernel, fail_at=()):
-        self._kernel, self._fail_at, self.ranges = kernel, fail_at, []
+    def __init__(self, kernel, fail=None):
+        self._kernel, self._fail, self.calls = kernel, fail, []
 
     def __getattr__(self, name):
         return getattr(self._kernel, name)
 
-    def mecsched_estimate_slots(self, words, samples, first, size, *rest):
-        self.ranges.append((first, size))
-        if first in self._fail_at:
-            raise RuntimeError(f"part from sample {first}")
-        self._kernel.mecsched_estimate_slots(words, samples, first, size, *rest)
+    def mecsched_estimate_slots(self, words, samples, chunk, threads, *rest):
+        self.calls.append((chunk, threads))
+        if self._fail == "before":
+            raise RuntimeError("estimate failed before it ran")
+        self._kernel.mecsched_estimate_slots(words, samples, chunk, threads, *rest)
+        if self._fail == "after":
+            raise RuntimeError("estimate failed after it ran")
 
 
 def test_estimate_in_parts_equals_one_whole_call(catalog, params) -> None:
-    # Each part starts its k values at its first sample and its contents
-    # past the k words and every earlier sample's contents, so any split
-    # gives the counts and the end state of one whole call and of the
-    # Python reference, on every word source.
+    # Each chunk starts its k values at its first sample and its contents
+    # past the k words and every earlier sample's contents, so any chunk
+    # size on any number of threads gives the counts and the end state of
+    # the Python reference, on every word source.
     ks = range(1, 41)
     for samples in SPLIT_SAMPLES:
         with drawing_on(None, None):
             expected = estimate_in_parts(catalog, 50, params, ks, samples, 9)
         for kernel, source in paths()[:-1]:
             with drawing_on(kernel, source):
-                for bounds in _splits(samples):
-                    recording = _Recording(kernel)
-                    with mock.patch.object(_kernel, "lib", recording):
-                        drawn = estimate_in_parts(catalog, 50, params, ks, samples, 9, bounds)
-                    assert sorted(recording.ranges) == [(a, b - a) for a, b in zip(bounds, bounds[1:])]
-                    assert drawn == expected, (source, bounds)
+                for chunk in _chunks(samples):
+                    for threads in range(1, 5):
+                        recording = _Recording(kernel)
+                        with mock.patch.object(_kernel, "lib", recording):
+                            drawn = estimate_in_parts(catalog, 50, params, ks, samples, 9, chunk, threads)
+                        assert recording.calls == [(chunk, threads)]
+                        assert drawn == expected, (source, samples, chunk, threads)
 
 
 def test_estimate_parts_follow_the_cpus_and_change_nothing() -> None:
-    # One part per CPU the process may run on, each of at least the floor's
-    # samples: at 1 CPU no thread starts, and every count gives the same
-    # counts and end state.  50 uncached contents and 40-60 draws per task
-    # repeat ranks in every task, so parts that ran at once on one stamp
-    # would miscount; one-bit contents on a half-bit-per-slot link make the
-    # local count twice the distinct count.
+    # One thread per CPU the process may run on, each with at least the
+    # floor's samples, all started by the kernel's one call: no Python
+    # thread starts, and every count gives the same counts and end state.
+    # 50 uncached contents and 40-60 draws per task repeat ranks in every
+    # task, so threads that shared a stamp would miscount; one-bit contents
+    # on a half-bit-per-slot link make the local count twice the distinct
+    # count.
     if _kernel.lib is None:
         pytest.skip("no C compiler: the compiled estimate is not built")
     small = ContentCatalog.zipf(50, 1.0, 1.0)
     point = SystemParams(slot_seconds=1.0, cycles_per_bit=1.0, f_local_hz=1e300, f_mec_hz=1e300, rate_bps=0.5)
-    samples, real_thread = 8 * workload._PART_FLOOR, threading.Thread
+    samples = 8 * workload._PART_FLOOR
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("the estimate started a Python thread")
+
     for kernel, source in paths()[:-1]:
         drawn = []
         for cpus in (1, 2, 3, 8):
-            threads = []
-
-            def thread(*args, **kwargs):
-                threads.append(real_thread(*args, **kwargs))
-                return threads[-1]
-
             recording = _Recording(kernel)
             with drawing_on(kernel, source), mock.patch.object(_kernel, "lib", recording), \
                     mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True), \
-                    mock.patch.object(threading, "Thread", thread):
+                    mock.patch.object(threading.Thread, "start", no_thread):
                 drawn.append(estimate_in_parts(small, 0, point, range(40, 61), samples, 4))
-            assert len(recording.ranges) == cpus and len(threads) == cpus - 1
-            assert not any(started.is_alive() for started in threads)
+            assert recording.calls == [(workload._CHUNK, cpus)]
         assert drawn == [drawn[0]] * 4, source
+    # Fewer samples than the floor per CPU: as many threads as the floor fills.
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(8)), create=True):
+        assert [workload._parts(n * workload._PART_FLOOR - 1) for n in (1, 2, 3, 9)] == [1, 1, 2, 8]
 
 
-@pytest.mark.parametrize("fail_at", [(0,), (100,), (100, 200)])
+@pytest.mark.parametrize("fail_at", [("before", 1), ("after", 1), ("after", 4)])
 def test_a_failing_part_raises_in_the_caller_and_keeps_the_state(catalog, params, fail_at) -> None:
-    # A part that raises, in the caller or on a thread, makes the estimate
-    # raise once every part has ended, and the generator keeps its state.
+    # An estimate entry that raises, before it runs or after it has run on
+    # one or several threads, makes the estimate raise, and the generator
+    # keeps its state.
     if _kernel.lib is None:
         pytest.skip("no C compiler: the compiled estimate is not built")
+    fail, threads = fail_at
     rng = np.random.default_rng(2)
     before = rng.bit_generator.state
-    recording = _Recording(_kernel.lib, fail_at)
+    recording = _Recording(_kernel.lib, fail)
     with mock.patch.object(_kernel, "lib", recording), mock.patch.object(np.random, "default_rng", lambda seed: rng), \
-            mock.patch.object(workload, "_split", lambda samples: [0, 100, 200, samples]):
-        with pytest.raises(RuntimeError, match=f"part from sample {fail_at[0]}"):
+            mock.patch.object(workload, "_parts", lambda samples: threads):
+        with pytest.raises(RuntimeError, match=f"estimate failed {fail} it ran"):
             sample_slot_counts(catalog, 50, params, range(40, 61), 300, 2)
-    assert sorted(recording.ranges) == [(0, 100), (100, 100), (200, 100)]
+    assert recording.calls == [(workload._CHUNK, threads)]
     assert rng.bit_generator.state == before
 
 

@@ -9,7 +9,6 @@ import json
 import os
 import runpy
 import subprocess
-import threading
 from pathlib import Path
 
 import pytest
@@ -74,9 +73,24 @@ def test_measure_estimate_reports_the_analyze_point(monkeypatch) -> None:
         assert 0 < low <= point[key] <= high
 
 
+class _Threads:
+    """A kernel that records the thread count of each estimate call."""
+
+    def __init__(self, kernel):
+        self._kernel, self.threads = kernel, []
+
+    def __getattr__(self, name):
+        return getattr(self._kernel, name)
+
+    def mecsched_estimate_slots(self, words, samples, chunk, threads, *rest):
+        self.threads.append(threads)
+        self._kernel.mecsched_estimate_slots(words, samples, chunk, threads, *rest)
+
+
 def test_measure_estimate_records_its_parts_and_times_one_part(monkeypatch) -> None:
-    # On two CPUs, an estimate of two floors' samples runs in two parts:
-    # each repeat starts one thread for it and none for the one-part time.
+    # On two CPUs, an estimate of two floors' samples runs on two threads:
+    # each repeat asks the kernel for two, then for one for the one-part
+    # time.
     if _kernel.lib is None:
         pytest.skip("no C compiler: the compiled estimate is not built")
     tool = _load_tool()
@@ -84,17 +98,12 @@ def test_measure_estimate_records_its_parts_and_times_one_part(monkeypatch) -> N
     monkeypatch.setattr(tool, "SEEDS", (0,))
     monkeypatch.setattr(tool, "REPEATS", 3)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    started, real_thread = [], threading.Thread
-
-    def thread(*args, **kwargs):
-        started.append(real_thread(*args, **kwargs))
-        return started[-1]
-
-    monkeypatch.setattr(threading, "Thread", thread)
+    recording = _Threads(_kernel.lib)
+    monkeypatch.setattr(_kernel, "lib", recording)
     point = tool.measure_estimate({"time_reference": lambda: 0.1, "REFERENCE_S": 0.1})
 
     assert point["parts"] == 2
-    assert len(started) == 3
+    assert recording.threads == [2, 1] * 3
     assert point["one_part_us_per_sample"] > 0 and point["estimate_us_per_sample"] > 0
 
 

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from mecsched import _kernel
 from mecsched.catalog import ContentCatalog, guide_table, packed_guide, zipf_popularity
+from mecsched.workload import WorkloadConfig, sample_tasks
+from draw_paths import drawing_on, paths
 from fixed_uniforms import distinct_uncached
 
 
@@ -97,6 +101,88 @@ def test_packed_guide_holds_the_guide_table() -> None:
         wide = (cat.guide[:-1] & flag) != 0
         assert np.array_equal(wide, np.diff(counts) > 1)
         assert wide.any() == (alpha == 3.0)
+
+
+def _packer_cdfs() -> list[np.ndarray]:
+    """Zipf cdfs from 1 to 100,000 contents at exponents 0 to 3; the
+    estimate's k cdfs, equal steps divided by their last sum; and random
+    cdfs with ties, leading zeros, entries on bucket edges and entries one
+    ulp off them."""
+    cdfs = [
+        ContentCatalog.zipf(n, alpha, 1.0).cdf
+        for n in (1, 2, 3, 7, 50, 100, 1000, 4096, 10_000, 100_000)
+        for alpha in (0.0, 0.5, 0.8, 1.0, 1.5, 2.0, 3.0)
+    ]
+    for m in (*range(1, 61), 1000, 7919):
+        cdf = np.cumsum(np.full(m, 1.0 / m))
+        cdfs.append(cdf / cdf[-1])
+    rng = np.random.default_rng(31)
+    for i in range(80):
+        n = int(rng.integers(1, 3000))
+        buckets = 1 << (4 * n - 1).bit_length()
+        cdf = np.sort(rng.random(n))
+        if i % 4 == 1:  # on bucket edges, with ties
+            cdf = np.floor(cdf * buckets / 3) * 3 / buckets
+        elif i % 4 == 2:  # one ulp off bucket edges
+            cdf = np.nextafter(np.round(cdf * buckets) / buckets, i % 8 - 4.0)
+        elif i % 4 == 3:  # leading zeros
+            cdf[: n // 3] = 0.0
+        cdf = np.sort(np.clip(cdf, 0.0, 1.0))
+        cdf[-1] = 1.0
+        cdfs.append(cdf)
+    return cdfs
+
+
+def test_compiled_packer_equals_numpy_bit_for_bit() -> None:
+    # The kernel's two passes give the numpy body's table, shift and rank
+    # edges on every cdf.
+    if _kernel.lib is None:
+        pytest.skip("no C compiler: the kernel's packer is not built")
+    cdfs = _packer_cdfs()
+    assert len(cdfs) >= 200
+    for cdf in cdfs:
+        compiled = packed_guide(cdf)
+        with mock.patch.object(_kernel, "lib", None):
+            reference = packed_guide(cdf)
+        assert compiled[1] == reference[1], cdf.size
+        for got, want in ((compiled[0], reference[0]), (compiled[2], reference[2])):
+            assert got.dtype == want.dtype == np.uint64 and np.array_equal(got, want), cdf.size
+
+
+@pytest.mark.parametrize("lib", ["c", "python"])
+def test_packer_refuses_what_a_lookup_cannot_rank(lib) -> None:
+    # guide_table's refusals, and a NaN, a negative, an entry above 1 and a
+    # decreasing one, each named by its first index, on either path.
+    if lib == "c" and _kernel.lib is None:
+        pytest.skip("no C compiler: the kernel's packer is not built")
+    with mock.patch.object(_kernel, "lib", _kernel.lib if lib == "c" else None):
+        for cdf in (np.empty(0), np.array([0.5, 1.0 - 2**-53])):
+            with pytest.raises(ValueError, match="the last exactly 1"):
+                packed_guide(cdf)
+        for cdf, bad in (
+            ([0.2, np.nan, 0.7, 1.0], "nan at index 1"),
+            ([-0.1, 0.5, 1.0], "-0.1 at index 0"),
+            ([0.2, 1.5, 1.0], "1.5 at index 1"),
+            ([0.2, 0.6, 0.4, 1.0], "0.4 at index 2"),
+        ):
+            with pytest.raises(ValueError, match=f"non-decreasing cdf in \\[0, 1\\], got {bad}"):
+                packed_guide(np.array(cdf))
+
+
+def test_steep_large_catalog_cdf_stays_at_most_one() -> None:
+    # Zipf at 100,000 contents and exponent 3 sums above 1 from rank 99,949
+    # on; clamped, the cdf is non-decreasing and at most 1, its guide table
+    # holds B + 1 entries, and every path draws the same tasks from it.
+    cat = ContentCatalog.zipf(100_000, 3.0, 1.0)
+    assert np.all(np.diff(cat.cdf) >= 0) and cat.cdf.max() == cat.cdf[-1] == 1.0
+    assert cat.guide.size == (1 << (64 - cat.guide_shift)) + 1 == 2**19 + 1
+    cfg = WorkloadConfig(0.4, 1, 300)
+    for capacity in (0, 10):
+        drawn = []
+        for path in paths():
+            with drawing_on(*path):
+                drawn.append([a.tolist() for a in sample_tasks(np.random.default_rng(5), cat, cfg, 200, capacity)])
+        assert drawn == [drawn[-1]] * len(drawn), capacity
 
 
 def _missed(catalog: ContentCatalog, ranks, capacity: int) -> list[int]:

@@ -1,7 +1,8 @@
 """The compiled kernel: it is built when it can be, the draw and the slot
 loop fall back to Python quietly when it cannot, it caches its build
-outside the source tree, and builds with the undefined-behaviour and the
-address sanitizers run the extremes clean."""
+outside the source tree, builds with the undefined-behaviour and the
+address sanitizers run the extremes clean, and the estimate's threads run
+clean under the thread sanitizer."""
 
 from __future__ import annotations
 
@@ -56,21 +57,24 @@ def test_kernel_calls_no_math_library_function() -> None:
     # The library is not linked against libm, so a ceil or fmin left to it
     # would be a call through the PLT inside the slot loop, resolved from
     # whatever the process loaded.  The kernel makes its own.  Runtime
-    # helpers a toolchain may add (names starting "__") are not counted.
+    # helpers a toolchain may add (names starting "__") are not counted;
+    # the estimate's thread start and join are the only library calls.
     nm = shutil.which("nm")
     if _kernel.lib is None or nm is None:
         pytest.skip("no kernel loaded, or no nm to list its symbols")
     listing = subprocess.run([nm, "-D", "--undefined-only", _kernel.lib._name], capture_output=True, text=True)
     assert listing.returncode == 0, listing.stderr
     undefined = [fields[-1] for fields in map(str.split, listing.stdout.splitlines()) if fields[0] == "U"]
-    assert [name for name in undefined if not name.startswith("__")] == []
+    called = sorted(name.split("@")[0] for name in undefined if not name.startswith("__"))
+    assert called == ["pthread_create", "pthread_join"]
 
 
 @needs_cc
 def test_kernel_exports_one_entry_per_hot_call_and_the_test_hooks() -> None:
-    # The draw, the estimate and the slot loop, one entry each, and the
-    # four hooks the tests and tools call: a second entry for a hot call
-    # would be a second compiled form to keep equal to the first.
+    # The draw, the estimate and the slot loop, one entry each, the rank
+    # tables' packer, and the four hooks the tests and tools call: a second
+    # entry for a hot call would be a second compiled form to keep equal to
+    # the first.
     nm = shutil.which("nm")
     if _kernel.lib is None or nm is None:
         pytest.skip("no kernel loaded, or no nm to list its symbols")
@@ -79,7 +83,7 @@ def test_kernel_exports_one_entry_per_hot_call_and_the_test_hooks() -> None:
     defined = {fields[-1] for fields in map(str.split, listing.stdout.splitlines()) if fields}
     assert sorted(name for name in defined if name.startswith("mecsched_")) == [
         "mecsched_count_words", "mecsched_decide", "mecsched_draw_tasks", "mecsched_estimate_slots",
-        "mecsched_select_word_source", "mecsched_slot_loop", "mecsched_word_source",
+        "mecsched_pack_guide", "mecsched_select_word_source", "mecsched_slot_loop", "mecsched_word_source",
     ]
 
 
@@ -241,3 +245,26 @@ def test_address_sanitized_kernel_matches_python_at_the_extremes(tmp_path) -> No
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert child.returncode == 0, f"exit {child.returncode}\n{child.stderr}"
+
+
+@needs_cc
+def test_thread_sanitizer_finds_no_race_in_the_estimate(tmp_path) -> None:
+    # A standalone program over the kernel's source (tests/tsan_estimate.c),
+    # built with ThreadSanitizer, runs the estimate on 2-4 threads in chunks
+    # of 1 and 7 samples on each word source and compares each run with a
+    # one-thread run.  TSan cannot be preloaded into Python, so the test
+    # is a program of its own.  Skipped where cc cannot build it.
+    program = tmp_path / "tsan_estimate"
+    build = subprocess.run(
+        ["cc", "-O1", "-g", "-fsanitize=thread", "-pthread", f"-I{_kernel.SOURCE.parent}", "-o", str(program),
+         str(Path(__file__).resolve().parent / "tsan_estimate.c")],
+        capture_output=True, text=True, timeout=120,
+    )
+    if build.returncode != 0:
+        pytest.skip(f"cc cannot build with -fsanitize=thread: {build.stderr.strip()[-200:]}")
+    env = {**os.environ, "TSAN_OPTIONS": "halt_on_error=1"}
+    run = subprocess.run([str(program)], capture_output=True, text=True, timeout=120, env=env)
+    assert run.returncode == 0, f"exit {run.returncode}\n{run.stdout}\n{run.stderr}"
+    assert "ThreadSanitizer" not in run.stderr, run.stderr
+    label, runs = run.stdout.split()
+    assert label == "runs" and int(runs) >= 6, run.stdout

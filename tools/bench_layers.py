@@ -34,10 +34,10 @@ with ``tracemalloc``: its peak over that table's tasks is the point's
 One more point, ``analyze_estimate``, times ``estimate_slot_means`` (the
 ``analyze`` command's Monte Carlo estimate) at the default configuration
 with ``ESTIMATE_SAMPLES`` samples, once per seed, and reports it in us
-per sample.  The compiled estimate splits its samples into parts, one per
-CPU the process may run on, and the point records how many it ran
-(``parts``).  Each repeat then also times the estimate in one part, as on
-a one-CPU process (``one_part_us_per_sample``), so the two alternate:
+per sample.  The compiled estimate runs on threads the kernel starts, one
+per CPU the process may run on, and the point records how many it ran on
+(``parts``).  Each repeat then also times the estimate on one thread, as
+on a one-CPU process (``one_part_us_per_sample``), so the two alternate:
 their ratio shows whether the other CPUs delivered while the point ran.
 
 The entry's ``commands`` time whole commands cold, each in
@@ -196,7 +196,7 @@ def measure_estimate(reference: dict) -> dict:
     config = ExperimentConfig().validate()
     catalog, capacity, params, _, _ = build_system(config)
     k_dist = uniform_k_dist(config.k_min, config.k_max)
-    parts = len(workload._split(ESTIMATE_SAMPLES)) - 1
+    parts = workload._parts(ESTIMATE_SAMPLES)
 
     def estimate(seed):
         estimate_slot_means(catalog, capacity, params, k_dist, samples=ESTIMATE_SAMPLES, seed=seed)
