@@ -20,16 +20,18 @@ AVX-512F and AVX-512DQ, else the scalar step, one word at a time.  Both give the
 words, ranks and end state; :func:`word_source` tells which one a loaded
 kernel uses, and ``mecsched_select_word_source`` lets the tests run both.
 
-:func:`load` compiles the C source with the system C compiler into a per-user cache (``$XDG_CACHE_HOME/mecsched``, else ``~/.cache/mecsched``)
-and loads it through :mod:`ctypes`.  The library's file name is the
-SHA-256 of the source, the compiler flags and the compiler's identity
-(its resolved path, size and modification time), so a changed source or
-an upgraded compiler gets a fresh build, and a cached library loads
-without starting the compiler.  A build goes to a temporary file that is
-renamed into place, so concurrent first uses never see a partial file,
-and nothing is written next to the source.  A fresh build removes the
-other builds not modified for 30 days; a cached load
-removes nothing, so checkouts that share the cache keep each other's.
+:func:`load` compiles the C source with the system C compiler into a
+per-user cache (:func:`cache_dir`) and loads it through :mod:`ctypes`.
+The library's file name is the SHA-256 of the source, the compiler flags
+and the compiler's identity (its resolved path, size and modification
+time), so a changed source or an upgraded compiler gets a fresh build,
+builds with other flags (the tests' sanitized ones) sit beside it, and a
+cached library loads without starting the compiler.  A build goes to a
+temporary file that is renamed into place, so concurrent first uses
+never see a partial file, and nothing is written next to the source.  A
+fresh build removes the other builds not modified for 30 days; a cached
+load removes nothing, so checkouts that share the cache keep each
+other's.
 
 When no compiler is found, the build fails or the cache cannot be
 written, :func:`load` returns ``None``.  The library is loaded once, at
@@ -74,8 +76,7 @@ def load() -> Optional[ctypes.CDLL]:
         info = os.stat(cc)
         key = hashlib.sha256(SOURCE.read_bytes())
         key.update(repr((FLAGS, cc, info.st_size, info.st_mtime_ns)).encode())
-        cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "mecsched"
-        path = cache / f"slot_loop-{key.hexdigest()}.so"
+        path = cache_dir() / f"slot_loop-{key.hexdigest()}.so"
         if not path.exists():
             _build(cc, path)
             _remove_stale(path)
@@ -92,7 +93,7 @@ def load() -> Optional[ctypes.CDLL]:
         lib.mecsched_slot_loop.restype = None
         # The draws read and write PCG64's state as six uint64 words, and
         # rank through a cdf's packed guide table (uint64), its bucket shift
-        # and its rank edges (catalog.packed_guide, rank_edges).  The
+        # and its rank edges, the three of catalog.packed_guide.  The
         # estimate takes its samples, its chunk size and thread count, two
         # such triples, the k cdf's and the catalog's, one stamp row per
         # thread and room for the chunks' offsets, and stores no k value.
@@ -123,6 +124,11 @@ def load() -> Optional[ctypes.CDLL]:
     except (OSError, RuntimeError, AttributeError):
         return None
     return lib
+
+
+def cache_dir() -> Path:
+    """Where builds go: ``$XDG_CACHE_HOME/mecsched``, else ``~/.cache/mecsched``."""
+    return Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "mecsched"
 
 
 def word_source(kernel: ctypes.CDLL) -> str:

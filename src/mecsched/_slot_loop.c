@@ -138,7 +138,7 @@ static void pcg64_advance(pcg64_t *rng, uint64_t n)
  * through the packed guide table of B + 1 entries built by
  * catalog.packed_guide, B = 2**L, L = 64 - shift.  It runs in integers:
  * u's bucket j = floor(u * B) is word >> shift, and cdf[i] <= u exactly
- * when edge[i] <= m = word >> 11, edge being catalog.rank_edges(cdf).
+ * when edge[i] <= m = word >> 11, edge[i] being ceil(cdf[i] * 2**53).
  * Bucket j's entry packs three fields: in its low L + 10 bits, below, the
  * number of cdf entries <= j / B; at bit L + 10, a flag set when the
  * bucket holds more than one of them (a wide bucket); and in its top

@@ -53,7 +53,7 @@ def uniform_k_dist(k_min: int, k_max: int) -> range:
     return check_ks(range(k_min, k_max + 1))
 
 
-def _check_ks(ks: range) -> float:
+def _k_probability(ks: range) -> float:
     """The probability of each of the equally likely counts ``ks``."""
     return 1.0 / len(check_ks(ks))
 
@@ -71,7 +71,7 @@ def expected_mec_bits(size_bits: float, ks: range) -> float:
     ks : range
         The contents-per-task counts, each equally likely.
     """
-    p = _check_ks(ks)
+    p = _k_probability(ks)
     # A running sum in the order of ``sum(k * p for k in ks)``, so the same
     # bits, without a Python step per k.
     terms = np.arange(ks.start, ks.stop, dtype=np.float64)
@@ -104,7 +104,7 @@ def expected_local_bits(
     ks : range
         The contents-per-task counts, each equally likely.
     """
-    p = _check_ks(ks)
+    p = _k_probability(ks)
     pop = np.asarray(popularity, dtype=np.float64)
     check_capacity(len(pop), capacity)
     miss = 1.0 - pop[capacity:]

@@ -9,12 +9,11 @@ comparison.
 
 Ranks are drawn by inversion: a uniform ``u`` in [0, 1) maps to one plus
 the number of cumulative-popularity entries ``<= u``.  Beside the ``cdf``
-the catalog keeps the ``cdf``'s :func:`rank_edges`, which let the
-compiled draw compare numpy's raw 64-bit words in place of the uniforms
-made of them, and a guide table (Chen & Asau, 1974, see
-:func:`guide_table`) packed with them (:func:`packed_guide`), which
-answers this with one table read for almost every ``u``, with the very
-same result as a binary search.
+the catalog keeps its rank table (:func:`packed_guide`): a guide table
+(Chen & Asau, 1974) that answers this with one table read for almost
+every ``u``, with the very same result as a binary search, and the rank
+edges that let the compiled draw compare numpy's raw 64-bit words in
+place of the uniforms made of them.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import _kernel
 
-__all__ = ["ContentCatalog", "guide_table", "packed_guide", "rank_edges", "zipf_popularity"]
+__all__ = ["ContentCatalog", "packed_guide", "zipf_popularity"]
 
 # Popularity vectors must be normalised at least this well.
 POPULARITY_SUM_TOL = 1e-12
@@ -57,80 +56,52 @@ def zipf_popularity(n: int, alpha: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def guide_table(cdf: np.ndarray) -> tuple[np.ndarray, int]:
-    """Guide table and bucket shift for ranking uniforms against ``cdf`` (Chen & Asau, 1974).
+def packed_guide(cdf: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    """The rank table of ``cdf``: a guide table (Chen & Asau, 1974) packed
+    one uint64 per bucket, its bucket shift, and ``cdf``'s rank edges.
 
-    ``cdf`` is non-decreasing, with 1 to 2**31 - 1 entries (so that the
-    table's entries fit int32) and last entry exactly 1, which keeps every
-    lookup of a ``u`` in [0, 1) in bounds.  The table splits
-    [0, 1) into B equal buckets, B the smallest power of two ``>= 4 *
-    cdf.size``, and has B + 1 int32 entries: entry ``j`` is the number of
-    ``cdf`` entries ``<= j / B``.  For ``u`` in bucket ``j`` the number of
-    entries ``<= u`` therefore lies between entries ``j`` and ``j + 1``; in
-    a bucket where the two differ by at most one, one comparison with
-    ``cdf[table[j]]`` finishes the count, and a wider one needs a binary
-    search between them.  The table costs 4 bytes per bucket.  A raw 64-bit
-    word's bucket is the word shifted right by the shift, ``64 - log2(B)``.
+    ``cdf`` is non-decreasing in [0, 1], with 1 to 2**31 - 1 entries and
+    last entry exactly 1, which keeps every lookup of a ``u`` in [0, 1) in
+    bounds.  The table splits [0, 1) into ``B = 2**L`` equal buckets, B the
+    smallest power of two ``>= 4 * cdf.size``; the shift is ``64 - L``, so
+    a raw 64-bit word ``w``'s bucket ``j`` is ``w >> shift``.  Entry ``j``'s
+    count ``below`` is the number of ``cdf`` entries ``<= j / B``, so the
+    number of entries ``<= u`` for a ``u`` in bucket ``j`` lies between
+    ``below`` and the next entry's.  The edges are ``ceil(cdf * 2**53)``:
+    numpy makes each uniform of ``w`` as ``u = (w >> 11) * 2**-53``, so
+    ``cdf[i] <= u`` holds exactly when ``edge[i] <= m = w >> 11`` (scaling
+    by a power of two is exact), and an entry of exactly 1 becomes
+    ``2**53``, above every ``m``.
+
+    Bucket ``j`` holds the ``m`` from ``j * W`` to ``(j + 1) * W - 1``,
+    ``W = 2**(shift - 11)``.  Its entry holds ``below`` in its low ``L +
+    10`` bits; at bit ``L + 10``, a flag set when the next entry's count
+    exceeds ``below`` by more than 1 (a wide bucket); and in its top ``shift
+    - 11`` bits, ``edge[below] - j * W - 1`` capped at ``W - 1``.  ``w <<
+    L`` holds ``m``'s own offset ``m - j * W`` in those top bits, so in a
+    narrow bucket ``w``'s rank is ``below``, plus 1 when the entry with its
+    low ``L + 11`` bits set is below ``w << L``; a wide one binary-searches
+    ``edge`` between ``below`` and the next entry's.  Entry ``B`` holds
+    only ``below``, the ``cdf``'s size.  The fields fit: ``below <= cdf.size
+    <= B / 4``, and ``edge[below] > j * W``.  The table costs 8 bytes per
+    bucket.
+
+    A ``cdf`` of the wrong size or whose last entry is not 1 is refused
+    with a ``ValueError``, and so is one with an entry that is NaN, outside
+    [0, 1] or below the one before it, naming the first.  The kernel
+    (``mecsched_pack_guide``) builds the same tables in two passes, one
+    over ``cdf`` and one over the buckets, in place of the numpy
+    operations below, which run without it: those fault in code pages of
+    numpy that nothing else a command runs touches, so they cost resident
+    memory as well as time.
     """
-    log2_buckets = _log2_buckets(cdf)
-    # An entry c is <= j / B exactly when ceil(c * B) <= j; scaling by a
-    # power of two is exact, so the bucket counts have no rounding error.
-    buckets = 1 << log2_buckets
-    per_bucket = np.bincount(np.ceil(cdf * buckets).astype(np.intp), minlength=buckets + 1)
-    return np.cumsum(per_bucket, dtype=np.int32), 64 - log2_buckets
-
-
-def _log2_buckets(cdf: np.ndarray) -> int:
-    """``log2(B)`` for :func:`guide_table`'s buckets, once ``cdf``'s size
-    and last entry are checked."""
     if not (0 < cdf.size < 2**31 and cdf[-1] == 1.0):
         raise ValueError(f"a guide table needs 1 to 2**31 - 1 cdf entries, the last exactly 1, got {cdf[-1:]!r}")
-    return (4 * cdf.size - 1).bit_length()
-
-
-def rank_edges(cdf: np.ndarray) -> np.ndarray:
-    """``ceil(cdf * 2**53)`` as uint64: the integer form of ``cdf``.
-
-    numpy makes each uniform of a 64-bit word ``w`` as ``u = (w >> 11) *
-    2**-53``, so ``cdf[i] <= u`` holds exactly when ``edge[i] <= w >> 11``:
-    scaling by a power of two is exact, and ``w >> 11`` is an integer.  An
-    entry of exactly 1 becomes ``2**53``, above every ``w >> 11``.
-    """
-    return np.ceil(cdf * 2.0**53).astype(np.uint64)
-
-
-def packed_guide(cdf: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
-    """:func:`guide_table` for ``cdf``, each entry packed with what its
-    bucket's lookup compares into one uint64; the bucket shift; and the
-    :func:`rank_edges` of ``cdf``, which the lookup reads beside the table.
-
-    With ``B = 2**L`` buckets, ``L = 64 - shift``, bucket ``j`` of a word
-    ``w`` is ``w >> shift`` and holds the ``m = w >> 11`` from ``j * W`` to
-    ``(j + 1) * W - 1``, ``W = 2**(shift - 11)``.  Its entry holds, in its
-    low ``L + 10`` bits, ``below = table[j]``, the number of ``cdf`` entries
-    ``<= j / B``; at bit ``L + 10``, a flag set when ``table[j + 1] - below
-    > 1`` (a wide bucket); and in its top ``shift - 11`` bits, ``edge[below]
-    - j * W - 1`` capped at ``W - 1``, ``edge`` being :func:`rank_edges`.
-    ``w << L`` holds ``m``'s own offset ``m - j * W`` in those top bits, so
-    in a narrow bucket ``w``'s rank is ``below``, plus 1 when the entry with
-    its low ``L + 11`` bits set is below ``w << L``; a wide one
-    binary-searches ``edge`` between ``below`` and the next entry's.  Entry
-    ``B`` holds only ``below``, the ``cdf``'s size.  The fields fit: ``below
-    <= cdf.size <= B / 4``, and ``edge[below] > j * W``.  The table costs 8
-    bytes per bucket.
-
-    ``cdf`` is refused with :func:`guide_table`'s ``ValueError``, and with
-    one naming the first entry that is NaN, outside [0, 1] or below the one
-    before it.  The kernel (``mecsched_pack_guide``) builds the same tables
-    in two passes, one over ``cdf`` and one over the buckets, in place of
-    the numpy operations below, which run without it: those fault in code
-    pages of numpy that nothing else a command runs touches, so they cost
-    resident memory as well as time.
-    """
-    shift = 64 - _log2_buckets(cdf)
+    shift = 64 - (4 * cdf.size - 1).bit_length()
+    buckets = 1 << (64 - shift)
     lib = _kernel.lib
     if lib is not None:
-        packed = np.empty((1 << (64 - shift)) + 1, dtype=np.uint64)
+        packed = np.empty(buckets + 1, dtype=np.uint64)
         edge = np.empty(cdf.size, dtype=np.uint64)
         refused = lib.mecsched_pack_guide(cdf, cdf.size, shift, packed, edge)
         if refused >= 0:
@@ -139,18 +110,19 @@ def packed_guide(cdf: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
     unordered = np.flatnonzero(~(np.diff(cdf, prepend=0.0) >= 0) | ~(cdf <= 1.0))
     if unordered.size:
         raise _unordered(cdf, int(unordered[0]))
-    table, _ = guide_table(cdf)
+    # An entry c is <= j / B exactly when ceil(c * B) <= j.
+    counts = np.bincount(np.ceil(cdf * buckets).astype(np.intp), minlength=buckets + 1)
+    packed = np.cumsum(counts, dtype=np.uint64)
     width = np.uint64(1 << (shift - 11))
-    in_bucket = np.diff(table)
+    in_bucket = counts[1:]  # bucket j's entries, those in (j / B, (j + 1) / B]
     # below <= cdf.size - 1 in buckets j < B: the last entry, exactly 1, is
     # above j / B.  Bucket j holds edge[below] when in_bucket[j] > 0, and
     # then edge[below] - 1 - j * W is its low bits.
-    edge = rank_edges(cdf)
-    offset = edge[table[:-1]]
+    edge = np.ceil(cdf * 2.0**53).astype(np.uint64)
+    offset = edge[packed[:-1]]
     offset -= np.uint64(1)
     offset &= width - np.uint64(1)
     offset[in_bucket == 0] = width - np.uint64(1)
-    packed = table.astype(np.uint64)
     packed[:-1][in_bucket > 1] |= np.uint64(1 << (74 - shift))
     packed[:-1] |= offset << np.uint64(75 - shift)
     return packed, shift, edge
@@ -175,8 +147,8 @@ class ContentCatalog:
 
     Derived fields: ``n_contents`` is the universe size, the length of
     ``popularity``.  ``cdf`` is the cumulative popularity (last entry
-    exactly 1), ``guide`` and ``guide_shift`` its :func:`packed_guide`, and
-    ``edge`` its :func:`rank_edges`: what the compiled draw ranks through.
+    exactly 1), and ``guide``, ``guide_shift`` and ``edge`` its
+    :func:`packed_guide`: what the compiled draw ranks through.
     """
 
     size_bits: float

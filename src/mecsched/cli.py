@@ -307,8 +307,8 @@ def cmd_frontier(
 
     A point whose delay is lower at the bracket's slow end than at its fast
     end gets status ``non_monotone`` and no rate; the grid carries on.  Rows
-    come ``f``-major, and a grid value out of range is refused, naming
-    ``--f-values`` or ``--m-values``, before any run.  Each distinct point
+    come ``f``-major.  Each refusal, of a grid value out of range among
+    others, names its flag and comes before any run.  Each distinct point
     is bisected once, and a value repeated in either list repeats its row.
     The points run cache value by cache value, in first-seen order: each
     seed's task table is drawn once per distinct cache value, at its first
@@ -316,15 +316,16 @@ def cmd_frontier(
     are dropped before the next cache value's draws.
     """
     if not 0 < target_delay_s < math.inf:
-        raise ConfigError(f"target delay must be positive and finite, got {target_delay_s}")
+        raise ConfigError(f"--target-delay-s: target delay must be positive and finite, got {target_delay_s}")
     if not 0 < delay_tolerance_s < math.inf:
-        raise ConfigError(f"delay tolerance must be positive and finite, got {delay_tolerance_s}")
-    if not f_values or not m_values:
-        raise ConfigError("frontier needs non-empty f_local and cache grids")
+        raise ConfigError(f"--tolerance-s: delay tolerance must be positive and finite, got {delay_tolerance_s}")
+    for flag, values in (("--f-values", f_values), ("--m-values", m_values)):
+        if not values:
+            raise ConfigError(f"{flag}: frontier needs a non-empty grid")
     if not 0 < rate_lo < rate_hi < math.inf:
-        raise ConfigError(f"need 0 < rate_lo < rate_hi < inf, got ({rate_lo}, {rate_hi})")
+        raise ConfigError(f"--r-bracket: need 0 < rate_lo < rate_hi < inf, got ({rate_lo}, {rate_hi})")
     if max_iter < 0:
-        raise ConfigError(f"bisection rounds must be non-negative, got {max_iter}")
+        raise ConfigError(f"--max-iter: bisection rounds must be non-negative, got {max_iter}")
     sources = {**config.sources, "f_local_hz": "--f-values", "cache_m": "--m-values"}
     points = {
         (f_local, cache_m): dataclasses.replace(config, f_local_hz=f_local, cache_m=cache_m, sources=sources).validate()

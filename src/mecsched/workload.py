@@ -199,7 +199,7 @@ def draw_contents(rng: np.random.Generator, catalog: ContentCatalog, ks, capacit
     check_capacity(catalog.n_contents, capacity)
     distinct = np.empty(len(ks), dtype=np.int64)
     for i, k in enumerate(ks):
-        ranks = np.searchsorted(catalog.cdf, rng.random(k), side="right") + 1
+        ranks = draw_ranks(rng, catalog.cdf, k) + 1
         distinct[i] = len(set(ranks[ranks > capacity].tolist()))
     return distinct
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mecsched import _kernel
-from mecsched.catalog import ContentCatalog, guide_table, packed_guide, zipf_popularity
+from mecsched.catalog import ContentCatalog, packed_guide, zipf_popularity
 from mecsched.workload import WorkloadConfig, sample_tasks
 from draw_paths import drawing_on, paths
 from fixed_uniforms import distinct_uncached
@@ -72,16 +72,6 @@ def test_catalog_cdf_ends_at_one() -> None:
     assert cat.cdf[0] == pytest.approx(cat.popularity[0])
 
 
-def test_guide_table_refuses_a_cdf_a_lookup_could_run_past() -> None:
-    # A lookup stays in bounds only when the last entry is exactly 1.
-    # Four buckets: a word's top two bits pick its bucket.
-    table, shift = guide_table(np.ones(1))
-    assert (table.tolist(), shift) == ([0, 0, 0, 0, 1], 62)
-    for cdf in (np.empty(0), np.array([0.5, 1.0 - 2**-53])):
-        with pytest.raises(ValueError, match="the last exactly 1"):
-            guide_table(cdf)
-
-
 def test_packed_guide_holds_the_guide_table() -> None:
     # One content: four buckets (L = 2) of width W = 2**51 in m, each with
     # 0 entries below it and the edge 2**53 past it, so the offset field,
@@ -89,13 +79,15 @@ def test_packed_guide_holds_the_guide_table() -> None:
     # The rank edges it was packed from come back with it.
     table, shift, edge = packed_guide(np.ones(1))
     assert (table.tolist(), shift, edge.tolist()) == ([(2**51 - 1) << 13] * 4 + [1], 62, [2**53])
-    # The catalog's table: below in the low L + 10 bits equals guide_table's
-    # counts, and the flag at bit L + 10 marks the wide buckets, which the
+    # The catalog's table: B is the least power of two >= 4n, below in the
+    # low L + 10 bits counts the cdf entries <= j / B (those with ceil(cdf *
+    # B) <= j), and the flag at bit L + 10 marks the wide buckets, which the
     # steep catalog has.
     for n, alpha in ((50, 3.0), (1000, 0.8)):
         cat = ContentCatalog.zipf(n, alpha, 1.0)
-        counts, count_shift = guide_table(cat.cdf)
-        assert cat.guide_shift == count_shift and cat.guide.dtype == np.uint64
+        buckets = 1 << (64 - cat.guide_shift)
+        assert buckets // 2 < 4 * n <= buckets and cat.guide.dtype == np.uint64
+        counts = np.cumsum(np.bincount(np.ceil(cat.cdf * buckets).astype(np.intp), minlength=buckets + 1))
         flag = np.uint64(1 << (74 - cat.guide_shift))
         assert np.array_equal(cat.guide & (flag - np.uint64(1)), counts)
         wide = (cat.guide[:-1] & flag) != 0
@@ -151,8 +143,9 @@ def test_compiled_packer_equals_numpy_bit_for_bit() -> None:
 
 @pytest.mark.parametrize("lib", ["c", "python"])
 def test_packer_refuses_what_a_lookup_cannot_rank(lib) -> None:
-    # guide_table's refusals, and a NaN, a negative, an entry above 1 and a
-    # decreasing one, each named by its first index, on either path.
+    # No entries, a last entry below 1, and a NaN, a negative, an entry
+    # above 1 and a decreasing one, each named by its first index, on
+    # either path.
     if lib == "c" and _kernel.lib is None:
         pytest.skip("no C compiler: the kernel's packer is not built")
     with mock.patch.object(_kernel, "lib", _kernel.lib if lib == "c" else None):

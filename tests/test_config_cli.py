@@ -289,6 +289,20 @@ def test_simulate_rows_match_direct_run() -> None:
     assert rows[0]["policy"] == "lyapunov"
 
 
+def test_simulate_without_arrivals_writes_nan_for_per_task_metrics(tmp_path) -> None:
+    # At lambda = 0 no task arrives, so every per-task average is undefined.
+    out = tmp_path / "simulate.csv"
+    argv = ["simulate", "--set", "lambda=0", "--set", "horizon_slots=200", "--seeds", "0,1", "--out", str(out)]
+    assert main(argv) == 0
+    header, *lines = out.read_text().splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    assert len(rows) == 2
+    for row in rows:
+        assert (row["arrivals"], row["completions"]) == ("0", "0")
+        for column in ("avg_data_per_task_bits", "little_delay_s", "measured_mean_delay_s"):
+            assert row[column] == "nan", column
+
+
 def test_sweep_rows_and_aggregates() -> None:
     config = ExperimentConfig(
         horizon_slots=1500, seeds=[0, 1], v_param=1e-8,
@@ -414,6 +428,12 @@ def test_frontier_rejects_bad_grid() -> None:
     [
         ("--f-values", "0,1e9", "config key 'f_local_hz': must be positive, got 0.0"),
         ("--m-values", "5000", "config key 'cache_m': must lie in 0..n_contents, got 5000"),
+        ("--target-delay-s", "0", "target delay must be positive and finite, got 0.0"),
+        ("--tolerance-s", "0", "delay tolerance must be positive and finite, got 0.0"),
+        ("--r-bracket", "1e9,1e8", "need 0 < rate_lo < rate_hi < inf, got (1000000000.0, 100000000.0)"),
+        ("--max-iter", "-1", "bisection rounds must be non-negative, got -1"),
+        ("--f-values", ",", "frontier needs a non-empty grid"),
+        ("--m-values", ",", "frontier needs a non-empty grid"),
     ],
 )
 def test_frontier_grid_errors_name_their_flag(flag, value, message, capsys, monkeypatch) -> None:

@@ -6,10 +6,12 @@ clean under the thread sanitizer."""
 
 from __future__ import annotations
 
+import hashlib
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -199,9 +201,10 @@ def _runtime(name: str) -> str | None:
 
 
 @needs_cc
-def test_sanitized_kernel_matches_python_at_the_extremes(cache, monkeypatch) -> None:
-    # Built with UBSan.  A finding ends the whole process; run this test
-    # alone with -s to read UBSan's report.
+def test_sanitized_kernel_matches_python_at_the_extremes(monkeypatch) -> None:
+    # Built with UBSan, into the kernel cache under its own name, so later
+    # runs load it without building.  A finding ends the whole process; run
+    # this test alone with -s to read UBSan's report.
     if _runtime("libubsan.so") is None:
         pytest.skip("no UBSan runtime")
     monkeypatch.setattr(_kernel, "FLAGS", _kernel.FLAGS + ("-fsanitize=undefined", "-fno-sanitize-recover=all"))
@@ -210,13 +213,12 @@ def test_sanitized_kernel_matches_python_at_the_extremes(cache, monkeypatch) -> 
     compare_at_the_extremes(sanitized)
 
 
-# Builds the kernel with ASan into the cache directory argv[1] and runs the
-# extremes on it; exits 3 when the build did not load.
+# Loads the kernel built with ASan, from the kernel cache when it is there,
+# and runs the extremes on it; exits 3 when the build did not load.
 _ASAN_CHILD = """
-import os, sys
+import sys
 from mecsched import _kernel
 from kernel_extremes import compare_at_the_extremes
-os.environ["XDG_CACHE_HOME"] = sys.argv[1]
 _kernel.FLAGS += ("-fsanitize=address",)
 sanitized = _kernel.load()
 if sanitized is None:
@@ -226,7 +228,7 @@ compare_at_the_extremes(sanitized)
 
 
 @needs_cc
-def test_address_sanitized_kernel_matches_python_at_the_extremes(tmp_path) -> None:
+def test_address_sanitized_kernel_matches_python_at_the_extremes() -> None:
     # The same extremes on an ASan build, which must be the first library
     # loaded, so it runs in a child started with the runtime preloaded.  A
     # finding fails the child, and its report is in the assertion message.
@@ -241,27 +243,49 @@ def test_address_sanitized_kernel_matches_python_at_the_extremes(tmp_path) -> No
         "ASAN_OPTIONS": "detect_leaks=0",
     }
     child = subprocess.run(
-        [sys.executable, "-c", _ASAN_CHILD, str(tmp_path / "xdg")],
+        [sys.executable, "-c", _ASAN_CHILD],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert child.returncode == 0, f"exit {child.returncode}\n{child.stderr}"
 
 
+def _tsan_program() -> Path:
+    """tests/tsan_estimate.c built with ThreadSanitizer, in the kernel
+    cache under the SHA-256 of its two sources, its flags and the
+    compiler's identity, as the kernel's builds are named; built there
+    first if need be.  Skips the test where cc cannot build it."""
+    sources = (_kernel.SOURCE, Path(__file__).resolve().parent / "tsan_estimate.c")
+    flags = ("-O1", "-g", "-fsanitize=thread", "-pthread")
+    cc = os.path.realpath(shutil.which("cc"))
+    info = os.stat(cc)
+    key = hashlib.sha256(b"".join(source.read_bytes() for source in sources))
+    key.update(repr((flags, cc, info.st_size, info.st_mtime_ns)).encode())
+    program = _kernel.cache_dir() / f"tsan_estimate-{key.hexdigest()}"
+    if program.exists():
+        return program
+    program.parent.mkdir(parents=True, exist_ok=True)
+    # Built beside its final name and renamed, so that a concurrent run
+    # never sees a partial program.
+    with tempfile.TemporaryDirectory(dir=program.parent) as scratch:
+        partial = Path(scratch) / program.name
+        build = subprocess.run(
+            ["cc", *flags, f"-I{_kernel.SOURCE.parent}", "-o", str(partial), str(sources[1])],
+            capture_output=True, text=True, timeout=120,
+        )
+        if build.returncode != 0:
+            pytest.skip(f"cc cannot build with -fsanitize=thread: {build.stderr.strip()[-200:]}")
+        os.replace(partial, program)
+    return program
+
+
 @needs_cc
-def test_thread_sanitizer_finds_no_race_in_the_estimate(tmp_path) -> None:
+def test_thread_sanitizer_finds_no_race_in_the_estimate() -> None:
     # A standalone program over the kernel's source (tests/tsan_estimate.c),
     # built with ThreadSanitizer, runs the estimate on 2-4 threads in chunks
     # of 1 and 7 samples on each word source and compares each run with a
     # one-thread run.  TSan cannot be preloaded into Python, so the test
     # is a program of its own.  Skipped where cc cannot build it.
-    program = tmp_path / "tsan_estimate"
-    build = subprocess.run(
-        ["cc", "-O1", "-g", "-fsanitize=thread", "-pthread", f"-I{_kernel.SOURCE.parent}", "-o", str(program),
-         str(Path(__file__).resolve().parent / "tsan_estimate.c")],
-        capture_output=True, text=True, timeout=120,
-    )
-    if build.returncode != 0:
-        pytest.skip(f"cc cannot build with -fsanitize=thread: {build.stderr.strip()[-200:]}")
+    program = _tsan_program()
     env = {**os.environ, "TSAN_OPTIONS": "halt_on_error=1"}
     run = subprocess.run([str(program)], capture_output=True, text=True, timeout=120, env=env)
     assert run.returncode == 0, f"exit {run.returncode}\n{run.stdout}\n{run.stderr}"

@@ -21,7 +21,7 @@ static double cdf[CONTENTS], k_cdf[KS];
 static uint64_t guide[4 * CONTENTS * 2 + 1], edge[CONTENTS], k_guide[4 * KS * 2 + 1], k_edge[KS];
 static int shift, k_shift;
 
-/* catalog.guide_table's shift: 64 - log2(B), B the least power of two >= 4n. */
+/* catalog.packed_guide's shift: 64 - log2(B), B the least power of two >= 4n. */
 static int shift_for(int64_t n)
 {
     int log2_buckets = 0;
