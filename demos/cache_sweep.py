@@ -11,7 +11,8 @@ local execution only fetches distinct uncached contents.
 import numpy as np
 
 from mecsched.config import ExperimentConfig, build_system
-from mecsched.engine import avg_data_per_task, draw_tasks, run_simulation
+from mecsched.engine import avg_data_per_task, run_simulation
+from mecsched.workload import draw_tasks
 
 HORIZON = 20000
 SEEDS = (0, 1)

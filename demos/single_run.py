@@ -10,11 +10,11 @@ from mecsched.config import ExperimentConfig, build_system
 from mecsched.engine import (
     avg_data_per_task,
     avg_queue_length,
-    draw_tasks,
     little_delay,
     mean_delay_slots,
     run_simulation,
 )
+from mecsched.workload import draw_tasks
 
 config = ExperimentConfig(horizon_slots=20000, v_param=1e-8).validate()
 catalog, capacity, params, workload_cfg, policy = build_system(config)

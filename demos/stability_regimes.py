@@ -10,7 +10,8 @@ monotonically.  Below it, the queue settles.
 
 from mecsched.analysis import estimate_slot_means, uniform_k_dist
 from mecsched.config import ExperimentConfig, build_system
-from mecsched.engine import decile_means, draw_tasks, run_simulation
+from mecsched.engine import decile_means, run_simulation
+from mecsched.workload import draw_tasks
 
 HORIZON = 30000
 

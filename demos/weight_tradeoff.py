@@ -21,7 +21,8 @@ from mecsched.analysis import (
     uniform_k_dist,
 )
 from mecsched.config import ExperimentConfig, build_system
-from mecsched.engine import avg_data_per_task, draw_tasks, little_delay, run_simulation
+from mecsched.engine import avg_data_per_task, little_delay, run_simulation
+from mecsched.workload import draw_tasks
 
 HORIZON = 20000
 dist = uniform_k_dist(40, 60)

@@ -14,10 +14,10 @@ Subpackage map:
 
 - ``catalog``   content universe and its Zipf popularity; a cache of capacity ``m``
                 holds the ``m`` most popular ranks
-- ``workload``  arrivals, task composition and Monte Carlo samples: the only draws
+- ``workload``  the task-table draw and the Monte Carlo samples: the only draws
 - ``dynamics``  uplink bits and busy-slot counts of the two execution modes
 - ``policy``    the five actions, the feasibility rule, the scheduling rules
-- ``engine``    the task-table draw, the pointer-queue simulation loop and run metrics
+- ``engine``    the pointer-queue simulation loop over a task table, and run metrics
 - ``_kernel``   builds and loads the draws and the slot loop in C, where a C compiler
                 exists, as ``_kernel.lib``
 - ``analysis``  closed-form expectations, regimes and bounds

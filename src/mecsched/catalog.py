@@ -24,10 +24,12 @@ import numpy as np
 
 from . import _kernel
 
-__all__ = ["ContentCatalog", "packed_guide", "zipf_popularity"]
+__all__ = ["ContentCatalog", "MAX_CONTENTS", "packed_guide", "zipf_popularity"]
 
 # Popularity vectors must be normalised at least this well.
 POPULARITY_SUM_TOL = 1e-12
+# The most cdf entries, and so contents, packed_guide builds a rank table for.
+MAX_CONTENTS = 2**31 - 1
 
 
 def zipf_popularity(n: int, alpha: float) -> np.ndarray:
@@ -60,8 +62,8 @@ def packed_guide(cdf: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
     """The rank table of ``cdf``: a guide table (Chen & Asau, 1974) packed
     one uint64 per bucket, its bucket shift, and ``cdf``'s rank edges.
 
-    ``cdf`` is non-decreasing in [0, 1], with 1 to 2**31 - 1 entries and
-    last entry exactly 1, which keeps every lookup of a ``u`` in [0, 1) in
+    ``cdf`` is non-decreasing in [0, 1], with 1 to ``MAX_CONTENTS`` entries
+    and last entry exactly 1, which keeps every lookup of a ``u`` in [0, 1) in
     bounds.  The table splits [0, 1) into ``B = 2**L`` equal buckets, B the
     smallest power of two ``>= 4 * cdf.size``; the shift is ``64 - L``, so
     a raw 64-bit word ``w``'s bucket ``j`` is ``w >> shift``.  Entry ``j``'s
@@ -95,8 +97,8 @@ def packed_guide(cdf: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
     numpy that nothing else a command runs touches, so they cost resident
     memory as well as time.
     """
-    if not (0 < cdf.size < 2**31 and cdf[-1] == 1.0):
-        raise ValueError(f"a guide table needs 1 to 2**31 - 1 cdf entries, the last exactly 1, got {cdf[-1:]!r}")
+    if not (0 < cdf.size <= MAX_CONTENTS and cdf[-1] == 1.0):
+        raise ValueError(f"a guide table needs 1 to {MAX_CONTENTS} cdf entries, the last exactly 1, got {cdf[-1:]!r}")
     shift = 64 - (4 * cdf.size - 1).bit_length()
     buckets = 1 << (64 - shift)
     lib = _kernel.lib

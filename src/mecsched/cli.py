@@ -50,12 +50,12 @@ from .engine import (
     RunMetrics,
     avg_data_per_task,
     avg_queue_length,
-    draw_tasks,
     little_delay,
     mean_delay_slots,
     run_simulation,
 )
 from .errors import ConfigError, ContractViolation, MetricUndefined
+from .workload import draw_tasks
 
 __all__ = [
     "SIMULATE_COLUMNS",
@@ -470,11 +470,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_front.add_argument(
         "--r-bracket", default="1e8,1e10", metavar="LO,HI", help="radio-rate search bracket (bit/s)"
     )
-    p_front.add_argument("--max-iter", type=int, default=32, metavar="N")
+    p_front.add_argument("--max-iter", type=parse_int, default=32, metavar="N")
 
     p_an = sub.add_parser("analyze", help="expectations, regime, and bounds")
     _add_common(p_an)
-    p_an.add_argument("--samples", type=int, default=20000, metavar="N", help="tasks sampled for slot means")
+    p_an.add_argument("--samples", type=parse_int, default=20000, metavar="N", help="tasks sampled for slot means")
 
     return parser
 

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .catalog import ContentCatalog
+from .catalog import MAX_CONTENTS, ContentCatalog
 from .dynamics import SystemParams
 from .errors import ConfigError
 from .policy import POLICY_KINDS, PolicySpec
@@ -77,8 +77,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if parse is float and expected and not math.isfinite(value):  # not a list
                 raise self.key_error(key, f"must be a finite number, got {value}")
-        if self.n_contents < 1:
-            raise self.key_error("n_contents", f"must be at least 1, got {self.n_contents}")
+        if not 1 <= self.n_contents <= MAX_CONTENTS:
+            raise self.key_error("n_contents", f"must lie in 1..{MAX_CONTENTS}, got {self.n_contents}")
         if not self.zipf_alpha >= 0:
             raise self.key_error("zipf_alpha", f"must be non-negative, got {self.zipf_alpha}")
         if not self.tau_bits > 0:

@@ -1,23 +1,13 @@
 """The simulation loop and per-run metrics.
 
-A run has two stages.  The draw stage (:func:`draw_tasks`) takes the
-run's arrivals and the composition of every arriving task from
-:func:`mecsched.workload.sample_run` into a :class:`TaskTable`: the
-horizon, and per task its arrival slot and its two bit counts, the
-distinct uncached bits a local run fetches and the full task an offload
-ships.  The table depends only on the seed, the horizon, the arrival
-probability, the ``k`` range, the catalog (popularity and content size)
-and the cache capacity; the weight ``v``, the radio rate, the processor
-speeds and the slot length never enter a draw.  Runs that differ only in
-those controls can therefore share one table.  Its arrays are read-only,
-so no run can alter what another run sees.
-
-The loop stage (:func:`run_simulation`) takes a table and the run's own
-parameters and simulates the table's horizon slot by slot, in one pass.
-The compiled loop computes a task's busy-slot count on the processor it
-starts on from its bits when it starts (the formula of
-:mod:`mecsched.dynamics`), so it keeps no count per task.  The FIFO queue
-is then just
+A run has two stages.  The draw stage,
+:func:`mecsched.workload.draw_tasks`, gives the run's tasks as a
+:class:`~mecsched.workload.TaskTable`.  The loop stage
+(:func:`run_simulation`) takes a table and the run's own parameters and
+simulates the table's horizon slot by slot, in one pass.  The compiled
+loop computes a task's busy-slot count on the processor it starts on from
+its bits when it starts (the formula of :mod:`mecsched.dynamics`), so it
+keeps no count per task.  The FIFO queue is then just
 ``table[head:arrived]`` and the whole system state is four integers:
 ``head`` (tasks started so far), ``arrived`` (tasks arrived so far) and
 each processor's done slot, the last slot of the task it serves; a
@@ -81,23 +71,19 @@ Two bookkeeping details worth knowing:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import _kernel
-from .catalog import ContentCatalog
-from .dynamics import SystemParams, busy_slot_terms, slots_local, slots_mec, task_bits
+from .dynamics import SystemParams, busy_slot_terms, slots_local, slots_mec
 from .errors import ConfigError, ContractViolation, MetricUndefined
 from .policy import PolicySpec, decide
-from .workload import WorkloadConfig, check_capacity, sample_run
+from .workload import TaskTable
 
 __all__ = [
     "RunMetrics",
-    "TaskTable",
-    "draw_tasks",
     "run_simulation",
     "avg_data_per_task",
     "avg_queue_length",
@@ -105,11 +91,6 @@ __all__ = [
     "mean_delay_slots",
     "decile_means",
 ]
-
-# Keep every bit count exactly representable in a float64.
-_EXACT_FLOAT_LIMIT = 2.0**53
-# The longest horizon whose square fits an int64.
-_QUEUE_SUM_HORIZON_LIMIT = math.isqrt(2**63 - 1)
 
 
 @dataclass
@@ -146,75 +127,6 @@ def decile_means(series: np.ndarray) -> np.ndarray:
     return np.array([chunk.mean() for chunk in np.array_split(series, 10) if chunk.size])
 
 
-@dataclass(frozen=True, eq=False)
-class TaskTable:
-    """One seed's arrivals and tasks, drawn once by :func:`draw_tasks`.
-
-    The table covers ``horizon`` slots.  ``arrival_slot``, ``local_bits``
-    and ``mec_bits`` hold per task, in arrival order, its arrival slot,
-    the distinct uncached bits a local run fetches and the full task an
-    offload ships.  ``arrival`` holds the arrival slots followed by
-    ``horizon``, a slot no loop reaches, so the next task's arrival slot
-    is always in bounds; ``arrival_slot`` is a view of it.  Every array is
-    read-only, however the table was built.
-    """
-
-    horizon: int
-    arrival_slot: np.ndarray
-    local_bits: np.ndarray
-    mec_bits: np.ndarray
-    arrival: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        # The compiled loop indexes all three by task without a bound.
-        if not len(self.arrival_slot) == len(self.local_bits) == len(self.mec_bits):
-            raise ValueError("a task table needs one arrival slot and two bit counts per task")
-        arrival = np.append(self.arrival_slot, self.horizon)
-        for array in (arrival, self.local_bits, self.mec_bits):
-            array.flags.writeable = False
-        # A view made after the flag is cleared is read-only too.
-        object.__setattr__(self, "arrival", arrival)
-        object.__setattr__(self, "arrival_slot", arrival[:-1])
-
-
-def draw_tasks(
-    catalog: ContentCatalog,
-    capacity: int,
-    workload_cfg: WorkloadConfig,
-    horizon: int,
-    seed: int,
-) -> TaskTable:
-    """Draw the arrivals and tasks of a ``horizon``-slot run from ``seed``.
-
-    The arrivals and tasks are :func:`~mecsched.workload.sample_run`'s, so
-    repeated calls with the same inputs return equal tables.  Each task's
-    bits follow from its composition and the catalog's content size.  Every
-    guard that protects an allocation fires here, before anything is
-    allocated.
-    """
-    if horizon < 1:
-        raise ConfigError(f"horizon must be at least 1 slot, got {horizon}")
-    # Bit totals stay exact integers in float64 up to 2**53, so they sum
-    # to the same value in any order.
-    if not horizon * workload_cfg.k_max * catalog.size_bits < _EXACT_FLOAT_LIMIT:
-        raise ConfigError("horizon * k_max * size_bits too large for exact bit accounting")
-    # A queue sum adds up to horizon slots per task, so it stays exact in
-    # int64 while horizon**2 does.
-    if horizon > _QUEUE_SUM_HORIZON_LIMIT:
-        raise ConfigError(
-            f"horizon must stay at most {_QUEUE_SUM_HORIZON_LIMIT} slots for exact queue sums, got {horizon}"
-        )
-    if not float(catalog.size_bits).is_integer():
-        raise ConfigError(f"content size must be a whole number of bits, got {catalog.size_bits}")
-    check_capacity(catalog.n_contents, capacity)
-
-    arrival_slot, ks, distinct = sample_run(catalog, capacity, workload_cfg, horizon, seed)
-    local_bits, mec_bits = task_bits(catalog, ks, distinct)
-    # Freed first: with them, the table's arrival copy would raise the draw's peak.
-    del ks, distinct
-    return TaskTable(horizon, arrival_slot, local_bits, mec_bits)
-
-
 def run_simulation(
     tasks: TaskTable,
     params: SystemParams,
@@ -224,9 +136,10 @@ def run_simulation(
 ) -> RunMetrics:
     """Simulate the slots of ``tasks`` and return the run's metrics.
 
-    ``tasks`` comes from :func:`draw_tasks`; the same table reproduces the
-    run exactly.  ``collect_series`` keeps the pre-decision queue of every
-    slot (8 bytes per slot) and the infeasibility flag read from it.
+    ``tasks`` comes from :func:`~mecsched.workload.draw_tasks`; the same
+    table reproduces the run exactly.  ``collect_series`` keeps the
+    pre-decision queue of every slot (8 bytes per slot) and the
+    infeasibility flag read from it.
     """
     if not 0.0 <= warmup_frac < 1.0:
         raise ConfigError(f"warmup_frac must lie in [0, 1), got {warmup_frac}")

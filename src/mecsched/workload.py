@@ -6,12 +6,23 @@ drawn independently from the catalog popularity; repeats are allowed and
 the task size in bits is ``k * size_bits`` regardless of repeats.
 
 This module is the package's only source of randomness: a run's arrivals
-and tasks (:func:`sample_run`), drawn up front in arrival order as the two
-per-task scalars the scheduler needs, ``k`` and the number of distinct
-uncached contents, and the Monte Carlo estimate's samples
+and tasks, and the Monte Carlo estimate's samples
 (:func:`sample_slot_counts`).  Arrivals and composition come from two
 separately seeded streams (:func:`task_streams`), so changing the arrival
 probability in a sweep does not perturb the content sequence of the tasks.
+
+A run has two stages, and the first is here.  The draw stage
+(:func:`draw_tasks`) draws the run's arrivals and the composition of
+every arriving task up front, in arrival order, into a
+:class:`TaskTable`: the horizon, and per task its arrival slot and its two
+bit counts, the distinct uncached bits a local run fetches and the full
+task an offload ships.  The table depends only on the seed, the horizon,
+the arrival probability, the ``k`` range, the catalog (popularity and
+content size) and the cache capacity; the weight ``v``, the radio rate,
+the processor speeds and the slot length never enter a draw.  Runs that
+differ only in those controls can therefore share one table.  Its arrays
+are read-only, so no run can alter what another run sees.  The loop stage
+is :func:`mecsched.engine.run_simulation`.
 
 The composition stream is defined as, per task, ``k = integers(k_min,
 k_max + 1)`` and then ``random(k)`` for its contents, each ranked
@@ -36,6 +47,7 @@ run on (:func:`sample_slot_counts`).
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -52,7 +64,8 @@ __all__ = [
     "check_capacity",
     "check_ks",
     "task_streams",
-    "sample_run",
+    "TaskTable",
+    "draw_tasks",
     "sample_tasks",
     "draw_contents",
     "draw_ranks",
@@ -63,6 +76,10 @@ __all__ = [
 # k_max - k_min from which numpy's integers() leaves the 32-bit Lemire
 # draw the kernel makes.
 K_SPAN_LIMIT = 2**32 - 1
+# Keep every bit count exactly representable in a float64.
+_EXACT_FLOAT_LIMIT = 2.0**53
+# The longest horizon whose square fits an int64.
+_QUEUE_SUM_HORIZON_LIMIT = math.isqrt(2**63 - 1)
 _WORD_MASK = 2**64 - 1
 # Slots whose arrival uniforms are drawn at a time.
 _ARRIVAL_CHUNK = 1 << 16
@@ -137,14 +154,66 @@ def task_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     return np.random.default_rng(arrival_ss), np.random.default_rng(composition_ss)
 
 
-def sample_run(
+@dataclass(frozen=True, eq=False)
+class TaskTable:
+    """One seed's arrivals and tasks, drawn once by :func:`draw_tasks`.
+
+    The table covers ``horizon`` slots.  ``arrival`` holds per task, in
+    arrival order, its arrival slot, then ``horizon``, a slot no loop
+    reaches, so the next task's arrival slot is always in bounds;
+    ``arrival_slot`` is the view without it.  ``local_bits`` and
+    ``mec_bits`` hold per task the distinct uncached bits a local run
+    fetches and the full task an offload ships.  Every array is read-only,
+    however the table was built.
+    """
+
+    horizon: int
+    arrival: np.ndarray
+    local_bits: np.ndarray
+    mec_bits: np.ndarray
+
+    def __post_init__(self):
+        # The compiled loop indexes all three by task without a bound.
+        n_tasks = len(self.arrival) - 1
+        if not (n_tasks == len(self.local_bits) == len(self.mec_bits) and self.arrival[-1] == self.horizon):
+            raise ValueError("a task table needs one arrival slot and two bit counts per task, then the horizon")
+        for array in (self.arrival, self.local_bits, self.mec_bits):
+            array.flags.writeable = False
+
+    @property
+    def arrival_slot(self) -> np.ndarray:
+        return self.arrival[:-1]
+
+
+def draw_tasks(
     catalog: ContentCatalog, capacity: int, cfg: WorkloadConfig, horizon: int, seed: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A ``horizon``-slot run's ``(arrival_slot, k, distinct_uncached)``
-    from ``seed``, per task in arrival order: slot ``t`` has an arrival when
-    the ``t``-th uniform of ``random(horizon)`` on :func:`task_streams`'
-    arrival stream lies below ``cfg.arrival_prob``, and the tasks are
-    :func:`sample_tasks` on its composition stream."""
+) -> TaskTable:
+    """Draw the arrivals and tasks of a ``horizon``-slot run from ``seed``.
+
+    Slot ``t`` has an arrival when the ``t``-th uniform of
+    ``random(horizon)`` on :func:`task_streams`' arrival stream lies below
+    ``cfg.arrival_prob``, and the tasks are :func:`sample_tasks` on its
+    composition stream, so repeated calls with the same inputs return equal
+    tables.  Each task's bits are its counts times the catalog's content
+    size, as in :func:`~mecsched.dynamics.task_bits`.  Every guard that
+    protects an allocation fires here, before anything is allocated.
+    """
+    if horizon < 1:
+        raise ConfigError(f"horizon must be at least 1 slot, got {horizon}")
+    # Bit totals stay exact integers in float64 up to 2**53, so they sum
+    # to the same value in any order.
+    if not horizon * cfg.k_max * catalog.size_bits < _EXACT_FLOAT_LIMIT:
+        raise ConfigError("horizon * k_max * size_bits too large for exact bit accounting")
+    # A queue sum adds up to horizon slots per task, so it stays exact in
+    # int64 while horizon**2 does.
+    if horizon > _QUEUE_SUM_HORIZON_LIMIT:
+        raise ConfigError(
+            f"horizon must stay at most {_QUEUE_SUM_HORIZON_LIMIT} slots for exact queue sums, got {horizon}"
+        )
+    if not float(catalog.size_bits).is_integer():
+        raise ConfigError(f"content size must be a whole number of bits, got {catalog.size_bits}")
+    check_capacity(catalog.n_contents, capacity)
+
     arrival_rng, composition_rng = task_streams(seed)
     # Chunked draws continue one stream, so the arrivals equal those of a
     # single random(horizon) call without its 8-byte-per-slot temporary.
@@ -152,8 +221,16 @@ def sample_run(
     for first in range(0, horizon, _ARRIVAL_CHUNK):
         uniforms = arrival_rng.random(min(_ARRIVAL_CHUNK, horizon - first))
         blocks.append(first + np.flatnonzero(uniforms < cfg.arrival_prob))
-    arrival_slot = np.concatenate(blocks)
-    return (arrival_slot, *sample_tasks(composition_rng, catalog, cfg, arrival_slot.size, capacity))
+    arrival = np.concatenate([*blocks, [horizon]])
+    del blocks, uniforms
+    ks, distinct = sample_tasks(composition_rng, catalog, cfg, arrival.size - 1, capacity)
+    # The distinct counts go before the offload bits are made, so the draw
+    # holds at most four per-task arrays: 32 bytes per task.
+    size = float(catalog.size_bits)
+    local_bits = size * distinct
+    del distinct
+    mec_bits = size * ks
+    return TaskTable(horizon, arrival, local_bits, mec_bits)
 
 
 def sample_tasks(

@@ -14,9 +14,9 @@ from mecsched.analysis import estimate_slot_means
 from mecsched.catalog import ContentCatalog
 from mecsched.config import ExperimentConfig, build_system
 from mecsched.dynamics import SystemParams
-from mecsched.engine import RunMetrics, TaskTable, draw_tasks, run_simulation
+from mecsched.engine import RunMetrics, run_simulation
 from mecsched.policy import POLICY_KINDS, PolicySpec
-from mecsched.workload import K_SPAN_LIMIT, WorkloadConfig, sample_slot_counts, sample_tasks
+from mecsched.workload import K_SPAN_LIMIT, TaskTable, WorkloadConfig, draw_tasks, sample_slot_counts, sample_tasks
 from draw_paths import drawing_on, word_sources
 from fixed_uniforms import count_words, pcg64_with_next
 
@@ -59,7 +59,7 @@ def tie_table(horizon: int) -> TaskTable:
     ends."""
     return TaskTable(
         horizon,
-        np.array(TIE_ARRIVALS, dtype=np.int64),
+        np.array([*TIE_ARRIVALS, horizon], dtype=np.int64),
         np.array(TIE_LOCAL_BITS, dtype=np.float64),
         np.array(TIE_MEC_BITS, dtype=np.float64),
     )

@@ -32,7 +32,6 @@ from mecsched.dynamics import task_bits
 from mecsched.engine import (
     avg_data_per_task,
     decile_means,
-    draw_tasks,
     mean_delay_slots,
     run_simulation,
 )
@@ -45,7 +44,7 @@ from mecsched.policy import (
     decide,
     feasible_actions,
 )
-from mecsched.workload import WorkloadConfig, sample_tasks
+from mecsched.workload import WorkloadConfig, draw_tasks, sample_tasks
 
 ACCEPTANCE_REPORT: dict[int, str] = {}
 ALL_RUNS: list = []

@@ -15,7 +15,7 @@ import pytest
 
 from mecsched import _kernel, workload
 from mecsched.config import ExperimentConfig, build_system
-from mecsched.engine import draw_tasks
+from mecsched.workload import draw_tasks
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_layers.py"
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from mecsched import _kernel, cli
-from mecsched.catalog import ContentCatalog
+from mecsched.catalog import MAX_CONTENTS, ContentCatalog
 from mecsched.cli import (
     FRONTIER_COLUMNS,
     SIMULATE_COLUMNS,
@@ -35,8 +35,9 @@ from mecsched.config import (
     parse_config_text,
     sweep_configs,
 )
-from mecsched.engine import avg_data_per_task, draw_tasks, run_simulation
+from mecsched.engine import avg_data_per_task, run_simulation
 from mecsched.errors import ConfigError
+from mecsched.workload import draw_tasks
 
 CONFIG_TEXT = """
 # reference point, tweaked
@@ -862,6 +863,45 @@ def test_main_config_error_exit_code(capsys) -> None:
     code = main(["simulate", "--set", "lambda=bogus"])
     assert code == 1
     assert "lambda" in capsys.readouterr().err
+
+
+def test_a_catalog_too_large_to_rank_names_n_contents(tmp_path, capsys) -> None:
+    # A rank table holds at most MAX_CONTENTS contents, so validation
+    # refuses a larger catalog, naming the key and where it was set, before
+    # the catalog's arrays are allocated.
+    limit = f"config key 'n_contents': must lie in 1..{MAX_CONTENTS}, got"
+    assert main(["simulate", "--set", "n_contents=1e19"]) == 1
+    assert capsys.readouterr().err == f"error: override 'n_contents=1e19': {limit} 10000000000000000000\n"
+    path = tmp_path / "huge.cfg"
+    path.write_text("lambda = 0.3\nn_contents = 5e18\n")
+    assert main(["simulate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}:2: {limit} 5000000000000000000\n"
+
+
+@pytest.mark.parametrize(
+    "command, flag, notation, plain",
+    [
+        (["analyze", "--seeds", "0"], "--samples", "5e2", "500"),
+        (
+            [
+                "frontier", "--seeds", "0", "--set", "horizon_slots=2000", "--set", "lambda=0.2", "--set", "v_param=0",
+                "--target-delay-s", "0.8", "--f-values", "2e9", "--m-values", "50", "--r-bracket", "1e8,2e10",
+            ],
+            "--max-iter", "3e0", "3",
+        ),
+    ],
+)
+def test_integer_flags_read_config_notation(command, flag, notation, plain, tmp_path, capsys) -> None:
+    # Like every config integer, --seeds and --m-values, the flag takes
+    # 1e3-style notation; a value that is not a whole number is refused
+    # with argparse's usage message, which names the flag.
+    outs = [tmp_path / "notation.csv", tmp_path / "plain.csv"]
+    for value, out in zip((notation, plain), outs):
+        assert main([*command, flag, value, "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    capsys.readouterr()
+    assert main([*command, flag, "2.5"]) == 1
+    assert f"error: argument {flag}: invalid parse_int value: '2.5'\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("message, shown", [("Unable to allocate 7.28 TiB", "Unable to allocate 7.28 TiB"), ("", "out of memory")])

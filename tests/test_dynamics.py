@@ -8,7 +8,7 @@ import pytest
 from mecsched.catalog import ContentCatalog
 from mecsched.config import ExperimentConfig, build_system
 from mecsched.dynamics import SystemParams, slots_local, slots_mec, task_bits
-from mecsched.engine import draw_tasks, run_simulation
+from mecsched.engine import run_simulation
 from mecsched.policy import (
     ACTION_FIRST_LOCAL,
     ACTION_FIRST_MEC,
@@ -17,6 +17,7 @@ from mecsched.policy import (
     ACTION_SPLIT_MEC_LOCAL,
     ACTIONS,
 )
+from mecsched.workload import draw_tasks
 from fixed_uniforms import distinct_uncached
 
 

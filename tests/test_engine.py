@@ -9,18 +9,16 @@ import pytest
 from mecsched import _kernel, engine, workload
 from mecsched.config import ExperimentConfig, build_system
 from mecsched.engine import (
-    TaskTable,
     avg_data_per_task,
     avg_queue_length,
     decile_means,
-    draw_tasks,
     little_delay,
     mean_delay_slots,
     run_simulation,
 )
 from mecsched.errors import ConfigError, MetricUndefined
 from mecsched.policy import ACTION_SPLIT_LOCAL_MEC, POLICY_KINDS, decide
-from mecsched.workload import task_streams
+from mecsched.workload import TaskTable, draw_tasks, task_streams
 from kernel_extremes import TIE_PARAMS, TIE_POLICY, assert_same_metrics, tie_table
 
 
@@ -218,9 +216,12 @@ def test_table_keeps_nothing_per_slot() -> None:
 
 
 def test_draw_peaks_below_40_bytes_per_task() -> None:
-    # The table keeps 24 bytes per task; the draw peaks at 37 while the bit
-    # counts are made from each task's k and distinct count.  Copying the
-    # arrival slots while those are still held would peak at 48.
+    # The table keeps 24 bytes per task.  Below workload._ARRIVAL_CHUNK
+    # slots the last arrival chunk is short, and a draw's peak can fall in
+    # a phase that holds that chunk's uniforms, so the slope from the 50,000
+    # slot point reads low: a draw that peaks at 40 bytes per task at larger
+    # horizons reads 37 here.  Copying the arrival slots while both counts
+    # are held would peak at 48.
     (catalog, capacity, _, workload_cfg, _), _ = _system(arrival_prob=0.5)
     draw_tasks(catalog, capacity, workload_cfg, 100, seed=0)
     peaks, n_tasks = [], []
@@ -233,6 +234,30 @@ def test_draw_peaks_below_40_bytes_per_task() -> None:
             tracemalloc.stop()
         n_tasks.append(table.arrival_slot.size)
     assert peaks[1] - peaks[0] <= 40 * (n_tasks[1] - n_tasks[0])
+
+
+def test_draw_peaks_at_32_bytes_per_task() -> None:
+    # The draw frees the distinct counts before it makes the offload bits,
+    # so it holds at most four per-task arrays: 32 bytes per task, of which
+    # the table keeps 24.  Both horizons lie above workload._ARRIVAL_CHUNK,
+    # so the chunk's fixed uniforms cancel out.
+    (catalog, capacity, _, workload_cfg, _), _ = _system(arrival_prob=0.5)
+    draw_tasks(catalog, capacity, workload_cfg, 100, seed=0)
+    assert workload._ARRIVAL_CHUNK < 200_000
+    kept, peaks, n_tasks = [], [], []
+    for horizon in (200_000, 600_000):
+        tracemalloc.start()
+        try:
+            table = draw_tasks(catalog, capacity, workload_cfg, horizon, seed=0)
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept.append(size)
+        peaks.append(peak)
+        n_tasks.append(table.arrival_slot.size)
+    added = n_tasks[1] - n_tasks[0]
+    assert kept[1] - kept[0] <= 24 * added + 4096
+    assert peaks[1] - peaks[0] <= 32 * added + 4096
 
 
 def test_warmup_window_bookkeeping() -> None:
@@ -395,7 +420,9 @@ def test_table_arrays_are_read_only() -> None:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[1]
     with pytest.raises(ValueError, match="one arrival slot and two bit counts per task"):
-        TaskTable(9, np.arange(3), np.zeros(3), np.zeros(2))
+        TaskTable(9, np.array([0, 1, 2, 9]), np.zeros(3), np.zeros(2))
+    with pytest.raises(ValueError, match="then the horizon"):
+        TaskTable(9, np.arange(4), np.zeros(3), np.zeros(3))
     metrics = run_simulation(table, params, policy)
     # Run results are the run's own arrays, free to change.
     metrics.delay_arrival_slots[:1] = -1

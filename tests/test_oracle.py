@@ -16,9 +16,9 @@ from mecsched import _kernel
 from mecsched.catalog import ContentCatalog
 from mecsched.config import ExperimentConfig, build_system
 from mecsched.dynamics import SystemParams
-from mecsched.engine import RunMetrics, draw_tasks, run_simulation
+from mecsched.engine import RunMetrics, run_simulation
 from mecsched.policy import POLICY_KINDS, PolicySpec
-from mecsched.workload import WorkloadConfig
+from mecsched.workload import WorkloadConfig, draw_tasks
 from oracle.engine import RunMetrics as OracleRunMetrics
 from oracle.engine import run_simulation as oracle_run_simulation
 

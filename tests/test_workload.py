@@ -10,9 +10,8 @@ from mecsched.catalog import ContentCatalog
 from mecsched.analysis import estimate_slot_means
 from mecsched.config import ExperimentConfig, build_system
 from mecsched.dynamics import SystemParams
-from mecsched.engine import draw_tasks
 from mecsched.workload import (
-    K_SPAN_LIMIT, WorkloadConfig, draw_contents, sample_slot_counts, sample_tasks, task_streams,
+    K_SPAN_LIMIT, WorkloadConfig, draw_contents, draw_tasks, sample_slot_counts, sample_tasks, task_streams,
 )
 from draw_paths import drawing_on, paths
 from fixed_uniforms import count_words, distinct_uncached, pcg64_with_next

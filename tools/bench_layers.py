@@ -21,8 +21,8 @@ times and summary lines and which went first.
 
 At each point, for every seed, it times
 
-- the draw: ``draw_tasks``, reported in us per drawn task.  It includes
-  each task's two bit counts (``task_bits``);
+- the draw: ``workload.draw_tasks``, reported in us per drawn task.  It
+  includes each task's two bit counts;
 - the run: ``run_simulation`` given that table, with no queue series kept
   (as the command line runs it), reported in us per slot.  This is the
   slot loop plus everything computed before and after it.
@@ -154,7 +154,8 @@ def min_time(fn) -> tuple[float, object]:
 
 def measure_point(overrides: dict, reference: dict) -> dict:
     from mecsched.config import ExperimentConfig, build_system
-    from mecsched.engine import draw_tasks, run_simulation
+    from mecsched.engine import run_simulation
+    from mecsched.workload import draw_tasks
 
     config = ExperimentConfig(horizon_slots=HORIZON, **overrides).validate()
     catalog, capacity, params, workload_cfg, policy = build_system(config)
