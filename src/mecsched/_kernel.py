@@ -7,13 +7,16 @@ PCG64 themselves from the state the caller passes, and the slot loop of
 :mod:`mecsched.engine`; and ``mecsched_pack_guide``, which builds the
 rank tables the draws read (:func:`mecsched.catalog.packed_guide`).  The
 estimate and the slot loop compute each task's busy-slot count where they
-use it.  The estimate's entry is the only one that starts threads: it
-takes the number of threads to run on, starts all but one as pthreads
-(the caller's thread is the other; ``ctypes`` releases the GIL for the
-call) and joins them before it returns.  They share the samples in
-fixed-size chunks, each reached in the stream by PCG64's jump, so the
-result is the same on any number of threads.  ``mecsched_count_words``
-runs the task draw's count on given 64-bit words, for tests.  The draws
+use it.  The task draw's and the estimate's entries start threads, on one
+chunk driver: each takes the number of threads to run on and starts all
+but one as detached pthreads (the caller's thread is the other;
+``ctypes`` releases the GIL for the call).  They share the tasks in
+fixed-size chunks, each placed in the stream by a serial pass that the
+caller makes while the threads start, so the result is the same on any
+number of threads.  The call returns once every chunk has run; a thread
+that starts after that finds no chunk and exits, touching nothing the
+caller owns.  ``mecsched_count_words`` runs the task draw's count on
+given 64-bit words, for tests.  The draws
 take their PCG64 words from one of two sources, which the library chooses
 once, when it loads: sixteen AVX-512 lanes on an x86-64 processor that has
 AVX-512F and AVX-512DQ, else the scalar step, one word at a time.  Both give the same
@@ -29,7 +32,8 @@ builds with other flags (the tests' sanitized ones) sit beside it, and a
 cached library loads without starting the compiler.  A build goes to a
 temporary file that is renamed into place, so concurrent first uses
 never see a partial file, and nothing is written next to the source.  A
-fresh build removes the other builds not modified for 30 days; a cached
+fresh build removes every other file in the cache not modified for 30
+days (the kernel's builds and the tests' sanitizer programs); a cached
 load removes nothing, so checkouts that share the cache keep each
 other's.
 
@@ -56,7 +60,7 @@ from .policy import POLICY_KINDS
 
 SOURCE = Path(__file__).with_name("_slot_loop.c")
 # No -ffast-math, and no fused multiply-add: each cost must round as
-# Python's does.  -pthread: the estimate starts threads.
+# Python's does.  -pthread: the draw and the estimate start threads.
 FLAGS = ("-O2", "-ffp-contract=off", "-pthread", "-shared", "-fPIC")
 # Policy kind -> the C enum (lyapunov 0, mec_only 1, local_only 2).
 KIND_CODES = {kind: code for code, kind in enumerate(POLICY_KINDS)}
@@ -93,13 +97,14 @@ def load() -> Optional[ctypes.CDLL]:
         lib.mecsched_slot_loop.restype = None
         # The draws read and write PCG64's state as six uint64 words, and
         # rank through a cdf's packed guide table (uint64), its bucket shift
-        # and its rank edges, the three of catalog.packed_guide.  The
-        # estimate takes its samples, its chunk size and thread count, two
-        # such triples, the k cdf's and the catalog's, one stamp row per
-        # thread and room for the chunks' offsets, and stores no k value.
+        # and its rank edges, the three of catalog.packed_guide.  Both take
+        # their tasks' count, chunk size and thread count, and one stamp row
+        # per thread.  The estimate takes two such triples, the k cdf's and
+        # the catalog's, and room for the chunks' offsets, and stores no k
+        # value.
         lib.mecsched_draw_tasks.argtypes = [
-            _array(np.uint64), i64, i64, ctypes.c_uint32, _array(np.int64), _array(np.uint64), ctypes.c_int,
-            _array(np.uint64), i64, _array(np.int64), _array(np.int64),
+            _array(np.uint64), i64, i64, ctypes.c_int, i64, ctypes.c_uint32, _array(np.int64), _array(np.uint64),
+            ctypes.c_int, _array(np.uint64), i64, i64, _array(np.int64), _array(np.int64),
         ]
         lib.mecsched_draw_tasks.restype = None
         lib.mecsched_count_words.argtypes = [
@@ -142,8 +147,10 @@ def _array(dtype):
 
 
 def _remove_stale(keep: Path) -> None:
+    # Every file here is a build: the kernel's, its sanitized variants and
+    # the tests' sanitizer programs.
     cutoff = time.time() - _STALE_S
-    for old in keep.parent.glob("slot_loop-*.so"):
+    for old in keep.parent.iterdir():
         try:
             if old != keep and old.stat().st_mtime < cutoff:
                 old.unlink()

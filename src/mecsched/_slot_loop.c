@@ -33,14 +33,23 @@
  * two generators, 256 k values at a time.  Both sources give the same words,
  * ranks and end state; mecsched_select_word_source lets the tests run both.
  *
- * The estimate is the one entry that starts threads: it splits its samples
- * into fixed-size chunks, starts the threads it is asked for less one
- * (pthreads, joined before it returns), and the caller and they take the
- * chunks from one atomic counter, each tallying on a stamp row of its own.
- * A chunk jumps both streams to its first sample by PCG64's jump, so the
- * counts and the end state are the same for any chunk size and any number
- * of threads.  No other entry starts a thread or keeps state between
- * calls.
+ * The task draw and the estimate start threads, on one chunk driver
+ * (driver_t).  Each call splits its tasks into fixed-size chunks, starts
+ * the threads it is asked for less one (pthreads, detached), and then makes
+ * a serial pre-pass that finds where each chunk starts in the stream: the
+ * draw's skeleton, which makes each task's k draw and jumps past its
+ * contents, and the estimate's chunk_offsets, which ranks its k stream.
+ * Chunk 0 starts at the generator's state, so a thread takes it at once;
+ * a later chunk is published as the pre-pass reaches it.  Then the caller
+ * takes chunks too.  The caller and the threads take the chunks from one
+ * atomic counter, each tallying on a stamp row of its own, and each chunk
+ * starts from its recorded state, so the results and the end state are the
+ * same for any chunk size and any number of threads.  The caller waits
+ * only for the chunks that were taken: a thread that starts after the last
+ * one finds none and touches only the driver's small heap block, which
+ * the last of its holders frees.  No entry keeps state between calls.  A
+ * task draw of one chunk, on one thread, or with more k values than tasks
+ * (its skeleton's jump table would outgrow it) runs on the caller alone.
  *
  * mecsched_pack_guide builds catalog.packed_guide's tables in one pass
  * over the cdf and one over the buckets.
@@ -58,7 +67,9 @@
  * mec_first, mec_second) = bits 0..3.
  */
 #include <pthread.h>
+#include <sched.h>
 #include <stdint.h>
+#include <stdlib.h>
 
 typedef unsigned __int128 u128;
 
@@ -107,6 +118,16 @@ static inline uint32_t pcg64_next32(pcg64_t *rng)
     rng->has_uint32 = 1;
     rng->uinteger = word >> 32;
     return (uint32_t)word;
+}
+
+/* k - k_lo for the k that Generator.integers(k_lo, k_lo + span + 1)
+ * draws: numpy's 32-bit Lemire rejection, k_range = span + 1 and threshold
+ * (2**32 - 1 - span) % k_range. */
+static inline int64_t lemire(pcg64_t *rng, uint64_t k_range, uint32_t threshold)
+{
+    uint64_t m = (uint64_t)pcg64_next32(rng) * k_range;
+    while ((uint32_t)m < threshold) m = (uint64_t)pcg64_next32(rng) * k_range;
+    return (int64_t)(m >> 32);
 }
 
 /* PCG64's jump (Brown 1994): n steps take a state s to s * mult + plus,
@@ -222,20 +243,101 @@ static inline int64_t busy_slots(double total, double shipped, double cycles_per
     return (int64_t)s;
 }
 
+/* The chunk driver of the task draw and the estimate.  A call's n_chunks
+ * chunks go to the caller and the threads it starts in the order of one
+ * atomic counter, next_chunk.  Chunk c runs once ready > c: the caller's
+ * pre-pass stores ready (release) after it has written the chunk's start.
+ * run(job, c, stamp) runs chunk c on the stamp row of the thread that took
+ * it; a thread takes row next_row (row_len entries each) with its first
+ * chunk, so a call needs one row per thread.  done counts the chunks run.
+ * The caller takes chunks after its pre-pass, until the counter runs out,
+ * and then waits until done reaches n_chunks: it waits for chunks that
+ * were taken, never for a thread still to start.  So the threads are
+ * detached, and a driver with threads lives on the heap, held by the
+ * caller and each thread (refs) and freed by the last holder: a thread
+ * that starts after the call has returned finds no chunk and touches
+ * nothing else. */
+typedef struct {
+    int64_t next_chunk, ready, done, next_row, refs;
+    int64_t n_chunks, row_len;
+    int64_t *stamps;
+    void (*run)(const void *job, int64_t c, int64_t *stamp);
+    const void *job;
+} driver_t;
+
+/* Takes and runs chunks until none is left. */
+static void driver_take(driver_t *d)
+{
+    int64_t *stamp = 0;
+    for (int64_t c; (c = __atomic_fetch_add(&d->next_chunk, 1, __ATOMIC_RELAXED)) < d->n_chunks;) {
+        if (!stamp) stamp = d->stamps + d->row_len * __atomic_fetch_add(&d->next_row, 1, __ATOMIC_RELAXED);
+        while (__atomic_load_n(&d->ready, __ATOMIC_ACQUIRE) <= c) sched_yield();
+        d->run(d->job, c, stamp);
+        __atomic_fetch_add(&d->done, 1, __ATOMIC_RELEASE);
+    }
+}
+
+static void driver_release(driver_t *d)
+{
+    if (__atomic_sub_fetch(&d->refs, 1, __ATOMIC_ACQ_REL) == 0) free(d);
+}
+
+static void *driver_thread(void *arg)
+{
+    driver_take(arg);
+    driver_release(arg);
+    return 0;
+}
+
+/* A driver for n_chunks chunks of job on threads threads: at local, on the
+ * caller alone, for one thread (or when the heap is out); else on the heap,
+ * with threads - 1 detached threads started on it (those that can be). */
+static driver_t *driver_start(driver_t *local, int threads, int64_t n_chunks, int64_t *stamps, int64_t row_len,
+                              void (*run)(const void *, int64_t, int64_t *), const void *job)
+{
+    driver_t *d = threads > 1 ? malloc(sizeof *d) : 0;
+    if (!d) d = local;
+    *d = (driver_t){.refs = 1, .n_chunks = n_chunks, .row_len = row_len, .stamps = stamps, .run = run, .job = job};
+    for (int t = 1; d != local && t < threads; t++) {
+        pthread_t thread;
+        __atomic_fetch_add(&d->refs, 1, __ATOMIC_RELAXED);
+        if (pthread_create(&thread, 0, driver_thread, d) != 0) {
+            driver_release(d);
+            break;
+        }
+        pthread_detach(thread);
+    }
+    return d;
+}
+
+/* The pre-pass has written the starts of chunks [0, n). */
+static inline void driver_publish(driver_t *d, int64_t n)
+{
+    __atomic_store_n(&d->ready, n, __ATOMIC_RELEASE);
+}
+
+/* The caller's share, once its pre-pass has published every chunk: it
+ * takes chunks too, then waits for those the threads took. */
+static void driver_finish(driver_t *d, driver_t *local)
+{
+    driver_take(d);
+    while (__atomic_load_n(&d->done, __ATOMIC_ACQUIRE) < d->n_chunks) sched_yield();
+    if (d != local) driver_release(d);
+}
+
 /* One mecsched_estimate_slots call, shared by the threads that run it: its
  * arguments, the generator's state at the call (rng), the number of chunks
- * and each one's content-word offset (offset, see chunk_offsets), and the
- * two counters the threads take their chunks and stamp rows from.  Only
- * the counters change while the threads run. */
+ * and each one's content-word offset (offset, see chunk_offsets).  Nothing
+ * in it changes while the threads run but the offsets, which chunk_offsets
+ * publishes. */
 typedef struct {
     pcg64_t rng;
-    int64_t n_tasks, chunk, n_chunks, k_lo, capacity, n_contents;
-    const uint64_t *k_guide, *k_edge, *guide, *edge, *offset;
+    int64_t n_tasks, chunk, n_chunks, k_lo, capacity;
+    const uint64_t *k_guide, *k_edge, *guide, *edge;
+    uint64_t *offset;
     int k_shift, shift, avx512;
-    int64_t *stamps;
     double size_bits, cycles_per_bit, f_local_dt, f_mec_dt, rate_dt;
     double *local_counts, *mec_counts;
-    int64_t next_chunk, next_row;
 } estimate_t;
 
 /* Sample i's two counts: busy_slots of its bits size_bits * n_distinct (a
@@ -495,16 +597,17 @@ AVX512 static inline int64_t block_count(block_t *block, int64_t k, int64_t tag,
     return n_distinct;
 }
 
-AVX512 static void draw_tasks_avx512(uint64_t *pcg64, int64_t n_tasks, int64_t k_lo, uint32_t span, int64_t *ks,
-                                     const uint64_t *guide, int shift, const uint64_t *edge, int64_t capacity,
-                                     int64_t *stamp, int64_t *distinct)
+/* draw_tasks on the AVX-512 source. */
+AVX512 static void draw_tasks_avx512(pcg64_t *at, int64_t first, int64_t end, int64_t k_lo, uint32_t span,
+                                     int64_t *ks, const uint64_t *guide, int shift, const uint64_t *edge,
+                                     int64_t capacity, int64_t *stamp, int64_t *distinct)
 {
-    pcg64_t rng = pcg64_load(pcg64);
+    pcg64_t rng = *at;
     block_t block;
     block_start(&block, &rng, guide, shift, edge, capacity);
     const uint64_t k_range = (uint64_t)span + 1;
     const uint32_t threshold = (UINT32_MAX - span) % k_range;
-    for (int64_t i = 0; i < n_tasks; i++) {
+    for (int64_t i = first; i < end; i++) {
         int64_t k = k_lo;
         if (span) {
             uint64_t m = (uint64_t)block_next32(&block, &rng) * k_range;
@@ -515,25 +618,26 @@ AVX512 static void draw_tasks_avx512(uint64_t *pcg64, int64_t n_tasks, int64_t k
         distinct[i] = block_count(&block, k, i + 1, stamp);
     }
     block_end(&block, &rng);
-    pcg64_store(&rng, pcg64);
+    *at = rng;
 }
 
 /* chunk_offsets on the AVX-512 source: the k values from a block started at
  * the generator's state, ranked through the k tables at capacity 0, so
  * that each word's rank is kept in place. */
-AVX512 static void chunk_offsets_avx512(const estimate_t *e, uint64_t *offset)
+AVX512 static void chunk_offsets_avx512(const estimate_t *e, driver_t *driver)
 {
     block_t k_block;
     block_start(&k_block, &e->rng, e->k_guide, e->k_shift, e->k_edge, 0);
     uint64_t words = (uint64_t)e->n_tasks;
     for (int64_t c = 0, i = 0; c < e->n_chunks; c++) {
-        offset[c] = words;
+        e->offset[c] = words;
+        driver_publish(driver, c + 1);
         for (const int64_t end = i + e->chunk < e->n_tasks ? i + e->chunk : e->n_tasks; i < end; i++) {
             if (k_block.pos == BLOCK) block_fill(&k_block);
             words += (uint64_t)(e->k_lo + k_block.rank[k_block.pos++]);
         }
     }
-    offset[e->n_chunks] = words;
+    e->offset[e->n_chunks] = words;
 }
 
 /* estimate_chunk on the AVX-512 source: the k values from a block started
@@ -591,37 +695,121 @@ int mecsched_select_word_source(int avx512)
     return mecsched_word_source();
 }
 
-/* Draws n_tasks tasks in turn.  Task i's k is Generator.integers(k_lo,
- * k_lo + span + 1), numpy's 32-bit Lemire rejection (span < 2**32 - 1),
- * and is stored in ks[i].  Its k contents are Generator.random(k), and
- * distinct[i] gets the number of distinct ranks above capacity among
- * them. */
-void mecsched_draw_tasks(uint64_t *pcg64, int64_t n_tasks, int64_t k_lo, uint32_t span, int64_t *ks,
-                         const uint64_t *guide, int shift, const uint64_t *edge, int64_t capacity, int64_t *stamp,
-                         int64_t *distinct)
+/* Draws tasks [first, end) in turn from the state at, and leaves at past
+ * their words.  Task i's k is Generator.integers(k_lo, k_lo + span + 1),
+ * numpy's 32-bit Lemire rejection (span < 2**32 - 1), and is stored in
+ * ks[i].  Its k contents are Generator.random(k), and distinct[i] gets the
+ * number of distinct ranks above capacity among them, tagged i + 1 on
+ * stamp. */
+static void draw_tasks(int avx512, pcg64_t *at, int64_t first, int64_t end, int64_t k_lo, uint32_t span,
+                       int64_t *ks, const uint64_t *guide, int shift, const uint64_t *edge, int64_t capacity,
+                       int64_t *stamp, int64_t *distinct)
 {
 #ifdef MECSCHED_AVX512
-    if (avx512_words) {
-        draw_tasks_avx512(pcg64, n_tasks, k_lo, span, ks, guide, shift, edge, capacity, stamp, distinct);
+    if (avx512) {
+        draw_tasks_avx512(at, first, end, k_lo, span, ks, guide, shift, edge, capacity, stamp, distinct);
         return;
     }
 #endif
-    pcg64_t rng = pcg64_load(pcg64);
+    (void)avx512;
+    pcg64_t rng = *at;
     const uint64_t k_range = (uint64_t)span + 1;
     const uint32_t threshold = (UINT32_MAX - span) % k_range;
-    for (int64_t i = 0; i < n_tasks; i++) {
-        int64_t k = k_lo;
-        if (span) {
-            uint64_t m = (uint64_t)pcg64_next32(&rng) * k_range;
-            while ((uint32_t)m < threshold) m = (uint64_t)pcg64_next32(&rng) * k_range;
-            k += (int64_t)(m >> 32);
-        }
+    for (int64_t i = first; i < end; i++) {
+        const int64_t k = k_lo + (span ? lemire(&rng, k_range, threshold) : 0);
         ks[i] = k;
         int64_t n_distinct = 0;
         for (int64_t j = 0; j < k; j++)
             n_distinct += count(pcg64_next64(&rng), i + 1, guide, shift, edge, capacity, stamp);
         distinct[i] = n_distinct;
     }
+    *at = rng;
+}
+
+/* One chunked mecsched_draw_tasks call, shared by the threads that run it:
+ * its arguments, the word source, and each chunk's start state (start),
+ * which draw_skeleton writes and publishes. */
+typedef struct {
+    int64_t n_tasks, chunk, k_lo, capacity;
+    uint32_t span;
+    int avx512, shift;
+    int64_t *ks, *distinct;
+    const uint64_t *guide, *edge;
+    pcg64_t *start;
+} draw_t;
+
+static void draw_chunk(const void *job, int64_t c, int64_t *stamp)
+{
+    const draw_t *d = job;
+    pcg64_t rng = d->start[c];
+    const int64_t first = c * d->chunk, end = d->n_tasks - first < d->chunk ? d->n_tasks : first + d->chunk;
+    draw_tasks(d->avx512, &rng, first, end, d->k_lo, d->span, d->ks, d->guide, d->shift, d->edge, d->capacity,
+               stamp, d->distinct);
+}
+
+/* The chunked draw's pre-pass: from rng, each task's k draw, as draw_tasks
+ * makes it, then a jump past its k content words by one multiply-add,
+ * jump[k - k_lo] being the (mult, plus) of k steps.  It records each
+ * chunk's first state, the buffered half included, in start and publishes
+ * it, and leaves rng at the draw's end state. */
+static void draw_skeleton(const draw_t *d, const u128 (*jump)[2], pcg64_t *at, driver_t *driver)
+{
+    pcg64_t rng = *at;
+    pcg64_t *start = d->start;
+    const int64_t n_tasks = d->n_tasks, chunk = d->chunk;
+    const uint32_t span = d->span;
+    const uint64_t k_range = (uint64_t)span + 1;
+    const uint32_t threshold = (UINT32_MAX - span) % k_range;
+    for (int64_t c = 0, i = 0; i < n_tasks; c++) {
+        start[c] = rng;
+        driver_publish(driver, c + 1);
+        for (const int64_t end = n_tasks - i < chunk ? n_tasks : i + chunk; i < end; i++) {
+            const int64_t j = span ? lemire(&rng, k_range, threshold) : 0;
+            rng.state = rng.state * jump[j][0] + jump[j][1];
+        }
+    }
+    *at = rng;
+}
+
+/* Draws n_tasks tasks in turn (see draw_tasks), from the PCG64 state in
+ * pcg64, and stores the end state there.  With threads > 1 they run in
+ * chunks of chunk tasks (chunk >= 1, the last one shorter) on the chunk
+ * driver, threads rows of n_contents zeros in stamps, one per thread;
+ * draw_skeleton places each chunk in the stream, through a table of
+ * (mult, plus) for each of the span + 1 k values.  A draw of one chunk, or
+ * whose table would hold more entries than it has tasks, runs on the
+ * caller alone, as does one the heap cannot hold the table or the chunks'
+ * 48-byte starts for. */
+void mecsched_draw_tasks(uint64_t *pcg64, int64_t n_tasks, int64_t chunk, int threads, int64_t k_lo, uint32_t span,
+                         int64_t *ks, const uint64_t *guide, int shift, const uint64_t *edge, int64_t capacity,
+                         int64_t n_contents, int64_t *stamps, int64_t *distinct)
+{
+    draw_t d = {
+        .n_tasks = n_tasks, .chunk = chunk, .k_lo = k_lo, .capacity = capacity, .span = span,
+        .avx512 = mecsched_word_source(), .shift = shift, .ks = ks, .distinct = distinct, .guide = guide,
+        .edge = edge,
+    };
+    pcg64_t rng = pcg64_load(pcg64);
+    const int64_t n_chunks = (n_tasks + chunk - 1) / chunk;
+    u128 (*jump)[2] = 0;
+    if (threads > 1 && n_chunks > 1 && span < (uint64_t)n_tasks) {
+        d.start = malloc((size_t)n_chunks * sizeof *d.start);
+        jump = malloc(((size_t)span + 1) * sizeof *jump);
+    }
+    if (d.start && jump) {
+        driver_t local, *driver = driver_start(&local, threads, n_chunks, stamps, n_contents, draw_chunk, &d);
+        pcg64_jump(rng.inc, (uint64_t)k_lo, &jump[0][0], &jump[0][1]);
+        for (uint32_t j = 1; j <= span; j++) {
+            jump[j][0] = jump[j - 1][0] * PCG64_MULTIPLIER;
+            jump[j][1] = jump[j - 1][1] * PCG64_MULTIPLIER + rng.inc;
+        }
+        draw_skeleton(&d, (const u128 (*)[2])jump, &rng, driver);
+        driver_finish(driver, &local);
+    } else {
+        draw_tasks(d.avx512, &rng, 0, n_tasks, k_lo, span, ks, guide, shift, edge, capacity, stamps, distinct);
+    }
+    free(d.start);
+    free(jump);
     pcg64_store(&rng, pcg64);
 }
 
@@ -648,24 +836,26 @@ void mecsched_count_words(int64_t n_tasks, const int64_t *ks, const uint64_t *wo
 
 /* Ranks the k stream once, to set offset[c], the number of words from the
  * generator's state to chunk c's first content: n_tasks, the k words, then
- * the contents of every sample before the chunk.  offset[n_chunks] is
- * where the whole call's contents end. */
-static void chunk_offsets(const estimate_t *e, uint64_t *offset)
+ * the contents of every sample before the chunk.  Each offset is published
+ * as soon as it is written.  offset[n_chunks] is where the whole call's
+ * contents end. */
+static void chunk_offsets(const estimate_t *e, driver_t *driver)
 {
 #ifdef MECSCHED_AVX512
     if (e->avx512) {
-        chunk_offsets_avx512(e, offset);
+        chunk_offsets_avx512(e, driver);
         return;
     }
 #endif
     pcg64_t k_rng = e->rng;
     uint64_t words = (uint64_t)e->n_tasks;
     for (int64_t c = 0, i = 0; c < e->n_chunks; c++) {
-        offset[c] = words;
+        e->offset[c] = words;
+        driver_publish(driver, c + 1);
         for (const int64_t end = i + e->chunk < e->n_tasks ? i + e->chunk : e->n_tasks; i < end; i++)
             words += (uint64_t)(e->k_lo + rank(pcg64_next64(&k_rng), e->k_guide, e->k_shift, e->k_edge));
     }
-    offset[e->n_chunks] = words;
+    e->offset[e->n_chunks] = words;
 }
 
 /* Samples [first, first + size), whose first content is offset words past
@@ -701,19 +891,12 @@ static void estimate_chunk(const estimate_t *e, int64_t first, int64_t size, uin
     }
 }
 
-/* One thread's share of the estimate: it takes a stamp row, then chunks
- * until none is left.  The counters need no order: offset and the
- * arguments were written before the threads started, and each chunk
- * writes its own samples' counts, which the caller reads after the joins. */
-static void *estimate_chunks(void *arg)
+/* Chunk c of the estimate, on stamp. */
+static void estimate_job(const void *job, int64_t c, int64_t *stamp)
 {
-    estimate_t *e = arg;
-    int64_t *stamp = e->stamps + e->n_contents * __atomic_fetch_add(&e->next_row, 1, __ATOMIC_RELAXED);
-    for (int64_t c; (c = __atomic_fetch_add(&e->next_chunk, 1, __ATOMIC_RELAXED)) < e->n_chunks;) {
-        const int64_t first = c * e->chunk, size = e->n_tasks - first < e->chunk ? e->n_tasks - first : e->chunk;
-        estimate_chunk(e, first, size, e->offset[c], stamp);
-    }
-    return 0;
+    const estimate_t *e = job;
+    const int64_t first = c * e->chunk, size = e->n_tasks - first < e->chunk ? e->n_tasks - first : e->chunk;
+    estimate_chunk(e, first, size, e->offset[c], stamp);
 }
 
 /* The Monte Carlo estimate's n_tasks samples.  Their k values are
@@ -728,12 +911,12 @@ static void *estimate_chunks(void *arg)
  * content.
  *
  * The samples run in chunks of chunk samples (chunk >= 1), the last one
- * shorter.  chunk_offsets first ranks the k stream to place each chunk's
- * contents in offset (one word per chunk and one more); then the caller
- * and up to threads - 1 pthreads it starts take chunks, each thread on its
- * own row of stamps (threads rows of n_contents zeros), whose tags are the
- * samples' indices plus 1.  If a thread cannot be started, the threads
- * already running share the chunks. */
+ * shorter, on the chunk driver with threads threads, each on its own row of
+ * stamps (threads rows of n_contents zeros), whose tags are the samples'
+ * indices plus 1.  chunk_offsets is the pre-pass: it ranks the k stream to
+ * place each chunk's contents in offset (one word per chunk and one
+ * more).  If a thread cannot be started, the threads already running share
+ * the chunks. */
 void mecsched_estimate_slots(uint64_t *pcg64, int64_t n_tasks, int64_t chunk, int threads, int64_t k_lo,
                              const uint64_t *k_guide, int k_shift, const uint64_t *k_edge, const uint64_t *guide,
                              int shift, const uint64_t *edge, int64_t capacity, int64_t n_contents, int64_t *stamps,
@@ -742,18 +925,14 @@ void mecsched_estimate_slots(uint64_t *pcg64, int64_t n_tasks, int64_t chunk, in
 {
     estimate_t e = {
         .rng = pcg64_load(pcg64), .n_tasks = n_tasks, .chunk = chunk, .n_chunks = (n_tasks + chunk - 1) / chunk,
-        .k_lo = k_lo, .capacity = capacity, .n_contents = n_contents, .k_guide = k_guide, .k_edge = k_edge,
-        .guide = guide, .edge = edge, .offset = offset, .k_shift = k_shift, .shift = shift,
-        .avx512 = mecsched_word_source(), .stamps = stamps, .size_bits = size_bits,
-        .cycles_per_bit = cycles_per_bit, .f_local_dt = f_local_dt, .f_mec_dt = f_mec_dt, .rate_dt = rate_dt,
-        .local_counts = local_counts, .mec_counts = mec_counts,
+        .k_lo = k_lo, .capacity = capacity, .k_guide = k_guide, .k_edge = k_edge, .guide = guide, .edge = edge,
+        .offset = offset, .k_shift = k_shift, .shift = shift, .avx512 = mecsched_word_source(),
+        .size_bits = size_bits, .cycles_per_bit = cycles_per_bit, .f_local_dt = f_local_dt, .f_mec_dt = f_mec_dt,
+        .rate_dt = rate_dt, .local_counts = local_counts, .mec_counts = mec_counts,
     };
-    chunk_offsets(&e, offset);
-    pthread_t workers[threads > 1 ? threads - 1 : 1];
-    int started = 0;
-    while (started < threads - 1 && pthread_create(&workers[started], 0, estimate_chunks, &e) == 0) started++;
-    estimate_chunks(&e);
-    for (int t = 0; t < started; t++) pthread_join(workers[t], 0);
+    driver_t local, *driver = driver_start(&local, threads, e.n_chunks, stamps, n_contents, estimate_job, &e);
+    chunk_offsets(&e, driver);
+    driver_finish(driver, &local);
     pcg64_t rng = e.rng;
     pcg64_advance(&rng, offset[e.n_chunks]);
     pcg64_store(&rng, pcg64);

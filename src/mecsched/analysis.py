@@ -122,7 +122,9 @@ def expected_local_bits(
     first = 0
     while first < k.size:
         stop = k.size if k.size - first <= block + 1 else first + block
-        distinct[first:stop] = (1.0 - np.power.outer(miss, k[first:stop])).sum(axis=0)
+        table = np.power.outer(miss, k[first:stop])
+        np.subtract(1.0, table, out=table)
+        distinct[first:stop] = table.sum(axis=0)
         first = stop
     return size_bits * float(np.dot(weights, distinct))
 

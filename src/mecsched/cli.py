@@ -265,8 +265,13 @@ def _frontier_point(
     else:
         lo, hi = rate_lo, rate_hi
         best = min((abs(d_lo - target_s), rate_lo, d_lo), (abs(d_hi - target_s), rate_hi, d_hi))
+        status = None
         for _ in range(max_iter):
             mid = math.sqrt(lo * hi)
+            if not lo < mid < hi:
+                # The bracket has collapsed: every later round would rerun a
+                # probe already made, so the rounds are over.
+                break
             d_mid = evaluate(mid)
             probes += 1
             if abs(d_mid - target_s) <= inner:
@@ -278,7 +283,7 @@ def _frontier_point(
                 lo = mid
             else:
                 hi = mid
-        else:
+        if status is None:
             dist, rate, delay = best
             status = "ok"
             if dist > tolerance_s:

@@ -40,9 +40,10 @@ rank edges, which give the binary search's rank for every uniform.  While
 the kernel is ``None``, the draws take the stream's definition, one task
 at a time: about 20 us per task against about 0.15 us in C (0.2 us with
 the scalar step; a default task has about 50 contents).  The estimate's
-draw is the kernel's too, ``k`` values included, in one call that shares
-its samples with threads it starts itself, one per CPU the process may
-run on (:func:`sample_slot_counts`).
+draw is the kernel's too, ``k`` values included.  Each compiled draw is one
+kernel call that shares its tasks with threads it starts itself, one per
+CPU the process may run on, each thread with at least ``_PART_FLOOR``
+tasks (:func:`sample_tasks`, :func:`sample_slot_counts`).
 """
 
 from __future__ import annotations
@@ -88,17 +89,23 @@ _ARRIVAL_CHUNK = 1 << 16
 # error-state switch), and its temporaries span the step, so a single step
 # would raise the peak memory.  The stream is the same for any step size.
 _STEP_TASKS = 4096
-# The fewest samples per thread of the compiled estimate.  Two threads
-# against one at the defaults, timed as the first estimate of a fresh
-# process with numpy.random imported (2-vCPU Xeon with AVX-512F, chunks of
-# 1024, medians of 60 interleaved processes): 1.85 against 1.12 ms at 6000
-# samples, 3.39 against 3.14 ms at 20,000, 3.61 against 3.88 ms at 25,000
-# and 6.07 against 7.45 ms at 50,000.  A process's first thread start
-# costs 245-330 us, and the other vCPU here often took 1-2 ms to run it.
-# Back to back in one long process two threads already won at 1500
-# samples (median time ratio 0.89, 159 of 201 rounds), but a command
-# draws one estimate.
-_PART_FLOOR = 12000
+# The fewest tasks or samples per thread of the compiled draw and estimate
+# (_parts).  One thread against two, each a command's draws or estimate in a
+# fresh process with numpy.random imported (the draws: simulate's three
+# seeds at lambda 0.4, horizon 2.5 slots per task; 2-vCPU Xeon with
+# AVX-512F; medians of 20 interleaved processes per side):
+#
+#     three draws of   1 thread   2 threads   2 won     estimate of   1 thread   2 threads   2 won
+#      1500 tasks      1.81 ms    1.84 ms     6/20      1500 samples  1.09 ms    1.13 ms     7/20
+#      3000 tasks      2.48 ms    2.32 ms    15/20      3000 samples  1.29 ms    1.20 ms    16/20
+#      6000 tasks      4.08 ms    3.32 ms    19/20      6000 samples  1.65 ms    1.42 ms    18/20
+#     12000 tasks      7.45 ms    6.13 ms    19/20     20000 samples  3.78 ms    2.64 ms    19/20
+#                                                      50000 samples  8.12 ms    5.23 ms    19/20
+#
+# A process's first thread start costs 100-400 us, and the other vCPU here
+# often runs the thread a millisecond late.  The caller then draws on alone
+# and loses only the start and its pre-pass: 55-85 us at 6000 tasks.
+_PART_FLOOR = 1500
 # Samples per chunk of the compiled estimate, which its threads take in
 # turn; each chunk sets up both streams anew (two jumps and the lanes'
 # start) and leaves the rest of its last content block unread.  Back to
@@ -106,6 +113,11 @@ _PART_FLOOR = 12000
 # each other (8192: +2%); as the first estimate of a fresh process, 1024
 # timed 0.964 of 2048 (median of 60 interleaved pairs) and 512 1.037.
 _CHUNK = 1024
+# Tasks per chunk of the compiled task draw, whose chunks set up one stream
+# each.  Back to back at 39,858 tasks on two threads, 128 to 1024 timed
+# within 3% of each other; fewer tasks per chunk leave less for the caller
+# to wait on when the other thread starts late.
+_DRAW_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -246,6 +258,17 @@ def sample_tasks(
     drawing each task in turn as ``k = rng.integers(k_min, k_max + 1)``
     followed by ``rng.random(k)``.  The cache holds ranks ``1..capacity``.
     Any bit generator but ``PCG64`` raises a ``TypeError`` before a draw.
+
+    The compiled draw runs on ``P`` threads (:func:`_parts`), in chunks of
+    ``_DRAW_CHUNK`` tasks.  Its one kernel call starts ``P - 1`` threads,
+    then walks the tasks once without their contents: each task's ``k``
+    draw, then a jump past its ``k`` content words, recording the
+    generator's state at each chunk's first task.  Each thread, the
+    caller's too, takes chunks in turn and draws them from those states,
+    so every ``P`` and chunk size gives the tasks and the end state of one
+    pass.  A ``k`` span with more values than the draw has tasks, whose
+    jump table would outgrow the draw, is drawn on the caller's thread
+    alone.  The generator keeps its state if the call raises.
     """
     if type(rng.bit_generator) is not np.random.PCG64:
         raise TypeError(f"the draws step numpy's PCG64 only, got {type(rng.bit_generator).__name__}")
@@ -258,11 +281,12 @@ def sample_tasks(
             ks[i] = rng.integers(cfg.k_min, cfg.k_max + 1)
             distinct[i] = draw_contents(rng, catalog, ks[i:i + 1], capacity)[0]
         return ks, distinct
-    stamp = np.zeros(catalog.n_contents, dtype=np.int64)
+    parts = _parts(n_tasks)
+    stamps = np.zeros((parts, catalog.n_contents), dtype=np.int64)
     with _pcg64_words(rng.bit_generator) as words:
         lib.mecsched_draw_tasks(
-            words, n_tasks, cfg.k_min, cfg.k_max - cfg.k_min, ks, catalog.guide, catalog.guide_shift,
-            catalog.edge, capacity, stamp, distinct,
+            words, n_tasks, _DRAW_CHUNK, parts, cfg.k_min, cfg.k_max - cfg.k_min, ks, catalog.guide,
+            catalog.guide_shift, catalog.edge, capacity, catalog.n_contents, stamps, distinct,
         )
     return ks, distinct
 
@@ -308,9 +332,9 @@ def sample_slot_counts(
 
     The compiled estimate runs on ``P`` threads (:func:`_parts`): ``P`` is
     the number of CPUs in ``os.sched_getaffinity(0)``, capped at ``samples
-    // _PART_FLOOR``.  The kernel's one call ranks the ``k`` values once to
-    place each chunk of ``_CHUNK`` samples in the contents' stream, starts
-    ``P - 1`` threads and runs in the caller's too, and each thread takes
+    // _PART_FLOOR``.  The kernel's one call starts ``P - 1`` threads, then
+    ranks the ``k`` values once to place each chunk of ``_CHUNK`` samples
+    in the contents' stream, and each thread, the caller's too, takes
     chunks in turn, jumping both streams to the chunk's first sample and
     writing its own range of the counts; so every ``P`` and chunk size
     gives the counts and the end state of one pass over the samples.  The
@@ -350,12 +374,12 @@ def sample_slot_counts(
     return local_counts, mec_counts
 
 
-def _parts(samples: int) -> int:
-    """The compiled estimate's thread count: the number of CPUs this
-    process may run on, capped so that each thread's share holds at least
-    ``_PART_FLOOR`` samples."""
+def _parts(items: int) -> int:
+    """The thread count of a compiled draw of ``items`` tasks or estimate of
+    ``items`` samples: the number of CPUs this process may run on, capped
+    so that each thread's share holds at least ``_PART_FLOOR`` items."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return max(1, min(cpus, samples // _PART_FLOOR))
+    return max(1, min(cpus, items // _PART_FLOOR))
 
 
 @contextmanager

@@ -75,6 +75,33 @@ def assert_same_metrics(a: RunMetrics, b: RunMetrics) -> None:
             assert type(x) is type(y) and x == y, f.name
 
 
+class Recording:
+    """A kernel whose threaded entries, the estimate and the task draw,
+    record the ``(chunk, threads)`` of each call; with ``fail``
+    ``"before"`` or ``"after"``, they raise before or after running the
+    real entry."""
+
+    def __init__(self, kernel, fail=None):
+        self._kernel, self._fail, self.calls = kernel, fail, []
+
+    def __getattr__(self, name):
+        return getattr(self._kernel, name)
+
+    def _call(self, what, entry, words, n, chunk, threads, *rest):
+        self.calls.append((chunk, threads))
+        if self._fail == "before":
+            raise RuntimeError(f"{what} failed before it ran")
+        entry(words, n, chunk, threads, *rest)
+        if self._fail == "after":
+            raise RuntimeError(f"{what} failed after it ran")
+
+    def mecsched_estimate_slots(self, *args):
+        self._call("estimate", self._kernel.mecsched_estimate_slots, *args)
+
+    def mecsched_draw_tasks(self, *args):
+        self._call("draw", self._kernel.mecsched_draw_tasks, *args)
+
+
 def estimate_in_parts(catalog, capacity, params, ks, samples, seed, chunk=None, threads=None) -> tuple[list, dict]:
     """``sample_slot_counts``' two count lists, drawn from
     ``default_rng(seed)``, and the generator's state after the draw.  The
@@ -91,6 +118,25 @@ def estimate_in_parts(catalog, capacity, params, ks, samples, seed, chunk=None, 
     return [a.tolist() for a in counts], rng.bit_generator.state
 
 
+def draw_in_parts(catalog, cfg, n_tasks, capacity, seed, chunk=None, threads=None) -> tuple[list, dict]:
+    """``sample_tasks``' k values and distinct counts, drawn from
+    ``default_rng(seed)`` with a 32-bit half buffered, and the generator's
+    state after the draw.  The compiled draw takes its chunks of ``chunk``
+    tasks on ``threads`` threads, where they are given; the Python path
+    ignores both."""
+    rng = np.random.default_rng(seed)
+    state = rng.bit_generator.state
+    state["has_uint32"], state["uinteger"] = 1, 0x9E3779B9
+    rng.bit_generator.state = state
+    with contextlib.ExitStack() as stack:
+        if chunk is not None:
+            stack.enter_context(mock.patch.object(workload, "_DRAW_CHUNK", chunk))
+        if threads is not None:
+            stack.enter_context(mock.patch.object(workload, "_parts", lambda items: threads))
+        drawn = sample_tasks(rng, catalog, cfg, n_tasks, capacity)
+    return [a.tolist() for a in drawn], rng.bit_generator.state
+
+
 def compare_at_the_extremes(sanitized) -> None:
     """Assert, once for each word source of the kernel ``sanitized``, that it
     and the Python paths agree at the extremes (see :func:`_compare`)."""
@@ -105,9 +151,10 @@ def _compare(sanitized) -> None:
     buckets, draws, estimates and the count on given words at capacities 0
     and n (every rank kept, or none, by the AVX-512 draw's compressed
     stores), k spans 0 and K_SPAN_LIMIT - 1, the estimate's k draw from a
-    one-entry cdf and from wider ones, estimates on worker threads in
-    chunks (of one sample, of seven, from the k block's edge, and the last
-    sample alone, at k spans 0 and 299, with the generator's end state),
+    one-entry cdf and from wider ones, estimates and task draws on worker
+    threads in chunks (of one task, of seven, from the block's edge, and
+    the last task alone, at k spans 0, 63 and 299, with the generator's end
+    state),
     first words 0, 2**64 - 1 and a
     rank edge's first word in the task draw, with a 32-bit half buffered at
     the start (the generator's end state included), and runs with tasks
@@ -147,6 +194,16 @@ def _compare(sanitized) -> None:
             compiled, python = both(
                 lambda: estimate_in_parts(catalog, capacity, TIE_PARAMS, ks, 300, 1, chunk, threads)
             )
+            assert compiled == python, (catalog.n_contents, capacity, chunk, threads)
+    # Task draws on worker threads, each chunk starting from the state the
+    # skeleton pass recorded at its first task (a buffered half included):
+    # chunks of one task and of seven, chunks from the block's edge, and a
+    # last chunk of one task, at k spans 0, 63 and 299, whose jump table of
+    # 300 entries is the longest a 300-task draw still runs in chunks with.
+    for catalog, capacity, k_min, k_max in ((steep, 5, 7, 7), (large, 0, 1, 300), (large, 50, 3, 66)):
+        cfg = WorkloadConfig(0.4, k_min, k_max)
+        for chunk, threads in ((1, 3), (7, 2), (256, 4), (299, 2)):
+            compiled, python = both(lambda: draw_in_parts(catalog, cfg, 300, capacity, 1, chunk, threads))
             assert compiled == python, (catalog.n_contents, capacity, chunk, threads)
     # The count on given words: 300 of them, a whole block and a part of
     # one, which ends inside an eight-word group.

@@ -26,7 +26,7 @@ from mecsched.dynamics import SystemParams, slots_local, slots_mec, task_bits
 from mecsched.errors import ConfigError
 from mecsched.workload import draw_contents, draw_ranks, sample_slot_counts
 from draw_paths import drawing_on, paths
-from kernel_extremes import estimate_in_parts
+from kernel_extremes import Recording, estimate_in_parts
 
 
 @pytest.fixture(scope="module")
@@ -225,26 +225,6 @@ def _chunks(samples: int) -> list[int]:
     return sorted({size for size in (1, 255, 256, 257, samples // 2, samples - 1, samples) if size > 0})
 
 
-class _Recording:
-    """A kernel whose estimate entry records the ``(chunk, threads)`` of
-    each call; with ``fail`` ``"before"`` or ``"after"``, it raises before
-    or after running the real entry."""
-
-    def __init__(self, kernel, fail=None):
-        self._kernel, self._fail, self.calls = kernel, fail, []
-
-    def __getattr__(self, name):
-        return getattr(self._kernel, name)
-
-    def mecsched_estimate_slots(self, words, samples, chunk, threads, *rest):
-        self.calls.append((chunk, threads))
-        if self._fail == "before":
-            raise RuntimeError("estimate failed before it ran")
-        self._kernel.mecsched_estimate_slots(words, samples, chunk, threads, *rest)
-        if self._fail == "after":
-            raise RuntimeError("estimate failed after it ran")
-
-
 def test_estimate_in_parts_equals_one_whole_call(catalog, params) -> None:
     # Each chunk starts its k values at its first sample and its contents
     # past the k words and every earlier sample's contents, so any chunk
@@ -258,7 +238,7 @@ def test_estimate_in_parts_equals_one_whole_call(catalog, params) -> None:
             with drawing_on(kernel, source):
                 for chunk in _chunks(samples):
                     for threads in range(1, 5):
-                        recording = _Recording(kernel)
+                        recording = Recording(kernel)
                         with mock.patch.object(_kernel, "lib", recording):
                             drawn = estimate_in_parts(catalog, 50, params, ks, samples, 9, chunk, threads)
                         assert recording.calls == [(chunk, threads)]
@@ -285,7 +265,7 @@ def test_estimate_parts_follow_the_cpus_and_change_nothing() -> None:
     for kernel, source in paths()[:-1]:
         drawn = []
         for cpus in (1, 2, 3, 8):
-            recording = _Recording(kernel)
+            recording = Recording(kernel)
             with drawing_on(kernel, source), mock.patch.object(_kernel, "lib", recording), \
                     mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True), \
                     mock.patch.object(threading.Thread, "start", no_thread):
@@ -307,7 +287,7 @@ def test_a_failing_part_raises_in_the_caller_and_keeps_the_state(catalog, params
     fail, threads = fail_at
     rng = np.random.default_rng(2)
     before = rng.bit_generator.state
-    recording = _Recording(_kernel.lib, fail)
+    recording = Recording(_kernel.lib, fail)
     with mock.patch.object(_kernel, "lib", recording), mock.patch.object(np.random, "default_rng", lambda seed: rng), \
             mock.patch.object(workload, "_parts", lambda samples: threads):
         with pytest.raises(RuntimeError, match=f"estimate failed {fail} it ran"):

@@ -16,6 +16,7 @@ import pytest
 from mecsched import _kernel, workload
 from mecsched.config import ExperimentConfig, build_system
 from mecsched.workload import draw_tasks
+from kernel_extremes import Recording
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_layers.py"
 
@@ -39,8 +40,9 @@ def test_measure_point_reports_a_small_point(monkeypatch) -> None:
     point = tool.measure_point(overrides, reference)
 
     assert set(point) == {
-        "draw_us_per_task", "draw_us_per_task_range", "run_us_per_slot",
-        "run_us_per_slot_range", "run_bytes_per_task", "tasks", "reference_s", "host_speed",
+        "draw_us_per_task", "draw_us_per_task_range", "parts", "one_part_draw_us_per_task",
+        "one_part_draw_us_per_task_range", "run_us_per_slot", "run_us_per_slot_range", "run_bytes_per_task",
+        "tasks", "reference_s", "host_speed",
     }
     catalog, capacity, _, workload_cfg, _ = build_system(ExperimentConfig(horizon_slots=2000, **overrides).validate())
     assert point["tasks"] == draw_tasks(catalog, capacity, workload_cfg, 2000, seed=0).arrival_slot.size
@@ -49,6 +51,9 @@ def test_measure_point_reports_a_small_point(monkeypatch) -> None:
     assert point["reference_s"] == [0.2, 0.4]
     assert point["host_speed"] == [0.25, 0.5]
     assert point["draw_us_per_task"] > 0 and point["run_us_per_slot"] > 0
+    assert point["parts"] == [workload._parts(point["tasks"])]
+    low, high = point["one_part_draw_us_per_task_range"]
+    assert 0 < low == point["one_part_draw_us_per_task"] == high
 
 
 def test_measure_estimate_reports_the_analyze_point(monkeypatch) -> None:
@@ -73,20 +78,6 @@ def test_measure_estimate_reports_the_analyze_point(monkeypatch) -> None:
         assert 0 < low <= point[key] <= high
 
 
-class _Threads:
-    """A kernel that records the thread count of each estimate call."""
-
-    def __init__(self, kernel):
-        self._kernel, self.threads = kernel, []
-
-    def __getattr__(self, name):
-        return getattr(self._kernel, name)
-
-    def mecsched_estimate_slots(self, words, samples, chunk, threads, *rest):
-        self.threads.append(threads)
-        self._kernel.mecsched_estimate_slots(words, samples, chunk, threads, *rest)
-
-
 def test_measure_estimate_records_its_parts_and_times_one_part(monkeypatch) -> None:
     # On two CPUs, an estimate of two floors' samples runs on two threads:
     # each repeat asks the kernel for two, then for one for the one-part
@@ -98,13 +89,36 @@ def test_measure_estimate_records_its_parts_and_times_one_part(monkeypatch) -> N
     monkeypatch.setattr(tool, "SEEDS", (0,))
     monkeypatch.setattr(tool, "REPEATS", 3)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    recording = _Threads(_kernel.lib)
+    recording = Recording(_kernel.lib)
     monkeypatch.setattr(_kernel, "lib", recording)
     point = tool.measure_estimate({"time_reference": lambda: 0.1, "REFERENCE_S": 0.1})
 
     assert point["parts"] == 2
-    assert recording.threads == [2, 1] * 3
+    assert [threads for _, threads in recording.calls] == [2, 1] * 3
     assert point["one_part_us_per_sample"] > 0 and point["estimate_us_per_sample"] > 0
+
+
+def test_measure_point_records_its_draws_parts_and_times_one_part(monkeypatch) -> None:
+    # On two CPUs, a seed drawing more than two floors' tasks draws on two
+    # threads: each repeat asks the kernel for two, then for one for the
+    # one-part time.
+    if _kernel.lib is None:
+        pytest.skip("no C compiler: the compiled draw is not built")
+    tool = _load_tool()
+    monkeypatch.setattr(tool, "HORIZON", 8 * workload._PART_FLOOR)
+    monkeypatch.setattr(tool, "SEEDS", (0,))
+    monkeypatch.setattr(tool, "REPEATS", 3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    recording = Recording(_kernel.lib)
+    monkeypatch.setattr(_kernel, "lib", recording)
+    times = iter((0.1, 0.1))
+    reference = {"time_reference": lambda: next(times), "REFERENCE_S": 0.1}
+    point = tool.measure_point({"policy": "lyapunov", "arrival_prob": 0.4}, reference)
+
+    assert point["tasks"] >= 2 * workload._PART_FLOOR
+    assert point["parts"] == [2]
+    assert [threads for _, threads in recording.calls] == [2, 1] * 3
+    assert point["one_part_draw_us_per_task"] > 0 and point["draw_us_per_task"] > 0
 
 
 def test_measure_commands_times_the_benchmark_commands_cold(monkeypatch) -> None:

@@ -411,6 +411,25 @@ def test_frontier_point_exits(monkeypatch, curve, max_iter, status, rate, delay,
     assert row["probe_runs"] == probes
 
 
+def test_frontier_stops_once_its_bracket_collapses(capsys) -> None:
+    # Here the geometric midpoint equals one of the bracket's ends after 55
+    # rounds; every later round would rerun a probe already made (3002
+    # probes at --max-iter 3000).  The loop ends there, with the answer it
+    # had.
+    argv = [
+        "frontier", "--seeds", "0", "--set", "horizon_slots=2000", "--set", "lambda=0.2", "--set", "v_param=0",
+        "--target-delay-s", "0.8", "--tolerance-s", "0.0001", "--f-values", "2e9", "--m-values", "50",
+        "--r-bracket", "1e8,2e10", "--max-iter", "3000",
+    ]
+    assert main(argv) == 0
+    header, line = capsys.readouterr().out.splitlines()
+    row = dict(zip(header.split(","), line.split(",")))
+    assert int(row["probe_runs"]) <= 64
+    assert (row["required_rate_bps"], row["status"], row["achieved_delay_s"]) == (
+        "nan", "unreachable", "0.8005494505494506",
+    )
+
+
 def test_frontier_rejects_bad_grid() -> None:
     config = ExperimentConfig().validate()
     with pytest.raises(ConfigError):

@@ -60,7 +60,9 @@ def test_kernel_calls_no_math_library_function() -> None:
     # would be a call through the PLT inside the slot loop, resolved from
     # whatever the process loaded.  The kernel makes its own.  Runtime
     # helpers a toolchain may add (names starting "__") are not counted;
-    # the estimate's thread start and join are the only library calls.
+    # the chunk driver's are the only library calls: its threads' start,
+    # detach and yield, and the heap for its shared block, the draw's chunk
+    # starts and its jump table.
     nm = shutil.which("nm")
     if _kernel.lib is None or nm is None:
         pytest.skip("no kernel loaded, or no nm to list its symbols")
@@ -68,7 +70,7 @@ def test_kernel_calls_no_math_library_function() -> None:
     assert listing.returncode == 0, listing.stderr
     undefined = [fields[-1] for fields in map(str.split, listing.stdout.splitlines()) if fields[0] == "U"]
     called = sorted(name.split("@")[0] for name in undefined if not name.startswith("__"))
-    assert called == ["pthread_create", "pthread_join"]
+    assert called == ["free", "malloc", "pthread_create", "pthread_detach", "sched_yield"]
 
 
 @needs_cc
@@ -121,6 +123,22 @@ def test_a_fresh_build_removes_only_builds_older_than_30_days(cache) -> None:
     os.utime(old, (month_ago, month_ago))
     assert _kernel.load() is not None
     assert old.exists()
+
+
+def test_a_fresh_build_prunes_old_sanitizer_programs_too(cache) -> None:
+    # The tests' sanitizer programs share the cache with the kernel's builds;
+    # each revision of their sources leaves one behind.  The pruning a fresh
+    # build runs (the test above) removes them too, and keeps the new build
+    # whatever its age.
+    cache.mkdir(parents=True)
+    old, recent, keep = (cache / name for name in ("tsan_estimate-" + "0" * 64, "tsan_estimate-" + "1" * 64, "new.so"))
+    month_ago = time.time() - 31 * 24 * 3600
+    for planted in (old, recent, keep):
+        planted.write_bytes(b"")
+    for planted in (old, keep):
+        os.utime(planted, (month_ago, month_ago))
+    _kernel._remove_stale(keep)
+    assert sorted(path.name for path in cache.iterdir()) == sorted((recent.name, keep.name))
 
 
 @needs_cc
@@ -281,8 +299,9 @@ def _tsan_program() -> Path:
 @needs_cc
 def test_thread_sanitizer_finds_no_race_in_the_estimate() -> None:
     # A standalone program over the kernel's source (tests/tsan_estimate.c),
-    # built with ThreadSanitizer, runs the estimate on 2-4 threads in chunks
-    # of 1 and 7 samples on each word source and compares each run with a
+    # built with ThreadSanitizer, runs the estimate and the task draw on 2-4
+    # threads in chunks of 1 and 7 tasks on each word source, then many
+    # times with more threads than chunks, and compares each run with a
     # one-thread run.  TSan cannot be preloaded into Python, so the test
     # is a program of its own.  Skipped where cc cannot build it.
     program = _tsan_program()

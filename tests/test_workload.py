@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +18,7 @@ from mecsched.workload import (
 )
 from draw_paths import drawing_on, paths
 from fixed_uniforms import count_words, distinct_uncached, pcg64_with_next
+from kernel_extremes import Recording, draw_in_parts
 
 
 @pytest.fixture(scope="module")
@@ -254,6 +258,60 @@ def test_k_draw_rejects_values_in_a_row(catalog: ContentCatalog) -> None:
             ks, distinct = sample_tasks(fast, catalog, cfg, 5, 0)
         assert (ks.tolist(), distinct.tolist()) == _one_task_at_a_time(reference, catalog, cfg, 5, 0)
         assert fast.bit_generator.state == reference.bit_generator.state
+
+
+# (k range, tasks): spans 0, 60 and 999 over about 1100 tasks, and a span
+# of 999 over 515 tasks, whose jump table would hold more entries than the
+# draw has tasks, so that it runs on the caller alone.
+_PART_CASES = [((7, 7), 1100), ((20, 80), 1100), ((1, 1000), 1100), ((1, 1000), 515)]
+
+
+@pytest.mark.skipif(_kernel.lib is None, reason="the kernel is not loaded")
+def test_task_draw_in_parts_equals_one_serial_call(catalog: ContentCatalog) -> None:
+    # Each chunk starts from the state the skeleton pass recorded at its
+    # first task, a buffered 32-bit half included, so any chunk size on any
+    # number of threads gives the k values, the distinct counts and the end
+    # state of one serial call, on every word source.
+    for (k_min, k_max), n_tasks in _PART_CASES:
+        cfg = WorkloadConfig(0.4, k_min, k_max)
+        for path in paths()[:-1]:
+            with drawing_on(*path):
+                expected = draw_in_parts(catalog, cfg, n_tasks, 50, n_tasks, n_tasks, 1)
+                for chunk in (1, 255, 256, 257, n_tasks - 1, n_tasks):
+                    for threads in range(1, 5):
+                        drawn = draw_in_parts(catalog, cfg, n_tasks, 50, n_tasks, chunk, threads)
+                        assert drawn == expected, (k_min, k_max, n_tasks, path[1], chunk, threads)
+
+
+@pytest.mark.skipif(_kernel.lib is None, reason="the kernel is not loaded")
+def test_task_draw_parts_follow_the_cpus(catalog: ContentCatalog) -> None:
+    # 6000 tasks, a perfbench simulate_mixed seed's, take both CPUs of a
+    # two-CPU process, in one kernel call; each thread keeps at least the
+    # floor's tasks.
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True):
+        assert workload._parts(6000) == 2
+        recording = Recording(_kernel.lib)
+        with mock.patch.object(_kernel, "lib", recording):
+            sample_tasks(np.random.default_rng(3), catalog, _cfg(), 6000, 50)
+            sample_tasks(np.random.default_rng(3), catalog, _cfg(), 2 * workload._PART_FLOOR - 1, 50)
+        assert recording.calls == [(workload._DRAW_CHUNK, 2), (workload._DRAW_CHUNK, 1)]
+
+
+@pytest.mark.skipif(_kernel.lib is None, reason="the kernel is not loaded")
+@pytest.mark.parametrize("fail_at", [("before", 1), ("after", 1), ("after", 4)])
+def test_a_failing_draw_raises_in_the_caller_and_keeps_the_state(catalog: ContentCatalog, fail_at) -> None:
+    # A draw entry that raises, before it runs or after it has run on one
+    # or several threads, makes the draw raise, and the generator keeps its
+    # state.
+    fail, threads = fail_at
+    rng = np.random.default_rng(2)
+    before = rng.bit_generator.state
+    recording = Recording(_kernel.lib, fail)
+    with mock.patch.object(_kernel, "lib", recording), mock.patch.object(workload, "_parts", lambda items: threads):
+        with pytest.raises(RuntimeError, match=f"draw failed {fail} it ran"):
+            sample_tasks(rng, catalog, _cfg(), 3000, 50)
+    assert recording.calls == [(workload._DRAW_CHUNK, threads)]
+    assert rng.bit_generator.state == before
 
 
 def test_sample_tasks_refuse_any_other_bit_generator(catalog: ContentCatalog) -> None:

@@ -1,10 +1,12 @@
-/* A ThreadSanitizer test program for the Monte Carlo estimate's threads,
- * built by tests/test_kernel.py with -fsanitize=thread against the kernel's
- * source.  On each word source the processor has, it runs
- * mecsched_estimate_slots on 2 to 4 threads in chunks of 1 and 7 samples and
- * compares the counts and the end state with a run on one thread in one
- * chunk.  It prints "runs N" and exits 0 when all N runs agree; TSan's
- * reports go to stderr.
+/* A ThreadSanitizer test program for the kernel's threads, built by
+ * tests/test_kernel.py with -fsanitize=thread against the kernel's source.
+ * On each word source the processor has, it runs mecsched_estimate_slots
+ * and mecsched_draw_tasks on 2 to 4 threads in chunks of 1 and 7 tasks and
+ * compares the results and the end state with a run on one thread.  Then
+ * it calls each entry many times in a row with more threads than chunks,
+ * so that threads start after the last chunk was taken, and often after
+ * the call has returned.  It prints "runs N" and exits 0 when all N runs
+ * agree; TSan's reports go to stderr.
  */
 #include "_slot_loop.c"
 
@@ -15,7 +17,7 @@
  * threads that shared a stamp row would miscount.  One-bit contents, free
  * compute and a half-bit-per-slot link make the counts 2 * distinct and
  * 2 * k. */
-enum { SAMPLES = 300, CONTENTS = 50, KS = 21, K_LO = 40, CAPACITY = 5, MAX_THREADS = 4 };
+enum { SAMPLES = 300, CONTENTS = 50, KS = 21, K_LO = 40, CAPACITY = 5, MAX_THREADS = 4, LATE_CALLS = 40 };
 
 static double cdf[CONTENTS], k_cdf[KS];
 static uint64_t guide[4 * CONTENTS * 2 + 1], edge[CONTENTS], k_guide[4 * KS * 2 + 1], k_edge[KS];
@@ -29,15 +31,46 @@ static int shift_for(int64_t n)
     return 64 - log2_buckets;
 }
 
+/* The state both entries start from; the draw's has a 32-bit half
+ * buffered. */
+static const uint64_t start[6] = {0x0123456789abcdefULL, 0xfedcba9876543210ULL, 0x5851f42d4c957f2dULL,
+                                  0x14057b7ef767814fULL, 0, 0};
+
 static void estimate(int threads, int64_t chunk, uint64_t *words, double *local, double *mec)
 {
-    static const uint64_t start[6] = {0x0123456789abcdefULL, 0xfedcba9876543210ULL, 0x5851f42d4c957f2dULL,
-                                      0x14057b7ef767814fULL, 0, 0};
     int64_t stamps[MAX_THREADS * CONTENTS] = {0};
     uint64_t offset[SAMPLES + 1];
     memcpy(words, start, sizeof start);
     mecsched_estimate_slots(words, SAMPLES, chunk, threads, K_LO, k_guide, k_shift, k_edge, guide, shift, edge,
                             CAPACITY, CONTENTS, stamps, offset, 1.0, 1.0, 1e300, 1e300, 0.5, local, mec);
+}
+
+/* SAMPLES tasks with k in K_LO..K_LO + KS - 1, whose jump table is shorter
+ * than the draw, so that it runs in chunks. */
+static void draw(int threads, int64_t chunk, uint64_t *words, int64_t *ks, int64_t *distinct)
+{
+    int64_t stamps[MAX_THREADS * CONTENTS] = {0};
+    memcpy(words, start, sizeof start);
+    words[4] = 1;
+    words[5] = 0x9e3779b9;
+    mecsched_draw_tasks(words, SAMPLES, chunk, threads, K_LO, KS - 1, ks, guide, shift, edge, CAPACITY, CONTENTS,
+                        stamps, distinct);
+}
+
+/* Whether an estimate and a draw on threads threads in chunks of chunk
+ * tasks equal the one-thread ones. */
+static int agree(int threads, int64_t chunk, const double *local_one, const double *mec_one,
+                 const uint64_t *words_one, const int64_t *ks_one, const int64_t *distinct_one,
+                 const uint64_t *draw_words_one)
+{
+    double local[SAMPLES], mec[SAMPLES];
+    int64_t ks[SAMPLES], distinct[SAMPLES];
+    uint64_t words[6], draw_words[6];
+    estimate(threads, chunk, words, local, mec);
+    draw(threads, chunk, draw_words, ks, distinct);
+    return !memcmp(local, local_one, sizeof local) && !memcmp(mec, mec_one, sizeof mec) &&
+           !memcmp(words, words_one, sizeof words) && !memcmp(ks, ks_one, sizeof ks) &&
+           !memcmp(distinct, distinct_one, sizeof distinct) && !memcmp(draw_words, draw_words_one, sizeof draw_words);
 }
 
 int main(void)
@@ -62,20 +95,30 @@ int main(void)
     int runs = 0;
     for (int source = 0; source < 2; source++) {
         if (mecsched_select_word_source(source) != source) continue;
-        double local_one[SAMPLES], mec_one[SAMPLES], local[SAMPLES], mec[SAMPLES];
-        uint64_t words_one[6], words[6];
+        double local_one[SAMPLES], mec_one[SAMPLES];
+        int64_t ks_one[SAMPLES], distinct_one[SAMPLES];
+        uint64_t words_one[6], draw_words_one[6];
         estimate(1, SAMPLES, words_one, local_one, mec_one);
+        draw(1, SAMPLES, draw_words_one, ks_one, distinct_one);
         for (int threads = 2; threads <= MAX_THREADS; threads++) {
             for (int c = 0; c < 2; c++) {
-                estimate(threads, chunks[c], words, local, mec);
-                if (memcmp(local, local_one, sizeof local) || memcmp(mec, mec_one, sizeof mec) ||
-                    memcmp(words, words_one, sizeof words)) {
+                if (!agree(threads, chunks[c], local_one, mec_one, words_one, ks_one, distinct_one, draw_words_one)) {
                     printf("source %d, %d threads, chunks of %lld: not the one-thread run\n", source, threads,
                            (long long)chunks[c]);
                     return 1;
                 }
                 runs++;
             }
+        }
+        /* Two chunks, then one (which the draw runs on the caller alone), for
+         * four threads. */
+        for (int call = 0; call < LATE_CALLS; call++) {
+            if (!agree(MAX_THREADS, SAMPLES / 2 + (call % 2) * SAMPLES / 2, local_one, mec_one, words_one, ks_one,
+                       distinct_one, draw_words_one)) {
+                printf("source %d, call %d with more threads than chunks: not the one-thread run\n", source, call);
+                return 1;
+            }
+            runs++;
         }
     }
     printf("runs %d\n", runs);

@@ -22,7 +22,12 @@ times and summary lines and which went first.
 At each point, for every seed, it times
 
 - the draw: ``workload.draw_tasks``, reported in us per drawn task.  It
-  includes each task's two bit counts;
+  includes each task's two bit counts.  The compiled draw runs on threads
+  the kernel starts, one per CPU the process may run on, and the point
+  records how many each seed's draw ran on (``parts``).  Each repeat then
+  also times the draw on one thread, as on a one-CPU process
+  (``one_part_draw_us_per_task``), so the two alternate: their ratio shows
+  whether the other CPUs delivered while the point ran;
 - the run: ``run_simulation`` given that table, with no queue series kept
   (as the command line runs it), reported in us per slot.  This is the
   slot loop plus everything computed before and after it.
@@ -34,11 +39,8 @@ with ``tracemalloc``: its peak over that table's tasks is the point's
 One more point, ``analyze_estimate``, times ``estimate_slot_means`` (the
 ``analyze`` command's Monte Carlo estimate) at the default configuration
 with ``ESTIMATE_SAMPLES`` samples, once per seed, and reports it in us
-per sample.  The compiled estimate runs on threads the kernel starts, one
-per CPU the process may run on, and the point records how many it ran on
-(``parts``).  Each repeat then also times the estimate on one thread, as
-on a one-CPU process (``one_part_us_per_sample``), so the two alternate:
-their ratio shows whether the other CPUs delivered while the point ran.
+per sample.  It records its ``parts`` and its one-thread time
+(``one_part_us_per_sample``) as the draw does.
 
 The entry's ``commands`` time whole commands cold, each in
 ``COMMAND_RUNS`` fresh ``python -I`` children: the benchmark workloads
@@ -59,7 +61,8 @@ used: ``"slot_loop": "c"`` when the compiled kernel loaded
 ``"python"`` with no kernel.  Each command records the same two fields
 for its children.
 
-Each time is the minimum of ``REPEATS`` calls; a point's figure is the
+Each time is the minimum of ``REPEATS`` calls (alternating with its
+one-thread twin, where it has one); a point's figure is the
 sum of its seeds' minima over their summed tasks or slots, with the
 per-seed range beside it.  A shared host can run the same code twice as
 slow for minutes, or change speed within a point, so each point also
@@ -89,6 +92,7 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 HORIZON = 100_000
 SEEDS = (0, 1, 2, 3, 4)
@@ -142,33 +146,53 @@ print(json.dumps({
 """
 
 
-def min_time(fn) -> tuple[float, object]:
-    """Smallest wall time of ``REPEATS`` calls, and the last call's result."""
-    best = float("inf")
+def min_times(*fns) -> tuple[list, object]:
+    """Smallest wall time of each of ``fns`` over ``REPEATS`` rounds, which
+    call them in turn, and the first one's last result."""
+    best = [float("inf")] * len(fns)
     for _ in range(REPEATS):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
+        for i, fn in enumerate(fns):
+            start = time.perf_counter()
+            result = fn()
+            best[i] = min(best[i], time.perf_counter() - start)
+            if i == 0:
+                kept = result
+    return best, kept
+
+
+def one_part(fn):
+    """``fn`` as a one-CPU process runs it: the compiled draw and estimate
+    on one thread."""
+
+    def run():
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
+            return fn()
+
+    return run
 
 
 def measure_point(overrides: dict, reference: dict) -> dict:
+    from mecsched import workload
     from mecsched.config import ExperimentConfig, build_system
     from mecsched.engine import run_simulation
     from mecsched.workload import draw_tasks
 
     config = ExperimentConfig(horizon_slots=HORIZON, **overrides).validate()
     catalog, capacity, params, workload_cfg, policy = build_system(config)
-    draw_us, run_us, reference_s = [], [], []
-    draw_s = run_s = 0.0
+    draw_us, one_part_us, run_us, reference_s, parts = [], [], [], [], []
+    draw_s = one_part_s = run_s = 0.0
     n_tasks = 0
     for seed in SEEDS:
         reference_s.append(reference["time_reference"]())
-        t_draw, table = min_time(lambda: draw_tasks(catalog, capacity, workload_cfg, HORIZON, seed))
-        t_run, _ = min_time(lambda: run_simulation(table, params, policy, warmup_frac=config.warmup_frac))
+        draw = lambda: draw_tasks(catalog, capacity, workload_cfg, HORIZON, seed)
+        (t_draw, t_one_part), table = min_times(draw, one_part(draw))
+        (t_run,), _ = min_times(lambda: run_simulation(table, params, policy, warmup_frac=config.warmup_frac))
         tasks = table.arrival_slot.size
-        draw_s, run_s, n_tasks = draw_s + t_draw, run_s + t_run, n_tasks + tasks
+        parts.append(workload._parts(tasks))
+        draw_s, one_part_s, run_s = draw_s + t_draw, one_part_s + t_one_part, run_s + t_run
+        n_tasks += tasks
         draw_us.append(1e6 * t_draw / tasks)
+        one_part_us.append(1e6 * t_one_part / tasks)
         run_us.append(1e6 * t_run / HORIZON)
     tracemalloc.start()
     try:
@@ -179,6 +203,9 @@ def measure_point(overrides: dict, reference: dict) -> dict:
     return {
         "draw_us_per_task": 1e6 * draw_s / n_tasks,
         "draw_us_per_task_range": [min(draw_us), max(draw_us)],
+        "parts": parts,
+        "one_part_draw_us_per_task": 1e6 * one_part_s / n_tasks,
+        "one_part_draw_us_per_task_range": [min(one_part_us), max(one_part_us)],
         "run_us_per_slot": 1e6 * run_s / (HORIZON * len(SEEDS)),
         "run_us_per_slot_range": [min(run_us), max(run_us)],
         "run_bytes_per_task": run_peak / tasks,
@@ -188,8 +215,6 @@ def measure_point(overrides: dict, reference: dict) -> dict:
 
 
 def measure_estimate(reference: dict) -> dict:
-    from unittest import mock
-
     from mecsched import workload
     from mecsched.analysis import estimate_slot_means, uniform_k_dist
     from mecsched.config import ExperimentConfig, build_system
@@ -198,25 +223,13 @@ def measure_estimate(reference: dict) -> dict:
     catalog, capacity, params, _, _ = build_system(config)
     k_dist = uniform_k_dist(config.k_min, config.k_max)
     parts = workload._parts(ESTIMATE_SAMPLES)
-
-    def estimate(seed):
-        estimate_slot_means(catalog, capacity, params, k_dist, samples=ESTIMATE_SAMPLES, seed=seed)
-
-    def one_part(seed):
-        with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
-            estimate(seed)
-
     estimate_us, one_part_us, reference_s = [], [], []
     for seed in SEEDS:
         reference_s.append(reference["time_reference"]())
-        best = {estimate: float("inf"), one_part: float("inf")}
-        for _ in range(REPEATS):
-            for fn in best:
-                start = time.perf_counter()
-                fn(seed)
-                best[fn] = min(best[fn], time.perf_counter() - start)
-        estimate_us.append(1e6 * best[estimate] / ESTIMATE_SAMPLES)
-        one_part_us.append(1e6 * best[one_part] / ESTIMATE_SAMPLES)
+        estimate = lambda: estimate_slot_means(catalog, capacity, params, k_dist, samples=ESTIMATE_SAMPLES, seed=seed)
+        (t_estimate, t_one_part), _ = min_times(estimate, one_part(estimate))
+        estimate_us.append(1e6 * t_estimate / ESTIMATE_SAMPLES)
+        one_part_us.append(1e6 * t_one_part / ESTIMATE_SAMPLES)
     return {
         "estimate_us_per_sample": sum(estimate_us) / len(estimate_us),
         "estimate_us_per_sample_range": [min(estimate_us), max(estimate_us)],
