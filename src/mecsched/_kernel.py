@@ -7,7 +7,12 @@ PCG64 themselves from the state the caller passes, and the slot loop of
 :mod:`mecsched.engine`; and ``mecsched_pack_guide``, which builds the
 rank tables the draws read (:func:`mecsched.catalog.packed_guide`).  The
 estimate and the slot loop compute each task's busy-slot count where they
-use it.  The task draw's and the estimate's entries start threads, on one
+use it.  The estimate stores each count in 1, 2 or 8 bytes, the narrowest
+width its caller found to hold the largest count of its mode (2 bytes per
+sample at the defaults, 16 at most), and once its samples are counted it
+sums each mode's counts, and their squared deviations from the mean, in
+numpy's pairwise order, so that the caller takes the means and standard
+errors from four numbers.  The task draw's and the estimate's entries start threads, on one
 chunk driver: each takes the number of threads to run on and starts all
 but one as detached pthreads (the caller's thread is the other;
 ``ctypes`` releases the GIL for the call).  They share the tasks in
@@ -101,7 +106,8 @@ def load() -> Optional[ctypes.CDLL]:
         # their tasks' count, chunk size and thread count, and one stamp row
         # per thread.  The estimate takes two such triples, the k cdf's and
         # the catalog's, and room for the chunks' offsets, and stores no k
-        # value.
+        # value; its two count arrays are unsigned, each with its width in
+        # bytes, and it writes four sums, into an array checked to hold four.
         lib.mecsched_draw_tasks.argtypes = [
             _array(np.uint64), i64, i64, ctypes.c_int, i64, ctypes.c_uint32, _array(np.int64), _array(np.uint64),
             ctypes.c_int, _array(np.uint64), i64, i64, _array(np.int64), _array(np.int64),
@@ -115,7 +121,8 @@ def load() -> Optional[ctypes.CDLL]:
         lib.mecsched_estimate_slots.argtypes = [
             _array(np.uint64), i64, i64, ctypes.c_int, i64, _array(np.uint64), ctypes.c_int, _array(np.uint64),
             _array(np.uint64), ctypes.c_int, _array(np.uint64), i64, i64, _array(np.int64), _array(np.uint64),
-            f64, f64, f64, f64, f64, _array(np.float64), _array(np.float64),
+            f64, f64, f64, f64, f64, _array(None), ctypes.c_int, _array(None), ctypes.c_int,
+            np.ctypeslib.ndpointer(np.float64, shape=(4,), flags="C_CONTIGUOUS"),
         ]
         lib.mecsched_estimate_slots.restype = None
         lib.mecsched_pack_guide.argtypes = [

@@ -58,6 +58,16 @@
  * dynamics._busy_slots with its operations in the same order; the slot
  * loop computes it when a task starts, the estimate for every sample.
  *
+ * The estimate stores each mode's counts as unsigned integers 1, 2 or 8
+ * bytes wide, the narrowest that holds the count of a task of the largest
+ * k with every content fetched (the caller finds it: a count never falls
+ * as a task's bits grow, so that one bounds every sample), and then sums
+ * them on the caller's thread in numpy's pairwise order (pairwise_sum):
+ * per mode the counts, then their squared deviations from the mean, so
+ * that the caller's mean and std(ddof=1) are numpy's bit for bit, with no
+ * float64 copy of the counts.  The AVX-512 source sums eight terms at a
+ * time in the lanes of one vector, in the same order.
+ *
  * The slot loop is a transcription of the Python loop in
  * engine._python_slot_loop and of policy.decide; those stay the
  * reference.  Built with -ffp-contract=off and without -ffast-math, every
@@ -335,10 +345,21 @@ typedef struct {
     int64_t n_tasks, chunk, n_chunks, k_lo, capacity;
     const uint64_t *k_guide, *k_edge, *guide, *edge;
     uint64_t *offset;
-    int k_shift, shift, avx512;
+    int k_shift, shift, avx512, local_width, mec_width;
     double size_bits, cycles_per_bit, f_local_dt, f_mec_dt, rate_dt;
-    double *local_counts, *mec_counts;
+    void *local_counts, *mec_counts;
 } estimate_t;
+
+/* Stores count n at index i of counts, whose entries are width bytes wide
+ * (1, 2 or 8); the caller chose a width that holds n. */
+static inline void store_count(void *counts, int width, int64_t i, int64_t n)
+{
+    switch (width) {
+    case 1: ((uint8_t *)counts)[i] = (uint8_t)n; break;
+    case 2: ((uint16_t *)counts)[i] = (uint16_t)n; break;
+    default: ((uint64_t *)counts)[i] = (uint64_t)n;
+    }
+}
 
 /* Sample i's two counts: busy_slots of its bits size_bits * n_distinct (a
  * local run) and size_bits * k (an offload), as dynamics.task_bits,
@@ -346,8 +367,46 @@ typedef struct {
 static inline void estimate_sample(const estimate_t *e, int64_t i, int64_t k, int64_t n_distinct)
 {
     const double local_bits = e->size_bits * (double)n_distinct, mec_bits = e->size_bits * (double)k;
-    e->local_counts[i] = (double)busy_slots(mec_bits, local_bits, e->cycles_per_bit, e->f_local_dt, e->rate_dt);
-    e->mec_counts[i] = (double)busy_slots(mec_bits, mec_bits, e->cycles_per_bit, e->f_mec_dt, e->rate_dt);
+    store_count(e->local_counts, e->local_width, i,
+                busy_slots(mec_bits, local_bits, e->cycles_per_bit, e->f_local_dt, e->rate_dt));
+    store_count(e->mec_counts, e->mec_width, i,
+                busy_slots(mec_bits, mec_bits, e->cycles_per_bit, e->f_mec_dt, e->rate_dt));
+}
+
+/* The value numpy's pairwise sum adds for count i of counts (width
+ * bytes each) as a float64: the count itself or, with deviation, its
+ * squared deviation (c - mean)**2, as numpy's std squares it.  Every count
+ * is a whole number (busy_slots), so the conversion is exact. */
+static inline __attribute__((always_inline)) double count_term(const void *counts, int width, int64_t i,
+                                                              double mean, int deviation)
+{
+    const double c = width == 1   ? ((const uint8_t *)counts)[i]
+                     : width == 2 ? ((const uint16_t *)counts)[i]
+                                  : (double)((const uint64_t *)counts)[i];
+    const double d = c - mean;
+    return deviation ? d * d : c;
+}
+
+/* A leaf of numpy's pairwise sum: n <= LEAF terms (count_term), summed with
+ * eight accumulators, term j into accumulator j % 8, then the rest one by
+ * one; fewer than eight, one by one from 0.0.  Inlined with width and
+ * deviation constant, so each of their combinations is a loop of its
+ * own. */
+enum { LEAF = 128 };
+static inline __attribute__((always_inline)) double leaf_sum(const void *counts, int width, int64_t n, double mean,
+                                                            int deviation)
+{
+    int64_t i = 0;
+    double sum = 0.0;
+    if (n >= 8) {
+        double r[8];
+        for (int j = 0; j < 8; j++) r[j] = count_term(counts, width, j, mean, deviation);
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++) r[j] += count_term(counts, width, i + j, mean, deviation);
+        sum = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    }
+    for (; i < n; i++) sum += count_term(counts, width, i, mean, deviation);
+    return sum;
 }
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -660,6 +719,51 @@ AVX512 static void estimate_chunk_avx512(const estimate_t *e, int64_t first, int
     }
 }
 
+/* count_term of counts i..i + 7, in the lanes of one vector. */
+AVX512 static inline __attribute__((always_inline)) __m512d count_terms8(const void *counts, int width, int64_t i,
+                                                                        double mean, int deviation)
+{
+    __m512d c;
+    if (width == 1)
+        c = _mm512_cvtepi32_pd(_mm256_cvtepu8_epi32(_mm_loadl_epi64((const void *)((const uint8_t *)counts + i))));
+    else if (width == 2)
+        c = _mm512_cvtepi32_pd(_mm256_cvtepu16_epi32(_mm_loadu_si128((const void *)((const uint16_t *)counts + i))));
+    else
+        c = _mm512_cvtepu64_pd(_mm512_loadu_si512((const uint64_t *)counts + i));
+    if (deviation) {
+        c = _mm512_sub_pd(c, _mm512_set1_pd(mean));
+        c = _mm512_mul_pd(c, c);
+    }
+    return c;
+}
+
+/* leaf_sum with its eight accumulators as the lanes of one vector. */
+AVX512 static inline __attribute__((always_inline)) double leaf_sum_avx512(const void *counts, int width, int64_t n,
+                                                                          double mean, int deviation)
+{
+    int64_t i = 0;
+    double sum = 0.0;
+    if (n >= 8) {
+        __m512d r = count_terms8(counts, width, 0, mean, deviation);
+        for (i = 8; i < n - n % 8; i += 8) r = _mm512_add_pd(r, count_terms8(counts, width, i, mean, deviation));
+        double lane[8];
+        _mm512_storeu_pd(lane, r);
+        sum = ((lane[0] + lane[1]) + (lane[2] + lane[3])) + ((lane[4] + lane[5]) + (lane[6] + lane[7]));
+    }
+    for (; i < n; i++) sum += count_term(counts, width, i, mean, deviation);
+    return sum;
+}
+
+/* leaf_sum_avx512 with width and deviation constant. */
+AVX512 static double leaf_avx512(const void *counts, int width, int64_t n, double mean, int deviation)
+{
+    switch (width) {
+    case 1: return deviation ? leaf_sum_avx512(counts, 1, n, mean, 1) : leaf_sum_avx512(counts, 1, n, mean, 0);
+    case 2: return deviation ? leaf_sum_avx512(counts, 2, n, mean, 1) : leaf_sum_avx512(counts, 2, n, mean, 0);
+    default: return deviation ? leaf_sum_avx512(counts, 8, n, mean, 1) : leaf_sum_avx512(counts, 8, n, mean, 0);
+    }
+}
+
 /* mecsched_count_words on the AVX-512 source: the task draw's block_count,
  * on a block that takes the given words. */
 AVX512 static void count_words_avx512(int64_t n_tasks, const int64_t *ks, const uint64_t *words,
@@ -899,6 +1003,40 @@ static void estimate_job(const void *job, int64_t c, int64_t *stamp)
     estimate_chunk(e, first, size, e->offset[c], stamp);
 }
 
+/* numpy's pairwise sum (Higham 1993) of n terms (count_term) from count
+ * first on, in the order add.reduce takes on a float64 array: a run of at
+ * most LEAF terms is a leaf (leaf_sum), and a longer one splits at n / 2,
+ * rounded down to a multiple of 8.  The AVX-512 source sums each leaf in
+ * vectors, in the same order. */
+static double pairwise_sum(int avx512, const void *counts, int width, int64_t first, int64_t n, double mean,
+                           int deviation)
+{
+    if (n > LEAF) {
+        const int64_t half = n / 2 - n / 2 % 8;
+        return pairwise_sum(avx512, counts, width, first, half, mean, deviation) +
+               pairwise_sum(avx512, counts, width, first + half, n - half, mean, deviation);
+    }
+    const void *at = (const char *)counts + first * width;
+#ifdef MECSCHED_AVX512
+    if (avx512) return leaf_avx512(at, width, n, mean, deviation);
+#endif
+    (void)avx512;
+    switch (width) {
+    case 1: return deviation ? leaf_sum(at, 1, n, mean, 1) : leaf_sum(at, 1, n, mean, 0);
+    case 2: return deviation ? leaf_sum(at, 2, n, mean, 1) : leaf_sum(at, 2, n, mean, 0);
+    default: return deviation ? leaf_sum(at, 8, n, mean, 1) : leaf_sum(at, 8, n, mean, 0);
+    }
+}
+
+/* The two sums one mode's mean and standard error are taken from, each a
+ * pairwise_sum added to 0.0, add.reduce's start: the sum of its n counts,
+ * then the sum of their squared deviations from sum / n. */
+static void count_sums(int avx512, const void *counts, int width, int64_t n, double *sums)
+{
+    sums[0] = 0.0 + pairwise_sum(avx512, counts, width, 0, n, 0.0, 0);
+    sums[1] = n ? 0.0 + pairwise_sum(avx512, counts, width, 0, n, sums[0] / (double)n, 1) : 0.0;
+}
+
 /* The Monte Carlo estimate's n_tasks samples.  Their k values are
  * Generator.random(n_tasks), each ranked through k_guide, k_shift and
  * k_edge, the tables of the k cdf, as searchsorted(cdf, u, side="right")
@@ -907,8 +1045,12 @@ static void estimate_job(const void *job, int64_t c, int64_t *stamp)
  * streams, the second started n_tasks words on, and sample i takes its k
  * from the first and its contents from the second; no k is stored.
  * local_counts[i] and mec_counts[i] get sample i's two counts
- * (estimate_sample), and pcg64 is left at the state after the last
- * content.
+ * (estimate_sample), local_width and mec_width bytes wide (1, 2 or 8,
+ * wide enough for every count: the caller bounds them by the counts of a
+ * task of the largest k, all of whose contents are fetched), and pcg64 is
+ * left at the state after the last content.  Once every chunk is done,
+ * sums gets count_sums of the local counts, then of the offload counts:
+ * (sum, sum of squared deviations) for each.
  *
  * The samples run in chunks of chunk samples (chunk >= 1), the last one
  * shorter, on the chunk driver with threads threads, each on its own row of
@@ -916,23 +1058,27 @@ static void estimate_job(const void *job, int64_t c, int64_t *stamp)
  * indices plus 1.  chunk_offsets is the pre-pass: it ranks the k stream to
  * place each chunk's contents in offset (one word per chunk and one
  * more).  If a thread cannot be started, the threads already running share
- * the chunks. */
+ * the chunks.  The sums run on the caller's thread. */
 void mecsched_estimate_slots(uint64_t *pcg64, int64_t n_tasks, int64_t chunk, int threads, int64_t k_lo,
                              const uint64_t *k_guide, int k_shift, const uint64_t *k_edge, const uint64_t *guide,
                              int shift, const uint64_t *edge, int64_t capacity, int64_t n_contents, int64_t *stamps,
                              uint64_t *offset, double size_bits, double cycles_per_bit, double f_local_dt,
-                             double f_mec_dt, double rate_dt, double *local_counts, double *mec_counts)
+                             double f_mec_dt, double rate_dt, void *local_counts, int local_width, void *mec_counts,
+                             int mec_width, double *sums)
 {
     estimate_t e = {
         .rng = pcg64_load(pcg64), .n_tasks = n_tasks, .chunk = chunk, .n_chunks = (n_tasks + chunk - 1) / chunk,
         .k_lo = k_lo, .capacity = capacity, .k_guide = k_guide, .k_edge = k_edge, .guide = guide, .edge = edge,
         .offset = offset, .k_shift = k_shift, .shift = shift, .avx512 = mecsched_word_source(),
-        .size_bits = size_bits, .cycles_per_bit = cycles_per_bit, .f_local_dt = f_local_dt, .f_mec_dt = f_mec_dt,
-        .rate_dt = rate_dt, .local_counts = local_counts, .mec_counts = mec_counts,
+        .local_width = local_width, .mec_width = mec_width, .size_bits = size_bits,
+        .cycles_per_bit = cycles_per_bit, .f_local_dt = f_local_dt, .f_mec_dt = f_mec_dt, .rate_dt = rate_dt,
+        .local_counts = local_counts, .mec_counts = mec_counts,
     };
     driver_t local, *driver = driver_start(&local, threads, e.n_chunks, stamps, n_contents, estimate_job, &e);
     chunk_offsets(&e, driver);
     driver_finish(driver, &local);
+    count_sums(e.avx512, local_counts, local_width, n_tasks, sums);
+    count_sums(e.avx512, mec_counts, mec_width, n_tasks, sums + 2);
     pcg64_t rng = e.rng;
     pcg64_advance(&rng, offset[e.n_chunks]);
     pcg64_store(&rng, pcg64);

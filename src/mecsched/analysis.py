@@ -160,32 +160,34 @@ def estimate_slot_means(
     popularity) and counts them with the slot-count formulas the simulator
     uses, so the estimate is the canonical evaluator for quantities that
     have no closed form.  Deterministic given ``seed``.
-    The standard errors are taken in the count arrays' own memory, so the
-    compiled estimate holds 16 bytes per sample, the two counts (the kernel
-    reads each sample's ``k`` from the stream and stores none), and the
-    Python reference 24, the ``k`` values too.
+    It also gives each mode's count sum and sum of squared deviations,
+    both summed in numpy's pairwise order, so each mean, ``sum /
+    samples``, is the counts' ``mean()`` and each standard error their
+    ``std(ddof=1) / sqrt(samples)``, bit for bit, with no pass over the
+    counts here.  The compiled estimate holds
+    each count in 1, 2 or 8 bytes, the narrowest that holds its mode's
+    largest count: 2 bytes per sample at the defaults, 16 at most; the
+    Python reference holds 24, its ``k`` values and two float64 counts.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples for a standard error, got {samples}")
-    local_counts, mec_counts = sample_slot_counts(catalog, capacity, params, ks, samples, seed)
-    local_mean, mec_mean = float(local_counts.mean()), float(mec_counts.mean())
+    sums = np.empty(4)
+    sample_slot_counts(catalog, capacity, params, ks, samples, seed, sums)
+    local_sum, local_ssd, mec_sum, mec_ssd = sums.tolist()
     return SlotMeanEstimate(
-        local_mean=local_mean,
-        mec_mean=mec_mean,
-        local_se=_standard_error(local_counts, local_mean),
-        mec_se=_standard_error(mec_counts, mec_mean),
+        local_mean=local_sum / samples,
+        mec_mean=mec_sum / samples,
+        local_se=_standard_error(local_ssd, samples),
+        mec_se=_standard_error(mec_ssd, samples),
         samples=samples,
     )
 
 
-def _standard_error(counts: np.ndarray, mean: float) -> float:
-    """``counts.std(ddof=1) / sqrt(counts.size)``, bit for bit, computed in
-    ``counts``'s own memory: numpy's ``std`` subtracts the mean, squares,
-    sums with ``add.reduce``, divides by ``n - 1`` and takes the root, in
-    a temporary as long as ``counts``."""
-    counts -= mean
-    counts *= counts
-    return math.sqrt(float(np.add.reduce(counts)) / (counts.size - 1)) / math.sqrt(counts.size)
+def _standard_error(ssd: float, n: int) -> float:
+    """The standard error of the mean of ``n`` values whose squared
+    deviations from their mean sum to ``ssd``: ``std(ddof=1) /
+    sqrt(n)``, with numpy's ``std``'s division and root."""
+    return math.sqrt(ssd / (n - 1)) / math.sqrt(n)
 
 
 @dataclass(frozen=True)

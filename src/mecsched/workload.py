@@ -52,12 +52,13 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from . import _kernel
 from .catalog import ContentCatalog, packed_guide
-from .dynamics import SystemParams, busy_slot_terms, slots_local, slots_mec, task_bits
+from .dynamics import SystemParams, busy_slot_bounds, busy_slot_terms, slots_local, slots_mec, task_bits
 from .errors import ConfigError
 
 __all__ = [
@@ -314,10 +315,11 @@ def draw_ranks(rng: np.random.Generator, cdf: np.ndarray, n: int) -> np.ndarray:
 
 
 def sample_slot_counts(
-    catalog: ContentCatalog, capacity: int, params: SystemParams, ks: range, samples: int, seed: int
+    catalog: ContentCatalog, capacity: int, params: SystemParams, ks: range, samples: int, seed: int,
+    sums: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The Monte Carlo estimate's samples: ``samples`` tasks' local and
-    offload busy-slot counts, as two float64 arrays.
+    offload busy-slot counts, as two arrays.
 
     The stream: ``random(samples)`` from ``default_rng(seed)``, ranked by
     :func:`draw_ranks` through ``cdf = cumsum(p) / cdf[-1]`` (``p`` the
@@ -327,8 +329,21 @@ def sample_slot_counts(
     contents and counts them (``mecsched_estimate_slots``), reading the
     two as two streams, the contents' started ``samples`` words after the
     ``k`` values', through :func:`packed_guide` tables for the ``k`` cdf;
-    it stores no ``k`` value, so the compiled estimate holds 16 bytes per
-    sample, its two counts, and a stamp row per thread.
+    it stores no ``k`` value.  It stores each mode's counts as unsigned
+    integers of 1, 2 or 8 bytes, the narrowest that holds that mode's
+    count of a task of ``ks[-1]`` contents, all of them fetched: a count
+    never falls as a task's bits grow, so that one bounds every sample.
+    At the defaults both bounds fit a byte, so the compiled estimate holds
+    2 bytes per sample, and 16 once a count can reach the ``2**62`` cap;
+    besides, a stamp row per thread.
+
+    ``sums``, if given, is a float64 array of four that gets each mode's
+    two sums, the local counts' then the offload counts': the counts'
+    sum, and the sum of their squared deviations from ``sum / samples``,
+    both in the order of numpy's pairwise ``add.reduce`` over the counts
+    as float64, so that ``sum / samples`` is their ``mean()`` and the
+    second sum gives ``std(ddof=1)`` bit for bit.  The kernel takes them
+    once its samples are drawn, with no samples-long array of its own.
 
     The compiled estimate runs on ``P`` threads (:func:`_parts`): ``P`` is
     the number of CPUs in ``os.sched_getaffinity(0)``, capped at ``samples
@@ -340,8 +355,10 @@ def sample_slot_counts(
     gives the counts and the end state of one pass over the samples.  The
     generator keeps its state if the call raises.  ``P = 1`` starts no
     thread.  The reference, without the kernel, goes in steps of
-    ``_STEP_TASKS`` through :func:`draw_contents` and ``dynamics`` and
-    holds the ``k`` values too.
+    ``_STEP_TASKS`` through :func:`draw_contents` and ``dynamics``, holds
+    the ``k`` values too, returns float64 counts and takes ``sums`` with
+    numpy, in one more samples-long array once the ``k`` values are
+    freed: 24 bytes per sample either way.
     """
     check_ks(ks)
     check_capacity(catalog.n_contents, capacity)
@@ -350,7 +367,9 @@ def sample_slot_counts(
     rng = np.random.default_rng(seed)
     lib = _kernel.lib
     if lib is not None:
-        local_counts, mec_counts = np.empty((2, samples))
+        local_bound, mec_bound = busy_slot_bounds(float(catalog.size_bits) * ks[-1], params)
+        local_counts = np.empty(samples, dtype=_count_dtype(local_bound))
+        mec_counts = np.empty(samples, dtype=_count_dtype(mec_bound))
         parts = _parts(samples)
         stamps = np.zeros((parts, catalog.n_contents), dtype=np.int64)
         offsets = np.empty(-(-samples // _CHUNK) + 1, dtype=np.uint64)
@@ -358,7 +377,8 @@ def sample_slot_counts(
             lib.mecsched_estimate_slots(
                 words, samples, _CHUNK, parts, ks.start, *packed_guide(cdf), catalog.guide, catalog.guide_shift,
                 catalog.edge, capacity, catalog.n_contents, stamps, offsets, float(catalog.size_bits),
-                *busy_slot_terms(params), local_counts, mec_counts,
+                *busy_slot_terms(params), local_counts, local_counts.itemsize, mec_counts, mec_counts.itemsize,
+                np.empty(4) if sums is None else sums,
             )
         return local_counts, mec_counts
     drawn_ks = draw_ranks(rng, cdf, samples)
@@ -371,7 +391,19 @@ def sample_slot_counts(
         local_bits, mec_bits = task_bits(catalog, chunk, distinct)
         local_counts[first:first + chunk.size] = slots_local(mec_bits, local_bits, params)
         mec_counts[first:first + chunk.size] = slots_mec(mec_bits, params)
+    if sums is not None:
+        drawn_ks = chunk = None  # frees the k values: the deviations take their place
+        for mode, counts in enumerate((local_counts, mec_counts)):
+            total = np.add.reduce(counts)
+            deviations = counts - total / samples
+            deviations *= deviations
+            sums[2 * mode:2 * mode + 2] = total, np.add.reduce(deviations)
     return local_counts, mec_counts
+
+
+def _count_dtype(bound: int) -> type:
+    """The narrowest of uint8, uint16 and uint64 that holds ``bound``."""
+    return np.uint8 if bound < 2**8 else np.uint16 if bound < 2**16 else np.uint64
 
 
 def _parts(items: int) -> int:

@@ -160,8 +160,10 @@ def _compare(sanitized) -> None:
     the start (the generator's end state included), and runs with tasks
     that never end (2**62 slots), of one slot, with warm-up from the first
     or the last slot, with and without a series, and with two tasks ending
-    in one slot and every task ending; and busy-slot counts, in runs and in
-    the Monte Carlo estimate, at the formula's extremes (EXTREME_PARAMS)."""
+    in one slot and every task ending; busy-slot counts, in runs and in
+    the Monte Carlo estimate, at the formula's extremes (EXTREME_PARAMS);
+    and the estimate's counts and sums at each edge of their storage
+    widths (1, 2 and 8 bytes)."""
 
     def both(fn) -> list:
         results = []
@@ -270,3 +272,23 @@ def _compare(sanitized) -> None:
                     table, params, PolicySpec(policy, 1e-9), collect_series=True,
                 ))
                 assert_same_metrics(compiled, python)
+
+    # The estimate's count widths at their edges.  With compute that rounds
+    # away and a one-bit-per-slot link, each count is its task's bits, so
+    # contents of size_bits bits and k up to k_max bound every count at
+    # size_bits * k_max: 255 and 65,535 fit 1 and 2 bytes, 256 and 65,536
+    # do not.  A link whose rate times the slot length underflows caps
+    # every count at 2**62.  Each offload count of k_max contents reaches
+    # the bound; the sums run over every width.
+    for size_bits, k_max, params, bound, width in (
+        (51, 5, TIE_PARAMS, 255, 1), (64, 4, TIE_PARAMS, 256, 2), (13107, 5, TIE_PARAMS, 65_535, 2),
+        (16384, 4, TIE_PARAMS, 65_536, 8), (1, 5, EXTREME_PARAMS[0], 2**62, 8),
+    ):
+        catalog = ContentCatalog.zipf(50, 1.0, size_bits)
+        ks = range(1, k_max + 1)
+        compiled, python = both(lambda: sample_slot_counts(catalog, 5, params, ks, 300, 1))
+        assert [counts.itemsize for counts in compiled] == [width, width], bound
+        assert max(compiled[1].tolist()) == bound
+        assert [a.tolist() for a in compiled] == [a.tolist() for a in python]
+        compiled, python = both(lambda: estimate_slot_means(catalog, 5, params, ks, 300, seed=1))
+        assert compiled == python, bound

@@ -327,6 +327,53 @@ def test_slot_mean_standard_errors_are_numpys_std(catalog, params) -> None:
             assert [est.local_se, est.mec_se] == expected, (capacity, path)
 
 
+ORDER_LENGTHS = (*range(1, 10), 127, 128, 129, 255, 256, 257, 1023, 1024, 1025, 50_000, 77_777)
+
+
+def test_count_sums_follow_numpys_pairwise_order(catalog, params) -> None:
+    # The compiled estimate sums its narrow counts itself, in numpy's
+    # pairwise order: each mode's sum over samples is the counts' mean() and
+    # its sum of squared deviations gives their std(ddof=1) / sqrt(samples),
+    # bit for bit, at every storage width, on both word sources (the
+    # AVX-512 one sums each leaf in vectors).  The lengths sit around the
+    # eight-accumulator and 128-term leaves and the splits above them.
+    # Counts are spread, all equal (one k, a cache of every content), or
+    # single slots mixed with the 2**62 cap (a link of 1e-12 bit/s).
+    if _kernel.lib is None:
+        pytest.skip("no C compiler: the compiled estimate is not built")
+    slower = SystemParams(slot_seconds=0.2, cycles_per_bit=1.0, f_local_hz=1e7, f_mec_hz=1e8, rate_bps=5e6)
+    slowest = SystemParams(slot_seconds=0.2, cycles_per_bit=1.0, f_local_hz=1e4, f_mec_hz=1e5, rate_bps=5e3)
+    capped = SystemParams(slot_seconds=0.2, cycles_per_bit=1.0, f_local_hz=1e9, f_mec_hz=1e10, rate_bps=1e-12)
+    cases = [
+        (point, capacity, ks, width)
+        for point, width in ((params, 1), (slower, 2), (slowest, 8))
+        for capacity, ks in ((50, range(40, 61)), (1000, range(60, 61)))
+    ]
+    cases.append((capped, 990, range(3, 67), 8))
+    for kernel, source in paths()[:-1]:
+        with drawing_on(kernel, source):
+            for point, capacity, ks, width in cases:
+                for n in ORDER_LENGTHS:
+                    sums = np.empty(4)
+                    drawn = sample_slot_counts(catalog, capacity, point, ks, n, seed=n, sums=sums)
+                    for counts, (total, ssd) in zip(drawn, sums.reshape(2, 2).tolist()):
+                        case = (source, width, capacity, n)
+                        assert counts.itemsize == width, case
+                        counts = counts.astype(np.float64)
+                        assert total / n == counts.mean(), case
+                        assert ssd == np.add.reduce(np.square(counts - counts.mean())), case
+                        if n > 1:
+                            assert analysis._standard_error(ssd, n) == counts.std(ddof=1) / math.sqrt(n), case
+                # The longest draw's counts are spread, equal or mixed, as above.
+                local, mec = (set(counts.tolist()) for counts in drawn)
+                if len(ks) == 1:
+                    assert len(local) == len(mec) == 1, width
+                elif point is capped:
+                    assert mec == {2**62} and min(local) == 1 and max(local) == 2**62
+                else:
+                    assert len(local) > 1 and len(mec) > 1, width
+
+
 @pytest.mark.parametrize("loop", ["c", "python"])
 def test_slot_mean_estimate_holds_24_bytes_per_sample(catalog, params, loop) -> None:
     # The k values and the two count arrays; the standard errors take no
@@ -360,6 +407,27 @@ def test_compiled_estimate_holds_16_bytes_per_sample(catalog, params) -> None:
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] <= 16 * 5_000 + 32_768
+
+
+def test_compiled_estimate_holds_each_count_at_its_narrowest_width(catalog, params) -> None:
+    # At the defaults no count exceeds a byte, so the estimate grows by 2
+    # bytes per sample; once a count can reach the 2**62 cap (a link of
+    # 1e-12 bit/s), by 16.  The sums take no samples-long array.  A first
+    # call takes the one-time allocations out of the measured ones.
+    if _kernel.lib is None:
+        pytest.skip("no C compiler: the compiled estimate is not built")
+    capped = SystemParams(slot_seconds=0.2, cycles_per_bit=1.0, f_local_hz=1e9, f_mec_hz=1e10, rate_bps=1e-12)
+    for point, capacity, bytes_per_sample in ((params, 50, 2), (capped, 990, 16)):
+        estimate_slot_means(catalog, capacity, point, range(40, 61), samples=100, seed=0)
+        peaks = []
+        for samples in (5_000, 10_000):
+            tracemalloc.start()
+            try:
+                estimate_slot_means(catalog, capacity, point, range(40, 61), samples=samples, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= bytes_per_sample * 5_000 + 4_096, bytes_per_sample
 
 
 def test_slot_means_near_simulated_defaults(catalog, params) -> None:

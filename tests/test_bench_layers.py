@@ -1,6 +1,6 @@
 """Smoke tests of ``tools/bench_layers.py``: one small point, the estimate
-point with its part count and one-part time, and the cold commands, end to
-end, and the pairing of two checkouts' cold commands."""
+point with its part count, one-part time and bytes per sample, and the cold
+commands, end to end, and the pairing of two checkouts' cold commands."""
 
 from __future__ import annotations
 
@@ -96,6 +96,23 @@ def test_measure_estimate_records_its_parts_and_times_one_part(monkeypatch) -> N
     assert point["parts"] == 2
     assert [threads for _, threads in recording.calls] == [2, 1] * 3
     assert point["one_part_us_per_sample"] > 0 and point["estimate_us_per_sample"] > 0
+
+
+def test_measure_estimate_memory_reports_the_estimates_bytes_per_sample(monkeypatch) -> None:
+    # At the defaults the compiled estimate holds each count in a byte, 2
+    # bytes per sample, beside allocations that do not grow with the
+    # samples: on two CPUs, two stamp rows and the rank tables, about 0.6
+    # bytes per sample at 50,000 samples.  float64 counts would take 16.
+    if _kernel.lib is None:
+        pytest.skip("no C compiler: the compiled estimate is not built")
+    tool = _load_tool()
+    monkeypatch.setattr(tool, "ESTIMATE_SAMPLES", 50_000)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    tool.measure_estimate_memory()  # the first estimate in a process imports numpy.random
+    point = tool.measure_estimate_memory()
+
+    assert set(point) == {"estimate_bytes_per_sample"}
+    assert 2 <= point["estimate_bytes_per_sample"] <= 3
 
 
 def test_measure_point_records_its_draws_parts_and_times_one_part(monkeypatch) -> None:

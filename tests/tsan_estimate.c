@@ -1,8 +1,10 @@
 /* A ThreadSanitizer test program for the kernel's threads, built by
  * tests/test_kernel.py with -fsanitize=thread against the kernel's source.
  * On each word source the processor has, it runs mecsched_estimate_slots
- * and mecsched_draw_tasks on 2 to 4 threads in chunks of 1 and 7 tasks and
- * compares the results and the end state with a run on one thread.  Then
+ * (its counts 1, 2 and 8 bytes wide, and their sums, which the caller's
+ * thread takes from the threads' counts) and mecsched_draw_tasks on 2 to 4
+ * threads in chunks of 1 and 7 tasks and compares the results and the end
+ * state with a run on one thread.  Then
  * it calls each entry many times in a row with more threads than chunks,
  * so that threads start after the last chunk was taken, and often after
  * the call has returned.  It prints "runs N" and exits 0 when all N runs
@@ -36,13 +38,34 @@ static int shift_for(int64_t n)
 static const uint64_t start[6] = {0x0123456789abcdefULL, 0xfedcba9876543210ULL, 0x5851f42d4c957f2dULL,
                                   0x14057b7ef767814fULL, 0, 0};
 
-static void estimate(int threads, int64_t chunk, uint64_t *words, double *local, double *mec)
+/* The estimate's count widths: the counts (at most 120) fit each. */
+static const int widths[] = {1, 2, 8};
+
+/* Count i of counts, width bytes each. */
+static uint64_t count_at(const uint8_t *counts, int width, int64_t i)
+{
+    switch (width) {
+    case 1: return counts[i];
+    case 2: return ((const uint16_t *)counts)[i];
+    default: return ((const uint64_t *)counts)[i];
+    }
+}
+
+/* An estimate with counts width bytes wide: its end state in words, its
+ * counts in local and mec, and its four sums. */
+static void estimate(int threads, int64_t chunk, int width, uint64_t *words, uint64_t *local, uint64_t *mec,
+                     double *sums)
 {
     int64_t stamps[MAX_THREADS * CONTENTS] = {0};
-    uint64_t offset[SAMPLES + 1];
+    uint64_t offset[SAMPLES + 1], local_counts[SAMPLES], mec_counts[SAMPLES];
     memcpy(words, start, sizeof start);
     mecsched_estimate_slots(words, SAMPLES, chunk, threads, K_LO, k_guide, k_shift, k_edge, guide, shift, edge,
-                            CAPACITY, CONTENTS, stamps, offset, 1.0, 1.0, 1e300, 1e300, 0.5, local, mec);
+                            CAPACITY, CONTENTS, stamps, offset, 1.0, 1.0, 1e300, 1e300, 0.5, local_counts, width,
+                            mec_counts, width, sums);
+    for (int64_t i = 0; i < SAMPLES; i++) {
+        local[i] = count_at((const uint8_t *)local_counts, width, i);
+        mec[i] = count_at((const uint8_t *)mec_counts, width, i);
+    }
 }
 
 /* SAMPLES tasks with k in K_LO..K_LO + KS - 1, whose jump table is shorter
@@ -57,20 +80,24 @@ static void draw(int threads, int64_t chunk, uint64_t *words, int64_t *ks, int64
                         stamps, distinct);
 }
 
-/* Whether an estimate and a draw on threads threads in chunks of chunk
- * tasks equal the one-thread ones. */
-static int agree(int threads, int64_t chunk, const double *local_one, const double *mec_one,
-                 const uint64_t *words_one, const int64_t *ks_one, const int64_t *distinct_one,
-                 const uint64_t *draw_words_one)
+/* Whether estimates at every count width and a draw on threads threads in
+ * chunks of chunk tasks equal the one-thread ones. */
+static int agree(int threads, int64_t chunk, const uint64_t *local_one, const uint64_t *mec_one,
+                 const double *sums_one, const uint64_t *words_one, const int64_t *ks_one,
+                 const int64_t *distinct_one, const uint64_t *draw_words_one)
 {
-    double local[SAMPLES], mec[SAMPLES];
+    uint64_t local[SAMPLES], mec[SAMPLES], words[6], draw_words[6];
     int64_t ks[SAMPLES], distinct[SAMPLES];
-    uint64_t words[6], draw_words[6];
-    estimate(threads, chunk, words, local, mec);
+    double sums[4];
+    for (int w = 0; w < 3; w++) {
+        estimate(threads, chunk, widths[w], words, local, mec, sums);
+        if (memcmp(local, local_one, sizeof local) || memcmp(mec, mec_one, sizeof mec) ||
+            memcmp(sums, sums_one, sizeof sums) || memcmp(words, words_one, sizeof words))
+            return 0;
+    }
     draw(threads, chunk, draw_words, ks, distinct);
-    return !memcmp(local, local_one, sizeof local) && !memcmp(mec, mec_one, sizeof mec) &&
-           !memcmp(words, words_one, sizeof words) && !memcmp(ks, ks_one, sizeof ks) &&
-           !memcmp(distinct, distinct_one, sizeof distinct) && !memcmp(draw_words, draw_words_one, sizeof draw_words);
+    return !memcmp(ks, ks_one, sizeof ks) && !memcmp(distinct, distinct_one, sizeof distinct) &&
+           !memcmp(draw_words, draw_words_one, sizeof draw_words);
 }
 
 int main(void)
@@ -95,14 +122,15 @@ int main(void)
     int runs = 0;
     for (int source = 0; source < 2; source++) {
         if (mecsched_select_word_source(source) != source) continue;
-        double local_one[SAMPLES], mec_one[SAMPLES];
+        uint64_t local_one[SAMPLES], mec_one[SAMPLES], words_one[6], draw_words_one[6];
         int64_t ks_one[SAMPLES], distinct_one[SAMPLES];
-        uint64_t words_one[6], draw_words_one[6];
-        estimate(1, SAMPLES, words_one, local_one, mec_one);
+        double sums_one[4];
+        estimate(1, SAMPLES, 8, words_one, local_one, mec_one, sums_one);
         draw(1, SAMPLES, draw_words_one, ks_one, distinct_one);
         for (int threads = 2; threads <= MAX_THREADS; threads++) {
             for (int c = 0; c < 2; c++) {
-                if (!agree(threads, chunks[c], local_one, mec_one, words_one, ks_one, distinct_one, draw_words_one)) {
+                if (!agree(threads, chunks[c], local_one, mec_one, sums_one, words_one, ks_one, distinct_one,
+                           draw_words_one)) {
                     printf("source %d, %d threads, chunks of %lld: not the one-thread run\n", source, threads,
                            (long long)chunks[c]);
                     return 1;
@@ -113,8 +141,8 @@ int main(void)
         /* Two chunks, then one (which the draw runs on the caller alone), for
          * four threads. */
         for (int call = 0; call < LATE_CALLS; call++) {
-            if (!agree(MAX_THREADS, SAMPLES / 2 + (call % 2) * SAMPLES / 2, local_one, mec_one, words_one, ks_one,
-                       distinct_one, draw_words_one)) {
+            if (!agree(MAX_THREADS, SAMPLES / 2 + (call % 2) * SAMPLES / 2, local_one, mec_one, sums_one, words_one,
+                       ks_one, distinct_one, draw_words_one)) {
                 printf("source %d, call %d with more threads than chunks: not the one-thread run\n", source, call);
                 return 1;
             }

@@ -40,7 +40,11 @@ One more point, ``analyze_estimate``, times ``estimate_slot_means`` (the
 ``analyze`` command's Monte Carlo estimate) at the default configuration
 with ``ESTIMATE_SAMPLES`` samples, once per seed, and reports it in us
 per sample.  It records its ``parts`` and its one-thread time
-(``one_part_us_per_sample``) as the draw does.
+(``one_part_us_per_sample``) as the draw does, and, from one more call
+traced with ``tracemalloc`` after the timed ones, the estimate's peak over
+its samples (``estimate_bytes_per_sample``): with the kernel, its count
+arrays, 2 bytes per sample at the default configuration, plus its fixed
+allocations spread over the samples.
 
 The entry's ``commands`` time whole commands cold, each in
 ``COMMAND_RUNS`` fresh ``python -I`` children: the benchmark workloads
@@ -241,6 +245,23 @@ def measure_estimate(reference: dict) -> dict:
     }
 
 
+def measure_estimate_memory() -> dict:
+    """The ``tracemalloc`` peak of one ``analyze_estimate`` call, per sample."""
+    from mecsched.analysis import estimate_slot_means, uniform_k_dist
+    from mecsched.config import ExperimentConfig, build_system
+
+    config = ExperimentConfig().validate()
+    catalog, capacity, params, _, _ = build_system(config)
+    k_dist = uniform_k_dist(config.k_min, config.k_max)
+    tracemalloc.start()
+    try:
+        estimate_slot_means(catalog, capacity, params, k_dist, samples=ESTIMATE_SAMPLES, seed=SEEDS[-1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"estimate_bytes_per_sample": peak / ESTIMATE_SAMPLES}
+
+
 def measure_commands(repo: Path, workloads: dict, reference: dict, against: Path | None = None) -> dict:
     """Cold wall times of the ``COMMANDS`` workloads, from ``workloads``
     (the namespace of ``perfbench/workloads.py``), on ``repo``; with
@@ -394,7 +415,7 @@ def main(argv=None) -> None:
             "repeats": REPEATS,
             "points": {
                 **{name: measure_point(overrides, reference) for name, overrides in POINTS},
-                "analyze_estimate": measure_estimate(reference),
+                "analyze_estimate": {**measure_estimate(reference), **measure_estimate_memory()},
             },
             "commands": measure_commands(repo, workloads, reference),
             "tier1": tier1(repo),
