@@ -12,10 +12,10 @@ width its caller found to hold the largest count of its mode (2 bytes per
 sample at the defaults, 16 at most), and once its samples are counted it
 sums each mode's counts, and their squared deviations from the mean, in
 numpy's pairwise order, so that the caller takes the means and standard
-errors from four numbers.  The task draw's and the estimate's entries start threads, on one
-chunk driver: each takes the number of threads to run on and starts all
-but one as detached pthreads (the caller's thread is the other;
-``ctypes`` releases the GIL for the call).  They share the tasks in
+errors from four numbers.  The task draw's and the estimate's entries
+start threads, on one chunk driver: each takes the number of threads to
+run on and starts all but one as detached pthreads (the caller's thread
+is the other; ``ctypes`` releases the GIL for the call).  They share the tasks in
 fixed-size chunks, each placed in the stream by a serial pass that the
 caller makes while the threads start, so the result is the same on any
 number of threads.  The call returns once every chunk has run; a thread

@@ -65,8 +65,7 @@
  * them on the caller's thread in numpy's pairwise order (pairwise_sum):
  * per mode the counts, then their squared deviations from the mean, so
  * that the caller's mean and std(ddof=1) are numpy's bit for bit, with no
- * float64 copy of the counts.  The AVX-512 source sums eight terms at a
- * time in the lanes of one vector, in the same order.
+ * float64 copy of the counts.
  *
  * The slot loop is a transcription of the Python loop in
  * engine._python_slot_loop and of policy.decide; those stay the
@@ -719,51 +718,6 @@ AVX512 static void estimate_chunk_avx512(const estimate_t *e, int64_t first, int
     }
 }
 
-/* count_term of counts i..i + 7, in the lanes of one vector. */
-AVX512 static inline __attribute__((always_inline)) __m512d count_terms8(const void *counts, int width, int64_t i,
-                                                                        double mean, int deviation)
-{
-    __m512d c;
-    if (width == 1)
-        c = _mm512_cvtepi32_pd(_mm256_cvtepu8_epi32(_mm_loadl_epi64((const void *)((const uint8_t *)counts + i))));
-    else if (width == 2)
-        c = _mm512_cvtepi32_pd(_mm256_cvtepu16_epi32(_mm_loadu_si128((const void *)((const uint16_t *)counts + i))));
-    else
-        c = _mm512_cvtepu64_pd(_mm512_loadu_si512((const uint64_t *)counts + i));
-    if (deviation) {
-        c = _mm512_sub_pd(c, _mm512_set1_pd(mean));
-        c = _mm512_mul_pd(c, c);
-    }
-    return c;
-}
-
-/* leaf_sum with its eight accumulators as the lanes of one vector. */
-AVX512 static inline __attribute__((always_inline)) double leaf_sum_avx512(const void *counts, int width, int64_t n,
-                                                                          double mean, int deviation)
-{
-    int64_t i = 0;
-    double sum = 0.0;
-    if (n >= 8) {
-        __m512d r = count_terms8(counts, width, 0, mean, deviation);
-        for (i = 8; i < n - n % 8; i += 8) r = _mm512_add_pd(r, count_terms8(counts, width, i, mean, deviation));
-        double lane[8];
-        _mm512_storeu_pd(lane, r);
-        sum = ((lane[0] + lane[1]) + (lane[2] + lane[3])) + ((lane[4] + lane[5]) + (lane[6] + lane[7]));
-    }
-    for (; i < n; i++) sum += count_term(counts, width, i, mean, deviation);
-    return sum;
-}
-
-/* leaf_sum_avx512 with width and deviation constant. */
-AVX512 static double leaf_avx512(const void *counts, int width, int64_t n, double mean, int deviation)
-{
-    switch (width) {
-    case 1: return deviation ? leaf_sum_avx512(counts, 1, n, mean, 1) : leaf_sum_avx512(counts, 1, n, mean, 0);
-    case 2: return deviation ? leaf_sum_avx512(counts, 2, n, mean, 1) : leaf_sum_avx512(counts, 2, n, mean, 0);
-    default: return deviation ? leaf_sum_avx512(counts, 8, n, mean, 1) : leaf_sum_avx512(counts, 8, n, mean, 0);
-    }
-}
-
 /* mecsched_count_words on the AVX-512 source: the task draw's block_count,
  * on a block that takes the given words. */
 AVX512 static void count_words_avx512(int64_t n_tasks, const int64_t *ks, const uint64_t *words,
@@ -1006,21 +960,15 @@ static void estimate_job(const void *job, int64_t c, int64_t *stamp)
 /* numpy's pairwise sum (Higham 1993) of n terms (count_term) from count
  * first on, in the order add.reduce takes on a float64 array: a run of at
  * most LEAF terms is a leaf (leaf_sum), and a longer one splits at n / 2,
- * rounded down to a multiple of 8.  The AVX-512 source sums each leaf in
- * vectors, in the same order. */
-static double pairwise_sum(int avx512, const void *counts, int width, int64_t first, int64_t n, double mean,
-                           int deviation)
+ * rounded down to a multiple of 8. */
+static double pairwise_sum(const void *counts, int width, int64_t first, int64_t n, double mean, int deviation)
 {
     if (n > LEAF) {
         const int64_t half = n / 2 - n / 2 % 8;
-        return pairwise_sum(avx512, counts, width, first, half, mean, deviation) +
-               pairwise_sum(avx512, counts, width, first + half, n - half, mean, deviation);
+        return pairwise_sum(counts, width, first, half, mean, deviation) +
+               pairwise_sum(counts, width, first + half, n - half, mean, deviation);
     }
     const void *at = (const char *)counts + first * width;
-#ifdef MECSCHED_AVX512
-    if (avx512) return leaf_avx512(at, width, n, mean, deviation);
-#endif
-    (void)avx512;
     switch (width) {
     case 1: return deviation ? leaf_sum(at, 1, n, mean, 1) : leaf_sum(at, 1, n, mean, 0);
     case 2: return deviation ? leaf_sum(at, 2, n, mean, 1) : leaf_sum(at, 2, n, mean, 0);
@@ -1031,10 +979,10 @@ static double pairwise_sum(int avx512, const void *counts, int width, int64_t fi
 /* The two sums one mode's mean and standard error are taken from, each a
  * pairwise_sum added to 0.0, add.reduce's start: the sum of its n counts,
  * then the sum of their squared deviations from sum / n. */
-static void count_sums(int avx512, const void *counts, int width, int64_t n, double *sums)
+static void count_sums(const void *counts, int width, int64_t n, double *sums)
 {
-    sums[0] = 0.0 + pairwise_sum(avx512, counts, width, 0, n, 0.0, 0);
-    sums[1] = n ? 0.0 + pairwise_sum(avx512, counts, width, 0, n, sums[0] / (double)n, 1) : 0.0;
+    sums[0] = 0.0 + pairwise_sum(counts, width, 0, n, 0.0, 0);
+    sums[1] = n ? 0.0 + pairwise_sum(counts, width, 0, n, sums[0] / (double)n, 1) : 0.0;
 }
 
 /* The Monte Carlo estimate's n_tasks samples.  Their k values are
@@ -1077,8 +1025,8 @@ void mecsched_estimate_slots(uint64_t *pcg64, int64_t n_tasks, int64_t chunk, in
     driver_t local, *driver = driver_start(&local, threads, e.n_chunks, stamps, n_contents, estimate_job, &e);
     chunk_offsets(&e, driver);
     driver_finish(driver, &local);
-    count_sums(e.avx512, local_counts, local_width, n_tasks, sums);
-    count_sums(e.avx512, mec_counts, mec_width, n_tasks, sums + 2);
+    count_sums(local_counts, local_width, n_tasks, sums);
+    count_sums(mec_counts, mec_width, n_tasks, sums + 2);
     pcg64_t rng = e.rng;
     pcg64_advance(&rng, offset[e.n_chunks]);
     pcg64_store(&rng, pcg64);

@@ -164,10 +164,10 @@ def estimate_slot_means(
     both summed in numpy's pairwise order, so each mean, ``sum /
     samples``, is the counts' ``mean()`` and each standard error their
     ``std(ddof=1) / sqrt(samples)``, bit for bit, with no pass over the
-    counts here.  The compiled estimate holds
-    each count in 1, 2 or 8 bytes, the narrowest that holds its mode's
-    largest count: 2 bytes per sample at the defaults, 16 at most; the
-    Python reference holds 24, its ``k`` values and two float64 counts.
+    counts here.  The compiled estimate holds each count in 1, 2 or 8
+    bytes, the narrowest that holds its mode's largest count: 2 bytes per
+    sample at the defaults, 16 at most; the Python reference holds 24, its
+    ``k`` values and two float64 counts.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples for a standard error, got {samples}")

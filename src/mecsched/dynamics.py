@@ -36,7 +36,7 @@ import numpy as np
 
 from .catalog import ContentCatalog
 
-__all__ = ["SystemParams", "task_bits", "slots_local", "slots_mec", "busy_slot_bounds", "busy_slot_terms"]
+__all__ = ["SystemParams", "task_bits", "slots_local", "slots_mec", "busy_slot_terms"]
 
 # Busy-slot cap: beyond every horizon (those are below 2**53), and a start
 # slot plus the count stays inside int64.
@@ -81,15 +81,6 @@ def slots_mec(total_bits, params: SystemParams) -> np.ndarray:
     """Whole slots to finish each task on the edge server (compute + uplink)."""
     cycles_per_bit, _, f_mec_dt, rate_dt = busy_slot_terms(params)
     return _busy_slots(total_bits, total_bits, cycles_per_bit, f_mec_dt, rate_dt)
-
-
-def busy_slot_bounds(bits: float, params: SystemParams) -> list[int]:
-    """``[local, mec]``: the busy-slot counts of a task of ``bits`` bits
-    whose local run fetches all of them, :func:`slots_local` and
-    :func:`slots_mec` in one pass.  Neither count falls as a task's bits
-    grow, so no task of at most ``bits`` bits counts more."""
-    cycles_per_bit, f_local_dt, f_mec_dt, rate_dt = busy_slot_terms(params)
-    return _busy_slots(bits, bits, cycles_per_bit, np.array([f_local_dt, f_mec_dt]), rate_dt).tolist()
 
 
 def busy_slot_terms(params: SystemParams) -> tuple[float, float, float, float]:

@@ -299,13 +299,6 @@ def mean_delay_slots(metrics: RunMetrics) -> float:
     """Mean measured in-system time, in slots, over tasks arriving after
     warm-up (arrival slot through completion slot inclusive)."""
     mask = metrics.delay_arrival_slots >= metrics.warmup_slots
-    count = np.count_nonzero(mask)
-    if not count:
+    if not mask.any():
         raise MetricUndefined("no post-warmup task completed; measured delay undefined")
-    # Delays are positive whole numbers, so while their float sum stays
-    # below 2**53 every partial sum is exact, in any order: the sum is the
-    # masked mean's own, and no masked copy is needed.
-    total = metrics.delays_slots.sum(where=mask, dtype=np.float64)
-    if total < 2.0**53:
-        return float(total / count)
     return float(metrics.delays_slots[mask].mean())

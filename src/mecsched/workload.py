@@ -58,7 +58,7 @@ import numpy as np
 
 from . import _kernel
 from .catalog import ContentCatalog, packed_guide
-from .dynamics import SystemParams, busy_slot_bounds, busy_slot_terms, slots_local, slots_mec, task_bits
+from .dynamics import SystemParams, busy_slot_terms, slots_local, slots_mec, task_bits
 from .errors import ConfigError
 
 __all__ = [
@@ -337,13 +337,14 @@ def sample_slot_counts(
     2 bytes per sample, and 16 once a count can reach the ``2**62`` cap;
     besides, a stamp row per thread.
 
-    ``sums``, if given, is a float64 array of four that gets each mode's
-    two sums, the local counts' then the offload counts': the counts'
-    sum, and the sum of their squared deviations from ``sum / samples``,
-    both in the order of numpy's pairwise ``add.reduce`` over the counts
-    as float64, so that ``sum / samples`` is their ``mean()`` and the
-    second sum gives ``std(ddof=1)`` bit for bit.  The kernel takes them
-    once its samples are drawn, with no samples-long array of its own.
+    ``sums``, a float64 array of four (a fresh one if ``None``), gets
+    each mode's two sums, the local counts' then the offload counts': the
+    counts' sum, and the sum of their squared deviations from ``sum /
+    samples``, both in the order of numpy's pairwise ``add.reduce`` over
+    the counts as float64, so that ``sum / samples`` is their ``mean()``
+    and the second sum gives ``std(ddof=1)`` bit for bit.  The kernel
+    takes them once its samples are drawn, with no samples-long array of
+    its own.
 
     The compiled estimate runs on ``P`` threads (:func:`_parts`): ``P`` is
     the number of CPUs in ``os.sched_getaffinity(0)``, capped at ``samples
@@ -365,9 +366,11 @@ def sample_slot_counts(
     cdf = np.cumsum(np.full(len(ks), 1.0 / len(ks)))
     cdf /= cdf[-1]
     rng = np.random.default_rng(seed)
+    sums = np.empty(4) if sums is None else sums
     lib = _kernel.lib
     if lib is not None:
-        local_bound, mec_bound = busy_slot_bounds(float(catalog.size_bits) * ks[-1], params)
+        bound_bits = [float(catalog.size_bits) * ks[-1]]
+        local_bound, mec_bound = slots_local(bound_bits, bound_bits, params)[0], slots_mec(bound_bits, params)[0]
         local_counts = np.empty(samples, dtype=_count_dtype(local_bound))
         mec_counts = np.empty(samples, dtype=_count_dtype(mec_bound))
         parts = _parts(samples)
@@ -378,7 +381,7 @@ def sample_slot_counts(
                 words, samples, _CHUNK, parts, ks.start, *packed_guide(cdf), catalog.guide, catalog.guide_shift,
                 catalog.edge, capacity, catalog.n_contents, stamps, offsets, float(catalog.size_bits),
                 *busy_slot_terms(params), local_counts, local_counts.itemsize, mec_counts, mec_counts.itemsize,
-                np.empty(4) if sums is None else sums,
+                sums,
             )
         return local_counts, mec_counts
     drawn_ks = draw_ranks(rng, cdf, samples)
@@ -391,13 +394,12 @@ def sample_slot_counts(
         local_bits, mec_bits = task_bits(catalog, chunk, distinct)
         local_counts[first:first + chunk.size] = slots_local(mec_bits, local_bits, params)
         mec_counts[first:first + chunk.size] = slots_mec(mec_bits, params)
-    if sums is not None:
-        drawn_ks = chunk = None  # frees the k values: the deviations take their place
-        for mode, counts in enumerate((local_counts, mec_counts)):
-            total = np.add.reduce(counts)
-            deviations = counts - total / samples
-            deviations *= deviations
-            sums[2 * mode:2 * mode + 2] = total, np.add.reduce(deviations)
+    drawn_ks = chunk = None  # frees the k values: the deviations take their place
+    for mode, counts in enumerate((local_counts, mec_counts)):
+        total = np.add.reduce(counts)
+        deviations = counts - total / samples
+        deviations *= deviations
+        sums[2 * mode:2 * mode + 2] = total, np.add.reduce(deviations)
     return local_counts, mec_counts
 
 

@@ -334,8 +334,7 @@ def test_count_sums_follow_numpys_pairwise_order(catalog, params) -> None:
     # The compiled estimate sums its narrow counts itself, in numpy's
     # pairwise order: each mode's sum over samples is the counts' mean() and
     # its sum of squared deviations gives their std(ddof=1) / sqrt(samples),
-    # bit for bit, at every storage width, on both word sources (the
-    # AVX-512 one sums each leaf in vectors).  The lengths sit around the
+    # bit for bit, at every storage width.  The lengths sit around the
     # eight-accumulator and 128-term leaves and the splits above them.
     # Counts are spread, all equal (one k, a cache of every content), or
     # single slots mixed with the 2**62 cap (a link of 1e-12 bit/s).
@@ -350,28 +349,26 @@ def test_count_sums_follow_numpys_pairwise_order(catalog, params) -> None:
         for capacity, ks in ((50, range(40, 61)), (1000, range(60, 61)))
     ]
     cases.append((capped, 990, range(3, 67), 8))
-    for kernel, source in paths()[:-1]:
-        with drawing_on(kernel, source):
-            for point, capacity, ks, width in cases:
-                for n in ORDER_LENGTHS:
-                    sums = np.empty(4)
-                    drawn = sample_slot_counts(catalog, capacity, point, ks, n, seed=n, sums=sums)
-                    for counts, (total, ssd) in zip(drawn, sums.reshape(2, 2).tolist()):
-                        case = (source, width, capacity, n)
-                        assert counts.itemsize == width, case
-                        counts = counts.astype(np.float64)
-                        assert total / n == counts.mean(), case
-                        assert ssd == np.add.reduce(np.square(counts - counts.mean())), case
-                        if n > 1:
-                            assert analysis._standard_error(ssd, n) == counts.std(ddof=1) / math.sqrt(n), case
-                # The longest draw's counts are spread, equal or mixed, as above.
-                local, mec = (set(counts.tolist()) for counts in drawn)
-                if len(ks) == 1:
-                    assert len(local) == len(mec) == 1, width
-                elif point is capped:
-                    assert mec == {2**62} and min(local) == 1 and max(local) == 2**62
-                else:
-                    assert len(local) > 1 and len(mec) > 1, width
+    for point, capacity, ks, width in cases:
+        for n in ORDER_LENGTHS:
+            sums = np.empty(4)
+            drawn = sample_slot_counts(catalog, capacity, point, ks, n, seed=n, sums=sums)
+            for counts, (total, ssd) in zip(drawn, sums.reshape(2, 2).tolist()):
+                case = (width, capacity, n)
+                assert counts.itemsize == width, case
+                counts = counts.astype(np.float64)
+                assert total / n == counts.mean(), case
+                assert ssd == np.add.reduce(np.square(counts - counts.mean())), case
+                if n > 1:
+                    assert analysis._standard_error(ssd, n) == counts.std(ddof=1) / math.sqrt(n), case
+        # The longest draw's counts are spread, equal or mixed, as above.
+        local, mec = (set(counts.tolist()) for counts in drawn)
+        if len(ks) == 1:
+            assert len(local) == len(mec) == 1, width
+        elif point is capped:
+            assert mec == {2**62} and min(local) == 1 and max(local) == 2**62
+        else:
+            assert len(local) > 1 and len(mec) > 1, width
 
 
 @pytest.mark.parametrize("loop", ["c", "python"])
@@ -413,21 +410,23 @@ def test_compiled_estimate_holds_each_count_at_its_narrowest_width(catalog, para
     # At the defaults no count exceeds a byte, so the estimate grows by 2
     # bytes per sample; once a count can reach the 2**62 cap (a link of
     # 1e-12 bit/s), by 16.  The sums take no samples-long array.  A first
-    # call takes the one-time allocations out of the measured ones.
+    # call takes the one-time allocations out of the measured ones.  Two
+    # CPUs: both sample counts then run on two stamp rows, whatever the host.
     if _kernel.lib is None:
         pytest.skip("no C compiler: the compiled estimate is not built")
     capped = SystemParams(slot_seconds=0.2, cycles_per_bit=1.0, f_local_hz=1e9, f_mec_hz=1e10, rate_bps=1e-12)
-    for point, capacity, bytes_per_sample in ((params, 50, 2), (capped, 990, 16)):
-        estimate_slot_means(catalog, capacity, point, range(40, 61), samples=100, seed=0)
-        peaks = []
-        for samples in (5_000, 10_000):
-            tracemalloc.start()
-            try:
-                estimate_slot_means(catalog, capacity, point, range(40, 61), samples=samples, seed=0)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] - peaks[0] <= bytes_per_sample * 5_000 + 4_096, bytes_per_sample
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True):
+        for point, capacity, bytes_per_sample in ((params, 50, 2), (capped, 990, 16)):
+            estimate_slot_means(catalog, capacity, point, range(40, 61), samples=100, seed=0)
+            peaks = []
+            for samples in (5_000, 10_000):
+                tracemalloc.start()
+                try:
+                    estimate_slot_means(catalog, capacity, point, range(40, 61), samples=samples, seed=0)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert peaks[1] - peaks[0] <= bytes_per_sample * 5_000 + 4_096, bytes_per_sample
 
 
 def test_slot_means_near_simulated_defaults(catalog, params) -> None:

@@ -7,7 +7,7 @@ import pytest
 
 from mecsched.catalog import ContentCatalog
 from mecsched.config import ExperimentConfig, build_system
-from mecsched.dynamics import SystemParams, busy_slot_bounds, slots_local, slots_mec, task_bits
+from mecsched.dynamics import SystemParams, slots_local, slots_mec, task_bits
 from mecsched.engine import run_simulation
 from mecsched.policy import (
     ACTION_FIRST_LOCAL,
@@ -187,15 +187,6 @@ def test_slot_counts_beyond_any_horizon_are_capped() -> None:
         assert slots_local([5e6], [0.0], tiny).tolist() == [never]
         # a start slot below 2**53 plus the count stays inside int64
         assert never + 2**53 - 1 < np.iinfo(np.int64).max
-
-
-def test_busy_slot_bounds_are_a_fully_fetched_tasks_counts() -> None:
-    # One pass gives slots_local and slots_mec of a task that fetches all of
-    # its bits, down to the cap at an underflowed rate and up from 0 bits.
-    for params in (_params(), _params(rate_bps=1e-300), _params(slot_seconds=1e-200, rate_bps=1e-200)):
-        for bits in (0.0, 5e6, 3e8, 1e300):
-            expected = [slots_local([bits], [bits], params).tolist()[0], slots_mec([bits], params).tolist()[0]]
-            assert busy_slot_bounds(bits, params) == expected, (params, bits)
 
 
 def test_unfinishable_task_stays_in_service() -> None:

@@ -9,7 +9,6 @@ import pytest
 from mecsched import _kernel, engine, workload
 from mecsched.config import ExperimentConfig, build_system
 from mecsched.engine import (
-    RunMetrics,
     avg_data_per_task,
     avg_queue_length,
     decile_means,
@@ -327,26 +326,6 @@ def test_delay_accounting_single_task() -> None:
     # arrival in slot t is served in slot t+1: two slots in system, exactly.
     assert metrics.completions == 399
     assert mean_delay_slots(metrics) == 2.0
-
-
-def test_mean_delay_is_the_masked_mean_on_both_sides_of_2_53() -> None:
-    # Below 2**53 the post-warm-up delays' sum is exact, so their mean is
-    # the sum over the count; from 2**53 on, numpy's float sum rounds
-    # (2**53 + 1 + 1 sums to 2**53), and the mean stays the masked copy's.
-    # The first task of each run arrived before warm-up and is left out.
-    def metrics(delays: list) -> RunMetrics:
-        return RunMetrics(
-            horizon_slots=2**60, warmup_slots=1, delays_slots=np.array([7, *delays], dtype=np.int64),
-            delay_arrival_slots=np.arange(len(delays) + 1, dtype=np.int64),
-        )
-
-    below = metrics([2**52, 2**52 - 1])
-    assert mean_delay_slots(below) == (2**53 - 1) / 2 == float(below.delays_slots[1:].mean())
-    assert type(mean_delay_slots(below)) is float  # the CSVs write its repr
-    above = metrics([2**53, 1, 1])
-    assert mean_delay_slots(above) == float(above.delays_slots[1:].mean()) == 2**53 / 3 != (2**53 + 2) / 3
-    with pytest.raises(MetricUndefined):
-        mean_delay_slots(metrics([]))
 
 
 def test_chunked_arrivals_equal_one_draw() -> None:
