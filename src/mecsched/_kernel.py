@@ -15,7 +15,9 @@ numpy's pairwise order, so that the caller takes the means and standard
 errors from four numbers.  The task draw's and the estimate's entries
 start threads, on one chunk driver: each takes the number of threads to
 run on and starts all but one as detached pthreads (the caller's thread
-is the other; ``ctypes`` releases the GIL for the call).  They share the tasks in
+is the other; ``ctypes`` releases the GIL for the call), on Linux each
+pinned to a CPU the caller may run on other than its own, so that no
+thread waits for the caller's CPU.  They share the tasks in
 fixed-size chunks, each placed in the stream by a serial pass that the
 caller makes while the threads start, so the result is the same on any
 number of threads.  The call returns once every chunk has run; a thread

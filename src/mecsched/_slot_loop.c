@@ -39,6 +39,12 @@
  * a serial pre-pass that finds where each chunk starts in the stream: the
  * draw's skeleton, which makes each task's k draw and jumps past its
  * contents, and the estimate's chunk_offsets, which ranks its k stream.
+ * On Linux each thread starts pinned to one CPU the caller may run on
+ * other than the one it is on, taken in turn (where there is none, or a
+ * call fails, it starts unpinned): a scheduler may keep an unpinned new
+ * thread on its creator's CPU for a millisecond or more, or for good, and
+ * there the two take turns instead of running side by side.  The caller
+ * is not pinned, and nothing of the placement outlives the call.
  * Chunk 0 starts at the generator's state, so a thread takes it at once;
  * a later chunk is published as the pre-pass reaches it.  Then the caller
  * takes chunks too.  The caller and the threads take the chunks from one
@@ -75,6 +81,9 @@
  * returned as a bit mask of its flags (local_first, local_second,
  * mec_first, mec_second) = bits 0..3.
  */
+#ifndef _GNU_SOURCE
+#define _GNU_SOURCE /* sched_getcpu, pthread_attr_setaffinity_np */
+#endif
 #include <pthread.h>
 #include <sched.h>
 #include <stdint.h>
@@ -298,19 +307,56 @@ static void *driver_thread(void *arg)
     return 0;
 }
 
+#ifdef __linux__
+/* The CPU after cpu in set, going round, or -1 when set is empty. */
+static int next_cpu(const cpu_set_t *set, int cpu)
+{
+    for (int i = 1; i <= CPU_SETSIZE; i++) {
+        const int c = (cpu + i) % CPU_SETSIZE;
+        if (CPU_ISSET(c, set)) return c;
+    }
+    return -1;
+}
+#endif
+
 /* A driver for n_chunks chunks of job on threads threads: at local, on the
  * caller alone, for one thread (or when the heap is out); else on the heap,
- * with threads - 1 detached threads started on it (those that can be). */
+ * with threads - 1 detached threads started on it (those that can be),
+ * on Linux each pinned to the next CPU in turn of those the caller may run
+ * on but is not on (see the top of the file), or unpinned where none is
+ * left or a call fails. */
 static driver_t *driver_start(driver_t *local, int threads, int64_t n_chunks, int64_t *stamps, int64_t row_len,
                               void (*run)(const void *, int64_t, int64_t *), const void *job)
 {
     driver_t *d = threads > 1 ? malloc(sizeof *d) : 0;
     if (!d) d = local;
     *d = (driver_t){.refs = 1, .n_chunks = n_chunks, .row_len = row_len, .stamps = stamps, .run = run, .job = job};
-    for (int t = 1; d != local && t < threads; t++) {
+    if (d == local) return d;
+#ifdef __linux__
+    cpu_set_t others;
+    const int here = sched_getcpu();
+    int cpu = -1;
+    if (here < 0 || here >= CPU_SETSIZE || sched_getaffinity(0, sizeof others, &others) != 0) CPU_ZERO(&others);
+    else CPU_CLR(here, &others);
+#endif
+    for (int t = 1; t < threads; t++) {
         pthread_t thread;
+        pthread_attr_t *attr = 0;
+#ifdef __linux__
+        pthread_attr_t placed;
+        if ((cpu = next_cpu(&others, cpu)) >= 0 && pthread_attr_init(&placed) == 0) {
+            cpu_set_t one;
+            CPU_ZERO(&one);
+            CPU_SET(cpu, &one);
+            if (pthread_attr_setaffinity_np(&placed, sizeof one, &one) == 0) attr = &placed;
+            else pthread_attr_destroy(&placed);
+        }
+#endif
         __atomic_fetch_add(&d->refs, 1, __ATOMIC_RELAXED);
-        if (pthread_create(&thread, 0, driver_thread, d) != 0) {
+        const int started = pthread_create(&thread, attr, driver_thread, d) == 0 ||
+                            (attr && pthread_create(&thread, 0, driver_thread, d) == 0);
+        if (attr) pthread_attr_destroy(attr);
+        if (!started) {
             driver_release(d);
             break;
         }

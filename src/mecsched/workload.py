@@ -94,18 +94,19 @@ _STEP_TASKS = 4096
 # (_parts).  One thread against two, each a command's draws or estimate in a
 # fresh process with numpy.random imported (the draws: simulate's three
 # seeds at lambda 0.4, horizon 2.5 slots per task; 2-vCPU Xeon with
-# AVX-512F; medians of 20 interleaved processes per side):
+# AVX-512F, the second thread pinned to the other vCPU; medians of 20
+# interleaved processes per side):
 #
 #     three draws of   1 thread   2 threads   2 won     estimate of   1 thread   2 threads   2 won
-#      1500 tasks      1.81 ms    1.84 ms     6/20      1500 samples  1.09 ms    1.13 ms     7/20
-#      3000 tasks      2.48 ms    2.32 ms    15/20      3000 samples  1.29 ms    1.20 ms    16/20
-#      6000 tasks      4.08 ms    3.32 ms    19/20      6000 samples  1.65 ms    1.42 ms    18/20
-#     12000 tasks      7.45 ms    6.13 ms    19/20     20000 samples  3.78 ms    2.64 ms    19/20
-#                                                      50000 samples  8.12 ms    5.23 ms    19/20
+#      1500 tasks      1.09 ms    1.11 ms     8/20      1500 samples  0.54 ms    0.59 ms     1/20
+#      3000 tasks      1.65 ms    1.52 ms    15/20      3000 samples  0.79 ms    0.80 ms    11/20
+#      6000 tasks      2.75 ms    2.27 ms    18/20      6000 samples  1.14 ms    0.99 ms    19/20
+#     12000 tasks      5.26 ms    3.86 ms    19/20     20000 samples  2.75 ms    1.90 ms    20/20
+#                                                      50000 samples  6.40 ms    3.84 ms    20/20
 #
-# A process's first thread start costs 100-400 us, and the other vCPU here
-# often runs the thread a millisecond late.  The caller then draws on alone
-# and loses only the start and its pre-pass: 55-85 us at 6000 tasks.
+# At 1500 items (and at 750: 1/20 for either) the thread's start and the
+# caller's pre-pass cost more than the second thread saves; from 3000 items
+# two threads break even or win, so each thread gets at least 1500.
 _PART_FLOOR = 1500
 # Samples per chunk of the compiled estimate, which its threads take in
 # turn; each chunk sets up both streams anew (two jumps and the lanes'

@@ -239,3 +239,52 @@ def test_against_runs_tier1_in_both_checkouts_taking_turns(monkeypatch, tmp_path
         {"wall_s": 4, "exit_code": 0, "summary": "mine passed", "first": "against",
          "against": {"wall_s": 3, "exit_code": 0, "summary": "theirs passed"}},
     ]
+
+
+def test_entries_record_each_sides_ticks_per_cpu(monkeypatch, tmp_path) -> None:
+    # A stand-in /proc/stat that the stand-in children move: each child on
+    # "mine" adds 7 user ticks to cpu1 and 2 system ticks to cpu0, each on
+    # "theirs" 3 user ticks to cpu0.  cpu2 (not the process's), the total
+    # line and nice and idle ticks count for neither side.
+    tool = _load_tool()
+    monkeypatch.setattr(tool, "COMMAND_RUNS", 2)
+    mine, theirs, out, stat = tmp_path / "mine", tmp_path / "theirs", tmp_path / "bench.json", tmp_path / "stat"
+    counts = {"cpu0": [10, 4, 5, 900], "cpu1": [20, 4, 1, 900], "cpu2": [30, 4, 2, 900]}
+
+    def write() -> None:
+        rows = [f"{cpu} {' '.join(map(str, ticks))} 0 0 0 0 0 0" for cpu, ticks in counts.items()]
+        stat.write_text("\n".join(["cpu  60 12 8 2700 0 0 0 0 0 0", *rows, "intr 1 2", ""]))
+
+    def child(argv, **kwargs):
+        if Path(argv[4]).parent == mine:
+            counts["cpu1"][0] += 7
+            counts["cpu0"][2] += 2
+        else:
+            counts["cpu0"][0] += 3
+        for ticks in counts.values():
+            ticks[1] += 1
+            ticks[3] += 50
+        counts["cpu2"][0] += 100
+        write()
+        report = {
+            "import_numpy_random_s": 0.01, "command_s": 0.02, "csv_sha256": "same", "slot_loop": "c",
+            "word_source": "avx512",
+        }
+        return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(report) + "\n", stderr="")
+
+    write()
+    monkeypatch.setattr(tool, "PROC_STAT", stat)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(tool.subprocess, "run", child)
+    monkeypatch.setattr(tool, "tier1", lambda repo: {})
+    monkeypatch.setattr(tool, "environment", lambda repo: {"checkout": repo.name})
+    monkeypatch.setattr(tool, "checkout", lambda repo: {"checkout": repo.name})
+    tool.main(["--repo", str(mine), "--against", str(theirs), "--out", str(out)])
+
+    # Two children per command on each side, three commands.
+    (entry,) = json.loads(out.read_text())
+    assert entry["cpu_ticks"] == {"cpu0": 12, "cpu1": 42}
+    assert entry["against"] == {"checkout": "theirs", "cpu_ticks": {"cpu0": 18, "cpu1": 0}}
+    # Without the file, nothing is counted.
+    monkeypatch.setattr(tool, "PROC_STAT", tmp_path / "missing")
+    assert tool.cpu_ticks() == {}

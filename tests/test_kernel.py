@@ -1,8 +1,9 @@
 """The compiled kernel: it is built when it can be, the draw and the slot
 loop fall back to Python quietly when it cannot, it caches its build
 outside the source tree, builds with the undefined-behaviour and the
-address sanitizers run the extremes clean, and the estimate's threads run
-clean under the thread sanitizer."""
+address sanitizers run the extremes clean, the estimate's threads run
+clean under the thread sanitizer, and threads placed on other CPUs than
+the caller's change no result."""
 
 from __future__ import annotations
 
@@ -61,7 +62,8 @@ def test_kernel_calls_no_math_library_function() -> None:
     # whatever the process loaded.  The kernel makes its own.  Runtime
     # helpers a toolchain may add (names starting "__") are not counted;
     # the chunk driver's are the only library calls: its threads' start,
-    # detach and yield, and the heap for its shared block, the draw's chunk
+    # detach and yield, their placement on CPUs other than the caller's
+    # (Linux only), and the heap for its shared block, the draw's chunk
     # starts and its jump table.
     nm = shutil.which("nm")
     if _kernel.lib is None or nm is None:
@@ -70,7 +72,10 @@ def test_kernel_calls_no_math_library_function() -> None:
     assert listing.returncode == 0, listing.stderr
     undefined = [fields[-1] for fields in map(str.split, listing.stdout.splitlines()) if fields[0] == "U"]
     called = sorted(name.split("@")[0] for name in undefined if not name.startswith("__"))
-    assert called == ["free", "malloc", "pthread_create", "pthread_detach", "sched_yield"]
+    assert called == [
+        "free", "malloc", "pthread_attr_destroy", "pthread_attr_init", "pthread_attr_setaffinity_np", "pthread_create",
+        "pthread_detach", "sched_getaffinity", "sched_getcpu", "sched_yield",
+    ]
 
 
 @needs_cc
@@ -311,3 +316,56 @@ def test_thread_sanitizer_finds_no_race_in_the_estimate() -> None:
     assert "ThreadSanitizer" not in run.stderr, run.stderr
     label, runs = run.stdout.split()
     assert label == "runs" and int(runs) >= 6, run.stdout
+
+
+# Moves the caller onto each CPU it may run on in turn (and lets it run
+# anywhere again, which leaves it there for now), then draws with the
+# kernel's threads, which start on the other CPUs, and compares with one
+# thread.  Prints the CPUs it covered.
+_PLACED_CHILD = """
+import os
+from unittest import mock
+import numpy as np
+from mecsched import _kernel, config, workload
+cfg = config.ExperimentConfig().validate()
+catalog, capacity, params, workload_cfg, _ = config.build_system(cfg)
+ks = range(cfg.k_min, cfg.k_max + 1)
+
+def draws():
+    rng = np.random.default_rng(5)
+    tasks = workload.sample_tasks(rng, catalog, workload_cfg, 6000, capacity)
+    sums = np.empty(4)
+    counts = workload.sample_slot_counts(catalog, capacity, params, ks, 20000, 5, sums)
+    return [*tasks, *counts, sums], rng.bit_generator.state
+
+assert _kernel.lib is not None and workload._parts(6000) > 1
+with mock.patch.object(workload, "_parts", lambda items: 1):
+    one, one_state = draws()
+allowed = os.sched_getaffinity(0)
+for cpu in sorted(allowed):
+    os.sched_setaffinity(0, {cpu})
+    os.sched_setaffinity(0, allowed)
+    arrays, state = draws()
+    assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(arrays, one)), cpu
+    assert state == one_state, cpu
+    # The caller itself is not pinned.
+    assert os.sched_getaffinity(0) == allowed, cpu
+print(*sorted(allowed))
+"""
+
+
+@needs_cc
+def test_threads_placed_off_the_callers_cpu_change_nothing() -> None:
+    # The kernel pins each thread it starts to a CPU other than the
+    # caller's, in turn; with the caller on the last CPU the turn starts
+    # over from the first.  From every CPU, a 6,000-task draw and a
+    # 20,000-sample estimate equal one-thread runs, end state included.  A
+    # child moves itself, so this process keeps its CPUs.
+    if _kernel.lib is None:
+        pytest.skip("no kernel loaded")
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one CPU: the kernel starts no thread")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    child = subprocess.run([sys.executable, "-c", _PLACED_CHILD], env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == [str(cpu) for cpu in sorted(os.sched_getaffinity(0))]

@@ -57,6 +57,14 @@ since no change to the package can shrink it.  Each command records the
 medians and ranges of both times, its CSV's SHA-256, the slot loop its
 children ran and the host's speed around its children.
 
+The entry's ``cpu_ticks`` holds, per CPU the process may run on, the user
+plus system ticks that ``/proc/stat`` (read only) counted across the
+measured points and commands, Tier-1 apart: a second CPU that stayed near
+zero did no work while the draws and estimates asked for threads.  With
+``--against``, ``cpu_ticks`` counts across ``DIR``'s command children and
+``against`` holds ``OTHER``'s, so a pair shows each side's.  Where there
+is no ``/proc/stat``, it is ``{}``.
+
 The entry's environment records which slot loop and task draw the runs
 used: ``"slot_loop": "c"`` when the compiled kernel loaded
 (``mecsched._kernel.lib``), ``"python"`` otherwise.  Beside it,
@@ -98,6 +106,8 @@ import tracemalloc
 from pathlib import Path
 from unittest import mock
 
+# Per-CPU tick counters (Linux), read only.
+PROC_STAT = Path("/proc/stat")
 HORIZON = 100_000
 SEEDS = (0, 1, 2, 3, 4)
 REPEATS = 5
@@ -262,10 +272,14 @@ def measure_estimate_memory() -> dict:
     return {"estimate_bytes_per_sample": peak / ESTIMATE_SAMPLES}
 
 
-def measure_commands(repo: Path, workloads: dict, reference: dict, against: Path | None = None) -> dict:
+def measure_commands(
+    repo: Path, workloads: dict, reference: dict, against: Path | None = None, ticks: dict | None = None
+) -> dict:
     """Cold wall times of the ``COMMANDS`` workloads, from ``workloads``
     (the namespace of ``perfbench/workloads.py``), on ``repo``; with
-    ``against``, in pairs of children on ``repo`` and on ``against``."""
+    ``against``, in pairs of children on ``repo`` and on ``against``.
+    ``ticks``, when given, maps each checkout to the ``cpu_ticks`` its
+    children took, and gains them."""
     env = {**os.environ, **{name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}}
     out = {}
     for name in COMMANDS:
@@ -277,7 +291,12 @@ def measure_commands(repo: Path, workloads: dict, reference: dict, against: Path
                 sys.executable, "-I", "-c", _COMMAND_CHILD, str(root / "src"), workload.command, fields,
                 str(workload.samples),
             ]
+            before = cpu_ticks()
             child = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+            if ticks is not None:
+                side = ticks.setdefault(root, {})
+                for cpu, count in ticks_since(before).items():
+                    side[cpu] = side.get(cpu, 0) + count
             return json.loads(child.stdout.splitlines()[-1])
 
         reference_s = [reference["time_reference"]()]
@@ -318,6 +337,24 @@ def summarize(runs: list) -> dict:
         "slot_loop": sorted({run["slot_loop"] for run in runs}),
         "word_source": sorted({run["word_source"] for run in runs}),
     }
+
+
+def cpu_ticks() -> dict:
+    """User plus system ticks so far of each CPU this process may run on,
+    from ``PROC_STAT``, by its name there (``cpu0``); ``{}`` without it."""
+    try:
+        lines = PROC_STAT.read_text().splitlines()
+    except OSError:
+        return {}
+    allowed = {f"cpu{cpu}" for cpu in os.sched_getaffinity(0)}
+    rows = [fields for fields in map(str.split, lines) if fields and fields[0] in allowed]
+    # cpuN user nice system idle ...
+    return {fields[0]: int(fields[1]) + int(fields[3]) for fields in rows}
+
+
+def ticks_since(before: dict) -> dict:
+    """``cpu_ticks`` counted since ``before``, another reading of it."""
+    return {cpu: ticks - before[cpu] for cpu, ticks in cpu_ticks().items() if cpu in before}
 
 
 def host_speed(reference: dict, reference_s: list) -> dict:
@@ -401,13 +438,17 @@ def main(argv=None) -> None:
     if args.against is not None:
         against = args.against.resolve()
         paired = sum(1 for entry in entries if "tier1" in entry and "against" in entry)
+        ticks = {}
+        commands = measure_commands(repo, workloads, reference, against, ticks)
         entry = {
             "environment": environment(repo),
-            "against": checkout(against),
-            "commands": measure_commands(repo, workloads, reference, against),
+            "against": {**checkout(against), "cpu_ticks": ticks.get(against, {})},
+            "commands": commands,
+            "cpu_ticks": ticks.get(repo, {}),
             "tier1": tier1_pair(repo, against, repo_first=paired % 2 == 0),
         }
     else:
+        before = cpu_ticks()
         entry = {
             "environment": environment(repo),
             "horizon_slots": HORIZON,
@@ -418,6 +459,7 @@ def main(argv=None) -> None:
                 "analyze_estimate": {**measure_estimate(reference), **measure_estimate_memory()},
             },
             "commands": measure_commands(repo, workloads, reference),
+            "cpu_ticks": ticks_since(before),
             "tier1": tier1(repo),
         }
     entries.append(entry)
